@@ -15,7 +15,7 @@ import numpy as np
 from .errors import AdskgError, MagicFrequencyBlind
 from .geometry import make_params
 from .harmonics import AngularGrid, sph_harm
-from .modes import RadialKind, jacobi_radial, radial_eval
+from .modes import RadialKind, jacobi_radial, magic_frequency, radial_eval
 
 _KINDS = {"sa": RadialKind.Sa, "sb": RadialKind.Sb,
           "ca": RadialKind.Ca, "cb": RadialKind.Cb}
@@ -43,27 +43,29 @@ def _add_params_args(parser):
 def cmd_eval(args) -> int:
     params = make_params(args.d, args.R, args.msq)
     kind_name = args.kind.lower()
+    if kind_name in _KINDS:
+        rads = [radial_eval(_KINDS[kind_name], args.omega, args.l, rho, params)
+                for rho in map(float, args.rho)]
+        om = args.omega
+    elif kind_name in ("jplus", "jminus"):
+        branch = "plus" if kind_name == "jplus" else "minus"
+        rads = [jacobi_radial(branch, args.n, args.l, rho, params)
+                for rho in map(float, args.rho)]
+        om = magic_frequency(branch, args.n, args.l, params)
+    else:
+        raise AdskgError(f"unknown kind {args.kind!r}")
+    angles = [(theta, phi) for theta in map(float, args.theta)
+              for phi in map(float, args.phi)]
+    ylms = [sph_harm(args.l, args.m, theta, phi) for theta, phi in angles]
     lines = [f"# adskg v1 eval d={args.d} R={args.R!r} msq={args.msq!r}",
              "t,rho,theta,phi,re,im"]
     for t in map(float, args.t):
-        for rho in map(float, args.rho):
-            for theta in map(float, args.theta):
-                for phi in map(float, args.phi):
-                    if kind_name in _KINDS:
-                        rad = radial_eval(_KINDS[kind_name], args.omega,
-                                          args.l, rho, params)
-                        om = args.omega
-                    elif kind_name in ("jplus", "jminus"):
-                        branch = "plus" if kind_name == "jplus" else "minus"
-                        from .modes import magic_frequency
-                        rad = jacobi_radial(branch, args.n, args.l, rho, params)
-                        om = magic_frequency(branch, args.n, args.l, params)
-                    else:
-                        raise AdskgError(f"unknown kind {args.kind!r}")
-                    val = complex(np.exp(-1j * om * t) * rad
-                                  * sph_harm(args.l, args.m, theta, phi))
-                    lines.append(f"{t!r},{rho!r},{theta!r},{phi!r},"
-                                 f"{val.real!r},{val.imag!r}")
+        phase = np.exp(-1j * om * t)
+        for rho, rad in zip(map(float, args.rho), rads):
+            for (theta, phi), ylm in zip(angles, ylms):
+                val = complex(phase * rad * ylm)
+                lines.append(f"{t!r},{rho!r},{theta!r},{phi!r},"
+                             f"{val.real!r},{val.imag!r}")
     out = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -92,7 +94,8 @@ def cmd_verify(args) -> int:
 def cmd_reconstruct(args) -> int:
     from . import expansions as xp
     rep, params = xp.load_rep(args.input)
-    ang = AngularGrid(16, 32)
+    l_max = max(key[1] for key in rep.coeffs)
+    ang = AngularGrid(max(16, l_max + 1), max(32, 2 * l_max + 2))
     errors: dict = {}
 
     def record(orig, rec):
@@ -108,16 +111,14 @@ def cmd_reconstruct(args) -> int:
         if not isinstance(rep, xp.SliceRep):
             print("reconstruct slice needs a slice rep", file=sys.stderr)
             return 2
-        n_max = max(k[0] for k in rep.coeffs)
-        l_max = max(k[1] for k in rep.coeffs)
-        data = xp.sample_slice(rep, args.t0, params, 96, ang)
+        n_max = max(key[0] for key in rep.coeffs)
+        data = xp.sample_slice(rep, args.t0, params, max(96, n_max + 1), ang)
         rec = xp.invert_slice(data, params, n_max, l_max, check_residual=False)
         record(rep.coeffs, rec.coeffs)
     elif args.target == "tube":
         if not isinstance(rep, xp.TubeRep):
             print("reconstruct tube needs a tube rep", file=sys.stderr)
             return 2
-        l_max = max(k[1] for k in rep.coeffs)
         data = xp.sample_tube(rep, args.rho0, params, ang)
         rec = xp.invert_tube(data, params, l_max, rep.basis)
         record(rep.coeffs, rec.coeffs)
@@ -125,20 +126,17 @@ def cmd_reconstruct(args) -> int:
         if not isinstance(rep, xp.RodRep):
             print("reconstruct rod needs a rod rep", file=sys.stderr)
             return 2
-        l_max = max(k[1] for k in rep.coeffs)
         data = xp.sample_rod(rep, args.rho0, params, ang)
         rec = xp.invert_rod_interior(data, params, l_max)
         record(rep.coeffs, rec.coeffs)
     elif args.target == "boundary":
         try:
             if isinstance(rep, xp.RodRep):
-                l_max = max(k[1] for k in rep.coeffs)
                 data = xp.rod_boundary_data_of(rep, params, ang)
                 rec = xp.rod_boundary_reconstruct(data, params, l_max)
                 record(rep.coeffs, rec.coeffs)
             elif isinstance(rep, xp.TubeRep):
                 crep = rep if rep.basis == "C" else xp.s_to_c(rep, params)
-                l_max = max(k[1] for k in crep.coeffs)
                 data = xp.boundary_data_of(crep, params, ang)
                 rec = xp.boundary_reconstruct(data, params, l_max)
                 record(crep.coeffs, rec.coeffs)

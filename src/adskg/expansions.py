@@ -8,6 +8,18 @@ band-limited representations.  Slice representations are genuinely
 discrete.  Radial projections for slice inversion use the Gauss-Jacobi rule
 of geometry.radial_measure, under which same-l mode products integrate
 exactly.
+
+Every field built here is one separable sum over labels,
+field[s, x] = sum_{j, l, m} K[s, j, l] c[j, lm] Y_lm(x), with j the
+frequency index k or the radial order n, s the time or radial sample and x
+the angular point.  `_synthesize` evaluates it on dense (j, lm) coefficient
+arrays (lm = l^2 + l + m); radial and transfer-matrix factors are tabulated
+once per (j, l) and folded into c (fixed radius) or K (radial nodes); on a
+tube K is the phase matrix d_omega e^{-i omega_k t}.  Inversion is the
+adjoint: `_project` projects every (l, m) through AngularGrid.project for
+all frequencies or radii at once, after the FFT time projection (tube) and
+before the Gauss-Jacobi radial sum (slice); each inversion then applies its
+own per-(j, l) solve.
 """
 
 from __future__ import annotations
@@ -21,25 +33,12 @@ from .errors import (BandLimitExceeded, BasisMismatch, CapabilityError,
                      IntegerNu, MagicFrequencyBlind, RadialNodeError,
                      SerializationError)
 from .geometry import AdsParams, make_params, radial_measure
-from .harmonics import AngularGrid
+from .harmonics import AngularGrid, sph_harm
 from .modes import (RadialKind, jacobi_radial_fd, magic_frequency,
                     norm_constant, radial_eval_fd, transfer_matrix)
 from .specfun import double_pochhammer, pochhammer
 
 _NU_INTEGER_TOL = 1e-9
-
-
-def pairwise_sum(values):
-    """Deterministic pairwise tree reduction (bit-stable summation order)."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
 
 
 @dataclass(frozen=True)
@@ -155,98 +154,154 @@ class BoundaryData:
     phid_plus: np.ndarray
 
 
-def _tube_kinds(basis: str) -> tuple[RadialKind, RadialKind]:
-    if basis == "S":
-        return RadialKind.Sa, RadialKind.Sb
-    return RadialKind.Ca, RadialKind.Cb
+_TUBE_KINDS = {"S": (RadialKind.Sa, RadialKind.Sb),
+               "C": (RadialKind.Ca, RadialKind.Cb)}
 
 
 # ---------------------------------------------------------------------------
-# synthesis
+# synthesis: the separable kernel and its adjoint
 # ---------------------------------------------------------------------------
+
+def _lm(l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree and order of each packed angular index lm = l^2 + l + m."""
+    ls = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    return ls, np.arange(ls.size) - ls * (ls + 1)
+
+
+def _dense(rep):
+    """Sorted first labels j, l_max and the (channel, j, lm) coefficient
+    array of a TubeRep or SliceRep (zero where a label is absent)."""
+    js = sorted({key[0] for key in rep.coeffs})
+    l_max = max((key[1] for key in rep.coeffs), default=0)
+    row = {j: i for i, j in enumerate(js)}
+    coef = np.zeros((2, len(js), (l_max + 1) ** 2), dtype=complex)
+    for (j, l, m), pair in rep.coeffs.items():
+        coef[:, row[j], l * (l + 1) + m] = pair
+    return js, l_max, coef
+
+
+def _labels(js, l_max: int, *channels) -> dict:
+    """Inverse of `_dense` over every label: {(j, l, m): channel values}."""
+    ls, ms = _lm(l_max)
+    keys = [(j, int(l), int(m)) for j in js for l, m in zip(ls, ms)]
+    vals = zip(*(ch.ravel() for ch in channels))
+    return {key: val if len(val) > 1 else val[0] for key, val in zip(keys, vals)}
+
+
+def _table(js, coef, fn, shape=()) -> np.ndarray:
+    """fn(j, l) once per (j, l) block where coef (..., j, lm) has a nonzero
+    entry (zero elsewhere), spread over lm: shape + (j, lm)."""
+    ls, _ = _lm(math.isqrt(coef.shape[-1]) - 1)
+    nonzero = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
+    need = np.logical_or.reduceat(nonzero, np.arange(ls[-1] + 1) ** 2, axis=-1)
+    out = np.zeros(shape + need.shape)
+    for row, l in zip(*np.nonzero(need)):
+        out[..., row, l] = fn(js[row], int(l))
+    return out[..., ls]
+
+
+def _ylm(where, coef) -> np.ndarray:
+    """Y_lm for every packed lm of coef (..., lm): on an AngularGrid, shape
+    (lm, theta, phi), or at one point where = (theta, phi), shape (lm,),
+    skipping the lm whose coefficients all vanish."""
+    ls, ms = _lm(math.isqrt(coef.shape[-1]) - 1)
+    if isinstance(where, AngularGrid):
+        return np.stack([where.ylm(int(l), int(m)) for l, m in zip(ls, ms)])
+    out = np.zeros(ls.size, dtype=complex)
+    for i in np.flatnonzero(np.any(coef != 0, axis=tuple(range(coef.ndim - 1)))):
+        out[i] = sph_harm(int(ls[i]), int(ms[i]), *where)
+    return out
+
+
+def _synthesize(kern, coef, ylm) -> np.ndarray:
+    """out[..., s, x] = sum_{j, lm} kern[s, j, lm] coef[..., j, lm] ylm[lm, x]
+    (kern's lm axis may have length 1; x stands for ylm's trailing axes)."""
+    kern = np.broadcast_to(kern, kern.shape[:2] + coef.shape[-1:])
+    part = np.einsum("sji,...ji->...si", kern, coef)
+    out = part @ ylm.reshape(len(ylm), -1)
+    return out.reshape(part.shape[:-1] + ylm.shape[1:])
+
+
+def _project(ang: AngularGrid, values, l_max: int) -> np.ndarray:
+    """Adjoint of the angular contraction: <Y_lm, values> for every packed
+    lm, over the leading axes of values; shape (..., lm)."""
+    return np.stack([ang.project(int(l), int(m), values)
+                     for l, m in zip(*_lm(l_max))], axis=-1)
+
+
+def _time_project(samples: np.ndarray, grid: OmegaGrid) -> np.ndarray:
+    """Adjoint of the phase matrix: per grid index k (in grid order), the
+    coefficient of e^{-i omega_k t} divided by d_omega, i.e. the (1/2pi) int
+    dt e^{i omega t} projection of the d_omega-weighted sum."""
+    n_t = samples.shape[0]
+    span = max(abs(k) for k in grid.indices)
+    if n_t < 2 * span + 1:
+        raise ValueError("time grid too short for the frequency window")
+    coef = np.fft.ifft(samples, axis=0) / grid.d_omega
+    return coef[np.array(grid.indices) % n_t]
+
+
+def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
+    """d_omega sum (a f_a + b f_b)(k, l) e^{-i omega_k t} Y_lm and the same
+    sum over (g_a, g_b), at the times t and the angular points `where`, or
+    their d/dt; shape (2, t, ...).  radial(kind, omega, l) = (f, g) is called
+    once per (k, l) where that channel has a nonzero coefficient."""
+    if isinstance(rep, RodRep):
+        rep = rep.as_tube()
+    js, _, coef = _dense(rep)
+    fa, fb = (_table(js, c, lambda k, l, kind=kind: radial(
+        kind, rep.grid.omega(k), l), (2,))
+        for kind, c in zip(_TUBE_KINDS[rep.basis], coef))
+    fold = coef[0] * fa + coef[1] * fb
+    omega = rep.grid.d_omega * np.asarray(js, dtype=float)
+    phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))
+    kern = rep.grid.d_omega * (-1j * omega * phase if dt else phase)
+    return _synthesize(kern[:, :, None], fold, _ylm(where, fold))
+
+
+def _slice_sum(rep: SliceRep, t: float, rho, where, params: AdsParams,
+               drho: bool = False) -> np.ndarray:
+    """A slice field and its d/dt at time t, on the radii rho and the angular
+    points `where`, or their d/drho; shape (2, rho, ...).  The conj(phi^-)
+    channel moves to the mirrored order, as conj(Y_l^m) = Y_l^{-m}."""
+    ns, l_max, coef = _dense(rep)
+    ls, ms = _lm(l_max)
+    omega = _table(ns, np.ones(coef.shape[1:]),
+                   lambda n, l: magic_frequency("plus", n, l, params))
+    plus = coef[0] * np.exp(-1j * omega * t)
+    minus = coef[1][:, ls * (ls + 1) - ms] * np.exp(1j * omega * t)
+    coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
+    rho = np.atleast_1d(rho)
+    kern = _table(ns, coefs, lambda n, l: jacobi_radial_fd(
+        "plus", n, l, rho, params)[int(drho)], rho.shape)
+    return _synthesize(kern, coefs, _ylm(where, coefs))
+
+
+def _synth(rep, point, params: AdsParams, deriv: str = "") -> complex:
+    """Shared body of synth, synth_dt and synth_drho: the field, or its
+    derivative along deriv = "t" or "rho", at point = (t, rho, theta, phi)."""
+    t, rho, theta, phi = point
+    if isinstance(rep, SliceRep):
+        out = _slice_sum(rep, t, rho, (theta, phi), params, deriv == "rho")
+        return complex(out[int(deriv == "t"), 0])
+    out = _tube_sum(rep, t, (theta, phi), lambda kind, om, l: radial_eval_fd(
+        kind, om, l, rho, params), deriv == "t")
+    return complex(out[int(deriv == "rho"), 0])
+
 
 def synth(rep, point, params: AdsParams) -> complex:
     """Evaluate the represented solution at point = (t, rho, theta, phi)."""
-    from .harmonics import sph_harm
-    t, rho, theta, phi = point
-    terms = []
-    if isinstance(rep, SliceRep):
-        for (n, l, m) in rep.labels():
-            p, q = rep.coeffs[(n, l, m)]
-            om = magic_frequency("plus", n, l, params)
-            rad = jacobi_radial_fd("plus", n, l, rho, params)[0]
-            ylm = sph_harm(l, m, theta, phi)
-            terms.append(p * np.exp(-1j * om * t) * ylm * rad)
-            terms.append(q * np.exp(1j * om * t) * np.conj(ylm) * rad)
-        return pairwise_sum(terms)
-    if isinstance(rep, RodRep):
-        rep = rep.as_tube()
-    ka, kb = _tube_kinds(rep.basis)
-    for (k, l, m) in rep.labels():
-        a, b = rep.coeffs[(k, l, m)]
-        om = rep.grid.omega(k)
-        ylm = sph_harm(l, m, theta, phi)
-        phase = np.exp(-1j * om * t)
-        fa = radial_eval_fd(ka, om, l, rho, params)[0] if a != 0.0 else 0.0
-        fb = radial_eval_fd(kb, om, l, rho, params)[0] if b != 0.0 else 0.0
-        terms.append((a * fa + b * fb) * phase * ylm)
-    return rep.grid.d_omega * pairwise_sum(terms)
+    return _synth(rep, point, params)
 
 
 def synth_dt(rep, point, params: AdsParams) -> complex:
     """d/dt of the synthesized field (phases only, analytic)."""
-    from .harmonics import sph_harm
-    t, rho, theta, phi = point
-    terms = []
-    if isinstance(rep, SliceRep):
-        for (n, l, m) in rep.labels():
-            p, q = rep.coeffs[(n, l, m)]
-            om = magic_frequency("plus", n, l, params)
-            rad = jacobi_radial_fd("plus", n, l, rho, params)[0]
-            ylm = sph_harm(l, m, theta, phi)
-            terms.append(-1j * om * p * np.exp(-1j * om * t) * ylm * rad)
-            terms.append(1j * om * q * np.exp(1j * om * t) * np.conj(ylm) * rad)
-        return pairwise_sum(terms)
-    if isinstance(rep, RodRep):
-        rep = rep.as_tube()
-    ka, kb = _tube_kinds(rep.basis)
-    for (k, l, m) in rep.labels():
-        a, b = rep.coeffs[(k, l, m)]
-        om = rep.grid.omega(k)
-        ylm = sph_harm(l, m, theta, phi)
-        phase = -1j * om * np.exp(-1j * om * t)
-        fa = radial_eval_fd(ka, om, l, rho, params)[0] if a != 0.0 else 0.0
-        fb = radial_eval_fd(kb, om, l, rho, params)[0] if b != 0.0 else 0.0
-        terms.append((a * fa + b * fb) * phase * ylm)
-    return rep.grid.d_omega * pairwise_sum(terms)
+    return _synth(rep, point, params, "t")
 
 
 def synth_drho(rep, point, params: AdsParams) -> complex:
     """d/drho of the synthesized field (term-wise analytic radial derivative)."""
-    from .harmonics import sph_harm
-    t, rho, theta, phi = point
-    terms = []
-    if isinstance(rep, SliceRep):
-        for (n, l, m) in rep.labels():
-            p, q = rep.coeffs[(n, l, m)]
-            om = magic_frequency("plus", n, l, params)
-            drad = jacobi_radial_fd("plus", n, l, rho, params)[1]
-            ylm = sph_harm(l, m, theta, phi)
-            terms.append(p * np.exp(-1j * om * t) * ylm * drad)
-            terms.append(q * np.exp(1j * om * t) * np.conj(ylm) * drad)
-        return pairwise_sum(terms)
-    if isinstance(rep, RodRep):
-        rep = rep.as_tube()
-    ka, kb = _tube_kinds(rep.basis)
-    for (k, l, m) in rep.labels():
-        a, b = rep.coeffs[(k, l, m)]
-        om = rep.grid.omega(k)
-        ylm = sph_harm(l, m, theta, phi)
-        phase = np.exp(-1j * om * t)
-        da = radial_eval_fd(ka, om, l, rho, params)[1] if a != 0.0 else 0.0
-        db = radial_eval_fd(kb, om, l, rho, params)[1] if b != 0.0 else 0.0
-        terms.append((a * da + b * db) * phase * ylm)
-    return rep.grid.d_omega * pairwise_sum(terms)
+    return _synth(rep, point, params, "rho")
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +349,7 @@ def sample_slice(rep: SliceRep, t0: float, params: AdsParams,
     """Sample a slice solution (and d_t) on the radial x angular grid."""
     ang = angular or AngularGrid()
     rho, w = radial_measure(params, n_rho)
-    shape = (len(rho), ang.n_theta, ang.n_phi)
-    phi = np.zeros(shape, dtype=complex)
-    dphi = np.zeros(shape, dtype=complex)
-    for (n, l, m) in rep.labels():
-        p, q = rep.coeffs[(n, l, m)]
-        om = magic_frequency("plus", n, l, params)
-        rad = jacobi_radial_fd("plus", n, l, rho, params)[0]
-        ylm = ang.ylm(l, m)
-        plus = np.exp(-1j * om * t0) * rad[:, None, None] * ylm[None, :, :]
-        minus = np.exp(1j * om * t0) * rad[:, None, None] * np.conj(ylm)[None, :, :]
-        phi += p * plus + q * minus
-        dphi += -1j * om * p * plus + 1j * om * q * minus
+    phi, dphi = _slice_sum(rep, t0, rho, ang, params)
     return SliceData(t0, rho, w, ang, phi, dphi)
 
 
@@ -315,20 +359,8 @@ def sample_tube(rep: TubeRep, rho0: float, params: AdsParams,
     """Sample a tube solution (and d_rho) over one time window at rho0."""
     ang = angular or AngularGrid()
     t_nodes = rep.grid.time_nodes(n_t)
-    ka, kb = _tube_kinds(rep.basis)
-    shape = (len(t_nodes), ang.n_theta, ang.n_phi)
-    phi = np.zeros(shape, dtype=complex)
-    dphi = np.zeros(shape, dtype=complex)
-    for (k, l, m) in rep.labels():
-        a, b = rep.coeffs[(k, l, m)]
-        om = rep.grid.omega(k)
-        fa, da = radial_eval_fd(ka, om, l, rho0, params)
-        fb, db = radial_eval_fd(kb, om, l, rho0, params)
-        ylm = ang.ylm(l, m)
-        phases = np.exp(-1j * om * t_nodes)
-        base = phases[:, None, None] * ylm[None, :, :]
-        phi += rep.grid.d_omega * (a * fa + b * fb) * base
-        dphi += rep.grid.d_omega * (a * da + b * db) * base
+    phi, dphi = _tube_sum(rep, t_nodes, ang, lambda kind, om, l: radial_eval_fd(
+        kind, om, l, rho0, params))
     return TubeData(rho0, rep.grid, t_nodes, ang, phi, dphi)
 
 
@@ -337,17 +369,6 @@ def sample_rod(rep: RodRep, rho0: float, params: AdsParams,
                n_t: int | None = None) -> RodData:
     tube = sample_tube(rep.as_tube(), rho0, params, angular, n_t)
     return RodData(rho0, rep.grid, tube.t_nodes, tube.angular, tube.phi)
-
-
-def _time_project(samples: np.ndarray, grid: OmegaGrid) -> dict[int, np.ndarray]:
-    """Per-index coefficient of e^{-i omega_k t} divided by d_omega, i.e. the
-    (1/2pi) int dt e^{i omega t} projection of the d_omega-weighted sum."""
-    n_t = samples.shape[0]
-    span = max(abs(k) for k in grid.indices)
-    if n_t < 2 * span + 1:
-        raise ValueError("time grid too short for the frequency window")
-    coef = np.fft.ifft(samples, axis=0) / grid.d_omega
-    return {k: coef[k % n_t] for k in grid.indices}
 
 
 # ---------------------------------------------------------------------------
@@ -417,33 +438,21 @@ def invert_slice(data: SliceData, params: AdsParams,
     channel pairs m with -m through conj(Y_l^m) = Y_l^{-m}.
     """
     ang = data.angular
-    proj_phi = {}
-    proj_dphi = {}
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            yl = np.conj(ang.ylm(l, m))
-            wang = ang.cos_weights[:, None] * ang.phi_weight
-            proj_phi[(l, m)] = np.tensordot(data.phi, yl * wang, axes=([1, 2], [0, 1]))
-            proj_dphi[(l, m)] = np.tensordot(data.dphi_dt, yl * wang, axes=([1, 2], [0, 1]))
-    coeffs = {}
-    for l in range(l_max + 1):
-        rads = {n: jacobi_radial_fd("plus", n, l, data.rho_nodes, params)[0]
-                for n in range(n_max + 1)}
-        for n in range(n_max + 1):
-            om = magic_frequency("plus", n, l, params)
-            nrm = norm_constant("plus", n, l, params)
-            f_c = np.exp(1j * om * data.t0) / (2.0 * nrm)
-            d_c = 1j * np.exp(1j * om * data.t0) / (2.0 * om * nrm)
-            wrad = data.rho_weights * rads[n]
-            for m in range(-l, l + 1):
-                p_phi = np.dot(wrad, proj_phi[(l, m)])
-                p_dphi = np.dot(wrad, proj_dphi[(l, m)])
-                plus = f_c * p_phi + d_c * p_dphi
-                pm_phi = np.dot(wrad, proj_phi[(l, -m)])
-                pm_dphi = np.dot(wrad, proj_dphi[(l, -m)])
-                minus_conj = np.conj(f_c) * pm_phi + np.conj(d_c) * pm_dphi
-                coeffs[(n, l, m)] = (plus, minus_conj)
-    rep = SliceRep(coeffs)
+    ns = range(n_max + 1)
+    full = np.ones((n_max + 1, (l_max + 1) ** 2))
+    kern = _table(ns, full, lambda n, l: jacobi_radial_fd(
+        "plus", n, l, data.rho_nodes, params)[0], data.rho_nodes.shape)
+    proj = _project(ang, np.stack([data.phi, data.dphi_dt]), l_max)
+    p_phi, p_dphi = np.einsum("s,sji,csi->cji", data.rho_weights, kern, proj)
+    omega = _table(ns, full, lambda n, l: magic_frequency("plus", n, l, params))
+    nrm = _table(ns, full, lambda n, l: norm_constant("plus", n, l, params))
+    f_c = np.exp(1j * omega * data.t0) / (2.0 * nrm)
+    d_c = 1j * np.exp(1j * omega * data.t0) / (2.0 * omega * nrm)
+    ls, ms = _lm(l_max)
+    mirror = ls * (ls + 1) - ms
+    rep = SliceRep(_labels(ns, l_max, f_c * p_phi + d_c * p_dphi,
+                           np.conj(f_c) * p_phi[:, mirror]
+                           + np.conj(d_c) * p_dphi[:, mirror]))
     if check_residual:
         recon = sample_slice(rep, data.t0, params, len(data.rho_nodes), ang)
         norm = np.max(np.abs(data.phi)) or 1.0
@@ -462,48 +471,44 @@ def invert_tube(data: TubeData, params: AdsParams, l_max: int,
     P[d_rho phi]] for the a-coefficient (S basis; 2 nu replaces the factor
     in the C basis), with P the time-frequency / harmonic projection.
     """
-    ka, kb = _tube_kinds(basis)
     grid = data.grid
-    ang = data.angular
-    tp_phi = _time_project(data.phi, grid)
-    tp_dphi = _time_project(data.dphi_drho, grid)
+    p_phi, p_dphi = (_project(data.angular, _time_project(x, grid), l_max)
+                     for x in (data.phi, data.dphi_drho))
+    full = np.ones((len(grid.indices), (l_max + 1) ** 2))
+    (fa, da), (fb, db) = (
+        _table(grid.indices, full, lambda k, l, kind=kind: radial_eval_fd(
+            kind, grid.omega(k), l, data.rho0, params), (2,))
+        for kind in _TUBE_KINDS[basis])
     d = params.d
     tan_fac = math.tan(data.rho0) ** (d - 1)
-    coeffs = {}
-    for k in grid.indices:
-        om = grid.omega(k)
-        for l in range(l_max + 1):
-            fa, da = radial_eval_fd(ka, om, l, data.rho0, params)
-            fb, db = radial_eval_fd(kb, om, l, data.rho0, params)
-            weight = tan_fac / (2 * l + d - 2) if basis == "S" \
-                else tan_fac / (2.0 * params.nu)
-            for m in range(-l, l + 1):
-                p_phi = ang.project(l, m, tp_phi[k])
-                p_dphi = ang.project(l, m, tp_dphi[k])
-                a = weight * (db * p_phi - fb * p_dphi)
-                b = weight * (-da * p_phi + fa * p_dphi)
-                coeffs[(k, l, m)] = (a, b)
-    return TubeRep(grid, coeffs, basis)
+    weight = tan_fac / (2 * _lm(l_max)[0] + d - 2) if basis == "S" \
+        else tan_fac / (2.0 * params.nu)
+    a = weight * (db * p_phi - fb * p_dphi)
+    b = weight * (-da * p_phi + fa * p_dphi)
+    return TubeRep(grid, _labels(grid.indices, l_max, a, b), basis)
+
+
+def _rod_divide(data: RodData, l_max: int, divisor) -> RodRep:
+    """Rod coefficients a = (time-angular projection of the data) /
+    divisor(omega, l), the divisor evaluated once per (k, l)."""
+    grid = data.grid
+    proj = _project(data.angular, _time_project(data.phi, grid), l_max)
+    div = _table(grid.indices, np.ones(proj.shape),
+                 lambda k, l: divisor(grid.omega(k), l))
+    return RodRep(grid, _labels(grid.indices, l_max, proj / div))
 
 
 def invert_rod_interior(data: RodData, params: AdsParams, l_max: int,
                         node_tol: float = 1e-10) -> RodRep:
     """Recover the rod representation from field values at rho0 < pi/2:
     a = (time-angular projection) / S^a(rho0)."""
-    grid = data.grid
-    ang = data.angular
-    tp = _time_project(data.phi, grid)
-    coeffs = {}
-    for k in grid.indices:
-        om = grid.omega(k)
-        for l in range(l_max + 1):
-            sa = radial_eval_fd(RadialKind.Sa, om, l, data.rho0, params)[0]
-            if abs(sa) < node_tol:
-                raise RadialNodeError(
-                    f"S^a({data.rho0}) ~ 0 at omega={om}, l={l}")
-            for m in range(-l, l + 1):
-                coeffs[(k, l, m)] = ang.project(l, m, tp[k]) / sa
-    return RodRep(grid, coeffs)
+    def s_a(om, l):
+        sa = radial_eval_fd(RadialKind.Sa, om, l, data.rho0, params)[0]
+        if abs(sa) < node_tol:
+            raise RadialNodeError(f"S^a({data.rho0}) ~ 0 at omega={om}, l={l}")
+        return sa
+
+    return _rod_divide(data, l_max, s_a)
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +607,10 @@ def boundary_data_of(rep: TubeRep, params: AdsParams,
     lam = twisted_boundary_limit(RadialKind.Ca, params)
     ang = angular or AngularGrid()
     t_nodes = rep.grid.time_nodes(n_t)
-    shape = (len(t_nodes), ang.n_theta, ang.n_phi)
-    minus = np.zeros(shape, dtype=complex)
-    plus = np.zeros(shape, dtype=complex)
-    for (k, l, m), (a, b) in rep.coeffs.items():
-        om = rep.grid.omega(k)
-        base = np.exp(-1j * om * t_nodes)[:, None, None] * ang.ylm(l, m)[None, :, :]
-        minus += rep.grid.d_omega * b * base
-        plus += rep.grid.d_omega * a * lam * base
+    # (rescaled value, twisted derivative) at the boundary: C^a -> (0, L),
+    # C^b -> (1, 0)
+    minus, plus = _tube_sum(rep, t_nodes, ang, lambda kind, om, l: (
+        (0.0, lam) if kind is RadialKind.Ca else (1.0, 0.0)))
     return BoundaryData(rep.grid, t_nodes, ang, minus, plus)
 
 
@@ -622,17 +623,9 @@ def boundary_reconstruct(data: BoundaryData, params: AdsParams,
         raise CapabilityError("boundary reconstruction needs noninteger nu")
     lam = twisted_boundary_limit(RadialKind.Ca, params)
     grid = data.grid
-    ang = data.angular
-    tp_minus = _time_project(data.phid_minus, grid)
-    tp_plus = _time_project(data.phid_plus, grid)
-    coeffs = {}
-    for k in grid.indices:
-        for l in range(l_max + 1):
-            for m in range(-l, l + 1):
-                a = ang.project(l, m, tp_plus[k]) / lam
-                b = ang.project(l, m, tp_minus[k])
-                coeffs[(k, l, m)] = (a, b)
-    return TubeRep(grid, coeffs, "C")
+    p_minus, p_plus = (_project(data.angular, _time_project(x, grid), l_max)
+                       for x in (data.phid_minus, data.phid_plus))
+    return TubeRep(grid, _labels(grid.indices, l_max, p_plus / lam, p_minus), "C")
 
 
 def rod_boundary_data_of(rep: RodRep, params: AdsParams,
@@ -643,14 +636,9 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
     S^a survives the rescaling)."""
     ang = angular or AngularGrid()
     t_nodes = rep.grid.time_nodes(n_t)
-    shape = (len(t_nodes), ang.n_theta, ang.n_phi)
-    out = np.zeros(shape, dtype=complex)
-    for (k, l, m), a in rep.coeffs.items():
-        om = rep.grid.omega(k)
-        m12 = transfer_matrix(om, l, params).m12
-        base = np.exp(-1j * om * t_nodes)[:, None, None] * ang.ylm(l, m)[None, :, :]
-        out += rep.grid.d_omega * a * m12 * base
-    return RodData(math.pi / 2, rep.grid, t_nodes, ang, out)
+    phi, _ = _tube_sum(rep, t_nodes, ang, lambda kind, om, l: (
+        transfer_matrix(om, l, params).m12, 0.0))
+    return RodData(math.pi / 2, rep.grid, t_nodes, ang, phi)
 
 
 def rod_boundary_reconstruct(data: RodData, params: AdsParams, l_max: int,
@@ -658,20 +646,14 @@ def rod_boundary_reconstruct(data: RodData, params: AdsParams, l_max: int,
     """Recover a rod representation from rescaled boundary data:
     a = (projection) / m12(w, l); labels at magic frequencies are invisible
     (m12 = 0) and raise MagicFrequencyBlind."""
-    grid = data.grid
-    ang = data.angular
-    tp = _time_project(data.phi, grid)
-    coeffs = {}
-    for k in grid.indices:
-        om = grid.omega(k)
-        for l in range(l_max + 1):
-            m12 = transfer_matrix(om, l, params).m12
-            if abs(m12) < blind_tol:
-                raise MagicFrequencyBlind(
-                    f"m12 ~ 0 at omega={om}, l={l}: boundary data is blind")
-            for m in range(-l, l + 1):
-                coeffs[(k, l, m)] = ang.project(l, m, tp[k]) / m12
-    return RodRep(grid, coeffs)
+    def m12(om, l):
+        val = transfer_matrix(om, l, params).m12
+        if abs(val) < blind_tol:
+            raise MagicFrequencyBlind(
+                f"m12 ~ 0 at omega={om}, l={l}: boundary data is blind")
+        return val
+
+    return _rod_divide(data, l_max, m12)
 
 
 # ---------------------------------------------------------------------------

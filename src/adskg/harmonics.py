@@ -19,18 +19,6 @@ from .specfun import assoc_legendre, assoc_legendre_sin2_dx
 
 
 @dataclass(frozen=True)
-class AngularLabel:
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise IndexError("l must be >= 0")
-        if abs(self.m) > self.l:
-            raise IndexError(f"|m| = {abs(self.m)} exceeds l = {self.l}")
-
-
-@dataclass(frozen=True)
 class EulerAngles:
     """z-y-z Euler angles (radians), unrestricted."""
 
@@ -195,15 +183,12 @@ class AngularGrid:
             self._ylm_cache[key] = sph_harm(l, m, th, ph)
         return self._ylm_cache[key]
 
-    @property
-    def weights2d(self) -> np.ndarray:
-        """Quadrature weights on the (theta, phi) product grid."""
-        return np.outer(self.cos_weights, np.full(self.n_phi, self.phi_weight))
-
     def integrate(self, values: np.ndarray):
-        """Integral over S^2 of values sampled on the grid."""
-        return self.phi_weight * np.sum(self.cos_weights @ values)
+        """Integral over S^2 of values sampled on the grid; values has shape
+        (..., n_theta, n_phi) and the result the leading shape."""
+        return self.phi_weight * np.sum(self.cos_weights @ values, axis=-1)
 
     def project(self, l: int, m: int, values: np.ndarray):
-        """<Y_l^m, values> = integral of conj(Y_l^m) * values."""
+        """<Y_l^m, values> = integral of conj(Y_l^m) * values, over the
+        leading axes of values."""
         return self.integrate(np.conj(self.ylm(l, m)) * values)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (ProjectionResidual, UnsupportedDimension, WindowOverflow)
-from .expansions import RodRep, SliceRep, TubeRep, pairwise_sum
+from .expansions import RodRep, SliceRep, TubeRep
 from .geometry import (AdsParams, Boost0, BoostD1, GeneratorId, Rotation,
                        TimeTranslation, radial_measure)
 from .harmonics import EulerAngles, contiguous_coeffs, wigner_d
@@ -123,48 +123,25 @@ def act_rotation(rep, angles: EulerAngles, params: AdsParams):
     synth(act_rotation(rep), x) == synth(rep, R^{-1} x)."""
     if params.d != 3:
         raise UnsupportedDimension("rotation action implemented for d = 3")
-    blocks: dict = {}
-    for key in rep.coeffs:
-        blocks.setdefault(key[:2], []).append(key[2])
     mix: dict[int, np.ndarray] = {}
-
-    def matrix(l):
+    out = {}
+    for (j, l) in dict.fromkeys(key[:2] for key in rep.coeffs):
         if l not in mix:
             mix[l] = rotation_mixing(l, angles)
-        return mix[l]
-
+        x = mix[l]
+        ms = range(-l, l + 1)
+        vals = np.array([rep.coeff(j, l, m) for m in ms])
+        if isinstance(rep, SliceRep):  # the conj(phi^-) channel rotates by conj(X)
+            rotated = np.stack([x @ vals[:, 0], np.conj(x) @ vals[:, 1]], axis=1)
+        else:
+            rotated = x @ vals
+        for mp, val in zip(ms, rotated):
+            if np.any(val != 0.0):
+                out[(j, l, mp)] = tuple(val) if val.ndim else val
     if isinstance(rep, SliceRep):
-        out = {}
-        for (n, l), _ in blocks.items():
-            x = matrix(l)
-            for mp in range(-l, l + 1):
-                p = pairwise_sum([x[mp + l, m + l] * rep.coeff(n, l, m)[0]
-                                  for m in range(-l, l + 1)])
-                q = pairwise_sum([np.conj(x[mp + l, m + l]) * rep.coeff(n, l, m)[1]
-                                  for m in range(-l, l + 1)])
-                if p != 0.0 or q != 0.0:
-                    out[(n, l, mp)] = (p, q)
         return SliceRep(out)
     if isinstance(rep, RodRep):
-        out = {}
-        for (k, l), _ in blocks.items():
-            x = matrix(l)
-            for mp in range(-l, l + 1):
-                a = pairwise_sum([x[mp + l, m + l] * rep.coeff(k, l, m)
-                                  for m in range(-l, l + 1)])
-                if a != 0.0:
-                    out[(k, l, mp)] = a
         return RodRep(rep.grid, out)
-    out = {}
-    for (k, l), _ in blocks.items():
-        x = matrix(l)
-        for mp in range(-l, l + 1):
-            a = pairwise_sum([x[mp + l, m + l] * rep.coeff(k, l, m)[0]
-                              for m in range(-l, l + 1)])
-            b = pairwise_sum([x[mp + l, m + l] * rep.coeff(k, l, m)[1]
-                              for m in range(-l, l + 1)])
-            if a != 0.0 or b != 0.0:
-                out[(k, l, mp)] = (a, b)
     return replace(rep, coeffs=out)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expansions import OmegaGrid, SliceRep, pairwise_sum
+from .expansions import OmegaGrid, SliceRep
 from .geometry import AdsParams, _diff, _sphere_grad, make_params
 from .harmonics import AngularGrid, sph_harm
 from .modes import RadialKind, magic_frequency, norm_constant, radial_eval
@@ -190,36 +190,29 @@ def mink_synth_slice(rep: MinkSliceRep, point) -> complex:
         ylm = sph_harm(l, m, theta, phi)
         terms.append(weight * (cp * np.exp(-1j * e_p * t) * ylm
                                + cq * np.exp(1j * e_p * t) * np.conj(ylm)))
-    return pairwise_sum(terms)
+    return np.sum(terms)
+
+
+def _mink_tube_sum(rep: MinkTubeRep, point, j_fn, n_fn) -> complex:
+    t, r, theta, phi = point
+    terms = []
+    for (k, l, m) in rep.labels():
+        a, b = rep.coeffs[(k, l, m)]
+        e_k = rep.grid.omega(k)
+        p_r = math.sqrt(abs(e_k * e_k - rep.m_field ** 2))
+        val = a * j_fn(e_k, l, r, rep.m_field) + b * n_fn(e_k, l, r, rep.m_field)
+        terms.append(p_r / (4.0 * math.pi) * val
+                     * np.exp(-1j * e_k * t) * sph_harm(l, m, theta, phi))
+    return rep.grid.d_omega * np.sum(terms)
 
 
 def mink_synth_tube(rep: MinkTubeRep, point) -> complex:
     """dE sum over labels of (p^R_E / 4 pi) [a jcheck + b ncheck] e^{-iEt} Y."""
-    t, r, theta, phi = point
-    terms = []
-    for (k, l, m) in rep.labels():
-        a, b = rep.coeffs[(k, l, m)]
-        e_k = rep.grid.omega(k)
-        p_r = math.sqrt(abs(e_k * e_k - rep.m_field ** 2))
-        val = (a * jcheck(e_k, l, r, rep.m_field)
-               + b * ncheck(e_k, l, r, rep.m_field))
-        terms.append(p_r / (4.0 * math.pi) * val
-                     * np.exp(-1j * e_k * t) * sph_harm(l, m, theta, phi))
-    return rep.grid.d_omega * pairwise_sum(terms)
+    return _mink_tube_sum(rep, point, jcheck, ncheck)
 
 
 def mink_synth_tube_dr(rep: MinkTubeRep, point) -> complex:
-    t, r, theta, phi = point
-    terms = []
-    for (k, l, m) in rep.labels():
-        a, b = rep.coeffs[(k, l, m)]
-        e_k = rep.grid.omega(k)
-        p_r = math.sqrt(abs(e_k * e_k - rep.m_field ** 2))
-        val = (a * jcheck_dr(e_k, l, r, rep.m_field)
-               + b * ncheck_dr(e_k, l, r, rep.m_field))
-        terms.append(p_r / (4.0 * math.pi) * val
-                     * np.exp(-1j * e_k * t) * sph_harm(l, m, theta, phi))
-    return rep.grid.d_omega * pairwise_sum(terms)
+    return _mink_tube_sum(rep, point, jcheck_dr, ncheck_dr)
 
 
 def mink_omega_slice(eta: MinkSliceRep, zeta: MinkSliceRep) -> complex:
@@ -236,7 +229,7 @@ def mink_omega_slice(eta: MinkSliceRep, zeta: MinkSliceRep) -> complex:
         zp_, zq_ = zeta.coeff(p, l, m)
         e_p = math.sqrt(p * p + m_f * m_f)
         terms.append(1j * e_p * (eq_ * zp_ - ep_ * zq_))
-    return pairwise_sum(terms)
+    return np.sum(terms)
 
 
 def mink_omega_tube_momentum(eta: MinkTubeRep, zeta: MinkTubeRep) -> complex:
@@ -248,7 +241,7 @@ def mink_omega_tube_momentum(eta: MinkTubeRep, zeta: MinkTubeRep) -> complex:
         e_k = eta.grid.omega(k)
         p_r = math.sqrt(abs(e_k * e_k - eta.m_field ** 2))
         terms.append(p_r / (16.0 * math.pi) * (ea * zb - eb * za))
-    return eta.grid.d_omega * pairwise_sum(terms)
+    return eta.grid.d_omega * np.sum(terms)
 
 
 def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,

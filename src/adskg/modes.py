@@ -18,15 +18,15 @@ terminates and coincides with the normalizable Jacobi mode J+-_{nl}.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (CapabilityError, DegenerateBasis, DomainError,
                      ExceptionalBranch, SingularPoint)
-from .geometry import AdsParams
+from .geometry import AdsParams, make_params
 from .harmonics import sph_harm
 from .specfun import (DEFAULT_POLICY, SeriesPolicy, hyp2f1, hyp2f1_dx,
                       hyp2f1_terminates, jacobi_p, jacobi_p_dx, log_gamma)
@@ -156,8 +156,6 @@ def _radial_direct(kind: RadialKind, omega: float, l: int, rho: float,
 
 
 _TRANSFER_RHO = math.pi / 4  # midpoint of the series overlap window
-_transfer_cache: dict = {}
-_transfer_lock = threading.Lock()
 
 
 def _weighted_wronskian(fa, da, fb, db, rho: float, d: int) -> float:
@@ -175,28 +173,26 @@ def transfer_matrix(omega: float, l: int, params: AdsParams,
     if not params.c_modes_valid:
         raise CapabilityError(
             f"transfer matrix undefined at (near-)integer nu = {params.nu}")
-    key = (omega, l, params.d, params.R, params.m_sq, policy)
-    with _transfer_lock:
-        hit = _transfer_cache.get(key)
-    if hit is not None:
-        return hit
+    return _transfer_matrix(omega, l, params.d, params.R, params.m_sq, policy)
+
+
+@lru_cache(maxsize=None)
+def _transfer_matrix(omega: float, l: int, d: int, R: float, m_sq: float,
+                     policy: SeriesPolicy) -> TransferMatrix:
+    params = make_params(d, R, m_sq)
     rho = _TRANSFER_RHO
     sa, dsa = _radial_direct(RadialKind.Sa, omega, l, rho, params, policy)
     sb, dsb = _radial_direct(RadialKind.Sb, omega, l, rho, params, policy)
     ca, dca = _radial_direct(RadialKind.Ca, omega, l, rho, params, policy)
     cb, dcb = _radial_direct(RadialKind.Cb, omega, l, rho, params, policy)
-    d = params.d
     w_cc = _weighted_wronskian(ca, dca, cb, dcb, rho, d)
     if abs(w_cc) < 1e-12:
         raise DegenerateBasis(f"|W(Ca,Cb)| = {abs(w_cc)} too small")
-    mat = TransferMatrix(
+    return TransferMatrix(
         m11=_weighted_wronskian(sa, dsa, cb, dcb, rho, d) / w_cc,
         m12=-_weighted_wronskian(sa, dsa, ca, dca, rho, d) / w_cc,
         m21=_weighted_wronskian(sb, dsb, cb, dcb, rho, d) / w_cc,
         m22=-_weighted_wronskian(sb, dsb, ca, dca, rho, d) / w_cc)
-    with _transfer_lock:
-        _transfer_cache[key] = mat
-    return mat
 
 
 def radial_eval_fd(kind: RadialKind, omega: float, l: int, rho: float,

@@ -16,43 +16,31 @@ label-diagonal sums displayed in the module functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BasisMismatch
-from .expansions import (SliceRep, TubeRep, pairwise_sum, sample_slice,
-                         sample_tube)
+from .expansions import SliceRep, TubeRep, sample_slice, sample_tube
 from .geometry import AdsParams
 from .harmonics import AngularGrid
 from .modes import magic_frequency, norm_constant
 
 
-@dataclass(frozen=True)
-class SymplecticValue:
-    value: complex
-
-    def __complex__(self):
-        return complex(self.value)
-
-
 def omega_slice_quadrature(eta: SliceRep, zeta: SliceRep, t0: float,
                            params: AdsParams, n_rho: int = 128,
-                           angular: AngularGrid | None = None) -> SymplecticValue:
+                           angular: AngularGrid | None = None) -> complex:
     """-(1/2) int drho dOmega R^{d-1} tan^{d-1} (eta d_t zeta - zeta d_t eta)
     at t = t0; time derivatives are analytic phase factors."""
     ang = angular or AngularGrid()
     de = sample_slice(eta, t0, params, n_rho, ang)
     dz = sample_slice(zeta, t0, params, n_rho, ang)
-    integrand = de.phi * dz.dphi_dt - dz.phi * de.dphi_dt
-    ang_w = ang.weights2d
-    angular_sum = np.tensordot(integrand, ang_w, axes=([1, 2], [0, 1]))
+    angular_sum = ang.integrate(de.phi * dz.dphi_dt - dz.phi * de.dphi_dt)
     total = np.dot(de.rho_weights, angular_sum)
-    return SymplecticValue(-0.5 * params.R ** (params.d - 1) * total)
+    return complex(-0.5 * params.R ** (params.d - 1) * total)
 
 
 def omega_slice_momentum(eta: SliceRep, zeta: SliceRep,
-                         params: AdsParams) -> SymplecticValue:
+                         params: AdsParams) -> complex:
     """+i sum w+_{nl} R^{d-1} N+_{nl} (conj(eta^-) zeta^+ - eta^+ conj(zeta^-))."""
     rd = params.R ** (params.d - 1)
     labels = sorted(set(eta.coeffs) | set(zeta.coeffs))
@@ -63,12 +51,12 @@ def omega_slice_momentum(eta: SliceRep, zeta: SliceRep,
         om = magic_frequency("plus", n, l, params)
         nrm = norm_constant("plus", n, l, params)
         terms.append(1j * om * rd * nrm * (eq * zp - ep * zq))
-    return SymplecticValue(pairwise_sum(terms))
+    return complex(np.sum(terms))
 
 
 def omega_tube_quadrature(eta: TubeRep, zeta: TubeRep, rho0: float,
                           params: AdsParams,
-                          angular: AngularGrid | None = None) -> SymplecticValue:
+                          angular: AngularGrid | None = None) -> complex:
     """(1/2) int dt dOmega R^{d-1} tan^{d-1}(rho0) (eta d_rho zeta - zeta
     d_rho eta) over one time window; radial derivatives are term-wise
     analytic."""
@@ -77,17 +65,15 @@ def omega_tube_quadrature(eta: TubeRep, zeta: TubeRep, rho0: float,
     ang = angular or AngularGrid()
     de = sample_tube(eta, rho0, params, ang)
     dz = sample_tube(zeta, rho0, params, ang)
-    integrand = de.phi * dz.dphi_drho - dz.phi * de.dphi_drho
-    ang_w = ang.weights2d
-    angular_sum = np.tensordot(integrand, ang_w, axes=([1, 2], [0, 1]))
+    angular_sum = ang.integrate(de.phi * dz.dphi_drho - dz.phi * de.dphi_drho)
     dt = de.t_nodes[1] - de.t_nodes[0] if len(de.t_nodes) > 1 else eta.grid.window
     total = dt * np.sum(angular_sum)
     tan_fac = math.tan(rho0) ** (params.d - 1)
-    return SymplecticValue(0.5 * params.R ** (params.d - 1) * tan_fac * total)
+    return complex(0.5 * params.R ** (params.d - 1) * tan_fac * total)
 
 
 def omega_tube_momentum(eta: TubeRep, zeta: TubeRep,
-                        params: AdsParams) -> SymplecticValue:
+                        params: AdsParams) -> complex:
     """pi R^{d-1} d_omega sum (eta^a_{k,l,m} zeta^b_{-k,l,-m} -
     eta^b_{k,l,m} zeta^a_{-k,l,-m}) (2l+d-2), the factor becoming 2 nu in
     the C basis."""
@@ -102,16 +88,7 @@ def omega_tube_momentum(eta: TubeRep, zeta: TubeRep,
         za, zb = zeta.coeff(-k, l, -m)
         factor = (2 * l + d - 2) if eta.basis == "S" else 2.0 * params.nu
         terms.append(factor * (ea * zb - eb * za))
-    total = math.pi * params.R ** (d - 1) * eta.grid.d_omega * pairwise_sum(terms)
-    return SymplecticValue(total)
-
-
-def omega_slice(eta: SliceRep, zeta: SliceRep, params: AdsParams) -> SymplecticValue:
-    return omega_slice_momentum(eta, zeta, params)
-
-
-def omega_tube(eta: TubeRep, zeta: TubeRep, params: AdsParams) -> SymplecticValue:
-    return omega_tube_momentum(eta, zeta, params)
+    return complex(math.pi * params.R ** (d - 1) * eta.grid.d_omega * np.sum(terms))
 
 
 def symplectic_potential(hypersurface: str, coord: float, phi, eta,
@@ -130,18 +107,15 @@ def symplectic_potential(hypersurface: str, coord: float, phi, eta,
     """
     ang = angular or AngularGrid()
     rd = params.R ** (params.d - 1)
-    ang_w = ang.weights2d
     if hypersurface == "t":
         d_eta = sample_slice(eta, coord, params, n_rho, ang)
         d_phi = sample_slice(phi, coord, params, n_rho, ang)
-        integrand = d_eta.phi * d_phi.dphi_dt
-        angular_sum = np.tensordot(integrand, ang_w, axes=([1, 2], [0, 1]))
+        angular_sum = ang.integrate(d_eta.phi * d_phi.dphi_dt)
         return rd * np.dot(d_eta.rho_weights, angular_sum)
     if hypersurface == "rho":
         d_eta = sample_tube(eta, coord, params, ang)
         d_phi = sample_tube(phi, coord, params, ang)
-        integrand = d_eta.phi * d_phi.dphi_drho
-        angular_sum = np.tensordot(integrand, ang_w, axes=([1, 2], [0, 1]))
+        angular_sum = ang.integrate(d_eta.phi * d_phi.dphi_drho)
         dt = d_eta.t_nodes[1] - d_eta.t_nodes[0] if len(d_eta.t_nodes) > 1 \
             else eta.grid.window
         tan_fac = math.tan(coord) ** (params.d - 1)

@@ -1,6 +1,10 @@
+import numpy as np
+
 from adskg.cli import main
 from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, save_rep
 from adskg.geometry import make_params
+from adskg.harmonics import sph_harm
+from adskg.modes import RadialKind, jacobi_radial, magic_frequency, radial_eval
 
 
 def test_eval_row_count(tmp_path, capsys):
@@ -12,6 +16,35 @@ def test_eval_row_count(tmp_path, capsys):
     assert lines[0].startswith("# adskg v1 eval d=3")
     assert lines[1] == "t,rho,theta,phi,re,im"
     assert len(lines) == 2 + 14
+
+
+def test_eval_matches_pointwise_reference(tmp_path):
+    # rows in t, rho, theta, phi order, each the product e^{-iwt} * radial * Y
+    params = make_params(3, 1.0, 0.0)
+    ts, rhos = np.linspace(0.0, 3.0, 3), np.linspace(0.05, 1.5, 4)
+    thetas, phis = np.linspace(0.2, 2.9, 2), np.linspace(0.0, 6.0, 3)
+    for kind, extra in (("cb", ["--omega", "-2.1"]), ("jplus", ["--n", "2"])):
+        out = tmp_path / f"{kind}.csv"
+        assert main(["eval", "--kind", kind, *extra, "--l", "3", "--m", "-2",
+                     "--t", "0:3:3", "--rho", "0.05:1.5:4", "--theta", "0.2:2.9:2",
+                     "--phi", "0:6:3", "-o", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        expected = []
+        for t in map(float, ts):
+            for rho in map(float, rhos):
+                for theta in map(float, thetas):
+                    for phi in map(float, phis):
+                        if kind == "cb":
+                            om = -2.1
+                            rad = radial_eval(RadialKind.Cb, om, 3, rho, params)
+                        else:
+                            om = magic_frequency("plus", 2, 3, params)
+                            rad = jacobi_radial("plus", 2, 3, rho, params)
+                        val = complex(np.exp(-1j * om * t) * rad
+                                      * sph_harm(3, -2, theta, phi))
+                        expected.append(f"{t!r},{rho!r},{theta!r},{phi!r},"
+                                        f"{val.real!r},{val.imag!r}")
+        assert rows == expected
 
 
 def test_eval_invalid_kind(capsys):
@@ -50,6 +83,20 @@ def test_reconstruct_round_trip(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert code == 0
     assert "RECONSTRUCT tube PASS" in captured
+
+
+def test_reconstruct_tube_grid_sized_from_rep(tmp_path, capsys):
+    # l = 18 needs more than the default 16 x 32 angular grid
+    params = make_params(3, 1.0, 0.0)
+    grid = OmegaGrid(0.5, (-1, 2))
+    rep = TubeRep(grid, {(2, 18, 5): (0.7 + 0.2j, 0.1), (-1, 18, -18): (0.4, 0.3j),
+                         (2, 3, 1): (0.2, 0.5j)}, "S")
+    path = tmp_path / "rep.txt"
+    save_rep(str(path), rep, params)
+    code = main(["reconstruct", "--input", str(path), "--target", "tube",
+                 "--rho0", "0.9"])
+    assert code == 0
+    assert "RECONSTRUCT tube PASS" in capsys.readouterr().out
 
 
 def test_reconstruct_empty_rep_parse_error(tmp_path):

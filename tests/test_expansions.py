@@ -98,6 +98,37 @@ def test_synth_linear_combination(params_m0, rng):
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def test_sample_tube_matches_mode_eval_reference(params_m0):
+    ang = AngularGrid(6, 8)
+    rep, rho0 = _tube_rep(), 0.8
+    data = sample_tube(rep, rho0, params_m0, ang)
+    th, ph = np.meshgrid(ang.theta, ang.phi, indexing="ij")
+    ref = np.zeros_like(data.phi)
+    for (k, l, m), (a, b) in rep.coeffs.items():
+        label = TubeLabel(rep.grid.omega(k), l, m)
+        for i, t in enumerate(data.t_nodes):
+            for kind, c in ((RadialKind.Sa, a), (RadialKind.Sb, b)):
+                ref[i] += rep.grid.d_omega * c * mode_eval(
+                    label, (t, rho0, th, ph), params_m0, kind=kind)
+    assert np.max(np.abs(data.phi - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_sample_slice_matches_mode_eval_reference(params_m0):
+    ang = AngularGrid(6, 8)
+    rep, t0 = _slice_rep(), 0.37
+    data = sample_slice(rep, t0, params_m0, 12, ang)
+    th, ph = np.meshgrid(ang.theta, ang.phi, indexing="ij")
+    ref, ref_dt = np.zeros_like(data.phi), np.zeros_like(data.phi)
+    for (n, l, m), (p, q) in rep.coeffs.items():
+        om = magic_frequency("plus", n, l, params_m0)
+        for i, rho in enumerate(data.rho_nodes):
+            mode = mode_eval(SliceLabel(n, l, m), (t0, rho, th, ph), params_m0)
+            ref[i] += p * mode + q * np.conj(mode)
+            ref_dt[i] += -1j * om * p * mode + 1j * om * q * np.conj(mode)
+    assert np.max(np.abs(data.phi - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(data.dphi_dt - ref_dt)) <= 1e-13 * np.max(np.abs(ref_dt))
+
+
 # --- basis change ----------------------------------------------------------------
 
 def test_s_to_c_round_trip(params_m0):

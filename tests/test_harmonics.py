@@ -39,6 +39,21 @@ def test_orthonormality():
             assert val == pytest.approx(expected, abs=1e-10)
 
 
+def test_project_over_stack_equals_per_slice(rng):
+    ang = AngularGrid(16, 32)
+    stack = (rng.normal(size=(5, 3, 16, 32))
+             + 1j * rng.normal(size=(5, 3, 16, 32)))
+    for l, m in ((0, 0), (3, -2), (7, 7)):
+        got = ang.project(l, m, stack)
+        assert got.shape == (5, 3)
+        for i in range(5):
+            for j in range(3):
+                assert got[i, j] == ang.project(l, m, stack[i, j])
+    totals = ang.integrate(stack)
+    assert all(totals[i, j] == ang.integrate(stack[i, j])
+               for i in range(5) for j in range(3))
+
+
 def test_index_error():
     with pytest.raises(IndexError):
         sph_harm(2, 3, 0.5, 0.5)

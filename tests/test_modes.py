@@ -191,6 +191,12 @@ def test_transfer_matrix_determinant_identity(params_m0):
         assert mat.det * w_cc == pytest.approx(w_ss, rel=1e-8)
 
 
+def test_transfer_matrix_memoized_by_value(params_m0):
+    first = transfer_matrix(2.7, 2, params_m0)
+    assert transfer_matrix(2.7, 2, make_params(3, 1.0, 0.0)) is first
+    assert transfer_matrix(2.7, 3, params_m0) is not first
+
+
 # --- full mode evaluation --------------------------------------------------------------
 
 def test_mode_eval_zero_time(params_m0):
