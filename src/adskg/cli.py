@@ -42,15 +42,17 @@ def _add_params_args(parser):
 
 def cmd_eval(args) -> int:
     params = make_params(args.d, args.R, args.msq)
+    if args.l < 0 or abs(args.m) > args.l:
+        print(f"error: need l >= 0 and |m| <= l, got l={args.l}, m={args.m}",
+              file=sys.stderr)
+        return 2
     kind_name = args.kind.lower()
     if kind_name in _KINDS:
-        rads = [radial_eval(_KINDS[kind_name], args.omega, args.l, rho, params)
-                for rho in map(float, args.rho)]
+        rads = radial_eval(_KINDS[kind_name], args.omega, args.l, args.rho, params)
         om = args.omega
     elif kind_name in ("jplus", "jminus"):
         branch = "plus" if kind_name == "jplus" else "minus"
-        rads = [jacobi_radial(branch, args.n, args.l, rho, params)
-                for rho in map(float, args.rho)]
+        rads = jacobi_radial(branch, args.n, args.l, args.rho, params)
         om = magic_frequency(branch, args.n, args.l, params)
     else:
         raise AdskgError(f"unknown kind {args.kind!r}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -34,8 +35,9 @@ from .errors import (BandLimitExceeded, BasisMismatch, CapabilityError,
                      SerializationError)
 from .geometry import AdsParams, make_params, radial_measure
 from .harmonics import AngularGrid, sph_harm
-from .modes import (RadialKind, jacobi_radial_fd, magic_frequency,
-                    norm_constant, radial_eval_fd, transfer_matrix)
+from .modes import (RadialKind, _per_distinct, jacobi_radial_fd,
+                    magic_frequency, norm_constant, radial_eval_fd,
+                    transfer_matrix)
 from .specfun import double_pochhammer, pochhammer
 
 _NU_INTEGER_TOL = 1e-9
@@ -189,14 +191,16 @@ def _labels(js, l_max: int, *channels) -> dict:
 
 
 def _table(js, coef, fn, shape=()) -> np.ndarray:
-    """fn(j, l) once per (j, l) block where coef (..., j, lm) has a nonzero
-    entry (zero elsewhere), spread over lm: shape + (j, lm)."""
+    """fn(j, l) on the (j, l) blocks where coef (..., j, lm) has a nonzero
+    entry (zero elsewhere), spread over lm: shape + (j, lm).  fn is called
+    once, on the 1-d arrays of those j and l, and returns shape + (blocks,)."""
     ls, _ = _lm(math.isqrt(coef.shape[-1]) - 1)
     nonzero = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
     need = np.logical_or.reduceat(nonzero, np.arange(ls[-1] + 1) ** 2, axis=-1)
     out = np.zeros(shape + need.shape)
-    for row, l in zip(*np.nonzero(need)):
-        out[..., row, l] = fn(js[row], int(l))
+    rows, l_need = np.nonzero(need)
+    if rows.size:
+        out[..., rows, l_need] = fn(np.asarray(js)[rows], l_need)
     return out[..., ls]
 
 
@@ -245,12 +249,13 @@ def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
     """d_omega sum (a f_a + b f_b)(k, l) e^{-i omega_k t} Y_lm and the same
     sum over (g_a, g_b), at the times t and the angular points `where`, or
     their d/dt; shape (2, t, ...).  radial(kind, omega, l) = (f, g) is called
-    once per (k, l) where that channel has a nonzero coefficient."""
+    once per kind, on the arrays of the (k, l) where that channel has a
+    nonzero coefficient."""
     if isinstance(rep, RodRep):
         rep = rep.as_tube()
     js, _, coef = _dense(rep)
     fa, fb = (_table(js, c, lambda k, l, kind=kind: radial(
-        kind, rep.grid.omega(k), l), (2,))
+        kind, k * rep.grid.d_omega, l), (2,))
         for kind, c in zip(_TUBE_KINDS[rep.basis], coef))
     fold = coef[0] * fa + coef[1] * fb
     omega = rep.grid.d_omega * np.asarray(js, dtype=float)
@@ -272,8 +277,8 @@ def _slice_sum(rep: SliceRep, t: float, rho, where, params: AdsParams,
     minus = coef[1][:, ls * (ls + 1) - ms] * np.exp(1j * omega * t)
     coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
     rho = np.atleast_1d(rho)
-    kern = _table(ns, coefs, lambda n, l: jacobi_radial_fd(
-        "plus", n, l, rho, params)[int(drho)], rho.shape)
+    kern = _table(ns, coefs, partial(_per_distinct, lambda n, l: (
+        jacobi_radial_fd("plus", n, l, rho, params)[int(drho)])), rho.shape)
     return _synthesize(kern, coefs, _ylm(where, coefs))
 
 
@@ -375,6 +380,28 @@ def sample_rod(rep: RodRep, rho0: float, params: AdsParams,
 # basis change
 # ---------------------------------------------------------------------------
 
+def _basis_change(rep: TubeRep, params: AdsParams, inverse: bool) -> dict:
+    """{label: (a, b) M} over the labels of rep, in their order, with M^-1
+    in place of M if inverse; M is tabulated once per (k, l) holding a
+    label."""
+    js, _, coef = _dense(rep)
+    row = {j: i for i, j in enumerate(js)}
+    at = tuple(np.array([(row[k], l * (l + 1) + m) for k, l, m in rep.coeffs],
+                        dtype=int).reshape(-1, 2).T)
+    present = np.zeros(coef.shape[1:], dtype=bool)
+    present[at] = True
+
+    def entries(k, l):
+        mat = transfer_matrix(rep.grid.omega(k), l, params)
+        mat = mat.inverse() if inverse else mat
+        return mat.m11, mat.m12, mat.m21, mat.m22
+
+    m11, m12, m21, m22 = _table(js, present, partial(_per_distinct, entries), (4,))
+    a, b = coef
+    return dict(zip(rep.coeffs, zip((a * m11 + b * m21)[at].tolist(),
+                                    (a * m12 + b * m22)[at].tolist())))
+
+
 def s_to_c(rep: TubeRep, params: AdsParams) -> TubeRep:
     """Re-express an S-basis rep in the C basis; fields agree pointwise.
 
@@ -383,21 +410,13 @@ def s_to_c(rep: TubeRep, params: AdsParams) -> TubeRep:
     """
     if rep.basis != "S":
         raise BasisMismatch("s_to_c expects an S-basis rep")
-    out = {}
-    for (k, l, m), (a, b) in rep.coeffs.items():
-        mat = transfer_matrix(rep.grid.omega(k), l, params)
-        out[(k, l, m)] = (a * mat.m11 + b * mat.m21, a * mat.m12 + b * mat.m22)
-    return TubeRep(rep.grid, out, "C")
+    return TubeRep(rep.grid, _basis_change(rep, params, False), "C")
 
 
 def c_to_s(rep: TubeRep, params: AdsParams) -> TubeRep:
     if rep.basis != "C":
         raise BasisMismatch("c_to_s expects a C-basis rep")
-    out = {}
-    for (k, l, m), (a, b) in rep.coeffs.items():
-        inv = transfer_matrix(rep.grid.omega(k), l, params).inverse()
-        out[(k, l, m)] = (a * inv.m11 + b * inv.m21, a * inv.m12 + b * inv.m22)
-    return TubeRep(rep.grid, out, "S")
+    return TubeRep(rep.grid, _basis_change(rep, params, True), "S")
 
 
 def slice_to_tube(rep: SliceRep, grid: OmegaGrid, params: AdsParams,
@@ -440,12 +459,14 @@ def invert_slice(data: SliceData, params: AdsParams,
     ang = data.angular
     ns = range(n_max + 1)
     full = np.ones((n_max + 1, (l_max + 1) ** 2))
-    kern = _table(ns, full, lambda n, l: jacobi_radial_fd(
-        "plus", n, l, data.rho_nodes, params)[0], data.rho_nodes.shape)
+    kern = _table(ns, full, partial(_per_distinct, lambda n, l: (
+        jacobi_radial_fd("plus", n, l, data.rho_nodes, params)[0])),
+        data.rho_nodes.shape)
     proj = _project(ang, np.stack([data.phi, data.dphi_dt]), l_max)
     p_phi, p_dphi = np.einsum("s,sji,csi->cji", data.rho_weights, kern, proj)
     omega = _table(ns, full, lambda n, l: magic_frequency("plus", n, l, params))
-    nrm = _table(ns, full, lambda n, l: norm_constant("plus", n, l, params))
+    nrm = _table(ns, full, partial(_per_distinct,
+                                   lambda n, l: norm_constant("plus", n, l, params)))
     f_c = np.exp(1j * omega * data.t0) / (2.0 * nrm)
     d_c = 1j * np.exp(1j * omega * data.t0) / (2.0 * omega * nrm)
     ls, ms = _lm(l_max)
@@ -477,7 +498,7 @@ def invert_tube(data: TubeData, params: AdsParams, l_max: int,
     full = np.ones((len(grid.indices), (l_max + 1) ** 2))
     (fa, da), (fb, db) = (
         _table(grid.indices, full, lambda k, l, kind=kind: radial_eval_fd(
-            kind, grid.omega(k), l, data.rho0, params), (2,))
+            kind, k * grid.d_omega, l, data.rho0, params), (2,))
         for kind in _TUBE_KINDS[basis])
     d = params.d
     tan_fac = math.tan(data.rho0) ** (d - 1)
@@ -490,11 +511,10 @@ def invert_tube(data: TubeData, params: AdsParams, l_max: int,
 
 def _rod_divide(data: RodData, l_max: int, divisor) -> RodRep:
     """Rod coefficients a = (time-angular projection of the data) /
-    divisor(omega, l), the divisor evaluated once per (k, l)."""
+    divisor(k, l), a `_table` function of every (k, l)."""
     grid = data.grid
     proj = _project(data.angular, _time_project(data.phi, grid), l_max)
-    div = _table(grid.indices, np.ones(proj.shape),
-                 lambda k, l: divisor(grid.omega(k), l))
+    div = _table(grid.indices, np.ones(proj.shape), divisor)
     return RodRep(grid, _labels(grid.indices, l_max, proj / div))
 
 
@@ -502,10 +522,13 @@ def invert_rod_interior(data: RodData, params: AdsParams, l_max: int,
                         node_tol: float = 1e-10) -> RodRep:
     """Recover the rod representation from field values at rho0 < pi/2:
     a = (time-angular projection) / S^a(rho0)."""
-    def s_a(om, l):
+    def s_a(k, l):
+        om = k * data.grid.d_omega
         sa = radial_eval_fd(RadialKind.Sa, om, l, data.rho0, params)[0]
-        if abs(sa) < node_tol:
-            raise RadialNodeError(f"S^a({data.rho0}) ~ 0 at omega={om}, l={l}")
+        node = np.flatnonzero(np.abs(sa) < node_tol)
+        if node.size:
+            raise RadialNodeError(f"S^a({data.rho0}) ~ 0 at "
+                                  f"omega={om[node[0]]}, l={l[node[0]]}")
         return sa
 
     return _rod_divide(data, l_max, s_a)
@@ -609,8 +632,8 @@ def boundary_data_of(rep: TubeRep, params: AdsParams,
     t_nodes = rep.grid.time_nodes(n_t)
     # (rescaled value, twisted derivative) at the boundary: C^a -> (0, L),
     # C^b -> (1, 0)
-    minus, plus = _tube_sum(rep, t_nodes, ang, lambda kind, om, l: (
-        (0.0, lam) if kind is RadialKind.Ca else (1.0, 0.0)))
+    minus, plus = _tube_sum(rep, t_nodes, ang, lambda kind, om, l: np.array(
+        [[0.0], [lam]] if kind is RadialKind.Ca else [[1.0], [0.0]]))
     return BoundaryData(rep.grid, t_nodes, ang, minus, plus)
 
 
@@ -636,8 +659,11 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
     S^a survives the rescaling)."""
     ang = angular or AngularGrid()
     t_nodes = rep.grid.time_nodes(n_t)
-    phi, _ = _tube_sum(rep, t_nodes, ang, lambda kind, om, l: (
-        transfer_matrix(om, l, params).m12, 0.0))
+    def radial(kind, om, l):
+        m12 = _per_distinct(lambda w, ll: transfer_matrix(w, ll, params).m12, om, l)
+        return m12, np.zeros_like(m12)
+
+    phi, _ = _tube_sum(rep, t_nodes, ang, radial)
     return RodData(math.pi / 2, rep.grid, t_nodes, ang, phi)
 
 
@@ -646,14 +672,15 @@ def rod_boundary_reconstruct(data: RodData, params: AdsParams, l_max: int,
     """Recover a rod representation from rescaled boundary data:
     a = (projection) / m12(w, l); labels at magic frequencies are invisible
     (m12 = 0) and raise MagicFrequencyBlind."""
-    def m12(om, l):
+    def m12(k, l):
+        om = data.grid.omega(k)
         val = transfer_matrix(om, l, params).m12
         if abs(val) < blind_tol:
             raise MagicFrequencyBlind(
                 f"m12 ~ 0 at omega={om}, l={l}: boundary data is blind")
         return val
 
-    return _rod_divide(data, l_max, m12)
+    return _rod_divide(data, l_max, partial(_per_distinct, m12))
 
 
 # ---------------------------------------------------------------------------

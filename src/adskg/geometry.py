@@ -161,6 +161,8 @@ def kg_residual(radial_fn: Callable[[float], float], omega: float, l: int,
     """Max normalized residual of the radial Klein-Gordon operator
     cos^2 f'' + (d-1)/tan f' + [w^2 cos^2 - l(l+d-2)/tan^2 - m^2 R^2] f
     on a uniform sub-grid of the window, derivatives by 5-point stencils.
+    radial_fn is called once, on the array of all stencil radii; a scalar
+    result (a constant function) is broadcast.
     """
     a, b = rho_window
     if not 0.0 < a < b < math.pi / 2:
@@ -169,20 +171,16 @@ def kg_residual(radial_fn: Callable[[float], float], omega: float, l: int,
     msq = params.msq_r2
     rho = np.linspace(a, b, n_points)
     h = step
-    worst = 0.0
-    scale = 0.0
-    for r in rho:
-        fm2, fm1 = radial_fn(r - 2 * h), radial_fn(r - h)
-        f0 = radial_fn(r)
-        fp1, fp2 = radial_fn(r + h), radial_fn(r + 2 * h)
-        d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
-        d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
-        c2 = math.cos(r) ** 2
-        t = math.tan(r)
-        res = c2 * d2 + (d - 1) / t * d1 + \
-            (omega * omega * c2 - l * (l + d - 2) / (t * t) - msq) * f0
-        worst = max(worst, abs(res))
-        scale = max(scale, abs(f0))
+    stencil = np.stack([rho - 2 * h, rho - h, rho, rho + h, rho + 2 * h])
+    fm2, fm1, f0, fp1, fp2 = np.broadcast_to(radial_fn(stencil), stencil.shape)
+    d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+    d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
+    c2 = np.array([math.cos(r) ** 2 for r in rho.tolist()])
+    t = np.array([math.tan(r) for r in rho.tolist()])
+    res = c2 * d2 + (d - 1) / t * d1 + \
+        (omega * omega * c2 - l * (l + d - 2) / (t * t) - msq) * f0
+    worst = float(np.max(np.abs(res)))
+    scale = float(np.max(np.abs(f0)))
     return worst / scale if scale > 0 else worst
 
 

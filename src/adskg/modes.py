@@ -195,11 +195,131 @@ def _transfer_matrix(omega: float, l: int, d: int, R: float, m_sq: float,
         m22=-_weighted_wronskian(sb, dsb, ca, dca, rho, d) / w_cc)
 
 
-def radial_eval_fd(kind: RadialKind, omega: float, l: int, rho: float,
-                   params: AdsParams,
-                   policy: SeriesPolicy = DEFAULT_POLICY) -> tuple[float, float]:
+def _per_distinct(fn, *columns) -> np.ndarray:
+    """fn(*key) once per distinct key of the equal-length 1-d arrays, spread
+    back over the elements: shape fn's output + (elements,).  Python floats
+    in, so math and ** give the scalar path's bits (np.power need not)."""
+    keys = list(zip(*(col.tolist() for col in columns)))
+    table = {}
+    for key in keys:
+        if key not in table:
+            table[key] = fn(*key)
+    return np.moveaxis(np.array([table[key] for key in keys]), 0, -1)
+
+
+def _radial_direct_array(kinds, omega, l, rho, params: AdsParams,
+                         policy: SeriesPolicy):
+    """_radial_direct for each radial kind in `kinds` over equal-shape 1-d
+    arrays: (f, f'), each of shape (kinds, n).  sin, cos and the prefactors
+    come once per distinct (l, rho); one hyp2f1 array call sums every
+    kind's series and, where a b != 0, the series 2F1(a+1, b+1; c+1) of its
+    x-derivative (a b / c) 2F1(a+1, b+1; c+1), as hyp2f1_dx forms it."""
+    table = _per_distinct(lambda ll, r: sum(
+        (_prefactor_fd(kind, ll, r, params) for kind in kinds),
+        (math.sin(r), math.cos(r))), l, rho)
+    s, cs, pre, dpre = table[0], table[1], table[2::2], table[3::2]
+    a, b, c = np.stack([np.broadcast_arrays(*hyper_params(kind, omega, l, params))
+                        for kind in kinds], axis=1)
+    on_sin = np.array([[kind in (RadialKind.Sa, RadialKind.Sb)] for kind in kinds])
+    u = np.where(on_sin, s * s, cs * cs)
+    du = np.where(on_sin, 2.0 * s * cs, -2.0 * s * cs)
+    live = (a != 0.0) & (b != 0.0)  # elsewhere the shifted series is made trivial
+    f_val, g_val = hyp2f1(np.stack([a, np.where(live, a + 1.0, 0.0)]),
+                          np.stack([b, b + 1.0]), np.stack([c, c + 1.0]), u, policy)
+    df_val = np.zeros(a.shape)
+    df_val[live] = a[live] * b[live] / c[live] * g_val[live]
+    df_val = df_val * du
+    return pre * f_val, dpre * f_val + pre * df_val
+
+
+def _transfer_entries(omega, l, params: AdsParams, policy: SeriesPolicy,
+                      inverse: bool) -> np.ndarray:
+    """(m11, m12, m21, m22) of M, or of M^-1, per element of the 1-d arrays
+    omega and l: shape (4, n), one transfer_matrix call per distinct
+    (omega, l)."""
+    def entries(om, ll):
+        mat = transfer_matrix(om, ll, params, policy)
+        mat = mat.inverse() if inverse else mat
+        return mat.m11, mat.m12, mat.m21, mat.m22
+
+    return _per_distinct(entries, omega, l)
+
+
+# below this many points the scalar loop per point is faster: an array call
+# costs several scalar series in numpy overhead
+_BLOCK_MIN = 16
+
+
+def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams,
+                          policy: SeriesPolicy):
+    """Array path of radial_eval_fd: the same checks and branches per
+    element, each branch one array call over its elements."""
+    shape = np.broadcast(omega, l, rho).shape
+    omega, l, rho = (np.broadcast_to(v, shape).ravel() for v in (omega, l, rho))
+    if rho.size == 0:
+        return np.zeros(shape), np.zeros(shape)
+    if rho.size < _BLOCK_MIN:
+        f, df = _per_distinct(
+            lambda *v: _radial_eval_fd_scalar(kind, *v, params, policy), omega, l, rho)
+        return f.reshape(shape), df.reshape(shape)
+    if not np.all((0.0 <= rho) & (rho < math.pi / 2)):
+        raise DomainError("rho must lie in [0, pi/2)")
+    axis = rho == 0.0
+    if axis.any():
+        if kind is RadialKind.Sb:
+            raise SingularPoint("S^b diverges on the time axis")
+        if kind in (RadialKind.Ca, RadialKind.Cb):
+            if not params.c_modes_valid:
+                raise CapabilityError("C-modes need noninteger nu")
+            raise SingularPoint("C-modes diverge on the time axis")
+    f = np.where(axis & (l == 0), 1.0, 0.0)
+    df = np.where(axis & (l == 1), 1.0, 0.0)
+    on_sin = kind in (RadialKind.Sa, RadialKind.Sb)
+    arg = _per_distinct(lambda r: (math.sin(r) if on_sin else math.cos(r)) ** 2, rho)
+    direct = arg <= policy.arg_cutoff
+    if not direct.all():  # terminating series are direct at any radius
+        a, b, _ = hyper_params(kind, omega, l, params)
+        for v in (a, b):
+            direct |= (v <= 0.0) & (v == np.floor(v))
+    direct &= ~axis
+    via = ~axis & ~direct
+    if direct.all():
+        (f,), (df,) = _radial_direct_array((kind,), omega, l, rho, params, policy)
+    elif direct.any():
+        (f[direct],), (df[direct],) = _radial_direct_array(
+            (kind,), omega[direct], l[direct], rho[direct], params, policy)
+    if via.any():
+        om, ll, rr = omega[via], l[via], rho[via]
+        m11, m12, m21, m22 = _transfer_entries(om, ll, params, policy, not on_sin)
+        pair = ((RadialKind.Ca, RadialKind.Cb) if on_sin
+                else (RadialKind.Sa, RadialKind.Sb))
+        (fa, fb), (da, db) = _radial_direct_array(pair, om, ll, rr, params, policy)
+        if kind in (RadialKind.Sa, RadialKind.Ca):
+            f[via], df[via] = m11 * fa + m12 * fb, m11 * da + m12 * db
+        else:
+            f[via], df[via] = m21 * fa + m22 * fb, m21 * da + m22 * db
+    return f.reshape(shape), df.reshape(shape)
+
+
+def radial_eval_fd(kind: RadialKind, omega, l, rho, params: AdsParams,
+                   policy: SeriesPolicy = DEFAULT_POLICY):
     """Radial function and its rho-derivative, switching to the transfer
-    matrix outside the direct-series domain."""
+    matrix outside the direct-series domain.
+
+    omega, l and rho may be broadcastable ndarrays: each element then takes
+    the branch the scalar call would take and its result is bit-identical
+    to the scalar call's.  Each branch is one hyp2f1 array call over the
+    series of the kinds it needs and of their x-derivatives; fewer than
+    _BLOCK_MIN points are evaluated one by one.
+    """
+    if any(isinstance(v, np.ndarray) for v in (omega, l, rho)):
+        return _radial_eval_fd_array(kind, omega, l, rho, params, policy)
+    return _radial_eval_fd_scalar(kind, omega, l, rho, params, policy)
+
+
+def _radial_eval_fd_scalar(kind: RadialKind, omega: float, l: int, rho: float,
+                           params: AdsParams, policy: SeriesPolicy):
+    """radial_eval_fd at one point: the reference the array path reproduces."""
     if not 0.0 <= rho < math.pi / 2:
         raise DomainError("rho must lie in [0, pi/2)")
     if kind is RadialKind.Sb and rho == 0.0:
@@ -227,9 +347,9 @@ def radial_eval_fd(kind: RadialKind, omega: float, l: int, rho: float,
     return inv.m21 * sa + inv.m22 * sb, inv.m21 * dsa + inv.m22 * dsb
 
 
-def radial_eval(kind: RadialKind, omega: float, l: int, rho: float,
-                params: AdsParams,
-                policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams,
+                policy: SeriesPolicy = DEFAULT_POLICY):
+    """The radial function alone; arrays as in radial_eval_fd."""
     return radial_eval_fd(kind, omega, l, rho, params, policy)[0]
 
 
@@ -265,7 +385,12 @@ def jacobi_radial(branch: str, n: int, l: int, rho, params: AdsParams):
     ga = l + params.d / 2.0
     pref = _jacobi_norm_prefactor(n, l, params)
     s, c = np.sin(rho), np.cos(rho)
-    return pref * s ** l * c ** ex * jacobi_p(ga - 1.0, nu, n, np.cos(2.0 * np.asarray(rho)))
+    if np.ndim(rho):  # np.power on arrays can differ from scalar ** in the last bit
+        head = np.reshape([pref * a ** l * b ** ex for a, b in
+                           zip(s.ravel().tolist(), c.ravel().tolist())], s.shape)
+    else:
+        head = pref * s ** l * c ** ex
+    return head * jacobi_p(ga - 1.0, nu, n, np.cos(2.0 * np.asarray(rho)))
 
 
 def jacobi_radial_fd(branch: str, n: int, l: int, rho, params: AdsParams):

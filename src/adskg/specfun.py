@@ -3,6 +3,12 @@
 The Gauss hypergeometric series is evaluated by direct summation only, with
 an argument cutoff; analytic continuation past the cutoff is the job of the
 transfer matrix one level up (see modes), never of transformation formulas.
+`hyp2f1` and `hyp2f1_dx` also accept broadcastable ndarrays for (a, b, c, x):
+the array path sums every element's series in blocks of terms (the term
+ratios, then a running product and a running sum along the term axis), with
+the scalar loop's parenthesization and the same stopping rule per element,
+so each element is bit-identical to the scalar call.  Scalar inputs keep the
+plain loop, which is the reference.
 Orthogonal polynomials use three-term recurrences and accept numpy arrays
 for the argument.
 """
@@ -87,13 +93,19 @@ def hyp2f1_terminates(a: float, b: float) -> bool:
     return _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
 
 
-def hyp2f1(a: float, b: float, c: float, x: float,
-           policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def hyp2f1(a, b, c, x, policy: SeriesPolicy = DEFAULT_POLICY):
     """Gauss hypergeometric 2F1(a, b; c; x) by direct series.
 
     Terminating series (a or b a nonpositive integer) are summed exactly for
-    any x.  Otherwise |x| must not exceed policy.arg_cutoff.
+    any x.  Otherwise |x| must not exceed policy.arg_cutoff.  a, b and c
+    must be finite (DomainError).  Any ndarray argument selects the
+    block-summed array path (`_hyp2f1_blocks`), whose result has the
+    broadcast shape.
     """
+    if any(isinstance(v, np.ndarray) for v in (a, b, c, x)):
+        return _hyp2f1_blocks(a, b, c, x, policy)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise DomainError(f"2F1 parameters ({a}, {b}, {c}) must be finite")
     terminates = hyp2f1_terminates(a, b)
     n_stop = None
     if terminates:
@@ -119,11 +131,112 @@ def hyp2f1(a: float, b: float, c: float, x: float,
         f"2F1({a},{b};{c};{x}) did not converge in {policy.max_terms} terms")
 
 
-def hyp2f1_dx(a: float, b: float, c: float, x: float,
-              policy: SeriesPolicy = DEFAULT_POLICY) -> float:
-    """d/dx 2F1(a, b; c; x) = (a b / c) 2F1(a+1, b+1; c+1; x)."""
+_BLOCK_ELEMENTS = 1 << 16  # cap on the (element, term) temporaries of a block
+
+
+def _rows(*vals) -> np.ndarray:
+    """vals broadcast against each other and stacked as float rows."""
+    rows = np.empty((len(vals),) + np.broadcast(*vals).shape)
+    for i, v in enumerate(vals):
+        rows[i] = v
+    return rows
+
+
+def _hyp2f1_blocks(a, b, c, x, policy: SeriesPolicy) -> np.ndarray:
+    """Array path of hyp2f1: every element's series summed block by block.
+
+    A block of terms k0 .. k0+n-1 forms the ratios (a+k)(b+k)/((c+k)(k+1)) x
+    of the still-running elements, takes their running product seeded by
+    the carried term and the running sum seeded by the carried total; both
+    accumulate sequentially, as the scalar loop does.  An element stops at
+    its first k with |term| <= rel_tol |total|, or before computing term
+    n_stop of a terminating series.  The argument checks (DomainError,
+    PoleError) run over every element before any summation.
+    """
+    # rows: a, b, c, x, n_stop, carried term, carried total; one column per
+    # element, and later per running element
+    state = _rows(a, b, c, x, np.inf, 1.0, 1.0)
+    shape = state.shape[1:]
+    state = state.reshape(7, -1)
+    abc = state[:3]
+    nonpos = (abc <= 0.0) & (abc == np.floor(abc))
+    n_stop = state[4] = np.where(nonpos[:2], -abc[:2], np.inf).min(axis=0)
+    terminates = n_stop < np.inf
+    infinite = ~np.isfinite(abc).all(axis=0)
+    pole = nonpos[2] & ~(n_stop <= -abc[2])
+    outside = ~terminates & (np.abs(state[3]) > policy.arg_cutoff)
+    bad = infinite | pole | outside
+    if bad.any():
+        i = bad.argmax()
+        if infinite[i]:
+            raise DomainError(f"2F1 parameters {tuple(abc[:, i])} must be finite")
+        if pole[i]:
+            raise PoleError(f"2F1 parameter c = {abc[2, i]} is a nonpositive integer")
+        raise DomainError(f"|x| = {abs(state[3, i])} exceeds series cutoff "
+                          f"{policy.arg_cutoff}")
+
+    out = np.ones(state.shape[1])
+    live = np.flatnonzero(n_stop != 0.0)
+    if live.size < out.size:
+        state = state[:, live]
+    halting = terminates.any()
+    k0, width = 0, 32
+    with np.errstate(all="ignore"):  # ratios past an element's stop are dropped
+        while live.size and k0 < policy.max_terms:
+            n = max(1, min(width, policy.max_terms - k0,
+                           _BLOCK_ELEMENTS // live.size))
+            k = k0 + np.arange(n, dtype=float)
+            ra, rb, rc, rx, r_stop = state[:5, :, None]
+            ratio = (ra + k) * (rb + k) / ((rc + k) * (k + 1.0)) * rx
+            ratio[:, 0] *= state[5]
+            terms = np.cumprod(ratio, axis=1)
+            ratio[:] = terms
+            ratio[:, 0] += state[6]
+            totals = np.cumsum(ratio, axis=1)
+            stop = np.abs(terms) <= policy.rel_tol * np.abs(totals)
+            if halting:
+                halt = r_stop == k
+                stop |= halt
+            done = stop.any(axis=1)
+            if done.any():
+                rows = np.flatnonzero(done)
+                first = stop[rows].argmax(axis=1)
+                value = totals[rows, first]
+                if halting:  # a halt at k returns the total through term k-1
+                    h = halt[rows, first]
+                    value[h] = np.where(first[h] > 0, totals[rows[h], first[h] - 1],
+                                        state[6, rows[h]])
+                out[live[rows]] = value
+                keep = ~done
+                live, state = live[keep], state[:, keep]
+                terms, totals = terms[keep], totals[keep]
+            state[5], state[6] = terms[:, -1], totals[:, -1]
+            k0 += n
+            width *= 2
+    if live.size:
+        a, b, c, x = state[:4, 0]
+        raise ConvergenceError(f"2F1({a},{b};{c};{x}) did not "
+                               f"converge in {policy.max_terms} terms")
+    return out.reshape(shape)
+
+
+def hyp2f1_dx(a, b, c, x, policy: SeriesPolicy = DEFAULT_POLICY):
+    """d/dx 2F1(a, b; c; x) = (a b / c) 2F1(a+1, b+1; c+1; x), zero where
+    a b = 0 and a PoleError where c = 0 otherwise; broadcastable ndarrays as
+    in hyp2f1."""
+    if any(isinstance(v, np.ndarray) for v in (a, b, c, x)):
+        a, b, c, x = _rows(a, b, c, x)
+        live = (a != 0.0) & (b != 0.0)
+        out = np.zeros(a.shape)
+        a, b, c, x = a[live], b[live], c[live], x[live]
+        if np.any(c == 0.0):
+            raise PoleError("2F1 parameter c = 0 is a nonpositive integer")
+        out[live] = a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x, policy)
+        return out
     if a == 0.0 or b == 0.0:
         return 0.0
+    if c == 0.0:
+        raise PoleError("2F1 parameter c = 0 is a nonpositive integer")
     return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x, policy)
 
 

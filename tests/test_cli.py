@@ -51,6 +51,13 @@ def test_eval_invalid_kind(capsys):
     assert main(["eval", "--kind", "nope", "--rho", "0.5"]) == 2
 
 
+def test_eval_invalid_degree_or_order(capsys):
+    for l, m in (("1", "3"), ("2", "-3"), ("-1", "0")):
+        assert main(["eval", "--kind", "sa", "--omega", "2.0",
+                     "--l", l, "--m", m]) == 2
+        assert "|m| <= l" in capsys.readouterr().err
+
+
 def test_eval_deterministic(tmp_path):
     args = ["eval", "--kind", "jplus", "--n", "1", "--l", "1", "--m", "1",
             "--rho", "0.2:1.2:7", "--t", "0.0:1.0:3"]

@@ -17,7 +17,7 @@ from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep,
 from adskg.geometry import make_params
 from adskg.harmonics import AngularGrid
 from adskg.modes import (RadialKind, SliceLabel, TubeLabel, magic_frequency,
-                         mode_eval, radial_eval)
+                         mode_eval, radial_eval, transfer_matrix)
 
 ANG = AngularGrid(16, 32)
 
@@ -138,6 +138,31 @@ def test_s_to_c_round_trip(params_m0):
         a2, b2 = back.coeffs[key]
         assert a2 == pytest.approx(a, rel=1e-10, abs=1e-12)
         assert b2 == pytest.approx(b, rel=1e-10, abs=1e-12)
+
+
+def test_basis_change_equals_per_label_loop(params_m0, rng):
+    # reference: one transfer matrix per label, products in the same order
+    grid = OmegaGrid(0.5, tuple(range(-7, 8)))
+    keys = {(int(rng.integers(-7, 8)), l, int(rng.integers(-l, l + 1)))
+            for l in rng.integers(0, 5, size=40).tolist()}
+    rep = TubeRep(grid, {key: tuple(complex(*v) for v in rng.normal(size=(2, 2)))
+                         for key in sorted(keys, key=lambda k: -k[2])}, "S")
+    rep.coeffs[next(iter(rep.coeffs))] = (0.0j, 0.0j)
+    crep = s_to_c(rep, params_m0)
+    expected = {}
+    for (k, l, m), (a, b) in rep.coeffs.items():
+        mat = transfer_matrix(grid.omega(k), l, params_m0)
+        expected[(k, l, m)] = (a * mat.m11 + b * mat.m21, a * mat.m12 + b * mat.m22)
+    assert list(crep.coeffs) == list(expected)
+    assert np.array(list(crep.coeffs.values())).tobytes() \
+        == np.array(list(expected.values())).tobytes()
+    back = c_to_s(crep, params_m0)
+    for (k, l, m), (a, b) in crep.coeffs.items():
+        inv = transfer_matrix(grid.omega(k), l, params_m0).inverse()
+        expected[(k, l, m)] = (a * inv.m11 + b * inv.m21, a * inv.m12 + b * inv.m22)
+    assert list(back.coeffs) == list(expected)
+    assert np.array(list(back.coeffs.values())).tobytes() \
+        == np.array(list(expected.values())).tobytes()
 
 
 def test_s_to_c_pointwise(params_m0, rng):

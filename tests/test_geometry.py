@@ -86,6 +86,31 @@ def test_kg_residual_jacobi(params_m0):
     assert kg_residual(f, om, 0, params_m0, (0.2, 1.2)) < 1e-6
 
 
+def test_kg_residual_one_call_matches_pointwise_loop(params_m0):
+    # reference: the stencil loop, one radial_fn call per radius
+    def loop(fn, omega, l, p, a, b, n, h=1e-4):
+        worst = scale = 0.0
+        for r in np.linspace(a, b, n):
+            fm2, fm1, f0 = fn(r - 2 * h), fn(r - h), fn(r)
+            fp1, fp2 = fn(r + h), fn(r + 2 * h)
+            d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+            d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
+            c2, t = math.cos(r) ** 2, math.tan(r)
+            res = c2 * d2 + (p.d - 1) / t * d1 + \
+                (omega * omega * c2 - l * (l + p.d - 2) / (t * t) - p.msq_r2) * f0
+            worst, scale = max(worst, abs(res)), max(scale, abs(f0))
+        return worst / scale
+    calls = []
+
+    def f(r):
+        calls.append(np.shape(r))
+        return radial_eval(RadialKind.Sa, 2.3, 1, r, params_m0)
+
+    got = kg_residual(f, 2.3, 1, params_m0, (0.2, 1.2), n_points=12)
+    assert calls == [(5, 12)]
+    assert got == loop(f, 2.3, 1, params_m0, 0.2, 1.2, 12)
+
+
 def test_kg_residual_non_solution():
     p = make_params(3, 1.0, 1.0)
     res = kg_residual(lambda r: 1.0, 0.0, 0, p, (0.3, 1.1))

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from adskg.errors import CapabilityError, ExceptionalBranch, SingularPoint
+from adskg.errors import (CapabilityError, DomainError, ExceptionalBranch,
+                          SingularPoint)
 from adskg.geometry import kg_residual, make_params
 from adskg.harmonics import sph_harm
 from adskg.modes import (RadialKind, SliceLabel, TubeLabel, hyper_params,
                          jacobi_radial, jacobi_radial_fd, magic_frequency,
                          mode_eval, norm_constant, radial_eval,
-                         transfer_matrix, wronskian)
+                         radial_eval_fd, transfer_matrix, wronskian)
 
 ALL_KINDS = (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb)
 
@@ -44,6 +45,56 @@ def test_radial_axis_values(params_m0):
     assert radial_eval(RadialKind.Sa, 1.3, 2, 0.0, params_m0) == 0.0
     with pytest.raises(SingularPoint):
         radial_eval(RadialKind.Sb, 1.3, 0, 0.0, params_m0)
+
+
+@pytest.mark.parametrize("d, m_sq", [(3, 0.0), (3, -2.0), (3, 1.3),
+                                      (5, 0.0), (5, -3.5), (5, 0.7)])
+def test_radial_array_equals_scalar_across_cutoffs(d, m_sq):
+    # sin^2 = 0.75 at pi/3 and cos^2 = 0.75 at pi/6: radii on both sides of
+    # each cutoff, frequencies including magic (terminating) ones
+    p = make_params(d, 1.0, m_sq)
+    cuts = [np.nextafter(r, r + s) for r in (math.pi / 3, math.pi / 6)
+            for s in (-1.0, 0.0, 1.0)]
+    rho = np.array(cuts + [0.3, 0.9, 1.167, 1.4])
+    omega = np.concatenate([[-4.3, 0.0, 1.7, 6.1, 9.5],
+                            [magic_frequency("plus", n, 1, p) for n in range(3)]])
+    om, ls, rr = np.meshgrid(omega, np.arange(5), rho, indexing="ij")
+    for kind in ALL_KINDS:
+        f, df = radial_eval_fd(kind, om, ls, rr, p)
+        ref = np.array([radial_eval_fd(kind, float(o), int(l), float(r), p)
+                        for o, l, r in zip(om.ravel(), ls.ravel(), rr.ravel())])
+        assert f.shape == df.shape == om.shape
+        assert f.ravel().tobytes() == ref[:, 0].tobytes()
+        assert df.ravel().tobytes() == ref[:, 1].tobytes()
+        # fewer points than the array path's minimum take the scalar loop
+        small = radial_eval_fd(kind, om[:, 0, 0], 2, rr[:, 0, 0], p)
+        assert np.array_equal(small, np.array([
+            radial_eval_fd(kind, float(o), 2, float(r), p)
+            for o, r in zip(om[:, 0, 0], rr[:, 0, 0])]).T)
+
+
+def test_radial_array_axis_and_errors(params_m0):
+    rho = np.array([0.0, 0.0, 0.0, 0.4] * 5)
+    l = np.array([0, 1, 2, 1] * 5)
+    f, df = radial_eval_fd(RadialKind.Sa, 2.2, l, rho, params_m0)
+    assert f[:3].tolist() == [1.0, 0.0, 0.0] and df[:3].tolist() == [0.0, 1.0, 0.0]
+    assert f[3] == radial_eval(RadialKind.Sa, 2.2, 1, 0.4, params_m0)
+    for kind in (RadialKind.Sb, RadialKind.Ca):
+        with pytest.raises(SingularPoint):
+            radial_eval_fd(kind, 2.2, l, rho, params_m0)
+    with pytest.raises(DomainError):
+        radial_eval_fd(RadialKind.Sa, 2.2, l, rho + 1.2, params_m0)
+    f, df = radial_eval_fd(RadialKind.Ca, np.ones((0, 3)), 2, 0.4, params_m0)
+    assert f.shape == df.shape == (0, 3)
+
+
+def test_jacobi_radial_array_equals_scalar(params_m0, params_neg):
+    rho = np.linspace(0.01, 1.56, 257)
+    for p, branch in ((params_m0, "plus"), (params_neg, "minus")):
+        for n, l in ((0, 0), (2, 1), (3, 4)):
+            ref = [jacobi_radial(branch, n, l, float(r), p) for r in rho]
+            assert jacobi_radial(branch, n, l, rho, p).tobytes() \
+                == np.array(ref).tobytes()
 
 
 def test_radial_ca_boundary_decay(params_m0):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adskg.errors import ConvergenceError, DomainError, PoleError
-from adskg.specfun import (SeriesPolicy, assoc_legendre,
+from adskg.specfun import (DEFAULT_POLICY, SeriesPolicy, assoc_legendre,
                            assoc_legendre_sin2_dx, double_pochhammer,
-                           gamma_fn, gegenbauer_c, hyp2f1, jacobi_p,
-                           pochhammer, spherical_bessel, spherical_bessel_dx)
+                           gamma_fn, gegenbauer_c, hyp2f1, hyp2f1_dx,
+                           jacobi_p, pochhammer, spherical_bessel,
+                           spherical_bessel_dx)
 
 
 # --- gamma ---------------------------------------------------------------
@@ -104,6 +105,98 @@ def test_hyp2f1_domain_and_convergence():
         hyp2f1(0.3, 0.7, -2.0, 0.1)
     # terminating before the c-pole is fine
     assert hyp2f1(-1.0, 0.7, -2.0, 0.4) == pytest.approx(1.0 + 0.7 * 0.4 / 2.0)
+
+
+# array path: block-summed series against the scalar loop, bit for bit
+
+_FINITE = st.floats(-12.0, 12.0)
+_C = st.floats(0.1, 12.0)
+_NONPOS = st.integers(-8, 0).map(float)
+_ELEMENT = st.one_of(
+    st.tuples(_FINITE, _FINITE, _C, st.floats(-0.9, 0.9)),     # plain, some past 0.75
+    st.tuples(_NONPOS, _FINITE, _C, st.floats(-4.0, 4.0)),     # terminating, any x
+    st.tuples(_FINITE, _NONPOS, _NONPOS, st.floats(-4.0, 4.0)),  # nonpositive c
+    st.tuples(st.just(0.0), _FINITE, st.floats(-3.0, 3.0), st.floats(-4.0, 4.0)),
+    st.tuples(_FINITE, st.just(0.0), _NONPOS, st.floats(-4.0, 4.0)),
+    st.tuples(_FINITE, _FINITE, _C, st.sampled_from([-4.0, -0.75, 0.75, 1.5])),
+)
+_POLICY = st.one_of(
+    st.just(DEFAULT_POLICY),
+    st.builds(SeriesPolicy, max_terms=st.integers(1, 60),
+              rel_tol=st.floats(1e-15, 1e-6), arg_cutoff=st.floats(0.3, 0.9)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PoleError, DomainError, ConvergenceError) as exc:
+        return type(exc)
+
+
+def _assert_array_matches_scalar(fn, elements, policy):
+    """Array fn equals the scalar loop bit for bit, or raises an exception
+    type the scalar loop raises for one of the elements."""
+    scalar = [_outcome(fn, *map(float, e), policy) for e in elements]
+    errors = {v for v in scalar if isinstance(v, type)}
+    a, b, c, x = (np.array(col) for col in zip(*elements))
+    if not errors:
+        got = fn(a, b, c, x, policy)
+        assert got.shape == a.shape
+        assert got.tobytes() == np.array(scalar, dtype=float).tobytes()
+        return
+    with pytest.raises(tuple(errors)):
+        fn(a, b, c, x, policy)
+
+
+@given(elements=st.lists(_ELEMENT, min_size=1, max_size=12), policy=_POLICY)
+@settings(max_examples=300, deadline=None)
+def test_hyp2f1_array_equals_scalar_loop(elements, policy):
+    _assert_array_matches_scalar(hyp2f1, elements, policy)
+
+
+@given(elements=st.lists(_ELEMENT, min_size=1, max_size=12), policy=_POLICY)
+@settings(max_examples=300, deadline=None)
+def test_hyp2f1_dx_array_equals_scalar_loop(elements, policy):
+    _assert_array_matches_scalar(hyp2f1_dx, elements, policy)
+
+
+def test_hyp2f1_array_special_cases():
+    # one element of each kind the scalar loop treats specially
+    cases = [((-3.0, 1.7, 0.4, 3.5), None),             # terminating past the cutoff
+             ((-1.0, 0.7, -2.0, 0.4), None),            # admissible nonpositive c
+             ((0.3, 0.7, 1.1, 0.9), DomainError),       # |x| past the cutoff
+             ((0.3, 0.7, -2.0, 0.1), PoleError),
+             ((-3.0, 0.7, -2.0, 0.1), PoleError)]       # stops after the pole
+    for args, error in cases:
+        if error is None:
+            assert hyp2f1(*map(np.array, args)) == hyp2f1(*args)
+        else:
+            with pytest.raises(error):
+                hyp2f1(*map(np.array, args))
+    # a b = 0: zero, also where the shifted series would fail
+    assert hyp2f1_dx(np.array([0.0]), 0.7, -2.0, 0.9).tolist() == [0.0]
+    assert hyp2f1_dx(np.array([0.0, 1.2]), 0.7, np.array([-2.0, 1.1]), 0.4).tolist() \
+        == [0.0, hyp2f1_dx(1.2, 0.7, 1.1, 0.4)]
+    for fn in (lambda *v: hyp2f1_dx(*v), lambda *v: hyp2f1_dx(*map(np.array, v))):
+        with pytest.raises(PoleError):
+            fn(1.0, -1.0, 0.0, 0.2)
+    with pytest.raises(ConvergenceError):
+        hyp2f1(np.full(3, 0.3), 0.7, 1.1, 0.7, SeriesPolicy(max_terms=3))
+    for bad in ((-math.inf, 1.0, 2.0, 0.5), (1.0, math.nan, 2.0, 0.5),
+                (1.0, 1.0, -math.inf, 0.5)):
+        for args in (bad, (np.array(bad[0]),) + bad[1:]):
+            with pytest.raises(DomainError):
+                hyp2f1(*args)
+
+
+def test_hyp2f1_array_broadcasts():
+    a = np.linspace(-2.0, 3.0, 6)[:, None]
+    x = np.linspace(-0.7, 0.7, 5)
+    got = hyp2f1(a, 1.3, 2.1, x)
+    assert got.shape == (6, 5)
+    assert all(got[i, j] == hyp2f1(float(a[i, 0]), 1.3, 2.1, float(x[j]))
+               for i in range(6) for j in range(5))
+    assert hyp2f1(np.array(0.4), 1.3, 2.1, 0.5).shape == ()
 
 
 # --- Jacobi / Gegenbauer ----------------------------------------------------
