@@ -2,13 +2,18 @@
 and reconstruction round-trip reports.
 
 Exit codes: 0 pass, 1 verification/reconstruction failure, 2 usage or
-parse errors.  Output is deterministic: no timestamps, fixed row order.
+parse errors.  Output is deterministic: no timestamps, fixed row order;
+the one exception is each suite's wall time (duration_s) under
+`verify --json`.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -81,15 +86,26 @@ def cmd_verify(args) -> int:
     from .verify import SUITES, run_suite
     names = list(SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
+    suites, records = [], []
     for name in names:
+        start = time.perf_counter()
         checks = run_suite(name)
+        duration = time.perf_counter() - start
         ok = all(c.passed for c in checks)
         all_ok = all_ok and ok
-        for c in checks:
-            print(c.line)
         worst = max((c.value for c in checks
                      if c.window is None or not c.passed), default=0.0)
+        if args.json:
+            suites.append({"suite": name, "passed": ok, "max_err": worst,
+                           "duration_s": duration})
+            records += [{"suite": name, **asdict(c)} for c in checks]
+            continue
+        for c in checks:
+            print(c.line)
         print(f"SUITE {name} {'PASS' if ok else 'FAIL'} max_err={worst:.3e}")
+    if args.json:
+        print(json.dumps({"passed": all_ok, "suites": suites,
+                          "checks": records}, indent=1))
     return 0 if all_ok else 1
 
 
@@ -189,6 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     from .verify import SUITES
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p_verify.add_argument("--json", action="store_true",
+                          help="print one JSON document: a record per check "
+                               "and per suite (with duration_s)")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_rec = sub.add_parser("reconstruct",

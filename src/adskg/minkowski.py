@@ -25,38 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BoundaryProximity, DomainError
 from .expansions import OmegaGrid, SliceRep
-from .geometry import AdsParams, _diff, _sphere_grad, make_params
+from .geometry import AdsParams, _apply, _first_order, _points, make_params
 from .harmonics import AngularGrid, sph_harm
 from .modes import RadialKind, magic_frequency, norm_constant, radial_eval
 from .specfun import double_factorial, spherical_bessel, spherical_bessel_dx
 
 EnergyGrid = OmegaGrid  # same discretization: E_k = k dE, window 2 pi / dE
-
-
-@dataclass(frozen=True)
-class MinkTubeLabel:
-    E: float
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.l < 0 or abs(self.m) > self.l:
-            raise IndexError("need l >= 0 and |m| <= l")
-
-
-@dataclass(frozen=True)
-class MinkSliceLabel:
-    p: float
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.p <= 0.0:
-            raise ValueError("radial momentum p must be positive")
-        if self.l < 0 or abs(self.m) > self.l:
-            raise IndexError("need l >= 0 and |m| <= l")
 
 
 @dataclass(frozen=True)
@@ -284,20 +260,22 @@ def mink_killing_apply(name: str, fld, point, j: int = 3,
                        h: float = 1e-3) -> complex:
     """Minkowski Killing operators on closures field(tau, r, xi):
     "T0" = d_tau, "Tj" = xi_j d_r + (1/r)(tangential_j),
-    "K0j" = -r xi_j d_tau - tau xi_j d_r - (tau/r)(tangential_j)."""
-    tau, r, xi = point
-    xi = np.asarray(xi, dtype=float)
+    "K0j" = -r xi_j d_tau - tau xi_j d_r - (tau/r)(tangential_j); the same
+    first-order stencils as the AdS operators (4, 8 and 12 field samples).
+    "Tj" and "K0j" raise BoundaryProximity when the r stencil reaches r <= 0.
+    """
+    p = _points([point])
+    tau, r, x = p[0, 0], p[0, 1], p[0, 1 + j]
     if name == "T0":
-        return _diff(lambda s: fld(s, r, xi), tau, h)
-    grad = _sphere_grad(fld, tau, r, xi, h)
-    dr = _diff(lambda s: fld(tau, s, xi), r, h)
-    jj = j - 1
+        return _apply(fld, *_first_order(p, h, c_t=1.0))[0]
+    if name not in ("Tj", "K0j"):
+        raise ValueError(f"unknown Minkowski generator {name!r}")
+    if r - 2 * h <= 0.0:
+        raise BoundaryProximity("r stencil reaches r <= 0")
     if name == "Tj":
-        return xi[jj] * dr + grad[jj] / r
-    if name == "K0j":
-        dt = _diff(lambda s: fld(s, r, xi), tau, h)
-        return -r * xi[jj] * dt - tau * xi[jj] * dr - tau / r * grad[jj]
-    raise ValueError(f"unknown Minkowski generator {name!r}")
+        return _apply(fld, *_first_order(p, h, None, x, ((j - 1, 1.0 / r),)))[0]
+    return _apply(fld, *_first_order(p, h, -r * x, -tau * x,
+                                     ((j - 1, -tau / r),)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,35 @@ def test_verify_specfun(capsys):
     assert "SUITE specfun PASS" in captured
 
 
+def test_verify_text_output_format(capsys):
+    # the text lines other tools parse: one line per check, then SUITE
+    from adskg.verify import run_suite
+    checks = run_suite("harmonics")
+    worst = max(c.value for c in checks)
+    assert main(["verify", "harmonics"]) == 0
+    want = "".join(c.line + "\n" for c in checks)
+    want += f"SUITE harmonics PASS max_err={worst:.3e}\n"
+    assert capsys.readouterr().out == want
+
+
+def test_verify_json_records(capsys):
+    import json
+    from adskg.verify import SUITES, run_suite
+    assert main(["verify", "all", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert [s["suite"] for s in doc["suites"]] == list(SUITES)
+    assert all(s["passed"] and s["duration_s"] > 0.0 for s in doc["suites"])
+    assert all(set(rec) == {"suite", "name", "value", "tol", "window", "passed"}
+               for rec in doc["checks"])
+    for name in ("harmonics", "geometry", "minkowski"):
+        recs = [rec for rec in doc["checks"] if rec["suite"] == name]
+        want = [{"suite": name, "name": c.name, "value": c.value, "tol": c.tol,
+                 "window": None if c.window is None else list(c.window),
+                 "passed": c.passed} for c in run_suite(name)]
+        assert recs == want
+
+
 def test_reconstruct_round_trip(tmp_path, capsys):
     params = make_params(3, 1.0, 0.0)
     grid = OmegaGrid(0.5, (-3, 2, 3))
