@@ -35,10 +35,10 @@ from .errors import (BandLimitExceeded, BasisMismatch, CapabilityError,
                      SerializationError)
 from .geometry import AdsParams, make_params, radial_measure
 from .harmonics import AngularGrid, sph_harm
-from .modes import (RadialKind, _per_distinct, jacobi_radial_fd,
-                    magic_frequency, norm_constant, radial_eval_fd,
-                    transfer_matrix)
-from .specfun import double_pochhammer, pochhammer
+from .modes import (RadialKind, _per_distinct, _transfer_entries,
+                    jacobi_radial_fd, magic_frequency, norm_constant,
+                    radial_eval_fd)
+from .specfun import DEFAULT_POLICY, double_pochhammer, pochhammer
 
 _NU_INTEGER_TOL = 1e-9
 
@@ -390,13 +390,8 @@ def _basis_change(rep: TubeRep, params: AdsParams, inverse: bool) -> dict:
                         dtype=int).reshape(-1, 2).T)
     present = np.zeros(coef.shape[1:], dtype=bool)
     present[at] = True
-
-    def entries(k, l):
-        mat = transfer_matrix(rep.grid.omega(k), l, params)
-        mat = mat.inverse() if inverse else mat
-        return mat.m11, mat.m12, mat.m21, mat.m22
-
-    m11, m12, m21, m22 = _table(js, present, partial(_per_distinct, entries), (4,))
+    m11, m12, m21, m22 = _table(js, present, lambda k, l: _transfer_entries(
+        k * rep.grid.d_omega, l, params, DEFAULT_POLICY, inverse), (4,))
     a, b = coef
     return dict(zip(rep.coeffs, zip((a * m11 + b * m21)[at].tolist(),
                                     (a * m12 + b * m22)[at].tolist())))
@@ -660,7 +655,7 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
     ang = angular or AngularGrid()
     t_nodes = rep.grid.time_nodes(n_t)
     def radial(kind, om, l):
-        m12 = _per_distinct(lambda w, ll: transfer_matrix(w, ll, params).m12, om, l)
+        m12 = _transfer_entries(om, l, params, DEFAULT_POLICY, False)[1]
         return m12, np.zeros_like(m12)
 
     phi, _ = _tube_sum(rep, t_nodes, ang, radial)
@@ -673,14 +668,15 @@ def rod_boundary_reconstruct(data: RodData, params: AdsParams, l_max: int,
     a = (projection) / m12(w, l); labels at magic frequencies are invisible
     (m12 = 0) and raise MagicFrequencyBlind."""
     def m12(k, l):
-        om = data.grid.omega(k)
-        val = transfer_matrix(om, l, params).m12
-        if abs(val) < blind_tol:
-            raise MagicFrequencyBlind(
-                f"m12 ~ 0 at omega={om}, l={l}: boundary data is blind")
+        om = k * data.grid.d_omega
+        val = _transfer_entries(om, l, params, DEFAULT_POLICY, False)[1]
+        blind = np.flatnonzero(np.abs(val) < blind_tol)
+        if blind.size:
+            raise MagicFrequencyBlind(f"m12 ~ 0 at omega={om[blind[0]]}, "
+                                      f"l={l[blind[0]]}: boundary data is blind")
         return val
 
-    return _rod_divide(data, l_max, partial(_per_distinct, m12))
+    return _rod_divide(data, l_max, m12)
 
 
 # ---------------------------------------------------------------------------

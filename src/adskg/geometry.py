@@ -123,12 +123,21 @@ class FieldGrid:
             raise ValueError("rho nodes must lie in [0, pi/2)")
 
     def interpolator(self) -> Callable:
-        """Linear interpolant field(t, rho, xi) over the sampled box."""
+        """Linear interpolant field(t, rho, xi) over the sampled (t, rho) box
+        and every direction xi: phi wraps periodically (a phi = 2 pi column
+        repeats phi = 0) and the polar caps close with theta = 0 and pi rows
+        holding the phi-mean of the outermost ring."""
         from scipy.interpolate import RegularGridInterpolator
         from .harmonics import xyz_to_angles
+        vals = self.values[:, :, ::-1, :]
+        caps = np.broadcast_to(vals[:, :, [0, -1]].mean(axis=3, keepdims=True),
+                               vals.shape[:2] + (2, vals.shape[3]))
+        vals = np.concatenate([caps[:, :, :1], vals, caps[:, :, 1:]], axis=2)
         interp = RegularGridInterpolator(
-            (self.t_nodes, self.rho_nodes, self.angular.theta[::-1], self.angular.phi),
-            self.values[:, :, ::-1, :])
+            (self.t_nodes, self.rho_nodes,
+             np.concatenate([[0.0], self.angular.theta[::-1], [math.pi]]),
+             np.append(self.angular.phi, 2.0 * math.pi)),
+            np.concatenate([vals, vals[..., :1]], axis=3))
 
         def closure(t, rho, xi):
             theta, phi = xyz_to_angles(np.asarray(xi) / np.linalg.norm(xi))

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import spherical_in, spherical_kn
 
 from .errors import BoundaryProximity, DomainError
 from .expansions import OmegaGrid, SliceRep
@@ -65,49 +66,19 @@ class MinkSliceRep:
 
 
 # ---------------------------------------------------------------------------
-# evanescent-branch modified spherical functions (real ascending series)
+# radial functions; the evanescent branch in closed form through the
+# modified spherical Bessel functions i_l and k_l:
+#   i^{-l} j_l(i x) = i_l(x),  i^{l+1} n_l(i x) = (-1)^{l+1} i_l(x) - (2/pi) k_l(x)
 # ---------------------------------------------------------------------------
 
-def _mod_j(l: int, x: float, tol: float = 1e-16) -> float:
-    """i^{-l} j_l(i x): positive-term ascending series, real for real x."""
-    if x == 0.0:
-        return 1.0 if l == 0 else 0.0
-    pref = x ** l / double_factorial(2 * l + 1)
-    term, total = 1.0, 1.0
-    k = 0
-    while True:
-        term *= (x * x / 4.0) / ((k + 1.0) * (l + 1.5 + k))
-        total += term
-        k += 1
-        if term <= tol * total or k > 600:
-            break
-    return pref * total
-
-
-def _mod_n(l: int, x: float, tol: float = 1e-16) -> float:
-    """i^{l+1} n_l(i x): real ascending series; diverges at x = 0."""
-    if x <= 0.0:
-        raise DomainError("modified Neumann series needs x > 0")
-    pref = -double_factorial(2 * l - 1) / x ** (l + 1)
-    term, total = 1.0, 1.0
-    k = 0
-    while True:
-        term *= (x * x / 4.0) / ((k + 1.0) * (0.5 - l + k))
-        total += term
-        k += 1
-        if abs(term) <= tol * abs(total) or k > 600:
-            break
-    return pref * total
-
-
-def _mod_j_dx(l: int, x: float) -> float:
-    lower = math.cosh(x) / x if l == 0 else _mod_j(l - 1, x)
-    return lower - (l + 1.0) / x * _mod_j(l, x)
-
-
-def _mod_n_dx(l: int, x: float) -> float:
-    lower = math.sinh(x) / x if l == 0 else _mod_n(l - 1, x)
-    return -lower - (l + 1.0) / x * _mod_n(l, x)
+def _ncheck_momentum(E: float, r: float, m_field: float) -> tuple[float, float]:
+    """(D, p) = (E^2 - m^2, sqrt|D|) where ncheck is finite: r > 0, D != 0."""
+    if r <= 0.0:
+        raise DomainError("ncheck needs r > 0")
+    d_disc = E * E - m_field * m_field
+    if d_disc == 0.0:
+        raise DomainError("ncheck diverges at the threshold |E| = m")
+    return d_disc, math.sqrt(abs(d_disc))
 
 
 def jcheck(E: float, l: int, r: float, m_field: float) -> float:
@@ -117,20 +88,16 @@ def jcheck(E: float, l: int, r: float, m_field: float) -> float:
     p = math.sqrt(abs(d_disc))
     if d_disc >= 0.0:
         return spherical_bessel("J", l, p * r)
-    return _mod_j(l, p * r)
+    return spherical_in(l, p * r)
 
 
 def ncheck(E: float, l: int, r: float, m_field: float) -> float:
     """Radial tube function: n_l(p r) / i^{l+1} n_l(i p r); r > 0."""
-    if r <= 0.0:
-        raise DomainError("ncheck needs r > 0")
-    d_disc = E * E - m_field * m_field
-    p = math.sqrt(abs(d_disc))
-    if d_disc == 0.0:
-        raise DomainError("ncheck diverges at the threshold |E| = m")
+    d_disc, p = _ncheck_momentum(E, r, m_field)
     if d_disc > 0.0:
         return spherical_bessel("N", l, p * r)
-    return _mod_n(l, p * r)
+    return ((-1.0) ** (l + 1) * spherical_in(l, p * r)
+            - 2.0 / math.pi * spherical_kn(l, p * r))
 
 
 def jcheck_dr(E: float, l: int, r: float, m_field: float) -> float:
@@ -138,15 +105,15 @@ def jcheck_dr(E: float, l: int, r: float, m_field: float) -> float:
     p = math.sqrt(abs(d_disc))
     if d_disc >= 0.0:
         return p * spherical_bessel_dx("J", l, p * r)
-    return p * _mod_j_dx(l, p * r)
+    return p * spherical_in(l, p * r, derivative=True)
 
 
 def ncheck_dr(E: float, l: int, r: float, m_field: float) -> float:
-    d_disc = E * E - m_field * m_field
-    p = math.sqrt(abs(d_disc))
+    d_disc, p = _ncheck_momentum(E, r, m_field)
     if d_disc > 0.0:
         return p * spherical_bessel_dx("N", l, p * r)
-    return p * _mod_n_dx(l, p * r)
+    return p * ((-1.0) ** (l + 1) * spherical_in(l, p * r, derivative=True)
+                - 2.0 / math.pi * spherical_kn(l, p * r, derivative=True))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ ratios, then a running product and a running sum along the term axis), with
 the scalar loop's parenthesization and the same stopping rule per element,
 so each element is bit-identical to the scalar call.  Scalar inputs keep the
 plain loop, which is the reference.
-Orthogonal polynomials use three-term recurrences and accept numpy arrays
-for the argument.
+Jacobi, Gegenbauer, Legendre, Pochhammer and spherical Bessel functions are
+scipy.special ufuncs under this module's conventions, raising DomainError
+where the ufunc would return nan; the polynomials take ndarray arguments.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import (eval_gegenbauer, eval_jacobi, lpmv, poch,
+                           spherical_jn, spherical_yn)
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -69,10 +72,7 @@ def pochhammer(a: float, k: int) -> float:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
     if k < 0:
         raise DomainError("pochhammer requires k >= 0")
-    out = 1.0
-    for i in range(k):
-        out *= a + i
-    return out
+    return poch(a, k)
 
 
 def double_pochhammer(a: float, k: int) -> float:
@@ -240,26 +240,19 @@ def hyp2f1_dx(a, b, c, x, policy: SeriesPolicy = DEFAULT_POLICY):
     return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x, policy)
 
 
-def jacobi_p(alpha: float, beta: float, n: int, x):
-    """Jacobi polynomial P_n^(alpha, beta)(x) via the three-term recurrence.
+def _defined(val, name: str):
+    """val, or DomainError where the ufunc returned nan for it."""
+    if np.isnan(val).any():
+        raise DomainError(f"{name} is undefined at these parameters")
+    return val
 
-    x may be a float or ndarray.
-    """
-    if n < 0:
-        raise DomainError("jacobi_p requires n >= 0")
-    one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    if n == 0:
-        return one
-    p_prev = one
-    p_cur = 0.5 * (alpha - beta + (alpha + beta + 2.0) * x)
-    for k in range(2, n + 1):
-        a1 = 2.0 * k * (k + alpha + beta) * (2.0 * k + alpha + beta - 2.0)
-        a2 = (2.0 * k + alpha + beta - 1.0) * (alpha * alpha - beta * beta)
-        a3 = ((2.0 * k + alpha + beta - 2.0) * (2.0 * k + alpha + beta - 1.0)
-              * (2.0 * k + alpha + beta))
-        a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
-        p_prev, p_cur = p_cur, ((a2 + a3 * x) * p_cur - a4 * p_prev) / a1
-    return p_cur
+
+def jacobi_p(alpha: float, beta: float, n: int, x):
+    """Jacobi polynomial P_n^(alpha, beta)(x), x a float or ndarray (scipy's
+    eval_jacobi at an integer n, which takes its recurrence, not its 2F1)."""
+    if n < 0 or n != int(n):
+        raise DomainError("jacobi_p requires an integer n >= 0")
+    return _defined(eval_jacobi(int(n), alpha, beta, x), "jacobi_p")
 
 
 def jacobi_p_dx(alpha: float, beta: float, n: int, x):
@@ -271,19 +264,11 @@ def jacobi_p_dx(alpha: float, beta: float, n: int, x):
 
 def gegenbauer_c(lam: float, n: int, x):
     """Gegenbauer (ultraspherical) polynomial C_n^(lambda)(x), lambda != 0."""
-    if n < 0:
-        raise DomainError("gegenbauer_c requires n >= 0")
+    if n < 0 or n != int(n):
+        raise DomainError("gegenbauer_c requires an integer n >= 0")
     if lam == 0.0:
         raise DomainError("standard Gegenbauer normalization needs lambda != 0")
-    one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    if n == 0:
-        return one
-    c_prev = one
-    c_cur = 2.0 * lam * x
-    for k in range(2, n + 1):
-        c_prev, c_cur = c_cur, (2.0 * x * (k + lam - 1.0) * c_cur
-                                - (k + 2.0 * lam - 2.0) * c_prev) / k
-    return c_cur
+    return _defined(eval_gegenbauer(int(n), lam, x), "gegenbauer_c")
 
 
 def assoc_legendre(m: int, l: int, x):
@@ -291,31 +276,13 @@ def assoc_legendre(m: int, l: int, x):
 
     Negative orders follow P_l^{-m} = (l-m)!/(l+m)! P_l^m (no sign), which is
     exactly what makes conj(Y_l^m) = Y_l^{-m} for the harmonics built on top.
+    scipy's lpmv carries the phase (-1)^m on m > 0 only; it is undone there.
     """
     if l < 0:
         raise IndexError("assoc_legendre requires l >= 0")
     if abs(m) > l:
         raise IndexError(f"|m| = {abs(m)} exceeds l = {l}")
-    if m < 0:
-        mm = -m
-        scale = math.exp(log_gamma(l - mm + 1.0) - log_gamma(l + mm + 1.0))
-        return scale * assoc_legendre(mm, l, x)
-    # P_m^m = (2m-1)!! (1-x^2)^{m/2}, then upward in l
-    somx2 = np.sqrt(1.0 - x * x) if isinstance(x, np.ndarray) else math.sqrt(max(1.0 - x * x, 0.0))
-    dfac = 1.0
-    for i in range(1, 2 * m, 2):
-        dfac *= i
-    pmm = dfac * somx2 ** m if m > 0 else (
-        np.ones_like(x) if isinstance(x, np.ndarray) else 1.0)
-    if l == m:
-        return pmm
-    pmmp1 = (2.0 * m + 1.0) * x * pmm
-    if l == m + 1:
-        return pmmp1
-    for ll in range(m + 2, l + 1):
-        pmm, pmmp1 = pmmp1, ((2.0 * ll - 1.0) * x * pmmp1
-                             - (ll + m - 1.0) * pmm) / (ll - m)
-    return pmmp1
+    return _defined((-1.0) ** max(m, 0) * lpmv(m, l, x), "assoc_legendre")
 
 
 def assoc_legendre_sin2_dx(m: int, l: int, x):
@@ -328,65 +295,29 @@ def assoc_legendre_sin2_dx(m: int, l: int, x):
     return (l + m) * lower - l * x * assoc_legendre(m, l, x)
 
 
-def spherical_bessel(kind: str, l: int, x: float) -> float:
-    """Spherical Bessel j_l (kind "J") or Neumann n_l (kind "N").
-
-    j_l uses downward (Miller) recurrence normalized by j_0 = sin x / x,
-    n_l the stable upward recurrence.
-    """
+def _spherical(kind: str, l: int, x: float, derivative: bool) -> float:
+    """scipy's spherical_jn / spherical_yn behind the argument checks."""
     if l < 0:
         raise DomainError("spherical_bessel requires l >= 0")
     if kind == "J":
         if x < 0.0:
             raise DomainError("j_l requires x >= 0")
-        if x == 0.0:
-            return 1.0 if l == 0 else 0.0
-        if l == 0:
-            return math.sin(x) / x
-        # start well above both l and x so downward recurrence has converged;
-        # normalize by the sum rule sum (2k+1) j_k^2 = 1 (stable even where
-        # j_0 is near a zero), sign fixed against j_0 = sin x / x
-        start = int(max(l, x)) + 40 + int(10.0 * math.sqrt(max(l, x)))
-        jp1, j = 0.0, 1e-150
-        target = 0.0
-        norm = 0.0
-        for k in range(start, 0, -1):
-            jm1 = (2.0 * k + 1.0) / x * j - jp1
-            norm += (2.0 * k + 1.0) * j * j
-            if k - 1 == l:
-                target = jm1
-            jp1, j = j, jm1
-            if abs(j) > 1e130:  # rescale to avoid overflow
-                jp1 *= 1e-130
-                j *= 1e-130
-                target *= 1e-130
-                norm *= 1e-260
-        norm += j * j  # k = 0 term
-        scale = math.sqrt(norm)
-        if j * (math.sin(x) / x) < 0.0:
-            scale = -scale
-        return target / scale
+        return spherical_jn(l, x, derivative)
     if kind == "N":
         if x <= 0.0:
             raise DomainError("n_l requires x > 0")
-        n0 = -math.cos(x) / x
-        if l == 0:
-            return n0
-        n1 = -math.cos(x) / (x * x) - math.sin(x) / x
-        for k in range(1, l):
-            n0, n1 = n1, (2.0 * k + 1.0) / x * n1 - n0
-        return n1
+        return spherical_yn(l, x, derivative)
     raise DomainError(f"unknown spherical Bessel kind {kind!r}")
 
 
+def spherical_bessel(kind: str, l: int, x: float) -> float:
+    """Spherical Bessel j_l (kind "J") or Neumann n_l (kind "N")."""
+    return _spherical(kind, l, x, False)
+
+
 def spherical_bessel_dx(kind: str, l: int, x: float) -> float:
-    """d/dx of j_l or n_l via f_l' = f_{l-1} - (l+1)/x f_l (f_0' = -f_1)."""
-    if l == 0:
-        if kind == "J":
-            return -spherical_bessel("J", 1, x)
-        return -spherical_bessel("N", 1, x)
-    return (spherical_bessel(kind, l - 1, x)
-            - (l + 1.0) / x * spherical_bessel(kind, l, x))
+    """d/dx of j_l or n_l."""
+    return _spherical(kind, l, x, True)
 
 
 def double_factorial(n: int) -> float:

@@ -201,3 +201,10 @@ def test_killing_correspondence_ratio():
     errs = killing_correspondence_errors((100.0, 1000.0))
     ratio = errs[100.0] / errs[1000.0]
     assert 50.0 <= ratio <= 200.0, errs
+
+
+def test_ncheck_dr_shares_the_ncheck_domain():
+    # the r -> 0 and threshold singularities raise, as for ncheck itself
+    for E, l, r, m_f in ((2.0, 1, 0.0, 1.0), (0.5, 0, 0.0, 1.0), (1.0, 2, 1.3, 1.0)):
+        with pytest.raises(DomainError):
+            ncheck_dr(E, l, r, m_f)

@@ -326,3 +326,14 @@ def test_spherical_bessel_ode_residual(kind, l):
         worst = max(worst, abs(res))
         scale = max(scale, abs(f[2]))
     assert worst / scale < 1e-6
+
+
+def test_ufunc_nan_or_fractional_degree_is_domain_error():
+    # parameters where the scipy ufunc returns nan, or a non-integer degree
+    # it would silently evaluate as a Jacobi function
+    with pytest.raises(DomainError):
+        gegenbauer_c(-1.0, 3, 0.3)
+    with pytest.raises(DomainError):
+        jacobi_p(-2.0, -2.0, 3, np.array([0.1, 0.3]))
+    with pytest.raises(DomainError):
+        jacobi_p(1.0, 1.0, 2.5, 0.3)
