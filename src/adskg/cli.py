@@ -3,8 +3,8 @@ and reconstruction round-trip reports.
 
 Exit codes: 0 pass, 1 verification/reconstruction failure, 2 usage or
 parse errors.  Output is deterministic: no timestamps, fixed row order;
-the one exception is each suite's wall time (duration_s) under
-`verify --json`.
+the exceptions are each suite's wall time (duration_s) and the cache
+counters under `verify --json`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 from .errors import AdskgError, MagicFrequencyBlind
 from .geometry import make_params
 from .harmonics import AngularGrid, sph_harm
-from .modes import RadialKind, jacobi_radial, magic_frequency, radial_eval
+from .modes import (RadialKind, cache_counters, jacobi_radial, magic_frequency,
+                    radial_eval)
 
 _KINDS = {"sa": RadialKind.Sa, "sb": RadialKind.Sb,
           "ca": RadialKind.Ca, "cb": RadialKind.Cb}
@@ -104,8 +105,8 @@ def cmd_verify(args) -> int:
             print(c.line)
         print(f"SUITE {name} {'PASS' if ok else 'FAIL'} max_err={worst:.3e}")
     if args.json:
-        print(json.dumps({"passed": all_ok, "suites": suites,
-                          "checks": records}, indent=1))
+        print(json.dumps({"passed": all_ok, "suites": suites, "checks": records,
+                          "caches": cache_counters()}, indent=1))
     return 0 if all_ok else 1
 
 

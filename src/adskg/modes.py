@@ -13,6 +13,8 @@ cutoff; outside, evaluation is routed through the S <-> C transfer matrix,
 whose entries are obtained from weighted Wronskians in the overlap window.
 At the magic frequencies omega+-_{nl} = 2n + l + D+- the S^a series
 terminates and coincides with the normalizable Jacobi mode J+-_{nl}.
+Array calls of radial_eval_fd, the radial tables of every synthesis and
+inversion, and transfer matrices are memoized in bounded LRU caches.
 """
 
 from __future__ import annotations
@@ -176,7 +178,10 @@ def transfer_matrix(omega: float, l: int, params: AdsParams,
     return _transfer_matrix(omega, l, params.d, params.R, params.m_sq, policy)
 
 
-@lru_cache(maxsize=None)
+# New keys: sparse_pointwise about 40 per job (a fresh d_omega each), a whole
+# dense_roundtrip run about 285 (one d_omega), `verify all` 109.  1024 keys
+# (about 0.4 MB) hold the dense and verify working sets with room to spare.
+@lru_cache(maxsize=1024)
 def _transfer_matrix(omega: float, l: int, d: int, R: float, m_sq: float,
                      policy: SeriesPolicy) -> TransferMatrix:
     params = make_params(d, R, m_sq)
@@ -301,6 +306,25 @@ def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams,
     return f.reshape(shape), df.reshape(shape)
 
 
+# A sparse pointwise job uses at most 25 distinct radial tables, a dense tube
+# job 2.  Larger tables than _MEMO_ELEMENTS are not stored: with 8-byte inputs
+# the memo holds at most 64 x 2048 x 5 arrays (3 keys, f, f') x 8 B = 5 MiB.
+_MEMO_TABLES = 64
+_MEMO_ELEMENTS = 2048
+
+
+@lru_cache(maxsize=_MEMO_TABLES)
+def _radial_table(kind: RadialKind, params: AdsParams, policy: SeriesPolicy,
+                  keys: tuple):
+    """_radial_eval_fd_array on the arguments rebuilt from their (dtype,
+    shape, bytes) keys, with read-only results."""
+    out = _radial_eval_fd_array(kind, *(np.frombuffer(data, dtype).reshape(shape)
+                                        for dtype, shape, data in keys), params, policy)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def radial_eval_fd(kind: RadialKind, omega, l, rho, params: AdsParams,
                    policy: SeriesPolicy = DEFAULT_POLICY):
     """Radial function and its rho-derivative, switching to the transfer
@@ -310,10 +334,17 @@ def radial_eval_fd(kind: RadialKind, omega, l, rho, params: AdsParams,
     the branch the scalar call would take and its result is bit-identical
     to the scalar call's.  Each branch is one hyp2f1 array call over the
     series of the kinds it needs and of their x-derivatives; fewer than
-    _BLOCK_MIN points are evaluated one by one.
+    _BLOCK_MIN points are evaluated one by one.  Array results are
+    read-only and memoized by (kind, params, policy) and each argument's
+    dtype, shape and bytes, in an LRU cache of the last _MEMO_TABLES tables
+    of at most _MEMO_ELEMENTS elements; exceptions are never stored.
     """
     if any(isinstance(v, np.ndarray) for v in (omega, l, rho)):
-        return _radial_eval_fd_array(kind, omega, l, rho, params, policy)
+        keys = tuple((a.dtype, a.shape, a.tobytes())
+                     for a in map(np.asarray, (omega, l, rho)))
+        if np.broadcast(omega, l, rho).size > _MEMO_ELEMENTS:
+            return _radial_table.__wrapped__(kind, params, policy, keys)
+        return _radial_table(kind, params, policy, keys)
     return _radial_eval_fd_scalar(kind, omega, l, rho, params, policy)
 
 
@@ -345,6 +376,13 @@ def _radial_eval_fd_scalar(kind: RadialKind, omega: float, l: int, rho: float,
     if kind is RadialKind.Ca:
         return inv.m11 * sa + inv.m12 * sb, inv.m11 * dsa + inv.m12 * dsb
     return inv.m21 * sa + inv.m22 * sb, inv.m21 * dsa + inv.m22 * dsb
+
+
+def cache_counters() -> dict:
+    """Hits, misses, size and maxsize of the radial-table and transfer caches."""
+    return {name: dict(zip(("hits", "misses", "maxsize", "size"), fn.cache_info()))
+            for name, fn in (("radial_table", _radial_table),
+                             ("transfer_matrix", _transfer_matrix))}
 
 
 def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams,

@@ -107,6 +107,21 @@ def test_verify_json_records(capsys):
         assert recs == want
 
 
+def test_verify_json_reports_cache_counters(capsys):
+    import json
+    from adskg.modes import cache_counters
+    assert main(["verify", "modes", "--json"]) == 0
+    caches = json.loads(capsys.readouterr().out)["caches"]
+    assert caches == cache_counters()
+    assert caches["radial_table"]["maxsize"] == 64
+    assert caches["transfer_matrix"]["maxsize"] == 1024
+    for counts in caches.values():
+        assert set(counts) == {"hits", "misses", "size", "maxsize"}
+        assert 0 < counts["size"] <= counts["maxsize"] and counts["misses"] > 0
+    assert main(["verify", "modes"]) == 0
+    assert "caches" not in capsys.readouterr().out
+
+
 def test_reconstruct_round_trip(tmp_path, capsys):
     params = make_params(3, 1.0, 0.0)
     grid = OmegaGrid(0.5, (-3, 2, 3))

@@ -244,11 +244,11 @@ def _time_phase_grid(om):
 
 
 def _grid_points(rng, n):
-    """Points inside the sampled box: the interpolator neither wraps phi
-    past its last node nor extrapolates theta towards the poles."""
+    """Points over the whole sphere: the interpolator wraps phi periodically
+    and closes the polar caps, so theta and phi need no margin."""
     pts = []
     for _ in range(n):
-        theta, phi = rng.uniform(0.3, 2.8), rng.uniform(0.3, 5.9)
+        theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
         pts.append((rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.0),
                     np.array([math.sin(theta) * math.cos(phi),
                               math.sin(theta) * math.sin(phi),

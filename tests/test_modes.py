@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from adskg.errors import (CapabilityError, DomainError, ExceptionalBranch,
                           SingularPoint)
 from adskg.geometry import kg_residual, make_params
+from adskg import modes
 from adskg.harmonics import sph_harm
 from adskg.modes import (RadialKind, SliceLabel, TubeLabel, hyper_params,
                          jacobi_radial, jacobi_radial_fd, magic_frequency,
                          mode_eval, norm_constant, radial_eval,
                          radial_eval_fd, transfer_matrix, wronskian)
+from adskg.specfun import DEFAULT_POLICY, SeriesPolicy
 
 ALL_KINDS = (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb)
 
@@ -246,6 +250,98 @@ def test_transfer_matrix_memoized_by_value(params_m0):
     first = transfer_matrix(2.7, 2, params_m0)
     assert transfer_matrix(2.7, 2, make_params(3, 1.0, 0.0)) is first
     assert transfer_matrix(2.7, 3, params_m0) is not first
+
+
+# --- the radial-table memo ----------------------------------------------------------------
+
+def _misses_and_hits():
+    info = modes._radial_table.cache_info()
+    return info.misses, info.hits
+
+
+# sin^2 rho = 0.75 (the S cutoff) at pi/3, cos^2 rho = 0.75 (the C one) at pi/6
+_MEMO_RHO = st.sampled_from([0.2, math.pi / 6 - 1e-9, math.pi / 6 + 1e-9, 0.8,
+                             math.pi / 3 - 1e-9, math.pi / 3 + 1e-9, 1.3])
+
+
+@given(kind=st.sampled_from(ALL_KINDS),
+       points=st.lists(st.tuples(st.floats(-9.0, 9.0), st.integers(0, 5), _MEMO_RHO),
+                       min_size=1, max_size=24))
+@settings(max_examples=60, deadline=None)
+def test_radial_memo_hit_is_bit_identical_to_fresh_call(kind, points):
+    p = make_params(3, 1.0, 0.0)
+    omega, l, rho = (np.array(col) for col in zip(*points))
+    first = radial_eval_fd(kind, omega, l, rho, p)
+    before = _misses_and_hits()
+    again = radial_eval_fd(kind, omega.copy(), l.copy(), rho.copy(), p)
+    assert _misses_and_hits() == (before[0], before[1] + 1)
+    assert again is first
+    fresh = modes._radial_eval_fd_array(kind, omega, l, rho, p, DEFAULT_POLICY)
+    for got, want in zip(again, fresh):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_radial_memo_results_are_read_only(params_m0):
+    rho = np.linspace(0.1, 1.4, 20)
+    for f in radial_eval_fd(RadialKind.Ca, 2.3, 1, rho, params_m0):
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0] = 1.0
+
+
+def test_radial_memo_never_stores_exceptions(params_m0):
+    l = np.arange(20) % 3
+    cases = [(RadialKind.Sa, np.full(20, 1.6), DomainError),
+             (RadialKind.Sb, np.zeros(20), SingularPoint),
+             (RadialKind.Cb, np.zeros(20), SingularPoint)]
+    for kind, rho, error in cases:
+        for _ in range(3):
+            before = _misses_and_hits()
+            with pytest.raises(error):
+                radial_eval_fd(kind, 2.2, l, rho, params_m0)
+            assert _misses_and_hits() == (before[0] + 1, before[1])
+
+
+def test_radial_memo_misses_on_kind_params_and_policy(params_m0):
+    omega, l = np.linspace(-5.0, 5.0, 18), np.arange(18) % 4
+    calls = [(RadialKind.Sa, params_m0, DEFAULT_POLICY),
+             (RadialKind.Sb, params_m0, DEFAULT_POLICY),
+             (RadialKind.Sa, make_params(3, 1.0, -2.0), DEFAULT_POLICY),
+             (RadialKind.Sa, params_m0, SeriesPolicy(arg_cutoff=0.7))]
+    results = []
+    for kind, params, policy in calls:
+        before = _misses_and_hits()
+        results.append(radial_eval_fd(kind, omega, l, 1.1, params, policy))
+        assert _misses_and_hits() == (before[0] + 1, before[1])
+    assert len({id(out) for out in results}) == len(calls)
+
+
+def test_radial_memo_is_bounded_and_skips_oversize_tables(params_m0):
+    for i in range(modes._MEMO_TABLES + 10):
+        radial_eval_fd(RadialKind.Sa, 1.0 + 0.01 * i, np.arange(3), 0.5, params_m0)
+        assert modes._radial_table.cache_info().currsize <= modes._MEMO_TABLES
+    big = np.linspace(0.1, 1.4, modes._MEMO_ELEMENTS + 1)
+    before = modes._radial_table.cache_info()
+    first = radial_eval_fd(RadialKind.Sa, 2.5, 2, big, params_m0)
+    again = radial_eval_fd(RadialKind.Sa, 2.5, 2, big, params_m0)
+    assert again is not first and again[0].tobytes() == first[0].tobytes()
+    assert not again[0].flags.writeable
+    assert modes._radial_table.cache_info() == before
+
+
+def test_pointwise_synth_builds_each_table_once(params_m0):
+    from adskg.expansions import OmegaGrid, RodRep, TubeRep, synth, synth_drho, synth_dt
+    grid = OmegaGrid(0.55, (-3, 1, 4))
+    labels = [(k, l, m) for k in grid.indices for l in range(3) for m in (-l, l)]
+    rep = TubeRep(grid, {key: (0.3 + 0.1j * i, 0.2 - 0.05 * i)
+                         for i, key in enumerate(labels)}, "S")
+    rod = RodRep(grid, {key: pair[0] for key, pair in rep.coeffs.items()})
+    modes._radial_table.cache_clear()
+    point = (0.4, 1.2, 1.1, 2.3)
+    for fn in (synth, synth_dt, synth_drho):
+        fn(rep, point, params_m0)
+    synth(rod, point, params_m0)
+    assert _misses_and_hits() == (2, 5)  # S^a and S^b, each built once
 
 
 # --- full mode evaluation --------------------------------------------------------------
