@@ -15,7 +15,9 @@ frequency index k or the radial order n, s the time or radial sample and x
 the angular point.  `_synthesize` evaluates it on dense (j, lm) coefficient
 arrays (lm = l^2 + l + m); radial and transfer-matrix factors are tabulated
 once per (j, l) and folded into c (fixed radius) or K (radial nodes); on a
-tube K is the phase matrix d_omega e^{-i omega_k t}.  Inversion is the
+tube K is the phase matrix d_omega e^{-i omega_k t}.  The callers of
+`_slice_sum` and `_tube_sum` supply the frequency and radial functions, so
+the Minkowski expansions run through the same kernel.  Inversion is the
 adjoint: `_project` projects every (l, m) through AngularGrid.project for
 all frequencies or radii at once, after the FFT time projection (tube) and
 before the Gauss-Jacobi radial sum (slice); each inversion then applies its
@@ -35,12 +37,16 @@ from .errors import (BandLimitExceeded, BasisMismatch, CapabilityError,
                      SerializationError)
 from .geometry import AdsParams, make_params, radial_measure
 from .harmonics import AngularGrid, sph_harm
-from .modes import (RadialKind, _per_distinct, _transfer_entries,
+from .modes import (RadialKind, _per_distinct, _transfer_entries, hyper_params,
                     jacobi_radial_fd, magic_frequency, norm_constant,
                     radial_eval_fd)
 from .specfun import DEFAULT_POLICY, double_pochhammer, pochhammer
 
-_NU_INTEGER_TOL = 1e-9
+_GRID_TOL = 1e-9        # magic frequency off its grid point (slice_to_tube)
+_RESIDUAL_TOL = 1e-6    # slice reconstruction residual (invert_slice)
+_NODE_TOL = 1e-10       # |S^a(rho0)| taken as a radial node
+_BLIND_TOL = 1e-10      # |m12| taken as blind boundary data
+_TWISTED_A_MAX = 30     # Taylor terms of the twisted derivative
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,21 @@ class OmegaGrid:
         return self.window * np.arange(n_t) / n_t
 
 
+class _Labelled:
+    """labels() and coeff() of a sparse rep whose `coeffs` map labels
+    (j, l, m) to channel values; an absent label reads as `_absent`."""
+
+    _absent = (0.0 + 0.0j, 0.0 + 0.0j)
+
+    def labels(self):
+        return sorted(self.coeffs)
+
+    def coeff(self, j, l: int, m: int):
+        return self.coeffs.get((j, l, m), self._absent)
+
+
 @dataclass(frozen=True)
-class TubeRep:
+class TubeRep(_Labelled):
     """Sparse tube-region momentum representation: (k, l, m) -> (a, b)."""
 
     grid: OmegaGrid
@@ -81,12 +100,6 @@ class TubeRep:
     def __post_init__(self):
         if self.basis not in ("S", "C"):
             raise ValueError("basis must be 'S' or 'C'")
-
-    def labels(self):
-        return sorted(self.coeffs)
-
-    def coeff(self, k: int, l: int, m: int) -> tuple[complex, complex]:
-        return self.coeffs.get((k, l, m), (0.0 + 0.0j, 0.0 + 0.0j))
 
     def is_real(self, tol: float = 1e-10) -> bool:
         for (k, l, m), (a, b) in self.coeffs.items():
@@ -101,18 +114,12 @@ class TubeRep:
 
 
 @dataclass(frozen=True)
-class SliceRep:
+class SliceRep(_Labelled):
     """Sparse slice-region representation: (n, l, m) -> (phi_plus,
     phi_minus_conj).  The second channel stores conj(phi^-), the coefficient
     multiplying the conjugated mode in the expansion."""
 
     coeffs: dict
-
-    def labels(self):
-        return sorted(self.coeffs)
-
-    def coeff(self, n: int, l: int, m: int) -> tuple[complex, complex]:
-        return self.coeffs.get((n, l, m), (0.0 + 0.0j, 0.0 + 0.0j))
 
     def is_real(self, tol: float = 1e-10) -> bool:
         # real iff phi^+ = phi^-, i.e. minus_conj = conj(plus) labelwise
@@ -127,17 +134,12 @@ class SliceRep:
 
 
 @dataclass(frozen=True)
-class RodRep:
+class RodRep(_Labelled):
     """Sparse rod-region representation: (k, l, m) -> a."""
 
     grid: OmegaGrid
     coeffs: dict
-
-    def labels(self):
-        return sorted(self.coeffs)
-
-    def coeff(self, k: int, l: int, m: int) -> complex:
-        return self.coeffs.get((k, l, m), 0.0 + 0.0j)
+    _absent = 0.0 + 0.0j
 
     def as_tube(self) -> TubeRep:
         return TubeRep(self.grid, {key: (a, 0.0 + 0.0j)
@@ -156,10 +158,6 @@ class BoundaryData:
     phid_plus: np.ndarray
 
 
-_TUBE_KINDS = {"S": (RadialKind.Sa, RadialKind.Sb),
-               "C": (RadialKind.Ca, RadialKind.Cb)}
-
-
 # ---------------------------------------------------------------------------
 # synthesis: the separable kernel and its adjoint
 # ---------------------------------------------------------------------------
@@ -172,7 +170,7 @@ def _lm(l_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _dense(rep):
     """Sorted first labels j, l_max and the (channel, j, lm) coefficient
-    array of a TubeRep or SliceRep (zero where a label is absent)."""
+    array of a two-channel rep (zero where a label is absent)."""
     js = sorted({key[0] for key in rep.coeffs})
     l_max = max((key[1] for key in rep.coeffs), default=0)
     row = {j: i for i, j in enumerate(js)}
@@ -248,15 +246,12 @@ def _time_project(samples: np.ndarray, grid: OmegaGrid) -> np.ndarray:
 def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
     """d_omega sum (a f_a + b f_b)(k, l) e^{-i omega_k t} Y_lm and the same
     sum over (g_a, g_b), at the times t and the angular points `where`, or
-    their d/dt; shape (2, t, ...).  radial(kind, omega, l) = (f, g) is called
-    once per kind, on the arrays of the (k, l) where that channel has a
-    nonzero coefficient."""
-    if isinstance(rep, RodRep):
-        rep = rep.as_tube()
+    their d/dt; shape (2, t, ...).  radial(channel, omega, l) = (f, g), with
+    channel 0 for a and 1 for b, is called once per channel, on the arrays
+    of the (k, l) where that channel has a nonzero coefficient."""
     js, _, coef = _dense(rep)
-    fa, fb = (_table(js, c, lambda k, l, kind=kind: radial(
-        kind, k * rep.grid.d_omega, l), (2,))
-        for kind, c in zip(_TUBE_KINDS[rep.basis], coef))
+    fa, fb = (_table(js, c, lambda k, l, ch=ch: radial(
+        ch, k * rep.grid.d_omega, l), (2,)) for ch, c in enumerate(coef))
     fold = coef[0] * fa + coef[1] * fb
     omega = rep.grid.d_omega * np.asarray(js, dtype=float)
     phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))
@@ -264,22 +259,35 @@ def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
     return _synthesize(kern[:, :, None], fold, _ylm(where, fold))
 
 
-def _slice_sum(rep: SliceRep, t: float, rho, where, params: AdsParams,
-               drho: bool = False) -> np.ndarray:
-    """A slice field and its d/dt at time t, on the radii rho and the angular
-    points `where`, or their d/drho; shape (2, rho, ...).  The conj(phi^-)
-    channel moves to the mirrored order, as conj(Y_l^m) = Y_l^{-m}."""
-    ns, l_max, coef = _dense(rep)
+def _slice_sum(rep, t: float, rho, where, frequency, radial) -> np.ndarray:
+    """sum (phi^+ e^{-iwt} Y_lm + conj(phi^-) e^{iwt} conj(Y_lm)) f and its d/dt
+    at time t, the radii rho and the angular points `where`; shape (2, rho,
+    ...).  frequency(j, l) = w and radial(j, l) = f, shape (rho, blocks), are
+    called once on the arrays of the (j, l) holding a label.  conj(Y_l^m) =
+    Y_l^{-m} moves the conj(phi^-) channel to the mirrored order."""
+    js, l_max, coef = _dense(rep)
     ls, ms = _lm(l_max)
-    omega = _table(ns, np.ones(coef.shape[1:]),
-                   lambda n, l: magic_frequency("plus", n, l, params))
+    omega = _table(js, np.ones(coef.shape[1:]), frequency)
     plus = coef[0] * np.exp(-1j * omega * t)
     minus = coef[1][:, ls * (ls + 1) - ms] * np.exp(1j * omega * t)
     coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
-    rho = np.atleast_1d(rho)
-    kern = _table(ns, coefs, partial(_per_distinct, lambda n, l: (
-        jacobi_radial_fd("plus", n, l, rho, params)[int(drho)])), rho.shape)
+    kern = _table(js, coefs, radial, np.shape(rho))
     return _synthesize(kern, coefs, _ylm(where, coefs))
+
+
+def _jacobi(rho: np.ndarray, params: AdsParams, drho: bool = False):
+    """The frequency and radial functions of `_slice_sum` for the Jacobi
+    modes: w+_{nl} and J^+_{nl} at the radii rho, or its d/drho."""
+    return (lambda n, l: magic_frequency("plus", n, l, params),
+            partial(_per_distinct, lambda n, l: jacobi_radial_fd(
+                "plus", n, l, rho, params)[int(drho)]))
+
+
+def _s_or_c(basis: str, rho, params: AdsParams):
+    """`_tube_sum` radial function of the S or C modes at rho: (f, f')."""
+    kinds = {"S": (RadialKind.Sa, RadialKind.Sb),
+             "C": (RadialKind.Ca, RadialKind.Cb)}[basis]
+    return lambda ch, om, l: radial_eval_fd(kinds[ch], om, l, rho, params)
 
 
 def _synth(rep, point, params: AdsParams, deriv: str = "") -> complex:
@@ -287,10 +295,14 @@ def _synth(rep, point, params: AdsParams, deriv: str = "") -> complex:
     derivative along deriv = "t" or "rho", at point = (t, rho, theta, phi)."""
     t, rho, theta, phi = point
     if isinstance(rep, SliceRep):
-        out = _slice_sum(rep, t, rho, (theta, phi), params, deriv == "rho")
+        rho = np.atleast_1d(rho)
+        out = _slice_sum(rep, t, rho, (theta, phi),
+                         *_jacobi(rho, params, deriv == "rho"))
         return complex(out[int(deriv == "t"), 0])
-    out = _tube_sum(rep, t, (theta, phi), lambda kind, om, l: radial_eval_fd(
-        kind, om, l, rho, params), deriv == "t")
+    if isinstance(rep, RodRep):
+        rep = rep.as_tube()
+    out = _tube_sum(rep, t, (theta, phi), _s_or_c(rep.basis, rho, params),
+                    deriv == "t")
     return complex(out[int(deriv == "rho"), 0])
 
 
@@ -354,25 +366,22 @@ def sample_slice(rep: SliceRep, t0: float, params: AdsParams,
     """Sample a slice solution (and d_t) on the radial x angular grid."""
     ang = angular or AngularGrid()
     rho, w = radial_measure(params, n_rho)
-    phi, dphi = _slice_sum(rep, t0, rho, ang, params)
+    phi, dphi = _slice_sum(rep, t0, rho, ang, *_jacobi(rho, params))
     return SliceData(t0, rho, w, ang, phi, dphi)
 
 
 def sample_tube(rep: TubeRep, rho0: float, params: AdsParams,
-                angular: AngularGrid | None = None,
-                n_t: int | None = None) -> TubeData:
+                angular: AngularGrid | None = None) -> TubeData:
     """Sample a tube solution (and d_rho) over one time window at rho0."""
     ang = angular or AngularGrid()
-    t_nodes = rep.grid.time_nodes(n_t)
-    phi, dphi = _tube_sum(rep, t_nodes, ang, lambda kind, om, l: radial_eval_fd(
-        kind, om, l, rho0, params))
+    t_nodes = rep.grid.time_nodes()
+    phi, dphi = _tube_sum(rep, t_nodes, ang, _s_or_c(rep.basis, rho0, params))
     return TubeData(rho0, rep.grid, t_nodes, ang, phi, dphi)
 
 
 def sample_rod(rep: RodRep, rho0: float, params: AdsParams,
-               angular: AngularGrid | None = None,
-               n_t: int | None = None) -> RodData:
-    tube = sample_tube(rep.as_tube(), rho0, params, angular, n_t)
+               angular: AngularGrid | None = None) -> RodData:
+    tube = sample_tube(rep.as_tube(), rho0, params, angular)
     return RodData(rho0, rep.grid, tube.t_nodes, tube.angular, tube.phi)
 
 
@@ -414,8 +423,7 @@ def c_to_s(rep: TubeRep, params: AdsParams) -> TubeRep:
     return TubeRep(rep.grid, _basis_change(rep, params, True), "S")
 
 
-def slice_to_tube(rep: SliceRep, grid: OmegaGrid, params: AdsParams,
-                  tol: float = 1e-9) -> TubeRep:
+def slice_to_tube(rep: SliceRep, grid: OmegaGrid, params: AdsParams) -> TubeRep:
     """View a slice solution as an S-basis tube rep (Jacobi modes are the
     S^a modes at magic frequencies; the conj channel lands on the mirrored
     label).  Magic frequencies must sit on the grid."""
@@ -424,15 +432,13 @@ def slice_to_tube(rep: SliceRep, grid: OmegaGrid, params: AdsParams,
         om = magic_frequency("plus", n, l, params)
         k_float = om / grid.d_omega
         k = round(k_float)
-        if abs(k_float - k) > tol:
+        if abs(k_float - k) > _GRID_TOL:
             raise ValueError(
                 f"magic frequency {om} not on the grid (d_omega={grid.d_omega})")
-        if p != 0.0:
-            acc = coeffs.get((k, l, m), (0.0 + 0.0j, 0.0 + 0.0j))
-            coeffs[(k, l, m)] = (acc[0] + p / grid.d_omega, acc[1])
-        if q != 0.0:
-            acc = coeffs.get((-k, l, -m), (0.0 + 0.0j, 0.0 + 0.0j))
-            coeffs[(-k, l, -m)] = (acc[0] + q / grid.d_omega, acc[1])
+        for key, c in (((k, l, m), p), ((-k, l, -m), q)):
+            if c != 0.0:
+                acc = coeffs.get(key, (0.0 + 0.0j, 0.0 + 0.0j))
+                coeffs[key] = (acc[0] + c / grid.d_omega, acc[1])
     return TubeRep(grid, coeffs, "S")
 
 
@@ -442,8 +448,7 @@ def slice_to_tube(rep: SliceRep, grid: OmegaGrid, params: AdsParams,
 
 def invert_slice(data: SliceData, params: AdsParams,
                  n_max: int, l_max: int,
-                 check_residual: bool = True,
-                 residual_tol: float = 1e-6) -> SliceRep:
+                 check_residual: bool = True) -> SliceRep:
     """Recover the slice representation from (phi, d_t phi) on Sigma_{t0}.
 
     phi^+ and conj(phi^-) come from the weighted projection
@@ -454,12 +459,11 @@ def invert_slice(data: SliceData, params: AdsParams,
     ang = data.angular
     ns = range(n_max + 1)
     full = np.ones((n_max + 1, (l_max + 1) ** 2))
-    kern = _table(ns, full, partial(_per_distinct, lambda n, l: (
-        jacobi_radial_fd("plus", n, l, data.rho_nodes, params)[0])),
-        data.rho_nodes.shape)
+    frequency, radial = _jacobi(data.rho_nodes, params)
+    kern = _table(ns, full, radial, data.rho_nodes.shape)
     proj = _project(ang, np.stack([data.phi, data.dphi_dt]), l_max)
     p_phi, p_dphi = np.einsum("s,sji,csi->cji", data.rho_weights, kern, proj)
-    omega = _table(ns, full, lambda n, l: magic_frequency("plus", n, l, params))
+    omega = _table(ns, full, frequency)
     nrm = _table(ns, full, partial(_per_distinct,
                                    lambda n, l: norm_constant("plus", n, l, params)))
     f_c = np.exp(1j * omega * data.t0) / (2.0 * nrm)
@@ -473,9 +477,9 @@ def invert_slice(data: SliceData, params: AdsParams,
         recon = sample_slice(rep, data.t0, params, len(data.rho_nodes), ang)
         norm = np.max(np.abs(data.phi)) or 1.0
         resid = np.max(np.abs(recon.phi - data.phi)) / norm
-        if resid > residual_tol:
+        if resid > _RESIDUAL_TOL:
             raise BandLimitExceeded(
-                f"reconstruction residual {resid:.2e} exceeds {residual_tol}")
+                f"reconstruction residual {resid:.2e} exceeds {_RESIDUAL_TOL}")
     return rep
 
 
@@ -491,10 +495,9 @@ def invert_tube(data: TubeData, params: AdsParams, l_max: int,
     p_phi, p_dphi = (_project(data.angular, _time_project(x, grid), l_max)
                      for x in (data.phi, data.dphi_drho))
     full = np.ones((len(grid.indices), (l_max + 1) ** 2))
-    (fa, da), (fb, db) = (
-        _table(grid.indices, full, lambda k, l, kind=kind: radial_eval_fd(
-            kind, k * grid.d_omega, l, data.rho0, params), (2,))
-        for kind in _TUBE_KINDS[basis])
+    radial = _s_or_c(basis, data.rho0, params)
+    (fa, da), (fb, db) = (_table(grid.indices, full, lambda k, l, ch=ch: radial(
+        ch, k * grid.d_omega, l), (2,)) for ch in (0, 1))
     d = params.d
     tan_fac = math.tan(data.rho0) ** (d - 1)
     weight = tan_fac / (2 * _lm(l_max)[0] + d - 2) if basis == "S" \
@@ -504,39 +507,36 @@ def invert_tube(data: TubeData, params: AdsParams, l_max: int,
     return TubeRep(grid, _labels(grid.indices, l_max, a, b), basis)
 
 
-def _rod_divide(data: RodData, l_max: int, divisor) -> RodRep:
+def _rod_divide(data: RodData, l_max: int, divisor, tol: float,
+                error) -> RodRep:
     """Rod coefficients a = (time-angular projection of the data) /
-    divisor(k, l), a `_table` function of every (k, l)."""
+    divisor(omega, l), called once on the arrays of every (k, l); raises
+    error(omega, l) at the first (k, l) where |divisor| < tol."""
     grid = data.grid
     proj = _project(data.angular, _time_project(data.phi, grid), l_max)
-    div = _table(grid.indices, np.ones(proj.shape), divisor)
+    def checked(k, l):
+        om = k * grid.d_omega
+        val = divisor(om, l)
+        bad = np.flatnonzero(np.abs(val) < tol)
+        if bad.size:
+            raise error(om[bad[0]], l[bad[0]])
+        return val
+
+    div = _table(grid.indices, np.ones(proj.shape), checked)
     return RodRep(grid, _labels(grid.indices, l_max, proj / div))
 
 
-def invert_rod_interior(data: RodData, params: AdsParams, l_max: int,
-                        node_tol: float = 1e-10) -> RodRep:
+def invert_rod_interior(data: RodData, params: AdsParams, l_max: int) -> RodRep:
     """Recover the rod representation from field values at rho0 < pi/2:
     a = (time-angular projection) / S^a(rho0)."""
-    def s_a(k, l):
-        om = k * data.grid.d_omega
-        sa = radial_eval_fd(RadialKind.Sa, om, l, data.rho0, params)[0]
-        node = np.flatnonzero(np.abs(sa) < node_tol)
-        if node.size:
-            raise RadialNodeError(f"S^a({data.rho0}) ~ 0 at "
-                                  f"omega={om[node[0]]}, l={l[node[0]]}")
-        return sa
-
-    return _rod_divide(data, l_max, s_a)
+    return _rod_divide(data, l_max, lambda om, l: radial_eval_fd(
+        RadialKind.Sa, om, l, data.rho0, params)[0], _NODE_TOL,
+        lambda om, l: RadialNodeError(f"S^a({data.rho0}) ~ 0 at omega={om}, l={l}"))
 
 
 # ---------------------------------------------------------------------------
 # boundary machinery
 # ---------------------------------------------------------------------------
-
-def _floor_nu(nu: float) -> int:
-    """Largest natural number strictly below (noninteger) nu."""
-    return int(math.floor(nu))
-
 
 def taylor_coeffs(branch: str, omega: float, l: int, params: AdsParams,
                   a_max: int) -> np.ndarray:
@@ -548,7 +548,6 @@ def taylor_coeffs(branch: str, omega: float, l: int, params: AdsParams,
     """
     if a_max > 30:
         raise ValueError("a_max > 30 not supported")
-    from .modes import hyper_params
     kind = RadialKind.Ca if branch == "plus" else RadialKind.Cb
     al, be, ga = hyper_params(kind, omega, l, params)
     out = np.zeros(a_max + 1)
@@ -568,18 +567,18 @@ def twisted_boundary_limit(kind: RadialKind, params: AdsParams) -> float:
     """Boundary value of the twisted derivative of the C-modes:
     ((2 nu - 2 floor(nu)))_{floor(nu)+1} for C^a and 0 for C^b."""
     nu = params.nu
-    if abs(nu - round(nu)) < _NU_INTEGER_TOL:
+    if not params.c_modes_valid:
         raise IntegerNu(f"twisted boundary limit degenerates at nu = {nu}")
     if kind is RadialKind.Cb:
         return 0.0
     if kind is RadialKind.Ca:
-        fl = _floor_nu(nu)
+        fl = math.floor(nu)
         return double_pochhammer(2.0 * nu - 2.0 * fl, fl + 1)
     raise ValueError("twisted limits defined for C-modes only")
 
 
 def twisted_derivative(kind: RadialKind, omega: float, l: int, rho: float,
-                       params: AdsParams, a_max: int = 30) -> float:
+                       params: AdsParams) -> float:
     """Twisted derivative d^{(nu)}_rho of a C-mode, evaluated analytically
     on the boundary Taylor series:
 
@@ -589,18 +588,18 @@ def twisted_derivative(kind: RadialKind, omega: float, l: int, rho: float,
     with fl = floor(nu).  Accurate near the boundary where cos(rho) is small.
     """
     nu = params.nu
-    if abs(nu - round(nu)) < _NU_INTEGER_TOL:
+    if not params.c_modes_valid:
         raise IntegerNu(f"twisted derivative degenerates at nu = {nu}")
-    fl = _floor_nu(nu)
+    fl = math.floor(nu)
     c = math.cos(rho)
     if kind is RadialKind.Ca:
-        d_a = taylor_coeffs("plus", omega, l, params, a_max)
+        d_a = taylor_coeffs("plus", omega, l, params, _TWISTED_A_MAX)
         return float(sum(d_a[a] * double_pochhammer(2 * nu + 2 * a - 2 * fl, fl + 1)
-                         * c ** (2 * a) for a in range(a_max + 1)))
+                         * c ** (2 * a) for a in range(_TWISTED_A_MAX + 1)))
     if kind is RadialKind.Cb:
-        d_a = taylor_coeffs("minus", omega, l, params, a_max)
+        d_a = taylor_coeffs("minus", omega, l, params, _TWISTED_A_MAX)
         total = 0.0
-        for a in range(a_max + 1):
+        for a in range(_TWISTED_A_MAX + 1):
             dpoch = double_pochhammer(2.0 * a - 2.0 * fl, fl + 1)
             if dpoch == 0.0:
                 continue  # avoid 0 * inf from the negative powers of cos
@@ -610,8 +609,7 @@ def twisted_derivative(kind: RadialKind, omega: float, l: int, rho: float,
 
 
 def boundary_data_of(rep: TubeRep, params: AdsParams,
-                     angular: AngularGrid | None = None,
-                     n_t: int | None = None) -> BoundaryData:
+                     angular: AngularGrid | None = None) -> BoundaryData:
     """Analytic boundary data of a C-basis rep (Taylor-tail limits, never
     numerical sampling at rho -> pi/2):
 
@@ -624,11 +622,11 @@ def boundary_data_of(rep: TubeRep, params: AdsParams,
         raise BasisMismatch("boundary data requires the C basis")
     lam = twisted_boundary_limit(RadialKind.Ca, params)
     ang = angular or AngularGrid()
-    t_nodes = rep.grid.time_nodes(n_t)
+    t_nodes = rep.grid.time_nodes()
     # (rescaled value, twisted derivative) at the boundary: C^a -> (0, L),
     # C^b -> (1, 0)
-    minus, plus = _tube_sum(rep, t_nodes, ang, lambda kind, om, l: np.array(
-        [[0.0], [lam]] if kind is RadialKind.Ca else [[1.0], [0.0]]))
+    minus, plus = _tube_sum(rep, t_nodes, ang, lambda ch, om, l: np.array(
+        [[1.0], [0.0]] if ch else [[0.0], [lam]]))
     return BoundaryData(rep.grid, t_nodes, ang, minus, plus)
 
 
@@ -647,36 +645,28 @@ def boundary_reconstruct(data: BoundaryData, params: AdsParams,
 
 
 def rod_boundary_data_of(rep: RodRep, params: AdsParams,
-                         angular: AngularGrid | None = None,
-                         n_t: int | None = None):
+                         angular: AngularGrid | None = None):
     """Rescaled boundary field value of a rod solution:
     phi^d = d_omega sum phi^a m12(w, l) e^{-iwt} Y  (only the C^b part of
     S^a survives the rescaling)."""
     ang = angular or AngularGrid()
-    t_nodes = rep.grid.time_nodes(n_t)
-    def radial(kind, om, l):
+    t_nodes = rep.grid.time_nodes()
+    def radial(ch, om, l):
         m12 = _transfer_entries(om, l, params, DEFAULT_POLICY, False)[1]
         return m12, np.zeros_like(m12)
 
-    phi, _ = _tube_sum(rep, t_nodes, ang, radial)
+    phi, _ = _tube_sum(rep.as_tube(), t_nodes, ang, radial)
     return RodData(math.pi / 2, rep.grid, t_nodes, ang, phi)
 
 
-def rod_boundary_reconstruct(data: RodData, params: AdsParams, l_max: int,
-                             blind_tol: float = 1e-10) -> RodRep:
+def rod_boundary_reconstruct(data: RodData, params: AdsParams, l_max: int) -> RodRep:
     """Recover a rod representation from rescaled boundary data:
     a = (projection) / m12(w, l); labels at magic frequencies are invisible
     (m12 = 0) and raise MagicFrequencyBlind."""
-    def m12(k, l):
-        om = k * data.grid.d_omega
-        val = _transfer_entries(om, l, params, DEFAULT_POLICY, False)[1]
-        blind = np.flatnonzero(np.abs(val) < blind_tol)
-        if blind.size:
-            raise MagicFrequencyBlind(f"m12 ~ 0 at omega={om[blind[0]]}, "
-                                      f"l={l[blind[0]]}: boundary data is blind")
-        return val
-
-    return _rod_divide(data, l_max, m12)
+    return _rod_divide(data, l_max, lambda om, l: _transfer_entries(
+        om, l, params, DEFAULT_POLICY, False)[1], _BLIND_TOL,
+        lambda om, l: MagicFrequencyBlind(
+            f"m12 ~ 0 at omega={om}, l={l}: boundary data is blind"))
 
 
 # ---------------------------------------------------------------------------

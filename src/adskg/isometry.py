@@ -175,6 +175,7 @@ def _project_tube(val: float, dval: float, omega: float, l: int, rho: float,
 
 
 _EXTRACT_RHO = (0.6, 0.9)
+_SLICE_N_RHO = 160  # Gauss-Jacobi nodes of the slice extraction
 
 
 def _extract_tube_entry(channel: str, omega0: float, l0: int, s_om: int,
@@ -236,8 +237,7 @@ def _extract_slice_entry(n0: int, l0: int, s_om: int, s_l: int,
 
 def extract_boost_coeffs(kind: str, generator: GeneratorId, label_window,
                          params: AdsParams,
-                         leak_tol: float = 1e-6,
-                         n_rho: int = 160) -> BoostCoeffTable:
+                         leak_tol: float = 1e-6) -> BoostCoeffTable:
     """Numerically extract the boost shift coefficients (normative).
 
     kind "tube": label_window = (k_indices, d_omega, l_max); entries cover
@@ -269,7 +269,7 @@ def extract_boost_coeffs(kind: str, generator: GeneratorId, label_window,
         return BoostCoeffTable("tube", entries, worst)
     if kind == "slice":
         n_max, l_max = label_window
-        rho_q, w_q = radial_measure(params, n_rho)
+        rho_q, w_q = radial_measure(params, _SLICE_N_RHO)
         for n in range(n_max + 1):
             for l in range(l_max + 1):
                 block = {}

@@ -8,6 +8,10 @@ point-supported in the radial momentum p; their symplectic pairing is the
 label-diagonal momentum form (a continuum quadrature form would be
 delta-normalized for point labels).
 
+Synthesis runs through the AdS kernels of `expansions` with J^+ -> 2 p
+(2 pi)^{-1/2} j_l(p r) and (S^a, S^b) -> (p_E / 4 pi)(jcheck, ncheck), and
+the momentum forms are the label sums of `symplectic` with Minkowski weights.
+
 Flat-limit per-mode map used by the comparison harness: for the AdS label
 (n, l, m) with w = w+_{nl}, w~ = w/R, p~ = sqrt|w~^2 - m^2|,
 
@@ -22,47 +26,39 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import spherical_in, spherical_kn
 
 from .errors import BoundaryProximity, DomainError
-from .expansions import OmegaGrid, SliceRep
-from .geometry import AdsParams, _apply, _first_order, _points, make_params
-from .harmonics import AngularGrid, sph_harm
-from .modes import RadialKind, magic_frequency, norm_constant, radial_eval
+from .expansions import (OmegaGrid, SliceRep, _Labelled, _slice_sum,
+                         _tube_sum, synth)
+from .geometry import (AdsParams, Boost0, BoostD1, _apply, _first_order,
+                       _points, killing_apply, make_params)
+from .harmonics import AngularGrid
+from .modes import RadialKind, _per_distinct, magic_frequency, radial_eval
 from .specfun import double_factorial, spherical_bessel, spherical_bessel_dx
+from .symplectic import _mirror_pairing, _same_label_pairing, omega_slice_momentum
 
 EnergyGrid = OmegaGrid  # same discretization: E_k = k dE, window 2 pi / dE
 
 
 @dataclass(frozen=True)
-class MinkTubeRep:
+class MinkTubeRep(_Labelled):
     """Sparse tube rep on an EnergyGrid: (k, l, m) -> (a, b)."""
 
     grid: EnergyGrid
     coeffs: dict
     m_field: float = 0.0
 
-    def labels(self):
-        return sorted(self.coeffs)
-
-    def coeff(self, k, l, m):
-        return self.coeffs.get((k, l, m), (0.0 + 0.0j, 0.0 + 0.0j))
-
 
 @dataclass(frozen=True)
-class MinkSliceRep:
+class MinkSliceRep(_Labelled):
     """Point-supported slice rep: (p, l, m) -> (phi_plus, phi_minus_conj)."""
 
     coeffs: dict
     m_field: float = 0.0
-
-    def labels(self):
-        return sorted(self.coeffs)
-
-    def coeff(self, p, l, m):
-        return self.coeffs.get((p, l, m), (0.0 + 0.0j, 0.0 + 0.0j))
 
 
 # ---------------------------------------------------------------------------
@@ -71,49 +67,47 @@ class MinkSliceRep:
 #   i^{-l} j_l(i x) = i_l(x),  i^{l+1} n_l(i x) = (-1)^{l+1} i_l(x) - (2/pi) k_l(x)
 # ---------------------------------------------------------------------------
 
-def _ncheck_momentum(E: float, r: float, m_field: float) -> tuple[float, float]:
-    """(D, p) = (E^2 - m^2, sqrt|D|) where ncheck is finite: r > 0, D != 0."""
-    if r <= 0.0:
+def _momentum(E: float, m_field: float) -> float:
+    """Radial momentum p = sqrt|E^2 - m^2| of energy E."""
+    return math.sqrt(abs(E * E - m_field * m_field))
+
+
+def _check(kind: str, E: float, l: int, r: float, m_field: float,
+           dr: bool = False) -> float:
+    """jcheck (kind "J") or ncheck ("N") at r, or its d/dr if dr: the
+    spherical Bessel function of p r where D = E^2 - m^2 >= 0, its
+    evanescent continuation where D < 0.  ncheck needs r > 0 and D != 0."""
+    d_disc, p = E * E - m_field * m_field, _momentum(E, m_field)
+    if kind == "N" and r <= 0.0:
         raise DomainError("ncheck needs r > 0")
-    d_disc = E * E - m_field * m_field
-    if d_disc == 0.0:
+    if kind == "N" and d_disc == 0.0:
         raise DomainError("ncheck diverges at the threshold |E| = m")
-    return d_disc, math.sqrt(abs(d_disc))
+    x, scale = p * r, (p if dr else 1.0)
+    if d_disc >= 0.0:
+        return scale * (spherical_bessel_dx if dr else spherical_bessel)(kind, l, x)
+    if kind == "J":
+        return scale * spherical_in(l, x, dr)
+    return scale * ((-1.0) ** (l + 1) * spherical_in(l, x, dr)
+                    - 2.0 / math.pi * spherical_kn(l, x, dr))
 
 
 def jcheck(E: float, l: int, r: float, m_field: float) -> float:
     """Radial tube function: j_l(p r) on the propagating branch
     (D = E^2 - m^2 >= 0), i^{-l} j_l(i p r) on the evanescent branch."""
-    d_disc = E * E - m_field * m_field
-    p = math.sqrt(abs(d_disc))
-    if d_disc >= 0.0:
-        return spherical_bessel("J", l, p * r)
-    return spherical_in(l, p * r)
+    return _check("J", E, l, r, m_field)
 
 
 def ncheck(E: float, l: int, r: float, m_field: float) -> float:
     """Radial tube function: n_l(p r) / i^{l+1} n_l(i p r); r > 0."""
-    d_disc, p = _ncheck_momentum(E, r, m_field)
-    if d_disc > 0.0:
-        return spherical_bessel("N", l, p * r)
-    return ((-1.0) ** (l + 1) * spherical_in(l, p * r)
-            - 2.0 / math.pi * spherical_kn(l, p * r))
+    return _check("N", E, l, r, m_field)
 
 
 def jcheck_dr(E: float, l: int, r: float, m_field: float) -> float:
-    d_disc = E * E - m_field * m_field
-    p = math.sqrt(abs(d_disc))
-    if d_disc >= 0.0:
-        return p * spherical_bessel_dx("J", l, p * r)
-    return p * spherical_in(l, p * r, derivative=True)
+    return _check("J", E, l, r, m_field, True)
 
 
 def ncheck_dr(E: float, l: int, r: float, m_field: float) -> float:
-    d_disc, p = _ncheck_momentum(E, r, m_field)
-    if d_disc > 0.0:
-        return p * spherical_bessel_dx("N", l, p * r)
-    return p * ((-1.0) ** (l + 1) * spherical_in(l, p * r, derivative=True)
-                - 2.0 / math.pi * spherical_kn(l, p * r, derivative=True))
+    return _check("N", E, l, r, m_field, True)
 
 
 # ---------------------------------------------------------------------------
@@ -125,37 +119,32 @@ def mink_synth_slice(rep: MinkSliceRep, point) -> complex:
     conj(phi^-) e^{+iEt} conj(Y)]."""
     t, r, theta, phi = point
     m_f = rep.m_field
-    terms = []
-    for (p, l, m) in rep.labels():
-        cp, cq = rep.coeffs[(p, l, m)]
-        e_p = math.sqrt(p * p + m_f * m_f)
-        weight = 2.0 * p / math.sqrt(2.0 * math.pi) * spherical_bessel("J", l, p * r)
-        ylm = sph_harm(l, m, theta, phi)
-        terms.append(weight * (cp * np.exp(-1j * e_p * t) * ylm
-                               + cq * np.exp(1j * e_p * t) * np.conj(ylm)))
-    return np.sum(terms)
+    out = _slice_sum(rep, t, (r,), (theta, phi), lambda p, l: np.sqrt(
+        p * p + m_f * m_f), partial(_per_distinct, lambda p, l: [
+            2.0 * p / math.sqrt(2.0 * math.pi) * spherical_bessel("J", l, p * r)]))
+    return complex(out[0, 0])
 
 
-def _mink_tube_sum(rep: MinkTubeRep, point, j_fn, n_fn) -> complex:
-    t, r, theta, phi = point
-    terms = []
-    for (k, l, m) in rep.labels():
-        a, b = rep.coeffs[(k, l, m)]
-        e_k = rep.grid.omega(k)
-        p_r = math.sqrt(abs(e_k * e_k - rep.m_field ** 2))
-        val = a * j_fn(e_k, l, r, rep.m_field) + b * n_fn(e_k, l, r, rep.m_field)
-        terms.append(p_r / (4.0 * math.pi) * val
-                     * np.exp(-1j * e_k * t) * sph_harm(l, m, theta, phi))
-    return rep.grid.d_omega * np.sum(terms)
+def _mink_tube_sum(rep: MinkTubeRep, t, where, r: float) -> np.ndarray:
+    """`expansions._tube_sum` with (S^a, S^b) -> (p_E / 4 pi)(jcheck, ncheck)
+    at r: the field and its d/dr at the times t and the angular points
+    `where`; the radial factors are tabulated once per (E, l)."""
+    m_f = rep.m_field
+    return _tube_sum(rep, t, where, lambda ch, energy, l: _per_distinct(
+        lambda e, ll: _momentum(e, m_f) / (4.0 * math.pi) * np.array(
+            [_check("JN"[ch], e, ll, r, m_f, dr) for dr in (False, True)]),
+        energy, l))
 
 
 def mink_synth_tube(rep: MinkTubeRep, point) -> complex:
     """dE sum over labels of (p^R_E / 4 pi) [a jcheck + b ncheck] e^{-iEt} Y."""
-    return _mink_tube_sum(rep, point, jcheck, ncheck)
+    t, r, theta, phi = point
+    return complex(_mink_tube_sum(rep, t, (theta, phi), r)[0, 0])
 
 
 def mink_synth_tube_dr(rep: MinkTubeRep, point) -> complex:
-    return _mink_tube_sum(rep, point, jcheck_dr, ncheck_dr)
+    t, r, theta, phi = point
+    return complex(_mink_tube_sum(rep, t, (theta, phi), r)[1, 0])
 
 
 def mink_omega_slice(eta: MinkSliceRep, zeta: MinkSliceRep) -> complex:
@@ -164,27 +153,16 @@ def mink_omega_slice(eta: MinkSliceRep, zeta: MinkSliceRep) -> complex:
     Point-supported labels admit no finite radial quadrature form (the
     continuum pairing is delta-normalized), so only this form is exposed.
     """
-    labels = sorted(set(eta.coeffs) | set(zeta.coeffs))
     m_f = eta.m_field
-    terms = []
-    for (p, l, m) in labels:
-        ep_, eq_ = eta.coeff(p, l, m)
-        zp_, zq_ = zeta.coeff(p, l, m)
-        e_p = math.sqrt(p * p + m_f * m_f)
-        terms.append(1j * e_p * (eq_ * zp_ - ep_ * zq_))
-    return np.sum(terms)
+    return _same_label_pairing(eta, zeta, lambda p, l: 1j * math.sqrt(
+        p * p + m_f * m_f))
 
 
 def mink_omega_tube_momentum(eta: MinkTubeRep, zeta: MinkTubeRep) -> complex:
     """dE sum (p_E / 16 pi) (eta^a_{Elm} zeta^b_{-E,l,-m} - eta^b zeta^a)."""
-    terms = []
-    for (k, l, m) in eta.labels():
-        ea, eb = eta.coeffs[(k, l, m)]
-        za, zb = zeta.coeff(-k, l, -m)
-        e_k = eta.grid.omega(k)
-        p_r = math.sqrt(abs(e_k * e_k - eta.m_field ** 2))
-        terms.append(p_r / (16.0 * math.pi) * (ea * zb - eb * za))
-    return eta.grid.d_omega * np.sum(terms)
+    d_e, m_f = eta.grid.d_omega, eta.m_field
+    return d_e * _mirror_pairing(eta, zeta, lambda k, l: _momentum(
+        k * d_e, m_f) / (16.0 * math.pi))
 
 
 def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,
@@ -192,31 +170,12 @@ def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,
                                angular: AngularGrid | None = None) -> complex:
     """(r0^2/2) int dt dOmega (eta d_r zeta - zeta d_r eta) over one window."""
     ang = angular or AngularGrid(16, 32)
-    grid = eta.grid
-    span = max(abs(k) for k in set(kk for kk, _, _ in eta.coeffs)
-               | set(kk for kk, _, _ in zeta.coeffs))
-    n_t = 2 * span + 1
-    t_nodes = grid.time_nodes(n_t)
-    dt = grid.window / n_t
-    total = 0.0 + 0.0j
-    for i, t in enumerate(t_nodes):
-        fe = np.zeros((ang.n_theta, ang.n_phi), dtype=complex)
-        fz = np.zeros_like(fe)
-        dfe = np.zeros_like(fe)
-        dfz = np.zeros_like(fe)
-        for rep, f_arr, df_arr in ((eta, fe, dfe), (zeta, fz, dfz)):
-            for (k, l, m) in rep.labels():
-                a, b = rep.coeffs[(k, l, m)]
-                e_k = grid.omega(k)
-                p_r = math.sqrt(abs(e_k * e_k - rep.m_field ** 2))
-                w = grid.d_omega * p_r / (4.0 * math.pi) * np.exp(-1j * e_k * t)
-                ylm = ang.ylm(l, m)
-                f_arr += w * (a * jcheck(e_k, l, r0, rep.m_field)
-                              + b * ncheck(e_k, l, r0, rep.m_field)) * ylm
-                df_arr += w * (a * jcheck_dr(e_k, l, r0, rep.m_field)
-                               + b * ncheck_dr(e_k, l, r0, rep.m_field)) * ylm
-        total += dt * ang.integrate(fe * dfz - fz * dfe)
-    return 0.5 * r0 * r0 * total
+    span = max(abs(k) for k, _, _ in eta.coeffs.keys() | zeta.coeffs.keys())
+    t_nodes = eta.grid.time_nodes(2 * span + 1)
+    (fe, dfe), (fz, dfz) = (_mink_tube_sum(rep, t_nodes, ang, r0)
+                            for rep in (eta, zeta))
+    dt = eta.grid.window / len(t_nodes)
+    return 0.5 * r0 * r0 * dt * np.sum(ang.integrate(fe * dfz - fz * dfe))
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +258,10 @@ def flat_limit_compare(m_field: float = 0.0,
             n = round((omega_tilde * (1.0 + 0.15 * i) * R - l
                        - params.delta_plus) / 2.0)
             labels.append((max(n, 0), l, min(l, 1)))
+        maps = [_flat_map_factor(params, n, l) for n, l, _ in labels]
         coeffs_mink = {}
         coeffs_ads = {}
-        for i, (n, l, m) in enumerate(labels):
-            om_t, p_t, t_fac = _flat_map_factor(params, n, l)
+        for i, ((n, l, m), (_, p_t, t_fac)) in enumerate(zip(labels, maps)):
             c_p = 0.8 + 0.3j * (i + 1)
             c_q = 0.2 - 0.1j * i
             coeffs_mink[(p_t, l, m)] = (c_p, c_q)
@@ -312,26 +271,24 @@ def flat_limit_compare(m_field: float = 0.0,
 
         worst = 0.0
         for r in r_values:
-            from .expansions import synth
             ads_val = synth(ads_rep, (tau / R, r / R, theta0, phi0), params)
             mink_val = mink_synth_slice(mink_rep, (tau, r, theta0, phi0))
             worst = max(worst, abs(ads_val - mink_val) / max(abs(mink_val), 1e-3))
         out["slice_synth"][R] = worst
 
-        # (iii) symplectic: per-label AdS contribution times dp~/dn vs Mink
+        # (iii) symplectic: one-label AdS pairing times dp~/dn vs Mink
         worst = 0.0
-        for (n, l, m) in labels:
-            om = magic_frequency("plus", n, l, params)
-            om_t, p_t, t_fac = _flat_map_factor(params, n, l)
-            nrm = norm_constant("plus", n, l, params)
-            ep, eq = coeffs_ads[(n, l, m)]
-            zp, zq = (0.7 - 0.2j) * ep, (1.1 + 0.4j) * eq
-            ads_pair = 1j * om * R ** 2 * nrm * (eq * zp - ep * zq)
+        for (n, l, m), (om_t, p_t, _) in zip(labels, maps):
+            (ep, eq), (mp, mq) = coeffs_ads[(n, l, m)], coeffs_mink[(p_t, l, m)]
+            ads_pair = omega_slice_momentum(
+                SliceRep({(n, l, m): (ep, eq)}),
+                SliceRep({(n, l, m): ((0.7 - 0.2j) * ep, (1.1 + 0.4j) * eq)}),
+                params)
+            mink_pair = mink_omega_slice(
+                MinkSliceRep({(p_t, l, m): (mp, mq)}, m_field),
+                MinkSliceRep({(p_t, l, m): ((0.7 - 0.2j) * mp, (1.1 + 0.4j) * mq)},
+                             m_field))
             jac = 2.0 * om_t / (R * p_t)  # dp~/dn
-            mp, mq = coeffs_mink[(p_t, l, m)]
-            e_p = math.sqrt(p_t * p_t + m_field * m_field)
-            mink_pair = 1j * e_p * ((0.7 - 0.2j) * mq * mp
-                                    - (1.1 + 0.4j) * mp * mq)
             worst = max(worst, abs(ads_pair * jac - mink_pair)
                         / max(abs(mink_pair), 1e-12))
         out["symplectic"][R] = worst
@@ -346,7 +303,6 @@ def killing_correspondence_errors(R_values=(100.0, 1000.0),
     R^{-1} K_{d+1,0} equals d_tau identically; the nontrivial entries are
     K_{0d} -> K^Mink_{0d} and R^{-1} K_{d+1,d} -> T_d, with O(1/R^2) error.
     """
-    from .geometry import Boost0, BoostD1, killing_apply
     if points is None:
         points = [(0.6, 1.3, np.array([0.2, -0.4, 0.6]) / math.sqrt(0.56)),
                   (-0.4, 2.1, np.array([0.5, 0.5, 0.1]) / math.sqrt(0.51))]

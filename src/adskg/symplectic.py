@@ -26,6 +26,31 @@ from .harmonics import AngularGrid
 from .modes import magic_frequency, norm_constant
 
 
+def _same_label_pairing(eta, zeta, weight) -> complex:
+    """sum over the sorted labels of eta or zeta of weight(j, l) (conj(eta^-)
+    zeta^+ - eta^+ conj(zeta^-)), weight evaluated once per (j, l)."""
+    terms, last = [], None
+    for j, l, m in sorted(eta.coeffs.keys() | zeta.coeffs.keys()):
+        if (j, l) != last:
+            last, w = (j, l), weight(j, l)
+        (ep, eq), (zp, zq) = eta.coeff(j, l, m), zeta.coeff(j, l, m)
+        terms.append(w * (eq * zp - ep * zq))
+    return np.sum(terms)
+
+
+def _mirror_pairing(eta, zeta, weight) -> complex:
+    """sum over eta's sorted labels of weight(k, l) (eta^a zeta^b - eta^b
+    zeta^a), zeta at (-k, l, -m), weight evaluated once per (k, l)."""
+    terms, last = [], None
+    get, absent = zeta.coeffs.get, zeta._absent
+    for (k, l, m), (ea, eb) in sorted(eta.coeffs.items()):
+        if (k, l) != last:
+            last, w = (k, l), weight(k, l)
+        za, zb = get((-k, l, -m), absent)
+        terms.append(w * (ea * zb - eb * za))
+    return np.sum(terms)
+
+
 def omega_slice_quadrature(eta: SliceRep, zeta: SliceRep, t0: float,
                            params: AdsParams, n_rho: int = 128,
                            angular: AngularGrid | None = None) -> complex:
@@ -43,15 +68,9 @@ def omega_slice_momentum(eta: SliceRep, zeta: SliceRep,
                          params: AdsParams) -> complex:
     """+i sum w+_{nl} R^{d-1} N+_{nl} (conj(eta^-) zeta^+ - eta^+ conj(zeta^-))."""
     rd = params.R ** (params.d - 1)
-    labels = sorted(set(eta.coeffs) | set(zeta.coeffs))
-    terms = []
-    for (n, l, m) in labels:
-        ep, eq = eta.coeff(n, l, m)
-        zp, zq = zeta.coeff(n, l, m)
-        om = magic_frequency("plus", n, l, params)
-        nrm = norm_constant("plus", n, l, params)
-        terms.append(1j * om * rd * nrm * (eq * zp - ep * zq))
-    return complex(np.sum(terms))
+    return complex(_same_label_pairing(eta, zeta, lambda n, l: (
+        1j * magic_frequency("plus", n, l, params) * rd
+        * norm_constant("plus", n, l, params))))
 
 
 def omega_tube_quadrature(eta: TubeRep, zeta: TubeRep, rho0: float,
@@ -66,7 +85,7 @@ def omega_tube_quadrature(eta: TubeRep, zeta: TubeRep, rho0: float,
     de = sample_tube(eta, rho0, params, ang)
     dz = sample_tube(zeta, rho0, params, ang)
     angular_sum = ang.integrate(de.phi * dz.dphi_drho - dz.phi * de.dphi_drho)
-    dt = de.t_nodes[1] - de.t_nodes[0] if len(de.t_nodes) > 1 else eta.grid.window
+    dt = eta.grid.window / len(de.t_nodes)
     total = dt * np.sum(angular_sum)
     tan_fac = math.tan(rho0) ** (params.d - 1)
     return complex(0.5 * params.R ** (params.d - 1) * tan_fac * total)
@@ -82,13 +101,9 @@ def omega_tube_momentum(eta: TubeRep, zeta: TubeRep,
     if eta.grid != zeta.grid:
         raise BasisMismatch("tube pairing needs a shared frequency grid")
     d = params.d
-    terms = []
-    for (k, l, m) in eta.labels():
-        ea, eb = eta.coeffs[(k, l, m)]
-        za, zb = zeta.coeff(-k, l, -m)
-        factor = (2 * l + d - 2) if eta.basis == "S" else 2.0 * params.nu
-        terms.append(factor * (ea * zb - eb * za))
-    return complex(math.pi * params.R ** (d - 1) * eta.grid.d_omega * np.sum(terms))
+    total = _mirror_pairing(eta, zeta, lambda k, l: (
+        (2 * l + d - 2) if eta.basis == "S" else 2.0 * params.nu))
+    return complex(math.pi * params.R ** (d - 1) * eta.grid.d_omega * total)
 
 
 def symplectic_potential(hypersurface: str, coord: float, phi, eta,
@@ -116,8 +131,7 @@ def symplectic_potential(hypersurface: str, coord: float, phi, eta,
         d_eta = sample_tube(eta, coord, params, ang)
         d_phi = sample_tube(phi, coord, params, ang)
         angular_sum = ang.integrate(d_eta.phi * d_phi.dphi_drho)
-        dt = d_eta.t_nodes[1] - d_eta.t_nodes[0] if len(d_eta.t_nodes) > 1 \
-            else eta.grid.window
+        dt = eta.grid.window / len(d_eta.t_nodes)
         tan_fac = math.tan(coord) ** (params.d - 1)
         return -rd * tan_fac * dt * np.sum(angular_sum)
     raise ValueError("hypersurface must be 't' or 'rho'")

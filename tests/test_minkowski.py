@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from adskg.errors import DomainError
-from adskg.harmonics import AngularGrid
+from adskg.harmonics import AngularGrid, sph_harm
 from adskg.minkowski import (EnergyGrid, MinkSliceRep, MinkTubeRep,
                              flat_limit_compare, jcheck, jcheck_dr,
                              killing_correspondence_errors,
                              mink_killing_apply, mink_omega_slice,
                              mink_omega_tube_momentum,
                              mink_omega_tube_quadrature, mink_synth_slice,
-                             mink_synth_tube, ncheck, ncheck_dr)
+                             mink_synth_tube, mink_synth_tube_dr, ncheck,
+                             ncheck_dr)
 
 ANG = AngularGrid(12, 24)
 
@@ -110,13 +111,125 @@ def test_mink_tube_reality_criterion(rng):
 def test_mink_slice_reality_criterion(rng):
     p_val = 1.7
     c = complex(rng.normal(), rng.normal())
-    rep = MinkSliceRep({(p_val, 2, 1): (c, np.conj(c) * 0 + c)}, m_field=0.0)
-    # real iff phi+ = phi-: here minus_conj = c means phi- = conj(c)...
     rep = MinkSliceRep({(p_val, 0, 0): (c, np.conj(c))}, m_field=0.0)
     for _ in range(10):
         point = (rng.uniform(0, 5), rng.uniform(0.5, 4.0),
                  rng.uniform(0.3, 2.8), rng.uniform(0, 6.2))
         assert abs(mink_synth_slice(rep, point).imag) < 1e-12
+
+
+# --- synthesis against per-label reference loops -----------------------------------
+
+def _slice_terms(rep, point):
+    """The terms of the Minkowski slice sum, one per label."""
+    t, r, theta, phi = point
+    terms = []
+    for (p, l, m), (cp, cq) in sorted(rep.coeffs.items()):
+        e_p = math.sqrt(p * p + rep.m_field ** 2)
+        weight = 2.0 * p / math.sqrt(2.0 * math.pi) * jcheck(p, l, r, 0.0)
+        ylm = sph_harm(l, m, theta, phi)
+        terms.append(weight * (cp * np.exp(-1j * e_p * t) * ylm
+                               + cq * np.exp(1j * e_p * t) * np.conj(ylm)))
+    return np.array(terms)
+
+
+def _tube_terms(rep, t, r, ylm, dr=False):
+    """The terms dE (p_E / 4 pi)(a jcheck + b ncheck) e^{-iEt} Y of the
+    Minkowski tube sum (or of its d/dr), one per label; ylm(l, m) gives Y at
+    the angular point(s).  ncheck is evaluated only where b != 0."""
+    j_fn, n_fn = (jcheck_dr, ncheck_dr) if dr else (jcheck, ncheck)
+    m_f, terms = rep.m_field, []
+    for (k, l, m), (a, b) in sorted(rep.coeffs.items()):
+        e_k = rep.grid.omega(k)
+        val = a * j_fn(e_k, l, r, m_f) + (b * n_fn(e_k, l, r, m_f) if b else 0.0)
+        terms.append(rep.grid.d_omega * math.sqrt(abs(e_k * e_k - m_f * m_f))
+                     / (4.0 * math.pi) * val * np.exp(-1j * e_k * t) * ylm(l, m))
+    return np.array(terms)
+
+
+def _assert_sums_to(value, terms):
+    assert abs(value - np.sum(terms)) <= 1e-13 * np.sum(np.abs(terms))
+
+
+def _random_mink_tube(rng, grid, m_field, n_labels):
+    coeffs = {}
+    while len(coeffs) < n_labels:
+        k = int(rng.choice(grid.indices))
+        l = int(rng.integers(0, 4))
+        m = int(rng.integers(-l, l + 1))
+        coeffs[(k, l, m)] = (complex(rng.normal(), rng.normal()),
+                             complex(rng.normal(), rng.normal()))
+    return MinkTubeRep(grid, coeffs, m_field)
+
+
+# (E = k dE, m) = (0.5 k, 1.2): |k| <= 2 evanescent, |k| >= 3 propagating
+MIXED_GRID = EnergyGrid(0.5, tuple(range(-5, 6)))
+# one threshold label (|E| = m) with b = 0, its neighbours with b != 0
+THRESHOLD = MinkTubeRep(EnergyGrid(0.5, tuple(range(-4, 5))),
+                        {(2, 1, 0): (1.0, 0.0), (-2, 0, 0): (0.3j, 0.0),
+                         (3, 1, 1): (0.4, 0.7 - 0.2j), (1, 2, -1): (0.2j, 0.5),
+                         (-4, 1, 0): (0.1, -0.3j)}, 1.0)
+
+
+def _mink_points(rng, n=6):
+    return [(rng.uniform(-2, 4), rng.uniform(0.3, 4.0), rng.uniform(0.2, 2.9),
+             rng.uniform(0, 6.2)) for _ in range(n)]
+
+
+def test_mink_synth_slice_matches_reference_loop(rng):
+    reps = [MinkSliceRep({(p, l, m): (complex(rng.normal(), rng.normal()),
+                                      complex(rng.normal(), rng.normal()))
+                          for p in (0.4, 1.3, 2.9) for l in range(3)
+                          for m in range(-l, l + 1) if rng.random() < 0.6}, m_f)
+            for m_f in (0.0, 0.8)]
+    for rep in reps:
+        for point in _mink_points(rng):
+            _assert_sums_to(mink_synth_slice(rep, point), _slice_terms(rep, point))
+    assert mink_synth_slice(MinkSliceRep({}), (0.3, 1.0, 0.5, 0.5)) == 0.0
+
+
+@pytest.mark.parametrize("dr", [False, True])
+def test_mink_synth_tube_matches_reference_loop(rng, dr):
+    synth = mink_synth_tube_dr if dr else mink_synth_tube
+    rep = _random_mink_tube(rng, MIXED_GRID, 1.2, 25)
+    assert {abs(k) <= 2 for k, _, _ in rep.coeffs} == {True, False}
+    for rep in (rep, THRESHOLD):
+        for t, r, theta, phi in _mink_points(rng):
+            terms = _tube_terms(rep, t, r, lambda l, m: sph_harm(l, m, theta, phi), dr)
+            _assert_sums_to(synth(rep, (t, r, theta, phi)), terms)
+    assert synth(MinkTubeRep(MIXED_GRID, {}, 1.2), (0.3, 1.0, 0.5, 0.5)) == 0.0
+
+
+def test_mink_tube_threshold_label_without_b_channel():
+    # ncheck diverges at |E| = m; a label there with b = 0 must not call it
+    # (and contributes 0, as p_E = 0)
+    rep = MinkTubeRep(EnergyGrid(0.5, (-2, 2)), {(2, 1, 0): (1.0, 0.0)}, 1.0)
+    assert mink_synth_tube(rep, (0.1, 1.2, 0.7, 0.3)) == 0.0
+    assert mink_synth_tube_dr(rep, (0.1, 1.2, 0.7, 0.3)) == 0.0
+    assert np.isfinite(mink_omega_tube_quadrature(rep, rep, 1.3, ANG))
+    assert np.isfinite(mink_omega_tube_quadrature(THRESHOLD, THRESHOLD, 1.3, ANG))
+
+
+@pytest.mark.parametrize("names", [
+    ("mixed", "mixed"), ("threshold", "threshold"), ("mixed", "empty")])
+def test_mink_tube_quadrature_matches_reference_loop(rng, names):
+    reps = {"mixed": _random_mink_tube(rng, MIXED_GRID, 1.2, 12),
+            "threshold": THRESHOLD, "empty": MinkTubeRep(MIXED_GRID, {}, 1.2)}
+    eta, zeta = (reps[name] for name in names)
+    r0 = 1.7
+    span = max(abs(k) for k, _, _ in {**eta.coeffs, **zeta.coeffs})
+    t_nodes = eta.grid.time_nodes(2 * span + 1)
+    dt = eta.grid.window / len(t_nodes)
+    total, scale = 0.0, 0.0
+    for t in t_nodes:
+        (fe, dfe), (fz, dfz) = (
+            [_tube_terms(rep, t, r0, ANG.ylm, dr).reshape(-1, ANG.n_theta, ANG.n_phi)
+             for dr in (False, True)] for rep in (eta, zeta))
+        total += dt * ANG.integrate(fe.sum(0) * dfz.sum(0) - fz.sum(0) * dfe.sum(0))
+        scale += dt * ANG.integrate(
+            np.abs(fe).sum(0) * np.abs(dfz).sum(0) + np.abs(fz).sum(0) * np.abs(dfe).sum(0))
+    value = mink_omega_tube_quadrature(eta, zeta, r0, ANG)
+    assert abs(value - 0.5 * r0 * r0 * total) <= 1e-13 * 0.5 * r0 * r0 * scale
 
 
 # --- symplectic structures -----------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from adskg.errors import BasisMismatch
 from adskg.expansions import OmegaGrid, SliceRep, TubeRep, s_to_c
 from adskg.harmonics import AngularGrid
+from adskg.modes import magic_frequency, norm_constant
 from adskg.symplectic import (omega_slice_momentum, omega_slice_quadrature,
                               omega_tube_momentum, omega_tube_quadrature,
                               symplectic_potential)
@@ -167,6 +169,41 @@ def test_slice_solutions_null_in_tube_pairing(params_m0):
     tz = slice_to_tube(zeta, grid, params_m0)
     assert abs(complex(omega_tube_momentum(te, tz, params_m0))) < 1e-14
     assert abs(complex(omega_tube_quadrature(te, tz, 0.8, params_m0, ANG))) < 1e-9
+
+
+def _bits(z) -> bytes:
+    return np.array([z], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("basis", ["S", "C"])
+def test_tube_momentum_is_the_per_label_loop_bit_for_bit(params_m0, rng, basis):
+    grid = OmegaGrid(0.5, tuple(range(-6, 7)))
+    eta, zeta = (_random_tube_rep(rng, grid, 40, basis) for _ in range(2))
+    zeta = TubeRep(grid, {**zeta.coeffs, **{(-k, l, -m): (complex(rng.normal()), 0.3j)
+                                            for k, l, m in eta.labels()[::2]}}, basis)
+    d, nu = params_m0.d, params_m0.nu
+    terms = []
+    for (k, l, m) in eta.labels():
+        ea, eb = eta.coeffs[(k, l, m)]
+        za, zb = zeta.coeff(-k, l, -m)
+        factor = (2 * l + d - 2) if basis == "S" else 2.0 * nu
+        terms.append(factor * (ea * zb - eb * za))
+    loop = complex(math.pi * params_m0.R ** (d - 1) * grid.d_omega * np.sum(terms))
+    assert _bits(omega_tube_momentum(eta, zeta, params_m0)) == _bits(loop)
+
+
+def test_slice_momentum_is_the_per_label_loop_bit_for_bit(params_m0, rng):
+    eta, zeta = _random_slice_rep(rng, 30), _random_slice_rep(rng, 30)
+    rd = params_m0.R ** (params_m0.d - 1)
+    terms = []
+    for (n, l, m) in sorted(set(eta.coeffs) | set(zeta.coeffs)):
+        ep, eq = eta.coeff(n, l, m)
+        zp, zq = zeta.coeff(n, l, m)
+        om = magic_frequency("plus", n, l, params_m0)
+        nrm = norm_constant("plus", n, l, params_m0)
+        terms.append(1j * om * rd * nrm * (eq * zp - ep * zq))
+    loop = complex(np.sum(terms))
+    assert _bits(omega_slice_momentum(eta, zeta, params_m0)) == _bits(loop)
 
 
 # --- symplectic potential -------------------------------------------------------------
