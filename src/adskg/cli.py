@@ -113,24 +113,21 @@ def cmd_verify(args) -> int:
 def cmd_reconstruct(args) -> int:
     from . import expansions as xp
     rep, params = xp.load_rep(args.input)
-    l_max = max(key[1] for key in rep.coeffs)
+    l_max = rep.coeffs.l_max
     ang = AngularGrid(max(16, l_max + 1), max(32, 2 * l_max + 2))
     errors: dict = {}
 
     def record(orig, rec):
-        for key, val in orig.items():
-            got = rec.get(key, 0.0)
-            if isinstance(val, tuple):
-                errors[key] = max(abs(g - v) for g, v in zip(got, val)) \
-                    if isinstance(got, tuple) else float("inf")
-            else:
-                errors[key] = abs(got - val)
+        # rec holds every label of the window, so orig's labels among them
+        j, lm, vals = orig.entries()
+        got = rec.array[:, np.searchsorted(rec.js, j), lm]
+        errors.update(zip(orig, np.abs(got - vals).max(axis=0).tolist()))
 
     if args.target == "slice":
         if not isinstance(rep, xp.SliceRep):
             print("reconstruct slice needs a slice rep", file=sys.stderr)
             return 2
-        n_max = max(key[0] for key in rep.coeffs)
+        n_max = rep.coeffs.js[-1]
         data = xp.sample_slice(rep, args.t0, params, max(96, n_max + 1), ang)
         rec = xp.invert_slice(data, params, n_max, l_max, check_residual=False)
         record(rep.coeffs, rec.coeffs)

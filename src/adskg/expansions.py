@@ -12,16 +12,16 @@ exactly.
 Every field built here is one separable sum over labels,
 field[s, x] = sum_{j, l, m} K[s, j, l] c[j, lm] Y_lm(x), with j the
 frequency index k or the radial order n, s the time or radial sample and x
-the angular point.  `_synthesize` evaluates it on dense (j, lm) coefficient
-arrays (lm = l^2 + l + m); radial and transfer-matrix factors are tabulated
-once per (j, l) and folded into c (fixed radius) or K (radial nodes); on a
-tube K is the phase matrix d_omega e^{-i omega_k t}.  The callers of
-`_slice_sum` and `_tube_sum` supply the frequency and radial functions, so
-the Minkowski expansions run through the same kernel.  Inversion is the
-adjoint: `_project` projects every (l, m) through AngularGrid.project for
-all frequencies or radii at once, after the FFT time projection (tube) and
-before the Gauss-Jacobi radial sum (slice); each inversion then applies its
-own per-(j, l) solve.
+the angular point.  c is the dense (channel, j, lm) array each rep stores
+(lm = l^2 + l + m, see `_Coeffs`); radial and transfer-matrix factors are
+tabulated once per (j, l) and folded into c (fixed radius) or K (radial
+nodes); on a tube K is the phase matrix d_omega e^{-i omega_k t}.  The
+callers of `_slice_sum` and `_tube_sum` supply the frequency and radial
+functions, so the Minkowski expansions run through the same kernel.
+Inversion is the adjoint: `_project` projects every (l, m) through
+AngularGrid.project for all frequencies or radii at once, after the FFT
+time projection (tube) and before the Gauss-Jacobi radial sum (slice);
+each inversion then applies its own per-(j, l) solve.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -76,17 +77,93 @@ class OmegaGrid:
         return self.window * np.arange(n_t) / n_t
 
 
+class _Coeffs(dict):
+    """A rep's stored coefficients, read-only: the sorted first labels `js`,
+    the dense (channel, j, lm) array (zero off the labels) and the (j, lm)
+    `mask` of the labels held (every entry if None), trimmed to the rows and
+    l_max holding one.  As a dict it is the view {(j, l, m): channel values}
+    in sorted label order (a tuple per label with two channels)."""
+
+    def __init__(self, js, array, mask=None):
+        mask = np.ones(array.shape[1:], dtype=bool) if mask is None else mask
+        rows = mask.any(axis=1)
+        used = np.flatnonzero(mask.any(axis=0))
+        self.l_max = math.isqrt(int(used[-1])) if used.size else 0
+        cols = (self.l_max + 1) ** 2
+        self.js = np.asarray(js)[rows]
+        self.array, self.mask = array[:, rows, :cols], mask[rows, :cols]
+        for held in (self.js, self.array, self.mask):
+            held.flags.writeable = False
+        j, lm, vals = self.entries()
+        ls, ms = _lm(self.l_max)
+        vals = vals[0].tolist() if len(vals) == 1 else zip(*vals.tolist())
+        super().__init__(zip(zip(j.tolist(), ls[lm].tolist(), ms[lm].tolist()), vals))
+
+    @classmethod
+    def of(cls, coeffs, channels: int, j_min: float) -> "_Coeffs":
+        """Store {(j, l, m): values}; ValueError on a label with l < 0,
+        |m| > l or j < j_min."""
+        if isinstance(coeffs, cls) and len(coeffs.array) == channels:
+            return coeffs
+        labels = list(coeffs)
+        keys = np.array(labels).reshape(-1, 3)
+        l, m = keys[:, 1:].astype(int).T
+        bad = (l < 0) | (np.abs(m) > l) | (keys[:, 0] < j_min)
+        if np.any(bad):
+            rule = "l >= 0, |m| <= l" + (f", n >= {j_min}" if j_min >= 0 else "")
+            raise ValueError(f"invalid label {labels[np.argmax(bad)]}: need {rule}")
+        values = np.fromiter(coeffs.values() if channels == 1 else chain.from_iterable(
+            coeffs.values()), complex, channels * len(labels))
+        return _scatter(keys[:, 0], l * (l + 1) + m, values.reshape(-1, channels).T)
+
+    def entries(self):
+        """(j, lm, values) of the labels held, values shaped (channel, label)."""
+        rows, lm = np.nonzero(self.mask)
+        return self.js[rows], lm, self.array[:, rows, lm]
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("rep coefficients are read-only")
+
+    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = \
+        __ior__ = _read_only
+
+    def __reduce__(self):
+        return type(self), (self.js, self.array, self.mask)
+
+
+def _scatter(j, lm, values) -> _Coeffs:
+    """The labels at the first labels j and packed lm, holding values
+    (channel, label), summed in order where a label repeats."""
+    js, rows = np.unique(j, return_inverse=True)
+    cols = (math.isqrt(int(np.max(lm, initial=0))) + 1) ** 2
+    array = np.zeros((len(values), len(js), cols), dtype=complex)
+    mask = np.zeros(array.shape[1:], dtype=bool)
+    np.add.at(array, (slice(None), rows, lm), values)
+    mask[rows, lm] = True
+    return _Coeffs(js, array, mask)
+
+
 class _Labelled:
-    """labels() and coeff() of a sparse rep whose `coeffs` map labels
-    (j, l, m) to channel values; an absent label reads as `_absent`."""
+    """Base of the rep classes: the constructor's `coeffs` dict {(j, l, m):
+    channel values} is stored once as a `_Coeffs`; labels() and coeff()
+    read it, an absent label reading as `_absent`."""
 
     _absent = (0.0 + 0.0j, 0.0 + 0.0j)
+    _j_min = -math.inf  # smallest admissible first label (radial order n >= 0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _Coeffs.of(
+            self.coeffs, np.size(self._absent), self._j_min))
 
     def labels(self):
-        return sorted(self.coeffs)
+        return list(self.coeffs)
 
     def coeff(self, j, l: int, m: int):
         return self.coeffs.get((j, l, m), self._absent)
+
+    def _with(self, array):
+        """This rep with another array on the same labels."""
+        return replace(self, coeffs=_Coeffs(self.coeffs.js, array, self.coeffs.mask))
 
 
 @dataclass(frozen=True)
@@ -100,17 +177,18 @@ class TubeRep(_Labelled):
     def __post_init__(self):
         if self.basis not in ("S", "C"):
             raise ValueError("basis must be 'S' or 'C'")
+        super().__post_init__()
 
     def is_real(self, tol: float = 1e-10) -> bool:
-        for (k, l, m), (a, b) in self.coeffs.items():
-            a2, b2 = self.coeff(-k, l, -m)
-            if abs(a2 - np.conj(a)) > tol or abs(b2 - np.conj(b)) > tol:
-                return False
-        return True
+        # real iff c(-k, l, -m) = conj c(k, l, m) at every label: the gap
+        # conj c(P) - c(mirror P) vanishes at each label P and its mirror
+        k, lm, vals = self.coeffs.entries()
+        mirror = _mirror(self.coeffs.l_max)[lm]
+        gap = _scatter(np.r_[k, -k], np.r_[lm, mirror], np.hstack([vals.conj(), -vals]))
+        return not np.any(np.abs(gap.array) > tol)
 
     def scaled(self, factor: complex) -> "TubeRep":
-        return replace(self, coeffs={key: (factor * a, factor * b)
-                                     for key, (a, b) in self.coeffs.items()})
+        return self._with(factor * self.coeffs.array)
 
 
 @dataclass(frozen=True)
@@ -120,17 +198,15 @@ class SliceRep(_Labelled):
     multiplying the conjugated mode in the expansion."""
 
     coeffs: dict
+    _j_min = 0
 
     def is_real(self, tol: float = 1e-10) -> bool:
         # real iff phi^+ = phi^-, i.e. minus_conj = conj(plus) labelwise
-        for (n, l, m), (p, q) in self.coeffs.items():
-            if abs(q - np.conj(p)) > tol:
-                return False
-        return True
+        plus, minus_conj = self.coeffs.array
+        return not np.any(self.coeffs.mask & (np.abs(minus_conj - np.conj(plus)) > tol))
 
     def scaled(self, factor: complex) -> "SliceRep":
-        return SliceRep({key: (factor * p, factor * q)
-                         for key, (p, q) in self.coeffs.items()})
+        return self._with(factor * self.coeffs.array)
 
 
 @dataclass(frozen=True)
@@ -142,8 +218,9 @@ class RodRep(_Labelled):
     _absent = 0.0 + 0.0j
 
     def as_tube(self) -> TubeRep:
-        return TubeRep(self.grid, {key: (a, 0.0 + 0.0j)
-                                   for key, a in self.coeffs.items()}, "S")
+        c = self.coeffs
+        return TubeRep(self.grid, _Coeffs(c.js, np.concatenate(
+            [c.array, np.zeros_like(c.array)]), c.mask), "S")
 
 
 @dataclass(frozen=True)
@@ -168,24 +245,10 @@ def _lm(l_max: int) -> tuple[np.ndarray, np.ndarray]:
     return ls, np.arange(ls.size) - ls * (ls + 1)
 
 
-def _dense(rep):
-    """Sorted first labels j, l_max and the (channel, j, lm) coefficient
-    array of a two-channel rep (zero where a label is absent)."""
-    js = sorted({key[0] for key in rep.coeffs})
-    l_max = max((key[1] for key in rep.coeffs), default=0)
-    row = {j: i for i, j in enumerate(js)}
-    coef = np.zeros((2, len(js), (l_max + 1) ** 2), dtype=complex)
-    for (j, l, m), pair in rep.coeffs.items():
-        coef[:, row[j], l * (l + 1) + m] = pair
-    return js, l_max, coef
-
-
-def _labels(js, l_max: int, *channels) -> dict:
-    """Inverse of `_dense` over every label: {(j, l, m): channel values}."""
+def _mirror(l_max: int) -> np.ndarray:
+    """Packed index of (l, -m) for every packed lm = (l, m)."""
     ls, ms = _lm(l_max)
-    keys = [(j, int(l), int(m)) for j in js for l, m in zip(ls, ms)]
-    vals = zip(*(ch.ravel() for ch in channels))
-    return {key: val if len(val) > 1 else val[0] for key, val in zip(keys, vals)}
+    return ls * (ls + 1) - ms
 
 
 def _table(js, coef, fn, shape=()) -> np.ndarray:
@@ -249,7 +312,7 @@ def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
     their d/dt; shape (2, t, ...).  radial(channel, omega, l) = (f, g), with
     channel 0 for a and 1 for b, is called once per channel, on the arrays
     of the (k, l) where that channel has a nonzero coefficient."""
-    js, _, coef = _dense(rep)
+    js, coef = rep.coeffs.js, rep.coeffs.array
     fa, fb = (_table(js, c, lambda k, l, ch=ch: radial(
         ch, k * rep.grid.d_omega, l), (2,)) for ch, c in enumerate(coef))
     fold = coef[0] * fa + coef[1] * fb
@@ -265,11 +328,10 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial) -> np.ndarray:
     ...).  frequency(j, l) = w and radial(j, l) = f, shape (rho, blocks), are
     called once on the arrays of the (j, l) holding a label.  conj(Y_l^m) =
     Y_l^{-m} moves the conj(phi^-) channel to the mirrored order."""
-    js, l_max, coef = _dense(rep)
-    ls, ms = _lm(l_max)
+    js, coef = rep.coeffs.js, rep.coeffs.array
     omega = _table(js, np.ones(coef.shape[1:]), frequency)
     plus = coef[0] * np.exp(-1j * omega * t)
-    minus = coef[1][:, ls * (ls + 1) - ms] * np.exp(1j * omega * t)
+    minus = coef[1][:, _mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t)
     coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
     kern = _table(js, coefs, radial, np.shape(rho))
     return _synthesize(kern, coefs, _ylm(where, coefs))
@@ -389,21 +451,16 @@ def sample_rod(rep: RodRep, rho0: float, params: AdsParams,
 # basis change
 # ---------------------------------------------------------------------------
 
-def _basis_change(rep: TubeRep, params: AdsParams, inverse: bool) -> dict:
-    """{label: (a, b) M} over the labels of rep, in their order, with M^-1
-    in place of M if inverse; M is tabulated once per (k, l) holding a
-    label."""
-    js, _, coef = _dense(rep)
-    row = {j: i for i, j in enumerate(js)}
-    at = tuple(np.array([(row[k], l * (l + 1) + m) for k, l, m in rep.coeffs],
-                        dtype=int).reshape(-1, 2).T)
-    present = np.zeros(coef.shape[1:], dtype=bool)
-    present[at] = True
-    m11, m12, m21, m22 = _table(js, present, lambda k, l: _transfer_entries(
+def _basis_change(rep: TubeRep, params: AdsParams, inverse: bool,
+                  basis: str) -> TubeRep:
+    """rep in `basis`: (a, b) M at every label, with M^-1 in place of M if
+    inverse; M is tabulated once per (k, l) holding a label."""
+    c = rep.coeffs
+    m11, m12, m21, m22 = _table(c.js, c.mask, lambda k, l: _transfer_entries(
         k * rep.grid.d_omega, l, params, DEFAULT_POLICY, inverse), (4,))
-    a, b = coef
-    return dict(zip(rep.coeffs, zip((a * m11 + b * m21)[at].tolist(),
-                                    (a * m12 + b * m22)[at].tolist())))
+    a, b = c.array
+    return replace(rep, coeffs=_Coeffs(c.js, np.stack(
+        [a * m11 + b * m21, a * m12 + b * m22]), c.mask), basis=basis)
 
 
 def s_to_c(rep: TubeRep, params: AdsParams) -> TubeRep:
@@ -414,32 +471,33 @@ def s_to_c(rep: TubeRep, params: AdsParams) -> TubeRep:
     """
     if rep.basis != "S":
         raise BasisMismatch("s_to_c expects an S-basis rep")
-    return TubeRep(rep.grid, _basis_change(rep, params, False), "C")
+    return _basis_change(rep, params, False, "C")
 
 
 def c_to_s(rep: TubeRep, params: AdsParams) -> TubeRep:
     if rep.basis != "C":
         raise BasisMismatch("c_to_s expects a C-basis rep")
-    return TubeRep(rep.grid, _basis_change(rep, params, True), "S")
+    return _basis_change(rep, params, True, "S")
 
 
 def slice_to_tube(rep: SliceRep, grid: OmegaGrid, params: AdsParams) -> TubeRep:
     """View a slice solution as an S-basis tube rep (Jacobi modes are the
     S^a modes at magic frequencies; the conj channel lands on the mirrored
     label).  Magic frequencies must sit on the grid."""
-    coeffs: dict = {}
-    for (n, l, m), (p, q) in rep.coeffs.items():
-        om = magic_frequency("plus", n, l, params)
-        k_float = om / grid.d_omega
-        k = round(k_float)
-        if abs(k_float - k) > _GRID_TOL:
-            raise ValueError(
-                f"magic frequency {om} not on the grid (d_omega={grid.d_omega})")
-        for key, c in (((k, l, m), p), ((-k, l, -m), q)):
-            if c != 0.0:
-                acc = coeffs.get(key, (0.0 + 0.0j, 0.0 + 0.0j))
-                coeffs[key] = (acc[0] + c / grid.d_omega, acc[1])
-    return TubeRep(grid, coeffs, "S")
+    n, lm, vals = rep.coeffs.entries()
+    om = magic_frequency("plus", n, _lm(rep.coeffs.l_max)[0][lm], params)
+    k = np.rint(om / grid.d_omega)
+    off = np.flatnonzero(np.abs(om / grid.d_omega - k) > _GRID_TOL)
+    if off.size:
+        raise ValueError(f"magic frequency {om[off[0]]} not on the grid "
+                         f"(d_omega={grid.d_omega})")
+    # phi^+ lands on (k, l, m) and conj(phi^-) on (-k, l, -m); zeros add no label
+    ks = np.concatenate([k, -k]).astype(int)
+    lms = np.concatenate([lm, _mirror(rep.coeffs.l_max)[lm]])
+    vals = np.concatenate(vals)
+    keep = vals != 0.0
+    return TubeRep(grid, _scatter(ks[keep], lms[keep], np.stack(
+        [vals[keep] / grid.d_omega, np.zeros(np.count_nonzero(keep))])), "S")
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +526,10 @@ def invert_slice(data: SliceData, params: AdsParams,
                                    lambda n, l: norm_constant("plus", n, l, params)))
     f_c = np.exp(1j * omega * data.t0) / (2.0 * nrm)
     d_c = 1j * np.exp(1j * omega * data.t0) / (2.0 * omega * nrm)
-    ls, ms = _lm(l_max)
-    mirror = ls * (ls + 1) - ms
-    rep = SliceRep(_labels(ns, l_max, f_c * p_phi + d_c * p_dphi,
-                           np.conj(f_c) * p_phi[:, mirror]
-                           + np.conj(d_c) * p_dphi[:, mirror]))
+    mirror = _mirror(l_max)
+    rep = SliceRep(_Coeffs(ns, np.stack([f_c * p_phi + d_c * p_dphi,
+                                         np.conj(f_c) * p_phi[:, mirror]
+                                         + np.conj(d_c) * p_dphi[:, mirror]])))
     if check_residual:
         recon = sample_slice(rep, data.t0, params, len(data.rho_nodes), ang)
         norm = np.max(np.abs(data.phi)) or 1.0
@@ -504,7 +561,7 @@ def invert_tube(data: TubeData, params: AdsParams, l_max: int,
         else tan_fac / (2.0 * params.nu)
     a = weight * (db * p_phi - fb * p_dphi)
     b = weight * (-da * p_phi + fa * p_dphi)
-    return TubeRep(grid, _labels(grid.indices, l_max, a, b), basis)
+    return TubeRep(grid, _Coeffs(grid.indices, np.stack([a, b])), basis)
 
 
 def _rod_divide(data: RodData, l_max: int, divisor, tol: float,
@@ -523,7 +580,7 @@ def _rod_divide(data: RodData, l_max: int, divisor, tol: float,
         return val
 
     div = _table(grid.indices, np.ones(proj.shape), checked)
-    return RodRep(grid, _labels(grid.indices, l_max, proj / div))
+    return RodRep(grid, _Coeffs(grid.indices, (proj / div)[None]))
 
 
 def invert_rod_interior(data: RodData, params: AdsParams, l_max: int) -> RodRep:
@@ -641,7 +698,7 @@ def boundary_reconstruct(data: BoundaryData, params: AdsParams,
     grid = data.grid
     p_minus, p_plus = (_project(data.angular, _time_project(x, grid), l_max)
                        for x in (data.phid_minus, data.phid_plus))
-    return TubeRep(grid, _labels(grid.indices, l_max, p_plus / lam, p_minus), "C")
+    return TubeRep(grid, _Coeffs(grid.indices, np.stack([p_plus / lam, p_minus])), "C")
 
 
 def rod_boundary_data_of(rep: RodRep, params: AdsParams,
@@ -679,24 +736,22 @@ _REP_VERSION = "v1"
 def save_rep(path, rep, params: AdsParams) -> None:
     """Write a rep in the line format
     `basis k l m re_a im_a re_b im_b` under an `adskg-rep v1 ...` header."""
-    if isinstance(rep, TubeRep):
-        basis, grid = rep.basis, rep.grid
-        rows = [(basis, k, l, m, a, b) for (k, l, m), (a, b) in sorted(rep.coeffs.items())]
-    elif isinstance(rep, RodRep):
-        basis, grid = "rod", rep.grid
-        rows = [("rod", k, l, m, a, 0.0 + 0.0j) for (k, l, m), a in sorted(rep.coeffs.items())]
-    elif isinstance(rep, SliceRep):
-        basis, grid = "slice", None
-        rows = [("slice", n, l, m, p, q) for (n, l, m), (p, q) in sorted(rep.coeffs.items())]
+    if isinstance(rep, RodRep):
+        rep, basis = rep.as_tube(), "rod"  # b = 0
+    elif isinstance(rep, (TubeRep, SliceRep)):
+        basis = getattr(rep, "basis", "slice")
     else:
         raise SerializationError(f"cannot serialize {type(rep).__name__}")
-    d_omega = grid.d_omega if grid is not None else 0.0
+    d_omega = 0.0 if basis == "slice" else rep.grid.d_omega
     lines = [f"adskg-rep {_REP_VERSION} d={params.d} R={params.R!r} "
              f"msq={params.m_sq!r} domega={d_omega!r}"]
-    for basis, k, l, m, a, b in rows:
-        a, b = complex(a), complex(b)
+    for (k, l, m), (a, b) in rep.coeffs.items():  # sorted label order
         lines.append(f"{basis} {k} {l} {m} {a.real!r} {a.imag!r} {b.real!r} {b.imag!r}")
-    text = "\n".join(lines) + "\n"
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write text to an open file or to the file at a path."""
     if hasattr(path, "write"):
         path.write(text)
     else:
@@ -728,33 +783,36 @@ def load_rep(path):
         d_omega = float(meta["domega"])
     except (KeyError, ValueError) as exc:
         raise SerializationError(f"bad header fields: {exc}") from exc
-    rows = []
+    coeffs, bases = {}, set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 8:
             raise SerializationError(f"malformed line: {ln!r}")
-        basis = parts[0]
         try:
-            k, l, m = int(parts[1]), int(parts[2]), int(parts[3])
-            a = complex(float(parts[4]), float(parts[5]))
-            b = complex(float(parts[6]), float(parts[7]))
+            key = int(parts[1]), int(parts[2]), int(parts[3])
+            vals = (complex(float(parts[4]), float(parts[5])),
+                    complex(float(parts[6]), float(parts[7])))
         except ValueError as exc:
             raise SerializationError(f"malformed line: {ln!r}") from exc
-        rows.append((basis, k, l, m, a, b))
-    bases = {r[0] for r in rows}
-    if not rows:
+        if key in coeffs:
+            raise SerializationError(f"duplicate label {key}: {ln!r}")
+        coeffs[key] = vals
+        bases.add(parts[0])
+    if not coeffs:
         raise SerializationError("rep file has no labels")
     if len(bases) > 1:
         raise SerializationError(f"mixed bases in one file: {sorted(bases)}")
-    basis = rows[0][0]
-    if basis == "slice":
-        rep = SliceRep({(k, l, m): (a, b) for _, k, l, m, a, b in rows})
-    elif basis == "rod":
-        grid = OmegaGrid(d_omega, tuple(r[1] for r in rows))
-        rep = RodRep(grid, {(k, l, m): a for _, k, l, m, a, b in rows})
-    elif basis in ("S", "C"):
-        grid = OmegaGrid(d_omega, tuple(r[1] for r in rows))
-        rep = TubeRep(grid, {(k, l, m): (a, b) for _, k, l, m, a, b in rows}, basis)
-    else:
+    basis = bases.pop()
+    if basis not in ("slice", "rod", "S", "C"):
         raise SerializationError(f"unknown basis {basis!r}")
-    return rep, params
+    if basis != "slice" and not (math.isfinite(d_omega) and d_omega > 0.0):
+        raise SerializationError(f"domega must be finite and positive, got {d_omega!r}")
+    try:  # invalid labels
+        if basis == "slice":
+            return SliceRep(coeffs), params
+        grid = OmegaGrid(d_omega, tuple(key[0] for key in coeffs))
+        if basis == "rod":
+            return RodRep(grid, {key: a for key, (a, _) in coeffs.items()}), params
+        return TubeRep(grid, coeffs, basis), params
+    except ValueError as exc:
+        raise SerializationError(str(exc)) from exc

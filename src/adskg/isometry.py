@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import product
 
 import numpy as np
 
 from .errors import (ProjectionResidual, UnsupportedDimension, WindowOverflow)
-from .expansions import RodRep, SliceRep, TubeRep
+from .expansions import SliceRep, TubeRep, _Coeffs, _lm, _scatter, _table, _write_text
 from .geometry import (AdsParams, Boost0, BoostD1, GeneratorId, Rotation,
                        TimeTranslation, radial_measure)
 from .harmonics import EulerAngles, contiguous_coeffs, wigner_d
@@ -72,12 +74,7 @@ class BoostCoeffTable:
             else:
                 for br, val in sorted(block.items()):
                     lines.append(f"slice,+:{br},{key[0]},{key[1]},{val!r}")
-        text = "\n".join(lines) + "\n"
-        if hasattr(path, "write"):
-            path.write(text)
-        else:
-            with open(path, "w") as fh:
-                fh.write(text)
+        _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -87,22 +84,13 @@ class BoostCoeffTable:
 def act_time_translation(rep, delta_t: float, params: AdsParams):
     """Pullback action of t -> t + delta_t on the momentum representation:
     each channel picks up e^{i omega delta_t} (the conj channel its inverse)."""
+    c = rep.coeffs
     if isinstance(rep, SliceRep):
-        out = {}
-        for (n, l, m), (p, q) in rep.coeffs.items():
-            om = magic_frequency("plus", n, l, params)
-            out[(n, l, m)] = (p * np.exp(1j * om * delta_t),
-                              q * np.exp(-1j * om * delta_t))
-        return SliceRep(out)
-    if isinstance(rep, RodRep):
-        out = {key: a * np.exp(1j * rep.grid.omega(key[0]) * delta_t)
-               for key, a in rep.coeffs.items()}
-        return RodRep(rep.grid, out)
-    out = {}
-    for (k, l, m), (a, b) in rep.coeffs.items():
-        phase = np.exp(1j * rep.grid.omega(k) * delta_t)
-        out[(k, l, m)] = (a * phase, b * phase)
-    return replace(rep, coeffs=out)
+        omega = magic_frequency("plus", c.js[:, None], _lm(c.l_max)[0], params)
+        omega = np.multiply.outer([1.0, -1.0], omega)
+    else:
+        omega = rep.grid.d_omega * c.js[:, None]
+    return rep._with(c.array * np.exp(1j * omega * delta_t))
 
 
 def rotation_mixing(l: int, angles: EulerAngles) -> np.ndarray:
@@ -123,26 +111,16 @@ def act_rotation(rep, angles: EulerAngles, params: AdsParams):
     synth(act_rotation(rep), x) == synth(rep, R^{-1} x)."""
     if params.d != 3:
         raise UnsupportedDimension("rotation action implemented for d = 3")
-    mix: dict[int, np.ndarray] = {}
-    out = {}
-    for (j, l) in dict.fromkeys(key[:2] for key in rep.coeffs):
-        if l not in mix:
-            mix[l] = rotation_mixing(l, angles)
-        x = mix[l]
-        ms = range(-l, l + 1)
-        vals = np.array([rep.coeff(j, l, m) for m in ms])
-        if isinstance(rep, SliceRep):  # the conj(phi^-) channel rotates by conj(X)
-            rotated = np.stack([x @ vals[:, 0], np.conj(x) @ vals[:, 1]], axis=1)
-        else:
-            rotated = x @ vals
-        for mp, val in zip(ms, rotated):
-            if np.any(val != 0.0):
-                out[(j, l, mp)] = tuple(val) if val.ndim else val
-    if isinstance(rep, SliceRep):
-        return SliceRep(out)
-    if isinstance(rep, RodRep):
-        return RodRep(rep.grid, out)
-    return replace(rep, coeffs=out)
+    c = rep.coeffs
+    out = np.zeros_like(c.array)
+    for l in range(c.l_max + 1):
+        block = slice(l * l, (l + 1) ** 2)
+        if c.mask[:, block].any():
+            x = rotation_mixing(l, angles)
+            # the conj(phi^-) channel of a slice rep rotates by conj(X)
+            mix = [x, np.conj(x)] if isinstance(rep, SliceRep) else [x] * len(out)
+            out[..., block] = c.array[..., block] @ np.transpose(mix, (0, 2, 1))
+    return replace(rep, coeffs=_Coeffs(c.js, out, np.any(out != 0.0, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +189,7 @@ def _extract_slice_entry(n0: int, l0: int, s_om: int, s_l: int,
     if l_t < 0:
         return 0.0, 0.0
     om0 = magic_frequency("plus", n0, l0, params)
-    n_t_float = (om0 + s_om - l_t - params.delta_plus) / 2.0
-    n_t = round(n_t_float)
+    n_t = n0 + (s_om - s_l) // 2  # w+ moves by s_om, 2n + l by s_om - s_l
     if n_t < 0:
         return 0.0, 0.0
     dfac = (l0 + 1.0) if s_l < 0 else -float(l0)
@@ -255,30 +232,24 @@ def extract_boost_coeffs(kind: str, generator: GeneratorId, label_window,
     entries: dict = {}
     if kind == "tube":
         k_indices, d_omega, l_max = label_window
-        for k in k_indices:
-            om = k * d_omega
-            for l in range(l_max + 1):
-                block = {"a": {}, "b": {}}
-                for ch in ("a", "b"):
-                    for (s_om, s_l), name in _TUBE_BRANCHES.items():
-                        z, leak = _extract_tube_entry(ch, om, l, s_om, s_l,
-                                                      params, leak_tol)
-                        block[ch][name] = z
-                        worst = max(worst, leak)
-                entries[(k, l)] = block
+        for k, l in product(k_indices, range(l_max + 1)):
+            block = entries[(k, l)] = {"a": {}, "b": {}}
+            for ch, ((s_om, s_l), name) in product("ab", _TUBE_BRANCHES.items()):
+                z, leak = _extract_tube_entry(ch, k * d_omega, l, s_om, s_l,
+                                              params, leak_tol)
+                block[ch][name] = z
+                worst = max(worst, leak)
         return BoostCoeffTable("tube", entries, worst)
     if kind == "slice":
         n_max, l_max = label_window
         rho_q, w_q = radial_measure(params, _SLICE_N_RHO)
-        for n in range(n_max + 1):
-            for l in range(l_max + 1):
-                block = {}
-                for (s_om, s_l), name in _SLICE_BRANCHES.items():
-                    z, leak = _extract_slice_entry(n, l, s_om, s_l, params,
-                                                   rho_q, w_q, leak_tol)
-                    block[name] = z
-                    worst = max(worst, leak)
-                entries[(n, l)] = block
+        for n, l in product(range(n_max + 1), range(l_max + 1)):
+            block = entries[(n, l)] = {}
+            for (s_om, s_l), name in _SLICE_BRANCHES.items():
+                z, leak = _extract_slice_entry(n, l, s_om, s_l, params,
+                                               rho_q, w_q, leak_tol)
+                block[name] = z
+                worst = max(worst, leak)
         return BoostCoeffTable("slice", entries, worst)
     raise ValueError("kind must be 'tube' or 'slice'")
 
@@ -287,11 +258,6 @@ def extract_boost_coeffs(kind: str, generator: GeneratorId, label_window,
 # boost action
 # ---------------------------------------------------------------------------
 
-def _kappa(l: int, m: int, s_l: int) -> float:
-    km, kp, _, _ = contiguous_coeffs(3, l, m)
-    return km if s_l < 0 else kp
-
-
 def boost_generator_apply(rep, generator: GeneratorId,
                           table: BoostCoeffTable, params: AdsParams):
     """(K |> rep): the infinitesimal boost action on coefficients.
@@ -299,76 +265,60 @@ def boost_generator_apply(rep, generator: GeneratorId,
     Output label (shifted from each input label by the four branches)
     receives the z-weighted input value; weights are +-i/2 for K_{0d} and
     -+1/2 for K_{d+1,d} per the tilde/plain families, the slice conj
-    channel flipping the overall sign for K_{0d} only.
+    channel flipping the overall sign for K_{0d} only.  A slice branch
+    with z = 0 or a target n < 0 adds no label.
     """
     is_0d = isinstance(generator, Boost0)
     if not isinstance(generator, (Boost0, BoostD1)) or generator.j != params.d:
         raise ValueError("generator must be Boost0(d) or BoostD1(d)")
-
-    def weight(s_om):
-        if is_0d:
-            return 0.5j
-        return 0.5 if s_om < 0 else -0.5
-
     if isinstance(rep, SliceRep):
-        out: dict = {}
-        for (n, l, m), (p, q) in rep.coeffs.items():
-            if (n, l) not in table.entries:
-                raise WindowOverflow(f"label (n={n}, l={l}) outside table")
-            block = table.entries[(n, l)]
-            for (s_om, s_l), name in _SLICE_BRANCHES.items():
-                z = block[name]
-                if z == 0.0:
-                    continue
-                om0 = magic_frequency("plus", n, l, params)
-                l_t = l + s_l
-                n_t = round((om0 + s_om - l_t - params.delta_plus) / 2.0)
-                if l_t < 0 or n_t < 0 or abs(m) > l_t:
-                    continue
-                zfull = _kappa(l, m, s_l) * z
-                w = weight(s_om)
-                wp = w
-                wq = -w if is_0d else w
-                key = (n_t, l_t, m)
-                acc = out.get(key, (0.0 + 0.0j, 0.0 + 0.0j))
-                out[key] = (acc[0] + wp * zfull * p, acc[1] + wq * zfull * q)
-        return SliceRep(out)
-
-    if not isinstance(rep, TubeRep):
+        branches, signs = _SLICE_BRANCHES, (1.0, -1.0 if is_0d else 1.0)
+        shift = lambda s_om, s_l: (s_om - s_l) // 2
+        pick = lambda block: (block, block)
+    elif isinstance(rep, TubeRep):
+        step = 1.0 / rep.grid.d_omega
+        if abs(step - round(step)) > 1e-9:
+            raise ValueError("boosts shift omega by 1: need 1/d_omega integral")
+        branches, signs = _TUBE_BRANCHES, (1.0, 1.0)
+        shift = lambda s_om, s_l: s_om * round(step)
+        pick = lambda block: (block["a"], block["b"])
+    else:
         raise TypeError("boost action defined for TubeRep and SliceRep")
-    step = 1.0 / rep.grid.d_omega
-    if abs(step - round(step)) > 1e-9:
-        raise ValueError("boosts shift omega by 1: need 1/d_omega integral")
-    step = round(step)
-    out = {}
-    for (k, l, m), (a, b) in rep.coeffs.items():
-        if (k, l) not in table.entries:
-            raise WindowOverflow(f"label (k={k}, l={l}) outside table")
-        block = table.entries[(k, l)]
-        for (s_om, s_l), name in _TUBE_BRANCHES.items():
-            l_t = l + s_l
-            if l_t < 0 or abs(m) > l_t:
-                continue
-            kap = _kappa(l, m, s_l)
-            w = weight(s_om)
-            key = (k + s_om * step, l_t, m)
-            acc = out.get(key, (0.0 + 0.0j, 0.0 + 0.0j))
-            out[key] = (acc[0] + w * kap * block["a"][name] * a,
-                        acc[1] + w * kap * block["b"][name] * b)
-    return TubeRep(rep.grid, out, rep.basis)
+
+    def z_of(j, l):
+        try:
+            blocks = [table.entries[key] for key in zip(j.tolist(), l.tolist())]
+        except KeyError as exc:
+            raise WindowOverflow(f"label {exc.args[0]} outside table") from None
+        return np.array([[[pick(block)[ch][name] for block in blocks]
+                          for name in branches.values()] for ch in (0, 1)])
+
+    c = rep.coeffs
+    z = _table(c.js, c.mask, z_of, (2, 4))  # (channel, branch, j, lm)
+    ls, ms = _lm(c.l_max)
+    kappa = np.array([contiguous_coeffs(3, l, m)[:2] for l, m in zip(ls, ms)])
+    targets, values = [], []
+    for i, (s_om, s_l) in enumerate(branches):
+        weight = 0.5j if is_0d else (0.5 if s_om < 0 else -0.5)
+        l_t, j_t = ls + s_l, c.js.astype(int) + shift(s_om, s_l)
+        keep = c.mask & (l_t >= 0) & (np.abs(ms) <= l_t)
+        if isinstance(rep, SliceRep):
+            keep &= (z[0, i] != 0.0) & (j_t[:, None] >= 0)
+        rows, lm = np.nonzero(keep)
+        targets.append((j_t[rows], (l_t * (l_t + 1) + ms)[lm]))
+        values.append(weight * np.array(signs)[:, None] * kappa[lm, int(s_l > 0)]
+                      * z[:, i, rows, lm] * c.array[:, rows, lm])
+    j, lm = (np.concatenate(col) for col in zip(*targets))
+    return replace(rep, coeffs=_scatter(j, lm, np.concatenate(values, axis=1)))
 
 
 def act_boost(rep, generator: GeneratorId, epsilon: float,
               table: BoostCoeffTable, params: AdsParams):
     """rep + epsilon (K |> rep): first-order boost action."""
     delta = boost_generator_apply(rep, generator, table, params)
-    out = dict(rep.coeffs)
-    for key, val in delta.coeffs.items():
-        acc = out.get(key, (0.0 + 0.0j, 0.0 + 0.0j))
-        out[key] = (acc[0] + epsilon * val[0], acc[1] + epsilon * val[1])
-    if isinstance(rep, SliceRep):
-        return SliceRep(out)
-    return replace(rep, coeffs=out)
+    (j, lm, base), (dj, dlm, step) = rep.coeffs.entries(), delta.coeffs.entries()
+    return replace(rep, coeffs=_scatter(np.r_[j, dj], np.r_[lm, dlm],
+                                        np.hstack([base, epsilon * step])))
 
 
 # ---------------------------------------------------------------------------
@@ -385,29 +335,20 @@ def invariance_suite(omega_fn, reps, generator: GeneratorId,
     w(eta, zeta)|.  Infinitesimal boosts: |w(K|>eta, zeta) + w(eta, K|>zeta)|
     (the sign of the pullback convention drops out of the zero test).
     """
-    worst = 0.0
     if isinstance(generator, (Boost0, BoostD1)):
         if table is None:
             raise ValueError("boost invariance needs an extracted table")
-        for eta in reps:
-            k_eta = boost_generator_apply(eta, generator, table, params)
-            for zeta in reps:
-                k_zeta = boost_generator_apply(zeta, generator, table, params)
-                val = (complex(omega_fn(k_eta, zeta, params))
-                       + complex(omega_fn(eta, k_zeta, params)))
-                worst = max(worst, abs(val))
-        return worst
-    for eta in reps:
-        for zeta in reps:
-            base = complex(omega_fn(eta, zeta, params))
-            if isinstance(generator, TimeTranslation):
-                eta2 = act_time_translation(eta, delta_t, params)
-                zeta2 = act_time_translation(zeta, delta_t, params)
-            elif isinstance(generator, Rotation):
-                ang = angles or EulerAngles(0.4, 1.1, -0.3)
-                eta2 = act_rotation(eta, ang, params)
-                zeta2 = act_rotation(zeta, ang, params)
-            else:
-                raise TypeError(f"unsupported generator {generator!r}")
-            worst = max(worst, abs(complex(omega_fn(eta2, zeta2, params)) - base))
-    return worst
+        moved = [boost_generator_apply(rep, generator, table, params) for rep in reps]
+        pair = lambda e, ke, z, kz: (complex(omega_fn(ke, z, params))
+                                     + complex(omega_fn(e, kz, params)))
+    elif isinstance(generator, (TimeTranslation, Rotation)):
+        act = (partial(act_time_translation, delta_t=delta_t)
+               if isinstance(generator, TimeTranslation) else
+               partial(act_rotation, angles=angles or EulerAngles(0.4, 1.1, -0.3)))
+        moved = [act(rep, params=params) for rep in reps]
+        pair = lambda e, e2, z, z2: (complex(omega_fn(e2, z2, params))
+                                     - complex(omega_fn(e, z, params)))
+    else:
+        raise TypeError(f"unsupported generator {generator!r}")
+    return max([0.0] + [abs(pair(e, e2, z, z2)) for e, e2 in zip(reps, moved)
+                        for z, z2 in zip(reps, moved)])

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -409,30 +410,26 @@ def _jacobi_norm_prefactor(n: int, l: int, params: AdsParams) -> float:
     return math.exp(log_gamma(n + 1.0) + log_gamma(ga) - log_gamma(n + ga))
 
 
+def _pow(x: np.ndarray, p) -> np.ndarray:
+    """x ** p per element through Python's float pow, the scalar path's bits."""
+    out = np.fromiter(map(pow, x.ravel().tolist(), repeat(p)), float, x.size)
+    return out.reshape(x.shape)
+
+
 def jacobi_radial(branch: str, n: int, l: int, rho, params: AdsParams):
     """Jacobi radial mode J+-_{nl}(rho) =
     (n!/(l+d/2)_n) sin^l cos^{D+-} P_n^{(l+d/2-1, +-nu)}(cos 2 rho).
 
-    Accepts scalar or ndarray rho.
+    Accepts scalar or ndarray rho (scalar in, scalar out).
     """
-    if branch == "minus" and not params.exceptional_range:
-        raise ExceptionalBranch(
-            f"minus branch requires nu in (0,1); nu = {params.nu}")
-    nu = params.nu if branch == "plus" else -params.nu
-    ex = params.delta_plus if branch == "plus" else params.delta_minus
-    ga = l + params.d / 2.0
-    pref = _jacobi_norm_prefactor(n, l, params)
-    s, c = np.sin(rho), np.cos(rho)
-    if np.ndim(rho):  # np.power on arrays can differ from scalar ** in the last bit
-        head = np.reshape([pref * a ** l * b ** ex for a, b in
-                           zip(s.ravel().tolist(), c.ravel().tolist())], s.shape)
-    else:
-        head = pref * s ** l * c ** ex
-    return head * jacobi_p(ga - 1.0, nu, n, np.cos(2.0 * np.asarray(rho)))
+    return jacobi_radial_fd(branch, n, l, rho, params)[0][()]
 
 
 def jacobi_radial_fd(branch: str, n: int, l: int, rho, params: AdsParams):
-    """(J, dJ/drho), vectorized over rho."""
+    """(J, dJ/drho), vectorized over rho.  The powers in the prefactor of J
+    are taken per point with Python's pow (np.power on arrays can differ
+    from scalar ** in the last bit), so J at a point does not depend on the
+    array it sits in."""
     if branch == "minus" and not params.exceptional_range:
         raise ExceptionalBranch(
             f"minus branch requires nu in (0,1); nu = {params.nu}")
@@ -442,6 +439,7 @@ def jacobi_radial_fd(branch: str, n: int, l: int, rho, params: AdsParams):
     pref = _jacobi_norm_prefactor(n, l, params)
     rho = np.asarray(rho, dtype=float)
     s, c = np.sin(rho), np.cos(rho)
+    head = pref * _pow(s, l) * _pow(c, ex)
     x = np.cos(2.0 * rho)
     pval = jacobi_p(ga - 1.0, nu, n, x)
     dval = jacobi_p_dx(ga - 1.0, nu, n, x) * (-2.0 * np.sin(2.0 * rho))
@@ -451,7 +449,7 @@ def jacobi_radial_fd(branch: str, n: int, l: int, rho, params: AdsParams):
     else:
         pre = s ** l * c ** ex
         dpre = l * s ** (l - 1.0) * c ** (ex + 1.0) - ex * s ** (l + 1.0) * c ** (ex - 1.0)
-    return pref * pre * pval, pref * (dpre * pval + pre * dval)
+    return head * pval, pref * (dpre * pval + pre * dval)
 
 
 def norm_constant(branch: str, n: int, l: int, params: AdsParams) -> float:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from adskg.cli import main
 from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, save_rep
@@ -182,3 +183,61 @@ def test_reconstruct_rod_magic_blind(tmp_path, capsys):
 def test_reconstruct_missing_file():
     assert main(["reconstruct", "--input", "/nonexistent/rep.txt",
                  "--target", "tube"]) == 2
+
+
+def _reconstruct(tmp_path, rep, target, *extra):
+    path = tmp_path / "rep.txt"
+    save_rep(str(path), rep, make_params(3, 1.0, 0.0))
+    return main(["reconstruct", "--input", str(path), "--target", target, *extra])
+
+
+def test_reconstruct_rod_interior(tmp_path, capsys):
+    grid = OmegaGrid(0.45, (-4, 3, 5))
+    rep = RodRep(grid, {(3, 0, 0): 0.8 + 0.3j, (-4, 1, -1): 0.5, (5, 2, 1): -0.2j})
+    assert _reconstruct(tmp_path, rep, "rod", "--rho0", "0.9") == 0
+    out = capsys.readouterr().out
+    assert "RECONSTRUCT rod PASS" in out and out.count("label ") == 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda grid, c: TubeRep(grid, c, "S"),
+    lambda grid, c: TubeRep(grid, c, "C"),
+    lambda grid, c: RodRep(grid, {key: a for key, (a, _) in c.items()}),
+])
+def test_reconstruct_boundary(tmp_path, capsys, make):
+    # omega = 0.45 k stays off the magic frequencies 2n + l + 3
+    grid = OmegaGrid(0.45, (-4, 2, 5))
+    rep = make(grid, {(5, 1, 0): (0.7 + 0.2j, 0.1), (2, 0, 0): (0.4, 0.3j),
+                      (-4, 2, 1): (0.2, 0.5j)})
+    assert _reconstruct(tmp_path, rep, "boundary") == 0
+    out = capsys.readouterr().out
+    assert "RECONSTRUCT boundary PASS" in out and out.count("label ") == 3
+
+
+@pytest.mark.parametrize("body", [
+    "domega=0.5\nS 1 2 5 1.0 0.0 0.0 0.0\n",
+    "domega=0.5\nS 1 1 0 1.0 0.0 0.0 0.0\nS 1 1 0 2.0 0.0 0.0 0.0\n",
+    "domega=0.0\nS 1 1 0 1.0 0.0 0.0 0.0\n",
+    "domega=nan\nrod 1 1 0 1.0 0.0 0.0 0.0\n",
+])
+def test_reconstruct_malformed_rep_file_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "rep.txt"
+    path.write_text("adskg-rep v1 d=3 R=1.0 msq=0.0 " + body)
+    for target in ("tube", "boundary"):
+        assert main(["reconstruct", "--input", str(path), "--target", target]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_reconstruct_reports_the_worst_channel_per_label(tmp_path, capsys):
+    from adskg.expansions import invert_tube, sample_tube
+    from adskg.harmonics import AngularGrid
+    params = make_params(3, 1.0, 0.0)
+    grid = OmegaGrid(0.5, (-3, 2, 3))
+    rep = TubeRep(grid, {(3, 1, 0): (0.7 + 0.2j, 0.1), (2, 0, 0): (0.4, 0.3j),
+                         (-3, 1, 1): (0.2, 0.5j)}, "C")
+    assert _reconstruct(tmp_path, rep, "tube", "--rho0", "0.7") == 0
+    rec = invert_tube(sample_tube(rep, 0.7, params, AngularGrid(16, 32)), params, 1, "C")
+    want = [f"label {key}: recovery_err="
+            f"{max(abs(g - v) for g, v in zip(rec.coeffs[key], vals)):.3e}"
+            for key, vals in sorted(rep.coeffs.items())]
+    assert capsys.readouterr().out.splitlines()[:-1] == want

@@ -11,8 +11,9 @@ from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep,
                               invert_rod_interior, invert_slice, invert_tube,
                               load_rep, rod_boundary_data_of,
                               rod_boundary_reconstruct, s_to_c, sample_rod,
-                              sample_slice, sample_tube, save_rep, synth,
-                              synth_drho, synth_dt, taylor_coeffs,
+                              sample_slice, sample_tube, save_rep,
+                              slice_to_tube, synth, synth_drho, synth_dt,
+                              taylor_coeffs,
                               twisted_boundary_limit, twisted_derivative)
 from adskg.geometry import make_params
 from adskg.harmonics import AngularGrid
@@ -145,9 +146,10 @@ def test_basis_change_equals_per_label_loop(params_m0, rng):
     grid = OmegaGrid(0.5, tuple(range(-7, 8)))
     keys = {(int(rng.integers(-7, 8)), l, int(rng.integers(-l, l + 1)))
             for l in rng.integers(0, 5, size=40).tolist()}
-    rep = TubeRep(grid, {key: tuple(complex(*v) for v in rng.normal(size=(2, 2)))
-                         for key in sorted(keys, key=lambda k: -k[2])}, "S")
-    rep.coeffs[next(iter(rep.coeffs))] = (0.0j, 0.0j)
+    coeffs = {key: tuple(complex(*v) for v in rng.normal(size=(2, 2)))
+              for key in sorted(keys, key=lambda k: -k[2])}
+    coeffs[next(iter(coeffs))] = (0.0j, 0.0j)
+    rep = TubeRep(grid, coeffs, "S")
     crep = s_to_c(rep, params_m0)
     expected = {}
     for (k, l, m), (a, b) in rep.coeffs.items():
@@ -528,3 +530,90 @@ def test_synth_derivatives_match_finite_differences(params_m0):
     fd_r = (synth(srep, (point[0], point[1] + h, *point[2:]), params_m0)
             - synth(srep, (point[0], point[1] - h, *point[2:]), params_m0)) / (2 * h)
     assert synth_drho(srep, point, params_m0) == pytest.approx(fd_r, rel=1e-8)
+
+
+# --- the per-label loops the array maps replaced, kept as references -----------------
+
+def _random_tube(rng, grid, size=40, mirrored=False):
+    """Random labels in random insertion order, one explicit zero label; with
+    mirrored, (-k, l, -m) holds the conjugate of (k, l, m)."""
+    keys = {(int(rng.integers(-6, 7)), l, int(rng.integers(-l, l + 1)))
+            for l in rng.integers(0, 4, size=size).tolist()}
+    coeffs = {key: (complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+              for key in sorted(keys, key=lambda _: rng.random())}
+    coeffs[next(iter(coeffs))] = (0j, 0j)
+    if mirrored:
+        coeffs = {key: val for key, val in coeffs.items() if key[0] > 0}
+        coeffs.update({(-k, l, -m): (np.conj(a), np.conj(b))
+                       for (k, l, m), (a, b) in list(coeffs.items())})
+    return TubeRep(grid, coeffs, "S")
+
+
+def _loop_is_real(rep, tol=1e-10):
+    if isinstance(rep, SliceRep):
+        return all(abs(q - np.conj(p)) <= tol for p, q in rep.coeffs.values())
+    for (k, l, m), (a, b) in rep.coeffs.items():
+        a2, b2 = rep.coeff(-k, l, -m)
+        if abs(a2 - np.conj(a)) > tol or abs(b2 - np.conj(b)) > tol:
+            return False
+    return True
+
+
+def _loop_slice_to_tube(rep, grid, params):
+    coeffs: dict = {}
+    for (n, l, m), (p, q) in rep.coeffs.items():
+        k = round(magic_frequency("plus", n, l, params) / grid.d_omega)
+        for key, c in (((k, l, m), p), ((-k, l, -m), q)):
+            if c != 0.0:
+                acc = coeffs.get(key, (0.0 + 0.0j, 0.0 + 0.0j))
+                coeffs[key] = (acc[0] + c / grid.d_omega, acc[1])
+    return coeffs
+
+
+def test_is_real_equals_per_label_loop(rng):
+    grid = OmegaGrid(0.5, tuple(range(-7, 8)))
+    for _ in range(4):
+        for rep in (_random_tube(rng, grid), _random_tube(rng, grid, 6, True)):
+            for tol in (1e-10, 0.0, 10.0):
+                assert rep.is_real(tol) == _loop_is_real(rep, tol)
+        real = _random_tube(rng, grid, 8, True)
+        assert real.is_real()
+        # a label whose mirror is absent is real only if it is ~ 0
+        broken = TubeRep(grid, {**real.coeffs, (7, 0, 0): (1e-3, 0.0)}, "S")
+        assert not broken.is_real() and not _loop_is_real(broken)
+        assert broken.is_real(1e-2) and _loop_is_real(broken, 1e-2)
+    plus = {(n, l, 0): complex(*rng.normal(size=2)) for n in range(3) for l in range(3)}
+    for skew in (0.0, 1e-6):
+        rep = SliceRep({key: (p, np.conj(p) + skew) for key, p in plus.items()})
+        assert rep.is_real() == _loop_is_real(rep) == (skew == 0.0)
+
+
+def test_scaled_equals_per_label_loop(rng):
+    # within 1e-14: NumPy's complex multiply need not match Python's bits
+    factor = 0.3 - 1.7j
+    grid = OmegaGrid(0.5, tuple(range(-7, 8)))
+    for rep in (_random_tube(rng, grid), _slice_rep()):
+        want = {key: (factor * a, factor * b) for key, (a, b) in rep.coeffs.items()}
+        got = rep.scaled(factor)
+        assert list(got.coeffs) == list(rep.coeffs) and type(got) is type(rep)
+        diff = max(abs(g - w) for key in want for g, w in zip(got.coeffs[key], want[key]))
+        assert diff <= 1e-14 * max(abs(w) for pair in want.values() for w in pair)
+
+
+def test_slice_to_tube_equals_per_label_loop(params_m0, rng):
+    # bit for bit: each tube label receives one slice value / d_omega
+    grid = OmegaGrid(0.5, tuple(range(-40, 41)))
+    for _ in range(3):
+        keys = {(int(rng.integers(0, 6)), l, int(rng.integers(-l, l + 1)))
+                for l in rng.integers(0, 5, size=40).tolist()}
+        coeffs = {key: (complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+                  for key in sorted(keys, key=lambda _: rng.random())}
+        first, second = list(coeffs)[:2]
+        coeffs[first], coeffs[second] = (0j, 0j), (0j, 1.5)  # zeros add no label
+        rep = SliceRep(coeffs)
+        got, want = slice_to_tube(rep, grid, params_m0), _loop_slice_to_tube(rep, grid, params_m0)
+        assert got.basis == "S" and sorted(got.coeffs) == sorted(want)
+        assert np.array([got.coeffs[key] for key in sorted(want)]).tobytes() \
+            == np.array([want[key] for key in sorted(want)]).tobytes()
+    with pytest.raises(ValueError, match="not on the grid"):
+        slice_to_tube(rep, OmegaGrid(0.3, (1,)), params_m0)

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from adskg.errors import UnsupportedDimension, WindowOverflow
-from adskg.expansions import (OmegaGrid, SliceRep, TubeRep, slice_to_tube,
-                              synth)
+from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep,
+                              slice_to_tube, synth)
 from adskg.geometry import (Boost0, BoostD1, Rotation, TimeTranslation,
                             make_params)
-from adskg.harmonics import EulerAngles, rotate_angles
-from adskg.isometry import (act_boost, act_rotation, act_time_translation,
+from adskg.harmonics import EulerAngles, contiguous_coeffs, rotate_angles
+from adskg.isometry import (_SLICE_BRANCHES, _TUBE_BRANCHES, BoostCoeffTable, act_boost,
+                            act_rotation, act_time_translation,
                             boost_generator_apply, extract_boost_coeffs,
-                            invariance_suite)
+                            invariance_suite, rotation_mixing)
 from adskg.modes import magic_frequency, norm_constant
 from adskg.symplectic import omega_slice_momentum, omega_tube_momentum
 
@@ -402,3 +403,170 @@ def test_projection_residual_triggered():
     with pytest.raises(ProjectionResidual):
         extract_boost_coeffs("tube", BoostD1(3), ((2,), 1.0, 1), P,
                              leak_tol=0.0)
+
+
+# --- the per-label loops the array maps replaced, kept as references -----------------
+
+def _assert_same(got, want: dict, bits: bool):
+    """got (a rep) has exactly want's labels, and its values are want's bit
+    for bit, or within 1e-14 of want's largest coefficient."""
+    assert sorted(got.coeffs) == sorted(want)
+    g, w = (np.array([np.atleast_1d(d[key]) for key in sorted(want)], dtype=complex)
+            for d in (got.coeffs, want))
+    if bits:
+        assert g.tobytes() == w.tobytes()
+    else:
+        assert np.max(np.abs(g - w), initial=0.0) <= 1e-14 * np.max(np.abs(w), initial=0.0)
+
+
+def _random_reps(rng, k_max=5, n_max=3, l_max=3, size=30):
+    """A tube, a rod and a slice rep of random labels in random insertion
+    order, each with one explicit zero label."""
+    def draw(lo, hi):
+        keys = {(int(rng.integers(lo, hi + 1)), l, int(rng.integers(-l, l + 1)))
+                for l in rng.integers(0, l_max + 1, size=size).tolist()}
+        keys = sorted(keys, key=lambda _: rng.random())
+        vals = {key: (complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+                for key in keys}
+        vals[keys[0]] = (0j, 0j)
+        return vals
+
+    tube = draw(-k_max, k_max)
+    grid = OmegaGrid(1.0, tuple(range(-k_max - 1, k_max + 2)))
+    return (TubeRep(grid, tube, "S"), RodRep(grid, {k: v[0] for k, v in tube.items()}),
+            SliceRep(draw(0, n_max)))
+
+
+def _loop_time_translation(rep, delta_t):
+    if isinstance(rep, SliceRep):
+        out = {}
+        for (n, l, m), (p, q) in rep.coeffs.items():
+            om = magic_frequency("plus", n, l, P)
+            out[(n, l, m)] = (p * np.exp(1j * om * delta_t),
+                              q * np.exp(-1j * om * delta_t))
+        return out
+    if isinstance(rep, RodRep):
+        return {key: a * np.exp(1j * rep.grid.omega(key[0]) * delta_t)
+                for key, a in rep.coeffs.items()}
+    out = {}
+    for (k, l, m), (a, b) in rep.coeffs.items():
+        phase = np.exp(1j * rep.grid.omega(k) * delta_t)
+        out[(k, l, m)] = (a * phase, b * phase)
+    return out
+
+
+def _loop_rotation(rep, angles):
+    mix, out = {}, {}
+    for (j, l) in dict.fromkeys(key[:2] for key in rep.coeffs):
+        if l not in mix:
+            mix[l] = rotation_mixing(l, angles)
+        x = mix[l]
+        ms = range(-l, l + 1)
+        vals = np.array([rep.coeff(j, l, m) for m in ms])
+        if isinstance(rep, SliceRep):  # the conj(phi^-) channel rotates by conj(X)
+            rotated = np.stack([x @ vals[:, 0], np.conj(x) @ vals[:, 1]], axis=1)
+        else:
+            rotated = x @ vals
+        for mp, val in zip(ms, rotated):
+            if np.any(val != 0.0):
+                out[(j, l, mp)] = tuple(val) if val.ndim else val
+    return out
+
+
+def _kappa(l, m, s_l):
+    km, kp, _, _ = contiguous_coeffs(3, l, m)
+    return km if s_l < 0 else kp
+
+
+def _loop_boost(rep, generator, table):
+    is_0d = isinstance(generator, Boost0)
+
+    def weight(s_om):
+        return 0.5j if is_0d else (0.5 if s_om < 0 else -0.5)
+
+    out: dict = {}
+    if isinstance(rep, SliceRep):
+        for (n, l, m), (p, q) in rep.coeffs.items():
+            block = table.entries[(n, l)]
+            for (s_om, s_l), name in _SLICE_BRANCHES.items():
+                z = block[name]
+                if z == 0.0:
+                    continue
+                om0 = magic_frequency("plus", n, l, P)
+                l_t = l + s_l
+                n_t = round((om0 + s_om - l_t - P.delta_plus) / 2.0)
+                if l_t < 0 or n_t < 0 or abs(m) > l_t:
+                    continue
+                zfull = _kappa(l, m, s_l) * z
+                w = weight(s_om)
+                wq = -w if is_0d else w
+                acc = out.get((n_t, l_t, m), (0j, 0j))
+                out[(n_t, l_t, m)] = (acc[0] + w * zfull * p, acc[1] + wq * zfull * q)
+        return out
+    step = round(1.0 / rep.grid.d_omega)
+    for (k, l, m), (a, b) in rep.coeffs.items():
+        block = table.entries[(k, l)]
+        for (s_om, s_l), name in _TUBE_BRANCHES.items():
+            l_t = l + s_l
+            if l_t < 0 or abs(m) > l_t:
+                continue
+            kap, w = _kappa(l, m, s_l), weight(s_om)
+            key = (k + s_om * step, l_t, m)
+            acc = out.get(key, (0j, 0j))
+            out[key] = (acc[0] + w * kap * block["a"][name] * a,
+                        acc[1] + w * kap * block["b"][name] * b)
+    return out
+
+
+def _loop_act_boost(rep, delta: dict, epsilon):
+    out = dict(rep.coeffs)
+    for key, val in delta.items():
+        acc = out.get(key, (0j, 0j))
+        out[key] = (acc[0] + epsilon * val[0], acc[1] + epsilon * val[1])
+    return out
+
+
+def test_time_translation_equals_per_label_loop(rng):
+    # within 1e-14: one array multiply by e^{i omega dt} instead of
+    # per-label scalar products
+    for _ in range(3):
+        for rep in _random_reps(rng):
+            for dt in (0.37, -2.1):
+                _assert_same(act_time_translation(rep, dt, P),
+                             _loop_time_translation(rep, dt), bits=False)
+
+
+def test_rotation_equals_per_label_loop(rng):
+    # within 1e-14: one Wigner-block matmul per l over every (j, channel)
+    for _ in range(3):
+        for rep in _random_reps(rng):
+            for angles in (EulerAngles(0.3, 1.2, -0.7), EulerAngles(0.0, 0.0, 0.0)):
+                _assert_same(act_rotation(rep, angles, P), _loop_rotation(rep, angles),
+                             bits=False)
+
+
+def test_boost_equals_per_label_loop(rng, tube_table, slice_table):
+    # within 1e-14: a label reached by several branches sums them in branch
+    # order, not in input-label order; K|>rep then rep + eps K|>rep bit for bit
+    for _ in range(3):
+        tube, _, slice_ = _random_reps(rng, k_max=7)
+        for gen in (Boost0(3), BoostD1(3)):
+            for rep, table in ((tube, tube_table), (slice_, slice_table)):
+                delta = boost_generator_apply(rep, gen, table, P)
+                _assert_same(delta, _loop_boost(rep, gen, table), bits=False)
+                _assert_same(act_boost(rep, gen, 0.013, table, P),
+                             _loop_act_boost(rep, delta.coeffs, 0.013), bits=True)
+    # a slice branch with z = 0 adds no label (extracted tables hold exact
+    # zeros only where the target label does not exist)
+    zeroed = BoostCoeffTable("slice", {key: {**block, "zt0p": 0.0} for key, block
+                                       in slice_table.entries.items()}, 0.0)
+    _assert_same(boost_generator_apply(slice_, Boost0(3), zeroed, P),
+                 _loop_boost(slice_, Boost0(3), zeroed), bits=False)
+
+
+def test_boost_window_overflow_on_a_zero_label(tube_table):
+    # an explicit zero label outside the table is still a label
+    rep = TubeRep(OmegaGrid(1.0, tuple(range(-20, 21))),
+                  {(2, 1, 0): (1.0, 0.0), (15, 0, 0): (0.0, 0.0)}, "S")
+    with pytest.raises(WindowOverflow):
+        boost_generator_apply(rep, BoostD1(3), tube_table, P)

@@ -99,6 +99,7 @@ def test_jacobi_radial_array_equals_scalar(params_m0, params_neg):
             ref = [jacobi_radial(branch, n, l, float(r), p) for r in rho]
             assert jacobi_radial(branch, n, l, rho, p).tobytes() \
                 == np.array(ref).tobytes()
+            assert jacobi_radial_fd(branch, n, l, rho, p)[0].tobytes() == np.array(ref).tobytes()
 
 
 def test_radial_ca_boundary_decay(params_m0):
