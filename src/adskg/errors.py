@@ -78,13 +78,5 @@ class UnsupportedDimension(AdskgError):
     """Angular machinery only implemented for d = 3."""
 
 
-class ProjectionResidual(AdskgError):
-    """Boost coefficient extraction left leakage outside contiguous labels."""
-
-
-class WindowOverflow(AdskgError):
-    """Rep support touches the boundary of the extracted coefficient table."""
-
-
 class SerializationError(AdskgError):
     """Malformed or unsupported rep file."""

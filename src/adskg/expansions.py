@@ -253,15 +253,16 @@ def _mirror(l_max: int) -> np.ndarray:
 
 def _table(js, coef, fn, shape=()) -> np.ndarray:
     """fn(j, l) on the (j, l) blocks where coef (..., j, lm) has a nonzero
-    entry (zero elsewhere), spread over lm: shape + (j, lm).  fn is called
-    once, on the 1-d arrays of those j and l, and returns shape + (blocks,)."""
+    entry (zero elsewhere), spread over lm: shape + (j, lm), of fn's dtype.
+    fn is called once, on the 1-d arrays of those j and l, and returns
+    shape + (blocks,)."""
     ls, _ = _lm(math.isqrt(coef.shape[-1]) - 1)
     nonzero = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
     need = np.logical_or.reduceat(nonzero, np.arange(ls[-1] + 1) ** 2, axis=-1)
-    out = np.zeros(shape + need.shape)
     rows, l_need = np.nonzero(need)
-    if rows.size:
-        out[..., rows, l_need] = fn(np.asarray(js)[rows], l_need)
+    vals = np.asarray(fn(np.asarray(js)[rows], l_need)) if rows.size else np.zeros(0)
+    out = np.zeros(shape + need.shape, dtype=vals.dtype)
+    out[..., rows, l_need] = vals
     return out[..., ls]
 
 

@@ -84,7 +84,9 @@ def contiguous_coeffs(d: int, l: int, sub: int):
     return km, kp, dm, dp
 
 
-@lru_cache(maxsize=None)
+# The tests and `adskg verify` rotate up to l = 3 (4 keys); 16 keys hold
+# every degree up to l = 15, 2 l + 1 floats each.
+@lru_cache(maxsize=16)
 def _wigner_prefactors(l: int):
     lg = [math.lgamma(k + 1) for k in range(2 * l + 1)]
     return lg

@@ -392,18 +392,6 @@ def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams,
     return radial_eval_fd(kind, omega, l, rho, params, policy)[0]
 
 
-def radial_second_derivative(f: float, fp: float, omega: float, l: int,
-                             rho: float, params: AdsParams) -> float:
-    """f'' from the radial ODE given (f, f'); avoids differentiating series
-    twice."""
-    d = params.d
-    t = math.tan(rho)
-    c2 = math.cos(rho) ** 2
-    return (-(d - 1) / (t * c2) * fp
-            - (omega * omega - l * (l + d - 2) / (t * t * c2)
-               - params.msq_r2 / c2) * f)
-
-
 def _jacobi_norm_prefactor(n: int, l: int, params: AdsParams) -> float:
     """n! / (l + d/2)_n, via log-gammas for large n."""
     ga = l + params.d / 2.0

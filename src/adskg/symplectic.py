@@ -16,39 +16,51 @@ label-diagonal sums displayed in the module functions.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .errors import BasisMismatch
-from .expansions import SliceRep, TubeRep, sample_slice, sample_tube
+from .expansions import (SliceRep, TubeRep, _mirror, _table, sample_slice,
+                         sample_tube)
 from .geometry import AdsParams
 from .harmonics import AngularGrid
-from .modes import magic_frequency, norm_constant
+from .modes import _per_distinct, magic_frequency, norm_constant
+
+
+def _framed(c, js, l_max: int, mirror: bool = False):
+    """The (channel, j, lm) array and (j, lm) mask of the stored coefficients
+    c on the rows js and the packed lm up to l_max, zero (False) off c's
+    labels; mirrored, row -j and column (l, -m) hold c's entry at (j, l, m)."""
+    array = np.zeros((len(c.array), len(js), (l_max + 1) ** 2), dtype=complex)
+    mask = np.zeros(array.shape[1:], dtype=bool)
+    rows = np.searchsorted(js, -c.js if mirror else c.js)[:, None]
+    lm = _mirror(c.l_max) if mirror else np.arange(c.mask.shape[1])
+    array[:, rows, lm], mask[rows, lm] = c.array, c.mask
+    return array, mask
 
 
 def _same_label_pairing(eta, zeta, weight) -> complex:
     """sum over the sorted labels of eta or zeta of weight(j, l) (conj(eta^-)
     zeta^+ - eta^+ conj(zeta^-)), weight evaluated once per (j, l)."""
-    terms, last = [], None
-    for j, l, m in sorted(eta.coeffs.keys() | zeta.coeffs.keys()):
-        if (j, l) != last:
-            last, w = (j, l), weight(j, l)
-        (ep, eq), (zp, zq) = eta.coeff(j, l, m), zeta.coeff(j, l, m)
-        terms.append(w * (eq * zp - ep * zq))
-    return np.sum(terms)
+    js = np.union1d(eta.coeffs.js, zeta.coeffs.js)
+    l_max = max(eta.coeffs.l_max, zeta.coeffs.l_max)
+    (ep, eq), e_mask = _framed(eta.coeffs, js, l_max)
+    (zp, zq), z_mask = _framed(zeta.coeffs, js, l_max)
+    held = e_mask | z_mask
+    w = _table(js, held, partial(_per_distinct, weight))
+    return np.sum((w * (eq * zp - ep * zq))[held])
 
 
 def _mirror_pairing(eta, zeta, weight) -> complex:
     """sum over eta's sorted labels of weight(k, l) (eta^a zeta^b - eta^b
     zeta^a), zeta at (-k, l, -m), weight evaluated once per (k, l)."""
-    terms, last = [], None
-    get, absent = zeta.coeffs.get, zeta._absent
-    for (k, l, m), (ea, eb) in sorted(eta.coeffs.items()):
-        if (k, l) != last:
-            last, w = (k, l), weight(k, l)
-        za, zb = get((-k, l, -m), absent)
-        terms.append(w * (ea * zb - eb * za))
-    return np.sum(terms)
+    js = np.union1d(eta.coeffs.js, -zeta.coeffs.js)
+    l_max = max(eta.coeffs.l_max, zeta.coeffs.l_max)
+    (ea, eb), held = _framed(eta.coeffs, js, l_max)
+    (za, zb), _ = _framed(zeta.coeffs, js, l_max, mirror=True)
+    w = _table(js, held, partial(_per_distinct, weight))
+    return np.sum((w * (ea * zb - eb * za))[held])
 
 
 def omega_slice_quadrature(eta: SliceRep, zeta: SliceRep, t0: float,

@@ -428,56 +428,59 @@ def suite_symplectic():
     return checks
 
 
+def _boost_points(omega, l, n=None):
+    """(s_w, s_l, omega, l) of the four boost branches from each label
+    (omega, l) whose target has l >= 0 and, given the radial orders n, n >= 0."""
+    s_om, s_l = np.array(iso._BRANCHES).T[:, :, None]
+    keep = l + s_l >= 0
+    if n is not None:
+        keep &= n + (s_om - s_l) // 2 >= 0
+    return [np.broadcast_to(v, keep.shape)[keep] for v in (s_om, s_l, omega, l)]
+
+
 def suite_isometry():
     rng = np.random.default_rng(SEED)
     p = geo.make_params(3, 1.0, 0.0)
     checks = []
     grid = xp.OmegaGrid(1.0, tuple(range(-6, 7)))
-    tube_table = iso.extract_boost_coeffs("tube", geo.BoostD1(3),
-                                          (tuple(range(-7, 8)), 1.0, 4), p)
-    slice_table = iso.extract_boost_coeffs("slice", geo.BoostD1(3), (4, 4), p)
-    checks.append(_check("boost_extraction_leakage",
-                         max(tube_table.max_leakage, slice_table.max_leakage),
-                         1e-6))
+    # the radial identity Rhat = (z / 2 s_w) f_target behind each closed-form
+    # z at rho = 0.6 and 0.9: tube k in -7..7, l <= 4, both channels; slice
+    # n, l <= 4 (S^a at w+_{nl}).  Relative to the channel's largest |Rhat|
+    # over the window: Rhat vanishes identically on the branches with z = 0.
+    k, l = (v.ravel() for v in np.meshgrid(np.arange(-7.0, 8.0), np.arange(5),
+                                           indexing="ij"))
+    n, ln = (v.ravel() for v in np.meshgrid(np.arange(5), np.arange(5), indexing="ij"))
+    tube = _boost_points(k, l)
+    slice_ = _boost_points(modes.magic_frequency("plus", n, ln, p), ln, n)
+    leak = []
+    for channel, points in (("a", [np.r_[t, s] for t, s in zip(tube, slice_)]),
+                            ("b", tube)):
+        combo, resid = iso.boost_identity(channel, *(v[:, None] for v in points),
+                                          np.array([0.6, 0.9]), p)
+        leak.append(np.max(np.abs(resid)) / np.max(np.abs(combo)))
+    checks.append(_check("boost_extraction_leakage", np.max(leak), 1e-6))
 
     # acceptance 7: the six coefficient identities
     d = 3
-    worst = 0.0
-    for k in range(-3, 4):
-        for l in range(0, 3):
-            e = tube_table.entries
-            worst = max(worst, abs(
-                e[(k - 1, l + 1)]["a"]["ztpm"]
-                - (2 * l + d) / (2 * l + d - 2) * e[(k, l)]["b"]["zmp"]))
-            worst = max(worst, abs(
-                e[(k + 1, l + 1)]["a"]["zmm"]
-                - (2 * l + d) / (2 * l + d - 2) * e[(k, l)]["b"]["ztpp"]))
-            if l >= 1:
-                worst = max(worst, abs(
-                    e[(k - 1, l - 1)]["a"]["ztpp"]
-                    - (2 * l + d - 4) / (2 * l + d - 2) * e[(k, l)]["b"]["zmm"]))
-                worst = max(worst, abs(
-                    e[(k + 1, l - 1)]["a"]["zmp"]
-                    - (2 * l + d - 4) / (2 * l + d - 2) * e[(k, l)]["b"]["ztpm"]))
-    checks.append(_check("tube_boost_identities[4]", worst, 1e-8))
+    z = lambda *args: iso.boost_shift_coeffs(*args, params=p)
+    k, l = np.meshgrid(np.arange(-3.0, 4.0), np.arange(3), indexing="ij")
+    up, down = (2 * l + d) / (2 * l + d - 2), (2 * l + d - 4) / (2 * l + d - 2)
+    dev = [z("a", +1, -1, k - 1, l + 1) - up * z("b", -1, +1, k, l),
+           z("a", -1, -1, k + 1, l + 1) - up * z("b", +1, +1, k, l),
+           (z("a", +1, +1, k - 1, l - 1) - down * z("b", -1, -1, k, l))[:, 1:],
+           (z("a", -1, +1, k + 1, l - 1) - down * z("b", +1, -1, k, l))[:, 1:]]
+    checks.append(_check("tube_boost_identities[4]",
+                         np.max([np.max(np.abs(v)) for v in dev]), 1e-8))
 
-    worst = 0.0
-    for n in range(0, 3):
-        for l in range(0, 3):
-            om_nl = modes.magic_frequency("plus", n, l, p)
-            n_nl = modes.norm_constant("plus", n, l, p)
-            lhs = om_nl * n_nl * slice_table.entries[(n, l + 1)]["z0m"]
-            rhs = (modes.magic_frequency("plus", n, l + 1, p)
-                   * modes.norm_constant("plus", n, l + 1, p)
-                   * slice_table.entries[(n, l)]["zt0p"])
-            worst = max(worst, abs(lhs - rhs))
-            if l >= 1:
-                lhs = om_nl * n_nl * slice_table.entries[(n + 1, l - 1)]["zmp"]
-                rhs = (modes.magic_frequency("plus", n + 1, l - 1, p)
-                       * modes.norm_constant("plus", n + 1, l - 1, p)
-                       * slice_table.entries[(n, l)]["ztpm"])
-                worst = max(worst, abs(lhs - rhs))
-    checks.append(_check("slice_boost_identities[2]", worst, 1e-8))
+    wn = lambda n, l: (modes.magic_frequency("plus", n, l, p)
+                       * modes.norm_constant("plus", n, l, p))
+    zs = lambda s_om, s_l, n, l: float(z("a", s_om, s_l, modes.magic_frequency(
+        "plus", n, l, p), l))
+    dev = [wn(n, l) * zs(-1, -1, n, l + 1) - wn(n, l + 1) * zs(+1, +1, n, l)
+           for n in range(3) for l in range(3)]
+    dev += [wn(n, l) * zs(-1, +1, n + 1, l - 1) - wn(n + 1, l - 1) * zs(+1, -1, n, l)
+            for n in range(3) for l in range(1, 3)]
+    checks.append(_check("slice_boost_identities[2]", np.max(np.abs(dev)), 1e-8))
 
     # acceptance 7: invariance of both structures
     slice_reps = [_random_slice_rep(rng, 4) for _ in range(2)]
@@ -500,9 +503,9 @@ def suite_isometry():
     worst = 0.0
     for gen in (geo.Boost0(3), geo.BoostD1(3)):
         worst = max(worst, iso.invariance_suite(
-            sy.omega_slice_momentum, slice_reps, gen, p, table=slice_table))
+            sy.omega_slice_momentum, slice_reps, gen, p))
         worst = max(worst, iso.invariance_suite(
-            sy.omega_tube_momentum, tube_reps, gen, p, table=tube_table))
+            sy.omega_tube_momentum, tube_reps, gen, p))
     checks.append(_check("boost_leibniz_invariance", worst, 1e-6))
     return checks
 

@@ -176,3 +176,17 @@ def test_rotation_rule_on_grid():
         rhs = sum(x[mp + l, m + l] * sph_harm(l, mp, th, ph)
                   for mp in range(-l, l + 1))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def test_wigner_prefactor_cache_is_bounded():
+    # rotating past the bound evicts old degrees instead of growing the
+    # cache, and an evicted degree comes back with the same matrix
+    from adskg.harmonics import _wigner_prefactors
+    bound = _wigner_prefactors.cache_info().maxsize
+    assert bound is not None and bound >= 4  # the degrees verify rotates
+    angles = EulerAngles(0.3, 1.1, -0.6)
+    first = wigner_d(3, angles)
+    for l in range(4, bound + 6):  # more new degrees than the bound: 3 goes
+        wigner_d(l, angles)
+        assert _wigner_prefactors.cache_info().currsize <= bound
+    assert np.array_equal(wigner_d(3, angles), first)

@@ -16,8 +16,7 @@ from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep, load_rep,
                               save_rep, slice_to_tube)
 from adskg.geometry import BoostD1, make_params
 from adskg.harmonics import EulerAngles
-from adskg.isometry import (act_rotation, act_time_translation,
-                            boost_generator_apply, extract_boost_coeffs)
+from adskg.isometry import act_rotation, act_time_translation, boost_generator_apply
 from adskg.minkowski import EnergyGrid, MinkSliceRep, MinkTubeRep
 
 P = make_params(3, 1.0, 0.0)
@@ -145,9 +144,8 @@ def test_maps_store_the_frame_their_labels_span():
     grid = OmegaGrid(1.0, tuple(range(-8, 9)))
     rep = TubeRep(grid, {(1, 1, 0): (1.0, 0.5j), (4, 0, 0): (0.0, 0.0),
                          (2, 3, -1): (0.0, 0.0)}, "S")
-    table = extract_boost_coeffs("tube", BoostD1(3), (tuple(range(-2, 6)), 1.0, 3), P)
     outs = [act_rotation(rep, EulerAngles(0.2, 0.9, -0.4), P),
-            boost_generator_apply(rep, BoostD1(3), table, P),
+            boost_generator_apply(rep, BoostD1(3), P),
             act_time_translation(rep, 0.3, P), rep.scaled(2.0),
             slice_to_tube(SliceRep({(0, 1, 0): (1.0, 0.0), (3, 4, 2): (0.0, 0.0)}),
                           OmegaGrid(1.0, (1,)), P)]

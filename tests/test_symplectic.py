@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from adskg.errors import BasisMismatch
 from adskg.expansions import OmegaGrid, SliceRep, TubeRep, s_to_c
 from adskg.harmonics import AngularGrid
+from adskg.minkowski import EnergyGrid, MinkSliceRep, MinkTubeRep
 from adskg.modes import magic_frequency, norm_constant
-from adskg.symplectic import (omega_slice_momentum, omega_slice_quadrature,
+from adskg.symplectic import (_mirror_pairing, _same_label_pairing,
+                              omega_slice_momentum, omega_slice_quadrature,
                               omega_tube_momentum, omega_tube_quadrature,
                               symplectic_potential)
 
@@ -171,39 +174,134 @@ def test_slice_solutions_null_in_tube_pairing(params_m0):
     assert abs(complex(omega_tube_quadrature(te, tz, 0.8, params_m0, ANG))) < 1e-9
 
 
-def _bits(z) -> bytes:
-    return np.array([z], dtype=complex).tobytes()
+# --- the per-label loops the array pairings replaced, kept as references ------------
+
+# Each returns (sum, size), size the sum over labels of |weight| times the
+# magnitudes of the two products: a label whose products cancel exactly in
+# Python arithmetic (eta = zeta there) can leave a last-bit remainder in
+# numpy's, whose complex multiply may fuse a multiply and an add.
+
+def _loop_same_label_pairing(eta, zeta, weight):
+    """sum over the sorted labels of eta or zeta of weight(j, l) (conj(eta^-)
+    zeta^+ - eta^+ conj(zeta^-)), weight evaluated once per (j, l)."""
+    terms, sizes, last = [], [], None
+    for j, l, m in sorted(eta.coeffs.keys() | zeta.coeffs.keys()):
+        if (j, l) != last:
+            last, w = (j, l), weight(j, l)
+        (ep, eq), (zp, zq) = eta.coeff(j, l, m), zeta.coeff(j, l, m)
+        terms.append(w * (eq * zp - ep * zq))
+        sizes.append(abs(w) * (abs(eq * zp) + abs(ep * zq)))
+    return np.sum(terms), sum(sizes)
+
+
+def _loop_mirror_pairing(eta, zeta, weight):
+    """sum over eta's sorted labels of weight(k, l) (eta^a zeta^b - eta^b
+    zeta^a), zeta at (-k, l, -m), weight evaluated once per (k, l)."""
+    terms, sizes, last = [], [], None
+    get, absent = zeta.coeffs.get, zeta._absent
+    for (k, l, m), (ea, eb) in sorted(eta.coeffs.items()):
+        if (k, l) != last:
+            last, w = (k, l), weight(k, l)
+        za, zb = get((-k, l, -m), absent)
+        terms.append(w * (ea * zb - eb * za))
+        sizes.append(abs(w) * (abs(ea * zb) + abs(eb * za)))
+    return np.sum(terms), sum(sizes)
+
+
+def _pairing_cases(rng):
+    """(array pairing, reference loop, eta, zeta, weight) over AdS and
+    Minkowski reps of random labels, each rep with one explicit zero label,
+    zeta sharing or mirroring part of eta's labels."""
+    def draw(first, n_labels, l_max=3):
+        keys = {(first(), l, int(rng.integers(-l, l + 1)))
+                for l in rng.integers(0, l_max + 1, size=n_labels).tolist()}
+        vals = {key: (complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+                for key in keys}
+        vals[min(keys)] = (0j, 0j)
+        return vals
+
+    k = lambda: int(rng.integers(-6, 7))
+    n = lambda: int(rng.integers(0, 5))
+    p = lambda: float(rng.choice([0.25, 0.5, 1.5, 3.75]))
+    grid, e_grid = OmegaGrid(0.5, tuple(range(-6, 7))), EnergyGrid(0.5, (1,))
+    cases = []
+    for basis in ("S", "C"):
+        eta = draw(k, 40)
+        zeta = {**draw(k, 40), **{(-a, l, -m): (complex(rng.normal()), 0.3j)
+                                  for a, l, m in list(eta)[::2]}}
+        factor = (lambda k, l: 2 * l + 1) if basis == "S" else (lambda k, l: 3.0)
+        cases.append((_mirror_pairing, _loop_mirror_pairing, TubeRep(grid, eta, basis),
+                       TubeRep(grid, zeta, basis), factor))
+    eta = draw(k, 40)
+    zeta = {**draw(k, 40), **{(-a, l, -m): (0.7, complex(rng.normal()))
+                              for a, l, m in list(eta)[::3]}}
+    cases.append((_mirror_pairing, _loop_mirror_pairing, MinkTubeRep(e_grid, eta, 0.3),
+                  MinkTubeRep(e_grid, zeta, 0.3),
+                  lambda k, l: math.sqrt(abs((0.5 * k) ** 2 - 0.09)) / (16 * math.pi)))
+    eta = draw(n, 30)
+    cases.append((_same_label_pairing, _loop_same_label_pairing, SliceRep(eta),
+                  SliceRep({**draw(n, 30), **dict(list(eta.items())[::2])}),
+                  lambda n, l: 1j * (2 * n + l + 3) * math.pi / (n + l + 1)))
+    eta = draw(p, 30)
+    cases.append((_same_label_pairing, _loop_same_label_pairing, MinkSliceRep(eta, 0.3),
+                  MinkSliceRep({**draw(p, 30), **dict(list(eta.items())[::2])}, 0.3),
+                  lambda p, l: 1j * math.sqrt(p * p + 0.09)))
+    return cases
+
+
+def test_pairings_equal_the_per_label_loops(rng):
+    # within 1e-14 of the terms' size: the same terms summed in the same
+    # order, but numpy's complex multiply need not round as Python's does
+    for _ in range(5):
+        for pairing, loop, eta, zeta, weight in _pairing_cases(rng):
+            want, size = loop(eta, zeta, weight)
+            got = pairing(eta, zeta, weight)
+            assert size > 0.0 and abs(got - want) <= 1e-14 * size
+            # swapped, and against a rep holding no label
+            want, size = loop(zeta, eta, weight)
+            assert abs(pairing(zeta, eta, weight) - want) <= 1e-14 * size
+            empty = replace(eta, coeffs={})
+            assert pairing(empty, zeta, weight) == 0.0
+
+
+def test_pairings_weigh_only_held_labels():
+    # the weight runs once per (j, l) holding a label (explicit zeros included)
+    grid = OmegaGrid(1.0, tuple(range(-4, 5)))
+    eta = TubeRep(grid, {(1, 2, 0): (1.0, 2.0), (1, 2, 1): (0.0, 0.0), (3, 0, 0): (1j, 0.0)})
+    zeta = TubeRep(grid, {(-1, 2, 0): (0.5, 0.25), (2, 1, 1): (1.0, 1.0)})
+    calls = []
+    weight = lambda k, l: calls.append((k, l)) or 1.0
+    assert _mirror_pairing(eta, zeta, weight) == 1.0 * 0.25 - 2.0 * 0.5
+    assert sorted(calls) == [(1, 2), (3, 0)]
+    calls.clear()
+    slice_a = SliceRep({(0, 1, 0): (1.0, 0.0), (2, 0, 0): (0.0, 0.0)})
+    slice_b = SliceRep({(0, 1, -1): (0.0, 1.0), (1, 2, 0): (1.0, 0.0)})
+    assert _same_label_pairing(slice_a, slice_b, weight) == 0.0
+    assert sorted(calls) == [(0, 1), (1, 2), (2, 0)]  # the labels of either rep
 
 
 @pytest.mark.parametrize("basis", ["S", "C"])
-def test_tube_momentum_is_the_per_label_loop_bit_for_bit(params_m0, rng, basis):
+def test_tube_momentum_is_the_per_label_loop(params_m0, rng, basis):
     grid = OmegaGrid(0.5, tuple(range(-6, 7)))
     eta, zeta = (_random_tube_rep(rng, grid, 40, basis) for _ in range(2))
     zeta = TubeRep(grid, {**zeta.coeffs, **{(-k, l, -m): (complex(rng.normal()), 0.3j)
                                             for k, l, m in eta.labels()[::2]}}, basis)
     d, nu = params_m0.d, params_m0.nu
-    terms = []
-    for (k, l, m) in eta.labels():
-        ea, eb = eta.coeffs[(k, l, m)]
-        za, zb = zeta.coeff(-k, l, -m)
-        factor = (2 * l + d - 2) if basis == "S" else 2.0 * nu
-        terms.append(factor * (ea * zb - eb * za))
-    loop = complex(math.pi * params_m0.R ** (d - 1) * grid.d_omega * np.sum(terms))
-    assert _bits(omega_tube_momentum(eta, zeta, params_m0)) == _bits(loop)
+    total, size = _loop_mirror_pairing(eta, zeta, lambda k, l: (
+        (2 * l + d - 2) if basis == "S" else 2.0 * nu))
+    scale = math.pi * params_m0.R ** (d - 1) * grid.d_omega
+    got = complex(omega_tube_momentum(eta, zeta, params_m0))
+    assert abs(got - scale * total) <= 1e-14 * scale * size
 
 
-def test_slice_momentum_is_the_per_label_loop_bit_for_bit(params_m0, rng):
+def test_slice_momentum_is_the_per_label_loop(params_m0, rng):
     eta, zeta = _random_slice_rep(rng, 30), _random_slice_rep(rng, 30)
     rd = params_m0.R ** (params_m0.d - 1)
-    terms = []
-    for (n, l, m) in sorted(set(eta.coeffs) | set(zeta.coeffs)):
-        ep, eq = eta.coeff(n, l, m)
-        zp, zq = zeta.coeff(n, l, m)
-        om = magic_frequency("plus", n, l, params_m0)
-        nrm = norm_constant("plus", n, l, params_m0)
-        terms.append(1j * om * rd * nrm * (eq * zp - ep * zq))
-    loop = complex(np.sum(terms))
-    assert _bits(omega_slice_momentum(eta, zeta, params_m0)) == _bits(loop)
+    total, size = _loop_same_label_pairing(eta, zeta, lambda n, l: (
+        1j * magic_frequency("plus", n, l, params_m0) * rd
+        * norm_constant("plus", n, l, params_m0)))
+    got = complex(omega_slice_momentum(eta, zeta, params_m0))
+    assert abs(got - total) <= 1e-14 * size
 
 
 # --- symplectic potential -------------------------------------------------------------
