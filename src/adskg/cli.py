@@ -83,6 +83,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _json_float(value: float) -> float | None:
+    """A NaN or infinite measurement as JSON null: strict JSON has no NaN."""
+    return value if np.isfinite(value) else None
+
+
 def cmd_verify(args) -> int:
     from .verify import SUITES, run_suite
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -94,19 +99,20 @@ def cmd_verify(args) -> int:
         duration = time.perf_counter() - start
         ok = all(c.passed for c in checks)
         all_ok = all_ok and ok
-        worst = max((c.value for c in checks
-                     if c.window is None or not c.passed), default=0.0)
+        worst = float(np.max([0.0] + [c.value for c in checks
+                                      if c.window is None or not c.passed]))
         if args.json:
-            suites.append({"suite": name, "passed": ok, "max_err": worst,
+            suites.append({"suite": name, "passed": ok, "max_err": _json_float(worst),
                            "duration_s": duration})
-            records += [{"suite": name, **asdict(c)} for c in checks]
+            records += [{"suite": name, **asdict(c), "value": _json_float(c.value)}
+                        for c in checks]
             continue
         for c in checks:
             print(c.line)
         print(f"SUITE {name} {'PASS' if ok else 'FAIL'} max_err={worst:.3e}")
     if args.json:
         print(json.dumps({"passed": all_ok, "suites": suites, "checks": records,
-                          "caches": cache_counters()}, indent=1))
+                          "caches": cache_counters()}, indent=1, allow_nan=False))
     return 0 if all_ok else 1
 
 

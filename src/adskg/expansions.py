@@ -32,6 +32,7 @@ from functools import partial
 from itertools import chain
 
 import numpy as np
+from scipy.special import factorial, poch
 
 from .errors import (BandLimitExceeded, BasisMismatch, CapabilityError,
                      IntegerNu, MagicFrequencyBlind, RadialNodeError,
@@ -41,7 +42,7 @@ from .harmonics import AngularGrid, sph_harm
 from .modes import (RadialKind, _per_distinct, _transfer_entries, hyper_params,
                     jacobi_radial_fd, magic_frequency, norm_constant,
                     radial_eval_fd)
-from .specfun import DEFAULT_POLICY, double_pochhammer, pochhammer
+from .specfun import DEFAULT_POLICY, double_pochhammer
 
 _GRID_TOL = 1e-9        # magic frequency off its grid point (slice_to_tube)
 _RESIDUAL_TOL = 1e-6    # slice reconstruction residual (invert_slice)
@@ -601,24 +602,17 @@ def taylor_coeffs(branch: str, omega: float, l: int, params: AdsParams,
     """Boundary Taylor coefficients d^{+-}_a of the C-modes:
     C^a = sum_a cos^{D+ + 2a} d^+_a, C^b = sum_a cos^{D- + 2a} d^-_a.
 
-    Finite double sums mixing the sin^l binomial tail with hypergeometric
-    Pochhammer ratios.
+    The Cauchy product, in powers of cos^2, of the binomial series of
+    sin^l = (1 - cos^2)^{l/2} and the 2F1 series of the C-mode.
     """
     if a_max > 30:
         raise ValueError("a_max > 30 not supported")
     kind = RadialKind.Ca if branch == "plus" else RadialKind.Cb
     al, be, ga = hyper_params(kind, omega, l, params)
-    out = np.zeros(a_max + 1)
-    for a in range(a_max + 1):
-        total = 0.0
-        for b in range(a + 1):
-            sin_part = (-1.0) ** b / math.factorial(b) \
-                * pochhammer(l / 2.0 + 1.0 - b, b)
-            hyp_part = (pochhammer(al, a - b) * pochhammer(be, a - b)
-                        / (pochhammer(ga, a - b) * math.factorial(a - b)))
-            total += sin_part * hyp_part
-        out[a] = total
-    return out
+    k = np.arange(a_max + 1)
+    sin_part = (-1.0) ** k / factorial(k) * poch(l / 2.0 + 1.0 - k, k)
+    hyp_part = poch(al, k) * poch(be, k) / (poch(ga, k) * factorial(k))
+    return np.convolve(sin_part, hyp_part)[:a_max + 1]
 
 
 def twisted_boundary_limit(kind: RadialKind, params: AdsParams) -> float:
@@ -648,22 +642,18 @@ def twisted_derivative(kind: RadialKind, omega: float, l: int, rho: float,
     nu = params.nu
     if not params.c_modes_valid:
         raise IntegerNu(f"twisted derivative degenerates at nu = {nu}")
+    if kind not in (RadialKind.Ca, RadialKind.Cb):
+        raise ValueError("twisted derivative defined for C-modes only")
+    plus = kind is RadialKind.Ca
     fl = math.floor(nu)
-    c = math.cos(rho)
-    if kind is RadialKind.Ca:
-        d_a = taylor_coeffs("plus", omega, l, params, _TWISTED_A_MAX)
-        return float(sum(d_a[a] * double_pochhammer(2 * nu + 2 * a - 2 * fl, fl + 1)
-                         * c ** (2 * a) for a in range(_TWISTED_A_MAX + 1)))
-    if kind is RadialKind.Cb:
-        d_a = taylor_coeffs("minus", omega, l, params, _TWISTED_A_MAX)
-        total = 0.0
-        for a in range(_TWISTED_A_MAX + 1):
-            dpoch = double_pochhammer(2.0 * a - 2.0 * fl, fl + 1)
-            if dpoch == 0.0:
-                continue  # avoid 0 * inf from the negative powers of cos
-            total += d_a[a] * dpoch * c ** (-2.0 * nu + 2 * a)
-        return total
-    raise ValueError("twisted derivative defined for C-modes only")
+    a = np.arange(_TWISTED_A_MAX + 1)
+    d_a = taylor_coeffs("plus" if plus else "minus", omega, l, params,
+                        _TWISTED_A_MAX)
+    dpoch = double_pochhammer(2.0 * a - 2.0 * fl + (2.0 * nu if plus else 0.0),
+                              fl + 1)
+    with np.errstate(divide="ignore", over="ignore"):  # only on dropped terms
+        power = math.cos(rho) ** (2.0 * a - (0.0 if plus else 2.0 * nu))
+    return float(np.sum(d_a * dpoch * np.where(dpoch == 0.0, 0.0, power)))
 
 
 def boundary_data_of(rep: TubeRep, params: AdsParams,

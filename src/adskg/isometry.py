@@ -224,5 +224,6 @@ def invariance_suite(omega_fn, reps, generator: GeneratorId,
                                      - complex(omega_fn(e, z, params)))
     else:
         raise TypeError(f"unsupported generator {generator!r}")
-    return max([0.0] + [abs(pair(e, e2, z, z2)) for e, e2 in zip(reps, moved)
-                        for z, z2 in zip(reps, moved)])
+    return float(np.max([0.0] + [abs(pair(e, e2, z, z2))
+                                 for e, e2 in zip(reps, moved)
+                                 for z, z2 in zip(reps, moved)]))

@@ -318,12 +318,3 @@ def spherical_bessel(kind: str, l: int, x: float) -> float:
 def spherical_bessel_dx(kind: str, l: int, x: float) -> float:
     """d/dx of j_l or n_l."""
     return _spherical(kind, l, x, True)
-
-
-def double_factorial(n: int) -> float:
-    """n!! with (-1)!! = 0!! = 1."""
-    out = 1.0
-    while n > 1:
-        out *= n
-        n -= 2
-    return out

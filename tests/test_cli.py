@@ -79,6 +79,40 @@ def test_verify_specfun(capsys):
     assert "SUITE specfun PASS" in captured
 
 
+@pytest.fixture()
+def nan_double_pochhammer(monkeypatch):
+    # one NaN measurement among finite ones: the first call's
+    import adskg.specfun
+    fine, calls = adskg.specfun.double_pochhammer, []
+
+    def first_call_nan(a, k):
+        calls.append(k)
+        return float("nan") if len(calls) == 1 else fine(a, k)
+
+    monkeypatch.setattr(adskg.specfun, "double_pochhammer", first_call_nan)
+
+
+def test_verify_nan_measurement_fails(capsys, nan_double_pochhammer):
+    assert main(["verify", "specfun"]) == 1
+    out = capsys.readouterr().out
+    assert "  [FAIL] double_pochhammer_halving: max_err=nan tol=1e-13\n" in out
+    assert out.endswith("SUITE specfun FAIL max_err=nan\n")
+
+
+def test_verify_json_writes_nan_as_null(capsys, nan_double_pochhammer):
+    import json
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    assert main(["verify", "specfun", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["passed"] is False
+    assert doc["suites"][0]["max_err"] is None
+    rec = next(r for r in doc["checks"] if r["name"] == "double_pochhammer_halving")
+    assert rec["value"] is None and rec["passed"] is False
+
+
 def test_verify_text_output_format(capsys):
     # the text lines other tools parse: one line per check, then SUITE
     from adskg.verify import run_suite

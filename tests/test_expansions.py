@@ -1,5 +1,7 @@
 import io
 import math
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -392,6 +394,77 @@ def test_twisted_derivative_boundary_value(params_m0):
     v2 = twisted_derivative(RadialKind.Cb, 2.3, 1, math.pi / 2 - 1e-4, params_m0)
     assert abs(v1) < 1e-1
     assert abs(v2) == pytest.approx(0.1 * abs(v1), rel=1e-3)
+
+
+@lru_cache(maxsize=None)
+def ref_taylor_coeffs(branch, omega, l, params, a_max):
+    """The Taylor coefficients as the explicit double sum over (a, b)."""
+    from adskg.modes import hyper_params
+    from adskg.specfun import pochhammer
+    kind = RadialKind.Ca if branch == "plus" else RadialKind.Cb
+    al, be, ga = hyper_params(kind, omega, l, params)
+    out = np.zeros(a_max + 1)
+    for a in range(a_max + 1):
+        total = 0.0
+        for b in range(a + 1):
+            sin_part = (-1.0) ** b / math.factorial(b) \
+                * pochhammer(l / 2.0 + 1.0 - b, b)
+            hyp_part = (pochhammer(al, a - b) * pochhammer(be, a - b)
+                        / (pochhammer(ga, a - b) * math.factorial(a - b)))
+            total += sin_part * hyp_part
+        out[a] = total
+    return out
+
+
+def ref_twisted_derivative(kind, omega, l, rho, params, a_max=30):
+    """The twisted derivative as a term-by-term loop over the Taylor series."""
+    from adskg.specfun import double_pochhammer
+    nu = params.nu
+    fl = math.floor(nu)
+    c = math.cos(rho)
+    if kind is RadialKind.Ca:
+        d_a = ref_taylor_coeffs("plus", omega, l, params, a_max)
+        return float(sum(d_a[a] * double_pochhammer(2 * nu + 2 * a - 2 * fl, fl + 1)
+                         * c ** (2 * a) for a in range(a_max + 1)))
+    d_a = ref_taylor_coeffs("minus", omega, l, params, a_max)
+    total = 0.0
+    for a in range(a_max + 1):
+        dpoch = double_pochhammer(2.0 * a - 2.0 * fl, fl + 1)
+        if dpoch == 0.0:
+            continue  # avoid 0 * inf from the negative powers of cos
+        total += d_a[a] * dpoch * c ** (-2.0 * nu + 2 * a)
+    return total
+
+
+# six masses with non-integer nu: 3/2, 1/2, sqrt(13)/2, sqrt(5)/2, ...
+TWISTED_MSQ = (0.0, -2.0, 1.0, -1.0, 0.5, 3.0)
+
+
+@pytest.mark.parametrize("msq", TWISTED_MSQ)
+def test_twisted_derivative_matches_reference_loop(msq):
+    p = make_params(3, 1.0, msq)
+    worst = 0.0
+    for kind in (RadialKind.Ca, RadialKind.Cb):
+        for om in (0.3, 1.7, 2.3, -4.1, 7.9):
+            for l in range(8):
+                for rho in (0.6, 0.9, 1.2, 1.45, 1.55, math.pi / 2):
+                    got = twisted_derivative(kind, om, l, rho, p)
+                    want = ref_twisted_derivative(kind, om, l, rho, p)
+                    worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    assert worst <= 1e-13
+
+
+def test_twisted_derivative_is_warning_free_at_the_boundary():
+    # nu = 20.5: the C^b terms that dpoch drops (a <= 20) carry cos^{-41} and
+    # overflow at rho = pi/2; they must neither warn nor leak into the sum.
+    # The kept terms start at d^-_21: both sums hold about ten digits of
+    # d^-_21..30 here against a 50-digit mpmath sum
+    p = make_params(3, 1.0, 20.5 ** 2 - 2.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = twisted_derivative(RadialKind.Cb, 2.3, 1, math.pi / 2, p)
+    want = ref_twisted_derivative(RadialKind.Cb, 2.3, 1, math.pi / 2, p)
+    assert math.isfinite(got) and got == pytest.approx(want, rel=1e-10)
 
 
 # --- boundary reconstruction ----------------------------------------------------------

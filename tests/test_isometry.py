@@ -416,6 +416,30 @@ def test_invariance_rotation_slice():
     assert viol < 1e-8
 
 
+def test_invariance_rotation_slice_high_degree(rng):
+    # degrees where the factorial-sum Wigner matrix had lost digits
+    labels = [(n, l, int(rng.integers(-l, l + 1))) for l in (20, 25, 28)
+              for n in (0, 1)]
+    reps = [SliceRep({key: tuple(complex(*v) for v in rng.normal(size=(2, 2)))
+                      for key in labels}) for _ in range(2)]
+    scale = max(abs(complex(omega_slice_momentum(e, z, P)))
+                for e in reps for z in reps)
+    viol = invariance_suite(omega_slice_momentum, reps, Rotation(1, 2), P,
+                            angles=EulerAngles(0.5, 1.0, -0.7))
+    assert viol <= 1e-12 * scale
+
+
+def test_invariance_suite_propagates_nan():
+    calls = []
+
+    def first_call_nan(eta, zeta, params):
+        calls.append(1)
+        return float("nan") if len(calls) == 1 else omega_slice_momentum(eta, zeta, params)
+
+    viol = invariance_suite(first_call_nan, [_slice_rep()], TimeTranslation(), P)
+    assert len(calls) == 2 and math.isnan(viol)
+
+
 def test_invariance_rotation_tube():
     reps = [_tube_rep()]
     viol = invariance_suite(omega_tube_momentum, reps, Rotation(2, 3), P,

@@ -300,6 +300,21 @@ def test_flat_limit_ratios(flat_table):
         assert 5.0 <= ratio <= 200.0, (key, errs)
 
 
+def test_flat_limit_nan_measurement_fails_its_check(monkeypatch):
+    # a NaN at one radius must reach the error table, so its ratio check fails
+    import adskg.minkowski as mink
+    from adskg.verify import suite_minkowski
+    jcheck_fine, apply_fine = mink.jcheck, mink.mink_killing_apply
+    monkeypatch.setattr(mink, "jcheck", lambda E, l, r, m: (
+        float("nan") if r == 3.0 else jcheck_fine(E, l, r, m)))
+    monkeypatch.setattr(mink, "mink_killing_apply", lambda name, *args, **kw: (
+        float("nan") if name == "Tj" else apply_fine(name, *args, **kw)))
+    passed = {c.name: c.passed for c in suite_minkowski()}
+    assert not passed["flat_limit_radial_ratio"]
+    assert not passed["killing_correspondence_ratio"]
+    assert passed["flat_limit_slice_synth_ratio"]
+
+
 def test_flat_limit_radial_small(flat_table):
     # m = 0, l = 0 included: rescaled S^a vs j at R = 1000 well below 1e-2
     assert flat_table["radial"][1000.0] < 1e-2

@@ -1,16 +1,21 @@
 """High-precision oracles (mpmath at 40 or more digits) for the special
-functions behind the modes, the harmonics and the flat limit, over the
-parameter ranges the library uses.  Each error is measured against a scale
+functions behind the modes, the harmonics, the boundary Taylor series and
+the flat limit, over the parameter ranges the library uses.  Each error is measured against a scale
 without zeros, so the tolerance stays 1e-12 near the functions' roots."""
 
 import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adskg.expansions import taylor_coeffs
+from adskg.geometry import make_params
+from adskg.harmonics import EulerAngles, wigner_d
 from adskg.minkowski import jcheck, jcheck_dr, ncheck, ncheck_dr
+from adskg.modes import RadialKind, hyper_params
 from adskg.specfun import (assoc_legendre, jacobi_p, spherical_bessel,
                            spherical_bessel_dx)
 
@@ -131,3 +136,54 @@ def test_check_functions_vs_mpmath(l, x, r, m_field, evanescent):
         scales = (scale, scale, p * dscale, p * dscale)
         errs = [abs(g - w) / s for g, w, s in zip(got, want, scales)]
     assert max(errs) < TOL
+
+
+def _wigner_factorial_sum(l, angles):
+    """D^l(alpha, beta, gamma) from the factorial sum for d^l_{m'm}(beta),
+    summed at 50 digits; the sum cancels, but not past 50 digits at l <= 40."""
+    f = [math.factorial(k) for k in range(2 * l + 1)]
+    with mp.workdps(50):
+        half = mp.mpf(angles.beta) / 2
+        cos_pow = [mp.cos(half) ** p for p in range(2 * l + 1)]
+        sin_pow = [mp.sin(half) ** p for p in range(2 * l + 1)]
+        small = [[mp.sqrt(f[l + mp_] * f[l - mp_] * f[l + m] * f[l - m])
+                  * mp.fsum((-1) ** (k + mp_ - m) * cos_pow[2 * l + m - mp_ - 2 * k]
+                            * sin_pow[mp_ - m + 2 * k]
+                            / (f[l + m - k] * f[k] * f[l - mp_ - k] * f[mp_ - m + k])
+                            for k in range(max(0, m - mp_), min(l + m, l - mp_) + 1))
+                  for m in range(-l, l + 1)] for mp_ in range(-l, l + 1)]
+        small = np.array(small, dtype=float)
+    m = np.arange(-l, l + 1)
+    return (np.exp(-1j * m * angles.alpha)[:, None] * small
+            * np.exp(-1j * m * angles.gamma))
+
+
+@pytest.mark.parametrize("l", [5, 20, 30, 40])
+def test_wigner_d_vs_mpmath(l):
+    # the factorial sum in double precision is 1.6e-7 off at l = 30
+    angles = EulerAngles(0.3, 1.1, -0.6)
+    want = _wigner_factorial_sum(l, angles)
+    assert np.max(np.abs(wigner_d(l, angles) - want)) <= 1e-13
+
+
+# masses with non-integer nu (C-modes defined): 3/2, 1/2, sqrt(13)/2, ...
+_C_MODE_MSQ = (0.0, -2.0, 1.0, -1.0, 0.5, 3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(msq=st.sampled_from(_C_MODE_MSQ), omega=st.floats(-10.0, 10.0),
+       l=st.integers(0, 7), branch=st.sampled_from(["plus", "minus"]))
+def test_taylor_coeffs_vs_mpmath(msq, omega, l, branch):
+    # d_a = sum_b (-1)^b binom(l/2, b) h_{a-b}: the sum cancels, so the error
+    # is measured against the largest coefficient
+    p = make_params(3, 1.0, msq)
+    kind = RadialKind.Ca if branch == "plus" else RadialKind.Cb
+    with mp.workdps(50):
+        al, be, ga = (mp.mpf(v) for v in hyper_params(kind, omega, l, p))
+        sin_part = [(-1) ** b * mp.binomial(mp.mpf(l) / 2, b) for b in range(31)]
+        hyp_part = [mp.rf(al, k) * mp.rf(be, k) / (mp.rf(ga, k) * mp.factorial(k))
+                    for k in range(31)]
+        want = np.array([float(mp.fsum(sin_part[b] * hyp_part[a - b]
+                                       for b in range(a + 1))) for a in range(31)])
+    err = np.max(np.abs(taylor_coeffs(branch, omega, l, p, 30) - want))
+    assert err <= 1e-11 * np.max(np.abs(want))
