@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AdskgError, MagicFrequencyBlind
 from .geometry import make_params
-from .harmonics import AngularGrid, sph_harm
+from .harmonics import AngularGrid, require_two_sphere, sph_harm
 from .modes import (RadialKind, cache_counters, jacobi_radial, magic_frequency,
                     radial_eval)
 
@@ -48,6 +48,7 @@ def _add_params_args(parser):
 
 def cmd_eval(args) -> int:
     params = make_params(args.d, args.R, args.msq)
+    require_two_sphere(params.d)
     if args.l < 0 or abs(args.m) > args.l:
         print(f"error: need l >= 0 and |m| <= l, got l={args.l}, m={args.m}",
               file=sys.stderr)
@@ -64,7 +65,7 @@ def cmd_eval(args) -> int:
         raise AdskgError(f"unknown kind {args.kind!r}")
     angles = [(theta, phi) for theta in map(float, args.theta)
               for phi in map(float, args.phi)]
-    ylms = [sph_harm(args.l, args.m, theta, phi) for theta, phi in angles]
+    ylms = sph_harm(args.l, args.m, args.theta[:, None], args.phi).ravel()
     lines = [f"# adskg v1 eval d={args.d} R={args.R!r} msq={args.msq!r}",
              "t,rho,theta,phi,re,im"]
     for t in map(float, args.t):

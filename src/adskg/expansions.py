@@ -12,16 +12,21 @@ exactly.
 Every field built here is one separable sum over labels,
 field[s, x] = sum_{j, l, m} K[s, j, l] c[j, lm] Y_lm(x), with j the
 frequency index k or the radial order n, s the time or radial sample and x
-the angular point.  c is the dense (channel, j, lm) array each rep stores
-(lm = l^2 + l + m, see `_Coeffs`); radial and transfer-matrix factors are
-tabulated once per (j, l) and folded into c (fixed radius) or K (radial
-nodes); on a tube K is the phase matrix d_omega e^{-i omega_k t}.  The
-callers of `_slice_sum` and `_tube_sum` supply the frequency and radial
-functions, so the Minkowski expansions run through the same kernel.
-Inversion is the adjoint: `_project` projects every (l, m) through
-AngularGrid.project for all frequencies or radii at once, after the FFT
-time projection (tube) and before the Gauss-Jacobi radial sum (slice);
-each inversion then applies its own per-(j, l) solve.
+the angular point.  c is the dense (channel, j, lm) array each rep stores,
+on the packed angular index of `harmonics`; radial and transfer-matrix
+factors are tabulated once per (j, l) and folded into c (fixed radius) or
+K (radial nodes); on a tube K is the phase matrix d_omega e^{-i omega_k t}.
+Y is the `AngularGrid.ylm` table, or one `sph_harm` call over every
+(l, m) at a point.  The callers of `_slice_sum` and `_tube_sum` supply the
+frequency and radial functions, so the Minkowski expansions run through
+the same kernel.  Inversion is the adjoint: `AngularGrid.project` takes
+every lm at once, for all frequencies or radii, after the FFT time
+projection (tube) and before the Gauss-Jacobi radial sum (slice); each
+inversion then applies its own per-(j, l) solve.
+
+The harmonics are those of S^2, so every entry point that contracts with
+Y_lm raises UnsupportedDimension for d != 3; the basis change between S
+and C modes stays d-general.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from .errors import (BandLimitExceeded, BasisMismatch, CapabilityError,
                      IntegerNu, MagicFrequencyBlind, RadialNodeError,
                      SerializationError)
 from .geometry import AdsParams, make_params, radial_measure
-from .harmonics import AngularGrid, sph_harm
+from .harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labels,
+                        lm_mirror, require_two_sphere, sph_harm)
 from .modes import (RadialKind, _per_distinct, _transfer_entries, hyper_params,
                     jacobi_radial_fd, magic_frequency, norm_constant,
                     radial_eval_fd)
@@ -89,14 +95,14 @@ class _Coeffs(dict):
         mask = np.ones(array.shape[1:], dtype=bool) if mask is None else mask
         rows = mask.any(axis=1)
         used = np.flatnonzero(mask.any(axis=0))
-        self.l_max = math.isqrt(int(used[-1])) if used.size else 0
-        cols = (self.l_max + 1) ** 2
+        self.l_max = lm_degree(used[-1]) if used.size else 0
+        cols = lm_count(self.l_max)
         self.js = np.asarray(js)[rows]
         self.array, self.mask = array[:, rows, :cols], mask[rows, :cols]
         for held in (self.js, self.array, self.mask):
             held.flags.writeable = False
         j, lm, vals = self.entries()
-        ls, ms = _lm(self.l_max)
+        ls, ms = lm_labels(self.l_max)
         vals = vals[0].tolist() if len(vals) == 1 else zip(*vals.tolist())
         super().__init__(zip(zip(j.tolist(), ls[lm].tolist(), ms[lm].tolist()), vals))
 
@@ -115,7 +121,7 @@ class _Coeffs(dict):
             raise ValueError(f"invalid label {labels[np.argmax(bad)]}: need {rule}")
         values = np.fromiter(coeffs.values() if channels == 1 else chain.from_iterable(
             coeffs.values()), complex, channels * len(labels))
-        return _scatter(keys[:, 0], l * (l + 1) + m, values.reshape(-1, channels).T)
+        return _scatter(keys[:, 0], lm_index(l, m), values.reshape(-1, channels).T)
 
     def entries(self):
         """(j, lm, values) of the labels held, values shaped (channel, label)."""
@@ -136,8 +142,8 @@ def _scatter(j, lm, values) -> _Coeffs:
     """The labels at the first labels j and packed lm, holding values
     (channel, label), summed in order where a label repeats."""
     js, rows = np.unique(j, return_inverse=True)
-    cols = (math.isqrt(int(np.max(lm, initial=0))) + 1) ** 2
-    array = np.zeros((len(values), len(js), cols), dtype=complex)
+    array = np.zeros((len(values), len(js), lm_count(lm_degree(np.max(lm, initial=0)))),
+                     dtype=complex)
     mask = np.zeros(array.shape[1:], dtype=bool)
     np.add.at(array, (slice(None), rows, lm), values)
     mask[rows, lm] = True
@@ -184,7 +190,7 @@ class TubeRep(_Labelled):
         # real iff c(-k, l, -m) = conj c(k, l, m) at every label: the gap
         # conj c(P) - c(mirror P) vanishes at each label P and its mirror
         k, lm, vals = self.coeffs.entries()
-        mirror = _mirror(self.coeffs.l_max)[lm]
+        mirror = lm_mirror(self.coeffs.l_max)[lm]
         gap = _scatter(np.r_[k, -k], np.r_[lm, mirror], np.hstack([vals.conj(), -vals]))
         return not np.any(np.abs(gap.array) > tol)
 
@@ -240,26 +246,14 @@ class BoundaryData:
 # synthesis: the separable kernel and its adjoint
 # ---------------------------------------------------------------------------
 
-def _lm(l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degree and order of each packed angular index lm = l^2 + l + m."""
-    ls = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    return ls, np.arange(ls.size) - ls * (ls + 1)
-
-
-def _mirror(l_max: int) -> np.ndarray:
-    """Packed index of (l, -m) for every packed lm = (l, m)."""
-    ls, ms = _lm(l_max)
-    return ls * (ls + 1) - ms
-
-
 def _table(js, coef, fn, shape=()) -> np.ndarray:
     """fn(j, l) on the (j, l) blocks where coef (..., j, lm) has a nonzero
     entry (zero elsewhere), spread over lm: shape + (j, lm), of fn's dtype.
     fn is called once, on the 1-d arrays of those j and l, and returns
     shape + (blocks,)."""
-    ls, _ = _lm(math.isqrt(coef.shape[-1]) - 1)
+    ls, ms = lm_labels(lm_degree(coef.shape[-1] - 1))
     nonzero = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
-    need = np.logical_or.reduceat(nonzero, np.arange(ls[-1] + 1) ** 2, axis=-1)
+    need = np.logical_or.reduceat(nonzero, np.flatnonzero(ms == -ls), axis=-1)
     rows, l_need = np.nonzero(need)
     vals = np.asarray(fn(np.asarray(js)[rows], l_need)) if rows.size else np.zeros(0)
     out = np.zeros(shape + need.shape, dtype=vals.dtype)
@@ -268,15 +262,16 @@ def _table(js, coef, fn, shape=()) -> np.ndarray:
 
 
 def _ylm(where, coef) -> np.ndarray:
-    """Y_lm for every packed lm of coef (..., lm): on an AngularGrid, shape
-    (lm, theta, phi), or at one point where = (theta, phi), shape (lm,),
-    skipping the lm whose coefficients all vanish."""
-    ls, ms = _lm(math.isqrt(coef.shape[-1]) - 1)
+    """Y_lm for every packed lm of coef (..., lm): the AngularGrid table,
+    shape (lm, theta, phi), or at one point where = (theta, phi), shape (lm,),
+    zero where the coefficients of lm all vanish."""
+    l_max = lm_degree(coef.shape[-1] - 1)
     if isinstance(where, AngularGrid):
-        return np.stack([where.ylm(int(l), int(m)) for l, m in zip(ls, ms)])
+        return where.ylm(l_max)
+    ls, ms = lm_labels(l_max)
+    held = np.any(coef != 0, axis=tuple(range(coef.ndim - 1)))
     out = np.zeros(ls.size, dtype=complex)
-    for i in np.flatnonzero(np.any(coef != 0, axis=tuple(range(coef.ndim - 1)))):
-        out[i] = sph_harm(int(ls[i]), int(ms[i]), *where)
+    out[held] = sph_harm(ls[held], ms[held], *where)
     return out
 
 
@@ -287,13 +282,6 @@ def _synthesize(kern, coef, ylm) -> np.ndarray:
     part = np.einsum("sji,...ji->...si", kern, coef)
     out = part @ ylm.reshape(len(ylm), -1)
     return out.reshape(part.shape[:-1] + ylm.shape[1:])
-
-
-def _project(ang: AngularGrid, values, l_max: int) -> np.ndarray:
-    """Adjoint of the angular contraction: <Y_lm, values> for every packed
-    lm, over the leading axes of values; shape (..., lm)."""
-    return np.stack([ang.project(int(l), int(m), values)
-                     for l, m in zip(*_lm(l_max))], axis=-1)
 
 
 def _time_project(samples: np.ndarray, grid: OmegaGrid) -> np.ndarray:
@@ -333,7 +321,7 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial) -> np.ndarray:
     js, coef = rep.coeffs.js, rep.coeffs.array
     omega = _table(js, np.ones(coef.shape[1:]), frequency)
     plus = coef[0] * np.exp(-1j * omega * t)
-    minus = coef[1][:, _mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t)
+    minus = coef[1][:, lm_mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t)
     coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
     kern = _table(js, coefs, radial, np.shape(rho))
     return _synthesize(kern, coefs, _ylm(where, coefs))
@@ -341,14 +329,17 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial) -> np.ndarray:
 
 def _jacobi(rho: np.ndarray, params: AdsParams, drho: bool = False):
     """The frequency and radial functions of `_slice_sum` for the Jacobi
-    modes: w+_{nl} and J^+_{nl} at the radii rho, or its d/drho."""
+    modes: w+_{nl} and J^+_{nl} at the radii rho, or its d/drho (d = 3)."""
+    require_two_sphere(params.d)
     return (lambda n, l: magic_frequency("plus", n, l, params),
             partial(_per_distinct, lambda n, l: jacobi_radial_fd(
                 "plus", n, l, rho, params)[int(drho)]))
 
 
 def _s_or_c(basis: str, rho, params: AdsParams):
-    """`_tube_sum` radial function of the S or C modes at rho: (f, f')."""
+    """`_tube_sum` radial function of the S or C modes at rho: (f, f')
+    (d = 3)."""
+    require_two_sphere(params.d)
     kinds = {"S": (RadialKind.Sa, RadialKind.Sb),
              "C": (RadialKind.Ca, RadialKind.Cb)}[basis]
     return lambda ch, om, l: radial_eval_fd(kinds[ch], om, l, rho, params)
@@ -487,7 +478,7 @@ def slice_to_tube(rep: SliceRep, grid: OmegaGrid, params: AdsParams) -> TubeRep:
     S^a modes at magic frequencies; the conj channel lands on the mirrored
     label).  Magic frequencies must sit on the grid."""
     n, lm, vals = rep.coeffs.entries()
-    om = magic_frequency("plus", n, _lm(rep.coeffs.l_max)[0][lm], params)
+    om = magic_frequency("plus", n, lm_labels(rep.coeffs.l_max)[0][lm], params)
     k = np.rint(om / grid.d_omega)
     off = np.flatnonzero(np.abs(om / grid.d_omega - k) > _GRID_TOL)
     if off.size:
@@ -495,7 +486,7 @@ def slice_to_tube(rep: SliceRep, grid: OmegaGrid, params: AdsParams) -> TubeRep:
                          f"(d_omega={grid.d_omega})")
     # phi^+ lands on (k, l, m) and conj(phi^-) on (-k, l, -m); zeros add no label
     ks = np.concatenate([k, -k]).astype(int)
-    lms = np.concatenate([lm, _mirror(rep.coeffs.l_max)[lm]])
+    lms = np.concatenate([lm, lm_mirror(rep.coeffs.l_max)[lm]])
     vals = np.concatenate(vals)
     keep = vals != 0.0
     return TubeRep(grid, _scatter(ks[keep], lms[keep], np.stack(
@@ -518,17 +509,17 @@ def invert_slice(data: SliceData, params: AdsParams,
     """
     ang = data.angular
     ns = range(n_max + 1)
-    full = np.ones((n_max + 1, (l_max + 1) ** 2))
+    full = np.ones((n_max + 1, lm_count(l_max)))
     frequency, radial = _jacobi(data.rho_nodes, params)
     kern = _table(ns, full, radial, data.rho_nodes.shape)
-    proj = _project(ang, np.stack([data.phi, data.dphi_dt]), l_max)
+    proj = ang.project(np.stack([data.phi, data.dphi_dt]), l_max)
     p_phi, p_dphi = np.einsum("s,sji,csi->cji", data.rho_weights, kern, proj)
     omega = _table(ns, full, frequency)
     nrm = _table(ns, full, partial(_per_distinct,
                                    lambda n, l: norm_constant("plus", n, l, params)))
     f_c = np.exp(1j * omega * data.t0) / (2.0 * nrm)
     d_c = 1j * np.exp(1j * omega * data.t0) / (2.0 * omega * nrm)
-    mirror = _mirror(l_max)
+    mirror = lm_mirror(l_max)
     rep = SliceRep(_Coeffs(ns, np.stack([f_c * p_phi + d_c * p_dphi,
                                          np.conj(f_c) * p_phi[:, mirror]
                                          + np.conj(d_c) * p_dphi[:, mirror]])))
@@ -551,15 +542,15 @@ def invert_tube(data: TubeData, params: AdsParams, l_max: int,
     in the C basis), with P the time-frequency / harmonic projection.
     """
     grid = data.grid
-    p_phi, p_dphi = (_project(data.angular, _time_project(x, grid), l_max)
-                     for x in (data.phi, data.dphi_drho))
-    full = np.ones((len(grid.indices), (l_max + 1) ** 2))
     radial = _s_or_c(basis, data.rho0, params)
+    p_phi, p_dphi = (data.angular.project(_time_project(x, grid), l_max)
+                     for x in (data.phi, data.dphi_drho))
+    full = np.ones((len(grid.indices), lm_count(l_max)))
     (fa, da), (fb, db) = (_table(grid.indices, full, lambda k, l, ch=ch: radial(
         ch, k * grid.d_omega, l), (2,)) for ch in (0, 1))
     d = params.d
     tan_fac = math.tan(data.rho0) ** (d - 1)
-    weight = tan_fac / (2 * _lm(l_max)[0] + d - 2) if basis == "S" \
+    weight = tan_fac / (2 * lm_labels(l_max)[0] + d - 2) if basis == "S" \
         else tan_fac / (2.0 * params.nu)
     a = weight * (db * p_phi - fb * p_dphi)
     b = weight * (-da * p_phi + fa * p_dphi)
@@ -572,7 +563,7 @@ def _rod_divide(data: RodData, l_max: int, divisor, tol: float,
     divisor(omega, l), called once on the arrays of every (k, l); raises
     error(omega, l) at the first (k, l) where |divisor| < tol."""
     grid = data.grid
-    proj = _project(data.angular, _time_project(data.phi, grid), l_max)
+    proj = data.angular.project(_time_project(data.phi, grid), l_max)
     def checked(k, l):
         om = k * grid.d_omega
         val = divisor(om, l)
@@ -588,6 +579,7 @@ def _rod_divide(data: RodData, l_max: int, divisor, tol: float,
 def invert_rod_interior(data: RodData, params: AdsParams, l_max: int) -> RodRep:
     """Recover the rod representation from field values at rho0 < pi/2:
     a = (time-angular projection) / S^a(rho0)."""
+    require_two_sphere(params.d)
     return _rod_divide(data, l_max, lambda om, l: radial_eval_fd(
         RadialKind.Sa, om, l, data.rho0, params)[0], _NODE_TOL,
         lambda om, l: RadialNodeError(f"S^a({data.rho0}) ~ 0 at omega={om}, l={l}"))
@@ -668,6 +660,7 @@ def boundary_data_of(rep: TubeRep, params: AdsParams,
     """
     if rep.basis != "C":
         raise BasisMismatch("boundary data requires the C basis")
+    require_two_sphere(params.d)
     lam = twisted_boundary_limit(RadialKind.Ca, params)
     ang = angular or AngularGrid()
     t_nodes = rep.grid.time_nodes()
@@ -685,9 +678,10 @@ def boundary_reconstruct(data: BoundaryData, params: AdsParams,
     boundary limit), phi^{C,b} from the rescaled field value."""
     if not params.c_modes_valid:
         raise CapabilityError("boundary reconstruction needs noninteger nu")
+    require_two_sphere(params.d)
     lam = twisted_boundary_limit(RadialKind.Ca, params)
     grid = data.grid
-    p_minus, p_plus = (_project(data.angular, _time_project(x, grid), l_max)
+    p_minus, p_plus = (data.angular.project(_time_project(x, grid), l_max)
                        for x in (data.phid_minus, data.phid_plus))
     return TubeRep(grid, _Coeffs(grid.indices, np.stack([p_plus / lam, p_minus])), "C")
 
@@ -697,6 +691,7 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
     """Rescaled boundary field value of a rod solution:
     phi^d = d_omega sum phi^a m12(w, l) e^{-iwt} Y  (only the C^b part of
     S^a survives the rescaling)."""
+    require_two_sphere(params.d)
     ang = angular or AngularGrid()
     t_nodes = rep.grid.time_nodes()
     def radial(ch, om, l):
@@ -711,6 +706,7 @@ def rod_boundary_reconstruct(data: RodData, params: AdsParams, l_max: int) -> Ro
     """Recover a rod representation from rescaled boundary data:
     a = (projection) / m12(w, l); labels at magic frequencies are invisible
     (m12 = 0) and raise MagicFrequencyBlind."""
+    require_two_sphere(params.d)
     return _rod_divide(data, l_max, lambda om, l: _transfer_entries(
         om, l, params, DEFAULT_POLICY, False)[1], _BLIND_TOL,
         lambda om, l: MagicFrequencyBlind(

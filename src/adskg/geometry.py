@@ -1,6 +1,7 @@
-"""Global AdS parameters, regions, the radial Klein-Gordon residual check,
-Killing vector fields as numerical differential operators, Lie-bracket
-verification, and the flat-limit rescalings.
+"""Global AdS parameters, the radial quadrature, sampled fields, the radial
+Klein-Gordon residual check, Killing vector fields as numerical
+differential operators, Lie-bracket verification, and the flat-limit
+rescalings that `minkowski` applies.
 
 Coordinates are global (t, rho, Omega) with the boundary at rho = pi/2.
 Killing operators act on smooth closures field(t, rho, xi): t and rho are
@@ -74,35 +75,6 @@ def make_params(d: int, R: float, m_sq: float) -> AdsParams:
     nu = math.sqrt(d * d / 4.0 + msq_r2)
     return AdsParams(d=d, R=R, m_sq=m_sq, nu=nu,
                      delta_plus=d / 2.0 + nu, delta_minus=d / 2.0 - nu)
-
-
-@dataclass(frozen=True)
-class Slice:
-    t1: float
-    t2: float
-
-    def __post_init__(self):
-        if not self.t1 < self.t2:
-            raise ValueError("slice needs t1 < t2")
-
-
-@dataclass(frozen=True)
-class Rod:
-    rho0: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rho0 < math.pi / 2:
-            raise ValueError("rod radius must lie in (0, pi/2)")
-
-
-@dataclass(frozen=True)
-class Tube:
-    rho1: float
-    rho2: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rho1 < self.rho2 <= math.pi / 2:
-            raise ValueError("tube needs 0 < rho1 < rho2 <= pi/2")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,16 @@
-"""Two-sphere spherical harmonics, Wigner D-matrices, and the general-d
-raising/lowering coefficients for contiguous hyperspherical harmonics.
+"""The angular layer: two-sphere spherical harmonics on the packed (l, m)
+index, their quadrature tables and projection, Wigner D-matrices, and the
+general-d raising/lowering coefficients of contiguous hyperspherical
+harmonics.
+
+Every angular array in the package is indexed by lm = l^2 + l + m, so the
+degrees 0..l_max fill (l_max + 1)^2 columns with degree l in the block
+[l^2, (l+1)^2); `lm_labels`, `lm_index`, `lm_degree`, `lm_count` and
+`lm_mirror` are the only place that arithmetic is written.  `sph_harm`,
+`assoc_legendre` and `contiguous_coeffs` broadcast over arrays of l and m,
+each element bit-identical to the scalar call.  `AngularGrid.ylm(l_max)`
+is the (lm, theta, phi) table of Y on the quadrature grid and
+`AngularGrid.project` its adjoint for every lm at once.
 
 The D-matrix comes from the exact diagonalization of J_y (Feng, Wang, Yang
 & Jin, Phys. Rev. E 92, 043307, 2015): it stays unitary to roundoff at any
@@ -17,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .specfun import assoc_legendre, assoc_legendre_sin2_dx
+from .errors import DomainError, UnsupportedDimension
+from .specfun import _BLOCK_ELEMENTS, assoc_legendre
 
 
 @dataclass(frozen=True)
@@ -30,61 +41,87 @@ class EulerAngles:
     gamma: float
 
 
-def sph_norm(l: int, m: int) -> float:
-    """Normalization sqrt((2l+1)(l-m)! / (4 pi (l+m)!))."""
-    return math.sqrt((2 * l + 1) / (4.0 * math.pi)
-                     * math.exp(math.lgamma(l - m + 1) - math.lgamma(l + m + 1)))
+def require_two_sphere(d: int) -> None:
+    """UnsupportedDimension unless d = 3: the harmonics here live on S^2."""
+    if d != 3:
+        raise UnsupportedDimension(f"d = {d}: the angular layer is implemented "
+                                   "for d = 3 (S^2 harmonics) only")
 
 
-def sph_harm(l: int, m: int, theta, phi):
+def lm_index(l, m):
+    """Packed angular index lm = l^2 + l + m of (l, m); broadcasts."""
+    return l * (l + 1) + m
+
+
+def lm_degree(lm: int) -> int:
+    """Degree l of the packed index lm."""
+    return math.isqrt(int(lm))
+
+
+def lm_count(l_max: int) -> int:
+    """Number of packed indices of the degrees 0..l_max."""
+    return (l_max + 1) ** 2
+
+
+def lm_labels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree and order of each packed index up to l_max."""
+    ls = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    return ls, np.arange(ls.size) - lm_index(ls, 0)
+
+
+def lm_mirror(l_max: int) -> np.ndarray:
+    """Packed index of (l, -m) for every packed lm = (l, m) up to l_max."""
+    ls, ms = lm_labels(l_max)
+    return lm_index(ls, -ms)
+
+
+def sph_norm(l, m):
+    """Normalization sqrt((2l+1)(l-m)! / (4 pi (l+m)!)); broadcasts.  The
+    log-factorials and their exp are libm's (math.lgamma, math.exp) per
+    element: numpy's vectorized exp differs from libm in the last bit on
+    about one argument in twenty."""
+    l, m = np.broadcast_arrays(l, m)
+    lgamma = np.fromiter(map(math.lgamma, range(1, np.max(l + np.abs(m), initial=0) + 2)), float)
+    ratio = np.fromiter(map(math.exp, (lgamma[l - m] - lgamma[l + m]).flat), float, l.size)
+    return np.sqrt((2 * l + 1) / (4.0 * math.pi) * ratio.reshape(l.shape))
+
+
+def sph_harm(l, m, theta, phi):
     """Spherical harmonic Y_l^m(theta, phi) on the two-sphere.
 
     Convention: Y_l^m = N_l^m e^{i m phi} P_l^m(cos theta) with the
-    Condon-Shortley-free P_l^m, so that conj(Y_l^m) = Y_l^{-m}.
-    Accepts scalars or numpy arrays for the angles.
+    Condon-Shortley-free P_l^m, so that conj(Y_l^m) = Y_l^{-m}.  l, m and
+    the angles broadcast against each other; IndexError if any |m| > l.
     """
-    if abs(m) > l:
-        raise IndexError(f"|m| = {abs(m)} exceeds l = {l}")
-    ct = np.cos(theta)
-    return sph_norm(l, m) * np.exp(1j * m * np.asarray(phi, dtype=float)) \
-        * assoc_legendre(m, l, ct)
+    p = assoc_legendre(m, l, np.cos(theta))
+    return sph_norm(l, m) * np.exp(1j * np.asarray(m) * np.asarray(phi, dtype=float)) * p
 
 
-def sph_harm_sin2_dcos(l: int, m: int, theta, phi):
-    """(1 - cos^2 theta) d/d(cos theta) Y_l^m, computed analytically."""
-    ct = np.cos(theta)
-    return sph_norm(l, m) * np.exp(1j * m * np.asarray(phi, dtype=float)) \
-        * assoc_legendre_sin2_dx(m, l, ct)
-
-
-def contiguous_coeffs(d: int, l: int, sub: int):
+def contiguous_coeffs(d: int, l, sub):
     """Raising/lowering coefficients (kappa_minus, kappa_plus, delta_minus,
     delta_plus) for cos(theta_{d-1}) Y and (1-cos^2) d/dcos Y.
 
     For d = 3 `sub` is the azimuthal order m (|m| <= l); for d > 3 it is the
     next-lower multi-index entry (0 <= sub <= l).  Lowering coefficients
-    vanish at l = 0 and at sub = l (|m| = l when d = 3).
+    vanish at l = 0 and at sub = l (|m| = l when d = 3).  l and sub
+    broadcast; IndexError if any pair is out of range.
     """
     if d < 3 or d % 2 == 0:
         raise DomainError("d must be odd and >= 3")
+    l, sub = np.broadcast_arrays(l, sub)
     if d == 3:
-        if abs(sub) > l:
+        if np.any(np.abs(sub) > l):
             raise IndexError("need |m| <= l")
-        s = abs(sub)
+        s = np.abs(sub)
     else:
-        if not 0 <= sub <= l:
+        if np.any((sub < 0) | (sub > l)):
             raise IndexError("need 0 <= sub <= l")
         s = sub
-    if l == 0:
-        km = 0.0
-    else:
-        km = math.sqrt((l - s) * (l + s + d - 3.0)
-                       / ((2.0 * l + d - 4.0) * (2.0 * l + d - 2.0)))
-    kp = math.sqrt((l - s + 1.0) * (l + s + d - 2.0)
-                   / ((2.0 * l + d - 2.0) * (2.0 * l + d)))
-    dm = (l + d - 2.0) * km
-    dp = -float(l) * kp
-    return km, kp, dm, dp
+    km = np.where(l == 0, 0.0, np.sqrt((l - s) * (l + s + d - 3.0)
+                                       / ((2.0 * l + d - 4.0) * (2.0 * l + d - 2.0))))[()]
+    kp = np.sqrt((l - s + 1.0) * (l + s + d - 2.0)
+                 / ((2.0 * l + d - 2.0) * (2.0 * l + d)))
+    return km, kp, (l + d - 2.0) * km, -1.0 * l * kp
 
 
 def wigner_d(l: int, angles: EulerAngles) -> np.ndarray:
@@ -155,23 +192,32 @@ class AngularGrid:
         self.phi_weight = 2.0 * math.pi / n_phi
         self.n_theta = n_theta
         self.n_phi = n_phi
-        self._ylm_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._ylm = np.zeros((0, n_theta, n_phi), dtype=complex)
 
-    def ylm(self, l: int, m: int) -> np.ndarray:
-        """Y_l^m sampled on the (theta, phi) product grid, shape (n_theta, n_phi)."""
-        key = (l, m)
-        if key not in self._ylm_cache:
-            th = self.theta[:, None]
-            ph = self.phi[None, :]
-            self._ylm_cache[key] = sph_harm(l, m, th, ph)
-        return self._ylm_cache[key]
+    def ylm(self, l_max: int) -> np.ndarray:
+        """Y_lm on the (theta, phi) product grid for every packed lm up to
+        l_max, shape (lm, n_theta, n_phi), read-only.  The grid keeps the
+        largest table asked for and returns its leading rows."""
+        if len(self._ylm) < lm_count(l_max):
+            ls, ms = (x[:, None, None] for x in lm_labels(l_max))
+            self._ylm = sph_harm(ls, ms, self.theta[:, None], self.phi)
+            self._ylm.flags.writeable = False
+        return self._ylm[:lm_count(l_max)]
 
     def integrate(self, values: np.ndarray):
         """Integral over S^2 of values sampled on the grid; values has shape
         (..., n_theta, n_phi) and the result the leading shape."""
         return self.phi_weight * np.sum(self.cos_weights @ values, axis=-1)
 
-    def project(self, l: int, m: int, values: np.ndarray):
-        """<Y_l^m, values> = integral of conj(Y_l^m) * values, over the
-        leading axes of values."""
-        return self.integrate(np.conj(self.ylm(l, m)) * values)
+    def project(self, values: np.ndarray, l_max: int) -> np.ndarray:
+        """<Y_lm, values> = integral of conj(Y_lm) * values for every packed lm
+        up to l_max, over the leading axes of values: shape (..., lm).
+
+        Each entry is `integrate(conj(Y_lm) * values)` bit for bit: the
+        theta sum first, then the phi sum.  The products are formed for a
+        block of lm at a time, of at most _BLOCK_ELEMENTS elements (or one
+        lm)."""
+        ylm, rows = self.ylm(l_max), values[..., None, :, :]
+        step = max(1, _BLOCK_ELEMENTS // rows.size)
+        return np.concatenate([self.integrate(np.conj(ylm[i:i + step]) * rows)
+                               for i in range(0, len(ylm), step)], axis=-1)

@@ -41,10 +41,11 @@ from functools import partial
 import numpy as np
 
 from .errors import UnsupportedDimension
-from .expansions import SliceRep, TubeRep, _Coeffs, _lm, _scatter
+from .expansions import SliceRep, TubeRep, _Coeffs, _scatter
 from .geometry import (AdsParams, Boost0, BoostD1, GeneratorId, Rotation,
                        TimeTranslation)
-from .harmonics import EulerAngles, contiguous_coeffs, wigner_d
+from .harmonics import (EulerAngles, contiguous_coeffs, lm_index, lm_labels,
+                        require_two_sphere, wigner_d)
 from .modes import RadialKind, magic_frequency, radial_eval_fd
 
 # the four boost branches (s_omega, s_l), in the order their terms are summed
@@ -60,7 +61,7 @@ def act_time_translation(rep, delta_t: float, params: AdsParams):
     each channel picks up e^{i omega delta_t} (the conj channel its inverse)."""
     c = rep.coeffs
     if isinstance(rep, SliceRep):
-        omega = magic_frequency("plus", c.js[:, None], _lm(c.l_max)[0], params)
+        omega = magic_frequency("plus", c.js[:, None], lm_labels(c.l_max)[0], params)
         omega = np.multiply.outer([1.0, -1.0], omega)
     else:
         omega = rep.grid.d_omega * c.js[:, None]
@@ -83,12 +84,11 @@ def rotation_mixing(l: int, angles: EulerAngles) -> np.ndarray:
 def act_rotation(rep, angles: EulerAngles, params: AdsParams):
     """Action of the rotation R(angles) on a rep (d = 3 only):
     synth(act_rotation(rep), x) == synth(rep, R^{-1} x)."""
-    if params.d != 3:
-        raise UnsupportedDimension("rotation action implemented for d = 3")
+    require_two_sphere(params.d)
     c = rep.coeffs
     out = np.zeros_like(c.array)
     for l in range(c.l_max + 1):
-        block = slice(l * l, (l + 1) ** 2)
+        block = slice(lm_index(l, -l), lm_index(l, l) + 1)
         if c.mask[:, block].any():
             x = rotation_mixing(l, angles)
             # the conj(phi^-) channel of a slice rep rotates by conj(X)
@@ -159,7 +159,7 @@ def boost_generator_apply(rep, generator: GeneratorId, params: AdsParams):
     if not isinstance(generator, (Boost0, BoostD1)) or generator.j != params.d:
         raise ValueError("generator must be Boost0(d) or BoostD1(d)")
     c = rep.coeffs
-    ls, ms = _lm(c.l_max)
+    ls, ms = lm_labels(c.l_max)
     if isinstance(rep, SliceRep):
         signs, channels = (1.0, -1.0 if is_0d else 1.0), "aa"
         omega = magic_frequency("plus", c.js[:, None], ls, params)
@@ -174,7 +174,7 @@ def boost_generator_apply(rep, generator: GeneratorId, params: AdsParams):
     else:
         raise TypeError("boost action defined for TubeRep and SliceRep")
 
-    kappa = np.array([contiguous_coeffs(3, l, m)[:2] for l, m in zip(ls, ms)])
+    kappa = contiguous_coeffs(3, ls, ms)[:2]
     targets, values = [], []
     for s_om, s_l in _BRANCHES:
         weight = 0.5j if is_0d else (0.5 if s_om < 0 else -0.5)
@@ -183,8 +183,8 @@ def boost_generator_apply(rep, generator: GeneratorId, params: AdsParams):
         l_t, j_t = ls + s_l, c.js.astype(int) + shift(s_om, s_l)
         keep = c.mask & (l_t >= 0) & (np.abs(ms) <= l_t) & (j_t[:, None] >= rep._j_min)
         rows, lm = np.nonzero(keep)
-        targets.append((j_t[rows], (l_t * (l_t + 1) + ms)[lm]))
-        values.append(weight * np.array(signs)[:, None] * kappa[lm, int(s_l > 0)]
+        targets.append((j_t[rows], lm_index(l_t, ms)[lm]))
+        values.append(weight * np.array(signs)[:, None] * kappa[int(s_l > 0)][lm]
                       * z[:, rows, lm] * c.array[:, rows, lm])
     j, lm = (np.concatenate(col) for col in zip(*targets))
     return replace(rep, coeffs=_scatter(j, lm, np.concatenate(values, axis=1)))

@@ -35,7 +35,8 @@ from .errors import BoundaryProximity, DomainError
 from .expansions import (OmegaGrid, SliceRep, _Labelled, _slice_sum,
                          _tube_sum, synth)
 from .geometry import (AdsParams, Boost0, BoostD1, _apply, _first_order,
-                       _points, killing_apply, make_params)
+                       _points, flat_labels, flat_rescale, flat_unscale,
+                       killing_apply, make_params)
 from .harmonics import AngularGrid
 from .modes import RadialKind, _per_distinct, magic_frequency, radial_eval
 from .specfun import spherical_bessel, spherical_bessel_dx
@@ -210,11 +211,7 @@ def mink_killing_apply(name: str, fld, point, j: int = 3,
 
 def _flat_map_factor(params: AdsParams, n: int, l: int) -> tuple[float, float, float]:
     """(omega_tilde, p_tilde, T') for the per-mode flat-limit map."""
-    om = magic_frequency("plus", n, l, params)
-    om_t = om / params.R
-    m_f = math.sqrt(params.m_sq) if params.m_sq > 0 else 0.0
-    p_t = math.sqrt(abs(om_t * om_t - m_f * m_f))
-    p_r = p_t * params.R
+    om_t, p_r, p_t = flat_labels(params, magic_frequency("plus", n, l, params))
     t_fac = 2.0 * p_t * p_r ** l / (math.sqrt(2.0 * math.pi)
                                     * math.prod(range(2 * l + params.d - 2, 0, -2)))
     return om_t, p_t, t_fac
@@ -244,7 +241,7 @@ def flat_limit_compare(m_field: float = 0.0,
         errs = []
         for l in l_values:
             om = omega_tilde * R
-            p_r = math.sqrt(abs(om * om - m_field * m_field * R * R))
+            _, p_r, _ = flat_labels(params, om)
             scale = p_r ** l / math.prod(range(2 * l + 1, 0, -2))
             for r in r_values:
                 ads = scale * radial_eval(RadialKind.Sa, om, l, r / R, params)
@@ -313,11 +310,13 @@ def killing_correspondence_errors(R_values=(100.0, 1000.0),
 
     out = {}
     for R in R_values:
-        def fld_ads(t, rho, xi, R=R):
-            return fld(R * t, R * rho, xi)
+        params = make_params(3, R, 0.0)
+
+        def fld_ads(t, rho, xi, params=params):
+            return fld(*flat_rescale(params, t, rho), xi)
         errs = []
         for (tau, r, xi) in points:
-            pt_ads = (tau / R, r / R, xi)
+            pt_ads = (*flat_unscale(params, tau, r), xi)
             pt_mink = (tau, r, xi)
             ads = killing_apply(Boost0(3), fld_ads, pt_ads, h=1e-3 / R)
             mink = mink_killing_apply("K0j", fld, pt_mink, j=3)

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (CapabilityError, DegenerateBasis, DomainError,
                      ExceptionalBranch, SingularPoint)
 from .geometry import AdsParams, make_params
-from .harmonics import sph_harm
+from .harmonics import require_two_sphere, sph_harm
 from .specfun import (DEFAULT_POLICY, SeriesPolicy, hyp2f1, hyp2f1_dx,
                       hyp2f1_terminates, jacobi_p, jacobi_p_dx, log_gamma)
 
@@ -473,8 +473,9 @@ def mode_eval(label, point, params: AdsParams,
 
     `label` is a TubeLabel (kind selects the radial family, default S^a) or
     a SliceLabel (Jacobi radial at the magic frequency).  `point` is
-    (t, rho, theta, phi).
+    (t, rho, theta, phi); d = 3 only (UnsupportedDimension otherwise).
     """
+    require_two_sphere(params.d)
     t, rho, theta, phi = point
     if isinstance(label, SliceLabel):
         omega = magic_frequency(label.branch, label.n, label.l, params)

@@ -50,17 +50,6 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function; PoleError at nonpositive integers.
-
-    Backed by the C library implementation, which meets the 1e-12 relative
-    accuracy contract on |x| <= 50 with margin.
-    """
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at x = {x}")
-    return math.gamma(x)
-
-
 def log_gamma(x: float) -> float:
     """log |Gamma(x)| for x > 0; used where Gamma itself would overflow."""
     if x <= 0.0:
@@ -271,28 +260,22 @@ def gegenbauer_c(lam: float, n: int, x):
     return _defined(eval_gegenbauer(int(n), lam, x), "gegenbauer_c")
 
 
-def assoc_legendre(m: int, l: int, x):
+def assoc_legendre(m, l, x):
     """Associated Legendre function P_l^m(x) WITHOUT the Condon-Shortley phase.
 
     Negative orders follow P_l^{-m} = (l-m)!/(l+m)! P_l^m (no sign), which is
     exactly what makes conj(Y_l^m) = Y_l^{-m} for the harmonics built on top.
     scipy's lpmv carries the phase (-1)^m on m > 0 only; it is undone there.
+    m, l and x broadcast; IndexError if any l < 0 or |m| > l.
     """
-    if l < 0:
+    m, l = np.broadcast_arrays(m, l)
+    if np.any(l < 0):
         raise IndexError("assoc_legendre requires l >= 0")
-    if abs(m) > l:
-        raise IndexError(f"|m| = {abs(m)} exceeds l = {l}")
-    return _defined((-1.0) ** max(m, 0) * lpmv(m, l, x), "assoc_legendre")
-
-
-def assoc_legendre_sin2_dx(m: int, l: int, x):
-    """(1 - x^2) d/dx P_l^m(x), via (1-x^2) P' = (l+m) P_{l-1}^m - l x P_l^m.
-
-    The identity holds for either sign of m in the convention used here.
-    """
-    lower = assoc_legendre(m, l - 1, x) if abs(m) <= l - 1 else (
-        np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0)
-    return (l + m) * lower - l * x * assoc_legendre(m, l, x)
+    if np.any(np.abs(m) > l):
+        i = np.argmax(np.abs(m) > l)
+        raise IndexError(f"|m| = {abs(m.flat[i])} exceeds l = {l.flat[i]}")
+    sign = np.where((m > 0) & (m % 2 == 1), -1.0, 1.0)
+    return _defined(sign * lpmv(m, l, x), "assoc_legendre")
 
 
 def _spherical(kind: str, l: int, x: float, derivative: bool) -> float:

@@ -21,10 +21,9 @@ from functools import partial
 import numpy as np
 
 from .errors import BasisMismatch
-from .expansions import (SliceRep, TubeRep, _mirror, _table, sample_slice,
-                         sample_tube)
+from .expansions import SliceRep, TubeRep, _table, sample_slice, sample_tube
 from .geometry import AdsParams
-from .harmonics import AngularGrid
+from .harmonics import AngularGrid, lm_count, lm_mirror
 from .modes import _per_distinct, magic_frequency, norm_constant
 
 
@@ -32,10 +31,10 @@ def _framed(c, js, l_max: int, mirror: bool = False):
     """The (channel, j, lm) array and (j, lm) mask of the stored coefficients
     c on the rows js and the packed lm up to l_max, zero (False) off c's
     labels; mirrored, row -j and column (l, -m) hold c's entry at (j, l, m)."""
-    array = np.zeros((len(c.array), len(js), (l_max + 1) ** 2), dtype=complex)
+    array = np.zeros((len(c.array), len(js), lm_count(l_max)), dtype=complex)
     mask = np.zeros(array.shape[1:], dtype=bool)
     rows = np.searchsorted(js, -c.js if mirror else c.js)[:, None]
-    lm = _mirror(c.l_max) if mirror else np.arange(c.mask.shape[1])
+    lm = lm_mirror(c.l_max) if mirror else np.arange(c.mask.shape[1])
     array[:, rows, lm], mask[rows, lm] = c.array, c.mask
     return array, mask
 

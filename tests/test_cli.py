@@ -48,6 +48,11 @@ def test_eval_matches_pointwise_reference(tmp_path):
         assert rows == expected
 
 
+def test_eval_rejects_d5(capsys):
+    assert main(["eval", "--d", "5", "--kind", "sa", "--omega", "2.0", "--l", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: d = 5")
+
+
 def test_eval_invalid_kind(capsys):
     assert main(["eval", "--kind", "nope", "--rho", "0.5"]) == 2
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from adskg.errors import (BandLimitExceeded, IntegerNu, MagicFrequencyBlind,
-                          RadialNodeError, SerializationError)
+                          RadialNodeError, SerializationError,
+                          UnsupportedDimension)
 from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep,
                               boundary_data_of, boundary_reconstruct, c_to_s,
                               invert_rod_interior, invert_slice, invert_tube,
@@ -66,6 +67,14 @@ def test_synth_slice_single(params_m0):
     rep = SliceRep({(1, 1, 0): (1.0, 0.0)})
     point = (0.2, 0.6, 0.9, 1.7)
     expected = mode_eval(SliceLabel(1, 1, 0), point, params_m0)
+    assert synth(rep, point, params_m0) == pytest.approx(expected, rel=1e-13)
+
+
+def test_synth_point_evaluates_only_held_orders(params_m0):
+    # a lone l = 90 label: N_90^{-90} of an absent order overflows a double
+    rep = SliceRep({(0, 90, 0): (1.0, 0.0)})
+    point = (0.2, 0.6, 0.9, 1.7)
+    expected = mode_eval(SliceLabel(0, 90, 0), point, params_m0)
     assert synth(rep, point, params_m0) == pytest.approx(expected, rel=1e-13)
 
 
@@ -690,3 +699,42 @@ def test_slice_to_tube_equals_per_label_loop(params_m0, rng):
             == np.array([want[key] for key in sorted(want)]).tobytes()
     with pytest.raises(ValueError, match="not on the grid"):
         slice_to_tube(rep, OmegaGrid(0.3, (1,)), params_m0)
+
+
+# --- the angular layer is S^2 only: d != 3 raises ------------------------------------
+
+_D5_ENTRY_POINTS = {
+    "mode_eval": lambda p: mode_eval(TubeLabel(1.5, 1, 0), (0.1, 0.7, 1.0, 2.0), p),
+    "synth": lambda p: synth(_slice_rep(), (0.1, 0.7, 1.0, 2.0), p),
+    "synth_dt": lambda p: synth_dt(_tube_rep(), (0.1, 0.7, 1.0, 2.0), p),
+    "synth_drho": lambda p: synth_drho(_rod_rep(), (0.1, 0.7, 1.0, 2.0), p),
+    "sample_slice": lambda p: sample_slice(_slice_rep(), 0.2, p, 16, ANG),
+    "sample_tube": lambda p: sample_tube(_tube_rep(), 0.8, p, ANG),
+    "sample_rod": lambda p: sample_rod(_rod_rep(), 0.8, p, ANG),
+    "invert_slice": lambda p: invert_slice(sample_slice(
+        _slice_rep(), 0.2, make_params(3, 1.0, 0.0), 16, ANG), p, 2, 2),
+    "invert_tube": lambda p: invert_tube(sample_tube(
+        _tube_rep(), 0.8, make_params(3, 1.0, 0.0), ANG), p, 2),
+    "invert_rod_interior": lambda p: invert_rod_interior(sample_rod(
+        _rod_rep(), 0.8, make_params(3, 1.0, 0.0), ANG), p, 2),
+    "boundary_data_of": lambda p: boundary_data_of(_tube_rep("C"), p, ANG),
+    "boundary_reconstruct": lambda p: boundary_reconstruct(boundary_data_of(
+        _tube_rep("C"), make_params(3, 1.0, 0.3), ANG), p, 2),
+    "rod_boundary_data_of": lambda p: rod_boundary_data_of(_rod_rep(), p, ANG),
+    "rod_boundary_reconstruct": lambda p: rod_boundary_reconstruct(rod_boundary_data_of(
+        _rod_rep(), make_params(3, 1.0, 0.3), ANG), p, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_D5_ENTRY_POINTS))
+def test_angular_entry_points_reject_d5(entry):
+    with pytest.raises(UnsupportedDimension, match="d = 5"):
+        _D5_ENTRY_POINTS[entry](make_params(5, 1.0, 0.0))
+
+
+def test_basis_change_stays_d_general():
+    p5 = make_params(5, 1.0, 0.3)
+    rep = _tube_rep()
+    back = c_to_s(s_to_c(rep, p5), p5)
+    assert max(abs(back.coeffs[key][i] - v) for key, pair in rep.coeffs.items()
+               for i, v in enumerate(pair)) < 1e-10

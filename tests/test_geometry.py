@@ -5,8 +5,8 @@ import pytest
 
 from adskg.errors import (BfViolation, BoundaryProximity, EvenDimension,
                           WindowError)
-from adskg.geometry import (Boost0, BoostD1, Rod, Rotation, Slice,
-                            TimeTranslation, Tube, boost_rho_coefficient,
+from adskg.geometry import (Boost0, BoostD1, Rotation, TimeTranslation,
+                            boost_rho_coefficient,
                             bracket_rhs, flat_labels, flat_rescale,
                             flat_unscale, kg_residual, killing_apply,
                             make_params, radial_measure, verify_lie_bracket)
@@ -45,18 +45,6 @@ def test_weight_product_identity():
             p = make_params(d, 1.0, msq)
             assert p.delta_plus * p.delta_minus == pytest.approx(
                 -msq, rel=1e-12, abs=1e-12)
-
-
-def test_region_validation():
-    Slice(0.0, 1.0)
-    Rod(0.7)
-    Tube(0.3, 1.2)
-    with pytest.raises(ValueError):
-        Slice(1.0, 0.0)
-    with pytest.raises(ValueError):
-        Rod(2.0)
-    with pytest.raises(ValueError):
-        Tube(1.2, 0.3)
 
 
 # --- radial quadrature --------------------------------------------------------

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adskg.errors import DomainError
+from adskg.expansions import OmegaGrid, TubeRep, _time_project, sample_tube
+from adskg.geometry import make_params
 from adskg.harmonics import (AngularGrid, EulerAngles, contiguous_coeffs,
-                             rotate_angles, sph_harm, sph_harm_sin2_dcos,
+                             lm_count, lm_degree, lm_index, lm_labels,
+                             lm_mirror, rotate_angles, sph_harm, sph_norm,
                              wigner_d)
+from adskg.specfun import assoc_legendre
 
 
 def test_y00_value():
@@ -27,30 +31,85 @@ def test_conjugation_rule(rng):
 
 def test_normalization_quadrature():
     ang = AngularGrid(64, 128)
-    vals = ang.ylm(1, 0)
+    vals = ang.ylm(1)[lm_index(1, 0)]
     assert ang.integrate(np.abs(vals) ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_orthonormality():
     ang = AngularGrid(32, 64)
-    labels = [(l, m) for l in range(6) for m in range(-l, l + 1)]
-    for (l1, m1) in labels:
-        for (l2, m2) in labels:
-            val = ang.integrate(np.conj(ang.ylm(l1, m1)) * ang.ylm(l2, m2))
-            expected = 1.0 if (l1, m1) == (l2, m2) else 0.0
-            assert val == pytest.approx(expected, abs=1e-10)
+    gram = ang.project(ang.ylm(5), 5)  # gram[i, j] = <Y_j, Y_i>
+    assert gram.shape == (36, 36)
+    assert np.max(np.abs(gram - np.eye(36))) <= 1e-10
+
+
+def test_packed_index_helpers():
+    ls, ms = lm_labels(4)
+    assert lm_count(4) == ls.size == 25
+    assert np.array_equal(lm_index(ls, ms), np.arange(25))
+    assert [lm_degree(lm) for lm in range(25)] == ls.tolist()
+    assert np.array_equal(ms[lm_mirror(4)], -ms) and np.array_equal(ls[lm_mirror(4)], ls)
+
+
+def test_array_sph_harm_equals_scalar_calls(rng):
+    ls, ms = lm_labels(12)
+    theta, phi = rng.uniform(0.0, math.pi, 9), rng.uniform(-7.0, 7.0, 9)
+    got = sph_harm(ls[:, None], ms[:, None], theta, phi)
+    want = [[sph_harm(int(l), int(m), float(t), float(p)) for t, p in zip(theta, phi)]
+            for l, m in zip(ls, ms)]
+    assert got.shape == (ls.size, 9) and np.array_equal(got, want)
+    ang = AngularGrid(12, 24)
+    table = ang.ylm(9)
+    assert table.shape == (100, 12, 24) and not table.flags.writeable
+    assert np.array_equal(table, [[[sph_harm(int(l), int(m), float(t), float(p))
+                                    for p in ang.phi] for t in ang.theta]
+                                  for l, m in zip(*lm_labels(9))])
+    assert np.array_equal(ang.ylm(3), table[:16])
+    assert np.array_equal(ang.ylm(11)[:100], table)
+
+
+@pytest.mark.parametrize("l, m", [((2, 3, 4), (1, -4, 0)), (2, (0, 3)), ((1, 0), 1)])
+def test_array_sph_harm_rejects_any_m_above_l(l, m):
+    with pytest.raises(IndexError):
+        sph_harm(np.array(l), np.array(m), 0.5, 0.5)
+
+
+def _loop_project(ang, values, l_max):
+    """Reference: one integral of conj(Y_lm) * values per packed lm."""
+    ylm = ang.ylm(l_max)
+    return np.stack([ang.integrate(np.conj(ylm[lm]) * values)
+                     for lm in range(lm_count(l_max))], axis=-1)
+
+
+def test_project_matches_label_loop(rng):
+    ang = AngularGrid(16, 32)
+    for shape in ((), (3,), (5, 3), (200,)):  # (200,) projects in many blocks
+        values = rng.normal(size=shape + (16, 32)) + 1j * rng.normal(size=shape + (16, 32))
+        got = ang.project(values, 8)
+        assert got.shape == shape + (81,)
+        assert np.array_equal(got, _loop_project(ang, values, 8))
+
+
+def test_project_matches_label_loop_on_c_tube(rng):
+    # a sampled C-basis tube holding every label k in -8..8, l <= 8, at rho0 0.8
+    params = make_params(3, 1.0, 0.0)
+    grid = OmegaGrid(0.5, tuple(range(-8, 9)))
+    labels = [(k, l, m) for k in grid.indices for l, m in zip(*(x.tolist() for x in lm_labels(8)))]
+    values = rng.normal(size=(len(labels), 4)) @ [[1, 0], [1j, 0], [0, 1], [0, 1j]]
+    rep = TubeRep(grid, dict(zip(labels, map(tuple, values))), "C")
+    ang = AngularGrid(16, 32)
+    data = sample_tube(rep, 0.8, params, ang)
+    for values in (data.phi, _time_project(data.dphi_drho, grid)):
+        assert np.array_equal(ang.project(values, 8), _loop_project(ang, values, 8))
 
 
 def test_project_over_stack_equals_per_slice(rng):
     ang = AngularGrid(16, 32)
     stack = (rng.normal(size=(5, 3, 16, 32))
              + 1j * rng.normal(size=(5, 3, 16, 32)))
-    for l, m in ((0, 0), (3, -2), (7, 7)):
-        got = ang.project(l, m, stack)
-        assert got.shape == (5, 3)
-        for i in range(5):
-            for j in range(3):
-                assert got[i, j] == ang.project(l, m, stack[i, j])
+    got = ang.project(stack, 7)
+    assert got.shape == (5, 3, 64)
+    assert all(np.array_equal(got[i, j], ang.project(stack[i, j], 7))
+               for i in range(5) for j in range(3))
     totals = ang.integrate(stack)
     assert all(totals[i, j] == ang.integrate(stack[i, j])
                for i in range(5) for j in range(3))
@@ -103,6 +162,18 @@ def test_contiguous_delta_relations():
                 assert dp == pytest.approx(-l * kp, rel=1e-13, abs=1e-15)
 
 
+def test_contiguous_coeffs_broadcast_bit_for_bit():
+    ls, ms = lm_labels(9)
+    for d, sub in ((3, ms), (5, np.abs(ms)), (7, np.abs(ms))):
+        got = np.array(contiguous_coeffs(d, ls, sub))
+        want = np.array([contiguous_coeffs(d, int(l), int(s)) for l, s in zip(ls, sub)]).T
+        assert np.array_equal(got, want)
+    with pytest.raises(IndexError):
+        contiguous_coeffs(3, ls, ms + 1)
+    with pytest.raises(IndexError):
+        contiguous_coeffs(5, ls, ms)
+
+
 def _angle_grid():
     theta = np.linspace(0.08, math.pi - 0.08, 20)
     phi = np.linspace(0.0, 2 * math.pi, 20, endpoint=False)
@@ -123,12 +194,16 @@ def test_cos_theta_recursion_pointwise():
 
 
 def test_sin2_derivative_recursion_pointwise():
-    # (1 - cos^2) d/dcos Y_l^m = delta_- Y_{l-1}^m + delta_+ Y_{l+1}^m
+    # (1 - cos^2) d/dcos Y_l^m = delta_- Y_{l-1}^m + delta_+ Y_{l+1}^m, the
+    # left side from (1 - x^2) P' = (l+m) P_{l-1}^m - l x P_l^m
     th, ph = _angle_grid()
+    x = np.cos(th)
     for l in range(7):
         for m in range(-l, l + 1):
             _, _, dm, dp = contiguous_coeffs(3, l, m)
-            lhs = sph_harm_sin2_dcos(l, m, th, ph)
+            lower = assoc_legendre(m, l - 1, x) if abs(m) <= l - 1 else 0.0
+            lhs = sph_norm(l, m) * np.exp(1j * m * ph) * (
+                (l + m) * lower - l * x * assoc_legendre(m, l, x))
             rhs = dp * sph_harm(l + 1, m, th, ph)
             if abs(m) <= l - 1:
                 rhs = rhs + dm * sph_harm(l - 1, m, th, ph)

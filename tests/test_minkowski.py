@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adskg.errors import DomainError
-from adskg.harmonics import AngularGrid, sph_harm
+from adskg.harmonics import AngularGrid, lm_index, sph_harm
 from adskg.minkowski import (EnergyGrid, MinkSliceRep, MinkTubeRep,
                              flat_limit_compare, jcheck, jcheck_dr,
                              killing_correspondence_errors,
@@ -223,7 +223,8 @@ def test_mink_tube_quadrature_matches_reference_loop(rng, names):
     total, scale = 0.0, 0.0
     for t in t_nodes:
         (fe, dfe), (fz, dfz) = (
-            [_tube_terms(rep, t, r0, ANG.ylm, dr).reshape(-1, ANG.n_theta, ANG.n_phi)
+            [_tube_terms(rep, t, r0, lambda l, m: ANG.ylm(l)[lm_index(l, m)], dr)
+             .reshape(-1, ANG.n_theta, ANG.n_phi)
              for dr in (False, True)] for rep in (eta, zeta))
         total += dt * ANG.integrate(fe.sum(0) * dfz.sum(0) - fz.sum(0) * dfe.sum(0))
         scale += dt * ANG.integrate(

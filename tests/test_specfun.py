@@ -7,36 +7,9 @@ from hypothesis import strategies as st
 
 from adskg.errors import ConvergenceError, DomainError, PoleError
 from adskg.specfun import (DEFAULT_POLICY, SeriesPolicy, assoc_legendre,
-                           assoc_legendre_sin2_dx, double_pochhammer,
-                           gamma_fn, gegenbauer_c, hyp2f1, hyp2f1_dx,
+                           double_pochhammer, gegenbauer_c, hyp2f1, hyp2f1_dx,
                            jacobi_p, pochhammer, spherical_bessel,
                            spherical_bessel_dx)
-
-
-# --- gamma ---------------------------------------------------------------
-
-def test_gamma_integers():
-    assert gamma_fn(1.0) == 1.0
-    assert gamma_fn(5.0) == 24.0
-
-
-def test_gamma_half():
-    # oracle: Gamma(1/2) = sqrt(pi) (reflection formula at x = 1/2)
-    assert gamma_fn(0.5) == pytest.approx(1.7724538509055160, rel=1e-15)
-
-
-def test_gamma_poles():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(PoleError):
-            gamma_fn(x)
-
-
-def test_gamma_accuracy_window():
-    # lgamma-based oracle on a grid inside |x| <= 50
-    for x in np.linspace(0.1, 50.0, 117):
-        expected = math.exp(math.lgamma(x))
-        if math.isfinite(expected):
-            assert gamma_fn(float(x)) == pytest.approx(expected, rel=1e-12)
 
 
 # --- Pochhammer symbols ---------------------------------------------------
@@ -266,13 +239,33 @@ def test_assoc_legendre_negative_order():
             scale * assoc_legendre(m, l, x), rel=1e-13)
 
 
+def _sin2_dx(m, l, x):
+    """(1 - x^2) d/dx P_l^m(x) = (l+m) P_{l-1}^m - l x P_l^m, for either sign
+    of m in the Condon-Shortley-free convention."""
+    lower = assoc_legendre(m, l - 1, x) if abs(m) <= l - 1 else 0.0
+    return (l + m) * lower - l * x * assoc_legendre(m, l, x)
+
+
 def test_assoc_legendre_derivative_identity():
     # oracle: central finite difference of (1-x^2) d/dx P
     for l, m in ((1, 0), (3, 2), (4, -3), (5, 5)):
         x, h = 0.42, 1e-6
         fd = (assoc_legendre(m, l, x + h) - assoc_legendre(m, l, x - h)) / (2 * h)
-        assert assoc_legendre_sin2_dx(m, l, x) == pytest.approx(
-            (1 - x * x) * fd, rel=1e-8, abs=1e-9)
+        assert _sin2_dx(m, l, x) == pytest.approx((1 - x * x) * fd, rel=1e-8, abs=1e-9)
+
+
+def test_assoc_legendre_broadcasts_bit_for_bit():
+    l = np.repeat(np.arange(9), 2 * np.arange(9) + 1)
+    m = np.arange(l.size) - l * (l + 1)
+    x = np.linspace(-0.97, 0.99, 7)
+    table = assoc_legendre(m[:, None], l[:, None], x)
+    assert table.shape == (l.size, x.size)
+    assert np.array_equal(table, [[assoc_legendre(int(mi), int(li), float(xi)) for xi in x]
+                                  for li, mi in zip(l, m)])
+    with pytest.raises(IndexError):
+        assoc_legendre(np.array([0, 1, 3]), np.array([2, 2, 2]), 0.5)
+    with pytest.raises(IndexError):
+        assoc_legendre(0, np.array([1, -1]), 0.5)
 
 
 # --- spherical Bessel --------------------------------------------------------
