@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from functools import cache
 
 import numpy as np
 
@@ -63,18 +64,20 @@ def cmd_eval(args) -> int:
         om = magic_frequency(branch, args.n, args.l, params)
     else:
         raise AdskgError(f"unknown kind {args.kind!r}")
-    angles = [(theta, phi) for theta in map(float, args.theta)
-              for phi in map(float, args.phi)]
-    ylms = sph_harm(args.l, args.m, args.theta[:, None], args.phi).ravel()
+    # the product with Y in real arithmetic: numpy's complex array multiply
+    # can differ from the scalar product in the last bit, these terms do not
+    ys = sph_harm(args.l, args.m, args.theta[:, None], args.phi).ravel()
+    ts = args.t.tolist()
+    pr = (np.array([np.exp(-1j * om * t) for t in ts])[:, None] * rads).reshape(-1, 1)
+    re = (pr.real * ys.real - pr.imag * ys.imag).ravel().tolist()
+    im = (pr.real * ys.imag + pr.imag * ys.real).ravel().tolist()
+    # each distinct coordinate formatted once, the row heads joined from them
+    angles = [f"{theta!r},{phi!r}," for theta in args.theta.tolist()
+              for phi in args.phi.tolist()]
+    points = [f"{t!r},{rho!r}," for t in ts for rho in args.rho.tolist()]
+    heads = (point + angle for point in points for angle in angles)
     lines = [f"# adskg v1 eval d={args.d} R={args.R!r} msq={args.msq!r}",
-             "t,rho,theta,phi,re,im"]
-    for t in map(float, args.t):
-        phase = np.exp(-1j * om * t)
-        for rho, rad in zip(map(float, args.rho), rads):
-            for (theta, phi), ylm in zip(angles, ylms):
-                val = complex(phase * rad * ylm)
-                lines.append(f"{t!r},{rho!r},{theta!r},{phi!r},"
-                             f"{val.real!r},{val.imag!r}")
+             "t,rho,theta,phi,re,im", *map("{}{!r},{!r}".format, heads, re, im)]
     out = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -184,7 +187,9 @@ def cmd_reconstruct(args) -> int:
     return 0 if status else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="adskg",
         description="Klein-Gordon modes on anti-de Sitter space: evaluation, "

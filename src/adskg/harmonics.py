@@ -79,10 +79,17 @@ def sph_norm(l, m):
     """Normalization sqrt((2l+1)(l-m)! / (4 pi (l+m)!)); broadcasts.  The
     log-factorials and their exp are libm's (math.lgamma, math.exp) per
     element: numpy's vectorized exp differs from libm in the last bit on
-    about one argument in twenty."""
+    about one argument in twenty.  DomainError where (l-m)!/(l+m)! exceeds
+    the double range (m near -l from l = 86 on)."""
     l, m = np.broadcast_arrays(l, m)
     lgamma = np.fromiter(map(math.lgamma, range(1, np.max(l + np.abs(m), initial=0) + 2)), float)
-    ratio = np.fromiter(map(math.exp, (lgamma[l - m] - lgamma[l + m]).flat), float, l.size)
+    exponent = lgamma[l - m] - lgamma[l + m]
+    try:
+        ratio = np.fromiter(map(math.exp, exponent.flat), float, l.size)
+    except OverflowError:
+        worst = np.unravel_index(np.argmax(exponent), l.shape)
+        raise DomainError(f"Y_l^m normalization overflows at (l, m) = "
+                          f"({l[worst]}, {m[worst]})") from None
     return np.sqrt((2 * l + 1) / (4.0 * math.pi) * ratio.reshape(l.shape))
 
 

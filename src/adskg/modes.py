@@ -13,13 +13,17 @@ cutoff; outside, evaluation is routed through the S <-> C transfer matrix,
 whose entries are obtained from weighted Wronskians in the overlap window.
 At the magic frequencies omega+-_{nl} = 2n + l + D+- the S^a series
 terminates and coincides with the normalizable Jacobi mode J+-_{nl}.
-Array calls of radial_eval_fd, the radial tables of every synthesis and
-inversion, and transfer matrices are memoized in bounded LRU caches.
+The radial tables of radial_eval_fd's array calls (every synthesis and
+inversion) are memoized in a bounded LRU cache.  Transfer matrices live in
+one bounded LRU cache of (omega, l) keys and are built one table at a time:
+the keys a table lacks are summed together by one array series call.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -27,9 +31,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import (CapabilityError, DegenerateBasis, DomainError,
+from .errors import (AdskgError, CapabilityError, DegenerateBasis, DomainError,
                      ExceptionalBranch, SingularPoint)
-from .geometry import AdsParams, make_params
+from .geometry import AdsParams
 from .harmonics import require_two_sphere, sph_harm
 from .specfun import (DEFAULT_POLICY, SeriesPolicy, hyp2f1, hyp2f1_dx,
                       hyp2f1_terminates, jacobi_p, jacobi_p_dx, log_gamma)
@@ -171,34 +175,84 @@ def transfer_matrix(omega: float, l: int, params: AdsParams,
 
     Entries are Wronskian projections evaluated where both series converge:
     m11 = W(S^a, C^b)/W(C^a, C^b), m12 = -W(S^a, C^a)/W(C^a, C^b), and the
-    S^b row likewise.  Results are memoized per (omega, l, params).
+    S^b row likewise.  Results are memoized per (omega, l, params, policy).
     """
-    if not params.c_modes_valid:
-        raise CapabilityError(
-            f"transfer matrix undefined at (near-)integer nu = {params.nu}")
-    return _transfer_matrix(omega, l, params.d, params.R, params.m_sq, policy)
+    return _TRANSFER.matrices([(omega, l)], params, policy)[0]
 
 
-# New keys: sparse_pointwise about 40 per job (a fresh d_omega each), a whole
-# dense_roundtrip run about 285 (one d_omega), `verify all` 109.  1024 keys
-# (about 0.4 MB) hold the dense and verify working sets with room to spare.
-@lru_cache(maxsize=1024)
-def _transfer_matrix(omega: float, l: int, d: int, R: float, m_sq: float,
-                     policy: SeriesPolicy) -> TransferMatrix:
-    params = make_params(d, R, m_sq)
-    rho = _TRANSFER_RHO
-    sa, dsa = _radial_direct(RadialKind.Sa, omega, l, rho, params, policy)
-    sb, dsb = _radial_direct(RadialKind.Sb, omega, l, rho, params, policy)
-    ca, dca = _radial_direct(RadialKind.Ca, omega, l, rho, params, policy)
-    cb, dcb = _radial_direct(RadialKind.Cb, omega, l, rho, params, policy)
-    w_cc = _weighted_wronskian(ca, dca, cb, dcb, rho, d)
-    if abs(w_cc) < 1e-12:
-        raise DegenerateBasis(f"|W(Ca,Cb)| = {abs(w_cc)} too small")
-    return TransferMatrix(
-        m11=_weighted_wronskian(sa, dsa, cb, dcb, rho, d) / w_cc,
-        m12=-_weighted_wronskian(sa, dsa, ca, dca, rho, d) / w_cc,
-        m21=_weighted_wronskian(sb, dsb, cb, dcb, rho, d) / w_cc,
-        m22=-_weighted_wronskian(sb, dsb, ca, dca, rho, d) / w_cc)
+def _build_transfer(keys, params: AdsParams, policy: SeriesPolicy) -> list:
+    """M of each distinct (omega, l) key, or the DegenerateBasis its
+    W(C^a, C^b) raises: the four kinds' series at _TRANSFER_RHO come from one
+    _radial_direct_array call, and each Wronskian is parenthesized as
+    _weighted_wronskian's, so every M is bit for bit the scalar series' M."""
+    omega, l = (np.array(col) for col in zip(*keys))
+    rho = np.full(len(keys), _TRANSFER_RHO)
+    (sa, sb, ca, cb), (dsa, dsb, dca, dcb) = _radial_direct_array(
+        (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb), omega, l, rho,
+        params, policy)
+    t = math.tan(_TRANSFER_RHO) ** (params.d - 1)
+    w_cc = t * (ca * dcb - cb * dca)
+    degenerate = np.abs(w_cc) < 1e-12
+    w = np.where(degenerate, 1.0, w_cc)
+    rows = np.stack([t * (sa * dcb - cb * dsa) / w, -(t * (sa * dca - ca * dsa)) / w,
+                     t * (sb * dcb - cb * dsb) / w, -(t * (sb * dca - ca * dsb)) / w])
+    return [DegenerateBasis(f"|W(Ca,Cb)| = {abs(w_ab)} too small") if bad
+            else TransferMatrix(*row)
+            for w_ab, bad, row in zip(w_cc.tolist(), degenerate.tolist(), rows.T.tolist())]
+
+
+class _TransferCache:
+    """The one store of transfer matrices: an LRU of `maxsize` keys (omega,
+    l, params, policy), counting hits and misses as functools.lru_cache
+    does.  A table's misses are built together; a DegenerateBasis is
+    returned to the caller, never stored."""
+
+    # New keys: sparse_pointwise about 23 per job (a fresh d_omega each), a
+    # whole dense_roundtrip run about 285 (one d_omega), `verify all` 109.
+    # 1024 keys (about 0.4 MB) hold the dense and verify working sets.
+    maxsize = 1024
+
+    def __init__(self):
+        self.store: OrderedDict = OrderedDict()
+        self.hits = self.misses = 0
+
+    def fill(self, keys, params: AdsParams, policy: SeriesPolicy) -> dict:
+        """Build and store every distinct key of the (omega, l) keys that the
+        store lacks; returns {key: M or DegenerateBasis} of those built."""
+        store = self.store
+        new = [key for key in dict.fromkeys(keys) if key + (params, policy) not in store]
+        if not new:
+            return {}
+        if not params.c_modes_valid:
+            raise CapabilityError(
+                f"transfer matrix undefined at (near-)integer nu = {params.nu}")
+        self.misses += len(new)
+        built = dict(zip(new, _build_transfer(new, params, policy)))
+        for key, mat in built.items():
+            if isinstance(mat, TransferMatrix):
+                store[key + (params, policy)] = mat
+        while len(store) > self.maxsize:
+            store.popitem(last=False)
+        return built
+
+    def matrices(self, keys, params: AdsParams, policy: SeriesPolicy) -> list:
+        """M of each of the distinct (omega, l) keys, in order; raises the
+        first key's DegenerateBasis."""
+        built = self.fill(keys, params, policy)
+        self.hits += len(keys) - len(built)
+        out = []
+        for key in keys:
+            mat = built.get(key)
+            if mat is None:
+                mat = self.store[key + (params, policy)]
+                self.store.move_to_end(key + (params, policy))
+            elif not isinstance(mat, TransferMatrix):
+                raise mat
+            out.append(mat)
+        return out
+
+
+_TRANSFER = _TransferCache()
 
 
 def _per_distinct(fn, *columns) -> np.ndarray:
@@ -241,14 +295,30 @@ def _radial_direct_array(kinds, omega, l, rho, params: AdsParams,
 def _transfer_entries(omega, l, params: AdsParams, policy: SeriesPolicy,
                       inverse: bool) -> np.ndarray:
     """(m11, m12, m21, m22) of M, or of M^-1, per element of the 1-d arrays
-    omega and l: shape (4, n), one transfer_matrix call per distinct
-    (omega, l)."""
-    def entries(om, ll):
-        mat = transfer_matrix(om, ll, params, policy)
+    omega and l: shape (4, n), one cache lookup per distinct (omega, l) and
+    one build of the ones the cache lacks."""
+    keys = list(zip(omega.tolist(), l.tolist()))
+    distinct = list(dict.fromkeys(keys))
+    table = {}
+    for key, mat in zip(distinct, _TRANSFER.matrices(distinct, params, policy)):
         mat = mat.inverse() if inverse else mat
-        return mat.m11, mat.m12, mat.m21, mat.m22
+        table[key] = mat.m11, mat.m12, mat.m21, mat.m22
+    return np.array([table[key] for key in keys]).reshape(-1, 4).T
 
-    return _per_distinct(entries, omega, l)
+
+def _on_transfer(kind: RadialKind, omega, l, rho, params: AdsParams,
+                 policy: SeriesPolicy) -> np.ndarray:
+    """Which elements of the 1-d arrays radial_eval_fd takes through the
+    transfer matrix: inside (0, pi/2), past the series cutoff and with a
+    series that does not terminate (a terminating one is direct anywhere)."""
+    on_sin = kind in (RadialKind.Sa, RadialKind.Sb)
+    arg = _per_distinct(lambda r: (math.sin(r) if on_sin else math.cos(r)) ** 2, rho)
+    via = (arg > policy.arg_cutoff) & (0.0 < rho) & (rho < math.pi / 2)
+    if via.any():
+        a, b, _ = hyper_params(kind, omega, l, params)
+        for v in (a, b):
+            via &= ~((v <= 0.0) & (v == np.floor(v)))
+    return via
 
 
 # below this many points the scalar loop per point is faster: an array call
@@ -259,12 +329,18 @@ _BLOCK_MIN = 16
 def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams,
                           policy: SeriesPolicy):
     """Array path of radial_eval_fd: the same checks and branches per
-    element, each branch one array call over its elements."""
+    element, each branch one array call over its elements.  Below
+    _BLOCK_MIN points the scalar loop runs, after the transfer matrices of
+    its transfer-branch points are built together."""
     shape = np.broadcast(omega, l, rho).shape
     omega, l, rho = (np.broadcast_to(v, shape).ravel() for v in (omega, l, rho))
     if rho.size == 0:
         return np.zeros(shape), np.zeros(shape)
     if rho.size < _BLOCK_MIN:
+        with suppress(AdskgError):  # left to the scalar loop, in element order
+            via = _on_transfer(kind, omega, l, rho, params, policy)
+            _TRANSFER.fill(list(zip(omega[via].tolist(), l[via].tolist())),
+                           params, policy)
         f, df = _per_distinct(
             lambda *v: _radial_eval_fd_scalar(kind, *v, params, policy), omega, l, rho)
         return f.reshape(shape), df.reshape(shape)
@@ -280,21 +356,15 @@ def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams,
             raise SingularPoint("C-modes diverge on the time axis")
     f = np.where(axis & (l == 0), 1.0, 0.0)
     df = np.where(axis & (l == 1), 1.0, 0.0)
-    on_sin = kind in (RadialKind.Sa, RadialKind.Sb)
-    arg = _per_distinct(lambda r: (math.sin(r) if on_sin else math.cos(r)) ** 2, rho)
-    direct = arg <= policy.arg_cutoff
-    if not direct.all():  # terminating series are direct at any radius
-        a, b, _ = hyper_params(kind, omega, l, params)
-        for v in (a, b):
-            direct |= (v <= 0.0) & (v == np.floor(v))
-    direct &= ~axis
-    via = ~axis & ~direct
+    via = _on_transfer(kind, omega, l, rho, params, policy)
+    direct = ~axis & ~via
     if direct.all():
         (f,), (df,) = _radial_direct_array((kind,), omega, l, rho, params, policy)
     elif direct.any():
         (f[direct],), (df[direct],) = _radial_direct_array(
             (kind,), omega[direct], l[direct], rho[direct], params, policy)
     if via.any():
+        on_sin = kind in (RadialKind.Sa, RadialKind.Sb)
         om, ll, rr = omega[via], l[via], rho[via]
         m11, m12, m21, m22 = _transfer_entries(om, ll, params, policy, not on_sin)
         pair = ((RadialKind.Ca, RadialKind.Cb) if on_sin
@@ -381,9 +451,10 @@ def _radial_eval_fd_scalar(kind: RadialKind, omega: float, l: int, rho: float,
 
 def cache_counters() -> dict:
     """Hits, misses, size and maxsize of the radial-table and transfer caches."""
-    return {name: dict(zip(("hits", "misses", "maxsize", "size"), fn.cache_info()))
-            for name, fn in (("radial_table", _radial_table),
-                             ("transfer_matrix", _transfer_matrix))}
+    fields = ("hits", "misses", "maxsize", "size")
+    return {"radial_table": dict(zip(fields, _radial_table.cache_info())),
+            "transfer_matrix": dict(zip(fields, (_TRANSFER.hits, _TRANSFER.misses,
+                                                 _TRANSFER.maxsize, len(_TRANSFER.store))))}
 
 
 def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BasisMismatch
 from .expansions import SliceRep, TubeRep, _table, sample_slice, sample_tube
 from .geometry import AdsParams
-from .harmonics import AngularGrid, lm_count, lm_mirror
+from .harmonics import AngularGrid, lm_count, lm_mirror, require_two_sphere
 from .modes import _per_distinct, magic_frequency, norm_constant
 
 
@@ -77,7 +77,9 @@ def omega_slice_quadrature(eta: SliceRep, zeta: SliceRep, t0: float,
 
 def omega_slice_momentum(eta: SliceRep, zeta: SliceRep,
                          params: AdsParams) -> complex:
-    """+i sum w+_{nl} R^{d-1} N+_{nl} (conj(eta^-) zeta^+ - eta^+ conj(zeta^-))."""
+    """+i sum w+_{nl} R^{d-1} N+_{nl} (conj(eta^-) zeta^+ - eta^+ conj(zeta^-));
+    d = 3 only (UnsupportedDimension otherwise): the labels are S^2 ones."""
+    require_two_sphere(params.d)
     rd = params.R ** (params.d - 1)
     return complex(_same_label_pairing(eta, zeta, lambda n, l: (
         1j * magic_frequency("plus", n, l, params) * rd
@@ -106,7 +108,9 @@ def omega_tube_momentum(eta: TubeRep, zeta: TubeRep,
                         params: AdsParams) -> complex:
     """pi R^{d-1} d_omega sum (eta^a_{k,l,m} zeta^b_{-k,l,-m} -
     eta^b_{k,l,m} zeta^a_{-k,l,-m}) (2l+d-2), the factor becoming 2 nu in
-    the C basis."""
+    the C basis.  d = 3 only (UnsupportedDimension otherwise): the labels are
+    S^2 ones."""
+    require_two_sphere(params.d)
     if eta.basis != zeta.basis:
         raise BasisMismatch(f"bases differ: {eta.basis} vs {zeta.basis}")
     if eta.grid != zeta.grid:

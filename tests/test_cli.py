@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adskg.cli import main
+from adskg.cli import build_parser, main
 from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, save_rep
 from adskg.geometry import make_params
 from adskg.harmonics import sph_harm
@@ -46,6 +46,69 @@ def test_eval_matches_pointwise_reference(tmp_path):
                         expected.append(f"{t!r},{rho!r},{theta!r},{phi!r},"
                                         f"{val.real!r},{val.imag!r}")
         assert rows == expected
+
+
+def _per_row_eval(argv) -> str:
+    """`adskg eval` output from the per-row loop the CLI once ran: the
+    reference its array form reproduces byte for byte."""
+    args = build_parser().parse_args(argv)
+    params = make_params(args.d, args.R, args.msq)
+    if args.kind in ("jplus", "jminus"):
+        branch = args.kind[1:]
+        rads = jacobi_radial(branch, args.n, args.l, args.rho, params)
+        om = magic_frequency(branch, args.n, args.l, params)
+    else:
+        rads = radial_eval(RadialKind(args.kind), args.omega, args.l, args.rho, params)
+        om = args.omega
+    angles = [(theta, phi) for theta in map(float, args.theta)
+              for phi in map(float, args.phi)]
+    ylms = sph_harm(args.l, args.m, args.theta[:, None], args.phi).ravel()
+    lines = [f"# adskg v1 eval d={args.d} R={args.R!r} msq={args.msq!r}",
+             "t,rho,theta,phi,re,im"]
+    for t in map(float, args.t):
+        phase = np.exp(-1j * om * t)
+        for rho, rad in zip(map(float, args.rho), rads):
+            for (theta, phi), ylm in zip(angles, ylms):
+                val = complex(phase * rad * ylm)
+                lines.append(f"{t!r},{rho!r},{theta!r},{phi!r},"
+                             f"{val.real!r},{val.imag!r}")
+    return "\n".join(lines) + "\n"
+
+
+# rho grids cross sin^2 = 0.75 (pi/3) and cos^2 = 0.75 (pi/6); 16 points or
+# more take the array radial path, fewer the scalar one
+_EVAL_CASES = {
+    "sa": ["--kind", "sa", "--omega", "2.3", "--l", "1", "--m", "0", "--t", "0:3:3",
+           "--rho", "0:1.5:12", "--theta", "0.2:2.9:2", "--phi", "0:6:3"],
+    "sb": ["--kind", "sb", "--omega", "-7.9", "--l", "4", "--m=-3", "--t", "0.7",
+           "--rho", "0.05:1.5:40", "--theta", "0.2:2.9:3"],
+    "ca": ["--kind", "ca", "--omega", "11.2", "--l", "2", "--m=-2", "--msq", "0.37",
+           "--rho", "0.3:1.3:17", "--theta", "1.1", "--phi", "0:6:5"],
+    "cb": ["--kind", "cb", "--omega", "0.0", "--l", "3", "--m", "1", "--msq", "-2.2",
+           "--t=-1:2:4", "--rho", "0.1:1.5:9", "--phi", "0:6:2"],
+    "jplus": ["--kind", "jplus", "--n", "2", "--l", "5", "--m=-4", "--msq", "-2.2",
+              "--t", "0:3:3", "--rho", "0:1.5:20", "--theta", "0.2:2.9:2"],
+    "jminus": ["--kind", "jminus", "--n", "1", "--l", "2", "--m=-1", "--msq", "-2.2",
+               "--rho", "0.05:1.5:11", "--theta", "0.2:2.9:3", "--phi", "0:6:2"],
+    "single": ["--kind", "sa", "--omega", "-5.5", "--l", "2", "--m=-2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EVAL_CASES))
+def test_eval_csv_is_the_per_row_loop_byte_for_byte(case, tmp_path, capsys):
+    argv = ["eval", *_EVAL_CASES[case]]
+    want = _per_row_eval(argv)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "mode.csv"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert out.read_text() == want and capsys.readouterr().out == ""
+
+
+def test_eval_normalization_overflow_exits_2(capsys):
+    assert main(["eval", "--kind", "sa", "--omega", "2.0", "--l", "90", "--m=-90"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(90, -90)" in err
 
 
 def test_eval_rejects_d5(capsys):

@@ -22,6 +22,7 @@ from adskg.geometry import make_params
 from adskg.harmonics import AngularGrid
 from adskg.modes import (RadialKind, SliceLabel, TubeLabel, magic_frequency,
                          mode_eval, radial_eval, transfer_matrix)
+from adskg.symplectic import omega_slice_momentum, omega_tube_momentum
 
 ANG = AngularGrid(16, 32)
 
@@ -723,6 +724,8 @@ _D5_ENTRY_POINTS = {
     "rod_boundary_data_of": lambda p: rod_boundary_data_of(_rod_rep(), p, ANG),
     "rod_boundary_reconstruct": lambda p: rod_boundary_reconstruct(rod_boundary_data_of(
         _rod_rep(), make_params(3, 1.0, 0.3), ANG), p, 2),
+    "omega_slice_momentum": lambda p: omega_slice_momentum(_slice_rep(), _slice_rep(), p),
+    "omega_tube_momentum": lambda p: omega_tube_momentum(_tube_rep(), _tube_rep(), p),
 }
 
 

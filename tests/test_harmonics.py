@@ -120,6 +120,18 @@ def test_index_error():
         sph_harm(2, 3, 0.5, 0.5)
 
 
+def test_normalization_overflow_is_a_domain_error():
+    # (l - m)! / (l + m)! leaves the double range at m = -l from l = 86 on
+    assert np.isfinite(sph_norm(85, -85)) and sph_norm(90, 90) == 0.0
+    with pytest.raises(DomainError, match=r"\(90, -90\)"):
+        sph_norm(90, -90)
+    with pytest.raises(DomainError, match=r"\(87, -87\)"):
+        sph_norm(np.array([3, 87, 86]), np.array([1, -87, -86]))
+    for l_max in (86, 90):
+        with pytest.raises(DomainError):
+            AngularGrid(8, 16).ylm(l_max)
+
+
 # --- contiguous coefficients -------------------------------------------------
 
 def test_contiguous_lowering_vanishes():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from adskg.errors import (CapabilityError, DomainError, ExceptionalBranch,
-                          SingularPoint)
+from adskg.errors import (CapabilityError, DegenerateBasis, DomainError,
+                          ExceptionalBranch, SingularPoint)
 from adskg.geometry import kg_residual, make_params
 from adskg import modes
 from adskg.harmonics import sph_harm
@@ -251,6 +251,104 @@ def test_transfer_matrix_memoized_by_value(params_m0):
     first = transfer_matrix(2.7, 2, params_m0)
     assert transfer_matrix(2.7, 2, make_params(3, 1.0, 0.0)) is first
     assert transfer_matrix(2.7, 3, params_m0) is not first
+
+
+def _scalar_transfer(omega, l, params):
+    """(m11, m12, m21, m22) from the scalar series and _weighted_wronskian: the
+    reference the table build reproduces bit for bit."""
+    rho = modes._TRANSFER_RHO
+    f = {kind: modes._radial_direct(kind, omega, l, rho, params, DEFAULT_POLICY)
+         for kind in ALL_KINDS}
+
+    def w(a, b):
+        return modes._weighted_wronskian(*f[a], *f[b], rho, params.d)
+
+    sa, sb, ca, cb = ALL_KINDS
+    w_cc = w(ca, cb)
+    return w(sa, cb) / w_cc, -w(sa, ca) / w_cc, w(sb, cb) / w_cc, -w(sb, ca) / w_cc
+
+
+@pytest.mark.parametrize("m_sq", [0.0, -2.0, 0.37, 1.5])
+def test_table_built_transfer_matrix_is_the_scalar_formula_bit_for_bit(m_sq):
+    p = make_params(3, 1.0, m_sq)
+    branches = ("plus", "minus") if p.exceptional_range else ("plus",)
+    magic = [sign * magic_frequency(b, n, l, p) for b in branches for n in range(3)
+             for l in range(13) for sign in (1.0, -1.0)]
+    omegas = np.linspace(-15.0, 15.0, 31).tolist() + [0.0, -0.0, 2.3] + magic
+    keys = list(dict.fromkeys((om, l) for om in omegas if abs(om) <= 15.0
+                              for l in range(13)))
+    for key, mat in zip(keys, modes._build_transfer(keys, p, DEFAULT_POLICY)):
+        assert (mat.m11, mat.m12, mat.m21, mat.m22) == _scalar_transfer(*key, p), key
+    # through the cache: one table, then one scalar key
+    omega, l = np.array([2.3, -7.1, 2.3, 0.0]), np.array([1, 12, 1, 0])
+    got = modes._transfer_entries(omega, l, p, DEFAULT_POLICY, False)
+    assert got.T.tolist() == [list(_scalar_transfer(*key, p)) for key in zip(omega, l)]
+    mat = transfer_matrix(-7.1, 12, p)
+    assert (mat.m11, mat.m12, mat.m21, mat.m22) == _scalar_transfer(-7.1, 12, p)
+
+
+def _transfer_counts():
+    return modes.cache_counters()["transfer_matrix"]
+
+
+def test_degenerate_transfer_matrix_raises_and_is_never_cached(monkeypatch, params_m0):
+    real = modes._radial_direct_array
+
+    def c_b_equals_c_a(kinds, *args):  # W(C^a, C^b) = 0 exactly
+        f, df = real(kinds, *args)
+        f[3], df[3] = f[2], df[2]
+        return f, df
+
+    monkeypatch.setattr(modes, "_radial_direct_array", c_b_equals_c_a)
+    omega, l = np.array([3.3017, 3.3019]), np.array([1, 2])
+    before = _transfer_counts()
+    for _ in range(2):
+        with pytest.raises(DegenerateBasis, match="W\\(Ca,Cb\\)"):
+            transfer_matrix(3.3019, 2, params_m0)
+        with pytest.raises(DegenerateBasis):
+            modes._transfer_entries(omega, l, params_m0, DEFAULT_POLICY, True)
+    after = _transfer_counts()
+    assert after["size"] == before["size"] and after["hits"] == before["hits"]
+    assert after["misses"] == before["misses"] + 6
+    assert not any(key[:2] in {(3.3017, 1), (3.3019, 2)} for key in modes._TRANSFER.store)
+
+
+def test_transfer_cache_is_one_bounded_lru(params_m0):
+    maxsize = modes._TRANSFER.maxsize
+    assert maxsize == 1024
+    omega = 0.1234 + 0.001 * np.arange(maxsize + 40)
+    before = _transfer_counts()
+    modes._transfer_entries(omega, np.zeros(omega.size, dtype=int), params_m0,
+                            DEFAULT_POLICY, False)
+    after = _transfer_counts()
+    assert after["size"] == after["maxsize"] == maxsize
+    assert after["misses"] == before["misses"] + omega.size
+    assert after["hits"] == before["hits"]
+    transfer_matrix(float(omega[-1]), 0, params_m0)  # the newest key stays
+    assert _transfer_counts()["hits"] == after["hits"] + 1
+    transfer_matrix(float(omega[0]), 0, params_m0)  # the oldest was evicted
+    assert _transfer_counts()["misses"] == after["misses"] + 1
+    assert _transfer_counts()["size"] == maxsize
+
+
+def test_small_table_builds_its_transfer_keys_in_one_call(monkeypatch, params_m0):
+    builds = []
+    real = modes._build_transfer
+
+    def recorded(keys, *args):
+        builds.append(keys)
+        return real(keys, *args)
+
+    monkeypatch.setattr(modes, "_build_transfer", recorded)
+    omega = np.array([4.4401, 4.4402, 4.4403, 4.4401, 4.4402])
+    l, rho = np.array([0, 1, 2, 0, 3]), np.array([1.3, 1.3, 1.2, 0.4, 1.4])
+    got = modes._radial_eval_fd_array(RadialKind.Sa, omega, l, rho, params_m0,
+                                      DEFAULT_POLICY)
+    assert builds == [[(4.4401, 0), (4.4402, 1), (4.4403, 2), (4.4402, 3)]]
+    for i in range(omega.size):
+        want = modes._radial_eval_fd_scalar(RadialKind.Sa, float(omega[i]), int(l[i]),
+                                            float(rho[i]), params_m0, DEFAULT_POLICY)
+        assert (got[0][i], got[1][i]) == want
 
 
 # --- the radial-table memo ----------------------------------------------------------------
