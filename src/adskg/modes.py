@@ -26,7 +26,7 @@ from collections import OrderedDict
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -183,19 +183,19 @@ def transfer_matrix(omega: float, l: int, params: AdsParams,
 def _build_transfer(keys, params: AdsParams, policy: SeriesPolicy) -> list:
     """M of each distinct (omega, l) key, or the DegenerateBasis its
     W(C^a, C^b) raises: the four kinds' series at _TRANSFER_RHO come from one
-    _radial_direct_array call, and each Wronskian is parenthesized as
-    _weighted_wronskian's, so every M is bit for bit the scalar series' M."""
+    _radial_direct_array call and _weighted_wronskian takes them as arrays,
+    so every M is bit for bit the scalar series' M."""
     omega, l = (np.array(col) for col in zip(*keys))
     rho = np.full(len(keys), _TRANSFER_RHO)
     (sa, sb, ca, cb), (dsa, dsb, dca, dcb) = _radial_direct_array(
         (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb), omega, l, rho,
         params, policy)
-    t = math.tan(_TRANSFER_RHO) ** (params.d - 1)
-    w_cc = t * (ca * dcb - cb * dca)
+    w = partial(_weighted_wronskian, rho=_TRANSFER_RHO, d=params.d)
+    w_cc = w(ca, dca, cb, dcb)
     degenerate = np.abs(w_cc) < 1e-12
-    w = np.where(degenerate, 1.0, w_cc)
-    rows = np.stack([t * (sa * dcb - cb * dsa) / w, -(t * (sa * dca - ca * dsa)) / w,
-                     t * (sb * dcb - cb * dsb) / w, -(t * (sb * dca - ca * dsb)) / w])
+    den = np.where(degenerate, 1.0, w_cc)
+    rows = np.stack([w(sa, dsa, cb, dcb) / den, -w(sa, dsa, ca, dca) / den,
+                     w(sb, dsb, cb, dcb) / den, -w(sb, dsb, ca, dca) / den])
     return [DegenerateBasis(f"|W(Ca,Cb)| = {abs(w_ab)} too small") if bad
             else TransferMatrix(*row)
             for w_ab, bad, row in zip(w_cc.tolist(), degenerate.tolist(), rows.T.tolist())]
@@ -238,18 +238,19 @@ class _TransferCache:
     def matrices(self, keys, params: AdsParams, policy: SeriesPolicy) -> list:
         """M of each of the distinct (omega, l) keys, in order; raises the
         first key's DegenerateBasis."""
-        built = self.fill(keys, params, policy)
-        self.hits += len(keys) - len(built)
-        out = []
+        found = {}
         for key in keys:
-            mat = built.get(key)
-            if mat is None:
-                mat = self.store[key + (params, policy)]
+            mat = self.store.get(key + (params, policy))
+            if mat is not None:
                 self.store.move_to_end(key + (params, policy))
-            elif not isinstance(mat, TransferMatrix):
+                found[key] = mat
+        self.hits += len(found)
+        found.update(self.fill(keys, params, policy))  # may evict found keys
+        mats = [found[key] for key in keys]
+        for mat in mats:
+            if isinstance(mat, DegenerateBasis):
                 raise mat
-            out.append(mat)
-        return out
+        return mats
 
 
 _TRANSFER = _TransferCache()

@@ -316,14 +316,17 @@ def test_degenerate_transfer_matrix_raises_and_is_never_cached(monkeypatch, para
 def test_transfer_cache_is_one_bounded_lru(params_m0):
     maxsize = modes._TRANSFER.maxsize
     assert maxsize == 1024
-    omega = 0.1234 + 0.001 * np.arange(maxsize + 40)
+    held = transfer_matrix(0.1224, 0, params_m0)
+    # one table: a held key, then more new keys than the cache keeps
+    omega = np.concatenate([[0.1224], 0.1234 + 0.001 * np.arange(maxsize + 40)])
     before = _transfer_counts()
-    modes._transfer_entries(omega, np.zeros(omega.size, dtype=int), params_m0,
-                            DEFAULT_POLICY, False)
+    got = modes._transfer_entries(omega, np.zeros(omega.size, dtype=int), params_m0,
+                                  DEFAULT_POLICY, False)
+    assert got[:, 0].tolist() == [held.m11, held.m12, held.m21, held.m22]
     after = _transfer_counts()
     assert after["size"] == after["maxsize"] == maxsize
-    assert after["misses"] == before["misses"] + omega.size
-    assert after["hits"] == before["hits"]
+    assert after["misses"] == before["misses"] + omega.size - 1
+    assert after["hits"] == before["hits"] + 1
     transfer_matrix(float(omega[-1]), 0, params_m0)  # the newest key stays
     assert _transfer_counts()["hits"] == after["hits"] + 1
     transfer_matrix(float(omega[0]), 0, params_m0)  # the oldest was evicted
