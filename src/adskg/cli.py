@@ -21,6 +21,7 @@ import numpy as np
 from .errors import AdskgError, MagicFrequencyBlind
 from .geometry import make_params
 from .harmonics import AngularGrid, require_two_sphere, sph_harm
+from .harmonics import cache_counters as angular_cache_counters
 from .modes import (RadialKind, cache_counters, jacobi_radial, magic_frequency,
                     radial_eval)
 
@@ -116,7 +117,9 @@ def cmd_verify(args) -> int:
         print(f"SUITE {name} {'PASS' if ok else 'FAIL'} max_err={worst:.3e}")
     if args.json:
         print(json.dumps({"passed": all_ok, "suites": suites, "checks": records,
-                          "caches": cache_counters()}, indent=1, allow_nan=False))
+                          "caches": cache_counters(),
+                          "angular_caches": angular_cache_counters()},
+                         indent=1, allow_nan=False))
     return 0 if all_ok else 1
 
 

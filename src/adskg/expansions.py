@@ -16,13 +16,15 @@ the angular point.  c is the dense (channel, j, lm) array each rep stores,
 on the packed angular index of `harmonics`; radial and transfer-matrix
 factors are tabulated once per (j, l) and folded into c (fixed radius) or
 K (radial nodes); on a tube K is the phase matrix d_omega e^{-i omega_k t}.
-Y is the `AngularGrid.ylm` table, or one `sph_harm` call over every
-(l, m) at a point.  The callers of `_slice_sum` and `_tube_sum` supply the
-frequency and radial functions, so the Minkowski expansions run through
-the same kernel.  Inversion is the adjoint: `AngularGrid.project` takes
-every lm at once, for all frequencies or radii, after the FFT time
-projection (tube) and before the Gauss-Jacobi radial sum (slice); each
-inversion then applies its own per-(j, l) solve.
+Y is the `AngularGrid.ylm` table or, at a point, the `ylm_point` row of
+the held (l, m), memoized per point (one `sph_harm` call on a miss).  A
+rep's tables are evaluated on the (j, l) blocks of its block plan
+(`_Coeffs.blocks`), formed once per rep.  The callers of `_slice_sum` and
+`_tube_sum` supply the frequency and radial functions, so the Minkowski
+expansions run through the same kernel.  Inversion is the adjoint:
+`AngularGrid.project` takes every lm at once, for all frequencies or radii,
+after the FFT time projection (tube) and before the Gauss-Jacobi radial sum
+(slice); each inversion then applies its own per-(j, l) solve.
 
 The harmonics are those of S^2, so every entry point that contracts with
 Y_lm raises UnsupportedDimension for d != 3; the basis change between S
@@ -44,7 +46,7 @@ from .errors import (BandLimitExceeded, BasisMismatch, CapabilityError,
                      SerializationError)
 from .geometry import AdsParams, make_params, radial_measure
 from .harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labels,
-                        lm_mirror, require_two_sphere, sph_harm)
+                        lm_mirror, require_two_sphere, ylm_point)
 from .modes import (RadialKind, _per_distinct, _transfer_entries, hyper_params,
                     jacobi_radial_fd, magic_frequency, norm_constant,
                     radial_eval_fd)
@@ -89,7 +91,8 @@ class _Coeffs(dict):
     the dense (channel, j, lm) array (zero off the labels) and the (j, lm)
     `mask` of the labels held (every entry if None), trimmed to the rows and
     l_max holding one.  As a dict it is the view {(j, l, m): channel values}
-    in sorted label order (a tuple per label with two channels)."""
+    in sorted label order (a tuple per label with two channels).  `blocks`
+    is its block plan, formed on first use and not pickled."""
 
     def __init__(self, js, array, mask=None):
         mask = np.ones(array.shape[1:], dtype=bool) if mask is None else mask
@@ -105,6 +108,16 @@ class _Coeffs(dict):
         ls, ms = lm_labels(self.l_max)
         vals = vals[0].tolist() if len(vals) == 1 else zip(*vals.tolist())
         super().__init__(zip(zip(j.tolist(), ls[lm].tolist(), ms[lm].tolist()), vals))
+        self._plan = {}
+
+    def blocks(self, channel: int | None = None):
+        """The (row, l) index arrays of the (j, l) blocks where `channel`
+        holds a nonzero coefficient, or, for None, where the mask holds a
+        label: `_table`'s blocks, formed once per rep."""
+        if channel not in self._plan:
+            self._plan[channel] = _blocks(
+                self.mask if channel is None else self.array[channel])
+        return self._plan[channel]
 
     @classmethod
     def of(cls, coeffs, channels: int, j_min: float) -> "_Coeffs":
@@ -246,33 +259,36 @@ class BoundaryData:
 # synthesis: the separable kernel and its adjoint
 # ---------------------------------------------------------------------------
 
-def _table(js, coef, fn, shape=()) -> np.ndarray:
+def _blocks(coef):
+    """The (row, l) index arrays of the (j, l) blocks where coef (..., j, lm)
+    has a nonzero entry."""
+    ls, ms = lm_labels(lm_degree(coef.shape[-1] - 1))
+    nonzero = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
+    return np.nonzero(np.logical_or.reduceat(nonzero, np.flatnonzero(ms == -ls), axis=-1))
+
+
+def _table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
     """fn(j, l) on the (j, l) blocks where coef (..., j, lm) has a nonzero
     entry (zero elsewhere), spread over lm: shape + (j, lm), of fn's dtype.
     fn is called once, on the 1-d arrays of those j and l, and returns
-    shape + (blocks,)."""
-    ls, ms = lm_labels(lm_degree(coef.shape[-1] - 1))
-    nonzero = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
-    need = np.logical_or.reduceat(nonzero, np.flatnonzero(ms == -ls), axis=-1)
-    rows, l_need = np.nonzero(need)
+    shape + (blocks,).  A caller holding coef's `_blocks` passes them."""
+    l_max = lm_degree(coef.shape[-1] - 1)
+    rows, l_need = _blocks(coef) if blocks is None else blocks
     vals = np.asarray(fn(np.asarray(js)[rows], l_need)) if rows.size else np.zeros(0)
-    out = np.zeros(shape + need.shape, dtype=vals.dtype)
+    out = np.zeros(shape + (coef.shape[-2], l_max + 1), dtype=vals.dtype)
     out[..., rows, l_need] = vals
-    return out[..., ls]
+    return out[..., lm_labels(l_max)[0]]
 
 
 def _ylm(where, coef) -> np.ndarray:
     """Y_lm for every packed lm of coef (..., lm): the AngularGrid table,
-    shape (lm, theta, phi), or at one point where = (theta, phi), shape (lm,),
-    zero where the coefficients of lm all vanish."""
+    shape (lm, theta, phi), or at one point where = (theta, phi) the
+    `ylm_point` row, shape (lm,), zero where the coefficients of lm all
+    vanish."""
     l_max = lm_degree(coef.shape[-1] - 1)
     if isinstance(where, AngularGrid):
         return where.ylm(l_max)
-    ls, ms = lm_labels(l_max)
-    held = np.any(coef != 0, axis=tuple(range(coef.ndim - 1)))
-    out = np.zeros(ls.size, dtype=complex)
-    out[held] = sph_harm(ls[held], ms[held], *where)
-    return out
+    return ylm_point(l_max, np.any(coef != 0, axis=tuple(range(coef.ndim - 1))), *where)
 
 
 def _synthesize(kern, coef, ylm) -> np.ndarray:
@@ -300,13 +316,17 @@ def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
     """d_omega sum (a f_a + b f_b)(k, l) e^{-i omega_k t} Y_lm and the same
     sum over (g_a, g_b), at the times t and the angular points `where`, or
     their d/dt; shape (2, t, ...).  radial(channel, omega, l) = (f, g), with
-    channel 0 for a and 1 for b, is called once per channel, on the arrays
-    of the (k, l) where that channel has a nonzero coefficient."""
-    js, coef = rep.coeffs.js, rep.coeffs.array
-    fa, fb = (_table(js, c, lambda k, l, ch=ch: radial(
-        ch, k * rep.grid.d_omega, l), (2,)) for ch, c in enumerate(coef))
-    fold = coef[0] * fa + coef[1] * fb
-    omega = rep.grid.d_omega * np.asarray(js, dtype=float)
+    channel 0 for a and 1 for b, is called once per channel the rep holds
+    (a rod holds a only), on the arrays of the (k, l) of the rep's block plan
+    for that channel."""
+    c = rep.coeffs
+    fa, *fb = (_table(c.js, coef, lambda k, l, ch=ch: radial(
+        ch, k * rep.grid.d_omega, l), (2,), c.blocks(ch))
+        for ch, coef in enumerate(c.array))
+    fold = c.array[0] * fa
+    if fb:
+        fold = fold + c.array[1] * fb[0]
+    omega = rep.grid.d_omega * np.asarray(c.js, dtype=float)
     phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))
     kern = rep.grid.d_omega * (-1j * omega * phase if dt else phase)
     return _synthesize(kern[:, :, None], fold, _ylm(where, fold))
@@ -354,10 +374,8 @@ def _synth(rep, point, params: AdsParams, deriv: str = "") -> complex:
         out = _slice_sum(rep, t, rho, (theta, phi),
                          *_jacobi(rho, params, deriv == "rho"))
         return complex(out[int(deriv == "t"), 0])
-    if isinstance(rep, RodRep):
-        rep = rep.as_tube()
-    out = _tube_sum(rep, t, (theta, phi), _s_or_c(rep.basis, rho, params),
-                    deriv == "t")
+    basis = getattr(rep, "basis", "S")  # a rod is the a channel of S
+    out = _tube_sum(rep, t, (theta, phi), _s_or_c(basis, rho, params), deriv == "t")
     return complex(out[int(deriv == "rho"), 0])
 
 
@@ -436,8 +454,10 @@ def sample_tube(rep: TubeRep, rho0: float, params: AdsParams,
 
 def sample_rod(rep: RodRep, rho0: float, params: AdsParams,
                angular: AngularGrid | None = None) -> RodData:
-    tube = sample_tube(rep.as_tube(), rho0, params, angular)
-    return RodData(rho0, rep.grid, tube.t_nodes, tube.angular, tube.phi)
+    ang = angular or AngularGrid()
+    t_nodes = rep.grid.time_nodes()
+    phi, _ = _tube_sum(rep, t_nodes, ang, _s_or_c("S", rho0, params))
+    return RodData(rho0, rep.grid, t_nodes, ang, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +470,7 @@ def _basis_change(rep: TubeRep, params: AdsParams, inverse: bool,
     inverse; M is tabulated once per (k, l) holding a label."""
     c = rep.coeffs
     m11, m12, m21, m22 = _table(c.js, c.mask, lambda k, l: _transfer_entries(
-        k * rep.grid.d_omega, l, params, DEFAULT_POLICY, inverse), (4,))
+        k * rep.grid.d_omega, l, params, DEFAULT_POLICY, inverse), (4,), c.blocks())
     a, b = c.array
     return replace(rep, coeffs=_Coeffs(c.js, np.stack(
         [a * m11 + b * m21, a * m12 + b * m22]), c.mask), basis=basis)
@@ -698,7 +718,7 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
         m12 = _transfer_entries(om, l, params, DEFAULT_POLICY, False)[1]
         return m12, np.zeros_like(m12)
 
-    phi, _ = _tube_sum(rep.as_tube(), t_nodes, ang, radial)
+    phi, _ = _tube_sum(rep, t_nodes, ang, radial)
     return RodData(math.pi / 2, rep.grid, t_nodes, ang, phi)
 
 

@@ -9,8 +9,9 @@ degrees 0..l_max fill (l_max + 1)^2 columns with degree l in the block
 `lm_mirror` are the only place that arithmetic is written.  `sph_harm`,
 `assoc_legendre` and `contiguous_coeffs` broadcast over arrays of l and m,
 each element bit-identical to the scalar call.  `AngularGrid.ylm(l_max)`
-is the (lm, theta, phi) table of Y on the quadrature grid and
-`AngularGrid.project` its adjoint for every lm at once.
+is the (lm, theta, phi) table of Y on the quadrature grid,
+`AngularGrid.project` its adjoint for every lm at once, and `ylm_point`
+the memoized row of Y at one point.
 
 The D-matrix comes from the exact diagonalization of J_y (Feng, Wang, Yang
 & Jin, Phys. Rev. E 92, 043307, 2015): it stays unitary to roundoff at any
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,10 +65,14 @@ def lm_count(l_max: int) -> int:
     return (l_max + 1) ** 2
 
 
+@lru_cache(maxsize=128)
 def lm_labels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degree and order of each packed index up to l_max."""
+    """Degree and order of each packed index up to l_max; read-only arrays,
+    formed once per l_max."""
     ls = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    return ls, np.arange(ls.size) - lm_index(ls, 0)
+    ms = np.arange(ls.size) - lm_index(ls, 0)
+    ls.flags.writeable = ms.flags.writeable = False
+    return ls, ms
 
 
 def lm_mirror(l_max: int) -> np.ndarray:
@@ -102,6 +108,37 @@ def sph_harm(l, m, theta, phi):
     """
     p = assoc_legendre(m, l, np.cos(theta))
     return sph_norm(l, m) * np.exp(1j * np.asarray(m) * np.asarray(phi, dtype=float)) * p
+
+
+# One row per point and held set: a sparse_pointwise job's S rep, C image and
+# rod share theirs, so its 42 synth calls read 6 rows.  A row is
+# (l_max + 1)^2 complex values.
+_POINT_ROWS = 64
+
+
+def ylm_point(l_max: int, held: np.ndarray, theta, phi) -> np.ndarray:
+    """Y_lm(theta, phi) for every packed lm up to l_max where the boolean
+    (lm,) array `held` is set, zero elsewhere, from one `sph_harm` call.
+    Read-only and memoized on l_max, the bytes of held and the bytes of
+    (theta, phi) as float64 (so phi = 0.0 and -0.0 are different keys), in
+    an LRU cache of the last _POINT_ROWS rows; exceptions are never stored."""
+    return _ylm_row(l_max, held.tobytes(), np.array((theta, phi), dtype=float).tobytes())
+
+
+@lru_cache(maxsize=_POINT_ROWS)
+def _ylm_row(l_max: int, held: bytes, angles: bytes) -> np.ndarray:
+    ls, ms = lm_labels(l_max)
+    held = np.frombuffer(held, dtype=bool)
+    out = np.zeros(ls.size, dtype=complex)
+    out[held] = sph_harm(ls[held], ms[held], *np.frombuffer(angles))
+    out.flags.writeable = False
+    return out
+
+
+def cache_counters() -> dict:
+    """Hits, misses, size and maxsize of the Y-at-a-point cache."""
+    fields = ("hits", "misses", "maxsize", "size")
+    return {"ylm_point": dict(zip(fields, _ylm_row.cache_info()))}
 
 
 def contiguous_coeffs(d: int, l, sub):

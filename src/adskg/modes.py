@@ -480,9 +480,10 @@ def jacobi_radial(branch: str, n: int, l: int, rho, params: AdsParams):
     """Jacobi radial mode J+-_{nl}(rho) =
     (n!/(l+d/2)_n) sin^l cos^{D+-} P_n^{(l+d/2-1, +-nu)}(cos 2 rho).
 
-    Accepts scalar or ndarray rho (scalar in, scalar out).
+    Accepts scalar or ndarray rho (scalar in, scalar out); bit for bit
+    `jacobi_radial_fd(...)[0]`, without forming dJ/drho.
     """
-    return jacobi_radial_fd(branch, n, l, rho, params)[0][()]
+    return _jacobi_radial(branch, n, l, rho, params, False)[0][()]
 
 
 def jacobi_radial_fd(branch: str, n: int, l: int, rho, params: AdsParams):
@@ -490,6 +491,11 @@ def jacobi_radial_fd(branch: str, n: int, l: int, rho, params: AdsParams):
     are taken per point with Python's pow (np.power on arrays can differ
     from scalar ** in the last bit), so J at a point does not depend on the
     array it sits in."""
+    return _jacobi_radial(branch, n, l, rho, params, True)
+
+
+def _jacobi_radial(branch: str, n: int, l: int, rho, params: AdsParams, drho: bool):
+    """(J, dJ/drho) of jacobi_radial_fd, with None for dJ/drho unless drho."""
     if branch == "minus" and not params.exceptional_range:
         raise ExceptionalBranch(
             f"minus branch requires nu in (0,1); nu = {params.nu}")
@@ -502,6 +508,8 @@ def jacobi_radial_fd(branch: str, n: int, l: int, rho, params: AdsParams):
     head = pref * _pow(s, l) * _pow(c, ex)
     x = np.cos(2.0 * rho)
     pval = jacobi_p(ga - 1.0, nu, n, x)
+    if not drho:
+        return head * pval, None
     dval = jacobi_p_dx(ga - 1.0, nu, n, x) * (-2.0 * np.sin(2.0 * rho))
     if l == 0:
         pre = c ** ex

@@ -11,7 +11,8 @@ so each element is bit-identical to the scalar call.  Scalar inputs keep the
 plain loop, which is the reference.
 Jacobi, Gegenbauer, Legendre, Pochhammer and spherical Bessel functions are
 scipy.special ufuncs under this module's conventions, raising DomainError
-where the ufunc would return nan; the polynomials take ndarray arguments.
+where the ufunc would return nan (assoc_legendre: any non-finite value);
+the polynomials take ndarray arguments.
 """
 
 from __future__ import annotations
@@ -266,7 +267,9 @@ def assoc_legendre(m, l, x):
     Negative orders follow P_l^{-m} = (l-m)!/(l+m)! P_l^m (no sign), which is
     exactly what makes conj(Y_l^m) = Y_l^{-m} for the harmonics built on top.
     scipy's lpmv carries the phase (-1)^m on m > 0 only; it is undone there.
-    m, l and x broadcast; IndexError if any l < 0 or |m| > l.
+    m, l and x broadcast; IndexError if any l < 0 or |m| > l, DomainError
+    naming (l, m) where lpmv's value is not finite (nan off [-1, 1], an
+    overflow to inf at |m| near l from l = 86 on).
     """
     m, l = np.broadcast_arrays(m, l)
     if np.any(l < 0):
@@ -275,7 +278,13 @@ def assoc_legendre(m, l, x):
         i = np.argmax(np.abs(m) > l)
         raise IndexError(f"|m| = {abs(m.flat[i])} exceeds l = {l.flat[i]}")
     sign = np.where((m > 0) & (m % 2 == 1), -1.0, 1.0)
-    return _defined(sign * lpmv(m, l, x), "assoc_legendre")
+    val = sign * lpmv(m, l, x)
+    bad = ~np.isfinite(val)
+    if bad.any():
+        m, l, x = np.broadcast_arrays(m, l, x)
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DomainError(f"P_l^m({x[i]}) is not finite at (l, m) = ({l[i]}, {m[i]})")
+    return val
 
 
 def _spherical(kind: str, l: int, x: float, derivative: bool) -> float:

@@ -111,6 +111,14 @@ def test_eval_normalization_overflow_exits_2(capsys):
     assert err.startswith("error:") and "(90, -90)" in err
 
 
+def test_eval_legendre_overflow_exits_2(capsys):
+    argv = ["eval", "--kind", "sa", "--omega", "2.0", "--l", "86", "--m", "86",
+            "--rho", "0.5", "--t", "0", "--theta", "1.0", "--phi", "0"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "(86, 86)" in err
+
+
 def test_eval_rejects_d5(capsys):
     assert main(["eval", "--d", "5", "--kind", "sa", "--omega", "2.0", "--l", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: d = 5")
@@ -223,6 +231,32 @@ def test_verify_json_reports_cache_counters(capsys):
         assert 0 < counts["size"] <= counts["maxsize"] and counts["misses"] > 0
     assert main(["verify", "modes"]) == 0
     assert "caches" not in capsys.readouterr().out
+
+
+def test_verify_json_reports_the_angular_cache(capsys):
+    import json
+    from adskg.harmonics import cache_counters
+    assert main(["verify", "harmonics", "--json"]) == 0
+    caches = json.loads(capsys.readouterr().out)["angular_caches"]
+    assert caches == cache_counters() and list(caches) == ["ylm_point"]
+    assert set(caches["ylm_point"]) == {"hits", "misses", "size", "maxsize"}
+    assert 0 <= caches["ylm_point"]["size"] <= caches["ylm_point"]["maxsize"] == 64
+
+
+def test_import_loads_no_scipy_linalg_or_integrate():
+    # the package's import time (the benchmark's setup_s) stays free of both
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = ("import sys, adskg, adskg.cli, adskg.verify; print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] in (['scipy', 'linalg'], ['scipy', 'integrate'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_reconstruct_round_trip(tmp_path, capsys):

@@ -6,8 +6,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from adskg.errors import (BandLimitExceeded, IntegerNu, MagicFrequencyBlind,
-                          RadialNodeError, SerializationError,
+from adskg import expansions as xp
+from adskg.errors import (BandLimitExceeded, DomainError, IntegerNu,
+                          MagicFrequencyBlind, RadialNodeError,
+                          SerializationError, SingularPoint,
                           UnsupportedDimension)
 from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep,
                               boundary_data_of, boundary_reconstruct, c_to_s,
@@ -19,9 +21,11 @@ from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep,
                               taylor_coeffs,
                               twisted_boundary_limit, twisted_derivative)
 from adskg.geometry import make_params
-from adskg.harmonics import AngularGrid
+from adskg.harmonics import (AngularGrid, cache_counters, lm_count, lm_degree,
+                             lm_index, lm_labels, lm_mirror, sph_harm, ylm_point)
 from adskg.modes import (RadialKind, SliceLabel, TubeLabel, magic_frequency,
                          mode_eval, radial_eval, transfer_matrix)
+from adskg.specfun import DEFAULT_POLICY
 from adskg.symplectic import omega_slice_momentum, omega_tube_momentum
 
 ANG = AngularGrid(16, 32)
@@ -741,3 +745,184 @@ def test_basis_change_stays_d_general():
     back = c_to_s(s_to_c(rep, p5), p5)
     assert max(abs(back.coeffs[key][i] - v) for key, pair in rep.coeffs.items()
                for i, v in enumerate(pair)) < 1e-10
+
+
+# --- pointwise synthesis against the per-call set-up it replaced ---------------------
+
+def _oracle_table(js, coef, fn, shape=()):
+    """`_table` deriving its blocks from coef on every call."""
+    ls, ms = lm_labels(lm_degree(coef.shape[-1] - 1))
+    nonzero = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
+    need = np.logical_or.reduceat(nonzero, np.flatnonzero(ms == -ls), axis=-1)
+    rows, l_need = np.nonzero(need)
+    vals = np.asarray(fn(np.asarray(js)[rows], l_need)) if rows.size else np.zeros(0)
+    out = np.zeros(shape + need.shape, dtype=vals.dtype)
+    out[..., rows, l_need] = vals
+    return out[..., ls]
+
+
+def _oracle_ylm(angles, coef):
+    """Y at a point from one sph_harm call over the held lm, on every call."""
+    ls, ms = lm_labels(lm_degree(coef.shape[-1] - 1))
+    held = np.any(coef != 0, axis=tuple(range(coef.ndim - 1)))
+    out = np.zeros(ls.size, dtype=complex)
+    out[held] = sph_harm(ls[held], ms[held], *angles)
+    return out
+
+
+def _oracle_synth(rep, point, params, deriv=""):
+    """synth / synth_dt / synth_drho with the set-up done per call and a rod
+    summed as its tube copy (`as_tube`, b = 0)."""
+    t, rho, theta, phi = point
+    if isinstance(rep, SliceRep):
+        rho = np.atleast_1d(rho)
+        frequency, radial = xp._jacobi(rho, params, deriv == "rho")
+        js, coef = rep.coeffs.js, rep.coeffs.array
+        omega = _oracle_table(js, np.ones(coef.shape[1:]), frequency)
+        plus = coef[0] * np.exp(-1j * omega * t)
+        minus = coef[1][:, lm_mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t)
+        coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
+        kern = _oracle_table(js, coefs, radial, rho.shape)
+        out = xp._synthesize(kern, coefs, _oracle_ylm((theta, phi), coefs))
+        return complex(out[int(deriv == "t"), 0])
+    if isinstance(rep, RodRep):
+        rep = rep.as_tube()
+    radial = xp._s_or_c(rep.basis, rho, params)
+    js, coef = rep.coeffs.js, rep.coeffs.array
+    fa, fb = (_oracle_table(js, c, lambda k, l, ch=ch: radial(
+        ch, k * rep.grid.d_omega, l), (2,)) for ch, c in enumerate(coef))
+    fold = coef[0] * fa + coef[1] * fb
+    omega = rep.grid.d_omega * np.asarray(js, dtype=float)
+    phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))
+    kern = rep.grid.d_omega * (-1j * omega * phase if deriv == "t" else phase)
+    out = xp._synthesize(kern[:, :, None], fold, _oracle_ylm((theta, phi), fold))
+    return complex(out[int(deriv == "rho"), 0])
+
+
+def _outcome(fn, *args):
+    """The bits of fn's complex result, or its exception's type and text."""
+    try:
+        return np.array(fn(*args)).tobytes()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _random_reps(rng, params, l_top, size):
+    """An S rep, its C image, a rod and a slice rep on random labels, about
+    one coefficient in six exactly zero (some whole channels and blocks)."""
+    grid = OmegaGrid(float(rng.uniform(0.3, 0.9)), tuple(range(-15, 16)))
+    keys = {(int(rng.integers(-15, 16)), l, int(rng.integers(-l, l + 1)))
+            for l in rng.integers(0, l_top + 1, size=size).tolist()}
+
+    def value():
+        return 0j if rng.random() < 0.17 else complex(*rng.normal(size=2))
+
+    srep = TubeRep(grid, {key: (value(), value()) for key in keys}, "S")
+    rod = RodRep(grid, {key: value() for key in keys})
+    slc = SliceRep({(abs(k) % 5, l, m): (value(), value()) for k, l, m in keys})
+    return [srep, s_to_c(srep, params), rod, slc]
+
+
+@pytest.mark.parametrize("msq", [0.0, -2.2, 1.5])
+def test_pointwise_synth_is_the_per_call_path_bit_for_bit(msq, rng):
+    params = make_params(3, 1.0, msq)
+    points = [(0.7, 1.1, 1.2, 2.3), (0.0, 0.35, 2.9, -0.0), (2.5, 0.9, 0.4, 0.0),
+              (1.3, 1.45, 1.7, 5.5),
+              (0.2, 0.0, 1.0, 0.3),               # axis: S^b and C raise, a rod is finite
+              (0.2, math.pi / 2, 1.0, 0.3),       # the boundary: DomainError
+              (0.2, 1.7, 1.0, 0.3)]
+    for l_top, size in ((2, 3), (6, 13), (6, 40), (20, 25)):
+        reps = _random_reps(rng, params, l_top, size)
+        reps.append(TubeRep(reps[0].grid, {key: (a, 0j) for key, (a, _) in
+                                           reps[0].coeffs.items()}, "S"))
+        for rep in reps:
+            for point in points:
+                for fn, deriv in ((synth, ""), (synth_dt, "t"), (synth_drho, "rho")):
+                    want = _outcome(_oracle_synth, rep, point, params, deriv)
+                    for _ in range(2):  # the plan and Y row are formed, then reused
+                        assert _outcome(fn, rep, point, params) == want, \
+                            (type(rep).__name__, point, deriv)
+
+
+def test_pointwise_synth_raises_as_before(params_m0):
+    srep, rod = _tube_rep(), _rod_rep()
+    with pytest.raises(SingularPoint, match="S\\^b"):
+        synth(srep, (0.1, 0.0, 1.0, 2.0), params_m0)
+    with pytest.raises(DomainError, match="rho"):
+        synth_drho(rod, (0.1, math.pi / 2, 1.0, 2.0), params_m0)
+    assert np.isfinite(synth(rod, (0.1, 0.0, 1.0, 2.0), params_m0))
+
+
+def test_rod_synth_needs_no_tube_copy(params_m0, monkeypatch):
+    # on the axis a rod of l >= 1 labels sums to zero: its sign is kept too
+    grid = OmegaGrid(0.5, (1, 2))
+    rods = [_rod_rep()] + [RodRep(grid, {(1, 1, 1): a, (2, 2, -1): -a})
+                           for a in (-1.0 + 0.0j, complex(-0.0, 1.0), -0.0j)]
+    calls = [(fn, rod, (t, rho, 1.1, phi)) for fn in (synth, synth_dt, synth_drho)
+             for rod in rods for t in (0.0, 0.3) for rho in (0.0, 0.6, 1.3)
+             for phi in (0.0, -0.0, 0.4)]
+    want = [_outcome(_oracle_synth, rod, point, params_m0,
+                     {synth: "", synth_dt: "t", synth_drho: "rho"}[fn])
+            for fn, rod, point in calls]
+    tube_phi = sample_tube(rods[0].as_tube(), 0.8, params_m0, ANG).phi
+    monkeypatch.setattr(RodRep, "as_tube", lambda self: pytest.fail("tube copy"))
+    assert [_outcome(fn, rod, point, params_m0) for fn, rod, point in calls] == want
+    assert sample_rod(rods[0], 0.8, params_m0, ANG).phi.tobytes() == tube_phi.tobytes()
+    assert np.all(np.isfinite(rod_boundary_data_of(rods[0], make_params(3, 1.0, 0.3),
+                                                   ANG).phi))
+
+
+def test_basis_change_takes_the_reps_block_plan(rng):
+    params = make_params(3, 1.0, -0.7)
+    grid = OmegaGrid(0.37, tuple(range(-15, 16)))
+    for _ in range(3):
+        rep = _random_tube(rng, grid)
+        c = rep.coeffs
+        for inverse, out in ((False, s_to_c(rep, params)),
+                             (True, c_to_s(TubeRep(grid, c, "C"), params))):
+            m11, m12, m21, m22 = _oracle_table(c.js, c.mask, lambda k, l: xp._transfer_entries(
+                k * grid.d_omega, l, params, DEFAULT_POLICY, inverse), (4,))
+            a, b = c.array
+            want = np.stack([a * m11 + b * m21, a * m12 + b * m22])
+            assert out.coeffs.array.tobytes() == want.tobytes()
+
+
+def test_block_plan_is_formed_once_and_not_pickled(rng):
+    import pickle
+    rep = _random_tube(rng, OmegaGrid(0.5, tuple(range(-7, 8))))
+    c = rep.coeffs
+    for channel in (0, 1, None):
+        blocks = c.blocks(channel)
+        assert c.blocks(channel) is blocks
+        held = c.mask if channel is None else c.array[channel]
+        assert all(np.array_equal(got, want) for got, want in zip(blocks, xp._blocks(held)))
+    assert c.__reduce__() == (type(c), (c.js, c.array, c.mask))
+    copy = pickle.loads(pickle.dumps(rep))
+    assert copy.coeffs._plan == {} and dict(copy.coeffs) == dict(c)
+
+
+def test_ylm_point_memo_keys_on_bytes():
+    held = np.ones(lm_count(4), dtype=bool)
+    held[[0, 5]] = False
+    before = cache_counters()["ylm_point"]
+    plus, minus = ylm_point(4, held, 1.1, 0.0), ylm_point(4, held, 1.1, -0.0)
+    after = cache_counters()["ylm_point"]
+    assert after["misses"] - before["misses"] == 2 and after["maxsize"] == 64
+    assert after["size"] <= after["maxsize"]
+    ls, ms = lm_labels(4)
+    for row, phi in ((plus, 0.0), (minus, -0.0)):
+        want = np.zeros(ls.size, dtype=complex)
+        want[held] = sph_harm(ls[held], ms[held], 1.1, phi)
+        assert row.tobytes() == want.tobytes() and not row.flags.writeable
+    assert ylm_point(4, held, 1.1, 0.0) is plus
+    assert cache_counters()["ylm_point"]["hits"] == after["hits"] + 1
+
+
+def test_ylm_point_never_stores_an_exception():
+    held = np.zeros(lm_count(90), dtype=bool)
+    held[lm_index(90, -90)] = True
+    for _ in range(3):
+        misses = cache_counters()["ylm_point"]["misses"]
+        with pytest.raises(DomainError, match="90, -90"):
+            ylm_point(90, held, 1.0, 0.5)
+        assert cache_counters()["ylm_point"]["misses"] == misses + 1

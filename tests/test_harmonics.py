@@ -120,6 +120,24 @@ def test_index_error():
         sph_harm(2, 3, 0.5, 0.5)
 
 
+def test_legendre_overflow_is_a_domain_error():
+    # P_l^m overflows at |m| near l from l = 86 on although |Y| < 1
+    assert np.isfinite(AngularGrid(8, 16).ylm(85)).all()
+    with pytest.raises(DomainError, match=r"not finite at \(l, m\) = \(86, 86\)"):
+        sph_harm(86, 86, 1.0, 0.0)
+    with pytest.raises(DomainError, match=r"not finite at \(l, m\) = \(86, "):
+        AngularGrid(8, 16).ylm(86)
+
+
+def test_lm_labels_are_formed_once_and_read_only():
+    ls, ms = lm_labels(7)
+    assert lm_labels(7)[0] is ls and lm_labels(7)[1] is ms
+    for arr in (ls, ms):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
 def test_normalization_overflow_is_a_domain_error():
     # (l - m)! / (l + m)! leaves the double range at m = -l from l = 86 on
     assert np.isfinite(sph_norm(85, -85)) and sph_norm(90, 90) == 0.0

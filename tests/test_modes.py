@@ -502,3 +502,23 @@ def test_sb_axis_power(params_m0):
             for r in (1e-3, 1e-4)]
     assert vals[1] == pytest.approx(vals[0], rel=1e-4)
     assert abs(vals[1]) > 0.1
+
+
+def test_scalar_jacobi_radial_is_the_fd_value_bit_for_bit():
+    rho = [0.0, 1e-3, 0.3, 0.7854, 1.2, 1.55]
+    for msq in (0.0, -2.2, 1.5):
+        params = make_params(3, 1.0, msq)
+        branches = ("plus", "minus") if params.exceptional_range else ("plus",)
+        for branch in branches:
+            for n in range(7):
+                for l in range(7):
+                    want = jacobi_radial_fd(branch, n, l, np.array(rho), params)[0]
+                    assert jacobi_radial(branch, n, l, np.array(rho), params).tobytes() \
+                        == want.tobytes()
+                    for r in rho:
+                        got = jacobi_radial(branch, n, l, r, params)
+                        assert np.ndim(got) == 0 and np.array(got).tobytes() \
+                            == jacobi_radial_fd(branch, n, l, r, params)[0].tobytes()
+        if not params.exceptional_range:
+            with pytest.raises(ExceptionalBranch):
+                jacobi_radial("minus", 0, 0, 0.3, params)

@@ -230,6 +230,23 @@ def test_assoc_legendre_index_error():
         assoc_legendre(3, 2, 0.5)
 
 
+def test_assoc_legendre_non_finite_is_a_domain_error():
+    # lpmv overflows to inf at |m| near l from l = 86 on, and is nan off [-1, 1]
+    with pytest.raises(DomainError, match=r"\(l, m\) = \(86, 86\)"):
+        assoc_legendre(86, 86, math.cos(1.0))
+    with pytest.raises(DomainError, match=r"\(l, m\) = \(86, -86\)"):
+        assoc_legendre(np.array([2, 85, -86]), np.array([3, 85, 86]), 0.3)
+    with pytest.raises(DomainError, match=r"\(l, m\) = \(3, 1\)"):
+        assoc_legendre(1, 3, np.array([0.5, 2.0]))
+    # finite values are lpmv's bits with the Condon-Shortley phase undone
+    from scipy.special import lpmv
+    from adskg.harmonics import lm_labels
+    ls, ms = lm_labels(85)
+    x = np.linspace(-1.0, 1.0, 9)[:, None]
+    sign = np.where((ms > 0) & (ms % 2 == 1), -1.0, 1.0)
+    assert assoc_legendre(ms, ls, x).tobytes() == (sign * lpmv(ms, ls, x)).tobytes()
+
+
 def test_assoc_legendre_negative_order():
     # P_l^{-m} = (l-m)!/(l+m)! P_l^m in the Condon-Shortley-free convention
     for l, m in ((2, 1), (3, 2), (5, 4)):
