@@ -831,14 +831,16 @@ def load_rep(path):
     if not any(ln.strip() for ln in body):
         raise SerializationError("rep file has no labels")
     try:
-        return _rep_of(body, d_omega), params
+        return _rep_of(body, d_omega, "\x00" in text), params
     except SerializationError:
         _first_bad_line(body)
         raise
 
 
-def _rep_of(body, d_omega: float):
-    """The rep the label lines hold; SerializationError on any fault."""
+def _rep_of(body, d_omega: float, nul: bool):
+    """The rep the label lines hold; SerializationError on any fault.  With
+    `nul` (the file holds a NUL character) the basis tokens are taken from
+    the lines themselves: np.loadtxt strips trailing NULs from a field."""
     try:
         rows = _read_rows(body)
     except ValueError as exc:
@@ -846,11 +848,12 @@ def _rep_of(body, d_omega: float):
     if not np.all(np.isfinite(rows["v"])):
         raise SerializationError("non-finite coefficient")
     tokens = rows["basis"]
-    if np.any(tokens != tokens[0]) or tokens[0] not in _BASES:
+    if nul or np.any(tokens != tokens[0]) or tokens[0] not in _BASES:
         bases = {ln.split()[0] for ln in body if ln.strip()}
         if len(bases) > 1:
             raise SerializationError(f"mixed bases in one file: {sorted(bases)}")
-        raise SerializationError(f"unknown basis {bases.pop()!r}")
+        if not bases <= set(_BASES):
+            raise SerializationError(f"unknown basis {bases.pop()!r}")
     basis = str(tokens[0])
     if basis != "slice" and not (math.isfinite(d_omega) and d_omega > 0.0):
         raise SerializationError(f"domega must be finite and positive, got {d_omega!r}")

@@ -149,33 +149,48 @@ def _radial_rule(params: AdsParams, n_nodes: int):
     return rho, w
 
 
-def kg_residual(radial_fn: Callable[[float], float], omega: float, l: int,
-                params: AdsParams, rho_window: tuple[float, float],
-                n_points: int = 40, step: float = 1e-4) -> float:
+def kg_residual(radial_fn: Callable, omega, l, params: AdsParams,
+                rho_window: tuple[float, float], n_points: int = 40,
+                step: float = 1e-4):
     """Max normalized residual of the radial Klein-Gordon operator
     cos^2 f'' + (d-1)/tan f' + [w^2 cos^2 - l(l+d-2)/tan^2 - m^2 R^2] f
     on a uniform sub-grid of the window, derivatives by 5-point stencils.
-    radial_fn is called once, on the array of all stencil radii; a scalar
-    result (a constant function) is broadcast.
+
+    radial_fn is called once, on the array of all stencil radii, shape
+    (5, n_points); a scalar result (a constant function) is broadcast.
+    omega and l may instead be equal-length 1-d arrays, one row each:
+    radial_fn then gets the stencil broadcast against the rows, shape
+    (rows, 5, n_points), must return row i's function in row i, and the
+    result is the array of the rows' residuals, each bit for bit the
+    scalar call's.
     """
     a, b = rho_window
     if not 0.0 < a < b < math.pi / 2:
         raise WindowError("window must lie strictly inside (0, pi/2)")
+    rows = np.ndim(omega) == 1
+    if rows:
+        omega, l = (np.asarray(v)[:, None] for v in (omega, l))
     d = params.d
     msq = params.msq_r2
     rho = np.linspace(a, b, n_points)
     h = step
     stencil = np.stack([rho - 2 * h, rho - h, rho, rho + h, rho + 2 * h])
-    fm2, fm1, f0, fp1, fp2 = np.broadcast_to(radial_fn(stencil), stencil.shape)
+    if rows:
+        stencil = np.broadcast_to(stencil, (len(omega),) + stencil.shape)
+    fm2, fm1, f0, fp1, fp2 = np.moveaxis(
+        np.broadcast_to(radial_fn(stencil), stencil.shape), -2, 0)
     d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
     d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
     c2 = np.array([math.cos(r) ** 2 for r in rho.tolist()])
     t = np.array([math.tan(r) for r in rho.tolist()])
     res = c2 * d2 + (d - 1) / t * d1 + \
         (omega * omega * c2 - l * (l + d - 2) / (t * t) - msq) * f0
-    worst = float(np.max(np.abs(res)))
-    scale = float(np.max(np.abs(f0)))
-    return worst / scale if scale > 0 else worst
+    worst = np.max(np.abs(res), axis=-1)
+    scale = np.max(np.abs(f0), axis=-1)
+    if not rows:
+        worst, scale = float(worst), float(scale)
+        return worst / scale if scale > 0 else worst
+    return np.divide(worst, scale, out=worst, where=scale > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -178,45 +178,84 @@ def suite_geometry():
     return checks
 
 
-def suite_modes():
-    rng = np.random.default_rng(SEED)
-    checks = []
-    # acceptance 2: radial ODE residuals, every kind, three masses
+def _radial_kg_errors(rng) -> list:
+    """Radial ODE residual of every kind, three masses (acceptance 2).  The
+    ten (omega, l, n) draws of a mass come first, in the per-draw order;
+    each radial kind is then one radial_eval call over the rows' stencils
+    and one kg_residual call, and the Jacobi modes one kg_residual call per
+    branch.  The residuals are listed draw by draw: S^a, S^b, C^a, C^b, J+
+    and, in the exceptional range, J-."""
     errs = []
     for p in _params_set():
-        for _ in range(10):
-            om = rng.uniform(0.7, 4.5)
-            l = int(rng.integers(0, 4))
-            for kind in (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca,
-                         RadialKind.Cb):
-                fn = lambda r: modes.radial_eval(kind, om, l, r, p)
-                errs.append(geo.kg_residual(fn, om, l, p, (0.2, 1.2),
-                                            n_points=12))
-            n = int(rng.integers(0, 4))
-            omp = modes.magic_frequency("plus", n, l, p)
-            fn = lambda r: modes.jacobi_radial("plus", n, l, r, p)
-            errs.append(geo.kg_residual(fn, omp, l, p, (0.2, 1.2), n_points=12))
-            if p.exceptional_range:
-                omm = modes.magic_frequency("minus", n, l, p)
-                fn = lambda r: modes.jacobi_radial("minus", n, l, r, p)
-                errs.append(geo.kg_residual(fn, omm, l, p, (0.2, 1.2),
-                                            n_points=12))
-    checks.append(_check("radial_kg_residuals", errs, 1e-6))
+        draws = [(rng.uniform(0.7, 4.5), int(rng.integers(0, 4)),
+                  int(rng.integers(0, 4))) for _ in range(10)]
+        om, l, n = (np.array(col) for col in zip(*draws))
+        cols = []
+        for kind in (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb):
+            fn = lambda r: modes.radial_eval(kind, om[:, None, None],
+                                             l[:, None, None], r, p)
+            cols.append(geo.kg_residual(fn, om, l, p, (0.2, 1.2), n_points=12))
+        for branch in ("plus", "minus") if p.exceptional_range else ("plus",):
+            fn = lambda r: np.stack([modes.jacobi_radial(branch, nn, ll, rr, p)
+                                     for nn, ll, rr in zip(n.tolist(), l.tolist(), r)])
+            cols.append(geo.kg_residual(fn, modes.magic_frequency(branch, n, l, p),
+                                        l, p, (0.2, 1.2), n_points=12))
+        errs += np.stack(cols, axis=1).ravel().tolist()
+    return errs
 
-    # acceptance 3: Wronskian constancy and the determinant identity
-    p = geo.make_params(3, 1.0, 0.0)
+
+def _wronskian_errors(rng, p) -> list:
+    """Spread of the weighted Wronskian of each kind pair over rho, relative
+    to its largest value (acceptance 3), for ten (omega, l) draws; each kind
+    is one radial_eval_fd call over (rho, draw), and _weighted_wronskian
+    takes tan of each rho as the scalar call does.  Listed draw by draw."""
     pairs = [(RadialKind.Sa, RadialKind.Sb), (RadialKind.Ca, RadialKind.Cb),
              (RadialKind.Sa, RadialKind.Ca), (RadialKind.Sa, RadialKind.Cb),
              (RadialKind.Sb, RadialKind.Ca), (RadialKind.Sb, RadialKind.Cb)]
+    draws = [(rng.uniform(0.6, 5.0), int(rng.integers(0, 4))) for _ in range(10)]
+    om, l = (np.array(col) for col in zip(*draws))
+    rho = (0.4, 0.7, 1.0)
+    fd = {kind: modes.radial_eval_fd(kind, om, l, np.array(rho)[:, None], p)
+          for kind in (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb)}
     errs = []
-    for _ in range(10):
-        om = rng.uniform(0.6, 5.0)
-        l = int(rng.integers(0, 4))
-        for ka, kb in pairs:
-            vals = [modes.wronskian(ka, kb, om, l, rho, p)
-                    for rho in (0.4, 0.7, 1.0)]
-            errs.append(np.ptp(vals) / np.max(np.abs(vals)))
-    checks.append(_check("wronskian_constancy", errs, 1e-8))
+    for ka, kb in pairs:
+        vals = np.array([modes._weighted_wronskian(*row, r, p.d) for r, *row
+                         in zip(rho, *fd[ka], *fd[kb])])
+        errs.append(np.ptp(vals, axis=0) / np.max(np.abs(vals), axis=0))
+    return np.stack(errs, axis=1).ravel().tolist()
+
+
+def _magic_errors(p) -> list:
+    """|S^a - J+| / max(1, |J+|) at the magic frequencies, n, l <= 3, at four
+    radii (acceptance 6): S^a is one radial_eval call over (label, rho), J+
+    one jacobi_radial call per label.  Listed label by label."""
+    n, l = (v.ravel() for v in np.meshgrid(np.arange(4), np.arange(4), indexing="ij"))
+    rho = np.array([0.15, 0.5, 0.95, 1.3])
+    sa = modes.radial_eval(RadialKind.Sa, modes.magic_frequency("plus", n, l, p)[:, None],
+                           l[:, None], rho, p)
+    jp = np.array([modes.jacobi_radial("plus", nn, ll, rho, p)
+                   for nn, ll in zip(n.tolist(), l.tolist())])
+    return (np.abs(sa - jp) / np.maximum(1.0, np.abs(jp))).ravel().tolist()
+
+
+def _norm_oracles(p) -> np.ndarray:
+    """int_0^{pi/2} tan^2 (J+_{nl})^2 drho for n, l <= 4, shape (5, 5), by
+    one 64-node Gauss-Legendre rule: the quadrature norm_constant is
+    checked against."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    rho = math.pi / 4 * (x + 1.0)
+    return np.array([[math.pi / 4 * float(np.sum(
+        w * (np.tan(rho) * modes.jacobi_radial("plus", n, l, rho, p)) ** 2))
+        for l in range(5)] for n in range(5)])
+
+
+def suite_modes():
+    rng = np.random.default_rng(SEED)
+    checks = [_check("radial_kg_residuals", _radial_kg_errors(rng), 1e-6)]
+
+    # acceptance 3: Wronskian constancy and the determinant identity
+    p = geo.make_params(3, 1.0, 0.0)
+    checks.append(_check("wronskian_constancy", _wronskian_errors(rng, p), 1e-8))
 
     errs = []
     for _ in range(6):
@@ -229,32 +268,22 @@ def suite_modes():
     checks.append(_check("det_transfer_identity", errs, 1e-8))
 
     # acceptance 4: normalization constant vs defining quadrature
-    from scipy.integrate import quad
     errs = []
-    for n in range(5):
-        for l in range(5):
-            closed = modes.norm_constant("plus", n, l, p)
-            oracle = quad(lambda r: math.tan(r) ** 2
-                          * modes.jacobi_radial("plus", n, l, r, p) ** 2,
-                          0.0, math.pi / 2, limit=200)[0]
-            errs.append(abs(closed - oracle) / oracle)
+    for (n, l), oracle in np.ndenumerate(_norm_oracles(p)):
+        closed = modes.norm_constant("plus", n, l, p)
+        errs.append(abs(closed - oracle) / oracle)
     checks.append(_check("norm_constant_vs_quadrature[n,l<=4]", errs, 1e-9))
     checks.append(_check("norm_constant_pi_over_32",
                          abs(modes.norm_constant("plus", 0, 0, p) - math.pi / 32),
                          1e-12))
 
     # acceptance 6: magic-frequency termination identity
-    errs, m12 = [], []
+    checks.append(_check("magic_termination[n,l<=3]", _magic_errors(p), 1e-10))
+    m12 = []
     for n in range(4):
         for l in range(4):
-            om = modes.magic_frequency("plus", n, l, p)
-            for rho in (0.15, 0.5, 0.95, 1.3):
-                sa = modes.radial_eval(RadialKind.Sa, om, l, rho, p)
-                jp = modes.jacobi_radial("plus", n, l, rho, p)
-                errs.append(abs(sa - jp) / max(1.0, abs(jp)))
-            mat = modes.transfer_matrix(om, l, p)
+            mat = modes.transfer_matrix(modes.magic_frequency("plus", n, l, p), l, p)
             m12.append(abs(mat.m12) / abs(mat.m11))
-    checks.append(_check("magic_termination[n,l<=3]", errs, 1e-10))
     checks.append(_check("magic_m12_blindness", m12, 1e-8))
     return checks
 

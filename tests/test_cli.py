@@ -360,6 +360,7 @@ def test_reconstruct_boundary(tmp_path, capsys, make):
     "domega=0.5\nS 1 1 0 1.0 0.0 0.0 0.0\nS 1 1 0 2.0 0.0 0.0 0.0\n",
     "domega=0.0\nS 1 1 0 1.0 0.0 0.0 0.0\n",
     "domega=nan\nrod 1 1 0 1.0 0.0 0.0 0.0\n",
+    "domega=0.5\nS\x00 1 1 0 1.0 0.0 0.0 0.0\n",
 ])
 def test_reconstruct_malformed_rep_file_exits_2(tmp_path, capsys, body):
     path = tmp_path / "rep.txt"

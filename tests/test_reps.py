@@ -287,6 +287,9 @@ def _file(*lines, domega=0.5):
     _file("slicexA 2 1 0 1.0 0.0 0.0 0.0", "slicexB 3 1 0 1.0 0.0 0.0 0.0"),
     _file("sliced 2 1 0 1.0 0.0 0.0 0.0", "S 3 1 0 1.0 0.0 0.0 0.0"),
     _file("Tube 2 1 0 1.0 0.0 0.0 0.0"),                               # unknown
+    _file("S\x00 1 1 0 1.0 0.0 0.0 0.0"),                             # NUL-padded
+    _file("S\x00\x00\x00\x00\x00\x00 1 1 0 1.0 0.0 0.0 0.0"),            # over-long too
+    _file(_GOOD[0], "S\x00 2 1 0 1.0 0.0 0.0 0.0"),                   # mixed with S
     _file(*_GOOD, "S 4 -1 0 1.0 0.0 0.0 0.0"),                         # l < 0
     _file(*_GOOD, "S 4 1 2 1.0 0.0 0.0 0.0", "S 5 2 3 1.0 0.0 0.0 0.0"),  # |m| > l
     _file("slice 0 1 0 1.0 0.0 0.0 0.0", "slice -1 0 0 1.0 0.0 0.0 0.0", domega=0.0),
@@ -299,6 +302,15 @@ def test_load_rep_faults_match_the_line_loop(text):
     with pytest.raises(SerializationError) as got:
         load_rep(io.StringIO(text))
     assert str(got.value) == str(want.value)
+
+
+def test_a_nul_outside_the_label_lines_is_harmless():
+    # a NUL makes the reader take the basis tokens from the lines
+    text = _file(*_GOOD).replace("domega=0.5", "domega=0.5 note=\x00")
+    got, params = load_rep(io.StringIO(text))
+    want, _ = _loop_load_rep(text)
+    _same_rep(got, want)
+    assert params == P
 
 
 @pytest.mark.parametrize("field", ["1_0", "1_000.5", "١", "１"])

@@ -1,0 +1,164 @@
+"""The batched radial checks of `verify modes` against per-draw loops, the
+Gauss-Legendre norm oracle against scipy's adaptive quadrature, and the
+imports a `verify all` run leaves behind."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from adskg import geometry as geo
+from adskg import modes
+from adskg import verify
+from adskg.modes import RadialKind
+
+KINDS = (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb)
+
+
+# --- kg_residual on rows ---------------------------------------------------------
+
+def _rows(p):
+    """(omega, l) rows: random frequencies and the magic frequencies of
+    n, l <= 2, where the S^a and C^a series terminate."""
+    rng = np.random.default_rng(7)
+    om = list(rng.uniform(0.6, 5.0, 6))
+    l = [int(v) for v in rng.integers(0, 4, 6)]
+    for n in range(3):
+        for ll in range(3):
+            om.append(modes.magic_frequency("plus", n, ll, p))
+            l.append(ll)
+    return np.array(om), np.array(l)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("msq", [0.0, -2.0, 1.0])
+def test_kg_residual_rows_match_scalar_calls(kind, msq):
+    p = geo.make_params(3, 1.0, msq)
+    om, l = _rows(p)
+    shapes = []
+
+    def fn(r):
+        shapes.append(r.shape)
+        return modes.radial_eval(kind, om[:, None, None], l[:, None, None], r, p)
+
+    got = geo.kg_residual(fn, om, l, p, (0.2, 1.2), n_points=12)
+    assert shapes == [(len(om), 5, 12)]
+    want = [geo.kg_residual(lambda r: modes.radial_eval(kind, w, ll, r, p), w, ll, p,
+                            (0.2, 1.2), n_points=12)
+            for w, ll in zip(om.tolist(), l.tolist())]
+    assert all(type(v) is float for v in want)
+    assert got.shape == (len(om),)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_kg_residual_rows_of_a_constant_function():
+    # a scalar radial_fn result is broadcast over every row; a zero row
+    # reports the bare residual as the scalar call does
+    p = geo.make_params(3, 1.0, 1.0)
+    got = geo.kg_residual(lambda r: 1.0, np.array([0.0, 2.0]), np.array([0, 1]),
+                          p, (0.3, 1.1))
+    want = [geo.kg_residual(lambda r: 1.0, w, ll, p, (0.3, 1.1))
+            for w, ll in ((0.0, 0), (2.0, 1))]
+    assert got.tolist() == want
+    zero = geo.kg_residual(lambda r: 0.0 * r, np.array([1.0]), np.array([0]),
+                           p, (0.3, 1.1))
+    assert zero.tolist() == [geo.kg_residual(lambda r: 0.0 * r, 1.0, 0, p, (0.3, 1.1))]
+
+
+# --- the batched suite_modes checks against the per-draw loops ---------------------
+
+def _loop_radial_kg_errors(rng):
+    """The per-draw loop the batched radial_kg_residuals replaced."""
+    errs = []
+    for p in verify._params_set():
+        for _ in range(10):
+            om = rng.uniform(0.7, 4.5)
+            l = int(rng.integers(0, 4))
+            for kind in KINDS:
+                fn = lambda r: modes.radial_eval(kind, om, l, r, p)
+                errs.append(geo.kg_residual(fn, om, l, p, (0.2, 1.2), n_points=12))
+            n = int(rng.integers(0, 4))
+            omp = modes.magic_frequency("plus", n, l, p)
+            fn = lambda r: modes.jacobi_radial("plus", n, l, r, p)
+            errs.append(geo.kg_residual(fn, omp, l, p, (0.2, 1.2), n_points=12))
+            if p.exceptional_range:
+                omm = modes.magic_frequency("minus", n, l, p)
+                fn = lambda r: modes.jacobi_radial("minus", n, l, r, p)
+                errs.append(geo.kg_residual(fn, omm, l, p, (0.2, 1.2), n_points=12))
+    return errs
+
+
+def _loop_wronskian_errors(rng, p):
+    """The per-draw loop the batched wronskian_constancy replaced."""
+    pairs = [(RadialKind.Sa, RadialKind.Sb), (RadialKind.Ca, RadialKind.Cb),
+             (RadialKind.Sa, RadialKind.Ca), (RadialKind.Sa, RadialKind.Cb),
+             (RadialKind.Sb, RadialKind.Ca), (RadialKind.Sb, RadialKind.Cb)]
+    errs = []
+    for _ in range(10):
+        om = rng.uniform(0.6, 5.0)
+        l = int(rng.integers(0, 4))
+        for ka, kb in pairs:
+            vals = [modes.wronskian(ka, kb, om, l, rho, p) for rho in (0.4, 0.7, 1.0)]
+            errs.append(np.ptp(vals) / np.max(np.abs(vals)))
+    return errs
+
+
+def _loop_magic_errors(p):
+    """The per-point loop the batched magic_termination replaced."""
+    errs = []
+    for n in range(4):
+        for l in range(4):
+            om = modes.magic_frequency("plus", n, l, p)
+            for rho in (0.15, 0.5, 0.95, 1.3):
+                sa = modes.radial_eval(RadialKind.Sa, om, l, rho, p)
+                jp = modes.jacobi_radial("plus", n, l, rho, p)
+                errs.append(abs(sa - jp) / max(1.0, abs(jp)))
+    return errs
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("seed", [verify.SEED, 1, 2])
+def test_batched_modes_checks_match_the_per_draw_loops(seed):
+    p = geo.make_params(3, 1.0, 0.0)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = verify._radial_kg_errors(rng)
+    want = _loop_radial_kg_errors(ref)
+    assert len(got) == len(want) == 160
+    assert _bits(got) == _bits(want)
+    got = verify._wronskian_errors(rng, p)
+    want = _loop_wronskian_errors(ref, p)
+    assert len(got) == len(want) == 60
+    assert _bits(got) == _bits(want)
+    assert rng.random() == ref.random()  # both consumed the same draws
+    assert _bits(verify._magic_errors(p)) == _bits(_loop_magic_errors(p))
+
+
+# --- the norm oracle -----------------------------------------------------------------
+
+def test_norm_oracle_matches_adaptive_quadrature():
+    from scipy.integrate import quad
+    p = geo.make_params(3, 1.0, 0.0)
+    for (n, l), got in np.ndenumerate(verify._norm_oracles(p)):
+        ref = quad(lambda r: math.tan(r) ** 2 * modes.jacobi_radial("plus", n, l, r, p) ** 2,
+                   0.0, math.pi / 2, limit=200)[0]
+        assert abs(got - ref) <= 1e-13 * ref
+        assert abs(got - modes.norm_constant("plus", n, l, p)) <= 1e-13 * ref
+
+
+def test_verify_all_does_not_import_scipy_integrate():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "from adskg.cli import main\n"
+            "assert main(['verify', 'all']) == 0\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
