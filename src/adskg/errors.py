@@ -51,7 +51,9 @@ class ExceptionalBranch(AdskgError):
 
 
 class DegenerateBasis(AdskgError):
-    """Wronskian of the C-basis too small to invert the transfer relation."""
+    """A radial basis too close to degenerate to invert.  Nothing raises it
+    yet: the transfer matrix's determinant, (2l + d - 2) / (2 nu), is exact
+    and nonzero."""
 
 
 class BasisMismatch(AdskgError):

@@ -480,7 +480,7 @@ def _basis_change(rep: TubeRep, params: AdsParams, inverse: bool,
     inverse; M is tabulated once per (k, l) holding a label."""
     c = rep.coeffs
     m11, m12, m21, m22 = _table(c.js, c.mask, lambda k, l: _transfer_entries(
-        k * rep.grid.d_omega, l, params, DEFAULT_POLICY, inverse), (4,), c.blocks())
+        k * rep.grid.d_omega, l, params, inverse), (4,), c.blocks())
     a, b = c.array
     return replace(rep, coeffs=_Coeffs(c.js, np.stack(
         [a * m11 + b * m21, a * m12 + b * m22]), c.mask), basis=basis)
@@ -733,7 +733,7 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
     ang = angular or AngularGrid()
     t_nodes = rep.grid.time_nodes()
     def radial(ch, om, l):
-        m12 = _transfer_entries(om, l, params, DEFAULT_POLICY, False)[1]
+        m12 = _transfer_entries(om, l, params, False)[1]
         return m12, np.zeros_like(m12)
 
     phi, _ = _tube_sum(rep, t_nodes, ang, radial)
@@ -746,7 +746,7 @@ def rod_boundary_reconstruct(data: RodData, params: AdsParams, l_max: int) -> Ro
     (m12 = 0) and raise MagicFrequencyBlind."""
     require_two_sphere(params.d)
     return _rod_divide(data, l_max, lambda om, l: _transfer_entries(
-        om, l, params, DEFAULT_POLICY, False)[1], _BLIND_TOL,
+        om, l, params, False)[1], _BLIND_TOL,
         lambda om, l: MagicFrequencyBlind(
             f"m12 ~ 0 at omega={om}, l={l}: boundary data is blind"))
 

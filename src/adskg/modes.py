@@ -10,29 +10,28 @@ Radial functions come in two linearly independent pairs:
 with alpha = (l + D+ - omega)/2, beta = (l + D+ + omega)/2, gamma = l + d/2.
 Direct series are trusted while their argument stays below the policy
 cutoff; outside, evaluation is routed through the S <-> C transfer matrix,
-whose entries are obtained from weighted Wronskians in the overlap window.
-At the magic frequencies omega+-_{nl} = 2n + l + D+- the S^a series
-terminates and coincides with the normalizable Jacobi mode J+-_{nl}.
+whose entries are the Gamma-function connection coefficients of 2F1 at
+z -> 1 - z.  At the magic frequencies omega+-_{nl} = 2n + l + D+- the S^a
+series terminates and coincides with the normalizable Jacobi mode J+-_{nl};
+for omega+ a denominator Gamma of m12 has its pole there, so m12 = 0.
 The radial tables of radial_eval_fd's array calls (every synthesis and
-inversion) are memoized in a bounded LRU cache.  Transfer matrices live in
-one bounded LRU cache of (omega, l) keys and are built one table at a time:
-the keys a table lacks are summed together by one array series call.
+inversion) are memoized in a bounded LRU cache, and scalar transfer_matrix
+calls in another; array tables of transfer matrices are formed afresh.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
+from scipy.special import gammaln, gammasgn
 
-from .errors import (AdskgError, CapabilityError, DegenerateBasis, DomainError,
-                     ExceptionalBranch, SingularPoint)
+from .errors import (CapabilityError, DomainError, ExceptionalBranch,
+                     SingularPoint)
 from .geometry import AdsParams
 from .harmonics import require_two_sphere, sph_harm
 from .specfun import (DEFAULT_POLICY, SeriesPolicy, hyp2f1, hyp2f1_dx,
@@ -73,23 +72,20 @@ class SliceLabel:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Entries of M at fixed (omega, l): (S^a, S^b) = M (C^a, C^b)."""
+    """Entries of M at fixed (omega, l): (S^a, S^b) = M (C^a, C^b), and its
+    determinant in closed form, W(S^a, S^b) / W(C^a, C^b)."""
 
     m11: float
     m12: float
     m21: float
     m22: float
-
-    @property
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
+    det: float
 
     def inverse(self) -> "TransferMatrix":
+        """The adjugate over det, bit for bit _transfer_entries' M^-1."""
         det = self.det
-        if det == 0.0:
-            raise DegenerateBasis("transfer matrix is singular")
         return TransferMatrix(self.m22 / det, -self.m12 / det,
-                              -self.m21 / det, self.m11 / det)
+                              -self.m21 / det, self.m11 / det, 1.0 / det)
 
 
 def hyper_params(kind: RadialKind, omega: float, l: int,
@@ -162,98 +158,54 @@ def _radial_direct(kind: RadialKind, omega: float, l: int, rho: float,
     return pre * f_val, dpre * f_val + pre * df_val
 
 
-_TRANSFER_RHO = math.pi / 4  # midpoint of the series overlap window
-
-
 def _weighted_wronskian(fa, da, fb, db, rho: float, d: int) -> float:
     return math.tan(rho) ** (d - 1) * (fa * db - fb * da)
 
 
-def transfer_matrix(omega: float, l: int, params: AdsParams,
-                    policy: SeriesPolicy = DEFAULT_POLICY) -> TransferMatrix:
-    """Transfer matrix M with (S^a, S^b) = M (C^a, C^b) at fixed (omega, l).
-
-    Entries are Wronskian projections evaluated where both series converge:
-    m11 = W(S^a, C^b)/W(C^a, C^b), m12 = -W(S^a, C^a)/W(C^a, C^b), and the
-    S^b row likewise.  Results are memoized per (omega, l, params, policy).
-    """
-    return _TRANSFER.matrices([(omega, l)], params, policy)[0]
+# `verify all` asks for 46 distinct scalar keys; 1024 hold many jobs' worth
+@lru_cache(maxsize=1024)
+def transfer_matrix(omega: float, l: int, params: AdsParams) -> TransferMatrix:
+    """Transfer matrix M with (S^a, S^b) = M (C^a, C^b) at fixed (omega, l):
+    _transfer_entries on Python scalars, memoized per (omega, l, params)."""
+    return TransferMatrix(*_transfer_entries(omega, l, params, False).tolist(),
+                          _transfer_det(l, params))
 
 
-def _build_transfer(keys, params: AdsParams, policy: SeriesPolicy) -> list:
-    """M of each distinct (omega, l) key, or the DegenerateBasis its
-    W(C^a, C^b) raises: the four kinds' series at _TRANSFER_RHO come from one
-    _radial_direct_array call and _weighted_wronskian takes them as arrays,
-    so every M is bit for bit the scalar series' M."""
-    omega, l = (np.array(col) for col in zip(*keys))
-    rho = np.full(len(keys), _TRANSFER_RHO)
-    (sa, sb, ca, cb), (dsa, dsb, dca, dcb) = _radial_direct_array(
-        (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb), omega, l, rho,
-        params, policy)
-    w = partial(_weighted_wronskian, rho=_TRANSFER_RHO, d=params.d)
-    w_cc = w(ca, dca, cb, dcb)
-    degenerate = np.abs(w_cc) < 1e-12
-    den = np.where(degenerate, 1.0, w_cc)
-    rows = np.stack([w(sa, dsa, cb, dcb) / den, -w(sa, dsa, ca, dca) / den,
-                     w(sb, dsb, cb, dcb) / den, -w(sb, dsb, ca, dca) / den])
-    return [DegenerateBasis(f"|W(Ca,Cb)| = {abs(w_ab)} too small") if bad
-            else TransferMatrix(*row)
-            for w_ab, bad, row in zip(w_cc.tolist(), degenerate.tolist(), rows.T.tolist())]
+def _transfer_det(l, params: AdsParams):
+    """det M = W(S^a, S^b) / W(C^a, C^b) = (2l + d - 2) / (2 nu)."""
+    return (2.0 * l + params.d - 2.0) / (2.0 * params.nu)
 
 
-class _TransferCache:
-    """The one store of transfer matrices: an LRU of `maxsize` keys (omega,
-    l, params, policy), counting hits and misses as functools.lru_cache
-    does.  A table's misses are built together; a DegenerateBasis is
-    returned to the caller, never stored."""
+def _transfer_entries(omega, l, params: AdsParams, inverse: bool) -> np.ndarray:
+    """(m11, m12, m21, m22) of M, or of M^-1 (the adjugate over the exact
+    determinant), for omega and l of one shape: shape (4,) + that shape.
 
-    # New keys: sparse_pointwise about 23 per job (a fresh d_omega each), a
-    # whole dense_roundtrip run about 285 (one d_omega), `verify all` 109.
-    # 1024 keys (about 0.4 MB) hold the dense and verify working sets.
-    maxsize = 1024
-
-    def __init__(self):
-        self.store: OrderedDict = OrderedDict()
-        self.hits = self.misses = 0
-
-    def fill(self, keys, params: AdsParams, policy: SeriesPolicy) -> dict:
-        """Build and store every distinct key of the (omega, l) keys that the
-        store lacks; returns {key: M or DegenerateBasis} of those built."""
-        store = self.store
-        new = [key for key in dict.fromkeys(keys) if key + (params, policy) not in store]
-        if not new:
-            return {}
-        if not params.c_modes_valid:
-            raise CapabilityError(
-                f"transfer matrix undefined at (near-)integer nu = {params.nu}")
-        self.misses += len(new)
-        built = dict(zip(new, _build_transfer(new, params, policy)))
-        for key, mat in built.items():
-            if isinstance(mat, TransferMatrix):
-                store[key + (params, policy)] = mat
-        while len(store) > self.maxsize:
-            store.popitem(last=False)
-        return built
-
-    def matrices(self, keys, params: AdsParams, policy: SeriesPolicy) -> list:
-        """M of each of the distinct (omega, l) keys, in order; raises the
-        first key's DegenerateBasis."""
-        found = {}
-        for key in keys:
-            mat = self.store.get(key + (params, policy))
-            if mat is not None:
-                self.store.move_to_end(key + (params, policy))
-                found[key] = mat
-        self.hits += len(found)
-        found.update(self.fill(keys, params, policy))  # may evict found keys
-        mats = [found[key] for key in keys]
-        for mat in mats:
-            if isinstance(mat, DegenerateBasis):
-                raise mat
-        return mats
-
-
-_TRANSFER = _TransferCache()
+    The S^a row is the z -> 1 - z connection of its 2F1 (DLMF 15.10.21),
+    m11 = G(g) G(-nu) / (G(g - a) G(g - b)), m12 = G(g) G(nu) / (G(a) G(b));
+    the S^b row is minus the same at l -> 2 - l - d, where g -> 2 - g and
+    a -> a - g + 1 (S^b is -S^a continued in l, and the C-modes are
+    invariant under that map).  Each entry is its sign times exp of a sum
+    of log|G|, so nothing overflows, and exactly 0 at a pole of a
+    denominator G."""
+    if not params.c_modes_valid:
+        raise CapabilityError(
+            f"transfer matrix undefined at (near-)integer nu = {params.nu}")
+    al, be, ga = hyper_params(RadialKind.Sa, omega, l, params)
+    g = np.array([ga, ga, 2.0 - ga, 2.0 - ga])
+    den = np.array([[ga - al, al, 1.0 - al, al - ga + 1.0],
+                    [ga - be, be, 1.0 - be, be - ga + 1.0]])
+    pole = (den <= 0.0) & (den == np.floor(den))
+    den[pole] = 1.0  # those entries are set to 0 below; gammasgn is NaN at a pole
+    col = (4,) + (1,) * (g.ndim - 1)
+    top = np.reshape([-params.nu, params.nu] * 2, col)
+    sign = np.reshape([1.0, 1.0, -1.0, -1.0], col) * gammasgn(top) * gammasgn(g) \
+        * gammasgn(den).prod(0)
+    m = sign * np.exp(gammaln(g) + gammaln(top) - gammaln(den).sum(0))
+    m[pole.any(0)] = 0.0
+    if inverse:
+        m = m[[3, 1, 2, 0]] * np.reshape([1.0, -1.0, -1.0, 1.0], col) \
+            / _transfer_det(l, params)
+    return m
 
 
 def _per_distinct(fn, *columns) -> np.ndarray:
@@ -293,20 +245,6 @@ def _radial_direct_array(kinds, omega, l, rho, params: AdsParams,
     return pre * f_val, dpre * f_val + pre * df_val
 
 
-def _transfer_entries(omega, l, params: AdsParams, policy: SeriesPolicy,
-                      inverse: bool) -> np.ndarray:
-    """(m11, m12, m21, m22) of M, or of M^-1, per element of the 1-d arrays
-    omega and l: shape (4, n), one cache lookup per distinct (omega, l) and
-    one build of the ones the cache lacks."""
-    keys = list(zip(omega.tolist(), l.tolist()))
-    distinct = list(dict.fromkeys(keys))
-    table = {}
-    for key, mat in zip(distinct, _TRANSFER.matrices(distinct, params, policy)):
-        mat = mat.inverse() if inverse else mat
-        table[key] = mat.m11, mat.m12, mat.m21, mat.m22
-    return np.array([table[key] for key in keys]).reshape(-1, 4).T
-
-
 def _on_transfer(kind: RadialKind, omega, l, rho, params: AdsParams,
                  policy: SeriesPolicy) -> np.ndarray:
     """Which elements of the 1-d arrays radial_eval_fd takes through the
@@ -331,17 +269,12 @@ def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams,
                           policy: SeriesPolicy):
     """Array path of radial_eval_fd: the same checks and branches per
     element, each branch one array call over its elements.  Below
-    _BLOCK_MIN points the scalar loop runs, after the transfer matrices of
-    its transfer-branch points are built together."""
+    _BLOCK_MIN points the scalar loop runs."""
     shape = np.broadcast(omega, l, rho).shape
     omega, l, rho = (np.broadcast_to(v, shape).ravel() for v in (omega, l, rho))
     if rho.size == 0:
         return np.zeros(shape), np.zeros(shape)
     if rho.size < _BLOCK_MIN:
-        with suppress(AdskgError):  # left to the scalar loop, in element order
-            via = _on_transfer(kind, omega, l, rho, params, policy)
-            _TRANSFER.fill(list(zip(omega[via].tolist(), l[via].tolist())),
-                           params, policy)
         f, df = _per_distinct(
             lambda *v: _radial_eval_fd_scalar(kind, *v, params, policy), omega, l, rho)
         return f.reshape(shape), df.reshape(shape)
@@ -367,7 +300,7 @@ def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams,
     if via.any():
         on_sin = kind in (RadialKind.Sa, RadialKind.Sb)
         om, ll, rr = omega[via], l[via], rho[via]
-        m11, m12, m21, m22 = _transfer_entries(om, ll, params, policy, not on_sin)
+        m11, m12, m21, m22 = _transfer_entries(om, ll, params, not on_sin)
         pair = ((RadialKind.Ca, RadialKind.Cb) if on_sin
                 else (RadialKind.Sa, RadialKind.Sb))
         (fa, fb), (da, db) = _radial_direct_array(pair, om, ll, rr, params, policy)
@@ -435,7 +368,7 @@ def _radial_eval_fd_scalar(kind: RadialKind, omega: float, l: int, rho: float,
         return (1.0, 0.0) if l == 0 else (0.0, 1.0 if l == 1 else 0.0)
     if _direct_ok(kind, omega, l, rho, params, policy):
         return _radial_direct(kind, omega, l, rho, params, policy)
-    mat = transfer_matrix(omega, l, params, policy)
+    mat = transfer_matrix(omega, l, params)
     if kind in (RadialKind.Sa, RadialKind.Sb):
         ca, dca = _radial_direct(RadialKind.Ca, omega, l, rho, params, policy)
         cb, dcb = _radial_direct(RadialKind.Cb, omega, l, rho, params, policy)
@@ -454,8 +387,7 @@ def cache_counters() -> dict:
     """Hits, misses, size and maxsize of the radial-table and transfer caches."""
     fields = ("hits", "misses", "maxsize", "size")
     return {"radial_table": dict(zip(fields, _radial_table.cache_info())),
-            "transfer_matrix": dict(zip(fields, (_TRANSFER.hits, _TRANSFER.misses,
-                                                 _TRANSFER.maxsize, len(_TRANSFER.store))))}
+            "transfer_matrix": dict(zip(fields, transfer_matrix.cache_info()))}
 
 
 def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams,

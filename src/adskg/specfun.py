@@ -2,7 +2,8 @@
 
 The Gauss hypergeometric series is evaluated by direct summation only, with
 an argument cutoff; analytic continuation past the cutoff is the job of the
-transfer matrix one level up (see modes), never of transformation formulas.
+transfer matrix one level up (see modes), whose entries are the Gamma-ratio
+connection coefficients of the z -> 1 - z formula.
 `hyp2f1` and `hyp2f1_dx` also accept broadcastable ndarrays for (a, b, c, x):
 the array path sums every element's series in blocks of terms (the term
 ratios, then a running product and a running sum along the term axis), with

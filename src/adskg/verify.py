@@ -264,7 +264,8 @@ def suite_modes():
         mat = modes.transfer_matrix(om, l, p)
         w_cc = modes.wronskian(RadialKind.Ca, RadialKind.Cb, om, l, 0.7, p)
         w_ss = modes.wronskian(RadialKind.Sa, RadialKind.Sb, om, l, 0.7, p)
-        errs.append(abs(mat.det * w_cc - w_ss) / abs(w_ss))
+        det = mat.m11 * mat.m22 - mat.m12 * mat.m21  # of the entries, not mat.det
+        errs.append(abs(det * w_cc - w_ss) / abs(w_ss))
     checks.append(_check("det_transfer_identity", errs, 1e-8))
 
     # acceptance 4: normalization constant vs defining quadrature

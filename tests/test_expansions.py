@@ -903,7 +903,7 @@ def test_basis_change_takes_the_reps_block_plan(rng):
         for inverse, out in ((False, s_to_c(rep, params)),
                              (True, c_to_s(TubeRep(grid, c, "C"), params))):
             m11, m12, m21, m22 = _oracle_table(c.js, c.mask, lambda k, l: xp._transfer_entries(
-                k * grid.d_omega, l, params, DEFAULT_POLICY, inverse), (4,))
+                k * grid.d_omega, l, params, inverse), (4,))
             a, b = c.array
             want = np.stack([a * m11 + b * m21, a * m12 + b * m22])
             assert out.coeffs.array.tobytes() == want.tobytes()

@@ -1,13 +1,15 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from adskg.errors import (CapabilityError, DegenerateBasis, DomainError,
-                          ExceptionalBranch, SingularPoint)
+from adskg.errors import (CapabilityError, DomainError, ExceptionalBranch,
+                          SingularPoint)
 from adskg.geometry import kg_residual, make_params
 from adskg import modes
 from adskg.harmonics import sph_harm
@@ -244,6 +246,8 @@ def test_transfer_matrix_determinant_identity(params_m0):
         mat = transfer_matrix(om, l, params_m0)
         w_cc = wronskian(RadialKind.Ca, RadialKind.Cb, om, l, 0.7, params_m0)
         w_ss = wronskian(RadialKind.Sa, RadialKind.Sb, om, l, 0.7, params_m0)
+        det = mat.m11 * mat.m22 - mat.m12 * mat.m21
+        assert det * w_cc == pytest.approx(w_ss, rel=1e-8)
         assert mat.det * w_cc == pytest.approx(w_ss, rel=1e-8)
 
 
@@ -253,80 +257,112 @@ def test_transfer_matrix_memoized_by_value(params_m0):
     assert transfer_matrix(2.7, 3, params_m0) is not first
 
 
-def _scalar_transfer(omega, l, params):
-    """(m11, m12, m21, m22) from the scalar series and _weighted_wronskian: the
-    reference the table build reproduces bit for bit."""
-    rho = modes._TRANSFER_RHO
-    f = {kind: modes._radial_direct(kind, omega, l, rho, params, DEFAULT_POLICY)
-         for kind in ALL_KINDS}
-
-    def w(a, b):
-        return modes._weighted_wronskian(*f[a], *f[b], rho, params.d)
-
-    sa, sb, ca, cb = ALL_KINDS
-    w_cc = w(ca, cb)
-    return w(sa, cb) / w_cc, -w(sa, ca) / w_cc, w(sb, cb) / w_cc, -w(sb, ca) / w_cc
+TRANSFER_MASSES = (0.0, -2.0, 0.37, -1.0, 3.0)
+TRANSFER_PARAMS = [(3, m_sq) for m_sq in TRANSFER_MASSES] + [(5, -3.5)]
+# (|omega| bound, l bound, tolerance relative to the largest entry of a row)
+TRANSFER_RANGES = [(40.0, 15, 1e-12), (1000.0, 200, 1e-11)]
 
 
-@pytest.mark.parametrize("m_sq", [0.0, -2.0, 0.37, 1.5])
-def test_table_built_transfer_matrix_is_the_scalar_formula_bit_for_bit(m_sq):
+def _transfer_draws(rng, om_max, l_max, size=24):
+    """Random (omega, l) over the range, its corners, (7.9, 7) and, for the
+    large range, (40.1, 15), (80.1, 30) and (150.3, 60)."""
+    omega = np.concatenate([rng.uniform(-om_max, om_max, size), [om_max, -om_max, 7.9]])
+    l = np.concatenate([rng.integers(0, l_max + 1, size), [l_max, l_max, 7]])
+    if om_max >= 150.3:
+        omega, l = np.append(omega, [40.1, 80.1, 150.3]), np.append(l, [15, 30, 60])
+    return omega, l
+
+
+def _mp_transfer(omega, l, params):
+    """The four entries as 50-digit Gamma ratios of the same double alpha,
+    beta, gamma and nu the closed form takes."""
+    with mp.workdps(50):
+        al, be, ga = (mp.mpf(v) for v in hyper_params(RadialKind.Sa, omega, l, params))
+        nu = mp.mpf(params.nu)
+
+        def row(a, b, g):
+            return (mp.gamma(g) * mp.gamma(-nu) * mp.rgamma(g - a) * mp.rgamma(g - b),
+                    mp.gamma(g) * mp.gamma(nu) * mp.rgamma(a) * mp.rgamma(b))
+
+        (m11, m12), (m21, m22) = row(al, be, ga), row(al - ga + 1, be - ga + 1, 2 - ga)
+        return m11, m12, -m21, -m22
+
+
+@pytest.mark.parametrize("om_max, l_max, tol", TRANSFER_RANGES)
+def test_transfer_entries_match_mpmath_gamma_ratios(rng, om_max, l_max, tol):
+    worst = 0.0
+    for d, m_sq in TRANSFER_PARAMS:
+        p = make_params(d, 1.0, m_sq)
+        omega, l = _transfer_draws(rng, om_max, l_max)
+        got = modes._transfer_entries(omega, l, p, False)
+        for i in range(omega.size):
+            want = _mp_transfer(float(omega[i]), int(l[i]), p)
+            for row in (0, 2):
+                scale = max(abs(want[row]), abs(want[row + 1]))
+                worst = max(worst, *(float(abs(got[row + c, i] - want[row + c]) / scale)
+                                     for c in (0, 1)))
+    assert worst <= tol
+
+
+@pytest.mark.parametrize("om_max, l_max, tol", TRANSFER_RANGES)
+def test_transfer_determinant_is_the_closed_form(rng, om_max, l_max, tol):
+    for d, m_sq in TRANSFER_PARAMS:
+        p = make_params(d, 1.0, m_sq)
+        omega, l = _transfer_draws(rng, om_max, l_max, size=200)
+        m11, m12, m21, m22 = modes._transfer_entries(omega, l, p, False)
+        det = (2 * l + p.d - 2) / (2 * p.nu)
+        assert np.max(np.abs(m11 * m22 - m12 * m21 - det) / det) <= tol, m_sq
+
+
+@pytest.mark.parametrize("m_sq", TRANSFER_MASSES + (1.5, -0.7))
+def test_m12_is_exactly_zero_at_a_pole_of_gamma_alpha_or_beta(m_sq):
+    """m12 = 0.0 wherever alpha or beta, as hyper_params rounds them, is a
+    nonpositive integer: at every +-magic frequency when Delta+ is exact in
+    binary.  Otherwise the rounded magic frequency misses the pole by an
+    ulp and m12 is that small next to m11."""
     p = make_params(3, 1.0, m_sq)
-    branches = ("plus", "minus") if p.exceptional_range else ("plus",)
-    magic = [sign * magic_frequency(b, n, l, p) for b in branches for n in range(3)
-             for l in range(13) for sign in (1.0, -1.0)]
-    omegas = np.linspace(-15.0, 15.0, 31).tolist() + [0.0, -0.0, 2.3] + magic
-    keys = list(dict.fromkeys((om, l) for om in omegas if abs(om) <= 15.0
-                              for l in range(13)))
-    for key, mat in zip(keys, modes._build_transfer(keys, p, DEFAULT_POLICY)):
-        assert (mat.m11, mat.m12, mat.m21, mat.m22) == _scalar_transfer(*key, p), key
-    # through the cache: one table, then one scalar key
-    omega, l = np.array([2.3, -7.1, 2.3, 0.0]), np.array([1, 12, 1, 0])
-    got = modes._transfer_entries(omega, l, p, DEFAULT_POLICY, False)
-    assert got.T.tolist() == [list(_scalar_transfer(*key, p)) for key in zip(omega, l)]
-    mat = transfer_matrix(-7.1, 12, p)
-    assert (mat.m11, mat.m12, mat.m21, mat.m22) == _scalar_transfer(-7.1, 12, p)
+    for n in range(8):
+        for l in range(30):
+            magic = magic_frequency("plus", n, l, p)
+            for omega in (magic, -magic):
+                mat = transfer_matrix(omega, l, p)
+                al, be, _ = hyper_params(RadialKind.Sa, omega, l, p)
+                if min(al, be) == math.floor(min(al, be)):
+                    assert mat.m12 == 0.0, (omega, l)
+                else:
+                    assert abs(mat.m12) <= 1e-13 * abs(mat.m11), (omega, l)
+                    assert m_sq not in (0.0, -2.0)
+
+
+@pytest.mark.parametrize("m_sq", TRANSFER_MASSES)
+def test_scalar_transfer_matrix_is_the_array_closed_form_bit_for_bit(rng, m_sq):
+    p = make_params(3, 1.0, m_sq)
+    magic = [magic_frequency("plus", n, 3, p) for n in range(3)]
+    omega = np.concatenate([rng.uniform(-1000.0, 1000.0, 40), rng.uniform(-9.0, 9.0, 40),
+                            magic, [0.0, -0.0]])
+    l = np.concatenate([rng.integers(0, 201, 40), rng.integers(0, 8, 40), [3, 3, 3, 0, 1]])
+    for inverse in (False, True):
+        got = modes._transfer_entries(omega, l, p, inverse)
+        for i in range(omega.size):
+            mat = transfer_matrix(float(omega[i]), int(l[i]), p)
+            mat = mat.inverse() if inverse else mat
+            assert [mat.m11, mat.m12, mat.m21, mat.m22] == got[:, i].tolist()
 
 
 def _transfer_counts():
     return modes.cache_counters()["transfer_matrix"]
 
 
-def test_degenerate_transfer_matrix_raises_and_is_never_cached(monkeypatch, params_m0):
-    real = modes._radial_direct_array
-
-    def c_b_equals_c_a(kinds, *args):  # W(C^a, C^b) = 0 exactly
-        f, df = real(kinds, *args)
-        f[3], df[3] = f[2], df[2]
-        return f, df
-
-    monkeypatch.setattr(modes, "_radial_direct_array", c_b_equals_c_a)
-    omega, l = np.array([3.3017, 3.3019]), np.array([1, 2])
-    before = _transfer_counts()
-    for _ in range(2):
-        with pytest.raises(DegenerateBasis, match="W\\(Ca,Cb\\)"):
-            transfer_matrix(3.3019, 2, params_m0)
-        with pytest.raises(DegenerateBasis):
-            modes._transfer_entries(omega, l, params_m0, DEFAULT_POLICY, True)
-    after = _transfer_counts()
-    assert after["size"] == before["size"] and after["hits"] == before["hits"]
-    assert after["misses"] == before["misses"] + 6
-    assert not any(key[:2] in {(3.3017, 1), (3.3019, 2)} for key in modes._TRANSFER.store)
-
-
-def test_transfer_cache_is_one_bounded_lru(params_m0):
-    maxsize = modes._TRANSFER.maxsize
+def test_transfer_memo_is_bounded_at_1024(params_m0):
+    maxsize = _transfer_counts()["maxsize"]
     assert maxsize == 1024
-    held = transfer_matrix(0.1224, 0, params_m0)
-    # one table: a held key, then more new keys than the cache keeps
-    omega = np.concatenate([[0.1224], 0.1234 + 0.001 * np.arange(maxsize + 40)])
+    omega = 0.1234 + 0.001 * np.arange(maxsize + 40)
     before = _transfer_counts()
-    got = modes._transfer_entries(omega, np.zeros(omega.size, dtype=int), params_m0,
-                                  DEFAULT_POLICY, False)
-    assert got[:, 0].tolist() == [held.m11, held.m12, held.m21, held.m22]
+    for om in omega.tolist():
+        transfer_matrix(om, 0, params_m0)
     after = _transfer_counts()
-    assert after["size"] == after["maxsize"] == maxsize
-    assert after["misses"] == before["misses"] + omega.size - 1
-    assert after["hits"] == before["hits"] + 1
+    assert after["size"] == maxsize
+    assert after["misses"] == before["misses"] + omega.size
     transfer_matrix(float(omega[-1]), 0, params_m0)  # the newest key stays
     assert _transfer_counts()["hits"] == after["hits"] + 1
     transfer_matrix(float(omega[0]), 0, params_m0)  # the oldest was evicted
@@ -334,24 +370,54 @@ def test_transfer_cache_is_one_bounded_lru(params_m0):
     assert _transfer_counts()["size"] == maxsize
 
 
-def test_small_table_builds_its_transfer_keys_in_one_call(monkeypatch, params_m0):
-    builds = []
-    real = modes._build_transfer
+def test_integer_nu_transfer_matrix_raises_and_is_never_cached():
+    p = make_params(3, 1.0, 4.0 - 2.25)  # nu = 2 exactly
+    before = _transfer_counts()
+    for _ in range(2):
+        with pytest.raises(CapabilityError, match="transfer matrix undefined"):
+            transfer_matrix(2.3, 1, p)
+        with pytest.raises(CapabilityError):
+            modes._transfer_entries(np.array([2.3, 4.1]), np.array([1, 2]), p, True)
+    after = _transfer_counts()
+    assert after["size"] == before["size"] and after["hits"] == before["hits"]
+    assert after["misses"] == before["misses"] + 2
 
-    def recorded(keys, *args):
-        builds.append(keys)
-        return real(keys, *args)
 
-    monkeypatch.setattr(modes, "_build_transfer", recorded)
-    omega = np.array([4.4401, 4.4402, 4.4403, 4.4401, 4.4402])
-    l, rho = np.array([0, 1, 2, 0, 3]), np.array([1.3, 1.3, 1.2, 0.4, 1.4])
-    got = modes._radial_eval_fd_array(RadialKind.Sa, omega, l, rho, params_m0,
-                                      DEFAULT_POLICY)
-    assert builds == [[(4.4401, 0), (4.4402, 1), (4.4403, 2), (4.4402, 3)]]
-    for i in range(omega.size):
-        want = modes._radial_eval_fd_scalar(RadialKind.Sa, float(omega[i]), int(l[i]),
-                                            float(rho[i]), params_m0, DEFAULT_POLICY)
-        assert (got[0][i], got[1][i]) == want
+def test_transfer_matrix_is_warning_free_at_extremes_and_poles(params_m0):
+    for p in (params_m0, make_params(3, 1.0, 0.37)):
+        keys = [(s * 1000.0, 200) for s in (1.0, -1.0)]
+        for n in range(4):
+            for l in range(4):
+                magic = magic_frequency("plus", n, l, p)
+                # +-magic: poles of G(alpha), G(beta); then gamma - alpha = -n
+                keys += [(magic, l), (-magic, l), (-(2.0 * n + l + p.delta_minus), l)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for om, l in keys:
+                mat = transfer_matrix(om, l, p)
+                inv = mat.inverse()
+                assert all(math.isfinite(v) for v in (mat.m11, mat.m12, mat.m21, mat.m22,
+                                                      inv.m11, inv.m12, inv.m21, inv.m22))
+    # a pole of G(gamma - alpha) zeros m11 where gamma - alpha rounds to -n
+    assert transfer_matrix(-(2.0 + 1 + params_m0.delta_minus), 1, params_m0).m11 == 0.0
+
+
+def _mp_sa(omega, l, rho, params):
+    with mp.workdps(50):
+        al, be, ga = (mp.mpf(v) for v in hyper_params(RadialKind.Sa, omega, l, params))
+        r = mp.mpf(float(rho))
+        return float(mp.sin(r) ** l * mp.cos(r) ** mp.mpf(params.delta_plus)
+                     * mp.hyp2f1(al, be, ga, mp.sin(r) ** 2))
+
+
+@pytest.mark.parametrize("rho, tol", [(1.2, 1e-8), (1.45, 1e-12)])
+def test_sa_past_the_cutoff_matches_mpmath_at_omega_80_l_30(params_m0, rho, tol):
+    """S^a(80.1, 30) through the transfer matrix, relative to the largest
+    |S^a| within 0.05 of rho."""
+    scale = max(abs(_mp_sa(80.1, 30, r, params_m0))
+                for r in np.linspace(rho - 0.05, rho + 0.05, 21))
+    got = radial_eval(RadialKind.Sa, 80.1, 30, rho, params_m0)
+    assert abs(got - _mp_sa(80.1, 30, rho, params_m0)) <= tol * scale
 
 
 # --- the radial-table memo ----------------------------------------------------------------
