@@ -4,17 +4,17 @@ differential operators, Lie-bracket verification, and the flat-limit
 rescalings that `minkowski` applies.
 
 Coordinates are global (t, rho, Omega) with the boundary at rho = pi/2.
-Killing operators act on smooth closures field(t, rho, xi): t and rho are
-floats, xi is a unit 3-vector given as a (3,) ndarray the field must not
-modify.  Each operator is a first-order stencil, built in numpy over all
-its points at once: a 4-point central difference per derivative it
-contains, so 4 field calls per point for d_t, 8 for a rotation and 12 for
+Killing operators act on smooth closures field(t, rho, xi), called once per
+operator application: t and rho are read-only (N,) float arrays, xi the unit
+directions components first, read-only (3, N), so `x, y, z = xi` reads the
+same on one point and on N; the field returns N values.  Each operator is a
+first-order stencil: a 4-point central difference per derivative it
+contains, so 4 field points per point for d_t, 8 for a rotation and 12 for
 a boost.  The tangential sphere derivative is a plain cartesian difference
 of the field's degree-zero extension, which reproduces
 (d_{xi_j} - xi_j xi_i d_{xi_i}) exactly on the sphere.  Nested operators
 compose stencils (the inner one is built at every outer field point and
-the weights multiply), so a Lie-bracket check calls the field once per
-point of one flat list.
+the weights multiply), so a Lie-bracket check is one field call.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from scipy.special import roots_jacobi
 
 from .errors import (BfViolation, BoundaryProximity, EvenDimension,
                      WindowError)
-from .harmonics import AngularGrid
+from .harmonics import AngularGrid, xyz_to_angles
 
 _NU_INTEGER_TOL = 1e-9
 # radial_measure keeps the rules of the last _RADIAL_RULES (params, n_nodes)
@@ -103,9 +103,8 @@ class FieldGrid:
         """Linear interpolant field(t, rho, xi) over the sampled (t, rho) box
         and every direction xi: phi wraps periodically (a phi = 2 pi column
         repeats phi = 0) and the polar caps close with theta = 0 and pi rows
-        holding the phi-mean of the outermost ring."""
+        holding the phi-mean of the outermost ring; xi components first."""
         from scipy.interpolate import RegularGridInterpolator
-        from .harmonics import xyz_to_angles
         vals = self.values[:, :, ::-1, :]
         caps = np.broadcast_to(vals[:, :, [0, -1]].mean(axis=3, keepdims=True),
                                vals.shape[:2] + (2, vals.shape[3]))
@@ -117,8 +116,11 @@ class FieldGrid:
             np.concatenate([vals, vals[..., :1]], axis=3))
 
         def closure(t, rho, xi):
-            theta, phi = xyz_to_angles(np.asarray(xi) / np.linalg.norm(xi))
-            return complex(interp([[t, rho, theta, phi % (2.0 * math.pi)]])[0])
+            v = np.moveaxis(xi, 0, -1)
+            # np.linalg.norm's BLAS dot of one vector, bit for bit
+            v = v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+            theta, phi = xyz_to_angles(v)
+            return interp(np.stack([t, rho, theta, phi % (2.0 * math.pi)], axis=-1))
 
         return closure
 
@@ -290,15 +292,16 @@ def _compose(outer, inner: GeneratorId, h: float):
 
 
 def _apply(field: Callable, w, q) -> np.ndarray:
-    """(K phi) at each of the N points: one flat loop of field(t, rho, xi)
-    over every field point, t and rho as floats, xi a unit (3,) row; a
-    FieldGrid's interpolator is built once, here."""
+    """(K phi) at each of the N points from one field call on all the field
+    points (module docstring); a FieldGrid's interpolator is built here."""
     if isinstance(field, FieldGrid):
         field = field.interpolator()
-    q = q.reshape(-1, 5)
-    vals = [field(t, rho, xi) for t, rho, xi in
-            zip(q[:, 0].tolist(), q[:, 1].tolist(), q[:, 2:])]
-    return np.sum(w * np.reshape(vals, w.shape), axis=1)
+    cols = np.ascontiguousarray(q.reshape(-1, 5).T)
+    cols.flags.writeable = False
+    vals = field(cols[0], cols[1], cols[2:])
+    if np.ndim(vals) > 1 or np.size(vals) not in (1, w.size):
+        raise ValueError(f"field returned shape {np.shape(vals)}, expected ({w.size},)")
+    return np.sum(w * np.broadcast_to(vals, w.size).reshape(w.shape), axis=1)
 
 
 def killing_apply(generator: GeneratorId, fld, point, h: float = FD_STEP):

@@ -188,7 +188,8 @@ def mink_killing_apply(name: str, fld, point, j: int = 3,
     """Minkowski Killing operators on closures field(tau, r, xi):
     "T0" = d_tau, "Tj" = xi_j d_r + (1/r)(tangential_j),
     "K0j" = -r xi_j d_tau - tau xi_j d_r - (tau/r)(tangential_j); the same
-    first-order stencils as the AdS operators (4, 8 and 12 field samples).
+    first-order stencils and field contract as the AdS operators (4, 8 and
+    12 field points in one call; tau, r of shape (N,), xi of shape (3, N)).
     "Tj" and "K0j" raise BoundaryProximity when the r stencil reaches r <= 0.
     """
     p = _points([point])
@@ -315,14 +316,10 @@ def killing_correspondence_errors(R_values=(100.0, 1000.0),
         def fld_ads(t, rho, xi, params=params):
             return fld(*flat_rescale(params, t, rho), xi)
         errs = []
-        for (tau, r, xi) in points:
+        for tau, r, xi in points:
             pt_ads = (*flat_unscale(params, tau, r), xi)
-            pt_mink = (tau, r, xi)
-            ads = killing_apply(Boost0(3), fld_ads, pt_ads, h=1e-3 / R)
-            mink = mink_killing_apply("K0j", fld, pt_mink, j=3)
-            errs.append(abs(ads - mink))
-            ads = killing_apply(BoostD1(3), fld_ads, pt_ads, h=1e-3 / R) / R
-            mink = mink_killing_apply("Tj", fld, pt_mink, j=3)
-            errs.append(abs(ads - mink))
+            for gen, name, scale in ((Boost0(3), "K0j", 1.0), (BoostD1(3), "Tj", R)):
+                ads = killing_apply(gen, fld_ads, pt_ads, h=1e-3 / R) / scale
+                errs.append(abs(ads - mink_killing_apply(name, fld, (tau, r, xi), j=3)))
         out[R] = float(np.max(errs))
     return out

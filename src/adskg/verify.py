@@ -142,8 +142,8 @@ def suite_geometry():
     checks = []
 
     def test_field(t, rho, xi):
-        x, y, z = xi.tolist()
-        g = math.exp(-((t - 0.2) ** 2) / 0.5 - ((rho - 0.75) ** 2) / 0.4)
+        x, y, z = xi
+        g = np.exp(-((t - 0.2) ** 2) / 0.5 - ((rho - 0.75) ** 2) / 0.4)
         return g * (1.0 + 0.8 * x + 0.5 * y * z + 0.3j * z + 0.2 * x * y)
 
     points = []

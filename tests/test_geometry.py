@@ -139,7 +139,7 @@ def test_killing_time_translation_phase():
     omega = 2.1
 
     def fld(t, rho, xi):
-        return np.exp(-1j * omega * t) * math.sin(rho) * (1.0 + xi[2])
+        return np.exp(-1j * omega * t) * np.sin(rho) * (1.0 + xi[2])
 
     pt = (0.3, 0.8, _xi([0.2, 0.5, 0.9]))
     val = killing_apply(TimeTranslation(), fld, pt)
@@ -149,7 +149,7 @@ def test_killing_time_translation_phase():
 
 def test_killing_time_translation_annihilates_static():
     def fld(t, rho, xi):
-        return math.cos(rho) ** 2 * (1.0 + 0.3 * xi[0])
+        return np.cos(rho) ** 2 * (1.0 + 0.3 * xi[0])
 
     val = killing_apply(TimeTranslation(), fld, (0.1, 0.7, _xi([1.0, 0.2, 0.1])))
     assert abs(val) < 1e-9
@@ -157,7 +157,7 @@ def test_killing_time_translation_annihilates_static():
 
 def test_killing_boundary_proximity():
     def fld(t, rho, xi):
-        return math.sin(rho)
+        return np.sin(rho)
 
     with pytest.raises(BoundaryProximity):
         killing_apply(Boost0(3), fld, (0.0, math.pi / 2 - 1e-4, _xi([0, 0, 1.0])))
@@ -172,7 +172,7 @@ def test_boost_rho_coefficient_vanishes_on_boundary():
 # --- Lie brackets ---------------------------------------------------------------
 
 def _test_field(t, rho, xi):
-    g = math.exp(-((t - 0.2) ** 2) / 0.5 - ((rho - 0.75) ** 2) / 0.4)
+    g = np.exp(-((t - 0.2) ** 2) / 0.5 - ((rho - 0.75) ** 2) / 0.4)
     return g * (1.0 + 0.8 * xi[0] + 0.5 * xi[1] * xi[2]
                 + 0.3j * xi[2] + 0.2 * xi[0] * xi[1])
 

@@ -1,6 +1,7 @@
 """Killing operators as composed stencils, checked against the closure-based
-nesting they replace (kept here as the reference), plus field-call counts,
-the Minkowski r -> 0 guard and the FieldGrid interpolator."""
+nesting they replace (kept here as the reference, calling the field one
+point at a time), plus the array field contract (one call per operator
+application), the Minkowski r -> 0 guard and the FieldGrid interpolator."""
 
 import math
 
@@ -96,14 +97,14 @@ def ref_verify_lie_bracket(gen_a, gen_b, test_field, sample_points, d=3,
 # --- fields and points -----------------------------------------------------------
 
 def _field(t, rho, xi):
-    x, y, z = xi.tolist()
-    g = math.exp(-((t - 0.2) ** 2) / 0.5 - ((rho - 0.75) ** 2) / 0.4)
+    x, y, z = xi
+    g = np.exp(-((t - 0.2) ** 2) / 0.5 - ((rho - 0.75) ** 2) / 0.4)
     return g * (1.0 + 0.8 * x + 0.5 * y * z + 0.3j * z + 0.2 * x * y)
 
 
 def _mink_field(tau, r, xi):
-    x, y, z = xi.tolist()
-    return (math.exp(-0.15 * (tau - 0.3) ** 2 - 0.1 * (r - 1.5) ** 2)
+    x, y, z = xi
+    return (np.exp(-0.15 * (tau - 0.3) ** 2 - 0.1 * (r - 1.5) ** 2)
             * (1.0 + 0.5 * z + 0.25 * x * y + 0.4j * x))
 
 
@@ -117,12 +118,14 @@ def _points(rng, n, t_range, r_range):
 
 
 class _Counted:
-    def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+    """Records the number of field points of each call."""
 
-    def __call__(self, *args):
-        self.calls += 1
-        return self.fn(*args)
+    def __init__(self, fn):
+        self.fn, self.sizes = fn, []
+
+    def __call__(self, t, rho, xi):
+        self.sizes.append(len(t))
+        return self.fn(t, rho, xi)
 
 
 ADS_GENERATORS = ([TimeTranslation()]
@@ -174,31 +177,32 @@ def test_verify_lie_bracket_matches_nested_reference(rng):
 
 # --- field calls ------------------------------------------------------------------------
 
-@pytest.mark.parametrize("gen,calls", [(TimeTranslation(), 4),
-                                       (Rotation(1, 3), 8), (Boost0(2), 12),
-                                       (BoostD1(3), 12)], ids=repr)
-def test_killing_apply_field_calls(gen, calls, rng):
+@pytest.mark.parametrize("gen,points", [(TimeTranslation(), 4),
+                                        (Rotation(1, 3), 8), (Boost0(2), 12),
+                                        (BoostD1(3), 12)], ids=repr)
+def test_killing_apply_field_calls(gen, points, rng):
     fld = _Counted(_field)
     killing_apply(gen, fld, _points(rng, 1, (0.0, 0.5), (0.5, 1.0))[0])
-    assert fld.calls == calls
+    assert fld.sizes == [points]
 
 
-@pytest.mark.parametrize("name,calls", [("T0", 4), ("Tj", 8), ("K0j", 12)])
-def test_mink_killing_apply_field_calls(name, calls, rng):
+@pytest.mark.parametrize("name,points", [("T0", 4), ("Tj", 8), ("K0j", 12)])
+def test_mink_killing_apply_field_calls(name, points, rng):
     fld = _Counted(_mink_field)
     mink_killing_apply(name, fld, _points(rng, 1, (0.0, 0.5), (0.5, 1.0))[0])
-    assert fld.calls == calls
+    assert fld.sizes == [points]
 
 
 def test_bracket_field_calls_per_point(rng):
-    # [B0_1, B0_2] = R_12: 12 x 12 for each nested product, plus 8
+    # [B0_1, B0_2] = R_12: 12 x 12 for each nested product, plus 8, all in
+    # one call
     fld = _Counted(_field)
     verify_lie_bracket(Boost0(1), Boost0(2), fld,
                        _points(rng, 3, (-0.4, 0.6), (0.45, 1.05)))
-    assert fld.calls == 3 * 296
+    assert fld.sizes == [3 * 296]
 
 
-def test_field_gets_floats_and_unit_rows(rng):
+def test_field_gets_arrays_and_unit_columns(rng):
     seen = []
 
     def fld(t, rho, xi):
@@ -207,10 +211,34 @@ def test_field_gets_floats_and_unit_rows(rng):
 
     verify_lie_bracket(Boost0(3), Rotation(1, 2), fld,
                        _points(rng, 2, (-0.4, 0.6), (0.45, 1.05)))
-    for t, rho, xi in seen:
-        assert type(t) is float and type(rho) is float
-        assert isinstance(xi, np.ndarray) and xi.shape == (3,)
-        assert abs(np.linalg.norm(xi) - 1.0) < 1e-15
+    (t, rho, xi), = seen
+    n = len(t)
+    for a, shape in ((t, (n,)), (rho, (n,)), (xi, (3, n))):
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64
+        assert a.shape == shape and not a.flags.writeable
+    assert np.max(np.abs(np.linalg.norm(xi, axis=0) - 1.0)) < 1e-15
+
+
+def test_field_may_not_write_its_arguments(rng):
+    def fld(t, rho, xi):
+        xi[2] = 0.0
+        return _field(t, rho, xi)
+
+    with pytest.raises(ValueError, match="read-only"):
+        killing_apply(Rotation(1, 2), fld, _points(rng, 1, (0.0, 0.5),
+                                                   (0.5, 1.0))[0])
+
+
+@pytest.mark.parametrize("shape", [(3,), (12, 1), (1, 12), (3, 12)])
+def test_field_result_must_broadcast_to_one_value_per_point(shape, rng):
+    def fld(t, rho, xi):
+        return np.ones(shape)
+
+    pt = _points(rng, 1, (0.0, 0.5), (0.5, 1.0))[0]
+    with pytest.raises(ValueError, match=r"expected \(12,\)"):
+        killing_apply(Boost0(1), fld, pt)
+    # a constant broadcasts: any derivative of it is zero
+    assert killing_apply(Boost0(1), lambda t, rho, xi: 2.5 + 1j, pt) == 0.0
 
 
 # --- Minkowski translations and boosts near r = 0 -------------------------------------
@@ -254,6 +282,57 @@ def _grid_points(rng, n):
                               math.sin(theta) * math.sin(phi),
                               math.cos(theta)])))
     return pts
+
+
+def ref_interpolator(grid):
+    """FieldGrid.interpolator as a closure on one point at a time, taking xi
+    as a (3,) row."""
+    from scipy.interpolate import RegularGridInterpolator
+    from adskg.harmonics import xyz_to_angles
+    vals = grid.values[:, :, ::-1, :]
+    caps = np.broadcast_to(vals[:, :, [0, -1]].mean(axis=3, keepdims=True),
+                           vals.shape[:2] + (2, vals.shape[3]))
+    vals = np.concatenate([caps[:, :, :1], vals, caps[:, :, 1:]], axis=2)
+    interp = RegularGridInterpolator(
+        (grid.t_nodes, grid.rho_nodes,
+         np.concatenate([[0.0], grid.angular.theta[::-1], [math.pi]]),
+         np.append(grid.angular.phi, 2.0 * math.pi)),
+        np.concatenate([vals, vals[..., :1]], axis=3))
+
+    def closure(t, rho, xi):
+        theta, phi = xyz_to_angles(np.asarray(xi) / np.linalg.norm(xi))
+        return complex(interp([[t, rho, theta, phi % (2.0 * math.pi)]])[0])
+
+    return closure
+
+
+def test_field_grid_interpolator_matches_per_point_closure(rng):
+    ang = AngularGrid(12, 24)
+    t_nodes = np.linspace(-0.5, 0.5, 7)
+    rho_nodes = np.linspace(0.3, 1.2, 6)
+    shape = (7, 6, ang.n_theta, ang.n_phi)
+    grid = FieldGrid(t_nodes, rho_nodes, ang,
+                     rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    # random directions, the poles and the caps beyond the outermost rings,
+    # phi just below 2 pi (y a hair negative) and on the phi = 0 seam
+    theta = np.concatenate([np.arccos(rng.uniform(-1.0, 1.0, 300)),
+                            [0.0, math.pi, 1e-9, math.pi - 1e-9, 0.05, 3.1,
+                             1.0, 2.0, 1.0, 0.5]])
+    phi = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 300),
+                          [0.0, 1.0, 2.0, 3.0, 6.0, 0.3,
+                           2.0 * math.pi - 1e-12, -1e-15, 0.0, 2.0 * math.pi]])
+    rows = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.cos(theta)], axis=1)
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    t = rng.uniform(-0.5, 0.5, len(rows))
+    rho = rng.uniform(0.3, 1.2, len(rows))
+    ref = ref_interpolator(grid)
+    want = np.array([ref(*p) for p in zip(t.tolist(), rho.tolist(), rows)])
+    # a strided view and the contiguous (3, N) block the stencils pass
+    for xi in (rows.T, np.ascontiguousarray(rows.T)):
+        got = grid.interpolator()(t, rho, xi)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_field_grid_interpolator_built_once_per_call(monkeypatch, rng):

@@ -280,7 +280,7 @@ def test_mink_killing_time_phase():
     om = 1.7
 
     def fld(tau, r, xi):
-        return np.exp(-1j * om * tau) * math.exp(-0.2 * r * r) * (1 + xi[0])
+        return np.exp(-1j * om * tau) * np.exp(-0.2 * r * r) * (1 + xi[0])
 
     pt = (0.3, 1.1, np.array([0.6, 0.64, 0.48]) / 1.0)
     val = mink_killing_apply("T0", fld, pt)

@@ -162,3 +162,17 @@ def test_verify_all_does_not_import_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+# --- the radial-table memo --------------------------------------------------------------
+
+def test_verify_all_rerun_builds_no_radial_table():
+    # a `verify all` job uses 62 distinct radial tables against the 64 slots
+    # of the memo, so a rerun finds every one; a few more tables in any suite
+    # would make the rerun's cyclic access pattern miss them all
+    modes._radial_table.cache_clear()
+    verify.run_suite("all")
+    first = modes._radial_table.cache_info()
+    assert first.misses <= first.maxsize
+    verify.run_suite("all")
+    assert modes._radial_table.cache_info().misses == first.misses
