@@ -21,9 +21,8 @@ import numpy as np
 from .errors import AdskgError, MagicFrequencyBlind
 from .geometry import make_params
 from .harmonics import AngularGrid, lm_labels, require_two_sphere, sph_harm
-from .harmonics import cache_counters as angular_cache_counters
-from .modes import (RadialKind, cache_counters, jacobi_radial, magic_frequency,
-                    radial_eval)
+from .memo import counters
+from .modes import RadialKind, jacobi_radial, magic_frequency, radial_eval
 
 _KINDS = {"sa": RadialKind.Sa, "sb": RadialKind.Sb,
           "ca": RadialKind.Ca, "cb": RadialKind.Cb}
@@ -117,8 +116,9 @@ def cmd_verify(args) -> int:
         print(f"SUITE {name} {'PASS' if ok else 'FAIL'} max_err={worst:.3e}")
     if args.json:
         print(json.dumps({"passed": all_ok, "suites": suites, "checks": records,
-                          "caches": cache_counters(),
-                          "angular_caches": angular_cache_counters()},
+                          "caches": counters("radial_table", "transfer_matrix"),
+                          "angular_caches": counters("ylm_point", "grid_rule",
+                                                     "ylm_table", "radial_measure")},
                          indent=1, allow_nan=False))
     return 0 if all_ok else 1
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,12 +29,9 @@ from scipy.special import roots_jacobi
 from .errors import (BfViolation, BoundaryProximity, EvenDimension,
                      WindowError)
 from .harmonics import AngularGrid, xyz_to_angles
+from .memo import memo
 
 _NU_INTEGER_TOL = 1e-9
-# radial_measure keeps the rules of the last _RADIAL_RULES (params, n_nodes)
-# of at most _RADIAL_NODES nodes: 16 x 4096 x 2 x 8 B = 1 MiB at most
-_RADIAL_RULES = 16
-_RADIAL_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -125,6 +121,7 @@ class FieldGrid:
         return closure
 
 
+@memo("radial_measure", 16, 4096)  # 16 x 4096 x 2 x 8 B = 1 MiB at most
 def radial_measure(params: AdsParams, n_nodes: int = 128):
     """Radial quadrature rule (rho_q, w_q) with the tan^{d-1} measure folded
     in: sum_q w_q g(rho_q) ~= int_0^{pi/2} tan^{d-1}(rho) g(rho) drho.
@@ -133,22 +130,11 @@ def radial_measure(params: AdsParams, n_nodes: int = 128):
     (1-x)^{(d-2)/2} (1+x)^nu: tan^{d-1} drho = weight * (1+x)^{-d/2-nu} dx/2,
     and any product of two same-l Jacobi modes leaves a pure polynomial, so
     the mode orthogonality integrals are exact to roundoff for every mass
-    above the Breitenlohner-Freedman bound.  The arrays are read-only, and
-    a rule of at most _RADIAL_NODES nodes is memoized per (params, n_nodes).
+    above the Breitenlohner-Freedman bound.
     """
-    if n_nodes > _RADIAL_NODES:
-        return _radial_rule.__wrapped__(params, n_nodes)
-    return _radial_rule(params, n_nodes)
-
-
-@lru_cache(maxsize=_RADIAL_RULES)
-def _radial_rule(params: AdsParams, n_nodes: int):
     d, nu = params.d, params.nu
     x, wx = roots_jacobi(n_nodes, (d - 2) / 2.0, nu)
-    rho = 0.5 * np.arccos(x)
-    w = wx * (1.0 + x) ** (-d / 2.0 - nu) / 2.0
-    rho.flags.writeable = w.flags.writeable = False
-    return rho, w
+    return 0.5 * np.arccos(x), wx * (1.0 + x) ** (-d / 2.0 - nu) / 2.0
 
 
 def kg_residual(radial_fn: Callable, omega, l, params: AdsParams,

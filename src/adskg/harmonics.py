@@ -11,8 +11,8 @@ degrees 0..l_max fill (l_max + 1)^2 columns with degree l in the block
 each element bit-identical to the scalar call.  `AngularGrid.ylm(l_max)`
 is the (lm, theta, phi) table of Y on the quadrature grid,
 `AngularGrid.project` its adjoint for every lm at once, and `ylm_point`
-the memoized row of Y at one point.  A grid's quadrature rule and Y table
-are read-only arrays shared by every grid of its (n_theta, n_phi) shape.
+the row of Y at one point.  A grid's quadrature rule and Y table are shared
+by every grid of its (n_theta, n_phi) shape (`adskg.memo`).
 
 The D-matrix comes from the exact diagonalization of J_y (Feng, Wang, Yang
 & Jin, Phys. Rev. E 92, 043307, 2015): it stays unitary to roundoff at any
@@ -26,13 +26,12 @@ boost machinery consumes.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedDimension
+from .memo import Memo, memo
 from .specfun import _BLOCK_ELEMENTS, assoc_legendre
 
 
@@ -67,14 +66,11 @@ def lm_count(l_max: int) -> int:
     return (l_max + 1) ** 2
 
 
-@lru_cache(maxsize=128)
+@memo("lm_labels", 128)
 def lm_labels(l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degree and order of each packed index up to l_max; read-only arrays,
-    formed once per l_max."""
+    """Degree and order of each packed index up to l_max."""
     ls = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    ms = np.arange(ls.size) - lm_index(ls, 0)
-    ls.flags.writeable = ms.flags.writeable = False
-    return ls, ms
+    return ls, np.arange(ls.size) - lm_index(ls, 0)
 
 
 def lm_mirror(l_max: int) -> np.ndarray:
@@ -113,40 +109,15 @@ def sph_harm(l, m, theta, phi):
 
 
 # One row per point and held set: a sparse_pointwise job's S rep, C image and
-# rod share theirs, so its 42 synth calls read 6 rows.  A row is
-# (l_max + 1)^2 complex values.
-_POINT_ROWS = 64
-
-
+# rod share theirs, so its 42 synth calls read 6 rows.
+@memo("ylm_point", 64)
 def ylm_point(l_max: int, held: np.ndarray, theta, phi) -> np.ndarray:
     """Y_lm(theta, phi) for every packed lm up to l_max where the boolean
-    (lm,) array `held` is set, zero elsewhere, from one `sph_harm` call.
-    Read-only and memoized on l_max, the bytes of held and the bytes of
-    (theta, phi) as float64 (so phi = 0.0 and -0.0 are different keys), in
-    an LRU cache of the last _POINT_ROWS rows; exceptions are never stored."""
-    return _ylm_row(l_max, held.tobytes(), np.array((theta, phi), dtype=float).tobytes())
-
-
-@lru_cache(maxsize=_POINT_ROWS)
-def _ylm_row(l_max: int, held: bytes, angles: bytes) -> np.ndarray:
+    (lm,) array `held` is set, zero elsewhere, from one `sph_harm` call."""
     ls, ms = lm_labels(l_max)
-    held = np.frombuffer(held, dtype=bool)
     out = np.zeros(ls.size, dtype=complex)
-    out[held] = sph_harm(ls[held], ms[held], *np.frombuffer(angles))
-    out.flags.writeable = False
+    out[held] = sph_harm(ls[held], ms[held], *np.array((theta, phi), dtype=float))
     return out
-
-
-def cache_counters() -> dict:
-    """Hits, misses, size and maxsize of the Y-at-a-point cache, the shared
-    quadrature rules and Y tables of the angular grids, and the radial
-    quadrature rules of `geometry.radial_measure`."""
-    from .geometry import _radial_rule  # geometry imports this module
-    fields = ("hits", "misses", "maxsize", "size")
-    return {"ylm_point": dict(zip(fields, _ylm_row.cache_info())),
-            "grid_rule": dict(zip(fields, _grid_rule.cache_info())),
-            "ylm_table": dict(zip(fields, (*_YLM_COUNTS, _GRID_SHAPES, len(_YLM_TABLES)))),
-            "radial_measure": dict(zip(fields, _radial_rule.cache_info()))}
 
 
 def contiguous_coeffs(d: int, l, sub):
@@ -229,47 +200,16 @@ def rotate_angles(angles: EulerAngles, theta, phi):
     return xyz_to_angles(rot)
 
 
-# The quadrature rules and Y tables of the last _GRID_SHAPES (n_theta, n_phi)
-# shapes are shared by every AngularGrid of that shape.  A Y table of more
-# than _TABLE_ENTRIES values (4 MiB of complex) stays with its grid, so the
-# shared tables hold at most _GRID_SHAPES x 4 MiB.
-_GRID_SHAPES = 4
-_TABLE_ENTRIES = 2 ** 18
-_YLM_TABLES: OrderedDict = OrderedDict()  # shape -> the longest shared table
-_YLM_COUNTS = [0, 0]                      # hits, misses
-
-
-@lru_cache(maxsize=_GRID_SHAPES)
+# Quadrature rules and Y tables are shared by the AngularGrids of the last 4
+# shapes; a Y table of more than 2^18 values (4 MiB of complex) stays with its grid.
+@memo("grid_rule", 4)
 def _grid_rule(n_theta: int, n_phi: int) -> tuple:
-    """cos(theta) nodes and weights, theta and phi of the product grid, as
-    read-only arrays."""
+    """cos(theta) nodes and weights, theta and phi of the product grid."""
     x, w = np.polynomial.legendre.leggauss(n_theta)
-    rule = x, w, np.arccos(x), 2.0 * math.pi * np.arange(n_phi) / n_phi
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
+    return x, w, np.arccos(x), 2.0 * math.pi * np.arange(n_phi) / n_phi
 
 
-def _ylm_table(grid: "AngularGrid", l_max: int) -> np.ndarray:
-    """A read-only Y table on grid's shape holding every packed lm up to at
-    least l_max: the shared one if it is that long, else one built up to
-    l_max, shared unless it holds more than _TABLE_ENTRIES values."""
-    shape = grid.n_theta, grid.n_phi
-    table = _YLM_TABLES.get(shape)
-    if table is not None and len(table) >= lm_count(l_max):
-        _YLM_TABLES.move_to_end(shape)
-        _YLM_COUNTS[0] += 1
-        return table
-    _YLM_COUNTS[1] += 1
-    ls, ms = (x[:, None, None] for x in lm_labels(l_max))
-    table = sph_harm(ls, ms, grid.theta[:, None], grid.phi)
-    table.flags.writeable = False
-    if table.size <= _TABLE_ENTRIES:
-        _YLM_TABLES[shape] = table
-        _YLM_TABLES.move_to_end(shape)
-        if len(_YLM_TABLES) > _GRID_SHAPES:
-            _YLM_TABLES.popitem(last=False)
-    return table
+_YLM_TABLES = Memo("ylm_table", 4, 2 ** 18)  # shape -> the longest table asked for
 
 
 class AngularGrid:
@@ -287,11 +227,15 @@ class AngularGrid:
 
     def ylm(self, l_max: int) -> np.ndarray:
         """Y_lm on the (theta, phi) product grid for every packed lm up to
-        l_max, shape (lm, n_theta, n_phi), read-only.  The grid keeps the
-        largest table asked for and returns its leading rows; the tables
-        come from `_ylm_table`."""
+        l_max, shape (lm, n_theta, n_phi), read-only: the leading rows of the
+        longest table asked for, the one shared by the shape if long enough."""
         if len(self._ylm) < lm_count(l_max):
-            self._ylm = _ylm_table(self, l_max)
+            shape = self.n_theta, self.n_phi
+            table = _YLM_TABLES.get(shape, lambda table: len(table) >= lm_count(l_max))
+            if table is None:
+                ls, ms = (x[:, None, None] for x in lm_labels(l_max))
+                table = _YLM_TABLES.put(shape, sph_harm(ls, ms, self.theta[:, None], self.phi))
+            self._ylm = table
         return self._ylm[:lm_count(l_max)]
 
     def integrate(self, values: np.ndarray):

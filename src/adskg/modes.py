@@ -15,8 +15,8 @@ z -> 1 - z.  At the magic frequencies omega+-_{nl} = 2n + l + D+- the S^a
 series terminates and coincides with the normalizable Jacobi mode J+-_{nl};
 for omega+ a denominator Gamma of m12 has its pole there, so m12 = 0.
 The radial tables of radial_eval_fd's array calls (every synthesis and
-inversion) are memoized in a bounded LRU cache, and scalar transfer_matrix
-calls in another; array tables of transfer matrices are formed afresh.
+inversion) and scalar transfer_matrix calls are memoized (`adskg.memo`);
+array tables of transfer matrices are formed afresh.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -34,6 +33,7 @@ from .errors import (CapabilityError, DomainError, ExceptionalBranch,
                      SingularPoint)
 from .geometry import AdsParams
 from .harmonics import require_two_sphere, sph_harm
+from .memo import memo
 from .specfun import (DEFAULT_POLICY, SeriesPolicy, hyp2f1, hyp2f1_dx,
                       hyp2f1_terminates, jacobi_p, jacobi_p_dx, log_gamma)
 
@@ -163,7 +163,7 @@ def _weighted_wronskian(fa, da, fb, db, rho: float, d: int) -> float:
 
 
 # `verify all` asks for 46 distinct scalar keys; 1024 hold many jobs' worth
-@lru_cache(maxsize=1024)
+@memo("transfer_matrix", 1024)
 def transfer_matrix(omega: float, l: int, params: AdsParams) -> TransferMatrix:
     """Transfer matrix M with (S^a, S^b) = M (C^a, C^b) at fixed (omega, l):
     _transfer_entries on Python scalars, memoized per (omega, l, params)."""
@@ -311,23 +311,9 @@ def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams,
     return f.reshape(shape), df.reshape(shape)
 
 
-# A sparse pointwise job uses at most 25 distinct radial tables, a dense tube
-# job 2.  Larger tables than _MEMO_ELEMENTS are not stored: with 8-byte inputs
-# the memo holds at most 64 x 2048 x 5 arrays (3 keys, f, f') x 8 B = 5 MiB.
-_MEMO_TABLES = 64
-_MEMO_ELEMENTS = 2048
-
-
-@lru_cache(maxsize=_MEMO_TABLES)
-def _radial_table(kind: RadialKind, params: AdsParams, policy: SeriesPolicy,
-                  keys: tuple):
-    """_radial_eval_fd_array on the arguments rebuilt from their (dtype,
-    shape, bytes) keys, with read-only results."""
-    out = _radial_eval_fd_array(kind, *(np.frombuffer(data, dtype).reshape(shape)
-                                        for dtype, shape, data in keys), params, policy)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+# A sparse pointwise job uses at most 25 distinct radial tables, a dense tube job 2;
+# with 8-byte inputs, 64 x 2048 x 5 arrays (3 keys, f, f') x 8 B = 5 MiB at most.
+_radial_table = memo("radial_table", 64, 2048)(_radial_eval_fd_array)
 
 
 def radial_eval_fd(kind: RadialKind, omega, l, rho, params: AdsParams,
@@ -340,16 +326,10 @@ def radial_eval_fd(kind: RadialKind, omega, l, rho, params: AdsParams,
     to the scalar call's.  Each branch is one hyp2f1 array call over the
     series of the kinds it needs and of their x-derivatives; fewer than
     _BLOCK_MIN points are evaluated one by one.  Array results are
-    read-only and memoized by (kind, params, policy) and each argument's
-    dtype, shape and bytes, in an LRU cache of the last _MEMO_TABLES tables
-    of at most _MEMO_ELEMENTS elements; exceptions are never stored.
+    read-only and memoized on the arguments as `np.asarray` gives them.
     """
     if any(isinstance(v, np.ndarray) for v in (omega, l, rho)):
-        keys = tuple((a.dtype, a.shape, a.tobytes())
-                     for a in map(np.asarray, (omega, l, rho)))
-        if np.broadcast(omega, l, rho).size > _MEMO_ELEMENTS:
-            return _radial_table.__wrapped__(kind, params, policy, keys)
-        return _radial_table(kind, params, policy, keys)
+        return _radial_table(kind, *map(np.asarray, (omega, l, rho)), params, policy)
     return _radial_eval_fd_scalar(kind, omega, l, rho, params, policy)
 
 
@@ -381,13 +361,6 @@ def _radial_eval_fd_scalar(kind: RadialKind, omega: float, l: int, rho: float,
     if kind is RadialKind.Ca:
         return inv.m11 * sa + inv.m12 * sb, inv.m11 * dsa + inv.m12 * dsb
     return inv.m21 * sa + inv.m22 * sb, inv.m21 * dsa + inv.m22 * dsb
-
-
-def cache_counters() -> dict:
-    """Hits, misses, size and maxsize of the radial-table and transfer caches."""
-    fields = ("hits", "misses", "maxsize", "size")
-    return {"radial_table": dict(zip(fields, _radial_table.cache_info())),
-            "transfer_matrix": dict(zip(fields, transfer_matrix.cache_info()))}
 
 
 def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams,

@@ -220,10 +220,10 @@ def test_verify_json_records(capsys):
 
 def test_verify_json_reports_cache_counters(capsys):
     import json
-    from adskg.modes import cache_counters
+    from adskg.memo import counters
     assert main(["verify", "modes", "--json"]) == 0
     caches = json.loads(capsys.readouterr().out)["caches"]
-    assert caches == cache_counters()
+    assert caches == counters("radial_table", "transfer_matrix")
     assert caches["radial_table"]["maxsize"] == 64
     assert caches["transfer_matrix"]["maxsize"] == 1024
     for counts in caches.values():
@@ -235,10 +235,10 @@ def test_verify_json_reports_cache_counters(capsys):
 
 def test_verify_json_reports_the_angular_cache(capsys):
     import json
-    from adskg.harmonics import cache_counters
+    from adskg.memo import counters
     assert main(["verify", "harmonics", "--json"]) == 0
     caches = json.loads(capsys.readouterr().out)["angular_caches"]
-    assert caches == cache_counters()
+    assert caches == counters("ylm_point", "grid_rule", "ylm_table", "radial_measure")
     assert list(caches) == ["ylm_point", "grid_rule", "ylm_table", "radial_measure"]
     for counts in caches.values():
         assert set(counts) == {"hits", "misses", "size", "maxsize"}

@@ -21,8 +21,9 @@ from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep,
                               taylor_coeffs,
                               twisted_boundary_limit, twisted_derivative)
 from adskg.geometry import make_params
-from adskg.harmonics import (AngularGrid, cache_counters, lm_count, lm_degree,
-                             lm_index, lm_labels, lm_mirror, sph_harm, ylm_point)
+from adskg.harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labels,
+                             lm_mirror, sph_harm, ylm_point)
+from adskg.memo import counters
 from adskg.modes import (RadialKind, SliceLabel, TubeLabel, magic_frequency,
                          mode_eval, radial_eval, transfer_matrix)
 from adskg.specfun import DEFAULT_POLICY
@@ -926,9 +927,9 @@ def test_block_plan_is_formed_once_and_not_pickled(rng):
 def test_ylm_point_memo_keys_on_bytes():
     held = np.ones(lm_count(4), dtype=bool)
     held[[0, 5]] = False
-    before = cache_counters()["ylm_point"]
+    before = counters("ylm_point")["ylm_point"]
     plus, minus = ylm_point(4, held, 1.1, 0.0), ylm_point(4, held, 1.1, -0.0)
-    after = cache_counters()["ylm_point"]
+    after = counters("ylm_point")["ylm_point"]
     assert after["misses"] - before["misses"] == 2 and after["maxsize"] == 64
     assert after["size"] <= after["maxsize"]
     ls, ms = lm_labels(4)
@@ -937,14 +938,14 @@ def test_ylm_point_memo_keys_on_bytes():
         want[held] = sph_harm(ls[held], ms[held], 1.1, phi)
         assert row.tobytes() == want.tobytes() and not row.flags.writeable
     assert ylm_point(4, held, 1.1, 0.0) is plus
-    assert cache_counters()["ylm_point"]["hits"] == after["hits"] + 1
+    assert counters("ylm_point")["ylm_point"]["hits"] == after["hits"] + 1
 
 
 def test_ylm_point_never_stores_an_exception():
     held = np.zeros(lm_count(90), dtype=bool)
     held[lm_index(90, -90)] = True
     for _ in range(3):
-        misses = cache_counters()["ylm_point"]["misses"]
+        misses = counters("ylm_point")["ylm_point"]["misses"]
         with pytest.raises(DomainError, match="90, -90"):
             ylm_point(90, held, 1.0, 0.5)
-        assert cache_counters()["ylm_point"]["misses"] == misses + 1
+        assert counters("ylm_point")["ylm_point"]["misses"] == misses + 1

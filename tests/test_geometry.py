@@ -62,21 +62,21 @@ def test_radial_measure_against_adaptive_quad(params_m0):
 
 
 def test_radial_measure_is_memoized_read_only(params_m0, monkeypatch):
-    from adskg import geometry
-    from adskg.harmonics import cache_counters
-    before = cache_counters()["radial_measure"]
+    from adskg.memo import counters
+    before = counters("radial_measure")["radial_measure"]
     rho, w = radial_measure(params_m0, 37)
     again = radial_measure(make_params(3, 1.0, 0.0), 37)
     assert again[0] is rho and again[1] is w
-    after = cache_counters()["radial_measure"]
+    after = counters("radial_measure")["radial_measure"]
     assert after["hits"] >= before["hits"] + 1 and after["maxsize"] == 16
     for arr in (rho, w):
         assert not arr.flags.writeable
-    # a rule of more than _RADIAL_NODES nodes is built each time
-    monkeypatch.setattr(geometry, "_RADIAL_NODES", 36)
-    rho2, w2 = radial_measure(params_m0, 37)
+    # a rule of more nodes than the memo's element cap is built each time
+    monkeypatch.setattr(radial_measure.memo, "max_elements", 37)
+    rho, w = radial_measure(params_m0, 38)
+    rho2, w2 = radial_measure(params_m0, 38)
     assert rho2 is not rho and rho2.tobytes() == rho.tobytes()
-    assert w2.tobytes() == w.tobytes()
+    assert w2.tobytes() == w.tobytes() and not w2.flags.writeable
 
 
 # --- Klein-Gordon residual -----------------------------------------------------

@@ -139,8 +139,8 @@ def test_lm_labels_are_formed_once_and_read_only():
 
 
 def _table_counts():
-    from adskg.harmonics import cache_counters
-    return cache_counters()["ylm_table"]
+    from adskg.memo import counters
+    return counters("ylm_table")["ylm_table"]
 
 
 def test_grids_of_one_shape_share_a_read_only_rule_and_table():
@@ -167,9 +167,9 @@ def test_grids_of_one_shape_share_a_read_only_rule_and_table():
 
 
 def test_tables_above_the_entry_cap_stay_with_their_grid():
-    from adskg.harmonics import _TABLE_ENTRIES
+    from adskg.harmonics import _YLM_TABLES
     grid = AngularGrid(64, 128)
-    assert lm_count(4) * 64 * 128 <= _TABLE_ENTRIES < lm_count(5) * 64 * 128
+    assert lm_count(4) * 64 * 128 <= _YLM_TABLES.max_elements < lm_count(5) * 64 * 128
     table = grid.ylm(5)
     assert grid.ylm(5).base is table.base  # the grid keeps its own
     misses = _table_counts()["misses"]
@@ -178,12 +178,12 @@ def test_tables_above_the_entry_cap_stay_with_their_grid():
 
 
 def test_shared_tables_are_an_lru_of_grid_shapes():
-    from adskg.harmonics import _GRID_SHAPES
-    shapes = [(6 + i, 12 + 2 * i) for i in range(_GRID_SHAPES + 1)]
+    from adskg.harmonics import _YLM_TABLES
+    shapes = [(6 + i, 12 + 2 * i) for i in range(_YLM_TABLES.maxsize + 1)]
     for shape in shapes:
         AngularGrid(*shape).ylm(2)
     counts = _table_counts()
-    assert counts["size"] == counts["maxsize"] == _GRID_SHAPES
+    assert counts["size"] == counts["maxsize"] == 4
     AngularGrid(*shapes[-1]).ylm(2)  # kept
     assert _table_counts()["hits"] == counts["hits"] + 1
     AngularGrid(*shapes[0]).ylm(2)   # evicted by the last shape
@@ -197,9 +197,11 @@ def test_normalization_overflow_is_a_domain_error():
         sph_norm(90, -90)
     with pytest.raises(DomainError, match=r"\(87, -87\)"):
         sph_norm(np.array([3, 87, 86]), np.array([1, -87, -86]))
+    grid = AngularGrid(8, 16)
     for l_max in (86, 90):
         with pytest.raises(DomainError):
-            AngularGrid(8, 16).ylm(l_max)
+            grid.ylm(l_max)
+    assert grid.ylm(2).shape == (9, 8, 16)  # a failed build leaves the grid as it was
 
 
 # --- contiguous coefficients -------------------------------------------------

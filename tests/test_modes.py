@@ -13,6 +13,7 @@ from adskg.errors import (CapabilityError, DomainError, ExceptionalBranch,
 from adskg.geometry import kg_residual, make_params
 from adskg import modes
 from adskg.harmonics import sph_harm
+from adskg.memo import counters
 from adskg.modes import (RadialKind, SliceLabel, TubeLabel, hyper_params,
                          jacobi_radial, jacobi_radial_fd, magic_frequency,
                          mode_eval, norm_constant, radial_eval,
@@ -350,7 +351,7 @@ def test_scalar_transfer_matrix_is_the_array_closed_form_bit_for_bit(rng, m_sq):
 
 
 def _transfer_counts():
-    return modes.cache_counters()["transfer_matrix"]
+    return counters("transfer_matrix")["transfer_matrix"]
 
 
 def test_transfer_memo_is_bounded_at_1024(params_m0):
@@ -423,8 +424,8 @@ def test_sa_past_the_cutoff_matches_mpmath_at_omega_80_l_30(params_m0, rho, tol)
 # --- the radial-table memo ----------------------------------------------------------------
 
 def _misses_and_hits():
-    info = modes._radial_table.cache_info()
-    return info.misses, info.hits
+    info = counters("radial_table")["radial_table"]
+    return info["misses"], info["hits"]
 
 
 # sin^2 rho = 0.75 (the S cutoff) at pi/3, cos^2 rho = 0.75 (the C one) at pi/6
@@ -485,16 +486,19 @@ def test_radial_memo_misses_on_kind_params_and_policy(params_m0):
 
 
 def test_radial_memo_is_bounded_and_skips_oversize_tables(params_m0):
-    for i in range(modes._MEMO_TABLES + 10):
+    memo = modes._radial_table.memo
+    assert (memo.maxsize, memo.max_elements) == (64, 2048)
+    for i in range(memo.maxsize + 10):
         radial_eval_fd(RadialKind.Sa, 1.0 + 0.01 * i, np.arange(3), 0.5, params_m0)
-        assert modes._radial_table.cache_info().currsize <= modes._MEMO_TABLES
-    big = np.linspace(0.1, 1.4, modes._MEMO_ELEMENTS + 1)
-    before = modes._radial_table.cache_info()
+        assert memo.counts()["size"] <= memo.maxsize
+    big = np.linspace(0.1, 1.4, memo.max_elements + 1)
+    before = memo.counts()
     first = radial_eval_fd(RadialKind.Sa, 2.5, 2, big, params_m0)
     again = radial_eval_fd(RadialKind.Sa, 2.5, 2, big, params_m0)
     assert again is not first and again[0].tobytes() == first[0].tobytes()
     assert not again[0].flags.writeable
-    assert modes._radial_table.cache_info() == before
+    # each oversize call is a miss that stores nothing
+    assert memo.counts() == dict(before, misses=before["misses"] + 2)
 
 
 def test_pointwise_synth_builds_each_table_once(params_m0):
@@ -504,7 +508,7 @@ def test_pointwise_synth_builds_each_table_once(params_m0):
     rep = TubeRep(grid, {key: (0.3 + 0.1j * i, 0.2 - 0.05 * i)
                          for i, key in enumerate(labels)}, "S")
     rod = RodRep(grid, {key: pair[0] for key, pair in rep.coeffs.items()})
-    modes._radial_table.cache_clear()
+    modes._radial_table.memo.clear()
     point = (0.4, 1.2, 1.1, 2.3)
     for fn in (synth, synth_dt, synth_drho):
         fn(rep, point, params_m0)

@@ -14,6 +14,7 @@ import pytest
 from adskg import geometry as geo
 from adskg import modes
 from adskg import verify
+from adskg.memo import counters
 from adskg.modes import RadialKind
 
 KINDS = (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb)
@@ -169,10 +170,12 @@ def test_verify_all_does_not_import_scipy_integrate():
 def test_verify_all_rerun_builds_no_radial_table():
     # a `verify all` job uses 62 distinct radial tables against the 64 slots
     # of the memo, so a rerun finds every one; a few more tables in any suite
-    # would make the rerun's cyclic access pattern miss them all
-    modes._radial_table.cache_clear()
+    # would make the rerun's cyclic access pattern miss them all.  The same
+    # holds for every other memo of the package.
+    modes._radial_table.memo.clear()
     verify.run_suite("all")
-    first = modes._radial_table.cache_info()
-    assert first.misses <= first.maxsize
+    first = counters()
+    assert first["radial_table"]["misses"] <= first["radial_table"]["maxsize"]
     verify.run_suite("all")
-    assert modes._radial_table.cache_info().misses == first.misses
+    assert {name: c["misses"] for name, c in counters().items()} \
+        == {name: c["misses"] for name, c in first.items()}
