@@ -2,7 +2,8 @@
 and reconstruction round-trip reports.
 
 Exit codes: 0 pass, 1 verification/reconstruction failure, 2 usage or
-parse errors.  Output is deterministic: no timestamps, fixed row order;
+parse errors, a NaN or infinite number and an out-of-range parameter
+among them.  Output is deterministic: no timestamps, fixed row order;
 the exceptions are each suite's wall time (duration_s) and the cache
 counters under `verify --json`.
 """
@@ -28,23 +29,34 @@ _KINDS = {"sa": RadialKind.Sa, "sb": RadialKind.Sb,
           "ca": RadialKind.Ca, "cb": RadialKind.Cb}
 
 
+def _float_arg(text: str) -> float:
+    """A finite float; NaN, infinities and non-numbers are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _linspace_arg(text: str) -> np.ndarray:
     """Parse `a:b:n` into n evenly spaced values, or a single float."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"expected a:b:n, got {text!r}")
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+        a, b, n = _float_arg(parts[0]), _float_arg(parts[1]), int(parts[2])
         if n < 1:
             raise argparse.ArgumentTypeError("linspace count must be >= 1")
         return np.linspace(a, b, n)
-    return np.array([float(text)])
+    return np.array([_float_arg(text)])
 
 
 def _add_params_args(parser):
     parser.add_argument("--d", type=int, default=3, help="spatial dimension (odd)")
-    parser.add_argument("--R", type=float, default=1.0, help="curvature radius")
-    parser.add_argument("--msq", type=float, default=0.0, help="mass squared")
+    parser.add_argument("--R", type=_float_arg, default=1.0, help="curvature radius")
+    parser.add_argument("--msq", type=_float_arg, default=0.0, help="mass squared")
 
 
 def cmd_eval(args) -> int:
@@ -196,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_args(p_eval)
     p_eval.add_argument("--kind", required=True,
                         help="sa|sb|ca|cb|jplus|jminus")
-    p_eval.add_argument("--omega", type=float, default=0.0)
+    p_eval.add_argument("--omega", type=_float_arg, default=0.0)
     p_eval.add_argument("--n", type=int, default=0)
     p_eval.add_argument("--l", type=int, default=0)
     p_eval.add_argument("--m", type=int, default=0)
@@ -221,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--input", required=True)
     p_rec.add_argument("--target", required=True,
                        choices=["slice", "tube", "rod", "boundary"])
-    p_rec.add_argument("--t0", type=float, default=0.0)
-    p_rec.add_argument("--rho0", type=float, default=0.8)
+    p_rec.add_argument("--t0", type=_float_arg, default=0.0)
+    p_rec.add_argument("--rho0", type=_float_arg, default=0.8)
     p_rec.set_defaults(fn=cmd_reconstruct)
     return parser
 

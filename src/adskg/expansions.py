@@ -42,8 +42,8 @@ import numpy as np
 from scipy.special import factorial, poch
 
 from .errors import (BandLimitExceeded, BasisMismatch, CapabilityError,
-                     ConvergenceError, IntegerNu, MagicFrequencyBlind,
-                     RadialNodeError, SerializationError)
+                     ConvergenceError, DomainError, IntegerNu,
+                     MagicFrequencyBlind, RadialNodeError, SerializationError)
 from .geometry import AdsParams, make_params, radial_measure
 from .harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labels,
                         lm_mirror, require_two_sphere, ylm_point)
@@ -825,7 +825,7 @@ def load_rep(path):
     try:
         params = make_params(int(meta["d"]), float(meta["R"]), float(meta["msq"]))
         d_omega = float(meta["domega"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, DomainError) as exc:
         raise SerializationError(f"bad header fields: {exc}") from exc
     body = lines[start + 1:]
     if not any(ln.strip() for ln in body):

@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import (BfViolation, BoundaryProximity, EvenDimension,
-                     WindowError)
+from .errors import (BfViolation, BoundaryProximity, DomainError,
+                     EvenDimension, WindowError)
 from .harmonics import AngularGrid, xyz_to_angles
 from .memo import memo
 
@@ -63,12 +63,14 @@ class AdsParams:
 
 
 def make_params(d: int, R: float, m_sq: float) -> AdsParams:
-    """Build AdsParams; raises EvenDimension / BfViolation on bad input."""
+    """Build AdsParams; raises EvenDimension / DomainError / BfViolation."""
     if d < 3 or d % 2 == 0:
         raise EvenDimension(f"d = {d}: only odd d >= 3 supported")
-    if R <= 0.0:
-        raise ValueError("curvature radius must be positive")
+    if not (math.isfinite(R) and R > 0.0):
+        raise DomainError(f"curvature radius R = {R!r} must be finite and positive")
     msq_r2 = m_sq * R * R
+    if not math.isfinite(msq_r2):
+        raise DomainError(f"m^2 R^2 = {msq_r2!r} must be finite (m^2 = {m_sq!r})")
     bound = -d * d / 4.0
     if msq_r2 < bound:
         raise BfViolation(
@@ -138,11 +140,10 @@ def radial_measure(params: AdsParams, n_nodes: int = 128):
 
 
 def kg_residual(radial_fn: Callable, omega, l, params: AdsParams,
-                rho_window: tuple[float, float], n_points: int = 40,
-                step: float = 1e-4):
+                rho_window: tuple[float, float], n_points: int = 40):
     """Max normalized residual of the radial Klein-Gordon operator
     cos^2 f'' + (d-1)/tan f' + [w^2 cos^2 - l(l+d-2)/tan^2 - m^2 R^2] f
-    on a uniform sub-grid of the window, derivatives by 5-point stencils.
+    on a uniform sub-grid of the window, derivatives by 5-point stencils, h = 1e-4.
 
     radial_fn is called once, on the array of all stencil radii, shape
     (5, n_points); a scalar result (a constant function) is broadcast.
@@ -161,7 +162,7 @@ def kg_residual(radial_fn: Callable, omega, l, params: AdsParams,
     d = params.d
     msq = params.msq_r2
     rho = np.linspace(a, b, n_points)
-    h = step
+    h = 1e-4
     stencil = np.stack([rho - 2 * h, rho - h, rho, rho + h, rho + 2 * h])
     if rows:
         stencil = np.broadcast_to(stencil, (len(omega),) + stencil.shape)
@@ -371,20 +372,20 @@ def bracket_rhs(gen_a: GeneratorId, gen_b: GeneratorId, d: int):
 
 
 def verify_lie_bracket(gen_a: GeneratorId, gen_b: GeneratorId,
-                       test_field: Callable, sample_points: Sequence,
-                       d: int = 3, h: float = 5e-3) -> float:
-    """Max |[K_A, K_B] phi - (bracket table RHS) phi| over the points.
+                       test_field: Callable, sample_points: Sequence) -> float:
+    """Max |[K_A, K_B] phi - (bracket table RHS) phi| over the points, on
+    S^2 (d = 3) with stencil step 5e-3.
 
     K_A K_B, -K_B K_A and -sum c K_C form one stencil, the nested products
     composed, so the field is called in one pass over its points.
     """
     if gen_a == gen_b or len(sample_points) == 0:
         return 0.0
-    p = _points(sample_points)
+    p, h = _points(sample_points), 5e-3
     terms = [(1.0, _compose(_killing_stencil(gen_a, p, h), gen_b, h)),
              (-1.0, _compose(_killing_stencil(gen_b, p, h), gen_a, h))]
     terms += [(-c, _killing_stencil(gen, p, h))
-              for c, gen in bracket_rhs(gen_a, gen_b, d)]
+              for c, gen in bracket_rhs(gen_a, gen_b, 3)]
     w = np.concatenate([c * st[0] for c, st in terms], axis=1)
     q = np.concatenate([st[1] for _, st in terms], axis=1)
     return float(np.max(np.abs(_apply(test_field, w, q))))

@@ -218,24 +218,20 @@ def _flat_map_factor(params: AdsParams, n: int, l: int) -> tuple[float, float, f
     return om_t, p_t, t_fac
 
 
-def flat_limit_compare(m_field: float = 0.0,
-                       R_values=(100.0, 1000.0),
-                       omega_tilde: float = 1.3,
-                       l_values=(0, 1, 2),
-                       r_values=(0.5, 1.0, 3.0, 5.0),
-                       tau: float = 0.7) -> dict:
+def flat_limit_compare(m_field: float = 0.0, R_values=(100.0, 1000.0)) -> dict:
     """Error table for the three flat-limit claims, per curvature radius:
 
       radial:       rescaled S^a vs jcheck on the r window
       slice_synth:  3-label Jacobi synthesis vs Minkowski slice synthesis
       symplectic:   label-diagonal slice pairings under the per-mode map
 
-    Coordinates (tau, r), the field mass and omega_tilde are held fixed
-    while R grows; every entry should shrink roughly like 1/R^2 (radial,
-    synthesis) or 1/R (symplectic normalization).
+    tau = 0.7, r = 0.5 .. 5, the field mass and omega_tilde = 1.3 (l = 0, 1,
+    2) are held fixed while R grows; every entry should shrink roughly like
+    1/R^2 (radial, synthesis) or 1/R (symplectic normalization).
     """
     out = {"radial": {}, "slice_synth": {}, "symplectic": {}}
-    theta0, phi0 = 1.1, 0.4
+    omega_tilde, l_values, tau, theta0, phi0 = 1.3, (0, 1, 2), 0.7, 1.1, 0.4
+    r_values = (0.5, 1.0, 3.0, 5.0)
     for R in R_values:
         params = make_params(3, R, m_field * m_field)
         # (i) rescaled radial function vs jcheck
@@ -293,17 +289,15 @@ def flat_limit_compare(m_field: float = 0.0,
     return out
 
 
-def killing_correspondence_errors(R_values=(100.0, 1000.0),
-                                  points=None) -> dict:
+def killing_correspondence_errors(R_values=(100.0, 1000.0)) -> dict:
     """Flat-limit Killing correspondence: max deviation of the AdS boosts
     (expressed in (tau, r)) from their Minkowski counterparts, per R.
 
     R^{-1} K_{d+1,0} equals d_tau identically; the nontrivial entries are
     K_{0d} -> K^Mink_{0d} and R^{-1} K_{d+1,d} -> T_d, with O(1/R^2) error.
     """
-    if points is None:
-        points = [(0.6, 1.3, np.array([0.2, -0.4, 0.6]) / math.sqrt(0.56)),
-                  (-0.4, 2.1, np.array([0.5, 0.5, 0.1]) / math.sqrt(0.51))]
+    points = [(0.6, 1.3, np.array([0.2, -0.4, 0.6]) / math.sqrt(0.56)),
+              (-0.4, 2.1, np.array([0.5, 0.5, 0.1]) / math.sqrt(0.51))]
 
     def fld(tau, r, xi):
         return (np.exp(-0.15 * (tau - 0.3) ** 2 - 0.1 * (r - 1.5) ** 2)

@@ -8,8 +8,9 @@ Radial functions come in two linearly independent pairs:
   C^b = sin^l cos^{D-} 2F1(.., ..; 1-nu; cos^2 rho)            diverges there
 
 with alpha = (l + D+ - omega)/2, beta = (l + D+ + omega)/2, gamma = l + d/2.
-Direct series are trusted while their argument stays below the policy
-cutoff; outside, evaluation is routed through the S <-> C transfer matrix,
+One fixed rule picks the route: the direct series while its argument
+(sin^2 rho for S, cos^2 rho for C) is at most DEFAULT_POLICY.arg_cutoff =
+0.75 or the series terminates; otherwise the S <-> C transfer matrix,
 whose entries are the Gamma-function connection coefficients of 2F1 at
 z -> 1 - z.  At the magic frequencies omega+-_{nl} = 2n + l + D+- the S^a
 series terminates and coincides with the normalizable Jacobi mode J+-_{nl};
@@ -34,8 +35,8 @@ from .errors import (CapabilityError, DomainError, ExceptionalBranch,
 from .geometry import AdsParams
 from .harmonics import require_two_sphere, sph_harm
 from .memo import memo
-from .specfun import (DEFAULT_POLICY, SeriesPolicy, hyp2f1, hyp2f1_dx,
-                      hyp2f1_terminates, jacobi_p, jacobi_p_dx, log_gamma)
+from .specfun import (DEFAULT_POLICY, hyp2f1, hyp2f1_dx, hyp2f1_terminates,
+                      jacobi_p, jacobi_p_dx, log_gamma)
 
 
 class RadialKind(Enum):
@@ -136,15 +137,15 @@ def _prefactor_fd(kind: RadialKind, l: int, rho: float, params: AdsParams):
 
 
 def _direct_ok(kind: RadialKind, omega: float, l: int, rho: float,
-               params: AdsParams, policy: SeriesPolicy) -> bool:
+               params: AdsParams) -> bool:
     a, b, _ = hyper_params(kind, omega, l, params)
     arg = math.sin(rho) ** 2 if kind in (RadialKind.Sa, RadialKind.Sb) \
         else math.cos(rho) ** 2
-    return arg <= policy.arg_cutoff or hyp2f1_terminates(a, b)
+    return arg <= DEFAULT_POLICY.arg_cutoff or hyp2f1_terminates(a, b)
 
 
 def _radial_direct(kind: RadialKind, omega: float, l: int, rho: float,
-                   params: AdsParams, policy: SeriesPolicy):
+                   params: AdsParams):
     """(f, f') by direct series; caller guarantees convergence domain."""
     a, b, c = hyper_params(kind, omega, l, params)
     s, cs = math.sin(rho), math.cos(rho)
@@ -153,8 +154,8 @@ def _radial_direct(kind: RadialKind, omega: float, l: int, rho: float,
     else:
         u, du = cs * cs, -2.0 * s * cs
     pre, dpre = _prefactor_fd(kind, l, rho, params)
-    f_val = hyp2f1(a, b, c, u, policy)
-    df_val = hyp2f1_dx(a, b, c, u, policy) * du
+    f_val = hyp2f1(a, b, c, u)
+    df_val = hyp2f1_dx(a, b, c, u) * du
     return pre * f_val, dpre * f_val + pre * df_val
 
 
@@ -220,8 +221,7 @@ def _per_distinct(fn, *columns) -> np.ndarray:
     return np.moveaxis(np.array([table[key] for key in keys]), 0, -1)
 
 
-def _radial_direct_array(kinds, omega, l, rho, params: AdsParams,
-                         policy: SeriesPolicy):
+def _radial_direct_array(kinds, omega, l, rho, params: AdsParams):
     """_radial_direct for each radial kind in `kinds` over equal-shape 1-d
     arrays: (f, f'), each of shape (kinds, n).  sin, cos and the prefactors
     come once per distinct (l, rho); one hyp2f1 array call sums every
@@ -238,21 +238,20 @@ def _radial_direct_array(kinds, omega, l, rho, params: AdsParams,
     du = np.where(on_sin, 2.0 * s * cs, -2.0 * s * cs)
     live = (a != 0.0) & (b != 0.0)  # elsewhere the shifted series is made trivial
     f_val, g_val = hyp2f1(np.stack([a, np.where(live, a + 1.0, 0.0)]),
-                          np.stack([b, b + 1.0]), np.stack([c, c + 1.0]), u, policy)
+                          np.stack([b, b + 1.0]), np.stack([c, c + 1.0]), u)
     df_val = np.zeros(a.shape)
     df_val[live] = a[live] * b[live] / c[live] * g_val[live]
     df_val = df_val * du
     return pre * f_val, dpre * f_val + pre * df_val
 
 
-def _on_transfer(kind: RadialKind, omega, l, rho, params: AdsParams,
-                 policy: SeriesPolicy) -> np.ndarray:
+def _on_transfer(kind: RadialKind, omega, l, rho, params: AdsParams) -> np.ndarray:
     """Which elements of the 1-d arrays radial_eval_fd takes through the
     transfer matrix: inside (0, pi/2), past the series cutoff and with a
     series that does not terminate (a terminating one is direct anywhere)."""
     on_sin = kind in (RadialKind.Sa, RadialKind.Sb)
     arg = _per_distinct(lambda r: (math.sin(r) if on_sin else math.cos(r)) ** 2, rho)
-    via = (arg > policy.arg_cutoff) & (0.0 < rho) & (rho < math.pi / 2)
+    via = (arg > DEFAULT_POLICY.arg_cutoff) & (0.0 < rho) & (rho < math.pi / 2)
     if via.any():
         a, b, _ = hyper_params(kind, omega, l, params)
         for v in (a, b):
@@ -265,8 +264,7 @@ def _on_transfer(kind: RadialKind, omega, l, rho, params: AdsParams,
 _BLOCK_MIN = 16
 
 
-def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams,
-                          policy: SeriesPolicy):
+def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams):
     """Array path of radial_eval_fd: the same checks and branches per
     element, each branch one array call over its elements.  Below
     _BLOCK_MIN points the scalar loop runs."""
@@ -276,7 +274,7 @@ def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams,
         return np.zeros(shape), np.zeros(shape)
     if rho.size < _BLOCK_MIN:
         f, df = _per_distinct(
-            lambda *v: _radial_eval_fd_scalar(kind, *v, params, policy), omega, l, rho)
+            lambda *v: _radial_eval_fd_scalar(kind, *v, params), omega, l, rho)
         return f.reshape(shape), df.reshape(shape)
     if not np.all((0.0 <= rho) & (rho < math.pi / 2)):
         raise DomainError("rho must lie in [0, pi/2)")
@@ -290,20 +288,20 @@ def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams,
             raise SingularPoint("C-modes diverge on the time axis")
     f = np.where(axis & (l == 0), 1.0, 0.0)
     df = np.where(axis & (l == 1), 1.0, 0.0)
-    via = _on_transfer(kind, omega, l, rho, params, policy)
+    via = _on_transfer(kind, omega, l, rho, params)
     direct = ~axis & ~via
     if direct.all():
-        (f,), (df,) = _radial_direct_array((kind,), omega, l, rho, params, policy)
+        (f,), (df,) = _radial_direct_array((kind,), omega, l, rho, params)
     elif direct.any():
         (f[direct],), (df[direct],) = _radial_direct_array(
-            (kind,), omega[direct], l[direct], rho[direct], params, policy)
+            (kind,), omega[direct], l[direct], rho[direct], params)
     if via.any():
         on_sin = kind in (RadialKind.Sa, RadialKind.Sb)
         om, ll, rr = omega[via], l[via], rho[via]
         m11, m12, m21, m22 = _transfer_entries(om, ll, params, not on_sin)
         pair = ((RadialKind.Ca, RadialKind.Cb) if on_sin
                 else (RadialKind.Sa, RadialKind.Sb))
-        (fa, fb), (da, db) = _radial_direct_array(pair, om, ll, rr, params, policy)
+        (fa, fb), (da, db) = _radial_direct_array(pair, om, ll, rr, params)
         if kind in (RadialKind.Sa, RadialKind.Ca):
             f[via], df[via] = m11 * fa + m12 * fb, m11 * da + m12 * db
         else:
@@ -316,10 +314,10 @@ def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams,
 _radial_table = memo("radial_table", 64, 2048)(_radial_eval_fd_array)
 
 
-def radial_eval_fd(kind: RadialKind, omega, l, rho, params: AdsParams,
-                   policy: SeriesPolicy = DEFAULT_POLICY):
-    """Radial function and its rho-derivative, switching to the transfer
-    matrix outside the direct-series domain.
+def radial_eval_fd(kind: RadialKind, omega, l, rho, params: AdsParams):
+    """Radial function and its rho-derivative: the direct series where its
+    argument is at most DEFAULT_POLICY.arg_cutoff (0.75) or it terminates,
+    the transfer matrix M from the other pair's series elsewhere.
 
     omega, l and rho may be broadcastable ndarrays: each element then takes
     the branch the scalar call would take and its result is bit-identical
@@ -329,12 +327,12 @@ def radial_eval_fd(kind: RadialKind, omega, l, rho, params: AdsParams,
     read-only and memoized on the arguments as `np.asarray` gives them.
     """
     if any(isinstance(v, np.ndarray) for v in (omega, l, rho)):
-        return _radial_table(kind, *map(np.asarray, (omega, l, rho)), params, policy)
-    return _radial_eval_fd_scalar(kind, omega, l, rho, params, policy)
+        return _radial_table(kind, *map(np.asarray, (omega, l, rho)), params)
+    return _radial_eval_fd_scalar(kind, omega, l, rho, params)
 
 
 def _radial_eval_fd_scalar(kind: RadialKind, omega: float, l: int, rho: float,
-                           params: AdsParams, policy: SeriesPolicy):
+                           params: AdsParams):
     """radial_eval_fd at one point: the reference the array path reproduces."""
     if not 0.0 <= rho < math.pi / 2:
         raise DomainError("rho must lie in [0, pi/2)")
@@ -346,27 +344,26 @@ def _radial_eval_fd_scalar(kind: RadialKind, omega: float, l: int, rho: float,
                 raise CapabilityError("C-modes need noninteger nu")
             raise SingularPoint("C-modes diverge on the time axis")
         return (1.0, 0.0) if l == 0 else (0.0, 1.0 if l == 1 else 0.0)
-    if _direct_ok(kind, omega, l, rho, params, policy):
-        return _radial_direct(kind, omega, l, rho, params, policy)
+    if _direct_ok(kind, omega, l, rho, params):
+        return _radial_direct(kind, omega, l, rho, params)
     mat = transfer_matrix(omega, l, params)
     if kind in (RadialKind.Sa, RadialKind.Sb):
-        ca, dca = _radial_direct(RadialKind.Ca, omega, l, rho, params, policy)
-        cb, dcb = _radial_direct(RadialKind.Cb, omega, l, rho, params, policy)
+        ca, dca = _radial_direct(RadialKind.Ca, omega, l, rho, params)
+        cb, dcb = _radial_direct(RadialKind.Cb, omega, l, rho, params)
         if kind is RadialKind.Sa:
             return mat.m11 * ca + mat.m12 * cb, mat.m11 * dca + mat.m12 * dcb
         return mat.m21 * ca + mat.m22 * cb, mat.m21 * dca + mat.m22 * dcb
     inv = mat.inverse()
-    sa, dsa = _radial_direct(RadialKind.Sa, omega, l, rho, params, policy)
-    sb, dsb = _radial_direct(RadialKind.Sb, omega, l, rho, params, policy)
+    sa, dsa = _radial_direct(RadialKind.Sa, omega, l, rho, params)
+    sb, dsb = _radial_direct(RadialKind.Sb, omega, l, rho, params)
     if kind is RadialKind.Ca:
         return inv.m11 * sa + inv.m12 * sb, inv.m11 * dsa + inv.m12 * dsb
     return inv.m21 * sa + inv.m22 * sb, inv.m21 * dsa + inv.m22 * dsb
 
 
-def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams,
-                policy: SeriesPolicy = DEFAULT_POLICY):
+def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams):
     """The radial function alone; arrays as in radial_eval_fd."""
-    return radial_eval_fd(kind, omega, l, rho, params, policy)[0]
+    return radial_eval_fd(kind, omega, l, rho, params)[0]
 
 
 def _jacobi_norm_prefactor(n: int, l: int, params: AdsParams) -> float:
@@ -442,18 +439,16 @@ def norm_constant(branch: str, n: int, l: int, params: AdsParams) -> float:
 
 
 def wronskian(kind_a: RadialKind, kind_b: RadialKind, omega: float, l: int,
-              rho: float, params: AdsParams,
-              policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+              rho: float, params: AdsParams) -> float:
     """Weighted Wronskian tan^{d-1}(rho) (f_a f_b' - f_b f_a'); constant in
     rho for two solutions of the same radial equation."""
-    fa, da = radial_eval_fd(kind_a, omega, l, rho, params, policy)
-    fb, db = radial_eval_fd(kind_b, omega, l, rho, params, policy)
+    fa, da = radial_eval_fd(kind_a, omega, l, rho, params)
+    fb, db = radial_eval_fd(kind_b, omega, l, rho, params)
     return _weighted_wronskian(fa, da, fb, db, rho, params.d)
 
 
 def mode_eval(label, point, params: AdsParams,
-              kind: RadialKind | None = None,
-              policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
+              kind: RadialKind | None = None) -> complex:
     """Full spacetime mode e^{-i omega t} Y_l^m(Omega) radial(rho).
 
     `label` is a TubeLabel (kind selects the radial family, default S^a) or
@@ -469,5 +464,5 @@ def mode_eval(label, point, params: AdsParams,
     else:
         omega = label.omega
         l, m = label.l, label.m
-        radial = radial_eval(kind or RadialKind.Sa, omega, l, rho, params, policy)
+        radial = radial_eval(kind or RadialKind.Sa, omega, l, rho, params)
     return np.exp(-1j * omega * t) * sph_harm(l, m, theta, phi) * radial

@@ -405,3 +405,52 @@ def test_reconstruct_non_finite_rep_file_exits_2(tmp_path, capsys, value):
     assert main(["reconstruct", "--input", str(path), "--target", "tube"]) == 2
     assert capsys.readouterr().err == (
         f"error: non-finite coefficient: 'S 1 1 0 {value} 0.0 0.0 0.0'\n")
+
+
+# --- bad numbers and parameters: usage errors, exit 2, no traceback ----------------
+
+_EVAL = ["eval", "--omega", "2.3", "--l", "1", "--m", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_EVAL, "--kind", "sa", "--R=0"],
+    [*_EVAL, "--kind", "sa", "--R=-1"],
+    [*_EVAL, "--kind", "sa", "--R=1e200", "--msq=1"],  # m^2 R^2 overflows
+], ids=repr)
+def test_eval_out_of_range_parameters_exit_2(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["sa", "ca", "jplus"])
+@pytest.mark.parametrize("arg", ["--msq=nan", "--R=nan", "--R=inf", "--omega=inf",
+                                 "--t=nan", "--t=inf", "--phi=nan", "--theta=-inf",
+                                 "--rho=nan", "--rho=0.1:nan:3", "--t=-inf:1:3",
+                                 "--msq=1e999"])
+def test_eval_non_finite_numbers_are_usage_errors(kind, arg, capsys):
+    assert main([*_EVAL, "--kind", kind, arg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "expected a finite number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("arg", ["--t0=nan", "--t0=inf", "--rho0=nan", "--rho0=-inf"])
+def test_reconstruct_non_finite_numbers_are_usage_errors(arg, tmp_path, capsys):
+    rep = SliceRep({(1, 1, 0): (0.8, 0.2j)})
+    assert _reconstruct(tmp_path, rep, "slice", arg) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "expected a finite number" in err
+
+
+@pytest.mark.parametrize("target,body", [
+    ("boundary", "domega=0.5\nS 1 1 0 1.0 0.0 0.0 0.0\n"),
+    ("slice", "domega=0.0\nslice 1 1 0 1.0 0.0 0.0 0.0\n"),
+])
+@pytest.mark.parametrize("fields", ["R=1.0 msq=nan", "R=0.0 msq=0.0", "R=-1.0 msq=0.0"])
+def test_reconstruct_bad_header_parameters_exit_2(tmp_path, capsys, target, body, fields):
+    path = tmp_path / "rep.txt"
+    path.write_text(f"adskg-rep v1 d=3 {fields} " + body)
+    assert main(["reconstruct", "--input", str(path), "--target", target]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad header fields: ")
+    assert err.count("\n") == 1

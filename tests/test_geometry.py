@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adskg.errors import (BfViolation, BoundaryProximity, EvenDimension,
-                          WindowError)
+from adskg.errors import (BfViolation, BoundaryProximity, DomainError,
+                          EvenDimension, WindowError)
 from adskg.geometry import (Boost0, BoostD1, Rotation, TimeTranslation,
                             boost_rho_coefficient,
                             bracket_rhs, flat_labels, flat_rescale,
@@ -36,6 +36,15 @@ def test_make_params_bf_violation():
 def test_make_params_even_dimension():
     with pytest.raises(EvenDimension):
         make_params(4, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("R,m_sq", [(0.0, 0.0), (-0.0, 0.0), (-1.0, 0.0),
+                                    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                                    (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+                                    (1e200, 1.0)])  # m^2 R^2 overflows
+def test_make_params_rejects_bad_radius_and_non_finite_mass(R, m_sq):
+    with pytest.raises(DomainError):
+        make_params(3, R, m_sq)
 
 
 def test_weight_product_identity():

@@ -18,7 +18,7 @@ from adskg.modes import (RadialKind, SliceLabel, TubeLabel, hyper_params,
                          jacobi_radial, jacobi_radial_fd, magic_frequency,
                          mode_eval, norm_constant, radial_eval,
                          radial_eval_fd, transfer_matrix, wronskian)
-from adskg.specfun import DEFAULT_POLICY, SeriesPolicy
+from adskg.specfun import SeriesPolicy, hyp2f1
 
 ALL_KINDS = (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb)
 
@@ -114,15 +114,16 @@ def test_radial_ca_boundary_decay(params_m0):
 
 def test_radial_switch_continuity(params_m0):
     # both evaluation paths agree at the same point just past the cutoff:
-    # a relaxed policy forces the direct series where the default policy
-    # routes through the transfer matrix
-    from adskg.specfun import SeriesPolicy
+    # the direct series, summed under a relaxed policy, against radial_eval,
+    # which routes through the transfer matrix there
     relaxed = SeriesPolicy(arg_cutoff=0.8)
     for kind in ALL_KINDS:
-        cut_rho = math.asin(math.sqrt(0.77)) if kind in (RadialKind.Sa, RadialKind.Sb) \
-            else math.acos(math.sqrt(0.77))
+        on_sin = kind in (RadialKind.Sa, RadialKind.Sb)
+        cut_rho = math.asin(math.sqrt(0.77)) if on_sin else math.acos(math.sqrt(0.77))
         via_transfer = radial_eval(kind, 2.3, 1, cut_rho, params_m0)
-        direct = radial_eval(kind, 2.3, 1, cut_rho, params_m0, relaxed)
+        u = (math.sin(cut_rho) if on_sin else math.cos(cut_rho)) ** 2
+        pre, _ = modes._prefactor_fd(kind, 1, cut_rho, params_m0)
+        direct = pre * hyp2f1(*hyper_params(kind, 2.3, 1, params_m0), u, relaxed)
         assert abs(via_transfer - direct) < 1e-10 * max(1.0, abs(direct))
 
 
@@ -445,7 +446,7 @@ def test_radial_memo_hit_is_bit_identical_to_fresh_call(kind, points):
     again = radial_eval_fd(kind, omega.copy(), l.copy(), rho.copy(), p)
     assert _misses_and_hits() == (before[0], before[1] + 1)
     assert again is first
-    fresh = modes._radial_eval_fd_array(kind, omega, l, rho, p, DEFAULT_POLICY)
+    fresh = modes._radial_eval_fd_array(kind, omega, l, rho, p)
     for got, want in zip(again, fresh):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -471,16 +472,15 @@ def test_radial_memo_never_stores_exceptions(params_m0):
             assert _misses_and_hits() == (before[0] + 1, before[1])
 
 
-def test_radial_memo_misses_on_kind_params_and_policy(params_m0):
+def test_radial_memo_misses_on_kind_and_params(params_m0):
     omega, l = np.linspace(-5.0, 5.0, 18), np.arange(18) % 4
-    calls = [(RadialKind.Sa, params_m0, DEFAULT_POLICY),
-             (RadialKind.Sb, params_m0, DEFAULT_POLICY),
-             (RadialKind.Sa, make_params(3, 1.0, -2.0), DEFAULT_POLICY),
-             (RadialKind.Sa, params_m0, SeriesPolicy(arg_cutoff=0.7))]
+    calls = [(RadialKind.Sa, params_m0),
+             (RadialKind.Sb, params_m0),
+             (RadialKind.Sa, make_params(3, 1.0, -2.0))]
     results = []
-    for kind, params, policy in calls:
+    for kind, params in calls:
         before = _misses_and_hits()
-        results.append(radial_eval_fd(kind, omega, l, 1.1, params, policy))
+        results.append(radial_eval_fd(kind, omega, l, 1.1, params))
         assert _misses_and_hits() == (before[0] + 1, before[1])
     assert len({id(out) for out in results}) == len(calls)
 

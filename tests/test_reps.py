@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adskg.errors import SerializationError
+from adskg.errors import DomainError, SerializationError
 from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep, load_rep,
                               save_rep, slice_to_tube)
 from adskg.geometry import BoostD1, make_params
@@ -175,7 +175,7 @@ def _loop_load_rep(text):
     try:
         params = make_params(int(meta["d"]), float(meta["R"]), float(meta["msq"]))
         d_omega = float(meta["domega"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, DomainError) as exc:
         raise SerializationError(f"bad header fields: {exc}") from exc
     coeffs, bases = {}, set()
     for ln in lines[1:]:
@@ -295,6 +295,9 @@ def _file(*lines, domega=0.5):
     _file("slice 0 1 0 1.0 0.0 0.0 0.0", "slice -1 0 0 1.0 0.0 0.0 0.0", domega=0.0),
     _file("rod 1 1 0 1.0 0.0 0.0 0.0", "rod 2 1 5 1.0 0.0 0.0 0.0", domega="nan"),
     _file("", "  ", "\t"),                                              # no labels
+    *(_file(_GOOD[0]).replace("R=1.0 msq=0.0", fields)   # bad R or m^2 R^2
+      for fields in ("R=0.0 msq=0.0", "R=-1.0 msq=0.0", "R=nan msq=0.0", "R=inf msq=0.0",
+                     "R=1.0 msq=nan", "R=1.0 msq=-inf", "R=1e200 msq=1.0")),
 ])
 def test_load_rep_faults_match_the_line_loop(text):
     with pytest.raises(SerializationError) as want:
