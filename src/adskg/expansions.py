@@ -92,7 +92,8 @@ class _Coeffs(dict):
     `mask` of the labels held (every entry if None), trimmed to the rows and
     l_max holding one.  As a dict it is the view {(j, l, m): channel values}
     in sorted label order (a tuple per label with two channels).  `blocks`
-    is its block plan, formed on first use and not pickled."""
+    is its block plan and `groups` its channels by plan, formed on first use
+    and not pickled."""
 
     def __init__(self, js, array, mask=None):
         mask = np.ones(array.shape[1:], dtype=bool) if mask is None else mask
@@ -118,6 +119,16 @@ class _Coeffs(dict):
             self._plan[channel] = _blocks(
                 self.mask if channel is None else self.array[channel])
         return self._plan[channel]
+
+    def groups(self):
+        """[(channels, blocks)]: all channels on one plan when their block
+        plans are equal, else each channel on its own."""
+        if "groups" not in self._plan:
+            plans = [self.blocks(ch) for ch in range(len(self.array))]
+            same = all(np.array_equal(x, y) for plan in plans for x, y in zip(plan, plans[0]))
+            self._plan["groups"] = [(tuple(range(len(plans))), plans[0])] if same \
+                else [((ch,), plan) for ch, plan in enumerate(plans)]
+        return self._plan["groups"]
 
     @classmethod
     def of(cls, coeffs, channels: int, j_min: float) -> "_Coeffs":
@@ -271,10 +282,12 @@ class BoundaryData:
 
 def _blocks(coef):
     """The (row, l) index arrays of the (j, l) blocks where coef (..., j, lm)
-    has a nonzero entry."""
+    has a nonzero entry, and the degree l of each packed lm."""
     ls, ms = lm_labels(lm_degree(coef.shape[-1] - 1))
     nonzero = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
-    return np.nonzero(np.logical_or.reduceat(nonzero, np.flatnonzero(ms == -ls), axis=-1))
+    rows, l_need = np.nonzero(np.logical_or.reduceat(
+        nonzero, np.flatnonzero(ms == -ls), axis=-1))
+    return rows, l_need, ls
 
 
 def _table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
@@ -282,12 +295,11 @@ def _table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
     entry (zero elsewhere), spread over lm: shape + (j, lm), of fn's dtype.
     fn is called once, on the 1-d arrays of those j and l, and returns
     shape + (blocks,).  A caller holding coef's `_blocks` passes them."""
-    l_max = lm_degree(coef.shape[-1] - 1)
-    rows, l_need = _blocks(coef) if blocks is None else blocks
+    rows, l_need, ls = _blocks(coef) if blocks is None else blocks
     vals = np.asarray(fn(np.asarray(js)[rows], l_need)) if rows.size else np.zeros(0)
-    out = np.zeros(shape + (coef.shape[-2], l_max + 1), dtype=vals.dtype)
+    out = np.zeros(shape + (coef.shape[-2], ls[-1] + 1), dtype=vals.dtype)
     out[..., rows, l_need] = vals
-    return out[..., lm_labels(l_max)[0]]
+    return out[..., ls]
 
 
 def _ylm(where, coef) -> np.ndarray:
@@ -325,17 +337,16 @@ def _time_project(samples: np.ndarray, grid: OmegaGrid) -> np.ndarray:
 def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
     """d_omega sum (a f_a + b f_b)(k, l) e^{-i omega_k t} Y_lm and the same
     sum over (g_a, g_b), at the times t and the angular points `where`, or
-    their d/dt; shape (2, t, ...).  radial(channel, omega, l) = (f, g), with
-    channel 0 for a and 1 for b, is called once per channel the rep holds
-    (a rod holds a only), on the arrays of the (k, l) of the rep's block plan
-    for that channel."""
+    their d/dt; shape (2, t, ...).  radial(channels, omega, l) is (f, g) for
+    each channel of the tuple (0 for a, 1 for b), shape (channels, 2,
+    blocks).  It is called once for all the channels the rep holds (a rod
+    holds a only) when their block plans are equal, on the arrays of the
+    (k, l) of that plan, and otherwise once per channel on its own plan, so
+    no channel is evaluated where it holds nothing."""
     c = rep.coeffs
-    fa, *fb = (_table(c.js, coef, lambda k, l, ch=ch: radial(
-        ch, k * rep.grid.d_omega, l), (2,), c.blocks(ch))
-        for ch, coef in enumerate(c.array))
-    fold = c.array[0] * fa
-    if fb:
-        fold = fold + c.array[1] * fb[0]
+    fold = (c.array[:, None] * np.concatenate([_table(
+        c.js, c.array[0], lambda k, l, chs=chs: radial(chs, k * rep.grid.d_omega, l),
+        (len(chs), 2), plan) for chs, plan in c.groups()])).sum(axis=0)
     omega = rep.grid.d_omega * np.asarray(c.js, dtype=float)
     phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))
     kern = rep.grid.d_omega * (-1j * omega * phase if dt else phase)
@@ -367,12 +378,13 @@ def _jacobi(rho: np.ndarray, params: AdsParams, drho: bool = False):
 
 
 def _s_or_c(basis: str, rho, params: AdsParams):
-    """`_tube_sum` radial function of the S or C modes at rho: (f, f')
-    (d = 3)."""
+    """`_tube_sum` radial function of the S or C modes at rho: (f, f') of
+    the channels' kinds, from one radial_eval_fd call (d = 3)."""
     require_two_sphere(params.d)
     kinds = {"S": (RadialKind.Sa, RadialKind.Sb),
              "C": (RadialKind.Ca, RadialKind.Cb)}[basis]
-    return lambda ch, om, l: radial_eval_fd(kinds[ch], om, l, rho, params)
+    return lambda chs, om, l: np.stack(radial_eval_fd(
+        tuple(kinds[ch] for ch in chs), om, l, rho, params), axis=1)
 
 
 def _synth(rep, point, params: AdsParams, deriv: str = "") -> complex:
@@ -576,8 +588,8 @@ def invert_tube(data: TubeData, params: AdsParams, l_max: int,
     p_phi, p_dphi = (data.angular.project(_time_project(x, grid), l_max)
                      for x in (data.phi, data.dphi_drho))
     full = np.ones((len(grid.indices), lm_count(l_max)))
-    (fa, da), (fb, db) = (_table(grid.indices, full, lambda k, l, ch=ch: radial(
-        ch, k * grid.d_omega, l), (2,)) for ch in (0, 1))
+    (fa, da), (fb, db) = _table(grid.indices, full, lambda k, l: radial(
+        (0, 1), k * grid.d_omega, l), (2, 2))
     d = params.d
     tan_fac = math.tan(data.rho0) ** (d - 1)
     weight = tan_fac / (2 * lm_labels(l_max)[0] + d - 2) if basis == "S" \
@@ -704,8 +716,8 @@ def boundary_data_of(rep: TubeRep, params: AdsParams,
     t_nodes = rep.grid.time_nodes()
     # (rescaled value, twisted derivative) at the boundary: C^a -> (0, L),
     # C^b -> (1, 0)
-    minus, plus = _tube_sum(rep, t_nodes, ang, lambda ch, om, l: np.array(
-        [[1.0], [0.0]] if ch else [[0.0], [lam]]))
+    minus, plus = _tube_sum(rep, t_nodes, ang, lambda chs, om, l: np.array(
+        [[[1.0], [0.0]] if ch else [[0.0], [lam]] for ch in chs]))
     return BoundaryData(rep.grid, t_nodes, ang, minus, plus)
 
 
@@ -732,9 +744,9 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
     require_two_sphere(params.d)
     ang = angular or AngularGrid()
     t_nodes = rep.grid.time_nodes()
-    def radial(ch, om, l):
+    def radial(chs, om, l):
         m12 = _transfer_entries(om, l, params, False)[1]
-        return m12, np.zeros_like(m12)
+        return np.stack([m12, np.zeros_like(m12)])[None]
 
     phi, _ = _tube_sum(rep, t_nodes, ang, radial)
     return RodData(math.pi / 2, rep.grid, t_nodes, ang, phi)

@@ -27,6 +27,11 @@ def _key(arg):
     return type(arg), arg
 
 
+def key(*args, **kwargs) -> tuple:
+    """The memo key of a call on args and kwargs."""
+    return tuple(map(_key, args)) + tuple((k, _key(v)) for k, v in kwargs.items())
+
+
 def _freeze(value) -> int:
     """Mark value's arrays read-only; the element count of its largest."""
     if isinstance(value, np.ndarray):
@@ -52,6 +57,11 @@ class Memo:
                 self.hits += 1
                 return value
             self.misses += 1
+
+    def peek(self, key):
+        """The value under key, or None, counting neither a hit nor a miss."""
+        with self._lock:
+            return self._store.get(key)
 
     def put(self, key, value):
         """value, made read-only and stored under key unless oversize."""
@@ -81,11 +91,9 @@ def memo(name: str, maxsize: int, max_elements: float = float("inf")):
 
         @functools.wraps(fn)
         def memoized(*args, **kwargs):
-            key = tuple(map(_key, args))
-            if kwargs:
-                key += tuple((k, _key(v)) for k, v in kwargs.items())
-            value = cache.get(key)
-            return cache.put(key, fn(*args, **kwargs)) if value is None else value
+            k = key(*args, **kwargs)
+            value = cache.get(k)
+            return cache.put(k, fn(*args, **kwargs)) if value is None else value
 
         memoized.memo = cache
         return memoized

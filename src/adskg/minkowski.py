@@ -131,10 +131,10 @@ def _mink_tube_sum(rep: MinkTubeRep, t, where, r: float) -> np.ndarray:
     at r: the field and its d/dr at the times t and the angular points
     `where`; the radial factors are tabulated once per (E, l)."""
     m_f = rep.m_field
-    return _tube_sum(rep, t, where, lambda ch, energy, l: _per_distinct(
+    return _tube_sum(rep, t, where, lambda chs, energy, l: _per_distinct(
         lambda e, ll: _momentum(e, m_f) / (4.0 * math.pi) * np.array(
-            [_check("JN"[ch], e, ll, r, m_f, dr) for dr in (False, True)]),
-        energy, l))
+            [[_check("JN"[ch], e, ll, r, m_f, dr) for dr in (False, True)]
+             for ch in chs]), energy, l))
 
 
 def mink_synth_tube(rep: MinkTubeRep, point) -> complex:

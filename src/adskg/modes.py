@@ -15,9 +15,14 @@ whose entries are the Gamma-function connection coefficients of 2F1 at
 z -> 1 - z.  At the magic frequencies omega+-_{nl} = 2n + l + D+- the S^a
 series terminates and coincides with the normalizable Jacobi mode J+-_{nl};
 for omega+ a denominator Gamma of m12 has its pole there, so m12 = 0.
-The radial tables of radial_eval_fd's array calls (every synthesis and
-inversion) and scalar transfer_matrix calls are memoized (`adskg.memo`);
-array tables of transfer matrices are formed afresh.
+radial_eval_fd builds the kinds of one basis together (a tube synthesis
+needs both): past the cutoff both are rows of M, or of M^-1, applied to the
+same pair of the other basis's series, so each series is summed once.  The
+radial tables of its array calls (every synthesis and inversion) are
+memoized per kind, with the other basis's tables where a build summed them
+at every point (a later build past the cutoff reads them in place of the
+series), and so are scalar transfer_matrix calls (`adskg.memo`); array
+tables of transfer matrices are formed afresh.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .errors import (CapabilityError, DomainError, ExceptionalBranch,
                      SingularPoint)
 from .geometry import AdsParams
 from .harmonics import require_two_sphere, sph_harm
-from .memo import memo
+from .memo import Memo, key, memo
 from .specfun import (DEFAULT_POLICY, hyp2f1, hyp2f1_dx, hyp2f1_terminates,
                       jacobi_p, jacobi_p_dx, log_gamma)
 
@@ -221,19 +226,25 @@ def _per_distinct(fn, *columns) -> np.ndarray:
     return np.moveaxis(np.array([table[key] for key in keys]), 0, -1)
 
 
-def _radial_direct_array(kinds, omega, l, rho, params: AdsParams):
-    """_radial_direct for each radial kind in `kinds` over equal-shape 1-d
-    arrays: (f, f'), each of shape (kinds, n).  sin, cos and the prefactors
-    come once per distinct (l, rho); one hyp2f1 array call sums every
-    kind's series and, where a b != 0, the series 2F1(a+1, b+1; c+1) of its
-    x-derivative (a b / c) 2F1(a+1, b+1; c+1), as hyp2f1_dx forms it."""
-    table = _per_distinct(lambda ll, r: sum(
-        (_prefactor_fd(kind, ll, r, params) for kind in kinds),
-        (math.sin(r), math.cos(r))), l, rho)
-    s, cs, pre, dpre = table[0], table[1], table[2::2], table[3::2]
-    a, b, c = np.stack([np.broadcast_arrays(*hyper_params(kind, omega, l, params))
-                        for kind in kinds], axis=1)
-    on_sin = np.array([[kind in (RadialKind.Sa, RadialKind.Sb)] for kind in kinds])
+# a kind's code in the array path is its index here: S kinds 0 and 1, C
+# kinds 2 and 3, the a kind of each basis even
+_KINDS = tuple(RadialKind)
+
+
+def _radial_direct_array(codes, omega, l, rho, params: AdsParams):
+    """_radial_direct at each element of equal-length 1-d arrays, element i
+    of the kind _KINDS[codes[i]]: (f, f'), each of shape (n,).  sin, cos and
+    the prefactor come once per distinct (kind, l, rho); one hyp2f1 array
+    call sums every element's series and, where a b != 0, the series
+    2F1(a+1, b+1; c+1) of its x-derivative (a b / c) 2F1(a+1, b+1; c+1), as
+    hyp2f1_dx forms it."""
+    s, cs, pre, dpre = _per_distinct(lambda i, ll, r: (math.sin(r), math.cos(r)) + (
+        _prefactor_fd(_KINDS[i], ll, r, params)), codes, l, rho)
+    a, b, c = np.empty((3, codes.size))
+    for i in np.unique(codes).tolist():
+        at = codes == i
+        a[at], b[at], c[at] = hyper_params(_KINDS[i], omega[at], l[at], params)
+    on_sin = codes < 2
     u = np.where(on_sin, s * s, cs * cs)
     du = np.where(on_sin, 2.0 * s * cs, -2.0 * s * cs)
     live = (a != 0.0) & (b != 0.0)  # elsewhere the shifted series is made trivial
@@ -245,120 +256,180 @@ def _radial_direct_array(kinds, omega, l, rho, params: AdsParams):
     return pre * f_val, dpre * f_val + pre * df_val
 
 
-def _on_transfer(kind: RadialKind, omega, l, rho, params: AdsParams) -> np.ndarray:
+def _on_transfer(kinds: tuple, omega, l, rho, params: AdsParams) -> np.ndarray:
     """Which elements of the 1-d arrays radial_eval_fd takes through the
-    transfer matrix: inside (0, pi/2), past the series cutoff and with a
-    series that does not terminate (a terminating one is direct anywhere)."""
-    on_sin = kind in (RadialKind.Sa, RadialKind.Sb)
+    transfer matrix, per kind of one basis: shape (kinds, n).  Those inside
+    (0, pi/2), past the series cutoff and with a series that does not
+    terminate (a terminating one is direct anywhere)."""
+    on_sin = kinds[0] in (RadialKind.Sa, RadialKind.Sb)
     arg = _per_distinct(lambda r: (math.sin(r) if on_sin else math.cos(r)) ** 2, rho)
-    via = (arg > DEFAULT_POLICY.arg_cutoff) & (0.0 < rho) & (rho < math.pi / 2)
+    via = np.tile((arg > DEFAULT_POLICY.arg_cutoff) & (0.0 < rho) & (rho < math.pi / 2),
+                  (len(kinds), 1))
     if via.any():
-        a, b, _ = hyper_params(kind, omega, l, params)
-        for v in (a, b):
-            via &= ~((v <= 0.0) & (v == np.floor(v)))
+        for row, kind in zip(via, kinds):
+            a, b, _ = hyper_params(kind, omega, l, params)
+            for v in (a, b):
+                row &= ~((v <= 0.0) & (v == np.floor(v)))
     return via
 
 
-# below this many points the scalar loop per point is faster: an array call
-# costs several scalar series in numpy overhead
+def _check_axis(kind: RadialKind, params: AdsParams) -> None:
+    """Raise for a kind that is singular on the time axis rho = 0."""
+    if kind is RadialKind.Sb:
+        raise SingularPoint("S^b diverges on the time axis")
+    if kind in (RadialKind.Ca, RadialKind.Cb):
+        if not params.c_modes_valid:
+            raise CapabilityError("C-modes need noninteger nu")
+        raise SingularPoint("C-modes diverge on the time axis")
+
+
+# below this many series (points x kinds) the scalar loop per point is
+# faster: an array call costs several scalar series in numpy overhead
 _BLOCK_MIN = 16
 
 
-def _radial_eval_fd_array(kind: RadialKind, omega, l, rho, params: AdsParams):
-    """Array path of radial_eval_fd: the same checks and branches per
-    element, each branch one array call over its elements.  Below
-    _BLOCK_MIN points the scalar loop runs."""
+def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
+                          pair_tables=None) -> dict:
+    """Array path of radial_eval_fd for kinds of one basis: {kind: (f, f')},
+    with the same checks and branches per element as the scalar path.  One
+    _radial_direct_array call sums each series once: a kind's own where it
+    is direct and, where any kind takes the transfer matrix, the other
+    basis's pair, which each such kind combines with its row of M (S) or
+    M^-1 (C).  Where that pair was summed at every element its two tables
+    are returned too.  pair_tables, that pair's (f, f') tables at the same
+    points, stand in for its series.  Below _BLOCK_MIN series, without
+    pair_tables, the scalar path runs per point."""
     shape = np.broadcast(omega, l, rho).shape
     omega, l, rho = (np.broadcast_to(v, shape).ravel() for v in (omega, l, rho))
     if rho.size == 0:
-        return np.zeros(shape), np.zeros(shape)
-    if rho.size < _BLOCK_MIN:
-        f, df = _per_distinct(
-            lambda *v: _radial_eval_fd_scalar(kind, *v, params), omega, l, rho)
-        return f.reshape(shape), df.reshape(shape)
+        return {kind: (np.zeros(shape), np.zeros(shape)) for kind in kinds}
+    if rho.size * len(kinds) < _BLOCK_MIN and pair_tables is None:
+        return _radial_eval_fd_points(kinds, omega, l, rho, shape, params)
     if not np.all((0.0 <= rho) & (rho < math.pi / 2)):
         raise DomainError("rho must lie in [0, pi/2)")
     axis = rho == 0.0
     if axis.any():
-        if kind is RadialKind.Sb:
-            raise SingularPoint("S^b diverges on the time axis")
-        if kind in (RadialKind.Ca, RadialKind.Cb):
-            if not params.c_modes_valid:
-                raise CapabilityError("C-modes need noninteger nu")
-            raise SingularPoint("C-modes diverge on the time axis")
-    f = np.where(axis & (l == 0), 1.0, 0.0)
-    df = np.where(axis & (l == 1), 1.0, 0.0)
-    via = _on_transfer(kind, omega, l, rho, params)
+        for kind in kinds:
+            _check_axis(kind, params)
+    codes = np.array([_KINDS.index(kind) for kind in kinds])
+    pair = [2, 3] if codes[0] < 2 else [0, 1]
+    via = _on_transfer(kinds, omega, l, rho, params)
+    cross = via.any(axis=0)  # where the pair's series are summed
+    if cross.any():
+        mat = _transfer_entries(omega[cross], l[cross], params, pair[0] == 0)
+    need = np.zeros((len(_KINDS), rho.size), dtype=bool)
+    need[codes], need[pair] = ~axis & ~via, cross & (pair_tables is None)
+    series = np.zeros((2,) + need.shape)
+    if pair_tables is not None:
+        series[:, pair] = np.reshape(pair_tables, (2, 2, -1)).swapaxes(0, 1)
+    at = np.nonzero(need)
+    if at[0].size:  # else every element lies on the axis
+        series[:, need] = _radial_direct_array(at[0], omega[at[1]], l[at[1]], rho[at[1]], params)
+    out = np.zeros((2,) + via.shape)
+    out[0, :, axis & (l == 0)] = out[1, :, axis & (l == 1)] = 1.0
     direct = ~axis & ~via
-    if direct.all():
-        (f,), (df,) = _radial_direct_array((kind,), omega, l, rho, params)
-    elif direct.any():
-        (f[direct],), (df[direct],) = _radial_direct_array(
-            (kind,), omega[direct], l[direct], rho[direct], params)
-    if via.any():
-        on_sin = kind in (RadialKind.Sa, RadialKind.Sb)
-        om, ll, rr = omega[via], l[via], rho[via]
-        m11, m12, m21, m22 = _transfer_entries(om, ll, params, not on_sin)
-        pair = ((RadialKind.Ca, RadialKind.Cb) if on_sin
-                else (RadialKind.Sa, RadialKind.Sb))
-        (fa, fb), (da, db) = _radial_direct_array(pair, om, ll, rr, params)
-        if kind in (RadialKind.Sa, RadialKind.Ca):
-            f[via], df[via] = m11 * fa + m12 * fb, m11 * da + m12 * db
-        else:
-            f[via], df[via] = m21 * fa + m22 * fb, m21 * da + m22 * db
-    return f.reshape(shape), df.reshape(shape)
+    out[:, direct] = series[:, codes][:, direct]
+    if cross.any():
+        row = mat.reshape(2, 2, -1)[codes % 2]  # (kinds, 2, elements)
+        fa, fb = series[:, pair][..., cross].swapaxes(0, 1)[:, :, None]
+        out[:, via] = (row[:, 0] * fa + row[:, 1] * fb)[:, via[:, cross]]
+    if cross.all() and pair_tables is None:
+        kinds, out = kinds + _KINDS[pair[0]:pair[1] + 1], np.concatenate([out, series[:, pair]], 1)
+    return {kind: (f.reshape(shape), df.reshape(shape)) for kind, f, df in zip(kinds, *out)}
 
 
-# A sparse pointwise job uses at most 25 distinct radial tables, a dense tube job 2;
-# with 8-byte inputs, 64 x 2048 x 5 arrays (3 keys, f, f') x 8 B = 5 MiB at most.
-_radial_table = memo("radial_table", 64, 2048)(_radial_eval_fd_array)
+def _radial_eval_fd_points(kinds: tuple, omega, l, rho, shape, params: AdsParams) -> dict:
+    """_radial_eval_fd_array's result from the scalar path, called once per
+    distinct point of the 1-d arrays."""
+    points = list(zip(omega.tolist(), l.tolist(), rho.tolist()))
+    table = {p: _radial_eval_fd_scalar(kinds, *p, params) for p in dict.fromkeys(points)}
+    return {kind: tuple(np.reshape(v, shape) for v in zip(*(table[p][kind] for p in points)))
+            for kind in _KINDS if all(kind in vals for vals in table.values())}
 
 
-def radial_eval_fd(kind: RadialKind, omega, l, rho, params: AdsParams):
+def _radial_table(kinds: tuple, omega, l, rho, params: AdsParams) -> list:
+    """The (f, f') tables of radial_eval_fd's array call for each of the
+    kinds, memoized per kind on (kind, omega, l, rho, params).  Each lookup
+    counts a hit or a miss; the kinds missed are built together, from the
+    other basis's stored tables where both are held, and the tables of
+    other kinds the build also returns are stored; neither counts."""
+    cache, args = _radial_table.memo, key(omega, l, rho, params)
+    found = {kind: cache.get(key(kind) + args) for kind in kinds}
+    missing = tuple(kind for kind in kinds if found[kind] is None)
+    if missing:
+        pair = [cache.peek(key(k) + args) for k in (
+            _KINDS[2:] if _KINDS.index(missing[0]) < 2 else _KINDS[:2])]
+        for kind, table in _radial_eval_fd_array(missing, omega, l, rho, params, (
+                None if None in pair else pair)).items():
+            if found.get(kind) is None:
+                found[kind] = cache.put(key(kind) + args, table)
+    return [found[kind] for kind in kinds]
+
+
+# One entry per kind: a sparse pointwise job uses at most 25 distinct radial
+# tables, a dense tube job 4 and `verify all` 72 with its by-product tables;
+# with 8-byte inputs, 128 x 2048 x 5 arrays (3 keys, f, f') x 8 B = 10 MiB at most.
+_radial_table.memo = Memo("radial_table", 128, 2048)
+
+
+def radial_eval_fd(kind, omega, l, rho, params: AdsParams):
     """Radial function and its rho-derivative: the direct series where its
     argument is at most DEFAULT_POLICY.arg_cutoff (0.75) or it terminates,
     the transfer matrix M from the other pair's series elsewhere.
 
-    omega, l and rho may be broadcastable ndarrays: each element then takes
-    the branch the scalar call would take and its result is bit-identical
-    to the scalar call's.  Each branch is one hyp2f1 array call over the
-    series of the kinds it needs and of their x-derivatives; fewer than
-    _BLOCK_MIN points are evaluated one by one.  Array results are
-    read-only and memoized on the arguments as `np.asarray` gives them.
+    kind may be a tuple of kinds of one basis: f and f' then have a leading
+    axis over them.  omega, l and rho may be broadcastable ndarrays: each
+    element then takes the branch the scalar call would take and its result
+    is bit-identical to the scalar call's.  Each branch is one hyp2f1 array
+    call over the series of the kinds it needs and of their x-derivatives,
+    each summed once: past the cutoff the kinds share the other basis's
+    pair.  Fewer than _BLOCK_MIN series (points x kinds) are evaluated
+    point by point.  Array results are memoized per kind on the arguments
+    as `np.asarray` gives them (a single kind's are read-only).  A build
+    that summed the other basis's pair at every point stores that pair's
+    tables too, and a build that finds them stored sums no pair series, so
+    past either cutoff the S and C bases at the same points are built once.
     """
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if len({k in (RadialKind.Sa, RadialKind.Sb) for k in kinds}) != 1:
+        raise ValueError(f"radial kinds {kinds} are not of one basis")
     if any(isinstance(v, np.ndarray) for v in (omega, l, rho)):
-        return _radial_table(kind, *map(np.asarray, (omega, l, rho)), params)
-    return _radial_eval_fd_scalar(kind, omega, l, rho, params)
+        tables = _radial_table(kinds, *map(np.asarray, (omega, l, rho)), params)
+    else:
+        out = _radial_eval_fd_scalar(kinds, omega, l, rho, params)
+        tables = [out[k] for k in kinds]
+    return np.array(tables).swapaxes(0, 1) if kinds is kind else tables[0]
 
 
-def _radial_eval_fd_scalar(kind: RadialKind, omega: float, l: int, rho: float,
-                           params: AdsParams):
-    """radial_eval_fd at one point: the reference the array path reproduces."""
+def _radial_eval_fd_scalar(kinds: tuple, omega: float, l: int, rho: float,
+                           params: AdsParams) -> dict:
+    """radial_eval_fd at one point for a tuple of kinds: {kind: (f, f')},
+    the reference the array path reproduces.  Each direct series is summed
+    once; the result also holds every other kind whose series was summed
+    (the partner pair of a kind past its cutoff)."""
     if not 0.0 <= rho < math.pi / 2:
         raise DomainError("rho must lie in [0, pi/2)")
-    if kind is RadialKind.Sb and rho == 0.0:
-        raise SingularPoint("S^b diverges on the time axis")
     if rho == 0.0:
-        if kind in (RadialKind.Ca, RadialKind.Cb):
-            if not params.c_modes_valid:
-                raise CapabilityError("C-modes need noninteger nu")
-            raise SingularPoint("C-modes diverge on the time axis")
-        return (1.0, 0.0) if l == 0 else (0.0, 1.0 if l == 1 else 0.0)
-    if _direct_ok(kind, omega, l, rho, params):
-        return _radial_direct(kind, omega, l, rho, params)
-    mat = transfer_matrix(omega, l, params)
-    if kind in (RadialKind.Sa, RadialKind.Sb):
-        ca, dca = _radial_direct(RadialKind.Ca, omega, l, rho, params)
-        cb, dcb = _radial_direct(RadialKind.Cb, omega, l, rho, params)
-        if kind is RadialKind.Sa:
-            return mat.m11 * ca + mat.m12 * cb, mat.m11 * dca + mat.m12 * dcb
-        return mat.m21 * ca + mat.m22 * cb, mat.m21 * dca + mat.m22 * dcb
-    inv = mat.inverse()
-    sa, dsa = _radial_direct(RadialKind.Sa, omega, l, rho, params)
-    sb, dsb = _radial_direct(RadialKind.Sb, omega, l, rho, params)
-    if kind is RadialKind.Ca:
-        return inv.m11 * sa + inv.m12 * sb, inv.m11 * dsa + inv.m12 * dsb
-    return inv.m21 * sa + inv.m22 * sb, inv.m21 * dsa + inv.m22 * dsb
+        for kind in kinds:
+            _check_axis(kind, params)
+        return dict.fromkeys(kinds, (1.0, 0.0) if l == 0 else (0.0, 1.0 if l == 1 else 0.0))
+    out = {kind: _radial_direct(kind, omega, l, rho, params)
+           for kind in kinds if _direct_ok(kind, omega, l, rho, params)}
+    on_sin = kinds[0] in (RadialKind.Sa, RadialKind.Sb)
+    for kind in kinds:
+        if kind in out:
+            continue
+        mat, pair = transfer_matrix(omega, l, params), _KINDS[2:] if on_sin else _KINDS[:2]
+        if not on_sin:
+            mat = mat.inverse()
+        for p in pair:
+            if p not in out:
+                out[p] = _radial_direct(p, omega, l, rho, params)
+        m1, m2 = (mat.m11, mat.m12) if kind in (RadialKind.Sa, RadialKind.Ca) \
+            else (mat.m21, mat.m22)
+        (fa, da), (fb, db) = out[pair[0]], out[pair[1]]
+        out[kind] = m1 * fa + m2 * fb, m1 * da + m2 * db
+    return out
 
 
 def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams):

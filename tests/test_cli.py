@@ -224,7 +224,7 @@ def test_verify_json_reports_cache_counters(capsys):
     assert main(["verify", "modes", "--json"]) == 0
     caches = json.loads(capsys.readouterr().out)["caches"]
     assert caches == counters("radial_table", "transfer_matrix")
-    assert caches["radial_table"]["maxsize"] == 64
+    assert caches["radial_table"]["maxsize"] == 128
     assert caches["transfer_matrix"]["maxsize"] == 1024
     for counts in caches.values():
         assert set(counts) == {"hits", "misses", "size", "maxsize"}

@@ -25,7 +25,7 @@ from adskg.harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labe
                              lm_mirror, sph_harm, ylm_point)
 from adskg.memo import counters
 from adskg.modes import (RadialKind, SliceLabel, TubeLabel, magic_frequency,
-                         mode_eval, radial_eval, transfer_matrix)
+                         mode_eval, radial_eval, radial_eval_fd, transfer_matrix)
 from adskg.specfun import DEFAULT_POLICY
 from adskg.symplectic import omega_slice_momentum, omega_tube_momentum
 
@@ -810,10 +810,11 @@ def _oracle_synth(rep, point, params, deriv=""):
         return complex(out[int(deriv == "t"), 0])
     if isinstance(rep, RodRep):
         rep = rep.as_tube()
-    radial = xp._s_or_c(rep.basis, rho, params)
+    kinds = {"S": (RadialKind.Sa, RadialKind.Sb), "C": (RadialKind.Ca, RadialKind.Cb)}
     js, coef = rep.coeffs.js, rep.coeffs.array
-    fa, fb = (_oracle_table(js, c, lambda k, l, ch=ch: radial(
-        ch, k * rep.grid.d_omega, l), (2,)) for ch, c in enumerate(coef))
+    fa, fb = (_oracle_table(js, c, lambda k, l, kind=kind: xp._per_distinct(
+        lambda om, ll: radial_eval_fd(kind, om, ll, rho, params), k * rep.grid.d_omega, l),
+        (2,)) for kind, c in zip(kinds[rep.basis], coef))
     fold = coef[0] * fa + coef[1] * fb
     omega = rep.grid.d_omega * np.asarray(js, dtype=float)
     phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))

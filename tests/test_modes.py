@@ -446,7 +446,7 @@ def test_radial_memo_hit_is_bit_identical_to_fresh_call(kind, points):
     again = radial_eval_fd(kind, omega.copy(), l.copy(), rho.copy(), p)
     assert _misses_and_hits() == (before[0], before[1] + 1)
     assert again is first
-    fresh = modes._radial_eval_fd_array(kind, omega, l, rho, p)
+    fresh = modes._radial_eval_fd_array((kind,), omega, l, rho, p)[kind]
     for got, want in zip(again, fresh):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -487,7 +487,7 @@ def test_radial_memo_misses_on_kind_and_params(params_m0):
 
 def test_radial_memo_is_bounded_and_skips_oversize_tables(params_m0):
     memo = modes._radial_table.memo
-    assert (memo.maxsize, memo.max_elements) == (64, 2048)
+    assert (memo.maxsize, memo.max_elements) == (128, 2048)
     for i in range(memo.maxsize + 10):
         radial_eval_fd(RadialKind.Sa, 1.0 + 0.01 * i, np.arange(3), 0.5, params_m0)
         assert memo.counts()["size"] <= memo.maxsize
@@ -514,6 +514,100 @@ def test_pointwise_synth_builds_each_table_once(params_m0):
         fn(rep, point, params_m0)
     synth(rod, point, params_m0)
     assert _misses_and_hits() == (2, 5)  # S^a and S^b, each built once
+
+
+# the kinds of a basis, alone or together; rho = 0 (the axis) is drawn for S^a alone
+_KIND_TUPLES = st.sampled_from([(RadialKind.Sa, RadialKind.Sb), (RadialKind.Sb, RadialKind.Sa),
+                                (RadialKind.Ca, RadialKind.Cb), (RadialKind.Sa,),
+                                (RadialKind.Cb,)])
+# a magic frequency omega+_{nl} (n drawn, l the point's), where S^a and C^a terminate
+_OMEGA = st.one_of(st.floats(-9.0, 9.0), st.integers(0, 3).map(lambda n: ("magic", n)))
+
+
+@given(kinds=_KIND_TUPLES, msq=st.sampled_from([0.0, -2.2]),
+       points=st.lists(st.tuples(_OMEGA, st.integers(0, 5), _MEMO_RHO | st.just(0.0)),
+                       min_size=1, max_size=24))
+@settings(max_examples=80, deadline=None)
+def test_radial_kinds_together_equal_the_per_kind_scalar_calls(kinds, msq, points):
+    # 1-48 series, on both sides of _BLOCK_MIN; terminating series past the
+    # cutoff make the kinds of one point take different routes
+    p = make_params(3, 1.0, msq)
+    omega = np.array([magic_frequency("plus", om[1], l, p) if isinstance(om, tuple) else om
+                      for om, l, _ in points])
+    l, rho = (np.array(col) for col in list(zip(*points))[1:])
+    if kinds != (RadialKind.Sa,):
+        rho[rho == 0.0] = 0.2
+
+    def scalar(kind):
+        return np.array([modes._radial_eval_fd_scalar((kind,), float(o), int(ll), float(r), p)[kind]
+                         for o, ll, r in zip(omega, l, rho)]).T
+
+    built = modes._radial_eval_fd_array(kinds, omega, l, rho, p)
+    assert set(kinds) <= set(built)
+    for kind, table in built.items():  # by-product tables included
+        assert np.array(table).tobytes() == scalar(kind).tobytes()
+    f, df = radial_eval_fd(kinds, omega, l, rho, p)
+    assert f.shape == df.shape == (len(kinds), len(points))
+    assert np.stack([f, df], axis=1).tobytes() == np.array([scalar(k) for k in kinds]).tobytes()
+    at_one = radial_eval_fd(kinds, float(omega[0]), int(l[0]), float(rho[0]), p)
+    assert np.array(at_one).tobytes() == np.array([scalar(k)[:, 0] for k in kinds]).T.tobytes()
+    other = RadialKind.Cb if kinds[0] in (RadialKind.Sa, RadialKind.Sb) else RadialKind.Sa
+    with pytest.raises(ValueError, match="one basis"):
+        radial_eval_fd(kinds + (other,), omega, l, rho, p)
+
+
+@pytest.mark.parametrize("n", [3, 12])  # 6 and 24 series: point by point and as arrays
+def test_kinds_together_sum_the_shared_pair_once(params_m0, monkeypatch, n):
+    # past the S cutoff S^a and S^b are both rows of M applied to the
+    # C^a, C^b series: a joint build sums each of those once per point
+    summed = []
+    monkeypatch.setattr(modes, "_radial_direct", lambda kind, *args, fn=modes._radial_direct: (
+        summed.append(kind) or fn(kind, *args)))
+    monkeypatch.setattr(modes, "_radial_direct_array", lambda codes, *args,
+                        fn=modes._radial_direct_array: (
+        summed.extend(modes._KINDS[i] for i in codes.tolist()) or fn(codes, *args)))
+    omega, l = 0.91 * np.arange(n) - 4.63, np.arange(n) % 4  # no series terminates
+    built = modes._radial_eval_fd_array((RadialKind.Sa, RadialKind.Sb), omega, l,
+                                        np.full(n, 1.2), params_m0)
+    assert sorted(summed, key=str) == sorted([RadialKind.Ca, RadialKind.Cb] * n, key=str)
+    assert set(built) == set(ALL_KINDS)
+
+
+@pytest.mark.parametrize("first, rho", [("S", 1.2), ("C", 0.3), ("S", 0.3), ("C", 1.2)])
+@pytest.mark.parametrize("l_top", [1, 3])  # 4 and 12 blocks: 8 and 24 series
+def test_other_basis_at_one_point_sums_no_series(params_m0, monkeypatch, first, rho, l_top):
+    # past its cutoff a basis is built from the other basis's series: after
+    # the first basis's build, stored with the other basis's tables (S past
+    # pi/3, C below pi/6) or read from them (S below pi/6, C past pi/3), the
+    # second basis's synthesis at the same point sums no series
+    from adskg.expansions import OmegaGrid, TubeRep, c_to_s, s_to_c, synth
+    grid = OmegaGrid(0.55, (-3, 1, 4))
+    labels = [(k, l, m) for k in grid.indices for l in range(l_top + 1) for m in (-l, l)]
+    srep = TubeRep(grid, {key: (0.3 + 0.1j * i, 0.2 - 0.05 * i)
+                          for i, key in enumerate(labels)}, "S")
+    crep = s_to_c(srep, params_m0)
+    reps = [srep, crep] if first == "S" else [crep, c_to_s(crep, params_m0)]
+    modes._radial_table.memo.clear()
+    point = (0.4, rho, 1.1, 2.3)
+    synth(reps[0], point, params_m0)
+    stores = 4 if (first, rho) in (("S", 1.2), ("C", 0.3)) else 2
+    assert _misses_and_hits() == (2, 0)
+    assert modes._radial_table.memo.counts()["size"] == stores
+    sums = []
+    for name in ("_radial_direct", "_radial_direct_array"):
+        monkeypatch.setattr(modes, name, lambda *args, fn=getattr(modes, name): (
+            sums.append(args) or fn(*args)))
+    synth(reps[1], point, params_m0)
+    assert not sums
+    assert _misses_and_hits() == ((2, 2) if stores == 4 else (4, 0))
+    monkeypatch.undo()
+    rows, l_need, _ = reps[1].coeffs.blocks(0)
+    omega = reps[1].coeffs.js[rows] * grid.d_omega
+    kinds = (RadialKind.Sa, RadialKind.Sb) if reps[1].basis == "S" \
+        else (RadialKind.Ca, RadialKind.Cb)
+    stored = radial_eval_fd(kinds, omega, l_need, rho, params_m0)
+    fresh = modes._radial_eval_fd_array(kinds, omega, l_need, np.asarray(rho), params_m0)
+    assert np.array(stored).tobytes() == np.array([fresh[k] for k in kinds]).swapaxes(0, 1).tobytes()
 
 
 # --- full mode evaluation --------------------------------------------------------------

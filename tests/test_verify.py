@@ -168,14 +168,16 @@ def test_verify_all_does_not_import_scipy_integrate():
 # --- the radial-table memo --------------------------------------------------------------
 
 def test_verify_all_rerun_builds_no_radial_table():
-    # a `verify all` job uses 62 distinct radial tables against the 64 slots
-    # of the memo, so a rerun finds every one; a few more tables in any suite
-    # would make the rerun's cyclic access pattern miss them all.  The same
-    # holds for every other memo of the package.
+    # a `verify all` job builds 60 radial tables and stores 72 with the
+    # other basis's tables its transfer-route builds also give, against the
+    # 128 slots of the memo, so a rerun finds every one; the builds are kept
+    # to half the slots, since a job that outgrew them would make the
+    # rerun's cyclic access pattern miss them all.  The same holds for every
+    # other memo of the package.
     modes._radial_table.memo.clear()
     verify.run_suite("all")
     first = counters()
-    assert first["radial_table"]["misses"] <= first["radial_table"]["maxsize"]
+    assert first["radial_table"]["misses"] <= first["radial_table"]["maxsize"] // 2
     verify.run_suite("all")
     assert {name: c["misses"] for name, c in counters().items()} \
         == {name: c["misses"] for name, c in first.items()}
