@@ -50,12 +50,6 @@ class ExceptionalBranch(AdskgError):
     """Minus-branch Jacobi modes requested outside nu in (0, 1)."""
 
 
-class DegenerateBasis(AdskgError):
-    """A radial basis too close to degenerate to invert.  Nothing raises it
-    yet: the transfer matrix's determinant, (2l + d - 2) / (2 nu), is exact
-    and nonzero."""
-
-
 class BasisMismatch(AdskgError):
     """Two momentum representations use different radial bases."""
 

@@ -34,8 +34,9 @@ and C modes stays d-general.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -47,9 +48,8 @@ from .errors import (BandLimitExceeded, BasisMismatch, CapabilityError,
 from .geometry import AdsParams, make_params, radial_measure
 from .harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labels,
                         lm_mirror, require_two_sphere, ylm_point)
-from .modes import (RadialKind, _per_distinct, _transfer_entries, hyper_params,
-                    jacobi_radial_fd, magic_frequency, norm_constant,
-                    radial_eval_fd)
+from .modes import (RadialKind, _transfer_entries, hyper_params, jacobi_radial_fd,
+                    magic_frequency, norm_constant, radial_eval_fd)
 from .specfun import DEFAULT_POLICY, double_pochhammer
 
 _GRID_TOL = 1e-9        # magic frequency off its grid point (slice_to_tube)
@@ -86,14 +86,14 @@ class OmegaGrid:
         return self.window * np.arange(n_t) / n_t
 
 
-class _Coeffs(dict):
+class _Coeffs(Mapping):
     """A rep's stored coefficients, read-only: the sorted first labels `js`,
     the dense (channel, j, lm) array (zero off the labels) and the (j, lm)
     `mask` of the labels held (every entry if None), trimmed to the rows and
-    l_max holding one.  As a dict it is the view {(j, l, m): channel values}
-    in sorted label order (a tuple per label with two channels).  `blocks`
-    is its block plan and `groups` its channels by plan, formed on first use
-    and not pickled."""
+    l_max holding one.  As a mapping it is the view {(j, l, m): channel
+    values} in sorted label order (a tuple per label with two channels) and
+    of the mask's length.  The view, `blocks` (its block plan) and `groups`
+    (its channels by plan) are formed on first use and not pickled."""
 
     def __init__(self, js, array, mask=None):
         mask = np.ones(array.shape[1:], dtype=bool) if mask is None else mask
@@ -105,11 +105,23 @@ class _Coeffs(dict):
         self.array, self.mask = array[:, rows, :cols], mask[rows, :cols]
         for held in (self.js, self.array, self.mask):
             held.flags.writeable = False
+        self._plan = {}
+
+    @cached_property
+    def _view(self) -> dict:
         j, lm, vals = self.entries()
         ls, ms = lm_labels(self.l_max)
         vals = vals[0].tolist() if len(vals) == 1 else zip(*vals.tolist())
-        super().__init__(zip(zip(j.tolist(), ls[lm].tolist(), ms[lm].tolist()), vals))
-        self._plan = {}
+        return dict(zip(zip(j.tolist(), ls[lm].tolist(), ms[lm].tolist()), vals))
+
+    def __getitem__(self, label):
+        return self._view[label]
+
+    def __iter__(self):
+        return iter(self._view)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.mask))
 
     def blocks(self, channel: int | None = None):
         """The (row, l) index arrays of the (j, l) blocks where `channel`
@@ -151,8 +163,8 @@ class _Coeffs(dict):
     def _read_only(self, *args, **kwargs):
         raise TypeError("rep coefficients are read-only")
 
-    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = \
-        __ior__ = _read_only
+    # dict's mutators; item assignment and deletion already raise on a Mapping
+    clear = pop = popitem = setdefault = update = _read_only
 
     def __reduce__(self):
         return type(self), (self.js, self.array, self.mask)
@@ -370,11 +382,10 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial) -> np.ndarray:
 
 def _jacobi(rho: np.ndarray, params: AdsParams, drho: bool = False):
     """The frequency and radial functions of `_slice_sum` for the Jacobi
-    modes: w+_{nl} and J^+_{nl} at the radii rho, or its d/drho (d = 3)."""
+    modes: w+_{nl} and J^+_{nl} at the 1-d radii rho, or its d/drho (d = 3)."""
     require_two_sphere(params.d)
     return (lambda n, l: magic_frequency("plus", n, l, params),
-            partial(_per_distinct, lambda n, l: jacobi_radial_fd(
-                "plus", n, l, rho, params)[int(drho)]))
+            lambda n, l: jacobi_radial_fd("plus", n, l, rho[..., None], params)[int(drho)])
 
 
 def _s_or_c(basis: str, rho, params: AdsParams):
@@ -557,8 +568,7 @@ def invert_slice(data: SliceData, params: AdsParams,
     proj = ang.project(np.stack([data.phi, data.dphi_dt]), l_max)
     p_phi, p_dphi = np.einsum("s,sji,csi->cji", data.rho_weights, kern, proj)
     omega = _table(ns, full, frequency)
-    nrm = _table(ns, full, partial(_per_distinct,
-                                   lambda n, l: norm_constant("plus", n, l, params)))
+    nrm = _table(ns, full, lambda n, l: norm_constant("plus", n, l, params))
     f_c = np.exp(1j * omega * data.t0) / (2.0 * nrm)
     d_c = 1j * np.exp(1j * omega * data.t0) / (2.0 * omega * nrm)
     mirror = lm_mirror(l_max)

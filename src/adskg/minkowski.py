@@ -171,7 +171,7 @@ def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,
                                angular: AngularGrid | None = None) -> complex:
     """(r0^2/2) int dt dOmega (eta d_r zeta - zeta d_r eta) over one window."""
     ang = angular or AngularGrid(16, 32)
-    span = max(abs(k) for k, _, _ in eta.coeffs.keys() | zeta.coeffs.keys())
+    span = np.max(np.abs(np.r_[eta.coeffs.js, zeta.coeffs.js]), initial=0)
     t_nodes = eta.grid.time_nodes(2 * span + 1)
     (fe, dfe), (fz, dfz) = (_mink_tube_sum(rep, t_nodes, ang, r0)
                             for rep in (eta, zeta))

@@ -28,6 +28,7 @@ tables of transfer matrices are formed afresh.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -41,7 +42,7 @@ from .geometry import AdsParams
 from .harmonics import require_two_sphere, sph_harm
 from .memo import Memo, key, memo
 from .specfun import (DEFAULT_POLICY, hyp2f1, hyp2f1_dx, hyp2f1_terminates,
-                      jacobi_p, jacobi_p_dx, log_gamma)
+                      jacobi_p, jacobi_p_dx)
 
 
 class RadialKind(Enum):
@@ -168,7 +169,7 @@ def _weighted_wronskian(fa, da, fb, db, rho: float, d: int) -> float:
     return math.tan(rho) ** (d - 1) * (fa * db - fb * da)
 
 
-# `verify all` asks for 46 distinct scalar keys; 1024 hold many jobs' worth
+# `verify all` asks for 22 distinct scalar keys; 1024 hold many jobs' worth
 @memo("transfer_matrix", 1024)
 def transfer_matrix(omega: float, l: int, params: AdsParams) -> TransferMatrix:
     """Transfer matrix M with (S^a, S^b) = M (C^a, C^b) at fixed (omega, l):
@@ -437,76 +438,86 @@ def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams):
     return radial_eval_fd(kind, omega, l, rho, params)[0]
 
 
-def _jacobi_norm_prefactor(n: int, l: int, params: AdsParams) -> float:
-    """n! / (l + d/2)_n, via log-gammas for large n."""
-    ga = l + params.d / 2.0
-    return math.exp(log_gamma(n + 1.0) + log_gamma(ga) - log_gamma(n + ga))
-
-
 def _pow(x: np.ndarray, p) -> np.ndarray:
     """x ** p per element through Python's float pow, the scalar path's bits."""
     out = np.fromiter(map(pow, x.ravel().tolist(), repeat(p)), float, x.size)
     return out.reshape(x.shape)
 
 
-def jacobi_radial(branch: str, n: int, l: int, rho, params: AdsParams):
-    """Jacobi radial mode J+-_{nl}(rho) =
-    (n!/(l+d/2)_n) sin^l cos^{D+-} P_n^{(l+d/2-1, +-nu)}(cos 2 rho).
-
-    Accepts scalar or ndarray rho (scalar in, scalar out); bit for bit
-    `jacobi_radial_fd(...)[0]`, without forming dJ/drho.
-    """
-    return _jacobi_radial(branch, n, l, rho, params, False)[0][()]
+def _int_powers(power, x, k) -> np.ndarray:
+    """power(x, e) for the integers e >= 0 of k, broadcast against x: one
+    power(x, float(e)) over the whole of x per e up to max(k), so each
+    element has the bits of a call on x with a scalar exponent."""
+    table = np.array([power(x, float(e)) for e in range(np.max(k, initial=0) + 1)])
+    return table.reshape(len(table), -1)[k, np.arange(np.size(x)).reshape(np.shape(x))]
 
 
-def jacobi_radial_fd(branch: str, n: int, l: int, rho, params: AdsParams):
-    """(J, dJ/drho), vectorized over rho.  The powers in the prefactor of J
-    are taken per point with Python's pow (np.power on arrays can differ
-    from scalar ** in the last bit), so J at a point does not depend on the
-    array it sits in."""
-    return _jacobi_radial(branch, n, l, rho, params, True)
-
-
-def _jacobi_radial(branch: str, n: int, l: int, rho, params: AdsParams, drho: bool):
-    """(J, dJ/drho) of jacobi_radial_fd, with None for dJ/drho unless drho."""
+def _jacobi_labels(branch: str, n, l, params: AdsParams):
+    """(n, l, nu, pref, norm) of J+-_{nl}: n and l broadcast, as integer
+    arrays, nu signed by the branch, and n!/(g)_n and N+-_{nl} (g = l + d/2)
+    at each label, each one sum of libm's log-Gammas exponentiated on Python
+    numbers.  ExceptionalBranch for the minus branch outside nu in (0, 1),
+    DomainError naming the first (n, l) that is not two integers >= 0."""
     if branch == "minus" and not params.exceptional_range:
         raise ExceptionalBranch(
             f"minus branch requires nu in (0,1); nu = {params.nu}")
     nu = params.nu if branch == "plus" else -params.nu
+    n, l = np.broadcast_arrays(n, l)
+    terms = []
+    for nn, ll in zip(n.ravel().tolist(), l.ravel().tolist()):
+        if not (nn >= 0 and ll >= 0 and float(nn).is_integer() and float(ll).is_integer()):
+            raise DomainError(f"Jacobi modes need integers n >= 0 and l >= 0, got "
+                              f"(n, l) = ({nn}, {ll})")
+        ga = ll + params.d / 2.0
+        lg_n, lg_g, lg_ng = math.lgamma(nn + 1.0), math.lgamma(ga), math.lgamma(nn + ga)
+        terms.append((math.exp(lg_n + lg_g - lg_ng), math.exp(
+            lg_n + 2.0 * lg_g + math.lgamma(nn + nu + 1.0) - lg_ng - math.lgamma(nn + nu + ga))
+            / (2.0 * magic_frequency(branch, nn, ll, params))))
+    pref, norm = np.array(terms).T.reshape((2,) + n.shape)
+    return n.astype(int), l.astype(int), nu, pref, norm
+
+
+def jacobi_radial(branch: str, n, l, rho, params: AdsParams):
+    """Jacobi radial mode J+-_{nl}(rho) = (n!/(l+d/2)_n) sin^l cos^{D+-}
+    P_n^{(l+d/2-1, +-nu)}(cos 2 rho), n, l and rho broadcast (scalars in,
+    scalar out): bit for bit `jacobi_radial_fd(...)[0]`, without dJ/drho."""
+    return _jacobi_radial(branch, n, l, rho, params, False)[0][()]
+
+
+def jacobi_radial_fd(branch: str, n, l, rho, params: AdsParams):
+    """(J, dJ/drho) over broadcast n, l and rho; n and l integers >= 0
+    (DomainError), an integer-valued float taken as its integer.  Each
+    element is bit for bit the call at its scalar (n, l) on the same rho,
+    and J at a point does not depend on the array it sits in: its powers
+    are Python's pow (np.power on arrays can differ in the last bit)."""
+    return _jacobi_radial(branch, n, l, rho, params, True)
+
+
+def _jacobi_radial(branch: str, n, l, rho, params: AdsParams, drho: bool):
+    """(J, dJ/drho) of jacobi_radial_fd, with None for dJ/drho unless drho;
+    sin, cos and cos 2 rho are taken on rho as given."""
+    n, l, nu, pref, _ = _jacobi_labels(branch, n, l, params)
     ex = params.delta_plus if branch == "plus" else params.delta_minus
     ga = l + params.d / 2.0
-    pref = _jacobi_norm_prefactor(n, l, params)
     rho = np.asarray(rho, dtype=float)
-    s, c = np.sin(rho), np.cos(rho)
-    head = pref * _pow(s, l) * _pow(c, ex)
-    x = np.cos(2.0 * rho)
+    s, c, x = np.sin(rho), np.cos(rho), np.cos(2.0 * rho)
+    head = pref * _int_powers(_pow, s, l) * _pow(c, ex)
     pval = jacobi_p(ga - 1.0, nu, n, x)
     if not drho:
         return head * pval, None
     dval = jacobi_p_dx(ga - 1.0, nu, n, x) * (-2.0 * np.sin(2.0 * rho))
-    if l == 0:
-        pre = c ** ex
-        dpre = -ex * s * c ** (ex - 1.0)
-    else:
-        pre = s ** l * c ** ex
-        dpre = l * s ** (l - 1.0) * c ** (ex + 1.0) - ex * s ** (l + 1.0) * c ** (ex - 1.0)
-    return head * pval, pref * (dpre * pval + pre * dval)
+    sp = lambda k: _int_powers(operator.pow, s, k)  # numpy's s ** e over rho, per e
+    dpre = np.where(l == 0, -ex * s * c ** (ex - 1.0), l * sp(np.maximum(l - 1, 0))
+                    * c ** (ex + 1.0) - ex * sp(l + 1) * c ** (ex - 1.0))
+    return head * pval, pref * (dpre * pval + sp(l) * c ** ex * dval)
 
 
-def norm_constant(branch: str, n: int, l: int, params: AdsParams) -> float:
+def norm_constant(branch: str, n, l, params: AdsParams):
     """Equal-time norm N+-_{nl} = int_0^{pi/2} tan^{d-1} (J+-_{nl})^2 drho
-    in closed form:
+    in closed form, n and l broadcast and checked as in jacobi_radial_fd:
     n! G(g)^2 G(n+-nu+1) / (2 w+-_{nl} G(n+g) G(n+-nu+g)), g = l + d/2.
     """
-    if branch == "minus" and not params.exceptional_range:
-        raise ExceptionalBranch(
-            f"minus branch requires nu in (0,1); nu = {params.nu}")
-    nu = params.nu if branch == "plus" else -params.nu
-    ga = l + params.d / 2.0
-    om = magic_frequency(branch, n, l, params)
-    return math.exp(log_gamma(n + 1.0) + 2.0 * log_gamma(ga)
-                    + log_gamma(n + nu + 1.0) - log_gamma(n + ga)
-                    - log_gamma(n + nu + ga)) / (2.0 * om)
+    return _jacobi_labels(branch, n, l, params)[-1][()]
 
 
 def wronskian(kind_a: RadialKind, kind_b: RadialKind, omega: float, l: int,

@@ -52,16 +52,9 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-def log_gamma(x: float) -> float:
-    """log |Gamma(x)| for x > 0; used where Gamma itself would overflow."""
-    if x <= 0.0:
-        raise DomainError("log_gamma requires x > 0")
-    return math.lgamma(x)
-
-
 def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
-    if k < 0:
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1; broadcasts."""
+    if np.any(k < 0):
         raise DomainError("pochhammer requires k >= 0")
     return poch(a, k)
 
@@ -238,19 +231,22 @@ def _defined(val, name: str):
     return val
 
 
-def jacobi_p(alpha: float, beta: float, n: int, x):
-    """Jacobi polynomial P_n^(alpha, beta)(x), x a float or ndarray (scipy's
-    eval_jacobi at an integer n, which takes its recurrence, not its 2F1)."""
-    if n < 0 or n != int(n):
+def jacobi_p(alpha, beta, n, x):
+    """Jacobi polynomial P_n^(alpha, beta)(x), all four broadcast: scipy's
+    eval_jacobi at integer n (an integer-valued float taken as its integer),
+    which recurses rather than summing its 2F1; DomainError unless n >= 0."""
+    n = np.asarray(n)
+    if not np.all((n >= 0) & (n < np.inf) & (n == np.floor(n))):
         raise DomainError("jacobi_p requires an integer n >= 0")
-    return _defined(eval_jacobi(int(n), alpha, beta, x), "jacobi_p")
+    return _defined(eval_jacobi(n.astype(int), alpha, beta, x), "jacobi_p")
 
 
-def jacobi_p_dx(alpha: float, beta: float, n: int, x):
-    """Derivative of the Jacobi polynomial in x."""
-    if n == 0:
-        return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-    return 0.5 * (n + alpha + beta + 1.0) * jacobi_p(alpha + 1.0, beta + 1.0, n - 1, x)
+def jacobi_p_dx(alpha, beta, n, x):
+    """Derivative of the Jacobi polynomial in x, (n + alpha + beta + 1)/2
+    P_{n-1}^(alpha+1, beta+1)(x), and 0 at n = 0; broadcasts as jacobi_p."""
+    n = np.asarray(n)
+    return np.where(n == 0, 0.0, 0.5 * (n + alpha + beta + 1.0) * jacobi_p(
+        alpha + 1.0, beta + 1.0, np.where(n == 0, 0, n - 1), x))[()]
 
 
 def gegenbauer_c(lam: float, n: int, x):

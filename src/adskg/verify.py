@@ -72,17 +72,12 @@ def suite_specfun():
     # acceptance 1: Jacobi vs hypergeometric representation on 50 samples;
     # the sample grid keeps the 2F1 argument below ~0.65 so the comparison
     # probes the identity rather than terminating-sum cancellation
-    errs = []
-    for _ in range(50):
-        alpha = rng.uniform(-0.9, 3.0)
-        beta = rng.uniform(-0.9, 3.0)
-        n = int(rng.integers(0, 8))
-        x = rng.uniform(-0.3, 1.0)
-        direct = sf.jacobi_p(alpha, beta, n, x)
-        hyp = (sf.pochhammer(alpha + 1.0, n) / math.factorial(n)
-               * sf.hyp2f1(float(-n), n + alpha + beta + 1.0, alpha + 1.0,
-                           (1.0 - x) / 2.0))
-        errs.append(abs(direct - hyp) / max(abs(hyp), 1e-12))
+    draws = [(rng.uniform(-0.9, 3.0), rng.uniform(-0.9, 3.0), int(rng.integers(0, 8)),
+              rng.uniform(-0.3, 1.0)) for _ in range(50)]
+    alpha, beta, n, x = (np.array(col) for col in zip(*draws))
+    hyp = (sf.pochhammer(alpha + 1.0, n) / np.array([math.factorial(k) for k in n.tolist()])
+           * sf.hyp2f1(-n.astype(float), n + alpha + beta + 1.0, alpha + 1.0, (1.0 - x) / 2.0))
+    errs = np.abs(sf.jacobi_p(alpha, beta, n, x) - hyp) / np.maximum(np.abs(hyp), 1e-12)
     checks.append(_check("jacobi_vs_hypergeometric[50]", errs, 1e-11))
 
     # exact truncation: n+1 terms suffice for any argument, value matches
@@ -182,9 +177,9 @@ def _radial_kg_errors(rng) -> list:
     """Radial ODE residual of every kind, three masses (acceptance 2).  The
     ten (omega, l, n) draws of a mass come first, in the per-draw order;
     each radial kind is then one radial_eval call over the rows' stencils
-    and one kg_residual call, and the Jacobi modes one kg_residual call per
-    branch.  The residuals are listed draw by draw: S^a, S^b, C^a, C^b, J+
-    and, in the exceptional range, J-."""
+    and one kg_residual call, and each Jacobi branch one jacobi_radial call
+    and one kg_residual call.  The residuals are listed draw by draw: S^a,
+    S^b, C^a, C^b, J+ and, in the exceptional range, J-."""
     errs = []
     for p in _params_set():
         draws = [(rng.uniform(0.7, 4.5), int(rng.integers(0, 4)),
@@ -196,8 +191,8 @@ def _radial_kg_errors(rng) -> list:
                                              l[:, None, None], r, p)
             cols.append(geo.kg_residual(fn, om, l, p, (0.2, 1.2), n_points=12))
         for branch in ("plus", "minus") if p.exceptional_range else ("plus",):
-            fn = lambda r: np.stack([modes.jacobi_radial(branch, nn, ll, rr, p)
-                                     for nn, ll, rr in zip(n.tolist(), l.tolist(), r)])
+            fn = lambda r: modes.jacobi_radial(branch, n[:, None, None],
+                                               l[:, None, None], r, p)
             cols.append(geo.kg_residual(fn, modes.magic_frequency(branch, n, l, p),
                                         l, p, (0.2, 1.2), n_points=12))
         errs += np.stack(cols, axis=1).ravel().tolist()
@@ -227,26 +222,24 @@ def _wronskian_errors(rng, p) -> list:
 
 def _magic_errors(p) -> list:
     """|S^a - J+| / max(1, |J+|) at the magic frequencies, n, l <= 3, at four
-    radii (acceptance 6): S^a is one radial_eval call over (label, rho), J+
-    one jacobi_radial call per label.  Listed label by label."""
-    n, l = (v.ravel() for v in np.meshgrid(np.arange(4), np.arange(4), indexing="ij"))
+    radii (acceptance 6): S^a is one radial_eval call and J+ one
+    jacobi_radial call over (label, rho).  Listed label by label."""
+    n, l = (v.ravel()[:, None] for v in np.meshgrid(np.arange(4), np.arange(4), indexing="ij"))
     rho = np.array([0.15, 0.5, 0.95, 1.3])
-    sa = modes.radial_eval(RadialKind.Sa, modes.magic_frequency("plus", n, l, p)[:, None],
-                           l[:, None], rho, p)
-    jp = np.array([modes.jacobi_radial("plus", nn, ll, rho, p)
-                   for nn, ll in zip(n.tolist(), l.tolist())])
+    sa = modes.radial_eval(RadialKind.Sa, modes.magic_frequency("plus", n, l, p), l, rho, p)
+    jp = modes.jacobi_radial("plus", n, l, rho, p)
     return (np.abs(sa - jp) / np.maximum(1.0, np.abs(jp))).ravel().tolist()
 
 
 def _norm_oracles(p) -> np.ndarray:
     """int_0^{pi/2} tan^2 (J+_{nl})^2 drho for n, l <= 4, shape (5, 5), by
-    one 64-node Gauss-Legendre rule: the quadrature norm_constant is
-    checked against."""
+    one 64-node Gauss-Legendre rule over one jacobi_radial call: the
+    quadrature norm_constant is checked against."""
     x, w = np.polynomial.legendre.leggauss(64)
     rho = math.pi / 4 * (x + 1.0)
-    return np.array([[math.pi / 4 * float(np.sum(
-        w * (np.tan(rho) * modes.jacobi_radial("plus", n, l, rho, p)) ** 2))
-        for l in range(5)] for n in range(5)])
+    n, l = np.indices((5, 5))[..., None]
+    return math.pi / 4 * np.sum(
+        w * (np.tan(rho) * modes.jacobi_radial("plus", n, l, rho, p)) ** 2, axis=-1)
 
 
 def suite_modes():
@@ -269,10 +262,8 @@ def suite_modes():
     checks.append(_check("det_transfer_identity", errs, 1e-8))
 
     # acceptance 4: normalization constant vs defining quadrature
-    errs = []
-    for (n, l), oracle in np.ndenumerate(_norm_oracles(p)):
-        closed = modes.norm_constant("plus", n, l, p)
-        errs.append(abs(closed - oracle) / oracle)
+    oracle = _norm_oracles(p)
+    errs = np.abs(modes.norm_constant("plus", *np.indices((5, 5)), p) - oracle) / oracle
     checks.append(_check("norm_constant_vs_quadrature[n,l<=4]", errs, 1e-9))
     checks.append(_check("norm_constant_pi_over_32",
                          abs(modes.norm_constant("plus", 0, 0, p) - math.pi / 32),
@@ -280,12 +271,9 @@ def suite_modes():
 
     # acceptance 6: magic-frequency termination identity
     checks.append(_check("magic_termination[n,l<=3]", _magic_errors(p), 1e-10))
-    m12 = []
-    for n in range(4):
-        for l in range(4):
-            mat = modes.transfer_matrix(modes.magic_frequency("plus", n, l, p), l, p)
-            m12.append(abs(mat.m12) / abs(mat.m11))
-    checks.append(_check("magic_m12_blindness", m12, 1e-8))
+    n, l = np.indices((4, 4))
+    m11, m12 = modes._transfer_entries(modes.magic_frequency("plus", n, l, p), l, p, False)[:2]
+    checks.append(_check("magic_m12_blindness", np.abs(m12) / np.abs(m11), 1e-8))
     return checks
 
 
@@ -482,13 +470,12 @@ def suite_isometry():
 
     wn = lambda n, l: (modes.magic_frequency("plus", n, l, p)
                        * modes.norm_constant("plus", n, l, p))
-    zs = lambda s_om, s_l, n, l: float(z("a", s_om, s_l, modes.magic_frequency(
-        "plus", n, l, p), l))
-    dev = [wn(n, l) * zs(-1, -1, n, l + 1) - wn(n, l + 1) * zs(+1, +1, n, l)
-           for n in range(3) for l in range(3)]
-    dev += [wn(n, l) * zs(-1, +1, n + 1, l - 1) - wn(n + 1, l - 1) * zs(+1, -1, n, l)
-            for n in range(3) for l in range(1, 3)]
-    checks.append(_check("slice_boost_identities[2]", np.abs(dev), 1e-8))
+    zs = lambda s_om, s_l, n, l: z("a", s_om, s_l, modes.magic_frequency("plus", n, l, p), l)
+    n, l = np.indices((3, 3))
+    m, k = n[:, 1:], l[:, 1:]
+    dev = [wn(n, l) * zs(-1, -1, n, l + 1) - wn(n, l + 1) * zs(+1, +1, n, l),
+           wn(m, k) * zs(-1, +1, m + 1, k - 1) - wn(m + 1, k - 1) * zs(+1, -1, m, k)]
+    checks.append(_check("slice_boost_identities[2]", [np.max(np.abs(v)) for v in dev], 1e-8))
 
     # acceptance 7: invariance of both structures
     slice_reps = [_random_slice_rep(rng, 4) for _ in range(2)]

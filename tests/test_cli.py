@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adskg.cli import build_parser, main
-from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, save_rep
+from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, _Coeffs, save_rep
 from adskg.geometry import make_params
 from adskg.harmonics import sph_harm
 from adskg.modes import RadialKind, jacobi_radial, magic_frequency, radial_eval
@@ -133,6 +133,14 @@ def test_eval_invalid_degree_or_order(capsys):
         assert main(["eval", "--kind", "sa", "--omega", "2.0",
                      "--l", l, "--m", m]) == 2
         assert "|m| <= l" in capsys.readouterr().err
+
+
+def test_eval_negative_jacobi_order_exits_2(capsys):
+    for kind in ("jplus", "jminus"):
+        argv = ["eval", "--kind", kind, "--msq", "-2.2", "--n", "-1", "--rho", "0.5"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "(n, l) = (-1, 0)" in err
 
 
 def test_eval_deterministic(tmp_path):
@@ -353,6 +361,30 @@ def test_reconstruct_boundary(tmp_path, capsys, make):
     assert _reconstruct(tmp_path, rep, "boundary") == 0
     out = capsys.readouterr().out
     assert "RECONSTRUCT boundary PASS" in out and out.count("label ") == 3
+
+
+@pytest.mark.parametrize("target, rep", [
+    ("slice", SliceRep({(1, 1, 0): (0.8, 0.2j), (0, 2, 1): (0.3j, 0.5)})),
+    ("tube", TubeRep(OmegaGrid(0.45, (-4, 2, 5)), {(5, 1, 0): (0.7, 0.1), (2, 0, 0): (0.4, 0.3j)},
+                     "C")),
+    ("rod", RodRep(OmegaGrid(0.45, (-4, 3)), {(3, 0, 0): 0.8 + 0.3j, (-4, 1, -1): 0.5})),
+    ("boundary", TubeRep(OmegaGrid(0.45, (-4, 2)), {(2, 0, 0): (0.4, 0.3j),
+                                                     (-4, 2, 1): (0.2, 0.5j)}, "S")),
+    ("boundary", RodRep(OmegaGrid(0.45, (2, 5)), {(5, 1, 0): 0.7 + 0.2j})),
+])
+def test_reconstruct_never_builds_a_dict_view(tmp_path, capsys, monkeypatch, target, rep):
+    # the loaded rep, its basis change and the inverted rep are read as arrays
+    path = tmp_path / "rep.txt"
+    save_rep(str(path), rep, make_params(3, 1.0, 0.0))
+
+    def built(self):
+        raise AssertionError("a rep's {(j, l, m): values} view was built")
+
+    monkeypatch.setattr(_Coeffs, "_view", property(built))
+    assert main(["reconstruct", "--input", str(path), "--target", target]) == 0
+    assert f"RECONSTRUCT {target} PASS" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="view was built"):
+        dict(rep.coeffs)
 
 
 @pytest.mark.parametrize("body", [

@@ -24,7 +24,7 @@ from adskg.geometry import make_params
 from adskg.harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labels,
                              lm_mirror, sph_harm, ylm_point)
 from adskg.memo import counters
-from adskg.modes import (RadialKind, SliceLabel, TubeLabel, magic_frequency,
+from adskg.modes import (RadialKind, SliceLabel, TubeLabel, _per_distinct, magic_frequency,
                          mode_eval, radial_eval, radial_eval_fd, transfer_matrix)
 from adskg.specfun import DEFAULT_POLICY
 from adskg.symplectic import omega_slice_momentum, omega_tube_momentum
@@ -578,6 +578,16 @@ def test_rescaled_boundary_value_via_taylor_tail(params_pos):
 
 # --- serialization ---------------------------------------------------------------------
 
+def test_rep_dict_view_is_built_on_first_access():
+    rep = TubeRep(OmegaGrid(0.5, (1, 3)), {(3, 1, 0): (1.0, 2j), (1, 0, 0): (0.0, 0.0)}, "S")
+    # construction, the length (from the mask) and the maps leave it unbuilt
+    assert len(rep.coeffs) == 2 and len(rep.scaled(2.0).coeffs) == 2
+    assert "_view" not in vars(rep.coeffs)
+    assert list(rep.coeffs) == [(1, 0, 0), (3, 1, 0)] and "_view" in vars(rep.coeffs)
+    a, b = rep.coeffs[(3, 1, 0)]
+    assert (a, b) == (1.0, 2j) and type(a) is complex and type(b) is complex
+
+
 def test_rep_serialization_round_trip(params_m0):
     rep = _tube_rep()
     buf = io.StringIO()
@@ -812,7 +822,7 @@ def _oracle_synth(rep, point, params, deriv=""):
         rep = rep.as_tube()
     kinds = {"S": (RadialKind.Sa, RadialKind.Sb), "C": (RadialKind.Ca, RadialKind.Cb)}
     js, coef = rep.coeffs.js, rep.coeffs.array
-    fa, fb = (_oracle_table(js, c, lambda k, l, kind=kind: xp._per_distinct(
+    fa, fb = (_oracle_table(js, c, lambda k, l, kind=kind: _per_distinct(
         lambda om, ll: radial_eval_fd(kind, om, ll, rho, params), k * rep.grid.d_omega, l),
         (2,)) for kind, c in zip(kinds[rep.basis], coef))
     fold = coef[0] * fa + coef[1] * fb

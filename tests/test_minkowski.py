@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adskg.errors import DomainError
+from adskg.expansions import OmegaGrid, TubeRep
 from adskg.harmonics import AngularGrid, lm_index, sph_harm
 from adskg.minkowski import (EnergyGrid, MinkSliceRep, MinkTubeRep,
                              flat_limit_compare, jcheck, jcheck_dr,
@@ -13,6 +14,7 @@ from adskg.minkowski import (EnergyGrid, MinkSliceRep, MinkTubeRep,
                              mink_omega_tube_quadrature, mink_synth_slice,
                              mink_synth_tube, mink_synth_tube_dr, ncheck,
                              ncheck_dr)
+from adskg.symplectic import omega_tube_quadrature
 
 ANG = AngularGrid(12, 24)
 
@@ -231,6 +233,15 @@ def test_mink_tube_quadrature_matches_reference_loop(rng, names):
             np.abs(fe).sum(0) * np.abs(dfz).sum(0) + np.abs(fz).sum(0) * np.abs(dfe).sum(0))
     value = mink_omega_tube_quadrature(eta, zeta, r0, ANG)
     assert abs(value - 0.5 * r0 * r0 * total) <= 1e-13 * 0.5 * r0 * r0 * scale
+
+
+def test_mink_tube_quadrature_of_two_empty_reps_is_zero(params_m0):
+    # the time span comes from the reps' frequency rows, of which there are
+    # none: zero, as the AdS tube quadrature gives for two empty reps
+    empty = MinkTubeRep(MIXED_GRID, {}, 1.2)
+    assert mink_omega_tube_quadrature(empty, empty, 1.7, ANG) == 0j
+    ads = TubeRep(OmegaGrid(0.5, (1, 2)), {}, "S")
+    assert omega_tube_quadrature(ads, ads, 0.8, params_m0, ANG) == 0j
 
 
 # --- symplectic structures -----------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import eval_jacobi
 
 from adskg.errors import (CapabilityError, DomainError, ExceptionalBranch,
                           SingularPoint)
@@ -103,6 +104,17 @@ def test_jacobi_radial_array_equals_scalar(params_m0, params_neg):
             assert jacobi_radial(branch, n, l, rho, p).tobytes() \
                 == np.array(ref).tobytes()
             assert jacobi_radial_fd(branch, n, l, rho, p)[0].tobytes() == np.array(ref).tobytes()
+        # a broadcast (n, l, rho) grid: each element is its scalar call's
+        grid = jacobi_radial(branch, np.arange(4)[:, None, None], np.arange(5)[:, None],
+                             rho, p)
+        assert grid.shape == (4, 5, rho.size)
+        for (n, l, i), val in np.ndenumerate(grid):
+            if i % 32 == 0:
+                assert val.tobytes() == np.float64(
+                    jacobi_radial(branch, n, l, float(rho[i]), p)).tobytes()
+        for n in range(4):
+            for l in range(5):
+                assert grid[n, l].tobytes() == jacobi_radial(branch, n, l, rho, p).tobytes()
 
 
 def test_radial_ca_boundary_decay(params_m0):
@@ -204,6 +216,103 @@ def test_norm_constant_vs_quadrature(params_m0):
                       * jacobi_radial("plus", n, l, r, params_m0) ** 2,
                       0.0, math.pi / 2, limit=200)[0]
         assert val == pytest.approx(oracle, rel=1e-9)
+
+
+def _scalar_norm(branch, n, l, p):
+    """The norm's closed form on Python floats, term for term."""
+    nu = p.nu if branch == "plus" else -p.nu
+    ga = l + p.d / 2.0
+    om = 2.0 * n + l + (p.delta_plus if branch == "plus" else p.delta_minus)
+    return math.exp(math.lgamma(n + 1.0) + 2.0 * math.lgamma(ga)
+                    + math.lgamma(n + nu + 1.0) - math.lgamma(n + ga)
+                    - math.lgamma(n + nu + ga)) / (2.0 * om)
+
+
+def test_norm_constant_broadcasts_bit_for_bit(params_m0, params_neg):
+    n, l = np.meshgrid(np.arange(13), np.arange(11), indexing="ij")
+    for p, branch in ((params_m0, "plus"), (params_neg, "plus"), (params_neg, "minus")):
+        grid = norm_constant(branch, n, l, p)
+        assert grid.shape == (13, 11)
+        for (nn, ll), val in np.ndenumerate(grid):
+            want = np.float64(_scalar_norm(branch, nn, ll, p)).tobytes()
+            assert val.tobytes() == want
+            assert np.float64(norm_constant(branch, nn, ll, p)).tobytes() == want
+        assert norm_constant(branch, 3, l[0], p).tobytes() == grid[3].tobytes()
+
+
+def _per_label_jacobi_fd(branch, n, l, rho, p):
+    """(J, dJ/drho) at one integer (n, l) on an array rho, term for term the
+    per-label formula the broadcast evaluation replaced: libm's lgamma, exp
+    and pow in J, numpy's ** at scalar exponents in the derivative."""
+    nu = p.nu if branch == "plus" else -p.nu
+    ex = p.delta_plus if branch == "plus" else p.delta_minus
+    ga = l + p.d / 2.0
+    alpha = ga - 1.0
+    pref = math.exp(math.lgamma(n + 1.0) + math.lgamma(ga) - math.lgamma(n + ga))
+    s, c, x = np.sin(rho), np.cos(rho), np.cos(2.0 * rho)
+    head = pref * np.array([pow(v, l) for v in s.tolist()]) \
+        * np.array([pow(v, ex) for v in c.tolist()])
+    pval = eval_jacobi(n, alpha, nu, x)
+    dval = 0.0 if n == 0 else 0.5 * (n + alpha + nu + 1.0) * eval_jacobi(
+        n - 1, alpha + 1.0, nu + 1.0, x)
+    dval = dval * (-2.0 * np.sin(2.0 * rho))
+    if l == 0:
+        pre, dpre = c ** ex, -ex * s * c ** (ex - 1.0)
+    else:
+        pre = s ** l * c ** ex
+        dpre = l * s ** (l - 1.0) * c ** (ex + 1.0) - ex * s ** (l + 1.0) * c ** (ex - 1.0)
+    return head * pval, pref * (dpre * pval + pre * dval)
+
+
+def test_jacobi_tables_are_the_per_label_formula_bit_for_bit():
+    rho = np.r_[0.0, np.random.default_rng(5).uniform(0.0, 1.57, 60), 1e-3]
+    n, l = np.meshgrid(np.arange(8), np.arange(9), indexing="ij")
+    for msq in (0.0, -2.2, 1.5):
+        p = make_params(3, 1.0, msq)
+        for branch in ("plus", "minus") if p.exceptional_range else ("plus",):
+            f, df = jacobi_radial_fd(branch, n[..., None], l[..., None], rho, p)
+            for (nn, ll), _ in np.ndenumerate(n):
+                want_f, want_df = _per_label_jacobi_fd(branch, nn, ll, rho, p)
+                assert f[nn, ll].tobytes() == want_f.tobytes(), (msq, branch, nn, ll)
+                assert df[nn, ll].tobytes() == want_df.tobytes(), (msq, branch, nn, ll)
+
+
+def test_integer_valued_float_labels_take_the_integer_bits(params_m0):
+    rho = np.linspace(0.05, 1.5, 31)
+    for n, l in ((0, 0), (2, 1), (5, 3)):
+        for got, want in zip(jacobi_radial_fd("plus", float(n), float(l), rho, params_m0),
+                             jacobi_radial_fd("plus", n, l, rho, params_m0)):
+            assert got.tobytes() == want.tobytes()
+        assert np.float64(norm_constant("plus", float(n), float(l), params_m0)).tobytes() \
+            == np.float64(norm_constant("plus", n, l, params_m0)).tobytes()
+    grid = jacobi_radial("plus", np.array([[0.0], [4.0]]), np.array([1.0, 2.0]), 0.7, params_m0)
+    assert grid.tobytes() == jacobi_radial("plus", np.array([[0], [4]]), np.array([1, 2]),
+                                           0.7, params_m0).tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: norm_constant("plus", 2, -1, p),
+    lambda p: norm_constant("plus", 1.5, 0, p),
+    lambda p: jacobi_radial("plus", 2, -1, 0.3, p),
+    lambda p: jacobi_radial_fd("plus", -1, 0, np.array([0.3, 0.6]), p),
+    lambda p: jacobi_radial("plus", np.nan, 0, 0.3, p),
+    lambda p: norm_constant("plus", np.inf, 1, p),
+])
+def test_jacobi_family_rejects_non_mode_labels(call, params_m0):
+    with pytest.raises(DomainError, match=r"integers n >= 0 and l >= 0"):
+        call(params_m0)
+
+
+def test_jacobi_label_error_names_the_first_bad_pair(params_m0):
+    n = np.array([[0, 1, 2], [3, -1, -2]])
+    l = np.array([[0, 0, 1], [1, 1, 0]])
+    for fn in (lambda: jacobi_radial("plus", n, l, 0.4, params_m0),
+               lambda: jacobi_radial_fd("plus", n, l, 0.4, params_m0),
+               lambda: norm_constant("plus", n, l, params_m0)):
+        with pytest.raises(DomainError, match=r"\(n, l\) = \(-1, 1\)"):
+            fn()
+    with pytest.raises(DomainError, match=r"\(n, l\) = \(1, 2.5\)"):
+        norm_constant("plus", np.arange(3), np.array([0.0, 2.5, -1.0]), params_m0)
 
 
 # --- Wronskians and the transfer matrix ---------------------------------------------
@@ -683,6 +792,18 @@ def test_scalar_jacobi_radial_is_the_fd_value_bit_for_bit():
                         got = jacobi_radial(branch, n, l, r, params)
                         assert np.ndim(got) == 0 and np.array(got).tobytes() \
                             == jacobi_radial_fd(branch, n, l, r, params)[0].tobytes()
+            # the (n, l) grid in one call, J and dJ/drho, against the calls per label
+            n, l = np.meshgrid(np.arange(7), np.arange(7), indexing="ij")
+            f, df = jacobi_radial_fd(branch, n[..., None], l[..., None], np.array(rho), params)
+            assert jacobi_radial(branch, n[..., None], l[..., None], np.array(rho),
+                                 params).tobytes() == f.tobytes()
+            for nn, ll in zip(n.ravel().tolist(), l.ravel().tolist()):
+                want_f, want_df = jacobi_radial_fd(branch, nn, ll, np.array(rho), params)
+                assert f[nn, ll].tobytes() == want_f.tobytes()
+                assert df[nn, ll].tobytes() == want_df.tobytes()
+                for i, r in enumerate(rho):  # and the points of scalar calls
+                    assert f[nn, ll, i].tobytes() == np.float64(
+                        jacobi_radial(branch, nn, ll, r, params)).tobytes()
         if not params.exceptional_range:
             with pytest.raises(ExceptionalBranch):
                 jacobi_radial("minus", 0, 0, 0.3, params)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from adskg.errors import ConvergenceError, DomainError, PoleError
 from adskg.specfun import (DEFAULT_POLICY, SeriesPolicy, assoc_legendre,
                            double_pochhammer, gegenbauer_c, hyp2f1, hyp2f1_dx,
-                           jacobi_p, pochhammer, spherical_bessel,
+                           jacobi_p, jacobi_p_dx, pochhammer, spherical_bessel,
                            spherical_bessel_dx)
 
 
@@ -183,6 +183,27 @@ def test_jacobi_reflection():
     val = jacobi_p(1.0, 2.0, 3, -0.4)
     assert val == pytest.approx((-1.0) ** 3 * jacobi_p(2.0, 1.0, 3, 0.4),
                                 rel=1e-13)
+
+
+def test_jacobi_p_over_degree_arrays_is_the_per_degree_call_bit_for_bit():
+    # one eval_jacobi call at integer degrees: each element as its scalar call
+    n = np.arange(9)[:, None, None]
+    alpha = np.array([-0.4, 0.5, 2.5, 7.5])[:, None]
+    x = np.linspace(-1.0, 1.0, 41)
+    for fn in (jacobi_p, jacobi_p_dx):
+        grid = fn(alpha, 1.5, n, x)
+        assert grid.shape == (9, 4, 41)
+        for (i, j, k), val in np.ndenumerate(grid):
+            assert val.tobytes() == np.float64(
+                fn(float(alpha[j, 0]), 1.5, i, float(x[k]))).tobytes()
+        # an integer-valued float degree is taken as the integer
+        assert fn(alpha, 1.5, n.astype(float), x).tobytes() == grid.tobytes()
+    with pytest.raises(DomainError):
+        jacobi_p(0.5, 0.5, np.array([2, -1]), 0.3)
+    with pytest.raises(DomainError):
+        jacobi_p_dx(0.5, 0.5, np.array([0.0, 1.5]), 0.3)
+    with pytest.raises(DomainError):
+        jacobi_p(0.5, 0.5, np.inf, 0.3)
 
 
 def test_jacobi_hypergeometric_form():
