@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import asdict
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -88,9 +89,9 @@ def cmd_eval(args) -> int:
               for phi in args.phi.tolist()]
     points = [f"{t!r},{rho!r}," for t in ts for rho in args.rho.tolist()]
     heads = (point + angle for point in points for angle in angles)
-    lines = [f"# adskg v1 eval d={args.d} R={args.R!r} msq={args.msq!r}",
-             "t,rho,theta,phi,re,im", *map("{}{!r},{!r}".format, heads, re, im)]
-    out = "\n".join(lines) + "\n"
+    rows = tuple(chain.from_iterable(zip(heads, re, im)))
+    out = (f"# adskg v1 eval d={args.d} R={args.R!r} msq={args.msq!r}\n"
+           "t,rho,theta,phi,re,im\n" + ("%s%r,%r\n" * len(re)) % rows)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(out)

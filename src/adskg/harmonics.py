@@ -9,10 +9,13 @@ degrees 0..l_max fill (l_max + 1)^2 columns with degree l in the block
 `lm_mirror` are the only place that arithmetic is written.  `sph_harm`,
 `assoc_legendre` and `contiguous_coeffs` broadcast over arrays of l and m,
 each element bit-identical to the scalar call.  `AngularGrid.ylm(l_max)`
-is the (lm, theta, phi) table of Y on the quadrature grid,
-`AngularGrid.project` its adjoint for every lm at once, and `ylm_point`
-the row of Y at one point.  A grid's quadrature rule and Y table are shared
-by every grid of its (n_theta, n_phi) shape (`adskg.memo`).
+is the (lm, theta, phi) table of Y on the quadrature grid, which synthesis
+contracts in one product, and `ylm_point` the row of Y at one point.
+`AngularGrid.project`, the adjoint for every lm at once, is separable:
+one FFT along phi, then per m a theta sum in long double.  A grid's
+quadrature rule and Y table are shared by every grid of its (n_theta,
+n_phi) shape, the theta table of `project` by every grid of its shape and
+l_max (`adskg.memo`).
 
 The D-matrix comes from the exact diagonalization of J_y (Feng, Wang, Yang
 & Jin, Phys. Rev. E 92, 043307, 2015): it stays unitary to roundoff at any
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedDimension
 from .memo import Memo, memo
-from .specfun import _BLOCK_ELEMENTS, assoc_legendre
+from .specfun import assoc_legendre
 
 
 @dataclass(frozen=True)
@@ -247,11 +250,37 @@ class AngularGrid:
         """<Y_lm, values> = integral of conj(Y_lm) * values for every packed lm
         up to l_max, over the leading axes of values: shape (..., lm).
 
-        Each entry is `integrate(conj(Y_lm) * values)` bit for bit: the
-        theta sum first, then the phi sum.  The products are formed for a
-        block of lm at a time, of at most _BLOCK_ELEMENTS elements (or one
-        lm)."""
-        ylm, rows = self.ylm(l_max), values[..., None, :, :]
-        step = max(1, _BLOCK_ELEMENTS // rows.size)
-        return np.concatenate([self.integrate(np.conj(ylm[i:i + step]) * rows)
-                               for i in range(0, len(ylm), step)], axis=-1)
+        Separable: one FFT along phi gives sum_phi e^{-i m phi} values for
+        every m at once (column m mod n_phi: on the uniform phi nodes this is
+        the phi sum exactly, aliasing included); then, per m, one matmul
+        sums that column over theta against `_theta_table` in long
+        double, rounded to complex once.  Where np.longdouble is double
+        (Windows, macOS arm64) the theta sum runs in double, which costs
+        the ill-conditioned C-basis tube inversions about a tenth of a digit
+        per job (README)."""
+        spectrum = np.fft.fft(values, axis=-1)
+        out = np.empty(values.shape[:-2] + (lm_count(l_max),), dtype=complex)
+        table = _theta_table(self.n_theta, self.n_phi, l_max)
+        for m in range(-l_max, l_max + 1):
+            ls = np.arange(abs(m), l_max + 1)
+            out[..., lm_index(ls, m)] = (spectrum[..., m % self.n_phi].astype(np.clongdouble)
+                                         @ table[m + l_max, :, abs(m):])
+        return out
+
+
+# The tables of the last 16 (n_theta, n_phi, l_max), room for the eight l_max
+# the dense benchmark's reconstructions project to on their 16 x 32 grid; one of
+# more than 2^16 long doubles (1 MiB) is not kept, as at l_max >= 22 on the
+# default 64 x 128 grid.
+@memo("theta_table", 16, 2 ** 16)
+def _theta_table(n_theta: int, n_phi: int, l_max: int) -> np.ndarray:
+    """w_theta (2 pi / n_phi) N_l^m P_l^m(cos theta) in long double at
+    [m + l_max, theta, l] for every packed (l, m) up to l_max, zero where
+    l < |m|: the Gauss and trapezoid weights times Y_l^m at phi = 0, the
+    theta factor of Y's table on the grid bit for bit."""
+    _, w, theta, _ = _grid_rule(n_theta, n_phi)
+    ls, ms = lm_labels(l_max)
+    table = np.zeros((2 * l_max + 1, n_theta, l_max + 1), dtype=np.longdouble)
+    table[ms + l_max, :, ls] = (np.longdouble(w) * (2.0 * math.pi / n_phi)
+                                * sph_harm(ls[:, None], ms[:, None], theta, 0.0).real)
+    return table

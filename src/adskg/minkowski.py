@@ -155,15 +155,15 @@ def mink_omega_slice(eta: MinkSliceRep, zeta: MinkSliceRep) -> complex:
     continuum pairing is delta-normalized), so only this form is exposed.
     """
     m_f = eta.m_field
-    return _same_label_pairing(eta, zeta, lambda p, l: 1j * math.sqrt(
-        p * p + m_f * m_f))
+    return _same_label_pairing(eta, zeta, partial(
+        _per_distinct, lambda p, l: 1j * math.sqrt(p * p + m_f * m_f)))
 
 
 def mink_omega_tube_momentum(eta: MinkTubeRep, zeta: MinkTubeRep) -> complex:
     """dE sum (p_E / 16 pi) (eta^a_{Elm} zeta^b_{-E,l,-m} - eta^b zeta^a)."""
     d_e, m_f = eta.grid.d_omega, eta.m_field
-    return d_e * _mirror_pairing(eta, zeta, lambda k, l: _momentum(
-        k * d_e, m_f) / (16.0 * math.pi))
+    return d_e * _mirror_pairing(eta, zeta, partial(
+        _per_distinct, lambda k, l: _momentum(k * d_e, m_f) / (16.0 * math.pi)))
 
 
 def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,

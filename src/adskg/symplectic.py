@@ -16,7 +16,6 @@ label-diagonal sums displayed in the module functions.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import BasisMismatch
 from .expansions import SliceRep, TubeRep, _table, sample_slice, sample_tube
 from .geometry import AdsParams
 from .harmonics import AngularGrid, lm_count, lm_mirror, require_two_sphere
-from .modes import _per_distinct, magic_frequency, norm_constant
+from .modes import magic_frequency, norm_constant
 
 
 def _framed(c, js, l_max: int, mirror: bool = False):
@@ -41,24 +40,26 @@ def _framed(c, js, l_max: int, mirror: bool = False):
 
 def _same_label_pairing(eta, zeta, weight) -> complex:
     """sum over the sorted labels of eta or zeta of weight(j, l) (conj(eta^-)
-    zeta^+ - eta^+ conj(zeta^-)), weight evaluated once per (j, l)."""
+    zeta^+ - eta^+ conj(zeta^-)), weight called once, on the arrays of the
+    (j, l) blocks holding a label."""
     js = np.union1d(eta.coeffs.js, zeta.coeffs.js)
     l_max = max(eta.coeffs.l_max, zeta.coeffs.l_max)
     (ep, eq), e_mask = _framed(eta.coeffs, js, l_max)
     (zp, zq), z_mask = _framed(zeta.coeffs, js, l_max)
     held = e_mask | z_mask
-    w = _table(js, held, partial(_per_distinct, weight))
+    w = _table(js, held, weight)
     return np.sum((w * (eq * zp - ep * zq))[held])
 
 
 def _mirror_pairing(eta, zeta, weight) -> complex:
     """sum over eta's sorted labels of weight(k, l) (eta^a zeta^b - eta^b
-    zeta^a), zeta at (-k, l, -m), weight evaluated once per (k, l)."""
+    zeta^a), zeta at (-k, l, -m), weight called once, on the arrays of the
+    (k, l) blocks holding a label of eta."""
     js = np.union1d(eta.coeffs.js, -zeta.coeffs.js)
     l_max = max(eta.coeffs.l_max, zeta.coeffs.l_max)
     (ea, eb), held = _framed(eta.coeffs, js, l_max)
     (za, zb), _ = _framed(zeta.coeffs, js, l_max, mirror=True)
-    w = _table(js, held, partial(_per_distinct, weight))
+    w = _table(js, held, weight)
     return np.sum((w * (ea * zb - eb * za))[held])
 
 
@@ -116,8 +117,8 @@ def omega_tube_momentum(eta: TubeRep, zeta: TubeRep,
     if eta.grid != zeta.grid:
         raise BasisMismatch("tube pairing needs a shared frequency grid")
     d = params.d
-    total = _mirror_pairing(eta, zeta, lambda k, l: (
-        (2 * l + d - 2) if eta.basis == "S" else 2.0 * params.nu))
+    total = _mirror_pairing(eta, zeta, lambda k, l: np.where(
+        eta.basis == "S", 2 * l + d - 2, 2.0 * params.nu))
     return complex(math.pi * params.R ** (d - 1) * eta.grid.d_omega * total)
 
 

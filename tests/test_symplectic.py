@@ -1,14 +1,16 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from adskg.errors import BasisMismatch
 from adskg.expansions import OmegaGrid, SliceRep, TubeRep, s_to_c
+from adskg.geometry import make_params
 from adskg.harmonics import AngularGrid
 from adskg.minkowski import EnergyGrid, MinkSliceRep, MinkTubeRep
-from adskg.modes import magic_frequency, norm_constant
+from adskg.modes import _per_distinct, magic_frequency, norm_constant
 from adskg.symplectic import (_mirror_pairing, _same_label_pairing,
                               omega_slice_momentum, omega_slice_quadrature,
                               omega_tube_momentum, omega_tube_quadrature,
@@ -255,29 +257,31 @@ def test_pairings_equal_the_per_label_loops(rng):
     for _ in range(5):
         for pairing, loop, eta, zeta, weight in _pairing_cases(rng):
             want, size = loop(eta, zeta, weight)
-            got = pairing(eta, zeta, weight)
+            per_block = partial(_per_distinct, weight)
+            got = pairing(eta, zeta, per_block)
             assert size > 0.0 and abs(got - want) <= 1e-14 * size
             # swapped, and against a rep holding no label
             want, size = loop(zeta, eta, weight)
-            assert abs(pairing(zeta, eta, weight) - want) <= 1e-14 * size
+            assert abs(pairing(zeta, eta, per_block) - want) <= 1e-14 * size
             empty = replace(eta, coeffs={})
-            assert pairing(empty, zeta, weight) == 0.0
+            assert pairing(empty, zeta, per_block) == 0.0
 
 
 def test_pairings_weigh_only_held_labels():
-    # the weight runs once per (j, l) holding a label (explicit zeros included)
+    # the weight runs once, on the (j, l) blocks holding a label (explicit
+    # zeros included)
     grid = OmegaGrid(1.0, tuple(range(-4, 5)))
     eta = TubeRep(grid, {(1, 2, 0): (1.0, 2.0), (1, 2, 1): (0.0, 0.0), (3, 0, 0): (1j, 0.0)})
     zeta = TubeRep(grid, {(-1, 2, 0): (0.5, 0.25), (2, 1, 1): (1.0, 1.0)})
     calls = []
-    weight = lambda k, l: calls.append((k, l)) or 1.0
+    weight = lambda k, l: calls.append(sorted(zip(k.tolist(), l.tolist()))) or np.ones(len(k))
     assert _mirror_pairing(eta, zeta, weight) == 1.0 * 0.25 - 2.0 * 0.5
-    assert sorted(calls) == [(1, 2), (3, 0)]
+    assert calls == [[(1, 2), (3, 0)]]
     calls.clear()
     slice_a = SliceRep({(0, 1, 0): (1.0, 0.0), (2, 0, 0): (0.0, 0.0)})
     slice_b = SliceRep({(0, 1, -1): (0.0, 1.0), (1, 2, 0): (1.0, 0.0)})
     assert _same_label_pairing(slice_a, slice_b, weight) == 0.0
-    assert sorted(calls) == [(0, 1), (1, 2), (2, 0)]  # the labels of either rep
+    assert calls == [[(0, 1), (1, 2), (2, 0)]]  # the labels of either rep
 
 
 @pytest.mark.parametrize("basis", ["S", "C"])
@@ -302,6 +306,20 @@ def test_slice_momentum_is_the_per_label_loop(params_m0, rng):
         * norm_constant("plus", n, l, params_m0)))
     got = complex(omega_slice_momentum(eta, zeta, params_m0))
     assert abs(got - total) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("R, msq", [(1.0, 0.0), (1.3, 0.7), (0.8, -0.9)])
+def test_slice_momentum_weights_are_the_per_label_weights(rng, R, msq):
+    # one array call over the (n, l) blocks pairs bit for bit as one scalar
+    # magic_frequency * norm_constant call per (n, l) does
+    params = make_params(3, R, msq)
+    eta, zeta = _random_slice_rep(rng, 40), _random_slice_rep(rng, 40)
+    rd = params.R ** (params.d - 1)
+    per_label = partial(_per_distinct, lambda n, l: (
+        1j * magic_frequency("plus", n, l, params) * rd
+        * norm_constant("plus", n, l, params)))
+    want = complex(_same_label_pairing(eta, zeta, per_label))
+    assert complex(omega_slice_momentum(eta, zeta, params)) == want
 
 
 # --- symplectic potential -------------------------------------------------------------
