@@ -131,7 +131,7 @@ def cmd_verify(args) -> int:
         print(json.dumps({"passed": all_ok, "suites": suites, "checks": records,
                           "caches": counters("radial_table", "transfer_matrix"),
                           "angular_caches": counters("ylm_point", "grid_rule",
-                                                     "ylm_table", "radial_measure")},
+                                                     "theta_table", "radial_measure")},
                          indent=1, allow_nan=False))
     return 0 if all_ok else 1
 

@@ -16,15 +16,15 @@ the angular point.  c is the dense (channel, j, lm) array each rep stores,
 on the packed angular index of `harmonics`; radial and transfer-matrix
 factors are tabulated once per (j, l) and folded into c (fixed radius) or
 K (radial nodes); on a tube K is the phase matrix d_omega e^{-i omega_k t}.
-Y is the `AngularGrid.ylm` table or, at a point, the `ylm_point` row of
-the held (l, m), memoized per point (one `sph_harm` call on a miss).  A
-rep's tables are evaluated on the (j, l) blocks of its block plan
-(`_Coeffs.blocks`), formed once per rep.  The callers of `_slice_sum` and
-`_tube_sum` supply the frequency and radial functions, so the Minkowski
-expansions run through the same kernel.  Inversion is the adjoint:
-`AngularGrid.project` takes every lm at once, for all frequencies or radii,
-after the FFT time projection (tube) and before the Gauss-Jacobi radial sum
-(slice); each inversion then applies its own per-(j, l) solve.
+The lm sum is `AngularGrid.synthesize` on a grid or, at a point, the
+`ylm_point` row of the held (l, m), memoized per point (one `sph_harm`
+call on a miss).  A rep's tables are evaluated on the (j, l) blocks of its
+block plan (`_Coeffs.blocks`), formed once per rep.  The callers of
+`_slice_sum` and `_tube_sum` supply the frequency and radial functions, so
+the Minkowski expansions run through the same kernel.  Inversion is the
+adjoint: `AngularGrid.project` takes every lm at once, for all frequencies
+or radii, after the FFT time projection (tube) and before the Gauss-Jacobi
+radial sum (slice); each inversion then applies its own per-(j, l) solve.
 
 The harmonics are those of S^2, so every entry point that contracts with
 Y_lm raises UnsupportedDimension for d != 3; the basis change between S
@@ -314,24 +314,16 @@ def _table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
     return out[..., ls]
 
 
-def _ylm(where, coef) -> np.ndarray:
-    """Y_lm for every packed lm of coef (..., lm): the AngularGrid table,
-    shape (lm, theta, phi), or at one point where = (theta, phi) the
-    `ylm_point` row, shape (lm,), zero where the coefficients of lm all
-    vanish."""
-    l_max = lm_degree(coef.shape[-1] - 1)
-    if isinstance(where, AngularGrid):
-        return where.ylm(l_max)
-    return ylm_point(l_max, np.any(coef != 0, axis=tuple(range(coef.ndim - 1))), *where)
-
-
-def _synthesize(kern, coef, ylm) -> np.ndarray:
-    """out[..., s, x] = sum_{j, lm} kern[s, j, lm] coef[..., j, lm] ylm[lm, x]
-    (kern's lm axis may have length 1; x stands for ylm's trailing axes)."""
+def _synthesize(kern, coef, where) -> np.ndarray:
+    """out[..., s, x] = sum_{j, lm} kern[s, j, lm] coef[..., j, lm] Y_lm(x)
+    (kern's lm axis may have length 1) on the nodes x = (theta, phi) of the
+    AngularGrid `where`, or at the one point where = (theta, phi), no x axis."""
     kern = np.broadcast_to(kern, kern.shape[:2] + coef.shape[-1:])
     part = np.einsum("sji,...ji->...si", kern, coef)
-    out = part @ ylm.reshape(len(ylm), -1)
-    return out.reshape(part.shape[:-1] + ylm.shape[1:])
+    if isinstance(where, AngularGrid):
+        return where.synthesize(part)
+    held = np.any(coef != 0, axis=tuple(range(coef.ndim - 1)))
+    return part @ ylm_point(lm_degree(coef.shape[-1] - 1), held, *where)
 
 
 def _time_project(samples: np.ndarray, grid: OmegaGrid) -> np.ndarray:
@@ -362,7 +354,7 @@ def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
     omega = rep.grid.d_omega * np.asarray(c.js, dtype=float)
     phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))
     kern = rep.grid.d_omega * (-1j * omega * phase if dt else phase)
-    return _synthesize(kern[:, :, None], fold, _ylm(where, fold))
+    return _synthesize(kern[:, :, None], fold, where)
 
 
 def _slice_sum(rep, t: float, rho, where, frequency, radial) -> np.ndarray:
@@ -377,7 +369,7 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial) -> np.ndarray:
     minus = coef[1][:, lm_mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t)
     coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
     kern = _table(js, coefs, radial, np.shape(rho))
-    return _synthesize(kern, coefs, _ylm(where, coefs))
+    return _synthesize(kern, coefs, where)
 
 
 def _jacobi(rho: np.ndarray, params: AdsParams, drho: bool = False):

@@ -8,14 +8,14 @@ degrees 0..l_max fill (l_max + 1)^2 columns with degree l in the block
 [l^2, (l+1)^2); `lm_labels`, `lm_index`, `lm_degree`, `lm_count` and
 `lm_mirror` are the only place that arithmetic is written.  `sph_harm`,
 `assoc_legendre` and `contiguous_coeffs` broadcast over arrays of l and m,
-each element bit-identical to the scalar call.  `AngularGrid.ylm(l_max)`
-is the (lm, theta, phi) table of Y on the quadrature grid, which synthesis
-contracts in one product, and `ylm_point` the row of Y at one point.
-`AngularGrid.project`, the adjoint for every lm at once, is separable:
-one FFT along phi, then per m a theta sum in long double.  A grid's
-quadrature rule and Y table are shared by every grid of its (n_theta,
-n_phi) shape, the theta table of `project` by every grid of its shape and
-l_max (`adskg.memo`).
+each element bit-identical to the scalar call.  On the quadrature grid,
+synthesis (`AngularGrid.synthesize`) and its adjoint `AngularGrid.project`
+are separable, Y_l^m = N_l^m P_l^m(cos theta) e^{i m phi}: synthesis is a
+theta sum per m then one phase product, projection one FFT along phi then
+per m a theta sum in long double.  Both read one `_theta_table` entry,
+shared by every grid of its (n_theta, n_phi) shape and l_max, as the
+quadrature rule is by every grid of its shape (`adskg.memo`).
+`ylm_point` is the row of Y at one point.
 
 The D-matrix comes from the exact diagonalization of J_y (Feng, Wang, Yang
 & Jin, Phys. Rev. E 92, 043307, 2015): it stays unitary to roundoff at any
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedDimension
-from .memo import Memo, memo
+from .memo import memo
 from .specfun import assoc_legendre
 
 
@@ -203,16 +203,12 @@ def rotate_angles(angles: EulerAngles, theta, phi):
     return xyz_to_angles(rot)
 
 
-# Quadrature rules and Y tables are shared by the AngularGrids of the last 4
-# shapes; a Y table of more than 2^18 values (4 MiB of complex) stays with its grid.
+# Quadrature rules are shared by the AngularGrids of the last 4 shapes.
 @memo("grid_rule", 4)
 def _grid_rule(n_theta: int, n_phi: int) -> tuple:
     """cos(theta) nodes and weights, theta and phi of the product grid."""
     x, w = np.polynomial.legendre.leggauss(n_theta)
     return x, w, np.arccos(x), 2.0 * math.pi * np.arange(n_phi) / n_phi
-
-
-_YLM_TABLES = Memo("ylm_table", 4, 2 ** 18)  # shape -> the longest table asked for
 
 
 class AngularGrid:
@@ -226,20 +222,24 @@ class AngularGrid:
         self.phi_weight = 2.0 * math.pi / n_phi
         self.n_theta = n_theta
         self.n_phi = n_phi
-        self._ylm = np.zeros((0, n_theta, n_phi), dtype=complex)
 
     def ylm(self, l_max: int) -> np.ndarray:
-        """Y_lm on the (theta, phi) product grid for every packed lm up to
-        l_max, shape (lm, n_theta, n_phi), read-only: the leading rows of the
-        longest table asked for, the one shared by the shape if long enough."""
-        if len(self._ylm) < lm_count(l_max):
-            shape = self.n_theta, self.n_phi
-            table = _YLM_TABLES.get(shape, lambda table: len(table) >= lm_count(l_max))
-            if table is None:
-                ls, ms = (x[:, None, None] for x in lm_labels(l_max))
-                table = _YLM_TABLES.put(shape, sph_harm(ls, ms, self.theta[:, None], self.phi))
-            self._ylm = table
-        return self._ylm[:lm_count(l_max)]
+        """Y_lm on the grid for every packed lm up to l_max: (lm, n_theta, n_phi)."""
+        return self.synthesize(np.eye(lm_count(l_max)))
+
+    def synthesize(self, coef: np.ndarray) -> np.ndarray:
+        """sum_lm coef[..., lm] Y_lm on the grid, shape (..., n_theta, n_phi),
+        the adjoint of `project` from its `_theta_table` entry: coef gathered
+        to (m, l), one real matmul per m against Y's theta factor, then one
+        with the phases e^{i m phi}, which sums every m, aliased ones too."""
+        theta, _, phase, gather = _theta_table(self.n_theta, self.n_phi,
+                                               lm_degree(coef.shape[-1] - 1))
+        flat = coef.reshape(-1, coef.shape[-1])
+        padded = np.concatenate([flat, np.zeros((len(flat), 1), complex)], axis=1)
+        part = np.take(padded.T, gather, axis=0)  # (m, l, ...) in C order, for the view
+        part = (theta @ part.view(float)).view(complex)  # (m, theta, ...)
+        out = part.T.reshape(-1, len(part)) @ phase  # rows (..., theta): out in C order
+        return out.reshape(coef.shape[:-1] + (self.n_theta, self.n_phi))
 
     def integrate(self, values: np.ndarray):
         """Integral over S^2 of values sampled on the grid; values has shape
@@ -253,14 +253,14 @@ class AngularGrid:
         Separable: one FFT along phi gives sum_phi e^{-i m phi} values for
         every m at once (column m mod n_phi: on the uniform phi nodes this is
         the phi sum exactly, aliasing included); then, per m, one matmul
-        sums that column over theta against `_theta_table` in long
-        double, rounded to complex once.  Where np.longdouble is double
-        (Windows, macOS arm64) the theta sum runs in double, which costs
-        the ill-conditioned C-basis tube inversions about a tenth of a digit
-        per job (README)."""
+        sums that column over theta against the weighted table of
+        `_theta_table` in long double, rounded to complex once.  Where
+        np.longdouble is double (Windows, macOS arm64) the theta sum runs in
+        double, which costs the ill-conditioned C-basis tube inversions about
+        a tenth of a digit per job (README)."""
         spectrum = np.fft.fft(values, axis=-1)
         out = np.empty(values.shape[:-2] + (lm_count(l_max),), dtype=complex)
-        table = _theta_table(self.n_theta, self.n_phi, l_max)
+        table = _theta_table(self.n_theta, self.n_phi, l_max)[1]
         for m in range(-l_max, l_max + 1):
             ls = np.arange(abs(m), l_max + 1)
             out[..., lm_index(ls, m)] = (spectrum[..., m % self.n_phi].astype(np.clongdouble)
@@ -269,18 +269,20 @@ class AngularGrid:
 
 
 # The tables of the last 16 (n_theta, n_phi, l_max), room for the eight l_max
-# the dense benchmark's reconstructions project to on their 16 x 32 grid; one of
-# more than 2^16 long doubles (1 MiB) is not kept, as at l_max >= 22 on the
-# default 64 x 128 grid.
+# the dense benchmark's reconstructions project to on their 16 x 32 grid; one
+# whose largest array holds more than 2^16 values is not kept, as at l_max >= 22
+# on the default 64 x 128 grid.
 @memo("theta_table", 16, 2 ** 16)
-def _theta_table(n_theta: int, n_phi: int, l_max: int) -> np.ndarray:
-    """w_theta (2 pi / n_phi) N_l^m P_l^m(cos theta) in long double at
-    [m + l_max, theta, l] for every packed (l, m) up to l_max, zero where
-    l < |m|: the Gauss and trapezoid weights times Y_l^m at phi = 0, the
-    theta factor of Y's table on the grid bit for bit."""
-    _, w, theta, _ = _grid_rule(n_theta, n_phi)
+def _theta_table(n_theta: int, n_phi: int, l_max: int) -> tuple:
+    """The factors of Y_l^m = N_l^m P_l^m(cos theta) e^{i m phi} on the grid
+    up to l_max: Y_l^m at phi = 0 at [m + l_max, theta, l], zero where l <
+    |m|; it times the weights w_theta (2 pi / n_phi) in long double; e^{i m
+    phi} at [m + l_max, phi]; lm at [m + l_max, l], lm_count(l_max) if l < |m|."""
+    _, w, theta, phi = _grid_rule(n_theta, n_phi)
     ls, ms = lm_labels(l_max)
-    table = np.zeros((2 * l_max + 1, n_theta, l_max + 1), dtype=np.longdouble)
-    table[ms + l_max, :, ls] = (np.longdouble(w) * (2.0 * math.pi / n_phi)
-                                * sph_harm(ls[:, None], ms[:, None], theta, 0.0).real)
-    return table
+    table = np.zeros((2 * l_max + 1, n_theta, l_max + 1))
+    table[ms + l_max, :, ls] = sph_harm(ls[:, None], ms[:, None], theta, 0.0).real
+    gather = np.full((2 * l_max + 1, l_max + 1), ls.size)
+    gather[ms + l_max, ls] = np.arange(ls.size)
+    return (table, np.longdouble(w)[:, None] * (2.0 * math.pi / n_phi) * table,
+            np.exp(1j * np.arange(-l_max, l_max + 1)[:, None] * phi), gather)

@@ -48,11 +48,11 @@ class Memo:
         self._store, self._lock = OrderedDict(), threading.Lock()
         _REGISTRY[name] = self
 
-    def get(self, key, fits=None):
-        """The value under key, or None (a miss) if absent or not `fits(value)`."""
+    def get(self, key):
+        """The value under key, or None (a miss) if absent."""
         with self._lock:
             value = self._store.get(key)
-            if value is not None and (fits is None or fits(value)):
+            if value is not None:
                 self._store.move_to_end(key)
                 self.hits += 1
                 return value

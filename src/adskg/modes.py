@@ -28,7 +28,6 @@ tables of transfer matrices are formed afresh.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -444,12 +443,12 @@ def _pow(x: np.ndarray, p) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _int_powers(power, x, k) -> np.ndarray:
-    """power(x, e) for the integers e >= 0 of k, broadcast against x: one
-    power(x, float(e)) over the whole of x per e up to max(k), so each
-    element has the bits of a call on x with a scalar exponent."""
-    table = np.array([power(x, float(e)) for e in range(np.max(k, initial=0) + 1)])
-    return table.reshape(len(table), -1)[k, np.arange(np.size(x)).reshape(np.shape(x))]
+def _int_powers(x: np.ndarray, top):
+    """k -> x ** k for the integers 0 <= k <= top, broadcast against x, from
+    one `_pow(x, float(e))` over the whole of x per e, so each element has
+    the bits of a call on x with a scalar exponent."""
+    table = np.array([_pow(x, float(e)) for e in range(top + 1)]).reshape(top + 1, -1)
+    return lambda k: table[k, np.arange(np.size(x)).reshape(np.shape(x))]
 
 
 def _jacobi_labels(branch: str, n, l, params: AdsParams):
@@ -488,8 +487,8 @@ def jacobi_radial_fd(branch: str, n, l, rho, params: AdsParams):
     """(J, dJ/drho) over broadcast n, l and rho; n and l integers >= 0
     (DomainError), an integer-valued float taken as its integer.  Each
     element is bit for bit the call at its scalar (n, l) on the same rho,
-    and J at a point does not depend on the array it sits in: its powers
-    are Python's pow (np.power on arrays can differ in the last bit)."""
+    and neither J nor dJ/drho at a point depends on the array it sits in:
+    all powers are Python's pow (np.power on arrays can differ in the last bit)."""
     return _jacobi_radial(branch, n, l, rho, params, True)
 
 
@@ -501,15 +500,16 @@ def _jacobi_radial(branch: str, n, l, rho, params: AdsParams, drho: bool):
     ga = l + params.d / 2.0
     rho = np.asarray(rho, dtype=float)
     s, c, x = np.sin(rho), np.cos(rho), np.cos(2.0 * rho)
-    head = pref * _int_powers(_pow, s, l) * _pow(c, ex)
+    sp = _int_powers(s, np.max(l, initial=0) + drho)
+    sl, cex = sp(l), _pow(c, ex)
     pval = jacobi_p(ga - 1.0, nu, n, x)
     if not drho:
-        return head * pval, None
+        return pref * sl * cex * pval, None
     dval = jacobi_p_dx(ga - 1.0, nu, n, x) * (-2.0 * np.sin(2.0 * rho))
-    sp = lambda k: _int_powers(operator.pow, s, k)  # numpy's s ** e over rho, per e
-    dpre = np.where(l == 0, -ex * s * c ** (ex - 1.0), l * sp(np.maximum(l - 1, 0))
-                    * c ** (ex + 1.0) - ex * sp(l + 1) * c ** (ex - 1.0))
-    return head * pval, pref * (dpre * pval + sp(l) * c ** ex * dval)
+    down, up = _pow(c, ex - 1.0), _pow(c, ex + 1.0)
+    dpre = np.where(l == 0, -ex * s * down, l * sp(np.maximum(l - 1, 0)) * up
+                    - ex * sp(l + 1) * down)
+    return pref * sl * cex * pval, pref * (dpre * pval + sl * cex * dval)
 
 
 def norm_constant(branch: str, n, l, params: AdsParams):

@@ -246,13 +246,13 @@ def test_verify_json_reports_the_angular_cache(capsys):
     from adskg.memo import counters
     assert main(["verify", "harmonics", "--json"]) == 0
     caches = json.loads(capsys.readouterr().out)["angular_caches"]
-    assert caches == counters("ylm_point", "grid_rule", "ylm_table", "radial_measure")
-    assert list(caches) == ["ylm_point", "grid_rule", "ylm_table", "radial_measure"]
+    assert caches == counters("ylm_point", "grid_rule", "theta_table", "radial_measure")
+    assert list(caches) == ["ylm_point", "grid_rule", "theta_table", "radial_measure"]
     for counts in caches.values():
         assert set(counts) == {"hits", "misses", "size", "maxsize"}
         assert 0 <= counts["size"] <= counts["maxsize"]
     assert caches["ylm_point"]["maxsize"] == 64
-    assert caches["grid_rule"]["maxsize"] == caches["ylm_table"]["maxsize"] == 4
+    assert caches["grid_rule"]["maxsize"] == 4 and caches["theta_table"]["maxsize"] == 16
     assert caches["radial_measure"]["maxsize"] == 16
 
 

@@ -803,6 +803,12 @@ def _oracle_ylm(angles, coef):
     return out
 
 
+def _oracle_point_sum(kern, coef, angles):
+    """`_synthesize` at a point, with Y from `_oracle_ylm`."""
+    kern = np.broadcast_to(kern, kern.shape[:2] + coef.shape[-1:])
+    return np.einsum("sji,...ji->...si", kern, coef) @ _oracle_ylm(angles, coef)
+
+
 def _oracle_synth(rep, point, params, deriv=""):
     """synth / synth_dt / synth_drho with the set-up done per call and a rod
     summed as its tube copy (`as_tube`, b = 0)."""
@@ -816,7 +822,7 @@ def _oracle_synth(rep, point, params, deriv=""):
         minus = coef[1][:, lm_mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t)
         coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
         kern = _oracle_table(js, coefs, radial, rho.shape)
-        out = xp._synthesize(kern, coefs, _oracle_ylm((theta, phi), coefs))
+        out = _oracle_point_sum(kern, coefs, (theta, phi))
         return complex(out[int(deriv == "t"), 0])
     if isinstance(rep, RodRep):
         rep = rep.as_tube()
@@ -829,7 +835,7 @@ def _oracle_synth(rep, point, params, deriv=""):
     omega = rep.grid.d_omega * np.asarray(js, dtype=float)
     phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))
     kern = rep.grid.d_omega * (-1j * omega * phase if deriv == "t" else phase)
-    out = xp._synthesize(kern[:, :, None], fold, _oracle_ylm((theta, phi), fold))
+    out = _oracle_point_sum(kern[:, :, None], fold, (theta, phi))
     return complex(out[int(deriv == "rho"), 0])
 
 

@@ -58,12 +58,15 @@ def test_array_sph_harm_equals_scalar_calls(rng):
     want = [[sph_harm(int(l), int(m), float(t), float(p)) for t, p in zip(theta, phi)]
             for l, m in zip(ls, ms)]
     assert got.shape == (ls.size, 9) and np.array_equal(got, want)
+    # the grid's table is separable, Y's theta factor times e^{i m phi}:
+    # two roundings in another order than sph_harm's, so within 2 ulp
     ang = AngularGrid(12, 24)
     table = ang.ylm(9)
-    assert table.shape == (100, 12, 24) and not table.flags.writeable
-    assert np.array_equal(table, [[[sph_harm(int(l), int(m), float(t), float(p))
-                                    for p in ang.phi] for t in ang.theta]
-                                  for l, m in zip(*lm_labels(9))])
+    want = np.array([[[sph_harm(int(l), int(m), float(t), float(p)) for p in ang.phi]
+                      for t in ang.theta] for l, m in zip(*lm_labels(9))])
+    assert table.shape == (100, 12, 24)
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(table - want)) <= 2 * np.spacing(np.abs(part(want))))
     assert np.array_equal(ang.ylm(3), table[:16])
     assert np.array_equal(ang.ylm(11)[:100], table)
 
@@ -148,18 +151,59 @@ def test_project_is_accurate_on_c_tube(rng):
             assert np.all(np.abs(got - want) <= 8 * eps * scale)
 
 
-def test_theta_table_is_the_weighted_phi_zero_column_of_y():
+def test_theta_table_holds_the_factors_of_y_on_the_grid():
     ang = AngularGrid(10, 20)
-    table = _theta_table(10, 20, 4)
-    assert _theta_table(10, 20, 4) is table and not table.flags.writeable
-    assert table.shape == (9, 10, 5) and table.dtype == np.longdouble
-    ylm = ang.ylm(4)
+    entry = _theta_table(10, 20, 4)
+    assert _theta_table(10, 20, 4) is entry
+    theta, weighted, phase, gather = entry
+    for arr in entry:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+    assert theta.shape == weighted.shape == (9, 10, 5) and weighted.dtype == np.longdouble
+    assert phase.shape == (9, 20) and gather.shape == (9, 5)
     for m in range(-4, 5):
         ls = np.arange(abs(m), 5)
-        want = (np.longdouble(ang.cos_weights)[:, None] * ang.phi_weight
-                * ylm[lm_index(ls, m), :, 0].real.T)
-        assert np.array_equal(table[m + 4, :, abs(m):], want)
-        assert not table[m + 4, :, :abs(m)].any()
+        column = sph_harm(ls[:, None], m, ang.theta, 0.0).real.T
+        assert np.array_equal(theta[m + 4, :, abs(m):], column)
+        assert np.array_equal(weighted[m + 4, :, abs(m):], np.longdouble(ang.cos_weights)[:, None]
+                              * ang.phi_weight * column)
+        assert np.array_equal(phase[m + 4], np.exp(1j * m * ang.phi))
+        assert np.array_equal(gather[m + 4, abs(m):], lm_index(ls, m))
+        assert not theta[m + 4, :, :abs(m)].any() and not weighted[m + 4, :, :abs(m)].any()
+        assert np.all(gather[m + 4, :abs(m)] == lm_count(4))
+
+
+def _table_synthesize(ang, coef):
+    """sum_lm coef[..., lm] Y_lm on the grid against a full sph_harm table,
+    and the sum of |terms| per point."""
+    ls, ms = (x[:, None, None] for x in lm_labels(lm_degree(coef.shape[-1] - 1)))
+    table = sph_harm(ls, ms, ang.theta[:, None], ang.phi)
+    flat = table.reshape(len(table), -1)
+    shape = coef.shape[:-1] + table.shape[1:]
+    return (coef @ flat).reshape(shape), (np.abs(coef) @ np.abs(flat)).reshape(shape)
+
+
+def test_synthesize_matches_the_table_contraction(rng):
+    eps = np.finfo(float).eps
+    for ang, l_max in ((AngularGrid(16, 32), 8), (AngularGrid(8, 12), 8),  # 2 l_max + 1 > 12
+                       (AngularGrid(9, 7), 3), (AngularGrid(24, 48), 12)):
+        for shape in ((), (3,), (2, 5), (0,)):
+            size = shape + (lm_count(l_max),)
+            coef = rng.normal(size=size) + 1j * rng.normal(size=size)
+            got = ang.synthesize(coef)
+            want, scale = _table_synthesize(ang, coef)
+            assert got.shape == shape + (ang.n_theta, ang.n_phi)
+            assert np.all(np.abs(got - want) <= 4 * eps * scale)
+    real = rng.normal(size=(4, lm_count(5)))
+    ang = AngularGrid(16, 32)
+    assert np.array_equal(ang.synthesize(real), ang.synthesize(real + 0j))
+
+
+def test_synthesize_is_the_adjoint_of_project(rng):
+    ang = AngularGrid(16, 32)
+    coef = rng.normal(size=(3, 64)) + 1j * rng.normal(size=(3, 64))
+    assert np.max(np.abs(ang.project(ang.synthesize(coef), 7) - coef)) <= 1e-13
 
 
 def test_project_over_stack_equals_per_slice(rng):
@@ -182,11 +226,16 @@ def test_index_error():
 
 def test_legendre_overflow_is_a_domain_error():
     # P_l^m overflows at |m| near l from l = 86 on although |Y| < 1
-    assert np.isfinite(AngularGrid(8, 16).ylm(85)).all()
+    assert all(np.isfinite(table).all() for table in _theta_table(8, 16, 85))
+    edge = np.zeros((5, lm_count(85)))
+    edge[range(5), lm_index(85, np.array([-85, -84, 0, 84, 85]))] = 1.0
+    assert np.isfinite(AngularGrid(8, 16).synthesize(edge)).all()
     with pytest.raises(DomainError, match=r"not finite at \(l, m\) = \(86, 86\)"):
         sph_harm(86, 86, 1.0, 0.0)
-    with pytest.raises(DomainError, match=r"not finite at \(l, m\) = \(86, "):
-        AngularGrid(8, 16).ylm(86)
+    for build in (lambda: _theta_table(8, 16, 86),
+                  lambda: AngularGrid(8, 16).synthesize(np.zeros(lm_count(86)))):
+        with pytest.raises(DomainError, match=r"not finite at \(l, m\) = \(86, "):
+            build()
 
 
 def test_lm_labels_are_formed_once_and_read_only():
@@ -198,12 +247,7 @@ def test_lm_labels_are_formed_once_and_read_only():
             arr[0] = 1
 
 
-def _table_counts():
-    from adskg.memo import counters
-    return counters("ylm_table")["ylm_table"]
-
-
-def test_grids_of_one_shape_share_a_read_only_rule_and_table():
+def test_grids_of_one_shape_share_a_read_only_rule_and_table(rng):
     a, b = AngularGrid(14, 30), AngularGrid(14, 30)
     for x, y in ((a.cos_nodes, b.cos_nodes), (a.cos_weights, b.cos_weights),
                  (a.theta, b.theta), (a.phi, b.phi)):
@@ -212,42 +256,15 @@ def test_grids_of_one_shape_share_a_read_only_rule_and_table():
     assert a.cos_nodes.tobytes() == x.tobytes() and a.cos_weights.tobytes() == w.tobytes()
     assert a.theta.tobytes() == np.arccos(x).tobytes()
     assert a.phi.tobytes() == (2.0 * math.pi * np.arange(30) / 30).tobytes()
-    before = _table_counts()
-    big = a.ylm(6)
-    assert _table_counts()["misses"] == before["misses"] + 1
-    # a shorter table on a second grid is the leading rows of the shared one
-    small = b.ylm(3)
-    assert _table_counts()["hits"] == before["hits"] + 1
-    assert small.base is big.base and not small.flags.writeable
-    ls, ms = (v[:, None, None] for v in lm_labels(3))
-    want = sph_harm(ls, ms, a.theta[:, None], a.phi)
-    assert small.tobytes() == want.tobytes()
-    with pytest.raises(ValueError):
-        big[0, 0, 0] = 1.0
-
-
-def test_tables_above_the_entry_cap_stay_with_their_grid():
-    from adskg.harmonics import _YLM_TABLES
-    grid = AngularGrid(64, 128)
-    assert lm_count(4) * 64 * 128 <= _YLM_TABLES.max_elements < lm_count(5) * 64 * 128
-    table = grid.ylm(5)
-    assert grid.ylm(5).base is table.base  # the grid keeps its own
-    misses = _table_counts()["misses"]
-    AngularGrid(64, 128).ylm(5)      # not shared: a second grid builds its own
-    assert _table_counts()["misses"] == misses + 1
-
-
-def test_shared_tables_are_an_lru_of_grid_shapes():
-    from adskg.harmonics import _YLM_TABLES
-    shapes = [(6 + i, 12 + 2 * i) for i in range(_YLM_TABLES.maxsize + 1)]
-    for shape in shapes:
-        AngularGrid(*shape).ylm(2)
-    counts = _table_counts()
-    assert counts["size"] == counts["maxsize"] == 4
-    AngularGrid(*shapes[-1]).ylm(2)  # kept
-    assert _table_counts()["hits"] == counts["hits"] + 1
-    AngularGrid(*shapes[0]).ylm(2)   # evicted by the last shape
-    assert _table_counts()["misses"] == counts["misses"] + 1
+    from adskg.memo import counters
+    before = counters("theta_table")["theta_table"]
+    coef = rng.normal(size=(2, lm_count(6))) + 0j
+    first = a.synthesize(coef)
+    assert counters("theta_table")["theta_table"]["misses"] == before["misses"] + 1
+    # a second grid of the shape, projecting, reads the entry synthesis built
+    b.project(first, 6)
+    assert counters("theta_table")["theta_table"]["hits"] == before["hits"] + 1
+    assert np.array_equal(b.synthesize(coef), first)
 
 
 def test_normalization_overflow_is_a_domain_error():
@@ -260,8 +277,8 @@ def test_normalization_overflow_is_a_domain_error():
     grid = AngularGrid(8, 16)
     for l_max in (86, 90):
         with pytest.raises(DomainError):
-            grid.ylm(l_max)
-    assert grid.ylm(2).shape == (9, 8, 16)  # a failed build leaves the grid as it was
+            grid.synthesize(np.zeros((2, lm_count(l_max))))
+    assert grid.ylm(2).shape == (9, 8, 16)
 
 
 # --- contiguous coefficients -------------------------------------------------

@@ -243,24 +243,24 @@ def test_norm_constant_broadcasts_bit_for_bit(params_m0, params_neg):
 def _per_label_jacobi_fd(branch, n, l, rho, p):
     """(J, dJ/drho) at one integer (n, l) on an array rho, term for term the
     per-label formula the broadcast evaluation replaced: libm's lgamma, exp
-    and pow in J, numpy's ** at scalar exponents in the derivative."""
+    and pow, every power at a scalar exponent through Python's pow."""
     nu = p.nu if branch == "plus" else -p.nu
     ex = p.delta_plus if branch == "plus" else p.delta_minus
     ga = l + p.d / 2.0
     alpha = ga - 1.0
     pref = math.exp(math.lgamma(n + 1.0) + math.lgamma(ga) - math.lgamma(n + ga))
     s, c, x = np.sin(rho), np.cos(rho), np.cos(2.0 * rho)
-    head = pref * np.array([pow(v, l) for v in s.tolist()]) \
-        * np.array([pow(v, ex) for v in c.tolist()])
+    pw = lambda v, e: np.array([pow(u, e) for u in v.tolist()])
+    sl, cex = pw(s, l), pw(c, ex)
+    head, pre = pref * sl * cex, sl * cex
     pval = eval_jacobi(n, alpha, nu, x)
     dval = 0.0 if n == 0 else 0.5 * (n + alpha + nu + 1.0) * eval_jacobi(
         n - 1, alpha + 1.0, nu + 1.0, x)
     dval = dval * (-2.0 * np.sin(2.0 * rho))
     if l == 0:
-        pre, dpre = c ** ex, -ex * s * c ** (ex - 1.0)
+        dpre = -ex * s * pw(c, ex - 1.0)
     else:
-        pre = s ** l * c ** ex
-        dpre = l * s ** (l - 1.0) * c ** (ex + 1.0) - ex * s ** (l + 1.0) * c ** (ex - 1.0)
+        dpre = l * pw(s, l - 1.0) * pw(c, ex + 1.0) - ex * pw(s, l + 1.0) * pw(c, ex - 1.0)
     return head * pval, pref * (dpre * pval + pre * dval)
 
 
@@ -275,6 +275,20 @@ def test_jacobi_tables_are_the_per_label_formula_bit_for_bit():
                 want_f, want_df = _per_label_jacobi_fd(branch, nn, ll, rho, p)
                 assert f[nn, ll].tobytes() == want_f.tobytes(), (msq, branch, nn, ll)
                 assert df[nn, ll].tobytes() == want_df.tobytes(), (msq, branch, nn, ll)
+
+
+def test_a_point_of_the_jacobi_table_is_the_call_at_its_scalar_rho():
+    # numpy's ** over an array can differ in the last bit from the same power
+    # at a scalar, so a value must not depend on the array its rho sits in
+    rho = np.random.default_rng(3).uniform(0.0, 1.57, 200)
+    n, l = np.meshgrid(np.arange(5), np.arange(6), indexing="ij")
+    for msq in (0.0, -2.2):
+        p = make_params(3, 1.0, msq)
+        f, df = jacobi_radial_fd("plus", n[..., None], l[..., None], rho, p)
+        for (nn, ll), _ in np.ndenumerate(n):
+            for i, r in enumerate(rho.tolist()):
+                at_point = np.array(jacobi_radial_fd("plus", nn, ll, r, p))
+                assert at_point.tobytes() == np.array((f[nn, ll, i], df[nn, ll, i])).tobytes()
 
 
 def test_integer_valued_float_labels_take_the_integer_bits(params_m0):
