@@ -224,8 +224,12 @@ class AngularGrid:
         self.n_phi = n_phi
 
     def ylm(self, l_max: int) -> np.ndarray:
-        """Y_lm on the grid for every packed lm up to l_max: (lm, n_theta, n_phi)."""
-        return self.synthesize(np.eye(lm_count(l_max)))
+        """Y_lm on the grid for every packed lm up to l_max, shape (lm,
+        n_theta, n_phi), read-only, from one `sph_harm` call; unmemoized."""
+        ls, ms = (x[:, None, None] for x in lm_labels(l_max))
+        table = sph_harm(ls, ms, self.theta[:, None], self.phi)
+        table.flags.writeable = False
+        return table
 
     def synthesize(self, coef: np.ndarray) -> np.ndarray:
         """sum_lm coef[..., lm] Y_lm on the grid, shape (..., n_theta, n_phi),
