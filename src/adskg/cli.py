@@ -129,10 +129,7 @@ def cmd_verify(args) -> int:
         print(f"SUITE {name} {'PASS' if ok else 'FAIL'} max_err={worst:.3e}")
     if args.json:
         print(json.dumps({"passed": all_ok, "suites": suites, "checks": records,
-                          "caches": counters("radial_table", "transfer_matrix"),
-                          "angular_caches": counters("ylm_point", "grid_rule",
-                                                     "theta_table", "radial_measure")},
-                         indent=1, allow_nan=False))
+                          "caches": counters()}, indent=1, allow_nan=False))
     return 0 if all_ok else 1
 
 

@@ -67,8 +67,8 @@ class OmegaGrid:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        if self.d_omega <= 0.0:
-            raise ValueError("d_omega must be positive")
+        if not (math.isfinite(self.d_omega) and self.d_omega > 0.0):
+            raise ValueError(f"d_omega must be finite and positive, got {self.d_omega!r}")
         object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
 
     def omega(self, k: int) -> float:

@@ -74,7 +74,8 @@ def rotation_mixing(l: int, angles: EulerAngles) -> np.ndarray:
 
     Obtained from the Wigner D-matrix by conjugating with the diagonal sign
     matrix S = diag((-1)^max(m,0)) that maps our harmonics to the
-    CS-phase convention the factorial-sum D-matrix is built for.
+    CS-phase convention of `wigner_d` (exp(-i beta J_y) in the standard
+    angular-momentum basis).
     """
     dmat = wigner_d(l, angles)
     signs = np.array([(-1.0) ** m if m > 0 else 1.0 for m in range(-l, l + 1)])

@@ -17,12 +17,13 @@ series terminates and coincides with the normalizable Jacobi mode J+-_{nl};
 for omega+ a denominator Gamma of m12 has its pole there, so m12 = 0.
 radial_eval_fd builds the kinds of one basis together (a tube synthesis
 needs both): past the cutoff both are rows of M, or of M^-1, applied to the
-same pair of the other basis's series, so each series is summed once.  The
-radial tables of its array calls (every synthesis and inversion) are
-memoized per kind, with the other basis's tables where a build summed them
-at every point (a later build past the cutoff reads them in place of the
-series), and so are scalar transfer_matrix calls (`adskg.memo`); array
-tables of transfer matrices are formed afresh.
+same pair of the other basis's series, so each series is summed once.  An
+array call (every synthesis and inversion) takes the array path at every
+size; its radial tables are memoized per kind, with the other basis's
+tables where a build summed them at every point (a later build past the
+cutoff reads them in place of the series; `adskg.memo`).  A scalar call
+takes the scalar path, the array path's reference.  Transfer matrices are
+formed afresh on every call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (CapabilityError, DomainError, ExceptionalBranch,
                      SingularPoint)
 from .geometry import AdsParams
 from .harmonics import require_two_sphere, sph_harm
-from .memo import Memo, key, memo
+from .memo import Memo, key
 from .specfun import (DEFAULT_POLICY, hyp2f1, hyp2f1_dx, hyp2f1_terminates,
                       jacobi_p, jacobi_p_dx)
 
@@ -168,11 +169,9 @@ def _weighted_wronskian(fa, da, fb, db, rho: float, d: int) -> float:
     return math.tan(rho) ** (d - 1) * (fa * db - fb * da)
 
 
-# `verify all` asks for 22 distinct scalar keys; 1024 hold many jobs' worth
-@memo("transfer_matrix", 1024)
 def transfer_matrix(omega: float, l: int, params: AdsParams) -> TransferMatrix:
     """Transfer matrix M with (S^a, S^b) = M (C^a, C^b) at fixed (omega, l):
-    _transfer_entries on Python scalars, memoized per (omega, l, params)."""
+    _transfer_entries on Python scalars."""
     return TransferMatrix(*_transfer_entries(omega, l, params, False).tolist(),
                           _transfer_det(l, params))
 
@@ -283,11 +282,6 @@ def _check_axis(kind: RadialKind, params: AdsParams) -> None:
         raise SingularPoint("C-modes diverge on the time axis")
 
 
-# below this many series (points x kinds) the scalar loop per point is
-# faster: an array call costs several scalar series in numpy overhead
-_BLOCK_MIN = 16
-
-
 def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
                           pair_tables=None) -> dict:
     """Array path of radial_eval_fd for kinds of one basis: {kind: (f, f')},
@@ -297,14 +291,11 @@ def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
     basis's pair, which each such kind combines with its row of M (S) or
     M^-1 (C).  Where that pair was summed at every element its two tables
     are returned too.  pair_tables, that pair's (f, f') tables at the same
-    points, stand in for its series.  Below _BLOCK_MIN series, without
-    pair_tables, the scalar path runs per point."""
+    points, stand in for its series."""
     shape = np.broadcast(omega, l, rho).shape
     omega, l, rho = (np.broadcast_to(v, shape).ravel() for v in (omega, l, rho))
     if rho.size == 0:
         return {kind: (np.zeros(shape), np.zeros(shape)) for kind in kinds}
-    if rho.size * len(kinds) < _BLOCK_MIN and pair_tables is None:
-        return _radial_eval_fd_points(kinds, omega, l, rho, shape, params)
     if not np.all((0.0 <= rho) & (rho < math.pi / 2)):
         raise DomainError("rho must lie in [0, pi/2)")
     axis = rho == 0.0
@@ -336,15 +327,6 @@ def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
     if cross.all() and pair_tables is None:
         kinds, out = kinds + _KINDS[pair[0]:pair[1] + 1], np.concatenate([out, series[:, pair]], 1)
     return {kind: (f.reshape(shape), df.reshape(shape)) for kind, f, df in zip(kinds, *out)}
-
-
-def _radial_eval_fd_points(kinds: tuple, omega, l, rho, shape, params: AdsParams) -> dict:
-    """_radial_eval_fd_array's result from the scalar path, called once per
-    distinct point of the 1-d arrays."""
-    points = list(zip(omega.tolist(), l.tolist(), rho.tolist()))
-    table = {p: _radial_eval_fd_scalar(kinds, *p, params) for p in dict.fromkeys(points)}
-    return {kind: tuple(np.reshape(v, shape) for v in zip(*(table[p][kind] for p in points)))
-            for kind in _KINDS if all(kind in vals for vals in table.values())}
 
 
 def _radial_table(kinds: tuple, omega, l, rho, params: AdsParams) -> list:
@@ -383,9 +365,8 @@ def radial_eval_fd(kind, omega, l, rho, params: AdsParams):
     is bit-identical to the scalar call's.  Each branch is one hyp2f1 array
     call over the series of the kinds it needs and of their x-derivatives,
     each summed once: past the cutoff the kinds share the other basis's
-    pair.  Fewer than _BLOCK_MIN series (points x kinds) are evaluated
-    point by point.  Array results are memoized per kind on the arguments
-    as `np.asarray` gives them (a single kind's are read-only).  A build
+    pair.  Array results are memoized per kind on the arguments as
+    `np.asarray` gives them (a single kind's are read-only).  A build
     that summed the other basis's pair at every point stores that pair's
     tables too, and a build that finds them stored sums no pair series, so
     past either cutoff the S and C bases at the same points are built once.
@@ -415,20 +396,17 @@ def _radial_eval_fd_scalar(kinds: tuple, omega: float, l: int, rho: float,
         return dict.fromkeys(kinds, (1.0, 0.0) if l == 0 else (0.0, 1.0 if l == 1 else 0.0))
     out = {kind: _radial_direct(kind, omega, l, rho, params)
            for kind in kinds if _direct_ok(kind, omega, l, rho, params)}
-    on_sin = kinds[0] in (RadialKind.Sa, RadialKind.Sb)
-    for kind in kinds:
-        if kind in out:
-            continue
-        mat, pair = transfer_matrix(omega, l, params), _KINDS[2:] if on_sin else _KINDS[:2]
-        if not on_sin:
-            mat = mat.inverse()
+    via = [kind for kind in kinds if kind not in out]
+    if via:
+        on_sin = kinds[0] in (RadialKind.Sa, RadialKind.Sb)
+        mat = _transfer_entries(omega, l, params, not on_sin).tolist()
+        pair = _KINDS[2:] if on_sin else _KINDS[:2]
         for p in pair:
-            if p not in out:
-                out[p] = _radial_direct(p, omega, l, rho, params)
-        m1, m2 = (mat.m11, mat.m12) if kind in (RadialKind.Sa, RadialKind.Ca) \
-            else (mat.m21, mat.m22)
+            out[p] = _radial_direct(p, omega, l, rho, params)
         (fa, da), (fb, db) = out[pair[0]], out[pair[1]]
-        out[kind] = m1 * fa + m2 * fb, m1 * da + m2 * db
+        for kind in via:
+            m1, m2 = mat[:2] if kind in (RadialKind.Sa, RadialKind.Ca) else mat[2:]
+            out[kind] = m1 * fa + m2 * fb, m1 * da + m2 * db
     return out
 
 
@@ -484,11 +462,12 @@ def jacobi_radial(branch: str, n, l, rho, params: AdsParams):
 
 
 def jacobi_radial_fd(branch: str, n, l, rho, params: AdsParams):
-    """(J, dJ/drho) over broadcast n, l and rho; n and l integers >= 0
-    (DomainError), an integer-valued float taken as its integer.  Each
-    element is bit for bit the call at its scalar (n, l) on the same rho,
-    and neither J nor dJ/drho at a point depends on the array it sits in:
-    all powers are Python's pow (np.power on arrays can differ in the last bit)."""
+    """(J, dJ/drho) over broadcast n, l and rho; n and l integers >= 0 and
+    rho in [0, pi/2], where J is finite (DomainError), an integer-valued
+    float n or l taken as its integer.  Each element is bit for bit the
+    call at its scalar (n, l) on the same rho, and neither J nor dJ/drho at
+    a point depends on the array it sits in: all powers are Python's pow
+    (np.power on arrays can differ in the last bit)."""
     return _jacobi_radial(branch, n, l, rho, params, True)
 
 
@@ -499,6 +478,8 @@ def _jacobi_radial(branch: str, n, l, rho, params: AdsParams, drho: bool):
     ex = params.delta_plus if branch == "plus" else params.delta_minus
     ga = l + params.d / 2.0
     rho = np.asarray(rho, dtype=float)
+    if not np.all((0.0 <= rho) & (rho <= math.pi / 2)):
+        raise DomainError("Jacobi modes need rho in [0, pi/2]")
     s, c, x = np.sin(rho), np.cos(rho), np.cos(2.0 * rho)
     sp = _int_powers(s, np.max(l, initial=0) + drho)
     sl, cex = sp(l), _pow(c, ex)

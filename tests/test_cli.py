@@ -143,6 +143,13 @@ def test_eval_negative_jacobi_order_exits_2(capsys):
         assert out == "" and err.startswith("error:") and "(n, l) = (-1, 0)" in err
 
 
+def test_eval_jacobi_rho_past_the_boundary_exits_2(capsys):
+    argv = ["eval", "--kind", "jplus", "--n", "1", "--l", "1", "--rho", "2.0", "--msq", "0.5"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: Jacobi modes need rho in [0, pi/2]\n"
+
+
 def test_eval_deterministic(tmp_path):
     args = ["eval", "--kind", "jplus", "--n", "1", "--l", "1", "--m", "1",
             "--rho", "0.2:1.2:7", "--t", "0.0:1.0:3"]
@@ -226,17 +233,22 @@ def test_verify_json_records(capsys):
         assert recs == want
 
 
+PACKAGE_MEMOS = {"radial_table": 128, "lm_labels": 128, "ylm_point": 64, "grid_rule": 4,
+                 "theta_table": 16, "radial_measure": 16}
+
+
 def test_verify_json_reports_cache_counters(capsys):
     import json
     from adskg.memo import counters
     assert main(["verify", "modes", "--json"]) == 0
-    caches = json.loads(capsys.readouterr().out)["caches"]
-    assert caches == counters("radial_table", "transfer_matrix")
-    assert caches["radial_table"]["maxsize"] == 128
-    assert caches["transfer_matrix"]["maxsize"] == 1024
+    doc = json.loads(capsys.readouterr().out)
+    caches = doc["caches"]
+    assert caches == counters() and "angular_caches" not in doc
+    assert {name: caches[name]["maxsize"] for name in PACKAGE_MEMOS} == PACKAGE_MEMOS
     for counts in caches.values():
         assert set(counts) == {"hits", "misses", "size", "maxsize"}
-        assert 0 < counts["size"] <= counts["maxsize"] and counts["misses"] > 0
+        assert 0 <= counts["size"] <= counts["maxsize"]
+    assert 0 < caches["radial_table"]["size"] and caches["radial_table"]["misses"] > 0
     assert main(["verify", "modes"]) == 0
     assert "caches" not in capsys.readouterr().out
 
@@ -245,15 +257,12 @@ def test_verify_json_reports_the_angular_cache(capsys):
     import json
     from adskg.memo import counters
     assert main(["verify", "harmonics", "--json"]) == 0
-    caches = json.loads(capsys.readouterr().out)["angular_caches"]
-    assert caches == counters("ylm_point", "grid_rule", "theta_table", "radial_measure")
-    assert list(caches) == ["ylm_point", "grid_rule", "theta_table", "radial_measure"]
-    for counts in caches.values():
-        assert set(counts) == {"hits", "misses", "size", "maxsize"}
-        assert 0 <= counts["size"] <= counts["maxsize"]
-    assert caches["ylm_point"]["maxsize"] == 64
-    assert caches["grid_rule"]["maxsize"] == 4 and caches["theta_table"]["maxsize"] == 16
-    assert caches["radial_measure"]["maxsize"] == 16
+    caches = json.loads(capsys.readouterr().out)["caches"]
+    assert caches == counters()
+    for name in ("ylm_point", "grid_rule", "theta_table", "radial_measure"):
+        assert caches[name]["maxsize"] == PACKAGE_MEMOS[name]
+        assert 0 <= caches[name]["size"] <= caches[name]["maxsize"]
+    assert caches["grid_rule"]["size"] > 0 and caches["grid_rule"]["misses"] > 0
 
 
 def test_import_loads_no_scipy_linalg_or_integrate():

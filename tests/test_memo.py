@@ -148,8 +148,8 @@ def test_threads_on_one_memo_leave_a_consistent_store():
 
 
 def test_the_package_memos_are_registered_under_their_names():
-    names = ["radial_table", "transfer_matrix", "lm_labels", "ylm_point",
-             "grid_rule", "theta_table", "radial_measure"]
+    names = ["radial_table", "lm_labels", "ylm_point", "grid_rule", "theta_table",
+             "radial_measure"]
     assert set(names) <= set(counters())
     for counts in counters(*names).values():
         assert list(counts) == ["hits", "misses", "maxsize", "size"]

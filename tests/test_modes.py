@@ -329,6 +329,23 @@ def test_jacobi_label_error_names_the_first_bad_pair(params_m0):
         norm_constant("plus", np.arange(3), np.array([0.0, 2.5, -1.0]), params_m0)
 
 
+@pytest.mark.parametrize("rho", [2.0, -0.3, math.nan, math.pi / 2 + 1e-15])
+def test_jacobi_family_rejects_rho_outside_the_closed_quarter_circle(rho):
+    # at rho = 2.0 cos rho < 0 and Python's pow to a non-integer Delta+ is
+    # complex; at -0.3 a value would come back
+    p = make_params(3, 1.0, 0.5)
+    for call in (lambda: jacobi_radial("plus", 1, 1, rho, p),
+                 lambda: jacobi_radial_fd("plus", 1, 1, np.array([0.4, rho]), p)):
+        with pytest.raises(DomainError, match=r"rho in \[0, pi/2\]"):
+            call()
+
+
+def test_jacobi_modes_are_finite_on_both_ends_of_the_radius():
+    p = make_params(3, 1.0, 0.5)
+    f, df = jacobi_radial_fd("plus", np.arange(3), 1, np.array([[0.0], [math.pi / 2]]), p)
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(df))
+
+
 # --- Wronskians and the transfer matrix ---------------------------------------------
 
 def test_wronskian_antisymmetry(params_m0):
@@ -374,12 +391,6 @@ def test_transfer_matrix_determinant_identity(params_m0):
         det = mat.m11 * mat.m22 - mat.m12 * mat.m21
         assert det * w_cc == pytest.approx(w_ss, rel=1e-8)
         assert mat.det * w_cc == pytest.approx(w_ss, rel=1e-8)
-
-
-def test_transfer_matrix_memoized_by_value(params_m0):
-    first = transfer_matrix(2.7, 2, params_m0)
-    assert transfer_matrix(2.7, 2, make_params(3, 1.0, 0.0)) is first
-    assert transfer_matrix(2.7, 3, params_m0) is not first
 
 
 TRANSFER_MASSES = (0.0, -2.0, 0.37, -1.0, 3.0)
@@ -474,38 +485,13 @@ def test_scalar_transfer_matrix_is_the_array_closed_form_bit_for_bit(rng, m_sq):
             assert [mat.m11, mat.m12, mat.m21, mat.m22] == got[:, i].tolist()
 
 
-def _transfer_counts():
-    return counters("transfer_matrix")["transfer_matrix"]
-
-
-def test_transfer_memo_is_bounded_at_1024(params_m0):
-    maxsize = _transfer_counts()["maxsize"]
-    assert maxsize == 1024
-    omega = 0.1234 + 0.001 * np.arange(maxsize + 40)
-    before = _transfer_counts()
-    for om in omega.tolist():
-        transfer_matrix(om, 0, params_m0)
-    after = _transfer_counts()
-    assert after["size"] == maxsize
-    assert after["misses"] == before["misses"] + omega.size
-    transfer_matrix(float(omega[-1]), 0, params_m0)  # the newest key stays
-    assert _transfer_counts()["hits"] == after["hits"] + 1
-    transfer_matrix(float(omega[0]), 0, params_m0)  # the oldest was evicted
-    assert _transfer_counts()["misses"] == after["misses"] + 1
-    assert _transfer_counts()["size"] == maxsize
-
-
 def test_integer_nu_transfer_matrix_raises_and_is_never_cached():
     p = make_params(3, 1.0, 4.0 - 2.25)  # nu = 2 exactly
-    before = _transfer_counts()
     for _ in range(2):
         with pytest.raises(CapabilityError, match="transfer matrix undefined"):
             transfer_matrix(2.3, 1, p)
         with pytest.raises(CapabilityError):
             modes._transfer_entries(np.array([2.3, 4.1]), np.array([1, 2]), p, True)
-    after = _transfer_counts()
-    assert after["size"] == before["size"] and after["hits"] == before["hits"]
-    assert after["misses"] == before["misses"] + 2
 
 
 def test_transfer_matrix_is_warning_free_at_extremes_and_poles(params_m0):
@@ -652,8 +638,9 @@ _OMEGA = st.one_of(st.floats(-9.0, 9.0), st.integers(0, 3).map(lambda n: ("magic
                        min_size=1, max_size=24))
 @settings(max_examples=80, deadline=None)
 def test_radial_kinds_together_equal_the_per_kind_scalar_calls(kinds, msq, points):
-    # 1-48 series, on both sides of _BLOCK_MIN; terminating series past the
-    # cutoff make the kinds of one point take different routes
+    # the array path at 1-48 series against the scalar path per point;
+    # terminating series past the cutoff make the kinds of one point take
+    # different routes
     p = make_params(3, 1.0, msq)
     omega = np.array([magic_frequency("plus", om[1], l, p) if isinstance(om, tuple) else om
                       for om, l, _ in points])
@@ -679,7 +666,7 @@ def test_radial_kinds_together_equal_the_per_kind_scalar_calls(kinds, msq, point
         radial_eval_fd(kinds + (other,), omega, l, rho, p)
 
 
-@pytest.mark.parametrize("n", [3, 12])  # 6 and 24 series: point by point and as arrays
+@pytest.mark.parametrize("n", [3, 12])  # 6 and 24 series
 def test_kinds_together_sum_the_shared_pair_once(params_m0, monkeypatch, n):
     # past the S cutoff S^a and S^b are both rows of M applied to the
     # C^a, C^b series: a joint build sums each of those once per point

@@ -101,6 +101,13 @@ def test_constructors_reject_invalid_labels(make, bad):
         make({**good, bad: (1.0, 0.5j)})
 
 
+@pytest.mark.parametrize("d_omega", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_omega_grid_refuses_a_spacing_that_is_not_finite_and_positive(d_omega):
+    # a NaN spacing gave window nan, an infinite one window 0.0
+    with pytest.raises(ValueError, match="finite and positive"):
+        OmegaGrid(d_omega, (1,))
+
+
 def test_aliasing_label_is_refused():
     # (1, 1, 2) would pack onto lm = l^2 + l + m = 4, the slot of (1, 2, -2)
     with pytest.raises(ValueError, match=r"\(1, 1, 2\)"):
