@@ -179,17 +179,21 @@ def cmd_reconstruct(args) -> int:
         return 2
 
     # orig's labels in sorted order; rec holds every label of the window
-    j, lm, vals = orig.entries()
-    got = rec.coeffs.array[:, np.searchsorted(rec.coeffs.js, j), lm]
-    errs = np.abs(got - vals).max(axis=0)
+    rows, lm = np.nonzero(orig.mask)
+    got = rec.coeffs.array[:, np.searchsorted(rec.coeffs.js, orig.js[rows]), lm]
+    errs = np.abs(got - orig.array[:, rows, lm]).max(axis=0)
     # a NaN error is the worst one: it fails the run and prints as max_err=nan
     worst = float(np.max(errs, initial=0.0))
     status = worst < 1e-6
+    # "label (j, " formatted once per row of orig, "l, m): recovery_err=" once
+    # per packed lm, and each label line joined from them and its error
     ls, ms = lm_labels(orig.l_max)
-    rows = zip(j.tolist(), ls[lm].tolist(), ms[lm].tolist(), errs.tolist())
-    print("\n".join([*map("label (%d, %d, %d): recovery_err=%.3e".__mod__, rows),
-                     f"RECONSTRUCT {args.target} {'PASS' if status else 'FAIL'} "
-                     f"max_err={worst:.3e}"]))
+    heads = ["label (%d, " % j for j in orig.js.tolist()]
+    mids = list(map("%d, %d): recovery_err=".__mod__, zip(ls.tolist(), ms.tolist())))
+    labels = map("%s%s%.3e".__mod__, zip(map(heads.__getitem__, rows.tolist()), map(
+        mids.__getitem__, lm.tolist()), errs.tolist()))
+    print("\n".join([*labels, f"RECONSTRUCT {args.target} {'PASS' if status else 'FAIL'} "
+                               f"max_err={worst:.3e}"]))
     return 0 if status else 1
 
 

@@ -14,12 +14,15 @@ field[s, x] = sum_{j, l, m} K[s, j, l] c[j, lm] Y_lm(x), with j the
 frequency index k or the radial order n, s the time or radial sample and x
 the angular point.  c is the dense (channel, j, lm) array each rep stores,
 on the packed angular index of `harmonics`; radial and transfer-matrix
-factors are tabulated once per (j, l) and folded into c (fixed radius) or
-K (radial nodes); on a tube K is the phase matrix d_omega e^{-i omega_k t}.
-The lm sum is `AngularGrid.synthesize` on a grid or, at a point, the
-`ylm_point` row of the held (l, m), memoized per point (one `sph_harm`
-call on a miss).  A rep's tables are evaluated on the (j, l) blocks of its
-block plan (`_Coeffs.blocks`), formed once per rep.  The callers of
+factors are tabulated once per (j, l); on a tube K is the phase matrix
+d_omega e^{-i omega_k t}.  On a grid the factors are folded into c (fixed
+radius) or K (radial nodes) and the lm sum is `AngularGrid.synthesize`.
+At a point the order is reversed: the `ylm_point` row of the held (l, m),
+memoized per point (one `sph_harm` call on a miss), is contracted first,
+sum_m c[j, lm] Y_lm per (j, l) block in one `np.add.reduceat`, and the
+radial factors and phases are applied to those blocks.  A rep's tables
+are evaluated on the (j, l) blocks of its block plan (`_Coeffs.blocks`),
+formed once per rep, as are the orders its point row holds.  The callers of
 `_slice_sum` and `_tube_sum` supply the frequency and radial functions, so
 the Minkowski expansions run through the same kernel.  Inversion is the
 adjoint: `AngularGrid.project` takes every lm at once, for all frequencies
@@ -131,6 +134,14 @@ class _Coeffs(Mapping):
             self._plan[channel] = _blocks(
                 self.mask if channel is None else self.array[channel])
         return self._plan[channel]
+
+    def orders(self) -> np.ndarray:
+        """The (lm,) mask of the orders where a channel holds a nonzero
+        coefficient: the Y row a point synthesis reads, formed once per rep."""
+        if "orders" not in self._plan:
+            self._plan["orders"] = (self.array != 0).reshape(
+                -1, self.array.shape[-1]).any(axis=0)
+        return self._plan["orders"]
 
     def groups(self):
         """[(channels, blocks)]: all channels on one plan when their block
@@ -314,16 +325,24 @@ def _table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
     return out[..., ls]
 
 
-def _synthesize(kern, coef, where) -> np.ndarray:
+def _synthesize(kern, coef, grid: AngularGrid) -> np.ndarray:
     """out[..., s, x] = sum_{j, lm} kern[s, j, lm] coef[..., j, lm] Y_lm(x)
     (kern's lm axis may have length 1) on the nodes x = (theta, phi) of the
-    AngularGrid `where`, or at the one point where = (theta, phi), no x axis."""
+    AngularGrid `grid`."""
     kern = np.broadcast_to(kern, kern.shape[:2] + coef.shape[-1:])
-    part = np.einsum("sji,...ji->...si", kern, coef)
-    if isinstance(where, AngularGrid):
-        return where.synthesize(part)
-    held = np.any(coef != 0, axis=tuple(range(coef.ndim - 1)))
-    return part @ ylm_point(lm_degree(coef.shape[-1] - 1), held, *where)
+    return grid.synthesize(np.einsum("sji,...ji->...si", kern, coef))
+
+
+def _ylm_sums(coef, point, held=None) -> np.ndarray:
+    """sum_m coef[..., j, lm] Y_lm(theta, phi) per (j, l) block at the
+    point = (theta, phi): shape (..., j, l_max + 1), one np.add.reduceat
+    over each degree's orders.  Y is the `ylm_point` row of the orders
+    `held`, by default those holding a nonzero coefficient."""
+    l_max = lm_degree(coef.shape[-1] - 1)
+    if held is None:
+        held = (coef != 0).reshape(-1, coef.shape[-1]).any(axis=0)
+    return np.add.reduceat(coef * ylm_point(l_max, held, *point),
+                           np.arange(l_max + 1) ** 2, axis=-1)
 
 
 def _time_project(samples: np.ndarray, grid: OmegaGrid) -> np.ndarray:
@@ -346,15 +365,30 @@ def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
     blocks).  It is called once for all the channels the rep holds (a rod
     holds a only) when their block plans are equal, on the arrays of the
     (k, l) of that plan, and otherwise once per channel on its own plan, so
-    no channel is evaluated where it holds nothing."""
-    c = rep.coeffs
-    fold = (c.array[:, None] * np.concatenate([_table(
-        c.js, c.array[0], lambda k, l, chs=chs: radial(chs, k * rep.grid.d_omega, l),
-        (len(chs), 2), plan) for chs, plan in c.groups()])).sum(axis=0)
-    omega = rep.grid.d_omega * np.asarray(c.js, dtype=float)
-    phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))
-    kern = rep.grid.d_omega * (-1j * omega * phase if dt else phase)
-    return _synthesize(kern[:, :, None], fold, where)
+    no channel is evaluated where it holds nothing.  On a grid the radial
+    values are folded into the coefficients; at a point (theta, phi) the Y
+    row is contracted first, sum_m c Y per (k, l) block, and the radial
+    values and phases are applied to the blocks."""
+    c, d_omega = rep.coeffs, rep.grid.d_omega
+
+    def kern(omega):  # the phases d_omega e^{-i omega t}, or their d/dt: (t, omega)
+        phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))
+        return d_omega * (-1j * omega * phase if dt else phase)
+
+    if isinstance(where, AngularGrid):
+        fold = (c.array[:, None] * np.concatenate([_table(
+            c.js, c.array[0], lambda k, l, chs=chs: radial(chs, k * d_omega, l),
+            (len(chs), 2), plan) for chs, plan in c.groups()])).sum(axis=0)
+        return _synthesize(kern(d_omega * np.asarray(c.js, dtype=float))[:, :, None],
+                           fold, where)
+    sums = _ylm_sums(c.array, where, c.orders())
+    out = np.zeros((2, np.size(t)), dtype=complex)
+    for chs, (rows, l_need, _) in c.groups():
+        if rows.size:
+            omega = c.js[rows] * d_omega
+            part = sums[np.array(chs)[:, None], rows, l_need][:, None]
+            out += (radial(chs, omega, l_need) * part).sum(axis=0) @ kern(omega).T
+    return out
 
 
 def _slice_sum(rep, t: float, rho, where, frequency, radial) -> np.ndarray:
@@ -362,14 +396,18 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial) -> np.ndarray:
     at time t, the radii rho and the angular points `where`; shape (2, rho,
     ...).  frequency(j, l) = w and radial(j, l) = f, shape (rho, blocks), are
     called once on the arrays of the (j, l) holding a label.  conj(Y_l^m) =
-    Y_l^{-m} moves the conj(phi^-) channel to the mirrored order."""
+    Y_l^{-m} moves the conj(phi^-) channel to the mirrored order.  At a
+    point (theta, phi) the Y row is contracted first, as in `_tube_sum`."""
     js, coef = rep.coeffs.js, rep.coeffs.array
     omega = _table(js, np.ones(coef.shape[1:]), frequency)
     plus = coef[0] * np.exp(-1j * omega * t)
     minus = coef[1][:, lm_mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t)
     coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
-    kern = _table(js, coefs, radial, np.shape(rho))
-    return _synthesize(kern, coefs, where)
+    rows, l_need, _ = blocks = _blocks(coefs)
+    if isinstance(where, AngularGrid):
+        return _synthesize(_table(js, coefs, radial, np.shape(rho), blocks), coefs, where)
+    rad = radial(np.asarray(js)[rows], l_need) if rows.size else np.zeros(np.shape(rho) + (0,))
+    return _ylm_sums(coefs, where)[:, rows, l_need] @ np.transpose(rad)
 
 
 def _jacobi(rho: np.ndarray, params: AdsParams, drho: bool = False):
@@ -386,8 +424,8 @@ def _s_or_c(basis: str, rho, params: AdsParams):
     require_two_sphere(params.d)
     kinds = {"S": (RadialKind.Sa, RadialKind.Sb),
              "C": (RadialKind.Ca, RadialKind.Cb)}[basis]
-    return lambda chs, om, l: np.stack(radial_eval_fd(
-        tuple(kinds[ch] for ch in chs), om, l, rho, params), axis=1)
+    return lambda chs, om, l: np.swapaxes(radial_eval_fd(
+        tuple(kinds[ch] for ch in chs), om, l, rho, params), 0, 1)
 
 
 def _synth(rep, point, params: AdsParams, deriv: str = "") -> complex:

@@ -19,11 +19,15 @@ radial_eval_fd builds the kinds of one basis together (a tube synthesis
 needs both): past the cutoff both are rows of M, or of M^-1, applied to the
 same pair of the other basis's series, so each series is summed once.  An
 array call (every synthesis and inversion) takes the array path at every
-size; its radial tables are memoized per kind, with the other basis's
-tables where a build summed them at every point (a later build past the
-cutoff reads them in place of the series; `adskg.memo`).  A scalar call
-takes the scalar path, the array path's reference.  Transfer matrices are
-formed afresh on every call.
+size, one point included.  A build takes sin rho, cos rho and the series
+argument once per distinct rho and (alpha, beta, gamma) of every kind
+from one S^a row, routes each element, and sums every series it needs in
+one hyp2f1 call; its radial tables are memoized per kind, with the other
+basis's tables where a build summed them at every point (a later build
+past the cutoff reads them in place of the series; `adskg.memo`).  A
+scalar call takes the scalar path, the array path's reference.  Both
+raise DomainError naming the first (kind, omega, l, rho) whose f or f' is
+not finite.  Transfer matrices are formed afresh on every call.
 """
 
 from __future__ import annotations
@@ -124,22 +128,26 @@ def magic_frequency(branch: str, n: int, l: int, params: AdsParams) -> float:
 
 
 def _prefactor_fd(kind: RadialKind, l: int, rho: float, params: AdsParams):
-    """Radial prefactor and its rho-derivative for each kind."""
+    """Radial prefactor and its rho-derivative for each kind; both infinite
+    where a power leaves the double range."""
     s, c = math.sin(rho), math.cos(rho)
     dp, dm = params.delta_plus, params.delta_minus
-    if kind is RadialKind.Sb:
-        p = 2 - l - params.d
-        pre = -(s ** p) * c ** dp
-        dpre = -(p * s ** (p - 1) * c ** (dp + 1) - dp * s ** (p + 1) * c ** (dp - 1))
+    try:
+        if kind is RadialKind.Sb:
+            p = 2 - l - params.d
+            pre = -(s ** p) * c ** dp
+            dpre = -(p * s ** (p - 1) * c ** (dp + 1) - dp * s ** (p + 1) * c ** (dp - 1))
+            return pre, dpre
+        ex = dm if kind is RadialKind.Cb else dp
+        if l == 0:
+            pre = c ** ex
+            dpre = -ex * s * c ** (ex - 1)
+        else:
+            pre = s ** l * c ** ex
+            dpre = l * s ** (l - 1) * c ** (ex + 1) - ex * s ** (l + 1) * c ** (ex - 1)
         return pre, dpre
-    ex = dm if kind is RadialKind.Cb else dp
-    if l == 0:
-        pre = c ** ex
-        dpre = -ex * s * c ** (ex - 1)
-    else:
-        pre = s ** l * c ** ex
-        dpre = l * s ** (l - 1) * c ** (ex + 1) - ex * s ** (l + 1) * c ** (ex - 1)
-    return pre, dpre
+    except OverflowError:  # Python's pow raises where numpy's gives inf
+        return math.inf, math.inf
 
 
 def _direct_ok(kind: RadialKind, omega: float, l: int, rho: float,
@@ -218,11 +226,11 @@ def _per_distinct(fn, *columns) -> np.ndarray:
     back over the elements: shape fn's output + (elements,).  Python floats
     in, so math and ** give the scalar path's bits (np.power need not)."""
     keys = list(zip(*(col.tolist() for col in columns)))
-    table = {}
-    for key in keys:
-        if key not in table:
-            table[key] = fn(*key)
-    return np.moveaxis(np.array([table[key] for key in keys]), 0, -1)
+    table = dict.fromkeys(keys)
+    for key in table:
+        table[key] = fn(*key)
+    out = np.array([table[key] for key in keys])
+    return out.transpose(tuple(range(1, out.ndim)) + (0,))
 
 
 # a kind's code in the array path is its index here: S kinds 0 and 1, C
@@ -230,46 +238,36 @@ def _per_distinct(fn, *columns) -> np.ndarray:
 _KINDS = tuple(RadialKind)
 
 
-def _radial_direct_array(codes, omega, l, rho, params: AdsParams):
+def _hyper_rows(omega, l, params: AdsParams) -> np.ndarray:
+    """hyper_params of the four kinds at the 1-d omega and l, by kind code:
+    shape (4, 3, n), every row formed from the one S^a row with
+    hyper_params' bits.  The C rows are formed unchecked; only a caller
+    that has checked the C-modes exist reads them."""
+    al, be, ga = hyper_params(RadialKind.Sa, omega, l, params)
+    gc = np.full(al.shape, 1.0 + params.nu)
+    return np.array([(al, be, ga), (al - ga + 1.0, be - ga + 1.0, 2.0 - ga),
+                     (al, be, gc), (al - gc + 1.0, be - gc + 1.0, 2.0 - gc)])
+
+
+def _radial_direct_array(codes, l, rho, s, c, abc, params: AdsParams):
     """_radial_direct at each element of equal-length 1-d arrays, element i
-    of the kind _KINDS[codes[i]]: (f, f'), each of shape (n,).  sin, cos and
-    the prefactor come once per distinct (kind, l, rho); one hyp2f1 array
-    call sums every element's series and, where a b != 0, the series
-    2F1(a+1, b+1; c+1) of its x-derivative (a b / c) 2F1(a+1, b+1; c+1), as
-    hyp2f1_dx forms it."""
-    s, cs, pre, dpre = _per_distinct(lambda i, ll, r: (math.sin(r), math.cos(r)) + (
-        _prefactor_fd(_KINDS[i], ll, r, params)), codes, l, rho)
-    a, b, c = np.empty((3, codes.size))
-    for i in np.unique(codes).tolist():
-        at = codes == i
-        a[at], b[at], c[at] = hyper_params(_KINDS[i], omega[at], l[at], params)
+    of the kind _KINDS[codes[i]] with the hypergeometric parameters
+    abc[:, i] at rho[i], whose sine and cosine are s[i] and c[i]: (f, f'),
+    each of shape (n,).  The prefactor comes once per distinct (kind, l,
+    rho); one hyp2f1 array call sums every element's series and, where
+    a b != 0, the series 2F1(a+1, b+1; c+1) of its x-derivative
+    (a b / c) 2F1(a+1, b+1; c+1), as hyp2f1_dx forms it."""
+    pre, dpre = _per_distinct(lambda i, ll, r: _prefactor_fd(_KINDS[i], ll, r, params),
+                              codes, l, rho)
+    a, b, cc = abc
     on_sin = codes < 2
-    u = np.where(on_sin, s * s, cs * cs)
-    du = np.where(on_sin, 2.0 * s * cs, -2.0 * s * cs)
+    u = np.where(on_sin, s * s, c * c)
+    du = np.where(on_sin, 2.0, -2.0) * s * c
     live = (a != 0.0) & (b != 0.0)  # elsewhere the shifted series is made trivial
-    f_val, g_val = hyp2f1(np.stack([a, np.where(live, a + 1.0, 0.0)]),
-                          np.stack([b, b + 1.0]), np.stack([c, c + 1.0]), u)
-    df_val = np.zeros(a.shape)
-    df_val[live] = a[live] * b[live] / c[live] * g_val[live]
-    df_val = df_val * du
+    f_val, g_val = hyp2f1(np.array([a, np.where(live, a + 1.0, 0.0)]),
+                          np.array([b, b + 1.0]), np.array([cc, cc + 1.0]), u)
+    df_val = np.where(live, a * b / cc * g_val, 0.0) * du
     return pre * f_val, dpre * f_val + pre * df_val
-
-
-def _on_transfer(kinds: tuple, omega, l, rho, params: AdsParams) -> np.ndarray:
-    """Which elements of the 1-d arrays radial_eval_fd takes through the
-    transfer matrix, per kind of one basis: shape (kinds, n).  Those inside
-    (0, pi/2), past the series cutoff and with a series that does not
-    terminate (a terminating one is direct anywhere)."""
-    on_sin = kinds[0] in (RadialKind.Sa, RadialKind.Sb)
-    arg = _per_distinct(lambda r: (math.sin(r) if on_sin else math.cos(r)) ** 2, rho)
-    via = np.tile((arg > DEFAULT_POLICY.arg_cutoff) & (0.0 < rho) & (rho < math.pi / 2),
-                  (len(kinds), 1))
-    if via.any():
-        for row, kind in zip(via, kinds):
-            a, b, _ = hyper_params(kind, omega, l, params)
-            for v in (a, b):
-                row &= ~((v <= 0.0) & (v == np.floor(v)))
-    return via
 
 
 def _check_axis(kind: RadialKind, params: AdsParams) -> None:
@@ -282,50 +280,83 @@ def _check_axis(kind: RadialKind, params: AdsParams) -> None:
         raise SingularPoint("C-modes diverge on the time axis")
 
 
+def _trig(rho: float, on_sin: bool) -> tuple:
+    """sin rho, cos rho and the argument of the S (on_sin) or C series,
+    as the scalar path takes them; DomainError outside [0, pi/2)."""
+    if not 0.0 <= rho < math.pi / 2:
+        raise DomainError("rho must lie in [0, pi/2)")
+    s, c = math.sin(rho), math.cos(rho)
+    return s, c, (s if on_sin else c) ** 2
+
+
+def _not_finite(kind: RadialKind, omega, l, rho) -> DomainError:
+    """The error of a radial value or derivative past the double range."""
+    return DomainError(f"{kind.value} or its rho-derivative is not finite at "
+                       f"(omega, l, rho) = ({omega!r}, {l!r}, {rho!r})")
+
+
 def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
                           pair_tables=None) -> dict:
     """Array path of radial_eval_fd for kinds of one basis: {kind: (f, f')},
-    with the same checks and branches per element as the scalar path.  One
+    with the same checks and branches per element as the scalar path.
+    sin rho, cos rho and the kinds' series argument come once per distinct
+    rho, the hypergeometric parameters of every kind from one S^a row.
+    Elements inside (0, pi/2), past the series cutoff and with a series
+    that does not terminate take the transfer matrix.  One
     _radial_direct_array call sums each series once: a kind's own where it
     is direct and, where any kind takes the transfer matrix, the other
     basis's pair, which each such kind combines with its row of M (S) or
     M^-1 (C).  Where that pair was summed at every element its two tables
     are returned too.  pair_tables, that pair's (f, f') tables at the same
-    points, stand in for its series."""
+    points, stand in for its series.  DomainError names the first kind and
+    element whose f or f' is not finite."""
     shape = np.broadcast(omega, l, rho).shape
-    omega, l, rho = (np.broadcast_to(v, shape).ravel() for v in (omega, l, rho))
-    if rho.size == 0:
+    if 0 in shape:
         return {kind: (np.zeros(shape), np.zeros(shape)) for kind in kinds}
-    if not np.all((0.0 <= rho) & (rho < math.pi / 2)):
-        raise DomainError("rho must lie in [0, pi/2)")
+    codes = np.array([_KINDS.index(kind) for kind in kinds])
+    on_sin = bool(codes[0] < 2)
+    # sin rho, cos rho and the kinds' series argument once per distinct rho
+    trig = _per_distinct(lambda r: _trig(r, on_sin), np.ravel(rho))
+    omega, l, rho, s, c, arg = (v.ravel() if v.shape == shape else np.broadcast_to(
+        v, shape).ravel() for v in (omega, l, rho, *trig.reshape((3,) + np.shape(rho))))
     axis = rho == 0.0
     if axis.any():
         for kind in kinds:
             _check_axis(kind, params)
-    codes = np.array([_KINDS.index(kind) for kind in kinds])
-    pair = [2, 3] if codes[0] < 2 else [0, 1]
-    via = _on_transfer(kinds, omega, l, rho, params)
+    if not (on_sin or params.c_modes_valid):
+        raise CapabilityError(f"C-modes undefined at (near-)integer nu = {params.nu}")
+    pair = [2, 3] if on_sin else [0, 1]
+    abc = _hyper_rows(omega, l, params)
+    ab = abc[codes, :2]
+    via = (arg > DEFAULT_POLICY.arg_cutoff) & ~axis \
+        & ~((ab <= 0.0) & (ab == np.floor(ab))).any(axis=1)
     cross = via.any(axis=0)  # where the pair's series are summed
-    if cross.any():
-        mat = _transfer_entries(omega[cross], l[cross], params, pair[0] == 0)
-    need = np.zeros((len(_KINDS), rho.size), dtype=bool)
-    need[codes], need[pair] = ~axis & ~via, cross & (pair_tables is None)
-    series = np.zeros((2,) + need.shape)
-    if pair_tables is not None:
-        series[:, pair] = np.reshape(pair_tables, (2, 2, -1)).swapaxes(0, 1)
-    at = np.nonzero(need)
-    if at[0].size:  # else every element lies on the axis
-        series[:, need] = _radial_direct_array(at[0], omega[at[1]], l[at[1]], rho[at[1]], params)
-    out = np.zeros((2,) + via.shape)
-    out[0, :, axis & (l == 0)] = out[1, :, axis & (l == 1)] = 1.0
-    direct = ~axis & ~via
-    out[:, direct] = series[:, codes][:, direct]
-    if cross.any():
-        row = mat.reshape(2, 2, -1)[codes % 2]  # (kinds, 2, elements)
-        fa, fb = series[:, pair][..., cross].swapaxes(0, 1)[:, :, None]
-        out[:, via] = (row[:, 0] * fa + row[:, 1] * fb)[:, via[:, cross]]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked at the end
+        if cross.any():
+            mat = _transfer_entries(omega[cross], l[cross], params, not on_sin)
+        need = np.zeros((len(_KINDS), rho.size), dtype=bool)
+        need[codes], need[pair] = ~axis & ~via, cross & (pair_tables is None)
+        series = np.zeros((2,) + need.shape)
+        if pair_tables is not None:
+            series[:, pair] = np.reshape(pair_tables, (2, 2, -1)).swapaxes(0, 1)
+        code, el = np.nonzero(need)
+        if el.size:  # else every element lies on the axis
+            series[:, need] = _radial_direct_array(code, l[el], rho[el], s[el], c[el],
+                                                   abc[code, :, el].T, params)
+        out = np.zeros((2,) + via.shape)
+        out[0, :, axis & (l == 0)] = out[1, :, axis & (l == 1)] = 1.0
+        direct = ~axis & ~via
+        out[:, direct] = series[:, codes][:, direct]
+        if cross.any():
+            row = mat.reshape(2, 2, -1)[codes % 2]  # (kinds, 2, elements)
+            fa, fb = series[:, pair][..., cross].swapaxes(0, 1)[:, :, None]
+            out[:, via] = (row[:, 0] * fa + row[:, 1] * fb)[:, via[:, cross]]
     if cross.all() and pair_tables is None:
         kinds, out = kinds + _KINDS[pair[0]:pair[1] + 1], np.concatenate([out, series[:, pair]], 1)
+    bad = ~np.isfinite(out).all(axis=0)
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise _not_finite(kinds[k], omega[i].item(), l[i].item(), rho[i].item())
     return {kind: (f.reshape(shape), df.reshape(shape)) for kind, f, df in zip(kinds, *out)}
 
 
@@ -387,7 +418,8 @@ def _radial_eval_fd_scalar(kinds: tuple, omega: float, l: int, rho: float,
     """radial_eval_fd at one point for a tuple of kinds: {kind: (f, f')},
     the reference the array path reproduces.  Each direct series is summed
     once; the result also holds every other kind whose series was summed
-    (the partner pair of a kind past its cutoff)."""
+    (the partner pair of a kind past its cutoff).  DomainError, as in the
+    array path, where an f or f' is not finite."""
     if not 0.0 <= rho < math.pi / 2:
         raise DomainError("rho must lie in [0, pi/2)")
     if rho == 0.0:
@@ -399,7 +431,8 @@ def _radial_eval_fd_scalar(kinds: tuple, omega: float, l: int, rho: float,
     via = [kind for kind in kinds if kind not in out]
     if via:
         on_sin = kinds[0] in (RadialKind.Sa, RadialKind.Sb)
-        mat = _transfer_entries(omega, l, params, not on_sin).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            mat = _transfer_entries(omega, l, params, not on_sin).tolist()
         pair = _KINDS[2:] if on_sin else _KINDS[:2]
         for p in pair:
             out[p] = _radial_direct(p, omega, l, rho, params)
@@ -407,6 +440,9 @@ def _radial_eval_fd_scalar(kinds: tuple, omega: float, l: int, rho: float,
         for kind in via:
             m1, m2 = mat[:2] if kind in (RadialKind.Sa, RadialKind.Ca) else mat[2:]
             out[kind] = m1 * fa + m2 * fb, m1 * da + m2 * db
+    for kind in kinds + tuple(out):  # the kinds asked first, as the array path
+        if not (math.isfinite(out[kind][0]) and math.isfinite(out[kind][1])):
+            raise _not_finite(kind, omega, l, rho)
     return out
 
 

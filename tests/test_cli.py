@@ -119,6 +119,15 @@ def test_eval_legendre_overflow_exits_2(capsys):
     assert out == "" and err.startswith("error:") and "(86, 86)" in err
 
 
+@pytest.mark.parametrize("omega, l", [("1e308", "1"), ("1", "100000")])
+def test_eval_non_finite_radial_value_exits_2(capsys, omega, l):
+    argv = ["eval", "--kind", "sa", "--omega", omega, "--l", l, "--m", "0", "--rho", "0.5"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: sa or its rho-derivative is not finite at "
+                                 f"(omega, l, rho) = ({float(omega)!r}, {l}, 0.5)\n")
+
+
 def test_eval_rejects_d5(capsys):
     assert main(["eval", "--d", "5", "--kind", "sa", "--omega", "2.0", "--l", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: d = 5")
@@ -436,6 +445,29 @@ def test_reconstruct_nan_recovery_error_fails(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "label (1, 1, 0): recovery_err=nan"
     assert lines[-1] == "RECONSTRUCT tube FAIL max_err=nan"
+
+
+def test_reconstruct_report_is_the_per_label_format_byte_for_byte(monkeypatch, capsys):
+    # 32 rows (k = -16..15) by 81 orders (l <= 8): 2592 labels, one error NaN;
+    # the report against each label line formatted whole
+    from adskg import expansions as xp
+    rng = np.random.default_rng(25)
+    grid = OmegaGrid(0.37, tuple(range(-16, 16)))
+    keys = [(k, l, m) for k in grid.indices for l in range(9) for m in range(-l, l + 1)]
+    values = rng.normal(size=(len(keys), 2)) + 1j * rng.normal(size=(len(keys), 2))
+    rep = TubeRep(grid, dict(zip(keys, map(tuple, values.tolist()))), "S")
+    got = values + 10.0 ** rng.uniform(-16, -4, size=values.shape)
+    got[keys.index((-7, 3, -2)), 0] = np.nan
+    rec = TubeRep(grid, dict(zip(keys, map(tuple, got.tolist()))), "S")
+    monkeypatch.setattr(xp, "load_rep", lambda path: (rep, make_params(3, 1.0, 0.0)))
+    monkeypatch.setattr(xp, "sample_tube", lambda *args: None)
+    monkeypatch.setattr(xp, "invert_tube", lambda *args: rec)
+    assert main(["reconstruct", "--input", "rep.txt", "--target", "tube"]) == 1
+    errs = np.abs(got - values).max(axis=1).tolist()
+    want = "".join("label (%d, %d, %d): recovery_err=%.3e\n" % (*key, err)
+                   for key, err in zip(keys, errs))
+    assert len(keys) == 2592 and min(keys)[0] == -16
+    assert capsys.readouterr().out == want + "RECONSTRUCT tube FAIL max_err=nan\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

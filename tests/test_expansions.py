@@ -5,6 +5,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adskg import expansions as xp
 from adskg.errors import (BandLimitExceeded, ConvergenceError, DomainError,
@@ -780,16 +782,79 @@ def test_basis_change_stays_d_general():
                for i, v in enumerate(pair)) < 1e-10
 
 
+# --- pointwise synthesis against a per-label scalar sum -----------------------------
+
+_EPS = np.finfo(float).eps
+# sin^2 rho = 0.75 (the S cutoff) at pi/3, cos^2 rho = 0.75 (the C one) at pi/6
+_POINT_RHO = st.sampled_from([0.2, math.pi / 6 - 1e-9, math.pi / 6 + 1e-9, 0.8,
+                              math.pi / 3 - 1e-9, math.pi / 3 + 1e-9, 1.3])
+_COEF = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                                  allow_infinity=False))
+_LABEL = st.tuples(st.integers(-15, 15), st.integers(0, 6).flatmap(
+    lambda l: st.tuples(st.just(l), st.integers(-l, l))))
+
+
+def _per_label_sums(rep, point, params):
+    """synth, synth_dt and synth_drho of a tube or rod rep as sums over its
+    labels and channels of c f Y d_omega e^{-i omega t} (times -i omega for
+    d/dt, f' for d/drho), the factors from scalar calls and their products
+    and sums in long double, and the sums of |terms|."""
+    t, rho, theta, phi = point
+    basis = getattr(rep, "basis", "S")
+    kinds = {"S": (RadialKind.Sa, RadialKind.Sb), "C": (RadialKind.Ca, RadialKind.Cb)}[basis]
+    terms = []
+    for (k, l, m), coefs in rep.coeffs.items():
+        omega = rep.grid.omega(k)
+        factor = np.clongdouble(np.exp(-1j * omega * t)) * np.clongdouble(
+            sph_harm(l, m, theta, phi)) * np.longdouble(rep.grid.d_omega)
+        for kind, c in zip(kinds, np.atleast_1d(coefs).tolist()):
+            if c:
+                f, df = map(np.longdouble, radial_eval_fd(kind, omega, l, rho, params))
+                cf = np.clongdouble(c) * factor
+                terms.append((cf * f, np.clongdouble(-1j * omega) * cf * f, cf * df))
+    terms = np.array(terms, dtype=np.clongdouble).reshape(-1, 3)
+    return terms.sum(axis=0), np.abs(terms).sum(axis=0)
+
+
+@given(form=st.sampled_from(["S", "C", "rod"]), msq=st.sampled_from([0.0, -2.2, 1.5]),
+       d_omega=st.floats(0.3, 0.9), labels=st.lists(st.tuples(_LABEL, _COEF, _COEF),
+                                                     min_size=1, max_size=30),
+       point=st.tuples(st.floats(0.0, 6.3), _POINT_RHO | st.just(0.0),
+                       st.floats(0.2, 2.9), st.floats(0.0, 6.3)))
+@settings(max_examples=60, deadline=None)
+def test_point_synthesis_is_the_per_label_scalar_sum(form, msq, d_omega, labels, point):
+    # Y contracted first, then the radial tables and phases per (k, l) block,
+    # within 4 eps of the sum of |terms| of the per-label sum on the same
+    # radial values, Y and phases; rho = 0 (where S^b and the C-modes
+    # diverge) for the S^a-only rod
+    params = make_params(3, 1.0, msq)
+    if form != "rod" and point[1] == 0.0:
+        point = (point[0], 0.2) + point[2:]
+    coeffs = {(k, l, m): (a, b) for (k, (l, m)), a, b in labels}
+    grid = OmegaGrid(d_omega, tuple(k for k, _, _ in coeffs))
+    rep = RodRep(grid, {key: a for key, (a, _) in coeffs.items()}) if form == "rod" \
+        else TubeRep(grid, coeffs, form)
+    want, scale = _per_label_sums(rep, point, params)
+    got = [fn(rep, point, params) for fn in (synth, synth_dt, synth_drho)]
+    assert np.all(np.abs(np.array(got) - want) <= 4.0 * _EPS * scale), (got, want, scale)
+
+
 # --- pointwise synthesis against the per-call set-up it replaced ---------------------
+
+def _oracle_blocks(coef):
+    """The (row, l) of the (j, l) blocks where coef has a nonzero entry,
+    derived on every call."""
+    ls, ms = lm_labels(lm_degree(coef.shape[-1] - 1))
+    nonzero = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
+    return np.nonzero(np.logical_or.reduceat(nonzero, np.flatnonzero(ms == -ls), axis=-1))
+
 
 def _oracle_table(js, coef, fn, shape=()):
     """`_table` deriving its blocks from coef on every call."""
-    ls, ms = lm_labels(lm_degree(coef.shape[-1] - 1))
-    nonzero = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
-    need = np.logical_or.reduceat(nonzero, np.flatnonzero(ms == -ls), axis=-1)
-    rows, l_need = np.nonzero(need)
+    ls, _ = lm_labels(lm_degree(coef.shape[-1] - 1))
+    rows, l_need = _oracle_blocks(coef)
     vals = np.asarray(fn(np.asarray(js)[rows], l_need)) if rows.size else np.zeros(0)
-    out = np.zeros(shape + need.shape, dtype=vals.dtype)
+    out = np.zeros(shape + (coef.shape[-2], ls[-1] + 1), dtype=vals.dtype)
     out[..., rows, l_need] = vals
     return out[..., ls]
 
@@ -803,15 +868,18 @@ def _oracle_ylm(angles, coef):
     return out
 
 
-def _oracle_point_sum(kern, coef, angles):
-    """`_synthesize` at a point, with Y from `_oracle_ylm`."""
-    kern = np.broadcast_to(kern, kern.shape[:2] + coef.shape[-1:])
-    return np.einsum("sji,...ji->...si", kern, coef) @ _oracle_ylm(angles, coef)
+def _oracle_ylm_sums(coef, angles):
+    """sum_m coef Y per (j, l) block, with Y from `_oracle_ylm`."""
+    l_max = lm_degree(coef.shape[-1] - 1)
+    return np.add.reduceat(coef * _oracle_ylm(angles, coef),
+                           np.arange(l_max + 1) ** 2, axis=-1)
 
 
 def _oracle_synth(rep, point, params, deriv=""):
-    """synth / synth_dt / synth_drho with the set-up done per call and a rod
-    summed as its tube copy (`as_tube`, b = 0)."""
+    """synth / synth_dt / synth_drho with the set-up done per call, the
+    radial values from scalar calls and a rod summed as its tube copy
+    (`as_tube`, b = 0): Y contracted first, then per block the radial
+    values (the channels together where their blocks agree) and phases."""
     t, rho, theta, phi = point
     if isinstance(rep, SliceRep):
         rho = np.atleast_1d(rho)
@@ -821,21 +889,28 @@ def _oracle_synth(rep, point, params, deriv=""):
         plus = coef[0] * np.exp(-1j * omega * t)
         minus = coef[1][:, lm_mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t)
         coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
-        kern = _oracle_table(js, coefs, radial, rho.shape)
-        out = _oracle_point_sum(kern, coefs, (theta, phi))
+        rows, l_need = _oracle_blocks(coefs)
+        rad = radial(js[rows], l_need) if rows.size else np.zeros((1, 0))
+        out = _oracle_ylm_sums(coefs, (theta, phi))[:, rows, l_need] @ rad.T
         return complex(out[int(deriv == "t"), 0])
     if isinstance(rep, RodRep):
         rep = rep.as_tube()
     kinds = {"S": (RadialKind.Sa, RadialKind.Sb), "C": (RadialKind.Ca, RadialKind.Cb)}
-    js, coef = rep.coeffs.js, rep.coeffs.array
-    fa, fb = (_oracle_table(js, c, lambda k, l, kind=kind: _per_distinct(
-        lambda om, ll: radial_eval_fd(kind, om, ll, rho, params), k * rep.grid.d_omega, l),
-        (2,)) for kind, c in zip(kinds[rep.basis], coef))
-    fold = coef[0] * fa + coef[1] * fb
-    omega = rep.grid.d_omega * np.asarray(js, dtype=float)
+    js, coef, d_omega = rep.coeffs.js, rep.coeffs.array, rep.grid.d_omega
+    sums = _oracle_ylm_sums(coef, (theta, phi))
+    omega = d_omega * np.asarray(js, dtype=float)
     phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))
-    kern = rep.grid.d_omega * (-1j * omega * phase if deriv == "t" else phase)
-    out = _oracle_point_sum(kern[:, :, None], fold, (theta, phi))
+    kern = d_omega * (-1j * omega * phase if deriv == "t" else phase)
+    plans = [_oracle_blocks(c) for c in coef]
+    same = all(np.array_equal(x, y) for x, y in zip(*plans))
+    groups = [((0, 1), plans[0])] if same else [((0,), plans[0]), ((1,), plans[1])]
+    out = np.zeros((2, len(kern)), dtype=complex)
+    for chs, (rows, l_need) in groups:
+        if rows.size:
+            rad = np.array([_per_distinct(lambda om, ll, kind=kinds[rep.basis][ch]: radial_eval_fd(
+                kind, om, ll, rho, params), js[rows] * d_omega, l_need) for ch in chs])
+            out += (rad * sums[list(chs)][:, rows, l_need][:, None]).sum(axis=0) \
+                @ kern[:, rows].T
     return complex(out[int(deriv == "rho"), 0])
 
 

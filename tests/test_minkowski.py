@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adskg.errors import DomainError
 from adskg.expansions import OmegaGrid, TubeRep
@@ -200,6 +202,40 @@ def test_mink_synth_tube_matches_reference_loop(rng, dr):
             terms = _tube_terms(rep, t, r, lambda l, m: sph_harm(l, m, theta, phi), dr)
             _assert_sums_to(synth(rep, (t, r, theta, phi)), terms)
     assert synth(MinkTubeRep(MIXED_GRID, {}, 1.2), (0.3, 1.0, 0.5, 0.5)) == 0.0
+
+
+_COEF = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                                  allow_infinity=False))
+
+
+@given(m_field=st.sampled_from([0.0, 0.5, 1.3]),
+       labels=st.lists(st.tuples(st.integers(-12, 12).filter(bool), st.integers(0, 4).flatmap(
+           lambda l: st.tuples(st.just(l), st.integers(-l, l))), _COEF, _COEF),
+           min_size=1, max_size=25),
+       point=st.tuples(st.floats(-2.0, 4.0), st.floats(0.3, 4.0), st.floats(0.2, 2.9),
+                       st.floats(0.0, 6.2)))
+@settings(max_examples=40, deadline=None)
+def test_mink_point_synthesis_is_the_per_label_scalar_sum(m_field, labels, point):
+    # E = 0.4 k never meets the threshold |E| = m; the point synthesis (Y
+    # contracted first) within 4 eps of the sum of |terms| of the per-label
+    # sum on the same radial values, Y and phases, taken in long double
+    t, r, theta, phi = point
+    rep = MinkTubeRep(EnergyGrid(0.4, tuple(k for k, _, _, _ in labels)),
+                      {(k, l, m): (a, b) for k, (l, m), a, b in labels}, m_field)
+    terms = []
+    for (k, l, m), (a, b) in rep.coeffs.items():
+        e_k = rep.grid.omega(k)
+        factor = np.clongdouble(np.exp(-1j * e_k * t)) * np.clongdouble(
+            sph_harm(l, m, theta, phi)) * np.longdouble(rep.grid.d_omega)
+        weight = math.sqrt(abs(e_k * e_k - m_field * m_field)) / (4.0 * math.pi)
+        for c, fns in ((a, (jcheck, jcheck_dr)), (b, (ncheck, ncheck_dr))):
+            if c:
+                terms.append([np.clongdouble(c) * factor * np.longdouble(weight * fn(
+                    e_k, l, r, m_field)) for fn in fns])
+    terms = np.array(terms, dtype=np.clongdouble).reshape(-1, 2)
+    got = [mink_synth_tube(rep, point), mink_synth_tube_dr(rep, point)]
+    assert np.all(np.abs(got - terms.sum(axis=0))
+                  <= 4.0 * np.finfo(float).eps * np.abs(terms).sum(axis=0))
 
 
 def test_mink_tube_threshold_label_without_b_channel():

@@ -720,6 +720,53 @@ def test_other_basis_at_one_point_sums_no_series(params_m0, monkeypatch, first, 
     assert np.array(stored).tobytes() == np.array([fresh[k] for k in kinds]).swapaxes(0, 1).tobytes()
 
 
+# --- values past the double range ------------------------------------------------
+
+# (kind, omega, l, rho) whose f or f' overflows: the 2F1 terms (omega = 1e308),
+# sin^l underflowing against an overflowing series, Python's pow raising
+# OverflowError for sin^(2-l-d), and the transfer matrix's exp (C^a past its
+# cutoff, S^a past its own)
+_NOT_FINITE = [(RadialKind.Sa, 1e308, 1, 0.5), (RadialKind.Sa, 1.0, 100000, 0.5),
+               (RadialKind.Sb, 1.0, 100000, 0.5), (RadialKind.Ca, 1.0, 100000, 0.5),
+               (RadialKind.Sa, 1e308, 1, 1.2), (RadialKind.Cb, 1.0, 100000, 1.2)]
+
+
+def _not_finite_text(kind, omega, l, rho):
+    return (f"{kind.value} or its rho-derivative is not finite at "
+            f"(omega, l, rho) = ({omega!r}, {l!r}, {rho!r})")
+
+
+@pytest.mark.parametrize("kind, omega, l, rho", _NOT_FINITE)
+def test_scalar_radial_raises_where_a_value_is_not_finite(params_m0, kind, omega, l, rho):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (radial_eval, radial_eval_fd):
+            with pytest.raises(DomainError) as err:
+                call(kind, omega, l, rho, params_m0)
+            assert str(err.value) == _not_finite_text(kind, omega, l, rho)
+
+
+@pytest.mark.parametrize("kind, omega, l, rho", _NOT_FINITE)
+def test_array_radial_raises_as_the_scalar_path(params_m0, kind, omega, l, rho):
+    # the same exception as the scalar call, naming the first kind asked and
+    # the first element that is not finite; nothing is stored, and no
+    # RuntimeWarning escapes
+    kinds = (kind, RadialKind.Sb) if kind is RadialKind.Sa else (kind,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for at in ([rho], [rho, rho, 0.3], [0.3, rho, rho]):
+            first = at.index(rho)
+            om = np.where(np.array(at) == rho, omega, 2.3)
+            ls = np.where(np.array(at) == rho, l, 1)
+            for _ in range(2):
+                misses, hits = _misses_and_hits()
+                with pytest.raises(DomainError) as err:
+                    radial_eval_fd(kinds, om, ls, np.array(at), params_m0)
+                assert str(err.value) == _not_finite_text(
+                    kind, float(om[first]), int(ls[first]), at[first])
+                assert _misses_and_hits() == (misses + len(kinds), hits)
+
+
 # --- full mode evaluation --------------------------------------------------------------
 
 def test_mode_eval_zero_time(params_m0):
