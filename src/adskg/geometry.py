@@ -1,7 +1,7 @@
-"""Global AdS parameters, the radial quadrature, sampled fields, the radial
-Klein-Gordon residual check, Killing vector fields as numerical
-differential operators, Lie-bracket verification, and the flat-limit
-rescalings that `minkowski` applies.
+"""Global AdS parameters, the radial quadrature, the radial Klein-Gordon
+residual check, Killing vector fields as numerical differential operators,
+Lie-bracket verification, and the flat-limit rescalings that `minkowski`
+applies.
 
 Coordinates are global (t, rho, Omega) with the boundary at rho = pi/2.
 Killing operators act on smooth closures field(t, rho, xi), called once per
@@ -28,7 +28,6 @@ from scipy.special import roots_jacobi
 
 from .errors import (BfViolation, BoundaryProximity, DomainError,
                      EvenDimension, WindowError)
-from .harmonics import AngularGrid, xyz_to_angles
 from .memo import memo
 
 _NU_INTEGER_TOL = 1e-9
@@ -78,49 +77,6 @@ def make_params(d: int, R: float, m_sq: float) -> AdsParams:
     nu = math.sqrt(d * d / 4.0 + msq_r2)
     return AdsParams(d=d, R=R, m_sq=m_sq, nu=nu,
                      delta_plus=d / 2.0 + nu, delta_minus=d / 2.0 - nu)
-
-
-@dataclass(frozen=True)
-class FieldGrid:
-    """Complex field samples on a structured (t, rho, theta, phi) grid."""
-
-    t_nodes: np.ndarray
-    rho_nodes: np.ndarray
-    angular: AngularGrid
-    values: np.ndarray  # shape (nt, nrho, ntheta, nphi)
-
-    def __post_init__(self):
-        expected = (len(self.t_nodes), len(self.rho_nodes),
-                    self.angular.n_theta, self.angular.n_phi)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != {expected}")
-        if np.any(self.rho_nodes < 0.0) or np.any(self.rho_nodes >= math.pi / 2):
-            raise ValueError("rho nodes must lie in [0, pi/2)")
-
-    def interpolator(self) -> Callable:
-        """Linear interpolant field(t, rho, xi) over the sampled (t, rho) box
-        and every direction xi: phi wraps periodically (a phi = 2 pi column
-        repeats phi = 0) and the polar caps close with theta = 0 and pi rows
-        holding the phi-mean of the outermost ring; xi components first."""
-        from scipy.interpolate import RegularGridInterpolator
-        vals = self.values[:, :, ::-1, :]
-        caps = np.broadcast_to(vals[:, :, [0, -1]].mean(axis=3, keepdims=True),
-                               vals.shape[:2] + (2, vals.shape[3]))
-        vals = np.concatenate([caps[:, :, :1], vals, caps[:, :, 1:]], axis=2)
-        interp = RegularGridInterpolator(
-            (self.t_nodes, self.rho_nodes,
-             np.concatenate([[0.0], self.angular.theta[::-1], [math.pi]]),
-             np.append(self.angular.phi, 2.0 * math.pi)),
-            np.concatenate([vals, vals[..., :1]], axis=3))
-
-        def closure(t, rho, xi):
-            v = np.moveaxis(xi, 0, -1)
-            # np.linalg.norm's BLAS dot of one vector, bit for bit
-            v = v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
-            theta, phi = xyz_to_angles(v)
-            return interp(np.stack([t, rho, theta, phi % (2.0 * math.pi)], axis=-1))
-
-        return closure
 
 
 @memo("radial_measure", 16, 4096)  # 16 x 4096 x 2 x 8 B = 1 MiB at most
@@ -280,9 +236,7 @@ def _compose(outer, inner: GeneratorId, h: float):
 
 def _apply(field: Callable, w, q) -> np.ndarray:
     """(K phi) at each of the N points from one field call on all the field
-    points (module docstring); a FieldGrid's interpolator is built here."""
-    if isinstance(field, FieldGrid):
-        field = field.interpolator()
+    points (module docstring)."""
     cols = np.ascontiguousarray(q.reshape(-1, 5).T)
     cols.flags.writeable = False
     vals = field(cols[0], cols[1], cols[2:])
@@ -294,9 +248,8 @@ def _apply(field: Callable, w, q) -> np.ndarray:
 def killing_apply(generator: GeneratorId, fld, point, h: float = FD_STEP):
     """(K phi)(point): apply the Killing differential operator numerically.
 
-    `fld` is a field(t, rho, xi) closure (see the module docstring) or a
-    FieldGrid, read through its linear interpolator, which limits the
-    attainable stencil accuracy; `point` is (t, rho, xi).
+    `fld` is a field(t, rho, xi) closure (see the module docstring);
+    `point` is (t, rho, xi).
     """
     return _apply(fld, *_killing_stencil(generator, _points([point]), h))[0]
 

@@ -154,7 +154,8 @@ def boost_generator_apply(rep, generator: GeneratorId, params: AdsParams):
     -+1/2 for K_{d+1,d} per the tilde/plain families, the slice conj
     channel flipping the overall sign for K_{0d} only.  z comes from
     boost_shift_coeffs on the rep's own labels.  A slice branch with a
-    target n < 0 adds no label.
+    target n < 0 adds no label.  The four branches are one pass over
+    (branch, j, lm) axes, one boost_shift_coeffs call per channel.
     """
     is_0d = isinstance(generator, Boost0)
     if not isinstance(generator, (Boost0, BoostD1)) or generator.j != params.d:
@@ -175,20 +176,16 @@ def boost_generator_apply(rep, generator: GeneratorId, params: AdsParams):
     else:
         raise TypeError("boost action defined for TubeRep and SliceRep")
 
-    kappa = contiguous_coeffs(3, ls, ms)[:2]
-    targets, values = [], []
-    for s_om, s_l in _BRANCHES:
-        weight = 0.5j if is_0d else (0.5 if s_om < 0 else -0.5)
-        z = np.array([boost_shift_coeffs(ch, s_om, s_l, omega, ls, params)
-                      for ch in channels])
-        l_t, j_t = ls + s_l, c.js.astype(int) + shift(s_om, s_l)
-        keep = c.mask & (l_t >= 0) & (np.abs(ms) <= l_t) & (j_t[:, None] >= rep._j_min)
-        rows, lm = np.nonzero(keep)
-        targets.append((j_t[rows], lm_index(l_t, ms)[lm]))
-        values.append(weight * np.array(signs)[:, None] * kappa[int(s_l > 0)][lm]
-                      * z[:, rows, lm] * c.array[:, rows, lm])
-    j, lm = (np.concatenate(col) for col in zip(*targets))
-    return replace(rep, coeffs=_scatter(j, lm, np.concatenate(values, axis=1)))
+    s_om, s_l = np.array(_BRANCHES).T[:, :, None, None]  # over (branch, j, lm)
+    kappa = np.array(contiguous_coeffs(3, ls, ms)[:2])[(s_l.ravel() > 0).astype(int)]
+    z = {ch: boost_shift_coeffs(ch, s_om, s_l, omega, ls, params) for ch in set(channels)}
+    weight = np.full(s_om.shape, 0.5j) if is_0d else np.where(s_om < 0, 0.5, -0.5)
+    l_t, j_t = ls + s_l, c.js.astype(int)[:, None] + shift(s_om, s_l)
+    keep = c.mask & (l_t >= 0) & (np.abs(ms) <= l_t) & (j_t >= rep._j_min)
+    b, rows, lm = np.nonzero(keep)  # branch by branch, as the sums run
+    values = (weight[b, 0, 0] * np.array(signs)[:, None] * kappa[b, lm]
+              * np.array([z[ch][b, rows, lm] for ch in channels]) * c.array[:, rows, lm])
+    return replace(rep, coeffs=_scatter(j_t[b, rows, 0], lm_index(l_t, ms)[b, 0, lm], values))
 
 
 def act_boost(rep, generator: GeneratorId, epsilon: float, params: AdsParams):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.special import spherical_in, spherical_kn
@@ -38,7 +37,7 @@ from .geometry import (AdsParams, Boost0, BoostD1, _apply, _first_order,
                        _points, flat_labels, flat_rescale, flat_unscale,
                        killing_apply, make_params)
 from .harmonics import AngularGrid
-from .modes import RadialKind, _per_distinct, magic_frequency, radial_eval
+from .modes import RadialKind, magic_frequency, radial_eval
 from .specfun import spherical_bessel, spherical_bessel_dx
 from .symplectic import _mirror_pairing, _same_label_pairing, omega_slice_momentum
 
@@ -68,46 +67,51 @@ class MinkSliceRep(_Labelled):
 #   i^{-l} j_l(i x) = i_l(x),  i^{l+1} n_l(i x) = (-1)^{l+1} i_l(x) - (2/pi) k_l(x)
 # ---------------------------------------------------------------------------
 
-def _momentum(E: float, m_field: float) -> float:
-    """Radial momentum p = sqrt|E^2 - m^2| of energy E."""
-    return math.sqrt(abs(E * E - m_field * m_field))
+def _momentum(E, m_field: float):
+    """Radial momentum p = sqrt|E^2 - m^2| of energy E; broadcasts."""
+    return np.sqrt(np.abs(E * E - m_field * m_field))
 
 
-def _check(kind: str, E: float, l: int, r: float, m_field: float,
-           dr: bool = False) -> float:
-    """jcheck (kind "J") or ncheck ("N") at r, or its d/dr if dr: the
-    spherical Bessel function of p r where D = E^2 - m^2 >= 0, its
-    evanescent continuation where D < 0.  ncheck needs r > 0 and D != 0."""
+def _check(kind: str, E, l, r, m_field: float, dr: bool = False):
+    """jcheck (kind "J") or ncheck ("N") at r, or its d/dr if dr, over
+    broadcast E, l and r: the spherical Bessel function of p r where
+    D = E^2 - m^2 >= 0, its evanescent continuation where D < 0, one scipy
+    call per branch.  ncheck needs r > 0 and D != 0 at every element."""
+    E = np.asarray(E, float)
     d_disc, p = E * E - m_field * m_field, _momentum(E, m_field)
-    if kind == "N" and r <= 0.0:
+    if kind == "N" and (np.asarray(r) <= 0.0).any():
         raise DomainError("ncheck needs r > 0")
-    if kind == "N" and d_disc == 0.0:
+    if kind == "N" and (d_disc == 0.0).any():
         raise DomainError("ncheck diverges at the threshold |E| = m")
-    x, scale = p * r, (p if dr else 1.0)
-    if d_disc >= 0.0:
-        return scale * (spherical_bessel_dx if dr else spherical_bessel)(kind, l, x)
-    if kind == "J":
-        return scale * spherical_in(l, x, dr)
-    return scale * ((-1.0) ** (l + 1) * spherical_in(l, x, dr)
-                    - 2.0 / math.pi * spherical_kn(l, x, dr))
+    l, x, ev = np.broadcast_arrays(l, p * r, d_disc < 0.0)
+    out, prop = np.empty(x.shape), ~ev
+    if prop.any():
+        out[prop] = (spherical_bessel_dx if dr else spherical_bessel)(kind, l[prop], x[prop])
+    if ev.any():
+        l, x = l[ev], x[ev]
+        out[ev] = spherical_in(l, x, dr) if kind == "J" else (
+            np.where(l % 2 == 1, 1.0, -1.0) * spherical_in(l, x, dr)
+            - 2.0 / math.pi * spherical_kn(l, x, dr))
+    return (p * out if dr else out)[()]
 
 
-def jcheck(E: float, l: int, r: float, m_field: float) -> float:
+def jcheck(E, l, r, m_field: float):
     """Radial tube function: j_l(p r) on the propagating branch
-    (D = E^2 - m^2 >= 0), i^{-l} j_l(i p r) on the evanescent branch."""
+    (D = E^2 - m^2 >= 0), i^{-l} j_l(i p r) on the evanescent branch; E, l
+    and r broadcast."""
     return _check("J", E, l, r, m_field)
 
 
-def ncheck(E: float, l: int, r: float, m_field: float) -> float:
+def ncheck(E, l, r, m_field: float):
     """Radial tube function: n_l(p r) / i^{l+1} n_l(i p r); r > 0."""
     return _check("N", E, l, r, m_field)
 
 
-def jcheck_dr(E: float, l: int, r: float, m_field: float) -> float:
+def jcheck_dr(E, l, r, m_field: float):
     return _check("J", E, l, r, m_field, True)
 
 
-def ncheck_dr(E: float, l: int, r: float, m_field: float) -> float:
+def ncheck_dr(E, l, r, m_field: float):
     return _check("N", E, l, r, m_field, True)
 
 
@@ -121,20 +125,27 @@ def mink_synth_slice(rep: MinkSliceRep, point) -> complex:
     t, r, theta, phi = point
     m_f = rep.m_field
     out = _slice_sum(rep, t, (r,), (theta, phi), lambda p, l: np.sqrt(
-        p * p + m_f * m_f), partial(_per_distinct, lambda p, l: [
-            2.0 * p / math.sqrt(2.0 * math.pi) * spherical_bessel("J", l, p * r)]))
+        p * p + m_f * m_f), lambda p, l: [
+            2.0 * p / math.sqrt(2.0 * math.pi) * spherical_bessel("J", l, p * r)])
     return complex(out[0, 0])
 
 
 def _mink_tube_sum(rep: MinkTubeRep, t, where, r: float) -> np.ndarray:
     """`expansions._tube_sum` with (S^a, S^b) -> (p_E / 4 pi)(jcheck, ncheck)
     at r: the field and its d/dr at the times t and the angular points
-    `where`; the radial factors are tabulated once per (E, l)."""
+    `where`; one `_check` call per channel and d/dr over the (E, l) blocks."""
     m_f = rep.m_field
-    return _tube_sum(rep, t, where, lambda chs, energy, l: _per_distinct(
-        lambda e, ll: _momentum(e, m_f) / (4.0 * math.pi) * np.array(
-            [[_check("JN"[ch], e, ll, r, m_f, dr) for dr in (False, True)]
-             for ch in chs]), energy, l))
+
+    def radial(chs, energy, l):
+        checks = np.array([[_check("JN"[ch], energy, l, r, m_f, dr) for dr in (False, True)]
+                           for ch in chs])
+        # block-major in memory: the point contraction's BLAS product gives
+        # the per-(E, l) tabulation's bits on this layout only
+        table = np.ascontiguousarray(checks.transpose(2, 0, 1))
+        return (table * (_momentum(energy, m_f) / (4.0 * math.pi))[:, None, None]
+                ).transpose(1, 2, 0)
+
+    return _tube_sum(rep, t, where, radial)
 
 
 def mink_synth_tube(rep: MinkTubeRep, point) -> complex:
@@ -155,15 +166,14 @@ def mink_omega_slice(eta: MinkSliceRep, zeta: MinkSliceRep) -> complex:
     continuum pairing is delta-normalized), so only this form is exposed.
     """
     m_f = eta.m_field
-    return _same_label_pairing(eta, zeta, partial(
-        _per_distinct, lambda p, l: 1j * math.sqrt(p * p + m_f * m_f)))
+    return _same_label_pairing(eta, zeta, lambda p, l: 1j * np.sqrt(p * p + m_f * m_f))
 
 
 def mink_omega_tube_momentum(eta: MinkTubeRep, zeta: MinkTubeRep) -> complex:
     """dE sum (p_E / 16 pi) (eta^a_{Elm} zeta^b_{-E,l,-m} - eta^b zeta^a)."""
     d_e, m_f = eta.grid.d_omega, eta.m_field
-    return d_e * _mirror_pairing(eta, zeta, partial(
-        _per_distinct, lambda k, l: _momentum(k * d_e, m_f) / (16.0 * math.pi)))
+    return d_e * _mirror_pairing(eta, zeta, lambda k, l: _momentum(
+        k * d_e, m_f) / (16.0 * math.pi))
 
 
 def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,
@@ -234,16 +244,16 @@ def flat_limit_compare(m_field: float = 0.0, R_values=(100.0, 1000.0)) -> dict:
     r_values = (0.5, 1.0, 3.0, 5.0)
     for R in R_values:
         params = make_params(3, R, m_field * m_field)
-        # (i) rescaled radial function vs jcheck
+        # (i) rescaled radial function vs jcheck, one jcheck call per r
+        om = omega_tilde * R
+        _, p_r, _ = flat_labels(params, om)
+        scale = [p_r ** l / math.prod(range(2 * l + 1, 0, -2)) for l in l_values]
         errs = []
-        for l in l_values:
-            om = omega_tilde * R
-            _, p_r, _ = flat_labels(params, om)
-            scale = p_r ** l / math.prod(range(2 * l + 1, 0, -2))
-            for r in r_values:
-                ads = scale * radial_eval(RadialKind.Sa, om, l, r / R, params)
-                mink = jcheck(omega_tilde, l, r, m_field)
-                errs.append(abs(ads - mink) / max(abs(mink), 1e-3))
+        for r in r_values:
+            ads = np.array([s * radial_eval(RadialKind.Sa, om, l, r / R, params)
+                            for s, l in zip(scale, l_values)])
+            mink = jcheck(omega_tilde, np.array(l_values), r, m_field)
+            errs.append(np.abs(ads - mink) / np.maximum(np.abs(mink), 1e-3))
         out["radial"][R] = float(np.max(errs))
 
         # labels shared by (ii) and (iii): integer n nearest the target

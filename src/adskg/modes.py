@@ -44,7 +44,7 @@ from .errors import (CapabilityError, DomainError, ExceptionalBranch,
                      SingularPoint)
 from .geometry import AdsParams
 from .harmonics import require_two_sphere, sph_harm
-from .memo import Memo, key
+from .memo import Memo, key, memo
 from .specfun import (DEFAULT_POLICY, hyp2f1, hyp2f1_dx, hyp2f1_terminates,
                       jacobi_p, jacobi_p_dx)
 
@@ -503,7 +503,18 @@ def jacobi_radial_fd(branch: str, n, l, rho, params: AdsParams):
     float n or l taken as its integer.  Each element is bit for bit the
     call at its scalar (n, l) on the same rho, and neither J nor dJ/drho at
     a point depends on the array it sits in: all powers are Python's pow
-    (np.power on arrays can differ in the last bit)."""
+    (np.power on arrays can differ in the last bit).  Array calls are
+    memoized on the arguments as `np.asarray` gives them, and their tables
+    are read-only (`adskg.memo`)."""
+    if any(isinstance(v, np.ndarray) for v in (n, l, rho)):
+        return _jacobi_table(branch, *map(np.asarray, (n, l, rho)), params)
+    return _jacobi_radial(branch, n, l, rho, params, True)
+
+
+# `verify all` builds 10 distinct tables, a slice `adskg reconstruct` 1 or 2; with
+# 8-byte inputs, 32 x 2^14 x 5 arrays (n, l, rho, J, dJ) x 8 B = 20 MiB at most.
+@memo("jacobi_table", 32, 1 << 14)
+def _jacobi_table(branch: str, n, l, rho, params: AdsParams):
     return _jacobi_radial(branch, n, l, rho, params, True)
 
 

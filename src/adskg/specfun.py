@@ -13,7 +13,7 @@ plain loop, which is the reference.
 Jacobi, Gegenbauer, Legendre, Pochhammer and spherical Bessel functions are
 scipy.special ufuncs under this module's conventions, raising DomainError
 where the ufunc would return nan (assoc_legendre: any non-finite value);
-the polynomials take ndarray arguments.
+the polynomials and spherical Bessel functions take ndarray arguments.
 """
 
 from __future__ import annotations
@@ -284,26 +284,28 @@ def assoc_legendre(m, l, x):
     return val
 
 
-def _spherical(kind: str, l: int, x: float, derivative: bool) -> float:
-    """scipy's spherical_jn / spherical_yn behind the argument checks."""
-    if l < 0:
+def _spherical(kind: str, l, x, derivative: bool):
+    """scipy's spherical_jn / spherical_yn behind the argument checks, which
+    hold at every element of the broadcast l and x."""
+    if (np.asarray(l) < 0).any():
         raise DomainError("spherical_bessel requires l >= 0")
     if kind == "J":
-        if x < 0.0:
+        if (np.asarray(x) < 0.0).any():
             raise DomainError("j_l requires x >= 0")
         return spherical_jn(l, x, derivative)
     if kind == "N":
-        if x <= 0.0:
+        if (np.asarray(x) <= 0.0).any():
             raise DomainError("n_l requires x > 0")
         return spherical_yn(l, x, derivative)
     raise DomainError(f"unknown spherical Bessel kind {kind!r}")
 
 
-def spherical_bessel(kind: str, l: int, x: float) -> float:
-    """Spherical Bessel j_l (kind "J") or Neumann n_l (kind "N")."""
+def spherical_bessel(kind: str, l, x):
+    """Spherical Bessel j_l (kind "J") or Neumann n_l (kind "N"); l and x
+    broadcast."""
     return _spherical(kind, l, x, False)
 
 
-def spherical_bessel_dx(kind: str, l: int, x: float) -> float:
-    """d/dx of j_l or n_l."""
+def spherical_bessel_dx(kind: str, l, x):
+    """d/dx of j_l or n_l; l and x broadcast."""
     return _spherical(kind, l, x, True)

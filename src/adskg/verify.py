@@ -112,9 +112,9 @@ def suite_harmonics():
     gram = ang.project(ang.ylm(5), 5)
     checks.append(_check("orthonormality[l<=5]", np.abs(gram - np.eye(len(gram))), 1e-10))
 
-    theta = np.linspace(0.08, math.pi - 0.08, 20)
-    phi = np.linspace(0.0, 2 * math.pi, 20, endpoint=False)
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    # a (theta, phi) grid by broadcasting, so P_l^m is evaluated once per theta
+    th = np.linspace(0.08, math.pi - 0.08, 20)[:, None]
+    ph = np.linspace(0.0, 2 * math.pi, 20, endpoint=False)
     # cos(theta) Y_l^m = kappa_+ Y_{l+1}^m + kappa_- Y_{l-1}^m, kappa_- = 0 at
     # |m| = l (where Y_l^m stands in for the absent Y_{l-1}^m)
     ls, ms = (x[:, None, None] for x in lm_labels(6))

@@ -243,7 +243,7 @@ def test_verify_json_records(capsys):
 
 
 PACKAGE_MEMOS = {"radial_table": 128, "lm_labels": 128, "ylm_point": 64, "grid_rule": 4,
-                 "theta_table": 16, "radial_measure": 16}
+                 "theta_table": 16, "radial_measure": 16, "jacobi_table": 32}
 
 
 def test_verify_json_reports_cache_counters(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adskg import expansions as xp
+from adskg import modes
 from adskg.errors import (BandLimitExceeded, ConvergenceError, DomainError,
                           IntegerNu, MagicFrequencyBlind, RadialNodeError,
                           SerializationError, SingularPoint,
@@ -27,7 +28,8 @@ from adskg.harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labe
                              lm_mirror, sph_harm, ylm_point)
 from adskg.memo import counters
 from adskg.modes import (RadialKind, SliceLabel, TubeLabel, _per_distinct, magic_frequency,
-                         mode_eval, radial_eval, radial_eval_fd, transfer_matrix)
+                         jacobi_radial_fd, mode_eval, radial_eval, radial_eval_fd,
+                         transfer_matrix)
 from adskg.specfun import DEFAULT_POLICY
 from adskg.symplectic import omega_slice_momentum, omega_tube_momentum
 
@@ -148,6 +150,35 @@ def test_sample_slice_matches_mode_eval_reference(params_m0):
     assert np.max(np.abs(data.phi - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(data.dphi_dt - ref_dt)) <= 1e-13 * np.max(np.abs(ref_dt))
 
+
+
+def test_sample_slice_at_two_times_builds_one_jacobi_table(params_m0):
+    # the Jacobi table depends on the rep's (n, l) blocks and the radii, not
+    # on t0: the second sample is one memo hit, and the tables are unchanged
+    memo = modes._jacobi_table.memo
+    ang, rep = AngularGrid(6, 8), _slice_rep()
+    memo.clear()
+    first = [sample_slice(rep, t0, params_m0, 12, ang) for t0 in (0.37, 1.9)]
+    assert (memo.hits, memo.misses) == (1, 1)
+    memo.clear()
+    again = sample_slice(rep, 1.9, params_m0, 12, ang)
+    assert again.phi.tobytes() == first[1].phi.tobytes()
+    assert again.dphi_dt.tobytes() == first[1].dphi_dt.tobytes()
+
+
+def test_jacobi_table_hit_is_the_same_read_only_arrays(params_m0):
+    memo = modes._jacobi_table.memo
+    n, l, rho = np.array([0, 2, 3]), np.array([1, 0, 2]), np.linspace(0.1, 1.4, 7)[:, None]
+    memo.clear()
+    built = jacobi_radial_fd("plus", n, l, rho, params_m0)
+    hit = jacobi_radial_fd("plus", n.copy(), l.copy(), rho.copy(), params_m0)
+    assert (memo.hits, memo.misses) == (1, 1)
+    assert all(a is b and not a.flags.writeable for a, b in zip(built, hit))
+    with pytest.raises(ValueError):
+        built[0][0, 0] = 1.0
+    # scalar calls are not memoized; an array's elements are their bits
+    assert jacobi_radial_fd("plus", 2, 0, float(rho[1, 0]), params_m0)[0] == built[0][1, 1]
+    assert (memo.hits, memo.misses, memo.counts()["size"]) == (1, 1, 1)
 
 # --- basis change ----------------------------------------------------------------
 

@@ -251,68 +251,3 @@ def test_flat_labels_values():
     assert om_t == pytest.approx(1.5)
     assert p_t == pytest.approx(math.sqrt(1.5 ** 2 - 1.0), rel=1e-12)
     assert p_t == pytest.approx(1.118033988749895, rel=1e-12)
-
-
-# --- FieldGrid -------------------------------------------------------------------
-
-def test_field_grid_validation_and_interpolation():
-    from adskg.geometry import FieldGrid
-    from adskg.harmonics import AngularGrid
-    ang = AngularGrid(24, 48)
-    t_nodes = np.linspace(-0.5, 0.5, 21)
-    rho_nodes = np.linspace(0.3, 1.2, 25)
-    om = 1.5
-    vals = (np.exp(-1j * om * t_nodes)[:, None, None, None]
-            * np.sin(rho_nodes)[None, :, None, None]
-            * (1.0 + np.cos(ang.theta))[None, None, :, None]
-            * np.ones(ang.n_phi)[None, None, None, :])
-    grid = FieldGrid(t_nodes, rho_nodes, ang, vals)
-    f = grid.interpolator()
-    xi = _xi([0.3, 0.4, 0.866])
-    got = f(0.1, 0.7, xi)
-    want = (np.exp(-1j * om * 0.1) * math.sin(0.7)
-            * (1.0 + xi[2]))
-    assert abs(got - want) < 5e-3  # linear interpolant on a coarse grid
-    with pytest.raises(ValueError):
-        FieldGrid(t_nodes, rho_nodes, ang, vals[:, :5])
-    with pytest.raises(ValueError):
-        FieldGrid(t_nodes, rho_nodes + 1.0, ang, vals)
-
-
-def test_field_grid_interpolator_covers_the_sphere(rng):
-    # every direction is inside the interpolant: phi past the last node
-    # wraps to phi = 0 and the caps beyond the outermost Gauss-Legendre
-    # rings close at the poles
-    from adskg.geometry import FieldGrid
-    from adskg.harmonics import AngularGrid
-    ang = AngularGrid(8, 16)
-    t_nodes = np.linspace(-0.5, 0.5, 5)
-    rho_nodes = np.linspace(0.3, 1.2, 4)
-
-    def radial(t, rho):  # multilinear in (t, rho): interpolated exactly
-        return (1.0 + 0.2j * t) * (0.5 + rho)
-
-    def angular(xi):
-        return 1.0 + 0.5 * xi[2] + 0.4 * xi[0] - 0.3 * xi[1]
-
-    th, ph = ang.theta[:, None], ang.phi[None, :]
-    xyz = (np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th) + 0 * ph)
-    vals = (radial(t_nodes[:, None], rho_nodes[None, :])[:, :, None, None]
-            * angular(xyz)[None, None])
-    f = FieldGrid(t_nodes, rho_nodes, ang, vals).interpolator()
-
-    dirs = rng.normal(size=(400, 3))
-    named = [(1.0, 6.1), (0.05, 1.0), (3.1, 1.0), (0.0, 0.0), (math.pi, 2.0)]
-    dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1)[:, None]]
-                     + [[math.sin(a) * math.cos(b), math.sin(a) * math.sin(b),
-                         math.cos(a)] for a, b in named])
-    # linear interpolation error: (h_theta^2 |g_theta theta| + h_phi^2
-    # |g_phi phi|) / 8 with h <= 0.4 and both second derivatives <= 1, and
-    # at the caps |g(pole) - ring mean| = 0.5 (1 - cos 0.284) = 0.02
-    worst = 0.0
-    for xi in dirs:
-        t, rho = rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.2)
-        got = f(t, rho, xi)
-        worst = max(worst, abs(got - radial(t, rho) * angular(xi))
-                    / abs(radial(t, rho)))
-    assert worst < 0.04

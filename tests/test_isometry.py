@@ -6,11 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adskg.errors import UnsupportedDimension
-from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep,
+from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep, _scatter,
                               slice_to_tube, synth)
 from adskg.geometry import (Boost0, BoostD1, Rotation, TimeTranslation,
                             make_params)
-from adskg.harmonics import EulerAngles, contiguous_coeffs, rotate_angles
+from adskg.harmonics import (EulerAngles, contiguous_coeffs, lm_index, lm_labels,
+                             rotate_angles)
 from adskg.isometry import (_BRANCHES, act_boost, act_rotation,
                             act_time_translation, boost_generator_apply,
                             boost_identity, boost_shift_coeffs, invariance_suite,
@@ -614,3 +615,50 @@ def test_boost_equals_per_label_loop(rng):
                 _assert_same(delta, _loop_boost(rep, gen, p), bits=False)
                 _assert_same(act_boost(rep, gen, 0.013, p),
                              _loop_act_boost(rep, delta.coeffs, 0.013), bits=True)
+
+
+def _branch_loop_boost(rep, generator, params):
+    """boost_generator_apply with boost_shift_coeffs called per branch and
+    channel, one branch at a time: the form the one (branch, j, lm) pass
+    replaced, kept as its bit-for-bit reference."""
+    is_0d = isinstance(generator, Boost0)
+    c = rep.coeffs
+    ls, ms = lm_labels(c.l_max)
+    if isinstance(rep, SliceRep):
+        signs, channels = (1.0, -1.0 if is_0d else 1.0), "aa"
+        omega = magic_frequency("plus", c.js[:, None], ls, params)
+        shift = lambda s_om, s_l: (s_om - s_l) // 2
+    else:
+        step = 1.0 / rep.grid.d_omega
+        signs, channels = (1.0, 1.0), "ab"
+        omega = rep.grid.d_omega * c.js[:, None]
+        shift = lambda s_om, s_l: s_om * round(step)
+    kappa = contiguous_coeffs(3, ls, ms)[:2]
+    targets, values = [], []
+    for s_om, s_l in _BRANCHES:
+        weight = 0.5j if is_0d else (0.5 if s_om < 0 else -0.5)
+        z = np.array([boost_shift_coeffs(ch, s_om, s_l, omega, ls, params)
+                      for ch in channels])
+        l_t, j_t = ls + s_l, c.js.astype(int) + shift(s_om, s_l)
+        keep = c.mask & (l_t >= 0) & (np.abs(ms) <= l_t) & (j_t[:, None] >= rep._j_min)
+        rows, lm = np.nonzero(keep)
+        targets.append((j_t[rows], lm_index(l_t, ms)[lm]))
+        values.append(weight * np.array(signs)[:, None] * kappa[int(s_l > 0)][lm]
+                      * z[:, rows, lm] * c.array[:, rows, lm])
+    j, lm = (np.concatenate(col) for col in zip(*targets))
+    return _scatter(j, lm, np.concatenate(values, axis=1))
+
+
+def test_boost_is_the_per_branch_loop_bit_for_bit(rng):
+    # one boost_shift_coeffs call per channel over (branch, j, lm) gives the
+    # per-branch calls' coefficients, so K|>rep keeps every bit
+    for msq in (0.0, -2.2, 1.5):
+        p = make_params(3, 1.0, msq)
+        tube, _, slice_ = _random_reps(rng, k_max=7)
+        for rep in (tube, slice_, _tube_rep(), _slice_rep()):
+            for gen in (Boost0(3), BoostD1(3)):
+                got = boost_generator_apply(rep, gen, p).coeffs
+                want = _branch_loop_boost(rep, gen, p)
+                assert np.array_equal(got.js, want.js)
+                assert np.array_equal(got.mask, want.mask)
+                assert got.array.tobytes() == want.array.tobytes()

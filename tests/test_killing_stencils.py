@@ -1,7 +1,7 @@
 """Killing operators as composed stencils, checked against the closure-based
 nesting they replace (kept here as the reference, calling the field one
 point at a time), plus the array field contract (one call per operator
-application), the Minkowski r -> 0 guard and the FieldGrid interpolator."""
+application) and the Minkowski r -> 0 guard."""
 
 import math
 
@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from adskg.errors import BoundaryProximity
-from adskg.geometry import (FD_STEP, Boost0, BoostD1, FieldGrid, Rotation,
+from adskg.geometry import (FD_STEP, Boost0, BoostD1, Rotation,
                             TimeTranslation, bracket_rhs, killing_apply,
                             verify_lie_bracket)
-from adskg.harmonics import AngularGrid
 from adskg.minkowski import mink_killing_apply
 
 # --- reference: nested closures over 4-point differences ---------------------
@@ -256,111 +255,3 @@ def test_mink_time_translation_near_origin():
     val = mink_killing_apply("T0", _mink_field, (0.9, 1e-3, xi))
     want = ref_mink_killing_apply("T0", _mink_field, (0.9, 1e-3, xi))
     assert abs(val - want) <= 1e-9 * abs(want)
-
-
-# --- FieldGrid ----------------------------------------------------------------------------
-
-def _time_phase_grid(om):
-    ang = AngularGrid(24, 48)
-    t_nodes = np.linspace(-0.5, 0.5, 101)
-    rho_nodes = np.linspace(0.3, 1.2, 46)
-    vals = (np.exp(-1j * om * t_nodes)[:, None, None, None]
-            * np.sin(rho_nodes)[None, :, None, None]
-            * (1.0 + np.cos(ang.theta))[None, None, :, None]
-            * np.ones(ang.n_phi)[None, None, None, :])
-    return FieldGrid(t_nodes, rho_nodes, ang, vals)
-
-
-def _grid_points(rng, n):
-    """Points over the whole sphere: the interpolator wraps phi periodically
-    and closes the polar caps, so theta and phi need no margin."""
-    pts = []
-    for _ in range(n):
-        theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
-        pts.append((rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.0),
-                    np.array([math.sin(theta) * math.cos(phi),
-                              math.sin(theta) * math.sin(phi),
-                              math.cos(theta)])))
-    return pts
-
-
-def ref_interpolator(grid):
-    """FieldGrid.interpolator as a closure on one point at a time, taking xi
-    as a (3,) row."""
-    from scipy.interpolate import RegularGridInterpolator
-    from adskg.harmonics import xyz_to_angles
-    vals = grid.values[:, :, ::-1, :]
-    caps = np.broadcast_to(vals[:, :, [0, -1]].mean(axis=3, keepdims=True),
-                           vals.shape[:2] + (2, vals.shape[3]))
-    vals = np.concatenate([caps[:, :, :1], vals, caps[:, :, 1:]], axis=2)
-    interp = RegularGridInterpolator(
-        (grid.t_nodes, grid.rho_nodes,
-         np.concatenate([[0.0], grid.angular.theta[::-1], [math.pi]]),
-         np.append(grid.angular.phi, 2.0 * math.pi)),
-        np.concatenate([vals, vals[..., :1]], axis=3))
-
-    def closure(t, rho, xi):
-        theta, phi = xyz_to_angles(np.asarray(xi) / np.linalg.norm(xi))
-        return complex(interp([[t, rho, theta, phi % (2.0 * math.pi)]])[0])
-
-    return closure
-
-
-def test_field_grid_interpolator_matches_per_point_closure(rng):
-    ang = AngularGrid(12, 24)
-    t_nodes = np.linspace(-0.5, 0.5, 7)
-    rho_nodes = np.linspace(0.3, 1.2, 6)
-    shape = (7, 6, ang.n_theta, ang.n_phi)
-    grid = FieldGrid(t_nodes, rho_nodes, ang,
-                     rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    # random directions, the poles and the caps beyond the outermost rings,
-    # phi just below 2 pi (y a hair negative) and on the phi = 0 seam
-    theta = np.concatenate([np.arccos(rng.uniform(-1.0, 1.0, 300)),
-                            [0.0, math.pi, 1e-9, math.pi - 1e-9, 0.05, 3.1,
-                             1.0, 2.0, 1.0, 0.5]])
-    phi = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 300),
-                          [0.0, 1.0, 2.0, 3.0, 6.0, 0.3,
-                           2.0 * math.pi - 1e-12, -1e-15, 0.0, 2.0 * math.pi]])
-    rows = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-                     np.cos(theta)], axis=1)
-    rows /= np.linalg.norm(rows, axis=1)[:, None]
-    t = rng.uniform(-0.5, 0.5, len(rows))
-    rho = rng.uniform(0.3, 1.2, len(rows))
-    ref = ref_interpolator(grid)
-    want = np.array([ref(*p) for p in zip(t.tolist(), rho.tolist(), rows)])
-    # a strided view and the contiguous (3, N) block the stencils pass
-    for xi in (rows.T, np.ascontiguousarray(rows.T)):
-        got = grid.interpolator()(t, rho, xi)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-
-
-def test_field_grid_interpolator_built_once_per_call(monkeypatch, rng):
-    import scipy.interpolate
-    built = []
-    real = scipy.interpolate.RegularGridInterpolator
-
-    def counting(*args, **kwargs):
-        built.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.interpolate, "RegularGridInterpolator", counting)
-    grid = _time_phase_grid(1.5)
-    pts = _grid_points(rng, 2)
-    killing_apply(Boost0(3), grid, pts[0])
-    assert len(built) == 1
-    verify_lie_bracket(Boost0(1), Boost0(2), grid, pts)
-    assert len(built) == 2
-
-
-def test_field_grid_time_derivative_matches_phase(rng):
-    om = 1.5
-    grid = _time_phase_grid(om)
-    for t, rho, xi in _grid_points(rng, 5):
-        want = (-1j * om * np.exp(-1j * om * t) * math.sin(rho)
-                * (1.0 + xi[2]))
-        got = killing_apply(TimeTranslation(), grid, (t, rho, xi))
-        # linear interpolation: the slope of one 0.01-wide time cell is
-        # off by up to om^2 * 0.01 / 2 relative, the angular and radial
-        # values by about 1e-3
-        assert abs(got - want) <= 1e-2 * abs(want)

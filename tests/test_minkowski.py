@@ -384,3 +384,81 @@ def test_ncheck_dr_shares_the_ncheck_domain():
     for E, l, r, m_f in ((2.0, 1, 0.0, 1.0), (0.5, 0, 0.0, 1.0), (1.0, 2, 1.3, 1.0)):
         with pytest.raises(DomainError):
             ncheck_dr(E, l, r, m_f)
+
+
+# --- one scipy call per branch and kind ---------------------------------------------
+
+_CHECKS = {("J", False): jcheck, ("N", False): ncheck,
+           ("J", True): jcheck_dr, ("N", True): ncheck_dr}
+
+
+def _scalar_check(kind, E, l, r, m_f, dr):
+    """jcheck or ncheck (or its d/dr) at one element from scalar scipy
+    calls, the per-label form the batched `_check` replaced."""
+    from scipy.special import spherical_in, spherical_jn, spherical_kn, spherical_yn
+    d_disc = E * E - m_f * m_f
+    p = math.sqrt(abs(d_disc))
+    x, scale = p * r, (p if dr else 1.0)
+    if d_disc >= 0.0:
+        return scale * (spherical_jn if kind == "J" else spherical_yn)(l, x, dr)
+    if kind == "J":
+        return scale * spherical_in(l, x, dr)
+    return scale * ((-1.0) ** (l + 1) * spherical_in(l, x, dr)
+                    - 2.0 / math.pi * spherical_kn(l, x, dr))
+
+
+@pytest.mark.parametrize("kind", ["J", "N"])
+@pytest.mark.parametrize("dr", [False, True])
+def test_batched_check_is_the_scalar_scipy_call_bit_for_bit(kind, dr, rng):
+    # both branches (m = 1.2: |E| < 1.2 evanescent), l = 0 .. 6, and the (E,
+    # l) blocks against one r as the tube sums call it
+    m_f, fn = 1.2, _CHECKS[(kind, dr)]
+    E = np.r_[rng.uniform(-3.0, 3.0, 60), 0.0, 1.19, -1.21, 2.0]
+    l = rng.integers(0, 7, E.size)
+    assert {bool(d) for d in E * E >= m_f * m_f} == {True, False}
+    for r in (rng.uniform(0.05, 5.0, E.size), 1.7):
+        want = [_scalar_check(kind, e, ll, rr, m_f, dr) for e, ll, rr in zip(
+            E.tolist(), l.tolist(), np.broadcast_to(r, E.shape).tolist())]
+        assert fn(E, l, r, m_f).tobytes() == np.array(want).tobytes()
+    assert fn(2.0, 3, 1.1, m_f) == _scalar_check(kind, 2.0, 3, 1.1, m_f, dr)
+
+
+def test_ncheck_domain_errors_only_where_ncheck_is_evaluated():
+    # r <= 0 and |E| = m raise for ncheck at any element, never for jcheck,
+    # so a b = 0 label at the threshold still synthesizes
+    E, l, m_f = np.array([2.0, 1.0, 0.5]), np.array([0, 1, 2]), 1.0
+    for fn in (jcheck, jcheck_dr):
+        assert np.all(np.isfinite(fn(E, l, np.array([0.0, 1.3, 0.0]), m_f)))
+    for fn in (ncheck, ncheck_dr):
+        with pytest.raises(DomainError, match="threshold"):
+            fn(E, l, 1.3, m_f)
+        with pytest.raises(DomainError, match="r > 0"):
+            fn(E[[0, 2]], l[[0, 2]], np.array([1.3, 0.0]), m_f)
+        assert np.all(np.isfinite(fn(E[[0, 2]], l[[0, 2]], 1.3, m_f)))
+    point = (0.1, 1.2, 0.7, 0.3)
+    assert np.isfinite(mink_synth_tube(THRESHOLD, point))
+    assert np.isfinite(mink_synth_tube_dr(THRESHOLD, point))
+    at_threshold = MinkTubeRep(THRESHOLD.grid, {**THRESHOLD.coeffs, (2, 1, 0): (1.0, 0.5)}, 1.0)
+    with pytest.raises(DomainError, match="threshold"):
+        mink_synth_tube(at_threshold, point)
+
+
+def test_mink_tube_point_synthesis_is_the_per_key_tabulation_bit_for_bit(rng):
+    # the batched radial table at a point gives the bits of the table built
+    # one (E, l) key at a time from scalar scipy calls
+    from adskg.expansions import _tube_sum
+    from adskg.modes import _per_distinct
+
+    def per_key(m_f, r):
+        return lambda chs, energy, l: _per_distinct(lambda e, ll: math.sqrt(
+            abs(e * e - m_f * m_f)) / (4.0 * math.pi) * np.array(
+                [[_scalar_check("JN"[ch], e, ll, r, m_f, dr) for dr in (False, True)]
+                 for ch in chs]), energy, l)
+
+    for rep in (_random_mink_tube(rng, MIXED_GRID, 1.2, 25),
+                _random_mink_tube(rng, MIXED_GRID, 0.3, 25), THRESHOLD):
+        for t, r, theta, phi in _mink_points(rng):
+            want = _tube_sum(rep, t, (theta, phi), per_key(rep.m_field, r))
+            got = [mink_synth_tube(rep, (t, r, theta, phi)),
+                   mink_synth_tube_dr(rep, (t, r, theta, phi))]
+            assert np.array(got).tobytes() == want[:, 0].tobytes()

@@ -368,3 +368,24 @@ def test_ufunc_nan_or_fractional_degree_is_domain_error():
         jacobi_p(-2.0, -2.0, 3, np.array([0.1, 0.3]))
     with pytest.raises(DomainError):
         jacobi_p(1.0, 1.0, 2.5, 0.3)
+
+
+@pytest.mark.parametrize("kind", ["J", "N"])
+@pytest.mark.parametrize("derivative", [False, True])
+def test_spherical_bessel_broadcasts_bit_for_bit(kind, derivative):
+    # one scipy call over broadcast (l, x) is each element's scalar call
+    from scipy.special import spherical_jn, spherical_yn
+    fn = spherical_bessel_dx if derivative else spherical_bessel
+    ref = spherical_jn if kind == "J" else spherical_yn
+    l = np.arange(8)[:, None]
+    x = np.array([1e-3, 0.4, 1.0, 2.5, 7.0, 30.0])
+    got = fn(kind, l, x)
+    want = [[ref(ll, xx, derivative) for xx in x.tolist()] for ll in range(8)]
+    assert got.shape == (8, 6) and got.tobytes() == np.array(want).tobytes()
+    # the argument checks hold at every element
+    with pytest.raises(DomainError):
+        fn(kind, np.array([0, -1]), 1.0)
+    with pytest.raises(DomainError):
+        fn(kind, 1, np.array([0.5, -0.1 if kind == "J" else 0.0]))
+    assert fn("J", np.array([0, 1]), 0.0).tolist() == [spherical_jn(0, 0.0, derivative),
+                                                       spherical_jn(1, 0.0, derivative)]
