@@ -4,8 +4,9 @@ and reconstruction round-trip reports.
 Exit codes: 0 pass, 1 verification/reconstruction failure, 2 usage or
 parse errors, a NaN or infinite number and an out-of-range parameter
 among them.  Output is deterministic: no timestamps, fixed row order;
-the exceptions are each suite's wall time (duration_s) and the cache
-counters under `verify --json`.
+the exceptions are each suite's wall time (duration_s), the cache
+counters and the process counters (minor page faults and peak-RSS growth)
+under `verify --json`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ import time
 from dataclasses import asdict
 from functools import cache
 from itertools import chain
+
+try:
+    import resource
+except ImportError:  # no getrusage (Windows)
+    resource = None
 
 import numpy as np
 
@@ -105,9 +111,19 @@ def _json_float(value: float) -> float | None:
     return value if np.isfinite(value) else None
 
 
+def _usage() -> tuple[int, int] | None:
+    """(minor page faults, peak RSS in bytes) of this process so far, from
+    getrusage (ru_maxrss counts KiB, bytes on macOS); None without it."""
+    if resource is None:
+        return None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_minflt, usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024)
+
+
 def cmd_verify(args) -> int:
     from .verify import SUITES, run_suite
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    before = _usage()
     all_ok = True
     suites, records = [], []
     for name in names:
@@ -128,8 +144,13 @@ def cmd_verify(args) -> int:
             print(c.line)
         print(f"SUITE {name} {'PASS' if ok else 'FAIL'} max_err={worst:.3e}")
     if args.json:
+        after = _usage()
+        faults, growth = (None, None) if before is None else (
+            after[0] - before[0], (after[1] - before[1]) / 2.0 ** 20)
         print(json.dumps({"passed": all_ok, "suites": suites, "checks": records,
-                          "caches": counters()}, indent=1, allow_nan=False))
+                          "caches": counters(),
+                          "process": {"minor_faults": faults, "peak_rss_growth_mb": growth}},
+                         indent=1, allow_nan=False))
     return 0 if all_ok else 1
 
 
@@ -227,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p_verify.add_argument("--json", action="store_true",
                           help="print one JSON document: a record per check "
-                               "and per suite (with duration_s)")
+                               "and per suite (with duration_s), the cache "
+                               "counters and the run's minor page faults and "
+                               "peak-RSS growth")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_rec = sub.add_parser("reconstruct",

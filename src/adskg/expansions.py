@@ -16,7 +16,8 @@ the angular point.  c is the dense (channel, j, lm) array each rep stores,
 on the packed angular index of `harmonics`; radial and transfer-matrix
 factors are tabulated once per (j, l); on a tube K is the phase matrix
 d_omega e^{-i omega_k t}.  On a grid the factors are folded into c (fixed
-radius) or K (radial nodes) and the lm sum is `AngularGrid.synthesize`.
+radius) or K (radial nodes; the radial sum runs per degree, `_by_degree`,
+never against K spread over lm) and the lm sum is `AngularGrid.synthesize`.
 At a point the order is reversed: the `ylm_point` row of the held (l, m),
 memoized per point (one `sph_harm` call on a miss), is contracted first,
 sum_m c[j, lm] Y_lm per (j, l) block in one `np.add.reduceat`, and the
@@ -313,24 +314,37 @@ def _blocks(coef):
     return rows, l_need, ls
 
 
-def _table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
+def _degree_table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
     """fn(j, l) on the (j, l) blocks where coef (..., j, lm) has a nonzero
-    entry (zero elsewhere), spread over lm: shape + (j, lm), of fn's dtype.
-    fn is called once, on the 1-d arrays of those j and l, and returns
-    shape + (blocks,).  A caller holding coef's `_blocks` passes them."""
+    entry (zero elsewhere): shape + (j, l_max + 1), of fn's dtype.  fn is
+    called once, on the 1-d arrays of those j and l, and returns shape +
+    (blocks,).  A caller holding coef's `_blocks` passes them."""
     rows, l_need, ls = _blocks(coef) if blocks is None else blocks
     vals = np.asarray(fn(np.asarray(js)[rows], l_need)) if rows.size else np.zeros(0)
     out = np.zeros(shape + (coef.shape[-2], ls[-1] + 1), dtype=vals.dtype)
     out[..., rows, l_need] = vals
-    return out[..., ls]
+    return out
 
 
-def _synthesize(kern, coef, grid: AngularGrid) -> np.ndarray:
-    """out[..., s, x] = sum_{j, lm} kern[s, j, lm] coef[..., j, lm] Y_lm(x)
-    (kern's lm axis may have length 1) on the nodes x = (theta, phi) of the
-    AngularGrid `grid`."""
-    kern = np.broadcast_to(kern, kern.shape[:2] + coef.shape[-1:])
-    return grid.synthesize(np.einsum("sji,...ji->...si", kern, coef))
+def _table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
+    """`_degree_table` spread over lm: shape + (j, lm)."""
+    blocks = _blocks(coef) if blocks is None else blocks
+    return _degree_table(js, coef, fn, shape, blocks)[..., blocks[2]]
+
+
+def _by_degree(subscripts: str, kern, coef, out) -> np.ndarray:
+    """np.einsum(subscripts, kern[..., l], coef[..., cols]) into out[...,
+    cols] for each degree l, cols its packed columns [l^2, (l+1)^2): a grid
+    path's radial sum against a real kernel (..., l_max + 1), never spread
+    over lm.  It runs on the float views of the complex coef and out, which
+    a real kernel scales part by part: the complex product's bits wherever
+    einsum's float loops round each product (no fused multiply-add, as in
+    numpy's x86-64 builds; tests/test_grid_memory.py checks)."""
+    edges = 2 * np.arange(kern.shape[-1] + 1) ** 2
+    parts, view = coef.view(float), out.view(float)
+    for l, (a, b) in enumerate(zip(edges, edges[1:])):
+        np.einsum(subscripts, kern[..., l], parts[..., a:b], out=view[..., a:b])
+    return out
 
 
 def _ylm_sums(coef, point, held=None) -> np.ndarray:
@@ -379,8 +393,8 @@ def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
         fold = (c.array[:, None] * np.concatenate([_table(
             c.js, c.array[0], lambda k, l, chs=chs: radial(chs, k * d_omega, l),
             (len(chs), 2), plan) for chs, plan in c.groups()])).sum(axis=0)
-        return _synthesize(kern(d_omega * np.asarray(c.js, dtype=float))[:, :, None],
-                           fold, where)
+        return where.synthesize(np.einsum("sj,...ji->...si", kern(
+            d_omega * np.asarray(c.js, dtype=float)), fold))
     sums = _ylm_sums(c.array, where, c.orders())
     out = np.zeros((2, np.size(t)), dtype=complex)
     for chs, (rows, l_need, _) in c.groups():
@@ -405,7 +419,9 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial) -> np.ndarray:
     coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
     rows, l_need, _ = blocks = _blocks(coefs)
     if isinstance(where, AngularGrid):
-        return _synthesize(_table(js, coefs, radial, np.shape(rho), blocks), coefs, where)
+        return where.synthesize(_by_degree(
+            "sj,...ji->...si", _degree_table(js, coefs, radial, np.shape(rho), blocks), coefs,
+            np.empty(coefs.shape[:1] + np.shape(rho) + coefs.shape[-1:], complex)))
     rad = radial(np.asarray(js)[rows], l_need) if rows.size else np.zeros(np.shape(rho) + (0,))
     return _ylm_sums(coefs, where)[:, rows, l_need] @ np.transpose(rad)
 
@@ -594,9 +610,10 @@ def invert_slice(data: SliceData, params: AdsParams,
     ns = range(n_max + 1)
     full = np.ones((n_max + 1, lm_count(l_max)))
     frequency, radial = _jacobi(data.rho_nodes, params)
-    kern = _table(ns, full, radial, data.rho_nodes.shape)
-    proj = ang.project(np.stack([data.phi, data.dphi_dt]), l_max)
-    p_phi, p_dphi = np.einsum("s,sji,csi->cji", data.rho_weights, kern, proj)
+    kern = _degree_table(ns, full, radial, data.rho_nodes.shape)
+    proj = np.stack([ang.project(x, l_max) for x in (data.phi, data.dphi_dt)])
+    p_phi, p_dphi = _by_degree("sj,csi->cji", data.rho_weights[:, None, None] * kern, proj,
+                               np.empty((2,) + full.shape, complex))
     omega = _table(ns, full, frequency)
     nrm = _table(ns, full, lambda n, l: norm_constant("plus", n, l, params))
     f_c = np.exp(1j * omega * data.t0) / (2.0 * nrm)
@@ -606,9 +623,10 @@ def invert_slice(data: SliceData, params: AdsParams,
                                          np.conj(f_c) * p_phi[:, mirror]
                                          + np.conj(d_c) * p_dphi[:, mirror]])))
     if check_residual:
-        recon = sample_slice(rep, data.t0, params, len(data.rho_nodes), ang)
         norm = np.max(np.abs(data.phi)) or 1.0
-        resid = np.max(np.abs(recon.phi - data.phi)) / norm
+        diff = sample_slice(rep, data.t0, params, len(data.rho_nodes), ang).phi
+        diff -= data.phi
+        resid = np.max(np.abs(diff)) / norm
         if resid > _RESIDUAL_TOL:
             raise BandLimitExceeded(
                 f"reconstruction residual {resid:.2e} exceeds {_RESIDUAL_TOL}")

@@ -235,14 +235,26 @@ class AngularGrid:
         """sum_lm coef[..., lm] Y_lm on the grid, shape (..., n_theta, n_phi),
         the adjoint of `project` from its `_theta_table` entry: coef gathered
         to (m, l), one real matmul per m against Y's theta factor, then one
-        with the phases e^{i m phi}, which sums every m, aliased ones too."""
-        theta, _, phase, gather = _theta_table(self.n_theta, self.n_phi,
-                                               lm_degree(coef.shape[-1] - 1))
+        with the phases e^{i m phi}, which sums every m, aliased ones too.
+
+        Each matmul writes its rows where the next step reads them, the theta
+        sums in (theta, m, ...) order and the phase sums straight into the
+        C-ordered result, so the only grid-sized array is the result: the
+        theta sums are (2 l_max + 1) / n_phi of it."""
+        l_max = lm_degree(coef.shape[-1] - 1)
+        theta, _, phase, _ = _theta_table(self.n_theta, self.n_phi, l_max)
+        ls, ms = lm_labels(l_max)
         flat = coef.reshape(-1, coef.shape[-1])
-        padded = np.concatenate([flat, np.zeros((len(flat), 1), complex)], axis=1)
-        part = np.take(padded.T, gather, axis=0)  # (m, l, ...) in C order, for the view
-        part = (theta @ part.view(float)).view(complex)  # (m, theta, ...)
-        out = part.T.reshape(-1, len(part)) @ phase  # rows (..., theta): out in C order
+        part = np.zeros((2 * l_max + 1, l_max + 1, len(flat)), complex)
+        part[ms + l_max, ls] = flat.T  # (m, l, ...) in C order, for the view
+        sums = np.empty((self.n_theta, len(part), len(flat)), complex)
+        np.matmul(theta, part.view(float), out=sums.transpose(1, 0, 2).view(float))
+        del part  # before the result is allocated
+        out = np.empty((len(flat), self.n_theta, self.n_phi), complex)
+        # batched over theta, one field would take BLAS's matrix-vector
+        # product, which rounds differently; it takes one (theta, m) product
+        np.matmul(*((sums.transpose(2, 0, 1), phase, out) if len(flat) == 1 else
+                    (sums.transpose(0, 2, 1), phase, out.transpose(1, 0, 2))))
         return out.reshape(coef.shape[:-1] + (self.n_theta, self.n_phi))
 
     def integrate(self, values: np.ndarray):

@@ -39,7 +39,8 @@ from .geometry import (AdsParams, Boost0, BoostD1, _apply, _first_order,
 from .harmonics import AngularGrid
 from .modes import RadialKind, magic_frequency, radial_eval
 from .specfun import spherical_bessel, spherical_bessel_dx
-from .symplectic import _mirror_pairing, _same_label_pairing, omega_slice_momentum
+from .symplectic import (_antisymmetrized, _mirror_pairing, _same_label_pairing,
+                         omega_slice_momentum)
 
 EnergyGrid = OmegaGrid  # same discretization: E_k = k dE, window 2 pi / dE
 
@@ -186,7 +187,7 @@ def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,
     (fe, dfe), (fz, dfz) = (_mink_tube_sum(rep, t_nodes, ang, r0)
                             for rep in (eta, zeta))
     dt = eta.grid.window / len(t_nodes)
-    return 0.5 * r0 * r0 * dt * np.sum(ang.integrate(fe * dfz - fz * dfe))
+    return 0.5 * r0 * r0 * dt * np.sum(ang.integrate(_antisymmetrized(fe, dfe, fz, dfz)))
 
 
 # ---------------------------------------------------------------------------

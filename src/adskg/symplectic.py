@@ -63,6 +63,15 @@ def _mirror_pairing(eta, zeta, weight) -> complex:
     return np.sum((w * (ea * zb - eb * za))[held])
 
 
+def _antisymmetrized(a, da, b, db) -> np.ndarray:
+    """a db - b da of two sampled fields and their derivatives, formed in a
+    and b: the caller owns both samples and reads neither again."""
+    a *= db
+    b *= da
+    a -= b
+    return a
+
+
 def omega_slice_quadrature(eta: SliceRep, zeta: SliceRep, t0: float,
                            params: AdsParams, n_rho: int = 128,
                            angular: AngularGrid | None = None) -> complex:
@@ -71,7 +80,7 @@ def omega_slice_quadrature(eta: SliceRep, zeta: SliceRep, t0: float,
     ang = angular or AngularGrid()
     de = sample_slice(eta, t0, params, n_rho, ang)
     dz = sample_slice(zeta, t0, params, n_rho, ang)
-    angular_sum = ang.integrate(de.phi * dz.dphi_dt - dz.phi * de.dphi_dt)
+    angular_sum = ang.integrate(_antisymmetrized(de.phi, de.dphi_dt, dz.phi, dz.dphi_dt))
     total = np.dot(de.rho_weights, angular_sum)
     return complex(-0.5 * params.R ** (params.d - 1) * total)
 
@@ -98,7 +107,7 @@ def omega_tube_quadrature(eta: TubeRep, zeta: TubeRep, rho0: float,
     ang = angular or AngularGrid()
     de = sample_tube(eta, rho0, params, ang)
     dz = sample_tube(zeta, rho0, params, ang)
-    angular_sum = ang.integrate(de.phi * dz.dphi_drho - dz.phi * de.dphi_drho)
+    angular_sum = ang.integrate(_antisymmetrized(de.phi, de.dphi_drho, dz.phi, dz.dphi_drho))
     dt = eta.grid.window / len(de.t_nodes)
     total = dt * np.sum(angular_sum)
     tan_fac = math.tan(rho0) ** (params.d - 1)
@@ -141,12 +150,12 @@ def symplectic_potential(hypersurface: str, coord: float, phi, eta,
     if hypersurface == "t":
         d_eta = sample_slice(eta, coord, params, n_rho, ang)
         d_phi = sample_slice(phi, coord, params, n_rho, ang)
-        angular_sum = ang.integrate(d_eta.phi * d_phi.dphi_dt)
+        angular_sum = ang.integrate(np.multiply(d_eta.phi, d_phi.dphi_dt, out=d_eta.phi))
         return rd * np.dot(d_eta.rho_weights, angular_sum)
     if hypersurface == "rho":
         d_eta = sample_tube(eta, coord, params, ang)
         d_phi = sample_tube(phi, coord, params, ang)
-        angular_sum = ang.integrate(d_eta.phi * d_phi.dphi_drho)
+        angular_sum = ang.integrate(np.multiply(d_eta.phi, d_phi.dphi_drho, out=d_eta.phi))
         dt = eta.grid.window / len(d_eta.t_nodes)
         tan_fac = math.tan(coord) ** (params.d - 1)
         return -rd * tan_fac * dt * np.sum(angular_sum)

@@ -274,6 +274,34 @@ def test_verify_json_reports_the_angular_cache(capsys):
     assert caches["grid_rule"]["size"] > 0 and caches["grid_rule"]["misses"] > 0
 
 
+def test_verify_json_reports_the_process_counters(capsys, monkeypatch):
+    import json
+    import sys
+    from types import SimpleNamespace
+    from adskg import cli
+    assert main(["verify", "harmonics", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"passed", "suites", "checks", "caches", "process"}
+    assert set(doc["process"]) == {"minor_faults", "peak_rss_growth_mb"}
+    assert isinstance(doc["process"]["minor_faults"], int)
+    assert doc["process"]["minor_faults"] >= 0 and doc["process"]["peak_rss_growth_mb"] >= 0.0
+    # the run's growth: the counters at its end less those at its start
+    usage = iter([SimpleNamespace(ru_minflt=100, ru_maxrss=2048),
+                  SimpleNamespace(ru_minflt=350, ru_maxrss=4096)])
+    monkeypatch.setattr(cli, "resource", SimpleNamespace(
+        RUSAGE_SELF=0, getrusage=lambda who: next(usage)))
+    assert main(["verify", "harmonics", "--json"]) == 0
+    kib = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS
+    assert json.loads(capsys.readouterr().out)["process"] == {
+        "minor_faults": 250, "peak_rss_growth_mb": 2048 * kib / 2.0 ** 20}
+    monkeypatch.setattr(cli, "resource", None)  # no getrusage, as on Windows
+    assert main(["verify", "harmonics", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["process"] == {
+        "minor_faults": None, "peak_rss_growth_mb": None}
+    assert main(["verify", "harmonics"]) == 0
+    assert "minor_faults" not in capsys.readouterr().out
+
+
 def test_import_loads_no_scipy_linalg_or_integrate():
     # the package's import time (the benchmark's setup_s) stays free of both
     import os
