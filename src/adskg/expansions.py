@@ -54,7 +54,7 @@ from .harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labels,
                         lm_mirror, require_two_sphere, ylm_point)
 from .modes import (RadialKind, _transfer_entries, hyper_params, jacobi_radial_fd,
                     magic_frequency, norm_constant, radial_eval_fd)
-from .specfun import DEFAULT_POLICY, double_pochhammer
+from .specfun import REL_TOL, double_pochhammer
 
 _GRID_TOL = 1e-9        # magic frequency off its grid point (slice_to_tube)
 _RESIDUAL_TOL = 1e-6    # slice reconstruction residual (invert_slice)
@@ -187,7 +187,7 @@ def _packed_lm(keys: np.ndarray, j_min: float, labels=None) -> np.ndarray:
     label (its row of keys, or its entry of `labels`) with l < 0, |m| > l or
     j < j_min."""
     l, m = keys[:, 1:].astype(int).T
-    bad = (l < 0) | (np.abs(m) > l) | (keys[:, 0] < j_min)
+    bad = (l < 0) | (m < -l) | (m > l) | (keys[:, 0] < j_min)
     if np.any(bad):
         i = np.argmax(bad)
         rule = "l >= 0, |m| <= l" + (f", n >= {j_min}" if j_min >= 0 else "")
@@ -731,7 +731,7 @@ def twisted_derivative(kind: RadialKind, omega: float, l: int, rho: float,
 
     with fl = floor(nu).  Accurate near the boundary where cos(rho) is
     small; ConvergenceError where the last of the _TWISTED_A_MAX + 1 terms
-    exceeds DEFAULT_POLICY.rel_tol times the sum.
+    exceeds REL_TOL times the sum.
     """
     nu = params.nu
     if not params.c_modes_valid:
@@ -749,7 +749,7 @@ def twisted_derivative(kind: RadialKind, omega: float, l: int, rho: float,
         power = math.cos(rho) ** (2.0 * a - (0.0 if plus else 2.0 * nu))
     terms = d_a * dpoch * np.where(dpoch == 0.0, 0.0, power)
     total = float(np.sum(terms))
-    if abs(terms[-1]) > DEFAULT_POLICY.rel_tol * abs(total):
+    if abs(terms[-1]) > REL_TOL * abs(total):
         raise ConvergenceError(
             f"twisted derivative at rho = {rho}: the last of {_TWISTED_A_MAX + 1} "
             f"Taylor terms is {abs(terms[-1]):.1e} against a sum of {abs(total):.1e}")
@@ -858,6 +858,10 @@ def _write_text(path, text: str) -> None:
 # basis, so a longer token never reads as one), (k, l, m) and the four
 # floats re_a im_a re_b im_b.
 _BASES = ("slice", "rod", "S", "C")
+# Largest |k| (n in a slice file) and l a rep file may hold: reconstruct
+# samples 2 max|k| + 1 times (max(96, n + 1) radii) by about 2 (l + 1)^2
+# angles, so a file within them asks for grids of at most 513 x 2178 points.
+_FILE_K_MAX, _FILE_L_MAX = 256, 32
 _ROW = np.dtype([("basis", "U6"), ("klm", "i8", 3), ("v", "f8", 4)])
 
 
@@ -932,6 +936,12 @@ def _rep_of(body, d_omega: float, nul: bool):
         lm = _packed_lm(keys, 0 if basis == "slice" else -math.inf)
     except ValueError as exc:
         raise SerializationError(str(exc)) from exc
+    big = (keys[:, 0] < -_FILE_K_MAX) | (keys[:, 0] > _FILE_K_MAX) \
+        | (keys[:, 1] > _FILE_L_MAX)
+    if big.any():
+        raise SerializationError(
+            f"label {tuple(keys[big.argmax()].tolist())} exceeds the rep-file limits "
+            f"{'n' if basis == 'slice' else '|k|'} <= {_FILE_K_MAX}, l <= {_FILE_L_MAX}")
     values = np.ascontiguousarray(rows["v"]).view(complex).T  # (channel, label)
     coeffs = _scatter(keys[:, 0], lm, values[:1] if basis == "rod" else values)
     if np.count_nonzero(coeffs.mask) < len(rows):

@@ -40,7 +40,6 @@ from functools import partial
 
 import numpy as np
 
-from .errors import UnsupportedDimension
 from .expansions import SliceRep, TubeRep, _Coeffs, _scatter
 from .geometry import (AdsParams, Boost0, BoostD1, GeneratorId, Rotation,
                        TimeTranslation)
@@ -108,8 +107,7 @@ def boost_shift_coeffs(channel: str, s_om, s_l, omega, l, params: AdsParams):
     closed form; 0 where l + s_l < 0.  All but channel broadcast, and an
     object array of omega (mpmath numbers, say) keeps its arithmetic.  A
     slice label (n, l) takes channel "a" at omega = omega+_{nl}."""
-    if params.d != 3:
-        raise UnsupportedDimension("boost coefficients implemented for d = 3")
+    require_two_sphere(params.d)
     s, s_l, omega, l = np.broadcast_arrays(s_om, s_l, omega, l)
     d, dp, dm = params.d, params.delta_plus, params.delta_minus
     if channel == "a":

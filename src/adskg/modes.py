@@ -9,12 +9,12 @@ Radial functions come in two linearly independent pairs:
 
 with alpha = (l + D+ - omega)/2, beta = (l + D+ + omega)/2, gamma = l + d/2.
 One fixed rule picks the route: the direct series while its argument
-(sin^2 rho for S, cos^2 rho for C) is at most DEFAULT_POLICY.arg_cutoff =
-0.75 or the series terminates; otherwise the S <-> C transfer matrix,
-whose entries are the Gamma-function connection coefficients of 2F1 at
-z -> 1 - z.  At the magic frequencies omega+-_{nl} = 2n + l + D+- the S^a
-series terminates and coincides with the normalizable Jacobi mode J+-_{nl};
-for omega+ a denominator Gamma of m12 has its pole there, so m12 = 0.
+(sin^2 rho for S, cos^2 rho for C) is at most specfun.ARG_CUTOFF = 0.75
+or the series terminates; otherwise the S <-> C transfer matrix, whose
+entries are the Gamma-function connection coefficients of 2F1 at z -> 1 - z.
+At the magic frequencies omega+-_{nl} = 2n + l + D+- the S^a series
+terminates and coincides with the normalizable Jacobi mode J+-_{nl}; for
+omega+ a denominator Gamma of m12 has its pole there, so m12 = 0.
 radial_eval_fd builds the kinds of one basis together (a tube synthesis
 needs both): past the cutoff both are rows of M, or of M^-1, applied to the
 same pair of the other basis's series, so each series is summed once.  An
@@ -45,7 +45,7 @@ from .errors import (CapabilityError, DomainError, ExceptionalBranch,
 from .geometry import AdsParams
 from .harmonics import require_two_sphere, sph_harm
 from .memo import Memo, key, memo
-from .specfun import (DEFAULT_POLICY, hyp2f1, hyp2f1_dx, hyp2f1_terminates,
+from .specfun import (ARG_CUTOFF, hyp2f1, hyp2f1_dx, hyp2f1_terminates,
                       jacobi_p, jacobi_p_dx)
 
 
@@ -155,7 +155,7 @@ def _direct_ok(kind: RadialKind, omega: float, l: int, rho: float,
     a, b, _ = hyper_params(kind, omega, l, params)
     arg = math.sin(rho) ** 2 if kind in (RadialKind.Sa, RadialKind.Sb) \
         else math.cos(rho) ** 2
-    return arg <= DEFAULT_POLICY.arg_cutoff or hyp2f1_terminates(a, b)
+    return arg <= ARG_CUTOFF or hyp2f1_terminates(a, b)
 
 
 def _radial_direct(kind: RadialKind, omega: float, l: int, rho: float,
@@ -328,7 +328,7 @@ def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
     pair = [2, 3] if on_sin else [0, 1]
     abc = _hyper_rows(omega, l, params)
     ab = abc[codes, :2]
-    via = (arg > DEFAULT_POLICY.arg_cutoff) & ~axis \
+    via = (arg > ARG_CUTOFF) & ~axis \
         & ~((ab <= 0.0) & (ab == np.floor(ab))).any(axis=1)
     cross = via.any(axis=0)  # where the pair's series are summed
     with np.errstate(over="ignore", invalid="ignore"):  # checked at the end
@@ -387,8 +387,8 @@ _radial_table.memo = Memo("radial_table", 128, 2048)
 
 def radial_eval_fd(kind, omega, l, rho, params: AdsParams):
     """Radial function and its rho-derivative: the direct series where its
-    argument is at most DEFAULT_POLICY.arg_cutoff (0.75) or it terminates,
-    the transfer matrix M from the other pair's series elsewhere.
+    argument is at most ARG_CUTOFF (0.75) or it terminates, the transfer
+    matrix M from the other pair's series elsewhere.
 
     kind may be a tuple of kinds of one basis: f and f' then have a leading
     axis over them.  omega, l and rho may be broadcastable ndarrays: each

@@ -1,10 +1,11 @@
 """Double-precision special functions underlying the mode formulas.
 
-The Gauss hypergeometric series is evaluated by direct summation only, with
-an argument cutoff; analytic continuation past the cutoff is the job of the
+The Gauss hypergeometric series is evaluated by direct summation only, up
+to its first term within REL_TOL of the sum and, unless it terminates, at
+|x| <= ARG_CUTOFF; analytic continuation past the cutoff is the job of the
 transfer matrix one level up (see modes), whose entries are the Gamma-ratio
 connection coefficients of the z -> 1 - z formula.
-`hyp2f1` and `hyp2f1_dx` also accept broadcastable ndarrays for (a, b, c, x):
+`hyp2f1` also accepts broadcastable ndarrays for (a, b, c, x):
 the array path sums every element's series in blocks of terms (the term
 ratios, then a running product and a running sum along the term axis), with
 the scalar loop's parenthesization and the same stopping rule per element,
@@ -19,7 +20,6 @@ the polynomials and spherical Bessel functions take ndarray arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import (eval_gegenbauer, eval_jacobi, lpmv, poch,
@@ -28,24 +28,8 @@ from scipy.special import (eval_gegenbauer, eval_jacobi, lpmv, poch,
 from .errors import ConvergenceError, DomainError, PoleError
 
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Evaluation policy for the direct hypergeometric series."""
-
-    max_terms: int = 10000
-    rel_tol: float = 1e-14
-    arg_cutoff: float = 0.75
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must lie in (0, 1)")
-        if not 0.0 < self.arg_cutoff < 1.0:
-            raise ValueError("arg_cutoff must lie in (0, 1)")
-
-
-DEFAULT_POLICY = SeriesPolicy()
+REL_TOL = 1e-14  # the series stops at its first |term| <= REL_TOL |sum|
+ARG_CUTOFF = 0.75  # largest |x| a non-terminating series is summed at
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -77,17 +61,19 @@ def hyp2f1_terminates(a: float, b: float) -> bool:
     return _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
 
 
-def hyp2f1(a, b, c, x, policy: SeriesPolicy = DEFAULT_POLICY):
+def hyp2f1(a, b, c, x, max_terms: int = 10000):
     """Gauss hypergeometric 2F1(a, b; c; x) by direct series.
 
     Terminating series (a or b a nonpositive integer) are summed exactly for
-    any x.  Otherwise |x| must not exceed policy.arg_cutoff.  a, b and c
-    must be finite (DomainError).  Any ndarray argument selects the
-    block-summed array path (`_hyp2f1_blocks`), whose result has the
-    broadcast shape.
+    any x.  Otherwise |x| must not exceed ARG_CUTOFF.  a, b and c must be
+    finite (DomainError); at most max_terms terms are summed (ValueError
+    unless max_terms >= 1).  Any ndarray argument selects the block-summed
+    array path (`_hyp2f1_blocks`), whose result has the broadcast shape.
     """
+    if max_terms < 1:
+        raise ValueError("max_terms must be >= 1")
     if any(isinstance(v, np.ndarray) for v in (a, b, c, x)):
-        return _hyp2f1_blocks(a, b, c, x, policy)
+        return _hyp2f1_blocks(a, b, c, x, max_terms)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise DomainError(f"2F1 parameters ({a}, {b}, {c}) must be finite")
     terminates = hyp2f1_terminates(a, b)
@@ -98,21 +84,20 @@ def hyp2f1(a, b, c, x, policy: SeriesPolicy = DEFAULT_POLICY):
         # admissible only if the series stops before the pole in (c)_k
         if not (terminates and n_stop <= int(-c)):
             raise PoleError(f"2F1 parameter c = {c} is a nonpositive integer")
-    if not terminates and abs(x) > policy.arg_cutoff:
-        raise DomainError(
-            f"|x| = {abs(x)} exceeds series cutoff {policy.arg_cutoff}")
+    if not terminates and abs(x) > ARG_CUTOFF:
+        raise DomainError(f"|x| = {abs(x)} exceeds series cutoff {ARG_CUTOFF}")
 
     term = 1.0
     total = 1.0
-    for k in range(policy.max_terms):
+    for k in range(max_terms):
         if terminates and k == n_stop:
             return total
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
         total += term
-        if abs(term) <= policy.rel_tol * abs(total):
+        if abs(term) <= REL_TOL * abs(total):
             return total
     raise ConvergenceError(
-        f"2F1({a},{b};{c};{x}) did not converge in {policy.max_terms} terms")
+        f"2F1({a},{b};{c};{x}) did not converge in {max_terms} terms")
 
 
 _BLOCK_ELEMENTS = 1 << 16  # cap on the (element, term) temporaries of a block
@@ -126,14 +111,14 @@ def _rows(*vals) -> np.ndarray:
     return rows
 
 
-def _hyp2f1_blocks(a, b, c, x, policy: SeriesPolicy) -> np.ndarray:
+def _hyp2f1_blocks(a, b, c, x, max_terms: int = 10000) -> np.ndarray:
     """Array path of hyp2f1: every element's series summed block by block.
 
     A block of terms k0 .. k0+n-1 forms the ratios (a+k)(b+k)/((c+k)(k+1)) x
     of the still-running elements, takes their running product seeded by
     the carried term and the running sum seeded by the carried total; both
     accumulate sequentially, as the scalar loop does.  An element stops at
-    its first k with |term| <= rel_tol |total|, or before computing term
+    its first k with |term| <= REL_TOL |total|, or before computing term
     n_stop of a terminating series.  The argument checks (DomainError,
     PoleError) run over every element before any summation.
     """
@@ -148,7 +133,7 @@ def _hyp2f1_blocks(a, b, c, x, policy: SeriesPolicy) -> np.ndarray:
     terminates = n_stop < np.inf
     infinite = ~np.isfinite(abc).all(axis=0)
     pole = nonpos[2] & ~(n_stop <= -abc[2])
-    outside = ~terminates & (np.abs(state[3]) > policy.arg_cutoff)
+    outside = ~terminates & (np.abs(state[3]) > ARG_CUTOFF)
     bad = infinite | pole | outside
     if bad.any():
         i = bad.argmax()
@@ -156,8 +141,7 @@ def _hyp2f1_blocks(a, b, c, x, policy: SeriesPolicy) -> np.ndarray:
             raise DomainError(f"2F1 parameters {tuple(abc[:, i])} must be finite")
         if pole[i]:
             raise PoleError(f"2F1 parameter c = {abc[2, i]} is a nonpositive integer")
-        raise DomainError(f"|x| = {abs(state[3, i])} exceeds series cutoff "
-                          f"{policy.arg_cutoff}")
+        raise DomainError(f"|x| = {abs(state[3, i])} exceeds series cutoff {ARG_CUTOFF}")
 
     out = np.ones(state.shape[1])
     live = np.flatnonzero(n_stop != 0.0)
@@ -166,8 +150,8 @@ def _hyp2f1_blocks(a, b, c, x, policy: SeriesPolicy) -> np.ndarray:
     halting = terminates.any()
     k0, width = 0, 32
     with np.errstate(all="ignore"):  # ratios past an element's stop are dropped
-        while live.size and k0 < policy.max_terms:
-            n = max(1, min(width, policy.max_terms - k0,
+        while live.size and k0 < max_terms:
+            n = max(1, min(width, max_terms - k0,
                            _BLOCK_ELEMENTS // live.size))
             k = k0 + np.arange(n, dtype=float)
             ra, rb, rc, rx, r_stop = state[:5, :, None]
@@ -177,7 +161,7 @@ def _hyp2f1_blocks(a, b, c, x, policy: SeriesPolicy) -> np.ndarray:
             ratio[:] = terms
             ratio[:, 0] += state[6]
             totals = np.cumsum(ratio, axis=1)
-            stop = np.abs(terms) <= policy.rel_tol * np.abs(totals)
+            stop = np.abs(terms) <= REL_TOL * np.abs(totals)
             if halting:
                 halt = r_stop == k
                 stop |= halt
@@ -200,28 +184,18 @@ def _hyp2f1_blocks(a, b, c, x, policy: SeriesPolicy) -> np.ndarray:
     if live.size:
         a, b, c, x = state[:4, 0]
         raise ConvergenceError(f"2F1({a},{b};{c};{x}) did not "
-                               f"converge in {policy.max_terms} terms")
+                               f"converge in {max_terms} terms")
     return out.reshape(shape)
 
 
-def hyp2f1_dx(a, b, c, x, policy: SeriesPolicy = DEFAULT_POLICY):
+def hyp2f1_dx(a: float, b: float, c: float, x: float) -> float:
     """d/dx 2F1(a, b; c; x) = (a b / c) 2F1(a+1, b+1; c+1; x), zero where
-    a b = 0 and a PoleError where c = 0 otherwise; broadcastable ndarrays as
-    in hyp2f1."""
-    if any(isinstance(v, np.ndarray) for v in (a, b, c, x)):
-        a, b, c, x = _rows(a, b, c, x)
-        live = (a != 0.0) & (b != 0.0)
-        out = np.zeros(a.shape)
-        a, b, c, x = a[live], b[live], c[live], x[live]
-        if np.any(c == 0.0):
-            raise PoleError("2F1 parameter c = 0 is a nonpositive integer")
-        out[live] = a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x, policy)
-        return out
+    a b = 0 and a PoleError where c = 0 otherwise."""
     if a == 0.0 or b == 0.0:
         return 0.0
     if c == 0.0:
         raise PoleError("2F1 parameter c = 0 is a nonpositive integer")
-    return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x, policy)
+    return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x)
 
 
 def _defined(val, name: str):

@@ -448,6 +448,32 @@ def test_reconstruct_malformed_rep_file_exits_2(tmp_path, capsys, body):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("target,domega,line,rule", [
+    ("tube", 0.5, "S 99999999999 0 0 1 0 0 0", "|k| <= 256, l <= 32"),
+    ("tube", 0.5, "S -9223372036854775808 0 0 1 0 0 0", "|k| <= 256, l <= 32"),
+    ("rod", 0.5, "rod 257 0 0 1 0 0 0", "|k| <= 256, l <= 32"),
+    ("boundary", 0.5, "C -3 33 0 1 0 0 0", "|k| <= 256, l <= 32"),
+    ("slice", 0.0, "slice 257 1 0 1 0 0 0", "n <= 256, l <= 32"),
+])
+def test_reconstruct_rejects_labels_past_the_file_limits(tmp_path, capsys, monkeypatch,
+                                                         target, domega, line, rule):
+    # refused before the rep's arrays are formed: no grid is ever sized
+    # from the label, so a regression fails here instead of allocating
+    from adskg import expansions as xp
+
+    def formed(*args):
+        raise AssertionError("rep arrays formed from an over-limit label")
+
+    monkeypatch.setattr(xp, "_scatter", formed)
+    path = tmp_path / "rep.txt"
+    path.write_text(f"adskg-rep v1 d=3 R=1.0 msq=0.0 domega={domega}\n"
+                    f"{line.split()[0]} 1 0 0 1 0 0 0\n{line}\n")
+    assert main(["reconstruct", "--input", str(path), "--target", target]) == 2
+    label = "(%s, %s, %s)" % tuple(line.split()[1:4])
+    assert capsys.readouterr().err == (
+        f"error: label {label} exceeds the rep-file limits {rule}\n")
+
+
 def test_reconstruct_reports_the_worst_channel_per_label(tmp_path, capsys):
     from adskg.expansions import invert_tube, sample_tube
     from adskg.harmonics import AngularGrid

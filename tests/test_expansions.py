@@ -23,14 +23,16 @@ from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep,
                               slice_to_tube, synth, synth_drho, synth_dt,
                               taylor_coeffs,
                               twisted_boundary_limit, twisted_derivative)
-from adskg.geometry import make_params
-from adskg.harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labels,
-                             lm_mirror, sph_harm, ylm_point)
+from adskg.geometry import Boost0, BoostD1, make_params
+from adskg.harmonics import (AngularGrid, EulerAngles, lm_count, lm_degree, lm_index,
+                             lm_labels, lm_mirror, sph_harm, ylm_point)
+from adskg.isometry import (act_boost, act_rotation, boost_generator_apply,
+                            boost_shift_coeffs)
 from adskg.memo import counters
 from adskg.modes import (RadialKind, SliceLabel, TubeLabel, _per_distinct, magic_frequency,
                          jacobi_radial_fd, mode_eval, radial_eval, radial_eval_fd,
                          transfer_matrix)
-from adskg.specfun import DEFAULT_POLICY
+from adskg.specfun import REL_TOL
 from adskg.symplectic import omega_slice_momentum, omega_tube_momentum
 
 ANG = AngularGrid(16, 32)
@@ -505,7 +507,7 @@ def test_twisted_derivative_matches_reference_loop(msq):
                 for rho in (0.6, 0.9, 1.2, 1.45, 1.55, math.pi / 2):
                     terms = ref_twisted_terms(kind, om, l, rho, p)
                     want = float(sum(terms))
-                    if abs(terms[-1]) > DEFAULT_POLICY.rel_tol * abs(want):
+                    if abs(terms[-1]) > REL_TOL * abs(want):
                         with pytest.raises(ConvergenceError, match="Taylor terms"):
                             twisted_derivative(kind, om, l, rho, p)
                         continue
@@ -796,6 +798,10 @@ _D5_ENTRY_POINTS = {
         _rod_rep(), make_params(3, 1.0, 0.3), ANG), p, 2),
     "omega_slice_momentum": lambda p: omega_slice_momentum(_slice_rep(), _slice_rep(), p),
     "omega_tube_momentum": lambda p: omega_tube_momentum(_tube_rep(), _tube_rep(), p),
+    "act_rotation": lambda p: act_rotation(_slice_rep(), EulerAngles(0.4, 1.1, -0.3), p),
+    "boost_shift_coeffs": lambda p: boost_shift_coeffs("a", 1, 1, 2.5, 1, p),
+    "boost_generator_apply": lambda p: boost_generator_apply(_slice_rep(), Boost0(5), p),
+    "act_boost": lambda p: act_boost(_tube_rep(), BoostD1(5), 0.1, p),
 }
 
 

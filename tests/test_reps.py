@@ -126,6 +126,9 @@ _HEAD = "adskg-rep v1 d=3 R=1.0 msq=0.0 domega={}\n"
     _HEAD.format(0.5) + "S 1 2 5 1.0 0.0 0.0 0.0\n",          # |m| > l
     _HEAD.format(0.5) + "rod 1 -1 0 1.0 0.0 0.0 0.0\n",       # l < 0
     _HEAD.format(0.0) + "slice -2 1 0 1.0 0.0 0.0 0.0\n",     # n < 0
+    _HEAD.format(0.5) + "S 0 5 -9223372036854775808 1.0 0.0 0.0 0.0\n",  # m < -l
+    _HEAD.format(0.5) + "S -257 1 0 1.0 0.0 0.0 0.0\n",      # past |k| <= 256
+    _HEAD.format(0.0) + "slice 0 33 0 1.0 0.0 0.0 0.0\n",    # past l <= 32
     _HEAD.format(0.5) + "S 1 1 0 1.0 0.0 0.0 0.0\nS 1 1 0 2.0 0.0 0.0 0.0\n",
     _HEAD.format(0.0) + "S 1 1 0 1.0 0.0 0.0 0.0\n",
     _HEAD.format(-0.5) + "C 1 1 0 1.0 0.0 0.0 0.0\n",
@@ -135,6 +138,12 @@ _HEAD = "adskg-rep v1 d=3 R=1.0 msq=0.0 domega={}\n"
 def test_load_rep_rejects_bad_labels_duplicates_and_domega(text):
     with pytest.raises(SerializationError):
         load_rep(io.StringIO(text))
+
+
+def test_load_rep_takes_labels_at_the_file_limits():
+    text = _HEAD.format(0.5) + "S 256 32 -32 1.0 0.0 0.0 0.0\nS -256 0 0 0.5 0.0 0.0 0.0\n"
+    rep, _ = load_rep(io.StringIO(text))
+    assert rep.labels() == [(-256, 0, 0), (256, 32, -32)]
 
 
 def test_slice_files_keep_domega_zero():

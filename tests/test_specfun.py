@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adskg.errors import ConvergenceError, DomainError, PoleError
-from adskg.specfun import (DEFAULT_POLICY, SeriesPolicy, assoc_legendre,
-                           double_pochhammer, gegenbauer_c, hyp2f1, hyp2f1_dx,
-                           jacobi_p, jacobi_p_dx, pochhammer, spherical_bessel,
-                           spherical_bessel_dx)
+from adskg.specfun import (assoc_legendre, double_pochhammer, gegenbauer_c,
+                           hyp2f1, hyp2f1_dx, jacobi_p, jacobi_p_dx, pochhammer,
+                           spherical_bessel, spherical_bessel_dx)
 
 
 # --- Pochhammer symbols ---------------------------------------------------
@@ -73,11 +72,20 @@ def test_hyp2f1_domain_and_convergence():
     with pytest.raises(DomainError):
         hyp2f1(0.3, 0.7, 1.1, 0.9)
     with pytest.raises(ConvergenceError):
-        hyp2f1(0.3, 0.7, 1.1, 0.7, SeriesPolicy(max_terms=3, rel_tol=1e-14))
+        hyp2f1(0.3, 0.7, 1.1, 0.7, max_terms=3)
     with pytest.raises(PoleError):
         hyp2f1(0.3, 0.7, -2.0, 0.1)
     # terminating before the c-pole is fine
     assert hyp2f1(-1.0, 0.7, -2.0, 0.4) == pytest.approx(1.0 + 0.7 * 0.4 / 2.0)
+
+
+@pytest.mark.parametrize("max_terms", [0, -1])
+def test_hyp2f1_rejects_max_terms_below_one(max_terms):
+    # on the scalar loop and on the array path, before any argument check
+    for args in ((0.3, 0.7, 1.1, 0.2), (np.full(2, 0.3), 0.7, 1.1, 0.2),
+                 (0.3, 0.7, 1.1, 0.9)):
+        with pytest.raises(ValueError, match="max_terms must be >= 1"):
+            hyp2f1(*args, max_terms=max_terms)
 
 
 # array path: block-summed series against the scalar loop, bit for bit
@@ -93,10 +101,7 @@ _ELEMENT = st.one_of(
     st.tuples(_FINITE, st.just(0.0), _NONPOS, st.floats(-4.0, 4.0)),
     st.tuples(_FINITE, _FINITE, _C, st.sampled_from([-4.0, -0.75, 0.75, 1.5])),
 )
-_POLICY = st.one_of(
-    st.just(DEFAULT_POLICY),
-    st.builds(SeriesPolicy, max_terms=st.integers(1, 60),
-              rel_tol=st.floats(1e-15, 1e-6), arg_cutoff=st.floats(0.3, 0.9)))
+_MAX_TERMS = st.one_of(st.just(10000), st.integers(1, 60))
 
 
 def _outcome(fn, *args):
@@ -106,31 +111,21 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _assert_array_matches_scalar(fn, elements, policy):
-    """Array fn equals the scalar loop bit for bit, or raises an exception
-    type the scalar loop raises for one of the elements."""
-    scalar = [_outcome(fn, *map(float, e), policy) for e in elements]
+@given(elements=st.lists(_ELEMENT, min_size=1, max_size=12), max_terms=_MAX_TERMS)
+@settings(max_examples=300, deadline=None)
+def test_hyp2f1_array_equals_scalar_loop(elements, max_terms):
+    # the array call equals the scalar loop bit for bit, or raises an
+    # exception type the scalar loop raises for one of the elements
+    scalar = [_outcome(hyp2f1, *map(float, e), max_terms) for e in elements]
     errors = {v for v in scalar if isinstance(v, type)}
     a, b, c, x = (np.array(col) for col in zip(*elements))
     if not errors:
-        got = fn(a, b, c, x, policy)
+        got = hyp2f1(a, b, c, x, max_terms)
         assert got.shape == a.shape
         assert got.tobytes() == np.array(scalar, dtype=float).tobytes()
         return
     with pytest.raises(tuple(errors)):
-        fn(a, b, c, x, policy)
-
-
-@given(elements=st.lists(_ELEMENT, min_size=1, max_size=12), policy=_POLICY)
-@settings(max_examples=300, deadline=None)
-def test_hyp2f1_array_equals_scalar_loop(elements, policy):
-    _assert_array_matches_scalar(hyp2f1, elements, policy)
-
-
-@given(elements=st.lists(_ELEMENT, min_size=1, max_size=12), policy=_POLICY)
-@settings(max_examples=300, deadline=None)
-def test_hyp2f1_dx_array_equals_scalar_loop(elements, policy):
-    _assert_array_matches_scalar(hyp2f1_dx, elements, policy)
+        hyp2f1(a, b, c, x, max_terms)
 
 
 def test_hyp2f1_array_special_cases():
@@ -146,15 +141,12 @@ def test_hyp2f1_array_special_cases():
         else:
             with pytest.raises(error):
                 hyp2f1(*map(np.array, args))
-    # a b = 0: zero, also where the shifted series would fail
-    assert hyp2f1_dx(np.array([0.0]), 0.7, -2.0, 0.9).tolist() == [0.0]
-    assert hyp2f1_dx(np.array([0.0, 1.2]), 0.7, np.array([-2.0, 1.1]), 0.4).tolist() \
-        == [0.0, hyp2f1_dx(1.2, 0.7, 1.1, 0.4)]
-    for fn in (lambda *v: hyp2f1_dx(*v), lambda *v: hyp2f1_dx(*map(np.array, v))):
-        with pytest.raises(PoleError):
-            fn(1.0, -1.0, 0.0, 0.2)
+    # hyp2f1_dx: zero where a b = 0, also where the shifted series would fail
+    assert hyp2f1_dx(0.0, 0.7, -2.0, 0.9) == 0.0
+    with pytest.raises(PoleError):
+        hyp2f1_dx(1.0, -1.0, 0.0, 0.2)
     with pytest.raises(ConvergenceError):
-        hyp2f1(np.full(3, 0.3), 0.7, 1.1, 0.7, SeriesPolicy(max_terms=3))
+        hyp2f1(np.full(3, 0.3), 0.7, 1.1, 0.7, max_terms=3)
     for bad in ((-math.inf, 1.0, 2.0, 0.5), (1.0, math.nan, 2.0, 0.5),
                 (1.0, 1.0, -math.inf, 0.5)):
         for args in (bad, (np.array(bad[0]),) + bad[1:]):
