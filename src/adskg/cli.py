@@ -164,8 +164,8 @@ def cmd_reconstruct(args) -> int:
         if not isinstance(rep, xp.SliceRep):
             print("reconstruct slice needs a slice rep", file=sys.stderr)
             return 2
-        n_max = rep.coeffs.js[-1]
-        data = xp.sample_slice(rep, args.t0, params, max(96, n_max + 1), ang)
+        n_max = int(rep.coeffs.js[-1])
+        data = xp.sample_slice(rep, args.t0, params, xp._slice_nodes(n_max, l_max), ang)
         rec = xp.invert_slice(data, params, n_max, l_max, check_residual=False)
     elif args.target == "tube":
         if not isinstance(rep, xp.TubeRep):

@@ -405,18 +405,23 @@ def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
     return out
 
 
-def _slice_sum(rep, t: float, rho, where, frequency, radial) -> np.ndarray:
+def _slice_sum(rep, t: float, rho, where, frequency, radial,
+               with_dt: bool = True) -> np.ndarray:
     """sum (phi^+ e^{-iwt} Y_lm + conj(phi^-) e^{iwt} conj(Y_lm)) f and its d/dt
     at time t, the radii rho and the angular points `where`; shape (2, rho,
-    ...).  frequency(j, l) = w and radial(j, l) = f, shape (rho, blocks), are
-    called once on the arrays of the (j, l) holding a label.  conj(Y_l^m) =
-    Y_l^{-m} moves the conj(phi^-) channel to the mirrored order.  At a
-    point (theta, phi) the Y row is contracted first, as in `_tube_sum`."""
+    ...), or (1, rho, ...), the field alone, if not with_dt.  frequency(j, l)
+    = w and radial(j, l) = f, shape (rho, blocks), are called once on the
+    arrays of the (j, l) holding a label.  conj(Y_l^m) = Y_l^{-m} moves the
+    conj(phi^-) channel to the mirrored order.  At a point (theta, phi) the
+    Y row is contracted first, as in `_tube_sum`."""
     js, coef = rep.coeffs.js, rep.coeffs.array
     omega = _table(js, np.ones(coef.shape[1:]), frequency)
     plus = coef[0] * np.exp(-1j * omega * t)
     minus = coef[1][:, lm_mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t)
-    coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
+    channels = [plus + minus]
+    if with_dt:
+        channels.append(-1j * omega * (plus - minus))
+    coefs = np.stack(channels)
     rows, l_need, _ = blocks = _blocks(coefs)
     if isinstance(where, AngularGrid):
         return where.synthesize(_by_degree(
@@ -596,6 +601,14 @@ def slice_to_tube(rep: SliceRep, grid: OmegaGrid, params: AdsParams) -> TubeRep:
 # inversions
 # ---------------------------------------------------------------------------
 
+def _slice_nodes(n_max: int, l_max: int) -> int:
+    """The fewest Gauss-Jacobi radial nodes exact for every same-l product
+    of slice modes up to (n_max, l_max): after the rule's weight the product
+    J_n J_n' is (1 - x)^l P_n P_n', of degree l + n + n' <= l_max + 2 n_max,
+    and N nodes integrate degree 2 N - 1 exactly."""
+    return (l_max + 2 * n_max + 2) // 2
+
+
 def invert_slice(data: SliceData, params: AdsParams,
                  n_max: int, l_max: int,
                  check_residual: bool = True) -> SliceRep:
@@ -604,8 +617,15 @@ def invert_slice(data: SliceData, params: AdsParams,
     phi^+ and conj(phi^-) come from the weighted projection
     int drho dOmega tan^{d-1} conj(Y) J^+ (f phi + d dphi) with
     f = e^{i w t0} / (2 N^+) and d = i e^{i w t0} / (2 w N^+); the minus
-    channel pairs m with -m through conj(Y_l^m) = Y_l^{-m}.
+    channel pairs m with -m through conj(Y_l^m) = Y_l^{-m}.  ValueError
+    when data has fewer radial nodes than `_slice_nodes(n_max, l_max)`,
+    the fewest on which that projection is exact.  The residual check
+    synthesizes the recovered phi alone on data's nodes.
     """
+    need = _slice_nodes(n_max, l_max)
+    if len(data.rho_nodes) < need:
+        raise ValueError(f"{len(data.rho_nodes)} radial nodes are too few for "
+                         f"(n_max, l_max) = ({n_max}, {l_max}), which needs {need}")
     ang = data.angular
     ns = range(n_max + 1)
     full = np.ones((n_max + 1, lm_count(l_max)))
@@ -614,6 +634,7 @@ def invert_slice(data: SliceData, params: AdsParams,
     proj = np.stack([ang.project(x, l_max) for x in (data.phi, data.dphi_dt)])
     p_phi, p_dphi = _by_degree("sj,csi->cji", data.rho_weights[:, None, None] * kern, proj,
                                np.empty((2,) + full.shape, complex))
+    del proj  # before the residual check synthesizes
     omega = _table(ns, full, frequency)
     nrm = _table(ns, full, lambda n, l: norm_constant("plus", n, l, params))
     f_c = np.exp(1j * omega * data.t0) / (2.0 * nrm)
@@ -624,7 +645,8 @@ def invert_slice(data: SliceData, params: AdsParams,
                                          + np.conj(d_c) * p_dphi[:, mirror]])))
     if check_residual:
         norm = np.max(np.abs(data.phi)) or 1.0
-        diff = sample_slice(rep, data.t0, params, len(data.rho_nodes), ang).phi
+        rho = data.rho_nodes
+        diff = _slice_sum(rep, data.t0, rho, ang, *_jacobi(rho, params), with_dt=False)[0]
         diff -= data.phi
         resid = np.max(np.abs(diff)) / norm
         if resid > _RESIDUAL_TOL:
@@ -859,8 +881,9 @@ def _write_text(path, text: str) -> None:
 # floats re_a im_a re_b im_b.
 _BASES = ("slice", "rod", "S", "C")
 # Largest |k| (n in a slice file) and l a rep file may hold: reconstruct
-# samples 2 max|k| + 1 times (max(96, n + 1) radii) by about 2 (l + 1)^2
-# angles, so a file within them asks for grids of at most 513 x 2178 points.
+# samples 2 max|k| + 1 times (ceil((l + 2 n + 1) / 2) radii, 273 at the
+# limits) by about 2 (l + 1)^2 angles, so a file within them asks for grids of
+# at most 513 x 2178 points.
 _FILE_K_MAX, _FILE_L_MAX = 256, 32
 _ROW = np.dtype([("basis", "U6"), ("klm", "i8", 3), ("v", "f8", 4)])
 

@@ -86,9 +86,11 @@ def radial_measure(params: AdsParams, n_nodes: int = 128):
 
     Built as Gauss-Jacobi in x = cos(2 rho) with weight
     (1-x)^{(d-2)/2} (1+x)^nu: tan^{d-1} drho = weight * (1+x)^{-d/2-nu} dx/2,
-    and any product of two same-l Jacobi modes leaves a pure polynomial, so
-    the mode orthogonality integrals are exact to roundoff for every mass
-    above the Breitenlohner-Freedman bound.
+    and any product of two same-l Jacobi modes leaves a pure polynomial,
+    (1 - x)^l P_n P_n' of degree l + n + n', so the mode orthogonality
+    integrals are exact to roundoff for every mass above the
+    Breitenlohner-Freedman bound on n_nodes >= (l + n + n' + 1) / 2, the
+    rule being exact to degree 2 n_nodes - 1.
     """
     d, nu = params.d, params.nu
     x, wx = roots_jacobi(n_nodes, (d - 2) / 2.0, nu)

@@ -268,9 +268,11 @@ class AngularGrid:
 
         Separable: one FFT along phi gives sum_phi e^{-i m phi} values for
         every m at once (column m mod n_phi: on the uniform phi nodes this is
-        the phi sum exactly, aliasing included); then, per m, one matmul
+        the phi sum exactly, aliasing included); then, per m, one np.dot
         sums that column over theta against the weighted table of
-        `_theta_table` in long double, rounded to complex once.  Where
+        `_theta_table` in long double, rounded to complex once (the bits of
+        `@`, in half its time: np.dot keeps the long-double accumulator in a
+        register, numpy's non-BLAS matmul loop stores it every step).  Where
         np.longdouble is double (Windows, macOS arm64) the theta sum runs in
         double, which costs the ill-conditioned C-basis tube inversions about
         a tenth of a digit per job (README)."""
@@ -279,8 +281,8 @@ class AngularGrid:
         table = _theta_table(self.n_theta, self.n_phi, l_max)[1]
         for m in range(-l_max, l_max + 1):
             ls = np.arange(abs(m), l_max + 1)
-            out[..., lm_index(ls, m)] = (spectrum[..., m % self.n_phi].astype(np.clongdouble)
-                                         @ table[m + l_max, :, abs(m):])
+            out[..., lm_index(ls, m)] = np.dot(spectrum[..., m % self.n_phi].astype(
+                np.clongdouble), table[m + l_max, :, abs(m):])
         return out
 
 

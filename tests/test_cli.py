@@ -363,6 +363,18 @@ def test_reconstruct_slice(tmp_path, capsys):
     assert "RECONSTRUCT slice PASS" in capsys.readouterr().out
 
 
+def test_reconstruct_slice_past_n_95(tmp_path, capsys):
+    # (n_max, l_max) = (100, 20) needs 111 radial nodes for an exact
+    # projection; on 96 these 24 labels came back off by up to 0.46 (exit 1)
+    rng = np.random.default_rng(30)
+    labels = [(n, l, m) for n in range(97, 101) for l in (19, 20) for m in (-1, 0, 1)]
+    values = rng.normal(size=(len(labels), 4)) @ [[1, 0], [1j, 0], [0, 1], [0, 1j]]
+    rep = SliceRep(dict(zip(labels, map(tuple, values))))
+    assert _reconstruct(tmp_path, rep, "slice", "--t0", "0.3") == 0
+    out = capsys.readouterr().out
+    assert "RECONSTRUCT slice PASS" in out and out.count("label ") == 24
+
+
 def test_reconstruct_rod_magic_blind(tmp_path, capsys):
     params = make_params(3, 1.0, 0.0)
     grid = OmegaGrid(1.0, (3,))

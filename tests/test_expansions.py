@@ -309,6 +309,22 @@ def test_invert_slice_band_limit_error(params_m0):
         invert_slice(data, params_m0, 2, 2)
 
 
+@pytest.mark.parametrize("msq", [0.0, -2.0, 1.0])
+def test_invert_slice_needs_the_exact_node_count(msq, rng):
+    # (n_max, l_max) = (1, 4): same-l products of degree l + n + n' <= 6,
+    # exact on 4 Gauss-Jacobi nodes; on 3 the coefficients came back off by
+    # 0.2-0.3 without an error
+    params = make_params(3, 1.0, msq)
+    labels = [(n, l, m) for n in range(2) for l in range(5) for m in range(-l, l + 1)]
+    values = rng.normal(size=(len(labels), 4)) @ [[1, 0], [1j, 0], [0, 1], [0, 1j]]
+    rep = SliceRep(dict(zip(labels, map(tuple, values))))
+    data = sample_slice(rep, 0.4, params, 3, ANG)
+    with pytest.raises(ValueError, match=r"3 radial nodes .* \(1, 4\), which needs 4"):
+        invert_slice(data, params, 1, 4, check_residual=False)
+    rec = invert_slice(sample_slice(rep, 0.4, params, 4, ANG), params, 1, 4)
+    assert np.max(np.abs(rec.coeffs.array - rep.coeffs.array)) < 1e-13
+
+
 # --- tube inversion -----------------------------------------------------------------
 
 @pytest.mark.parametrize("basis", ["S", "C"])

@@ -1,9 +1,11 @@
 """The slice and tube grid paths allocate little beyond the arrays they
 return, and give the bits of the expressions they replaced.
 
-Sizes are those of the dense benchmark's reconstructions: slice reps of
-(n_max, l_max) = (1, 4) and (10, 10) sampled on 96 radial nodes and a 16 x 32
-angular grid, tube reps of 6 and 20 frequencies at l_max = 2 and 6.  Peaks
+Sizes are those of the dense benchmark: slice reps of (n_max, l_max) =
+(1, 4) and (10, 10) sampled on 96 radial nodes, the node count of its slice
+pairing quadratures (`adskg reconstruct` samples these reps on the 4 and 16
+nodes of the exact Gauss-Jacobi rule), and a 16 x 32 angular grid; tube
+reps of 6 and 20 frequencies at l_max = 2 and 6.  Peaks
 are tracemalloc's, above what was allocated before the call, in units of one
 sampled field: 96 x 16 x 32 complex values on a slice, n_t x 16 x 32 on a
 tube.  A path that returns two fields (the field and its derivative) holds
@@ -276,6 +278,15 @@ def test_invert_slice_projects_one_field_at_a_time(rng):
     # the stacked projection held the stack and its FFT: 4.3 fields; now 1.2
     data = sample_slice(_slice_rep(rng, 1, 4), T0, PARAMS, N_RHO, ANG)
     assert _peak(invert_slice, data, PARAMS, 1, 4, False) <= 1.5 * SLICE_FIELD
+
+
+# the residual check synthesizes phi alone, after the projections are freed:
+# (n_max, l_max), the bound in fields; before, 2.8, 3.6 and 4.7 fields, now
+# 1.5, 1.7 and 2.35
+@pytest.mark.parametrize("rung, bound", [((1, 4), 1.6), ((4, 7), 1.8), ((10, 10), 2.45)])
+def test_invert_slice_residual_check_peak(rng, rung, bound):
+    data = sample_slice(_slice_rep(rng, *rung), T0, PARAMS, N_RHO, ANG)
+    assert _peak(invert_slice, data, PARAMS, *rung, True) <= bound * SLICE_FIELD
 
 
 # (n_max, l_max), the bound in fields; before, 3.5 and 7.5 fields, now 2.7

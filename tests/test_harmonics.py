@@ -94,6 +94,19 @@ def test_project_matches_label_loop(rng):
             assert np.array_equal(got, _loop_project(ang, values, 8))
 
 
+def test_project_is_the_matmul_loop_bit_for_bit(rng):
+    # the theta sum is np.dot, which keeps numpy's long-double accumulator in
+    # a register; the `@` loop gives the same bits, zeros of both signs and
+    # magnitudes far from 1 included
+    for ang in (AngularGrid(16, 32), AngularGrid(21, 42)):
+        shape = (7, ang.n_theta, ang.n_phi)
+        values = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+            * 10.0 ** rng.uniform(-150, 150, size=shape)
+        values[:, ::3] = -0.0
+        values[:, 1::5] = 0.0
+        assert ang.project(values, 10).tobytes() == _loop_project(ang, values, 10).tobytes()
+
+
 def _c_tube_fixture(rng):
     """A sampled C-basis tube holding every label k in -8..8, l <= 8, at
     rho0 0.8: its field and time-projected radial derivative on a 16 x 32 grid."""
