@@ -30,6 +30,12 @@ adjoint: `AngularGrid.project` takes every lm at once, for all frequencies
 or radii, after the FFT time projection (tube) and before the Gauss-Jacobi
 radial sum (slice); each inversion then applies its own per-(j, l) solve.
 
+Grids are sized by two exactness rules, `_slice_nodes` radial nodes and the
+`_angular_rule` grid: a size left None is the rule for the labels of the
+rep sampled (of both reps, in a pairing of `symplectic`), and an inversion
+raises ValueError on a sample below the rule for the degrees it is asked
+for.  A sample takes any size; `AngularGrid.project` checks none.
+
 The harmonics are those of S^2, so every entry point that contracts with
 Y_lm raises UnsupportedDimension for d != 3; the basis change between S
 and C modes stays d-general.
@@ -479,8 +485,40 @@ def synth_drho(rep, point, params: AdsParams) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# sampled hypersurface data
+# quadrature rules and sampled hypersurface data
 # ---------------------------------------------------------------------------
+
+def _extent(*reps) -> tuple[int, int]:
+    """(largest |j|, largest l) over the labels the reps hold, 0 for none."""
+    return (int(max(np.max(np.abs(r.coeffs.js), initial=0) for r in reps)),
+            max(r.coeffs.l_max for r in reps))
+
+
+def _slice_nodes(n_max: int, l_max: int, n_rho: int | None = None) -> int:
+    """The fewest Gauss-Jacobi radial nodes exact for every same-l product
+    of slice modes up to (n_max, l_max): after the rule's weight the product
+    J_n J_n' is (1 - x)^l P_n P_n', of degree l + n + n' <= l_max + 2 n_max,
+    and N nodes integrate degree 2 N - 1 exactly; or n_rho, if given and
+    not fewer (ValueError)."""
+    need = (l_max + 2 * n_max + 2) // 2
+    if n_rho is not None and n_rho < need:
+        raise ValueError(f"{n_rho} radial nodes are too few for (n_max, l_max) = "
+                         f"({n_max}, {l_max}), which needs {need}")
+    return need if n_rho is None else n_rho
+
+
+def _angular_rule(l_max: int, angular: AngularGrid | None = None) -> AngularGrid:
+    """The smallest grid exact for every product of two harmonics up to
+    l_max: Gauss-Legendre on l_max + 1 nodes integrates P_l^m P_l'^m (degree
+    <= 2 l_max in cos(theta)), the uniform rule on 2 l_max + 1 every
+    e^{i m phi}, |m| <= 2 l_max; or angular, if given and not smaller
+    (ValueError)."""
+    need = (l_max + 1, 2 * l_max + 1)
+    if angular is not None and (angular.n_theta < need[0] or angular.n_phi < need[1]):
+        raise ValueError(f"a {angular.n_theta} x {angular.n_phi} angular grid is too small "
+                         f"for l_max = {l_max}, which needs {need[0]} x {need[1]}")
+    return AngularGrid(*need) if angular is None else angular
+
 
 @dataclass(frozen=True)
 class SliceData:
@@ -519,10 +557,11 @@ class RodData:
 
 
 def sample_slice(rep: SliceRep, t0: float, params: AdsParams,
-                 n_rho: int = 128, angular: AngularGrid | None = None) -> SliceData:
+                 n_rho: int | None = None, angular: AngularGrid | None = None) -> SliceData:
     """Sample a slice solution (and d_t) on the radial x angular grid."""
-    ang = angular or AngularGrid()
-    rho, w = radial_measure(params, n_rho)
+    n_max, l_max = _extent(rep)
+    ang = angular or _angular_rule(l_max)
+    rho, w = radial_measure(params, _slice_nodes(n_max, l_max) if n_rho is None else n_rho)
     phi, dphi = _slice_sum(rep, t0, rho, ang, *_jacobi(rho, params))
     return SliceData(t0, rho, w, ang, phi, dphi)
 
@@ -530,7 +569,7 @@ def sample_slice(rep: SliceRep, t0: float, params: AdsParams,
 def sample_tube(rep: TubeRep, rho0: float, params: AdsParams,
                 angular: AngularGrid | None = None) -> TubeData:
     """Sample a tube solution (and d_rho) over one time window at rho0."""
-    ang = angular or AngularGrid()
+    ang = angular or _angular_rule(rep.coeffs.l_max)
     t_nodes = rep.grid.time_nodes()
     phi, dphi = _tube_sum(rep, t_nodes, ang, _s_or_c(rep.basis, rho0, params))
     return TubeData(rho0, rep.grid, t_nodes, ang, phi, dphi)
@@ -538,7 +577,7 @@ def sample_tube(rep: TubeRep, rho0: float, params: AdsParams,
 
 def sample_rod(rep: RodRep, rho0: float, params: AdsParams,
                angular: AngularGrid | None = None) -> RodData:
-    ang = angular or AngularGrid()
+    ang = angular or _angular_rule(rep.coeffs.l_max)
     t_nodes = rep.grid.time_nodes()
     phi, _ = _tube_sum(rep, t_nodes, ang, _s_or_c("S", rho0, params))
     return RodData(rho0, rep.grid, t_nodes, ang, phi)
@@ -601,14 +640,6 @@ def slice_to_tube(rep: SliceRep, grid: OmegaGrid, params: AdsParams) -> TubeRep:
 # inversions
 # ---------------------------------------------------------------------------
 
-def _slice_nodes(n_max: int, l_max: int) -> int:
-    """The fewest Gauss-Jacobi radial nodes exact for every same-l product
-    of slice modes up to (n_max, l_max): after the rule's weight the product
-    J_n J_n' is (1 - x)^l P_n P_n', of degree l + n + n' <= l_max + 2 n_max,
-    and N nodes integrate degree 2 N - 1 exactly."""
-    return (l_max + 2 * n_max + 2) // 2
-
-
 def invert_slice(data: SliceData, params: AdsParams,
                  n_max: int, l_max: int,
                  check_residual: bool = True) -> SliceRep:
@@ -618,15 +649,12 @@ def invert_slice(data: SliceData, params: AdsParams,
     int drho dOmega tan^{d-1} conj(Y) J^+ (f phi + d dphi) with
     f = e^{i w t0} / (2 N^+) and d = i e^{i w t0} / (2 w N^+); the minus
     channel pairs m with -m through conj(Y_l^m) = Y_l^{-m}.  ValueError
-    when data has fewer radial nodes than `_slice_nodes(n_max, l_max)`,
-    the fewest on which that projection is exact.  The residual check
+    when data's radial nodes or angular grid fall below the rules for
+    (n_max, l_max), on which that projection is exact.  The residual check
     synthesizes the recovered phi alone on data's nodes.
     """
-    need = _slice_nodes(n_max, l_max)
-    if len(data.rho_nodes) < need:
-        raise ValueError(f"{len(data.rho_nodes)} radial nodes are too few for "
-                         f"(n_max, l_max) = ({n_max}, {l_max}), which needs {need}")
-    ang = data.angular
+    _slice_nodes(n_max, l_max, len(data.rho_nodes))
+    ang = _angular_rule(l_max, data.angular)
     ns = range(n_max + 1)
     full = np.ones((n_max + 1, lm_count(l_max)))
     frequency, radial = _jacobi(data.rho_nodes, params)
@@ -665,7 +693,8 @@ def invert_tube(data: TubeData, params: AdsParams, l_max: int,
     """
     grid = data.grid
     radial = _s_or_c(basis, data.rho0, params)
-    p_phi, p_dphi = (data.angular.project(_time_project(x, grid), l_max)
+    ang = _angular_rule(l_max, data.angular)
+    p_phi, p_dphi = (ang.project(_time_project(x, grid), l_max)
                      for x in (data.phi, data.dphi_drho))
     full = np.ones((len(grid.indices), lm_count(l_max)))
     (fa, da), (fb, db) = _table(grid.indices, full, lambda k, l: radial(
@@ -685,7 +714,7 @@ def _rod_divide(data: RodData, l_max: int, divisor, tol: float,
     divisor(omega, l), called once on the arrays of every (k, l); raises
     error(omega, l) at the first (k, l) where |divisor| < tol."""
     grid = data.grid
-    proj = data.angular.project(_time_project(data.phi, grid), l_max)
+    proj = _angular_rule(l_max, data.angular).project(_time_project(data.phi, grid), l_max)
     def checked(k, l):
         om = k * grid.d_omega
         val = divisor(om, l)
@@ -792,7 +821,7 @@ def boundary_data_of(rep: TubeRep, params: AdsParams,
         raise BasisMismatch("boundary data requires the C basis")
     require_two_sphere(params.d)
     lam = twisted_boundary_limit(RadialKind.Ca, params)
-    ang = angular or AngularGrid()
+    ang = angular or _angular_rule(rep.coeffs.l_max)
     t_nodes = rep.grid.time_nodes()
     # (rescaled value, twisted derivative) at the boundary: C^a -> (0, L),
     # C^b -> (1, 0)
@@ -811,7 +840,8 @@ def boundary_reconstruct(data: BoundaryData, params: AdsParams,
     require_two_sphere(params.d)
     lam = twisted_boundary_limit(RadialKind.Ca, params)
     grid = data.grid
-    p_minus, p_plus = (data.angular.project(_time_project(x, grid), l_max)
+    ang = _angular_rule(l_max, data.angular)
+    p_minus, p_plus = (ang.project(_time_project(x, grid), l_max)
                        for x in (data.phid_minus, data.phid_plus))
     return TubeRep(grid, _Coeffs(grid.indices, np.stack([p_plus / lam, p_minus])), "C")
 
@@ -822,7 +852,7 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
     phi^d = d_omega sum phi^a m12(w, l) e^{-iwt} Y  (only the C^b part of
     S^a survives the rescaling)."""
     require_two_sphere(params.d)
-    ang = angular or AngularGrid()
+    ang = angular or _angular_rule(rep.coeffs.l_max)
     t_nodes = rep.grid.time_nodes()
     def radial(chs, om, l):
         m12 = _transfer_entries(om, l, params, False)[1]

@@ -80,7 +80,7 @@ def make_params(d: int, R: float, m_sq: float) -> AdsParams:
 
 
 @memo("radial_measure", 16, 4096)  # 16 x 4096 x 2 x 8 B = 1 MiB at most
-def radial_measure(params: AdsParams, n_nodes: int = 128):
+def radial_measure(params: AdsParams, n_nodes: int):
     """Radial quadrature rule (rho_q, w_q) with the tan^{d-1} measure folded
     in: sum_q w_q g(rho_q) ~= int_0^{pi/2} tan^{d-1}(rho) g(rho) drho.
 

@@ -203,7 +203,8 @@ def rotate_angles(angles: EulerAngles, theta, phi):
     return xyz_to_angles(rot)
 
 
-# Quadrature rules are shared by the AngularGrids of the last 4 shapes.
+# Quadrature rules are shared by the AngularGrids of the last 4 shapes; a
+# `verify all` run uses 3.
 @memo("grid_rule", 4)
 def _grid_rule(n_theta: int, n_phi: int) -> tuple:
     """cos(theta) nodes and weights, theta and phi of the product grid."""
@@ -213,11 +214,12 @@ def _grid_rule(n_theta: int, n_phi: int) -> tuple:
 
 class AngularGrid:
     """Product quadrature grid on S^2: Gauss-Legendre in cos(theta) times a
-    uniform trapezoid in phi.  Exact for the polynomial integrands produced
-    by harmonics up to l ~ n_theta.  The rule's arrays are read-only.
+    uniform trapezoid in phi, exact for every product of two harmonics up to
+    l_max from (l_max + 1) x (2 l_max + 1) nodes on (`expansions._angular_rule`).
+    The rule's arrays are read-only.
     """
 
-    def __init__(self, n_theta: int = 64, n_phi: int = 128):
+    def __init__(self, n_theta: int, n_phi: int):
         self.cos_nodes, self.cos_weights, self.theta, self.phi = _grid_rule(n_theta, n_phi)
         self.phi_weight = 2.0 * math.pi / n_phi
         self.n_theta = n_theta
@@ -287,9 +289,10 @@ class AngularGrid:
 
 
 # The tables of the last 16 (n_theta, n_phi, l_max), room for the eight l_max
-# the dense benchmark's reconstructions project to on their 16 x 32 grid; one
-# whose largest array holds more than 2^16 values is not kept, as at l_max >= 22
-# on the default 64 x 128 grid.
+# the dense benchmark's reconstructions project to on their 16 x 32 grid and
+# the five keys of a `verify all` run; one whose largest array holds more than
+# 2^16 values is not kept, as from l_max = 32 on the rule's (l_max + 1) x
+# (2 l_max + 1) grid.
 @memo("theta_table", 16, 2 ** 16)
 def _theta_table(n_theta: int, n_phi: int, l_max: int) -> tuple:
     """The factors of Y_l^m = N_l^m P_l^m(cos theta) e^{i m phi} on the grid

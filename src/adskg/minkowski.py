@@ -31,8 +31,8 @@ import numpy as np
 from scipy.special import spherical_in, spherical_kn
 
 from .errors import BoundaryProximity, DomainError
-from .expansions import (OmegaGrid, SliceRep, _Labelled, _slice_sum,
-                         _tube_sum, synth)
+from .expansions import (OmegaGrid, SliceRep, _Labelled, _angular_rule, _extent,
+                         _slice_sum, _tube_sum, synth)
 from .geometry import (AdsParams, Boost0, BoostD1, _apply, _first_order,
                        _points, flat_labels, flat_rescale, flat_unscale,
                        killing_apply, make_params)
@@ -180,9 +180,10 @@ def mink_omega_tube_momentum(eta: MinkTubeRep, zeta: MinkTubeRep) -> complex:
 def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,
                                r0: float,
                                angular: AngularGrid | None = None) -> complex:
-    """(r0^2/2) int dt dOmega (eta d_r zeta - zeta d_r eta) over one window."""
-    ang = angular or AngularGrid(16, 32)
-    span = np.max(np.abs(np.r_[eta.coeffs.js, zeta.coeffs.js]), initial=0)
+    """(r0^2/2) int dt dOmega (eta d_r zeta - zeta d_r eta) over one window,
+    on the angular grid of `symplectic`'s quadratures."""
+    span, l_max = _extent(eta, zeta)
+    ang = _angular_rule(l_max, angular)
     t_nodes = eta.grid.time_nodes(2 * span + 1)
     (fe, dfe), (fz, dfz) = (_mink_tube_sum(rep, t_nodes, ang, r0)
                             for rep in (eta, zeta))

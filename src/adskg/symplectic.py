@@ -10,7 +10,9 @@ Conventions (coordinate forms):
                              (eta d_rho zeta - zeta d_rho eta)
 
 Both are hypersurface-independent on solutions; the momentum forms are the
-label-diagonal sums displayed in the module functions.
+label-diagonal sums displayed in the module functions.  The quadratures are
+sized by the exactness rules of `expansions` for the larger of their two
+reps, by default; a smaller n_rho or angular grid raises ValueError.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import math
 import numpy as np
 
 from .errors import BasisMismatch
-from .expansions import SliceRep, TubeRep, _table, sample_slice, sample_tube
+from .expansions import (SliceRep, TubeRep, _angular_rule, _extent, _slice_nodes,
+                         _table, sample_slice, sample_tube)
 from .geometry import AdsParams
 from .harmonics import AngularGrid, lm_count, lm_mirror, require_two_sphere
 from .modes import magic_frequency, norm_constant
@@ -73,11 +76,12 @@ def _antisymmetrized(a, da, b, db) -> np.ndarray:
 
 
 def omega_slice_quadrature(eta: SliceRep, zeta: SliceRep, t0: float,
-                           params: AdsParams, n_rho: int = 128,
+                           params: AdsParams, n_rho: int | None = None,
                            angular: AngularGrid | None = None) -> complex:
     """-(1/2) int drho dOmega R^{d-1} tan^{d-1} (eta d_t zeta - zeta d_t eta)
     at t = t0; time derivatives are analytic phase factors."""
-    ang = angular or AngularGrid()
+    n_max, l_max = _extent(eta, zeta)
+    n_rho, ang = _slice_nodes(n_max, l_max, n_rho), _angular_rule(l_max, angular)
     de = sample_slice(eta, t0, params, n_rho, ang)
     dz = sample_slice(zeta, t0, params, n_rho, ang)
     angular_sum = ang.integrate(_antisymmetrized(de.phi, de.dphi_dt, dz.phi, dz.dphi_dt))
@@ -104,7 +108,7 @@ def omega_tube_quadrature(eta: TubeRep, zeta: TubeRep, rho0: float,
     analytic."""
     if eta.grid != zeta.grid:
         raise BasisMismatch("tube pairing needs a shared frequency grid")
-    ang = angular or AngularGrid()
+    ang = _angular_rule(_extent(eta, zeta)[1], angular)
     de = sample_tube(eta, rho0, params, ang)
     dz = sample_tube(zeta, rho0, params, ang)
     angular_sum = ang.integrate(_antisymmetrized(de.phi, de.dphi_drho, dz.phi, dz.dphi_drho))
@@ -132,7 +136,7 @@ def omega_tube_momentum(eta: TubeRep, zeta: TubeRep,
 
 
 def symplectic_potential(hypersurface: str, coord: float, phi, eta,
-                         params: AdsParams, n_rho: int = 128,
+                         params: AdsParams, n_rho: int | None = None,
                          angular: AngularGrid | None = None) -> complex:
     """Symplectic potential theta^Sigma_phi(eta): the boundary term of the
     action differential, integrated over Sigma with the scalar-field
@@ -145,9 +149,11 @@ def symplectic_potential(hypersurface: str, coord: float, phi, eta,
     reproduces the corresponding symplectic structure for both surfaces.
     `hypersurface` is "t" or "rho"; `coord` the surface location.
     """
-    ang = angular or AngularGrid()
+    n_max, l_max = _extent(phi, eta)
+    ang = _angular_rule(l_max, angular)
     rd = params.R ** (params.d - 1)
     if hypersurface == "t":
+        n_rho = _slice_nodes(n_max, l_max, n_rho)
         d_eta = sample_slice(eta, coord, params, n_rho, ang)
         d_phi = sample_slice(phi, coord, params, n_rho, ang)
         angular_sum = ang.integrate(np.multiply(d_eta.phi, d_phi.dphi_dt, out=d_eta.phi))

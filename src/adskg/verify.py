@@ -20,10 +20,11 @@ from . import minkowski as mink
 from . import modes
 from . import specfun as sf
 from . import symplectic as sy
-from .harmonics import AngularGrid, EulerAngles
+from .harmonics import EulerAngles
 from .modes import RadialKind
 
 SEED = 20240817
+REP_MAX = 3  # largest n and l of the random slice reps; the tube reps stop below
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def suite_specfun():
 def suite_harmonics():
     from .harmonics import contiguous_coeffs, lm_labels, sph_harm, wigner_d
     checks = []
-    ang = AngularGrid(32, 64)
+    ang = xp._angular_rule(5)
     gram = ang.project(ang.ylm(5), 5)
     checks.append(_check("orthonormality[l<=5]", np.abs(gram - np.eye(len(gram))), 1e-10))
 
@@ -279,8 +280,8 @@ def suite_modes():
 def _random_slice_rep(rng, n_labels=6):
     coeffs = {}
     while len(coeffs) < n_labels:
-        n = int(rng.integers(0, 4))
-        l = int(rng.integers(0, 4))
+        n = int(rng.integers(0, REP_MAX + 1))
+        l = int(rng.integers(0, REP_MAX + 1))
         m = int(rng.integers(-l, l + 1))
         coeffs[(n, l, m)] = (complex(rng.normal(), rng.normal()),
                              complex(rng.normal(), rng.normal()))
@@ -307,7 +308,7 @@ def _random_tube_rep(rng, grid, n_labels=6, basis="S", l_max=2,
 def suite_expansions():
     rng = np.random.default_rng(SEED)
     p = geo.make_params(3, 1.0, 0.0)
-    ang = AngularGrid(16, 32)
+    n_rho, ang = xp._slice_nodes(REP_MAX, REP_MAX), xp._angular_rule(REP_MAX)
     grid = xp.OmegaGrid(0.5, tuple(range(-7, 8)))
     checks = []
 
@@ -315,8 +316,8 @@ def suite_expansions():
     rep = _random_slice_rep(rng)
     errs, recs = [], []
     for t0 in (0.0, 0.8):
-        data = xp.sample_slice(rep, t0, p, 96, ang)
-        rec = xp.invert_slice(data, p, 3, 3)
+        data = xp.sample_slice(rep, t0, p, n_rho, ang)
+        rec = xp.invert_slice(data, p, REP_MAX, REP_MAX)
         recs.append(rec)
         errs += _diffs(rep, rec)
     checks.append(_check("slice_round_trip", errs, 1e-6))
@@ -374,7 +375,7 @@ def suite_expansions():
 def suite_symplectic():
     rng = np.random.default_rng(SEED)
     p = geo.make_params(3, 1.0, 0.0)
-    ang = AngularGrid(16, 32)
+    n_rho, ang = xp._slice_nodes(REP_MAX, REP_MAX), xp._angular_rule(REP_MAX)
     grid = xp.OmegaGrid(0.5, tuple(range(-7, 8)))
     checks = []
 
@@ -385,7 +386,7 @@ def suite_symplectic():
                                 complex(rng.normal(), rng.normal()))
                           for key in eta_s.coeffs})
     mom = complex(sy.omega_slice_momentum(eta_s, zeta_s, p))
-    vals = [complex(sy.omega_slice_quadrature(eta_s, zeta_s, t0, p, 96, ang))
+    vals = [complex(sy.omega_slice_quadrature(eta_s, zeta_s, t0, p, n_rho, ang))
             for t0 in (0.0, 0.37, 1.9)]
     checks.append(_check("slice_quadrature_vs_momentum",
                          [abs(v - mom) / abs(mom) for v in vals], 1e-7))
@@ -524,8 +525,8 @@ def suite_minkowski():
                                                  complex(rng.normal(), rng.normal()))
                                    for (k, l, m) in coeffs}, 0.6)
     mom = mink.mink_omega_tube_momentum(eta, zeta)
-    errs = [abs(mink.mink_omega_tube_quadrature(eta, zeta, r0, AngularGrid(12, 24))
-                - mom) / abs(mom) for r0 in (1.0, 2.5)]
+    errs = [abs(mink.mink_omega_tube_quadrature(eta, zeta, r0) - mom) / abs(mom)
+            for r0 in (1.0, 2.5)]
     checks.append(_check("mink_tube_quadrature_vs_momentum", errs, 1e-7))
     return checks
 
