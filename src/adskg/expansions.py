@@ -100,20 +100,21 @@ class _Coeffs(Mapping):
     """A rep's stored coefficients, read-only: the sorted first labels `js`,
     the dense (channel, j, lm) array (zero off the labels) and the (j, lm)
     `mask` of the labels held (every entry if None), trimmed to the rows and
-    l_max holding one.  As a mapping it is the view {(j, l, m): channel
-    values} in sorted label order (a tuple per label with two channels) and
-    of the mask's length.  The view, `blocks` (its block plan) and `groups`
-    (its channels by plan) are formed on first use and not pickled."""
+    l_max holding one (taken as trimmed when l_max is given).  As a mapping
+    it is the view {(j, l, m): channel values} in sorted label order (a
+    tuple per label with two channels) and of the mask's length.  The view,
+    `blocks` (its block plan) and `groups` (its channels by plan) are formed
+    on first use and not pickled."""
 
-    def __init__(self, js, array, mask=None):
-        mask = np.ones(array.shape[1:], dtype=bool) if mask is None else mask
-        rows = mask.any(axis=1)
-        used = np.flatnonzero(mask.any(axis=0))
-        self.l_max = lm_degree(used[-1]) if used.size else 0
-        cols = lm_count(self.l_max)
-        self.js = np.asarray(js)[rows]
-        self.array, self.mask = array[:, rows, :cols], mask[rows, :cols]
-        for held in (self.js, self.array, self.mask):
+    def __init__(self, js, array, mask=None, l_max: int | None = None):
+        if l_max is None:
+            mask = np.ones(array.shape[1:], dtype=bool) if mask is None else mask
+            rows, used = mask.any(axis=1), np.flatnonzero(mask.any(axis=0))
+            l_max = lm_degree(used[-1]) if used.size else 0
+            cols = lm_count(l_max)
+            js, array, mask = np.asarray(js)[rows], array[:, rows, :cols], mask[rows, :cols]
+        self.js, self.array, self.mask, self.l_max = js, array, mask, l_max
+        for held in (js, array, mask):
             held.flags.writeable = False
         self._plan = {}
 
@@ -133,30 +134,37 @@ class _Coeffs(Mapping):
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    def blocks(self, channel: int | None = None):
+    def blocks(self, channel=None):
         """The (row, l) index arrays of the (j, l) blocks where `channel`
-        holds a nonzero coefficient, or, for None, where the mask holds a
-        label: `_table`'s blocks, formed once per rep."""
+        (a channel, or a tuple of them) holds a nonzero coefficient, or, for
+        None, where the mask holds a label: `_table`'s blocks, formed once
+        per rep."""
         if channel not in self._plan:
-            self._plan[channel] = _blocks(
-                self.mask if channel is None else self.array[channel])
+            self._plan[channel] = _blocks(self.mask if channel is None else self.array[
+                list(channel) if isinstance(channel, tuple) else channel])
         return self._plan[channel]
 
-    def orders(self) -> np.ndarray:
+    def orders(self, mirrored: bool = False) -> np.ndarray:
         """The (lm,) mask of the orders where a channel holds a nonzero
-        coefficient: the Y row a point synthesis reads, formed once per rep."""
-        if "orders" not in self._plan:
-            self._plan["orders"] = (self.array != 0).reshape(
-                -1, self.array.shape[-1]).any(axis=0)
-        return self._plan["orders"]
+        coefficient (the second's at (l, -m) if mirrored, as a slice's): the
+        Y row a point synthesis reads, formed once per rep."""
+        if ("orders", mirrored) not in self._plan:
+            held = (self.array != 0).any(axis=1)
+            if mirrored:
+                held[1] = held[1][lm_mirror(self.l_max)]
+            self._plan["orders", mirrored] = held.any(axis=0)
+        return self._plan["orders", mirrored]
 
     def groups(self):
         """[(channels, blocks)]: all channels on one plan when their block
-        plans are equal, else each channel on its own."""
+        plans are equal, else each channel on its own (`blocks(channel)`)."""
         if "groups" not in self._plan:
-            plans = [self.blocks(ch) for ch in range(len(self.array))]
-            same = all(np.array_equal(x, y) for plan in plans for x, y in zip(plan, plans[0]))
-            self._plan["groups"] = [(tuple(range(len(plans))), plans[0])] if same \
+            ls = lm_labels(self.l_max)[0]
+            held = np.logical_or.reduceat(self.array != 0, np.arange(self.l_max + 1) ** 2,
+                                          axis=-1)
+            plans = [(*np.nonzero(block), ls) for block in (held[:1] if (
+                held == held[0]).all() else held)]
+            self._plan["groups"] = [(tuple(range(len(held))), plans[0])] if len(plans) == 1 \
                 else [((ch,), plan) for ch, plan in enumerate(plans)]
         return self._plan["groups"]
 
@@ -175,7 +183,7 @@ class _Coeffs(Mapping):
 
     def entries(self):
         """(j, lm, values) of the labels held, values shaped (channel, label)."""
-        rows, lm = np.nonzero(self.mask)
+        rows, lm = self.mask.nonzero()
         return self.js[rows], lm, self.array[:, rows, lm]
 
     def _read_only(self, *args, **kwargs):
@@ -194,8 +202,8 @@ def _packed_lm(keys: np.ndarray, j_min: float, labels=None) -> np.ndarray:
     j < j_min."""
     l, m = keys[:, 1:].astype(int).T
     bad = (l < 0) | (m < -l) | (m > l) | (keys[:, 0] < j_min)
-    if np.any(bad):
-        i = np.argmax(bad)
+    if bad.any():
+        i = bad.argmax()
         rule = "l >= 0, |m| <= l" + (f", n >= {j_min}" if j_min >= 0 else "")
         label = tuple(keys[i].tolist()) if labels is None else labels[i]
         raise ValueError(f"invalid label {label}: need {rule}")
@@ -204,14 +212,22 @@ def _packed_lm(keys: np.ndarray, j_min: float, labels=None) -> np.ndarray:
 
 def _scatter(j, lm, values) -> _Coeffs:
     """The labels at the first labels j and packed lm, holding values
-    (channel, label), summed in order where a label repeats."""
-    js, rows = np.unique(j, return_inverse=True)
-    array = np.zeros((len(values), len(js), lm_count(lm_degree(np.max(lm, initial=0)))),
-                     dtype=complex)
+    (channel, label), summed in order where a label repeats (np.add.at);
+    unique labels take values + 0.0, the bits of a sum into zeros."""
+    ordered = j.copy()
+    ordered.sort()
+    js = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    if len(js) and js[-1] != js[-1]:  # NaNs sort last; one row holds them, as in np.unique
+        js = js[:np.argmax(js != js) + 1]
+    rows, l_max = js.searchsorted(j), lm_degree(lm.max(initial=0))
+    array = np.zeros((len(values), len(js), lm_count(l_max)), dtype=complex)
     mask = np.zeros(array.shape[1:], dtype=bool)
-    np.add.at(array, (slice(None), rows, lm), values)
     mask[rows, lm] = True
-    return _Coeffs(js, array, mask)
+    if np.count_nonzero(mask) == len(lm):
+        array[:, rows, lm] = values + 0.0
+    else:
+        np.add.at(array, (slice(None), rows, lm), values)
+    return _Coeffs(js, array, mask, l_max)
 
 
 class _Labelled:
@@ -219,12 +235,12 @@ class _Labelled:
     channel values} is stored once as a `_Coeffs`; labels() and coeff()
     read it, an absent label reading as `_absent`."""
 
-    _absent = (0.0 + 0.0j, 0.0 + 0.0j)
+    _absent, _channels = (0.0 + 0.0j, 0.0 + 0.0j), 2
     _j_min = -math.inf  # smallest admissible first label (radial order n >= 0)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _Coeffs.of(
-            self.coeffs, np.size(self._absent), self._j_min))
+            self.coeffs, self._channels, self._j_min))
 
     def labels(self):
         return list(self.coeffs)
@@ -234,7 +250,8 @@ class _Labelled:
 
     def _with(self, array):
         """This rep with another array on the same labels."""
-        return replace(self, coeffs=_Coeffs(self.coeffs.js, array, self.coeffs.mask))
+        c = self.coeffs
+        return replace(self, coeffs=_Coeffs(c.js, array, c.mask, c.l_max))
 
 
 @dataclass(frozen=True)
@@ -286,12 +303,12 @@ class RodRep(_Labelled):
 
     grid: OmegaGrid
     coeffs: dict
-    _absent = 0.0 + 0.0j
+    _absent, _channels = 0.0 + 0.0j, 1
 
     def as_tube(self) -> TubeRep:
         c = self.coeffs
         return TubeRep(self.grid, _Coeffs(c.js, np.concatenate(
-            [c.array, np.zeros_like(c.array)]), c.mask), "S")
+            [c.array, np.zeros_like(c.array)]), c.mask, c.l_max), "S")
 
 
 @dataclass(frozen=True)
@@ -353,16 +370,11 @@ def _by_degree(subscripts: str, kern, coef, out) -> np.ndarray:
     return out
 
 
-def _ylm_sums(coef, point, held=None) -> np.ndarray:
-    """sum_m coef[..., j, lm] Y_lm(theta, phi) per (j, l) block at the
-    point = (theta, phi): shape (..., j, l_max + 1), one np.add.reduceat
-    over each degree's orders.  Y is the `ylm_point` row of the orders
-    `held`, by default those holding a nonzero coefficient."""
-    l_max = lm_degree(coef.shape[-1] - 1)
-    if held is None:
-        held = (coef != 0).reshape(-1, coef.shape[-1]).any(axis=0)
-    return np.add.reduceat(coef * ylm_point(l_max, held, *point),
-                           np.arange(l_max + 1) ** 2, axis=-1)
+def _ylm_sums(coef, y) -> np.ndarray:
+    """sum_m coef[..., j, lm] y[..., lm] per (j, l) block, y the Y row(s) at
+    a point: shape (..., j, l_max + 1), one np.add.reduceat over each
+    degree's orders."""
+    return np.add.reduceat(coef * y, np.arange(lm_degree(coef.shape[-1] - 1) + 1) ** 2, axis=-1)
 
 
 def _time_project(samples: np.ndarray, grid: OmegaGrid) -> np.ndarray:
@@ -401,7 +413,7 @@ def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
             (len(chs), 2), plan) for chs, plan in c.groups()])).sum(axis=0)
         return where.synthesize(np.einsum("sj,...ji->...si", kern(
             d_omega * np.asarray(c.js, dtype=float)), fold))
-    sums = _ylm_sums(c.array, where, c.orders())
+    sums = _ylm_sums(c.array, ylm_point(c.l_max, c.orders(), *where))
     out = np.zeros((2, np.size(t)), dtype=complex)
     for chs, (rows, l_need, _) in c.groups():
         if rows.size:
@@ -417,24 +429,29 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial,
     at time t, the radii rho and the angular points `where`; shape (2, rho,
     ...), or (1, rho, ...), the field alone, if not with_dt.  frequency(j, l)
     = w and radial(j, l) = f, shape (rho, blocks), are called once on the
-    arrays of the (j, l) holding a label.  conj(Y_l^m) = Y_l^{-m} moves the
+    arrays of the (j, l) holding a nonzero coefficient (on a grid, w on the
+    (j, 1) and (lm,) arrays of the frame).  conj(Y_l^m) = Y_l^{-m} moves the
     conj(phi^-) channel to the mirrored order.  At a point (theta, phi) the
-    Y row is contracted first, as in `_tube_sum`."""
-    js, coef = rep.coeffs.js, rep.coeffs.array
-    omega = _table(js, np.ones(coef.shape[1:]), frequency)
-    plus = coef[0] * np.exp(-1j * omega * t)
-    minus = coef[1][:, lm_mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t)
-    channels = [plus + minus]
-    if with_dt:
-        channels.append(-1j * omega * (plus - minus))
-    coefs = np.stack(channels)
-    rows, l_need, _ = blocks = _blocks(coefs)
-    if isinstance(where, AngularGrid):
+    Y row is contracted first, as in `_tube_sum`, mirrored for conj(phi^-)."""
+    c, grid = rep.coeffs, isinstance(where, AngularGrid)
+    if grid:
+        omega = frequency(c.js[:, None], lm_labels(c.l_max)[0])
+        plus, minus = c.array[0], c.array[1][:, lm_mirror(c.l_max)]
+    else:
+        rows, l_need, _ = c.blocks((0, 1))
+        if not rows.size:
+            return np.zeros((1 + with_dt, np.size(rho)), dtype=complex)
+        y = ylm_point(c.l_max, c.orders(True), *where)
+        plus, minus = _ylm_sums(c.array, np.array([y, y[lm_mirror(c.l_max)]])[:, None])[
+            :, rows, l_need]
+        omega = frequency(c.js[rows], l_need)
+    plus, minus = plus * np.exp(-1j * omega * t), minus * np.exp(1j * omega * t)
+    coefs = np.array([plus + minus, -1j * omega * (plus - minus)][:1 + with_dt])
+    if grid:
         return where.synthesize(_by_degree(
-            "sj,...ji->...si", _degree_table(js, coefs, radial, np.shape(rho), blocks), coefs,
+            "sj,...ji->...si", _degree_table(c.js, coefs, radial, np.shape(rho)), coefs,
             np.empty(coefs.shape[:1] + np.shape(rho) + coefs.shape[-1:], complex)))
-    rad = radial(np.asarray(js)[rows], l_need) if rows.size else np.zeros(np.shape(rho) + (0,))
-    return _ylm_sums(coefs, where)[:, rows, l_need] @ np.transpose(rad)
+    return coefs @ np.transpose(radial(c.js[rows], l_need))
 
 
 def _jacobi(rho: np.ndarray, params: AdsParams, drho: bool = False):
@@ -596,7 +613,7 @@ def _basis_change(rep: TubeRep, params: AdsParams, inverse: bool,
         k * rep.grid.d_omega, l, params, inverse), (4,), c.blocks())
     a, b = c.array
     return replace(rep, coeffs=_Coeffs(c.js, np.stack(
-        [a * m11 + b * m21, a * m12 + b * m22]), c.mask), basis=basis)
+        [a * m11 + b * m21, a * m12 + b * m22]), c.mask, c.l_max), basis=basis)
 
 
 def s_to_c(rep: TubeRep, params: AdsParams) -> TubeRep:

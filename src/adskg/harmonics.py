@@ -244,7 +244,7 @@ class AngularGrid:
         C-ordered result, so the only grid-sized array is the result: the
         theta sums are (2 l_max + 1) / n_phi of it."""
         l_max = lm_degree(coef.shape[-1] - 1)
-        theta, _, phase, _ = _theta_table(self.n_theta, self.n_phi, l_max)
+        theta, _, phase = _theta_table(self.n_theta, self.n_phi, l_max)
         ls, ms = lm_labels(l_max)
         flat = coef.reshape(-1, coef.shape[-1])
         part = np.zeros((2 * l_max + 1, l_max + 1, len(flat)), complex)
@@ -298,12 +298,10 @@ def _theta_table(n_theta: int, n_phi: int, l_max: int) -> tuple:
     """The factors of Y_l^m = N_l^m P_l^m(cos theta) e^{i m phi} on the grid
     up to l_max: Y_l^m at phi = 0 at [m + l_max, theta, l], zero where l <
     |m|; it times the weights w_theta (2 pi / n_phi) in long double; e^{i m
-    phi} at [m + l_max, phi]; lm at [m + l_max, l], lm_count(l_max) if l < |m|."""
+    phi} at [m + l_max, phi]."""
     _, w, theta, phi = _grid_rule(n_theta, n_phi)
     ls, ms = lm_labels(l_max)
     table = np.zeros((2 * l_max + 1, n_theta, l_max + 1))
     table[ms + l_max, :, ls] = sph_harm(ls[:, None], ms[:, None], theta, 0.0).real
-    gather = np.full((2 * l_max + 1, l_max + 1), ls.size)
-    gather[ms + l_max, ls] = np.arange(ls.size)
     return (table, np.longdouble(w)[:, None] * (2.0 * math.pi / n_phi) * table,
-            np.exp(1j * np.arange(-l_max, l_max + 1)[:, None] * phi), gather)
+            np.exp(1j * np.arange(-l_max, l_max + 1)[:, None] * phi))

@@ -108,7 +108,7 @@ def boost_shift_coeffs(channel: str, s_om, s_l, omega, l, params: AdsParams):
     object array of omega (mpmath numbers, say) keeps its arithmetic.  A
     slice label (n, l) takes channel "a" at omega = omega+_{nl}."""
     require_two_sphere(params.d)
-    s, s_l, omega, l = np.broadcast_arrays(s_om, s_l, omega, l)
+    s, s_l, omega, l = map(np.asarray, (s_om, s_l, omega, l))  # np.where broadcasts
     d, dp, dm = params.d, params.delta_plus, params.delta_minus
     if channel == "a":
         z = np.where(s_l < 0, s * (2 * l + d - 2),

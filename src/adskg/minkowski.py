@@ -246,17 +246,15 @@ def flat_limit_compare(m_field: float = 0.0, R_values=(100.0, 1000.0)) -> dict:
     r_values = (0.5, 1.0, 3.0, 5.0)
     for R in R_values:
         params = make_params(3, R, m_field * m_field)
-        # (i) rescaled radial function vs jcheck, one jcheck call per r
+        # (i) rescaled radial function vs jcheck: one array call of each
+        # over (l, r), each element the bits of its scalar call
         om = omega_tilde * R
         _, p_r, _ = flat_labels(params, om)
-        scale = [p_r ** l / math.prod(range(2 * l + 1, 0, -2)) for l in l_values]
-        errs = []
-        for r in r_values:
-            ads = np.array([s * radial_eval(RadialKind.Sa, om, l, r / R, params)
-                            for s, l in zip(scale, l_values)])
-            mink = jcheck(omega_tilde, np.array(l_values), r, m_field)
-            errs.append(np.abs(ads - mink) / np.maximum(np.abs(mink), 1e-3))
-        out["radial"][R] = float(np.max(errs))
+        scale = np.array([p_r ** l / math.prod(range(2 * l + 1, 0, -2)) for l in l_values])
+        ls, rs = np.array(l_values)[:, None], np.array(r_values)
+        ads = scale[:, None] * radial_eval(RadialKind.Sa, om, ls, rs / R, params)
+        mink = jcheck(omega_tilde, ls, rs, m_field)
+        out["radial"][R] = float(np.max(np.abs(ads - mink) / np.maximum(np.abs(mink), 1e-3)))
 
         # labels shared by (ii) and (iii): integer n nearest the target
         labels = []

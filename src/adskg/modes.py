@@ -544,8 +544,16 @@ def norm_constant(branch: str, n, l, params: AdsParams):
     """Equal-time norm N+-_{nl} = int_0^{pi/2} tan^{d-1} (J+-_{nl})^2 drho
     in closed form, n and l broadcast and checked as in jacobi_radial_fd:
     n! G(g)^2 G(n+-nu+1) / (2 w+-_{nl} G(n+g) G(n+-nu+g)), g = l + d/2.
-    """
+    Array calls are memoized as jacobi_radial_fd's (read-only tables)."""
+    if any(isinstance(v, np.ndarray) for v in (n, l)):
+        return _norm_table(branch, np.asarray(n), np.asarray(l), params)[()]
     return _jacobi_labels(branch, n, l, params)[-1][()]
+
+
+# `verify all` forms 21 tables; 64 x 2^14 x 3 arrays (n, l, N) x 8 B = 24 MiB at most.
+@memo("norm_table", 64, 1 << 14)
+def _norm_table(branch: str, n, l, params: AdsParams):
+    return _jacobi_labels(branch, n, l, params)[-1]
 
 
 def wronskian(kind_a: RadialKind, kind_b: RadialKind, omega: float, l: int,

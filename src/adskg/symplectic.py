@@ -23,47 +23,59 @@ import numpy as np
 
 from .errors import BasisMismatch
 from .expansions import (SliceRep, TubeRep, _angular_rule, _extent, _slice_nodes,
-                         _table, sample_slice, sample_tube)
+                         sample_slice, sample_tube)
 from .geometry import AdsParams
-from .harmonics import AngularGrid, lm_count, lm_mirror, require_two_sphere
+from .harmonics import AngularGrid, lm_labels, lm_mirror, require_two_sphere
 from .modes import magic_frequency, norm_constant
 
 
-def _framed(c, js, l_max: int, mirror: bool = False):
-    """The (channel, j, lm) array and (j, lm) mask of the stored coefficients
-    c on the rows js and the packed lm up to l_max, zero (False) off c's
-    labels; mirrored, row -j and column (l, -m) hold c's entry at (j, l, m)."""
-    array = np.zeros((len(c.array), len(js), lm_count(l_max)), dtype=complex)
-    mask = np.zeros(array.shape[1:], dtype=bool)
-    rows = np.searchsorted(js, -c.js if mirror else c.js)[:, None]
-    lm = lm_mirror(c.l_max) if mirror else np.arange(c.mask.shape[1])
-    array[:, rows, lm], mask[rows, lm] = c.array, c.mask
-    return array, mask
+def _gather(c, j, lm) -> np.ndarray:
+    """The (channel, label) entries of the stored coefficients c at the
+    labels (j, packed lm): c's array where they fall inside it, zero where
+    they fall off its rows or degrees."""
+    if not len(c.js):
+        return np.zeros((len(c.array), len(j)), dtype=complex)
+    rows = np.minimum(c.js.searchsorted(j), len(c.js) - 1)
+    cols = np.minimum(lm, c.mask.shape[1] - 1)
+    return np.where((c.js[rows] == j) & (lm == cols), c.array[:, rows, cols], 0j)
+
+
+def _weighted_sum(j, lm, l_max: int, weight, terms) -> complex:
+    """np.sum of weight(j, l) terms over the labels (j, packed lm), sorted by
+    (j, lm) and unique, in that order; weight is called once, on the arrays
+    of the (j, l) blocks the labels fall in, in that order."""
+    if not len(j):
+        return terms.sum()
+    l = lm_labels(l_max)[0][lm]
+    first = np.empty(len(j), dtype=bool)
+    first[0], first[1:] = True, (j[1:] != j[:-1]) | (l[1:] != l[:-1])
+    w = np.asarray(weight(j[first], l[first]))[first.cumsum() - 1]
+    return (w * terms).sum()
 
 
 def _same_label_pairing(eta, zeta, weight) -> complex:
     """sum over the sorted labels of eta or zeta of weight(j, l) (conj(eta^-)
     zeta^+ - eta^+ conj(zeta^-)), weight called once, on the arrays of the
     (j, l) blocks holding a label."""
-    js = np.union1d(eta.coeffs.js, zeta.coeffs.js)
-    l_max = max(eta.coeffs.l_max, zeta.coeffs.l_max)
-    (ep, eq), e_mask = _framed(eta.coeffs, js, l_max)
-    (zp, zq), z_mask = _framed(zeta.coeffs, js, l_max)
-    held = e_mask | z_mask
-    w = _table(js, held, weight)
-    return np.sum((w * (eq * zp - ep * zq))[held])
+    e, z = eta.coeffs, zeta.coeffs
+    j, lm = (np.concatenate(pair) for pair in zip(e.entries()[:2], z.entries()[:2]))
+    order = np.lexsort((lm, j))
+    j, lm = j[order], lm[order]
+    new = np.empty(len(j), dtype=bool)
+    new[:1], new[1:] = True, (j[1:] != j[:-1]) | (lm[1:] != lm[:-1])
+    j, lm = j[new], lm[new]
+    (ep, eq), (zp, zq) = _gather(e, j, lm), _gather(z, j, lm)
+    return _weighted_sum(j, lm, max(e.l_max, z.l_max), weight, eq * zp - ep * zq)
 
 
 def _mirror_pairing(eta, zeta, weight) -> complex:
     """sum over eta's sorted labels of weight(k, l) (eta^a zeta^b - eta^b
     zeta^a), zeta at (-k, l, -m), weight called once, on the arrays of the
     (k, l) blocks holding a label of eta."""
-    js = np.union1d(eta.coeffs.js, -zeta.coeffs.js)
-    l_max = max(eta.coeffs.l_max, zeta.coeffs.l_max)
-    (ea, eb), held = _framed(eta.coeffs, js, l_max)
-    (za, zb), _ = _framed(zeta.coeffs, js, l_max, mirror=True)
-    w = _table(js, held, weight)
-    return np.sum((w * (ea * zb - eb * za))[held])
+    e, z = eta.coeffs, zeta.coeffs
+    j, lm, (ea, eb) = e.entries()
+    za, zb = _gather(z, -j, lm_mirror(e.l_max)[lm])
+    return _weighted_sum(j, lm, e.l_max, weight, ea * zb - eb * za)
 
 
 def _antisymmetrized(a, da, b, db) -> np.ndarray:

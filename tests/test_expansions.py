@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adskg import expansions as xp
@@ -838,6 +838,7 @@ def test_basis_change_stays_d_general():
 # --- pointwise synthesis against a per-label scalar sum -----------------------------
 
 _EPS = np.finfo(float).eps
+_UNDERFLOW = 8 * 2.0 ** -1074  # per term: 16 roundings of at most 2^-1075
 # sin^2 rho = 0.75 (the S cutoff) at pi/3, cos^2 rho = 0.75 (the C one) at pi/6
 _POINT_RHO = st.sampled_from([0.2, math.pi / 6 - 1e-9, math.pi / 6 + 1e-9, 0.8,
                               math.pi / 3 - 1e-9, math.pi / 3 + 1e-9, 1.3])
@@ -848,48 +849,78 @@ _LABEL = st.tuples(st.integers(-15, 15), st.integers(0, 6).flatmap(
 
 
 def _per_label_sums(rep, point, params):
-    """synth, synth_dt and synth_drho of a tube or rod rep as sums over its
-    labels and channels of c f Y d_omega e^{-i omega t} (times -i omega for
+    """synth, synth_dt and synth_drho as sums over a rep's labels and
+    channels of c f Y e^{-i omega t}, d_omega-weighted on a tube, the conj
+    channel of a slice at e^{i omega t} and Y_l^{-m} (times -+i omega for
     d/dt, f' for d/drho), the factors from scalar calls and their products
-    and sums in long double, and the sums of |terms|."""
+    and sums in long double; and the error each sum may carry, 4 eps
+    sum |terms| plus _UNDERFLOW per term times its factors past the
+    coefficient that exceed 1 (a product rounded in the subnormal range
+    takes an absolute error, which the factors applied after it scale)."""
     t, rho, theta, phi = point
-    basis = getattr(rep, "basis", "S")
-    kinds = {"S": (RadialKind.Sa, RadialKind.Sb), "C": (RadialKind.Ca, RadialKind.Cb)}[basis]
-    terms = []
-    for (k, l, m), coefs in rep.coeffs.items():
-        omega = rep.grid.omega(k)
-        factor = np.clongdouble(np.exp(-1j * omega * t)) * np.clongdouble(
-            sph_harm(l, m, theta, phi)) * np.longdouble(rep.grid.d_omega)
-        for kind, c in zip(kinds, np.atleast_1d(coefs).tolist()):
-            if c:
-                f, df = map(np.longdouble, radial_eval_fd(kind, omega, l, rho, params))
-                cf = np.clongdouble(c) * factor
-                terms.append((cf * f, np.clongdouble(-1j * omega) * cf * f, cf * df))
+    terms, tails = [], []
+
+    def add(c, factor, omega, f, df):
+        cf = np.clongdouble(c) * factor
+        terms.append((cf * f, np.clongdouble(-1j * omega) * cf * f, cf * df))
+        big = max(1.0, abs(factor)) * max(1.0, abs(omega))
+        tails.append([big * max(1.0, abs(x)) for x in (f, f, df)])
+
+    if isinstance(rep, SliceRep):
+        for (n, l, m), (cp, cq) in rep.coeffs.items():
+            omega = magic_frequency("plus", n, l, params)
+            f, df = map(np.longdouble, jacobi_radial_fd("plus", n, l, rho, params))
+            for c, w, y in ((cp, omega, sph_harm(l, m, theta, phi)),
+                            (cq, -omega, sph_harm(l, -m, theta, phi))):
+                if c:
+                    add(c, np.clongdouble(np.exp(-1j * w * t)) * np.clongdouble(y), w, f, df)
+    else:
+        basis = getattr(rep, "basis", "S")
+        kinds = {"S": (RadialKind.Sa, RadialKind.Sb), "C": (RadialKind.Ca, RadialKind.Cb)}[basis]
+        for (k, l, m), coefs in rep.coeffs.items():
+            omega = rep.grid.omega(k)
+            factor = np.clongdouble(np.exp(-1j * omega * t)) * np.clongdouble(
+                sph_harm(l, m, theta, phi)) * np.longdouble(rep.grid.d_omega)
+            for kind, c in zip(kinds, np.atleast_1d(coefs).tolist()):
+                if c:
+                    add(c, factor, omega, *map(np.longdouble, radial_eval_fd(
+                        kind, omega, l, rho, params)))
     terms = np.array(terms, dtype=np.clongdouble).reshape(-1, 3)
-    return terms.sum(axis=0), np.abs(terms).sum(axis=0)
+    tails = np.array(tails, dtype=np.longdouble).reshape(-1, 3)
+    return terms.sum(axis=0), 4.0 * _EPS * np.abs(terms).sum(axis=0) + _UNDERFLOW * tails.sum(
+        axis=0)
 
 
-@given(form=st.sampled_from(["S", "C", "rod"]), msq=st.sampled_from([0.0, -2.2, 1.5]),
+@given(form=st.sampled_from(["S", "C", "rod", "slice"]), msq=st.sampled_from([0.0, -2.2, 1.5]),
        d_omega=st.floats(0.3, 0.9), labels=st.lists(st.tuples(_LABEL, _COEF, _COEF),
                                                      min_size=1, max_size=30),
        point=st.tuples(st.floats(0.0, 6.3), _POINT_RHO | st.just(0.0),
                        st.floats(0.2, 2.9), st.floats(0.0, 6.3)))
+@example(form="S", msq=0.0, d_omega=0.5, labels=[((0, (0, 0)), 0j, 5e-324 + 0j)],
+         point=(0.0, 0.0, 1.0, 0.0))
 @settings(max_examples=60, deadline=None)
 def test_point_synthesis_is_the_per_label_scalar_sum(form, msq, d_omega, labels, point):
-    # Y contracted first, then the radial tables and phases per (k, l) block,
+    # Y contracted first, then the radial tables and phases per (j, l) block,
     # within 4 eps of the sum of |terms| of the per-label sum on the same
-    # radial values, Y and phases; rho = 0 (where S^b and the C-modes
-    # diverge) for the S^a-only rod
+    # radial values, Y and phases (and a few 2^-1074 per term, which a
+    # double cannot resolve: a 5e-324 coefficient synthesizes to 0 where
+    # the long-double sum reads 1.7e-323); rho = 0 (where S^b and the
+    # C-modes diverge) for the S^a-only rod and the Jacobi modes; a slice
+    # takes n = |k| mod 5
     params = make_params(3, 1.0, msq)
-    if form != "rod" and point[1] == 0.0:
+    if form not in ("rod", "slice") and point[1] == 0.0:
         point = (point[0], 0.2) + point[2:]
     coeffs = {(k, l, m): (a, b) for (k, (l, m)), a, b in labels}
     grid = OmegaGrid(d_omega, tuple(k for k, _, _ in coeffs))
-    rep = RodRep(grid, {key: a for key, (a, _) in coeffs.items()}) if form == "rod" \
-        else TubeRep(grid, coeffs, form)
-    want, scale = _per_label_sums(rep, point, params)
+    if form == "slice":
+        rep = SliceRep({(abs(k) % 5, l, m): ab for (k, l, m), ab in coeffs.items()})
+    elif form == "rod":
+        rep = RodRep(grid, {key: a for key, (a, _) in coeffs.items()})
+    else:
+        rep = TubeRep(grid, coeffs, form)
+    want, bound = _per_label_sums(rep, point, params)
     got = [fn(rep, point, params) for fn in (synth, synth_dt, synth_drho)]
-    assert np.all(np.abs(np.array(got) - want) <= 4.0 * _EPS * scale), (got, want, scale)
+    assert np.all(np.abs(np.array(got) - want) <= bound), (got, want, bound)
 
 
 # --- pointwise synthesis against the per-call set-up it replaced ---------------------
@@ -935,16 +966,20 @@ def _oracle_synth(rep, point, params, deriv=""):
     values (the channels together where their blocks agree) and phases."""
     t, rho, theta, phi = point
     if isinstance(rep, SliceRep):
-        rho = np.atleast_1d(rho)
-        frequency, radial = xp._jacobi(rho, params, deriv == "rho")
-        js, coef = rep.coeffs.js, rep.coeffs.array
-        omega = _oracle_table(js, np.ones(coef.shape[1:]), frequency)
-        plus = coef[0] * np.exp(-1j * omega * t)
-        minus = coef[1][:, lm_mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t)
-        coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
-        rows, l_need = _oracle_blocks(coefs)
-        rad = radial(js[rows], l_need) if rows.size else np.zeros((1, 0))
-        out = _oracle_ylm_sums(coefs, (theta, phi))[:, rows, l_need] @ rad.T
+        # per channel sum_m c Y per block, on the mirrored Y row for
+        # conj(phi^-), then the phases and radial values of the blocks
+        frequency, radial = xp._jacobi(np.atleast_1d(rho), params, deriv == "rho")
+        js, coef, mirror = rep.coeffs.js, rep.coeffs.array, lm_mirror(rep.coeffs.l_max)
+        rows, l_need = _oracle_blocks(coef)
+        if not rows.size:
+            return complex(0.0)
+        y = _oracle_ylm((theta, phi), np.stack([coef[0], coef[1][:, mirror]]))
+        plus, minus = np.add.reduceat(coef * np.stack([y, y[mirror]])[:, None], np.arange(
+            rep.coeffs.l_max + 1) ** 2, axis=-1)[:, rows, l_need]
+        omega = frequency(js[rows], l_need)
+        plus, minus = plus * np.exp(-1j * omega * t), minus * np.exp(1j * omega * t)
+        out = np.stack([plus + minus, -1j * omega * (plus - minus)]) @ radial(
+            js[rows], l_need).T
         return complex(out[int(deriv == "t"), 0])
     if isinstance(rep, RodRep):
         rep = rep.as_tube()

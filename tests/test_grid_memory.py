@@ -22,7 +22,8 @@ from adskg import expansions as xp
 from adskg.expansions import (OmegaGrid, SliceRep, TubeRep, invert_slice,
                               sample_slice, sample_tube)
 from adskg.geometry import make_params, radial_measure
-from adskg.harmonics import AngularGrid, _theta_table, lm_count, lm_degree, lm_mirror
+from adskg.harmonics import (AngularGrid, _theta_table, lm_count, lm_degree, lm_labels,
+                             lm_mirror)
 from adskg.memo import _REGISTRY
 from adskg.minkowski import MinkTubeRep, _mink_tube_sum, mink_omega_tube_quadrature
 from adskg.modes import norm_constant
@@ -78,7 +79,11 @@ def _peak(fn, *args) -> int:
 def _stacked_synthesize(ang, coef):
     """AngularGrid.synthesize as a take from a zero-padded copy and a product
     of the transposed theta sums with the phases."""
-    theta, _, phase, gather = _theta_table(ang.n_theta, ang.n_phi, lm_degree(coef.shape[-1] - 1))
+    l_max = lm_degree(coef.shape[-1] - 1)
+    theta, _, phase = _theta_table(ang.n_theta, ang.n_phi, l_max)
+    ls, ms = lm_labels(l_max)
+    gather = np.full((2 * l_max + 1, l_max + 1), ls.size)  # lm at [m + l_max, l]
+    gather[ms + l_max, ls] = np.arange(ls.size)
     flat = coef.reshape(-1, coef.shape[-1])
     padded = np.concatenate([flat, np.zeros((len(flat), 1), complex)], axis=1)
     part = np.take(padded.T, gather, axis=0)

@@ -165,13 +165,13 @@ def test_theta_table_holds_the_factors_of_y_on_the_grid():
     ang = AngularGrid(10, 20)
     entry = _theta_table(10, 20, 4)
     assert _theta_table(10, 20, 4) is entry
-    theta, weighted, phase, gather = entry
+    theta, weighted, phase = entry
     for arr in entry:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
     assert theta.shape == weighted.shape == (9, 10, 5) and weighted.dtype == np.longdouble
-    assert phase.shape == (9, 20) and gather.shape == (9, 5)
+    assert phase.shape == (9, 20)
     for m in range(-4, 5):
         ls = np.arange(abs(m), 5)
         column = sph_harm(ls[:, None], m, ang.theta, 0.0).real.T
@@ -179,9 +179,7 @@ def test_theta_table_holds_the_factors_of_y_on_the_grid():
         assert np.array_equal(weighted[m + 4, :, abs(m):], np.longdouble(ang.cos_weights)[:, None]
                               * ang.phi_weight * column)
         assert np.array_equal(phase[m + 4], np.exp(1j * m * ang.phi))
-        assert np.array_equal(gather[m + 4, abs(m):], lm_index(ls, m))
         assert not theta[m + 4, :, :abs(m)].any() and not weighted[m + 4, :, :abs(m)].any()
-        assert np.all(gather[m + 4, :abs(m)] == lm_count(4))
 
 
 def _table_synthesize(ang, coef):

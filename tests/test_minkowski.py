@@ -353,8 +353,8 @@ def test_flat_limit_nan_measurement_fails_its_check(monkeypatch):
     import adskg.minkowski as mink
     from adskg.verify import suite_minkowski
     jcheck_fine, apply_fine = mink.jcheck, mink.mink_killing_apply
-    monkeypatch.setattr(mink, "jcheck", lambda E, l, r, m: (
-        float("nan") if r == 3.0 else jcheck_fine(E, l, r, m)))
+    monkeypatch.setattr(mink, "jcheck", lambda E, l, r, m: np.where(
+        np.asarray(r) == 3.0, np.nan, jcheck_fine(E, l, r, m)))
     monkeypatch.setattr(mink, "mink_killing_apply", lambda name, *args, **kw: (
         float("nan") if name == "Tj" else apply_fine(name, *args, **kw)))
     passed = {c.name: c.passed for c in suite_minkowski()}

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adskg.errors import DomainError, SerializationError
+from adskg import expansions as xp
 from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep, load_rep,
                               save_rep, slice_to_tube)
 from adskg.geometry import BoostD1, make_params
@@ -172,6 +173,79 @@ def test_maps_store_the_frame_their_labels_span():
         assert list(out.coeffs.js) == list(rebuilt.js)
         assert out.coeffs.array.tobytes() == rebuilt.array.tobytes()
         assert out.coeffs.mask.tobytes() == rebuilt.mask.tobytes()
+
+
+# --- construction against the np.unique + np.add.at scatter it replaced ------------
+
+def _unique_scatter(j, lm, values):
+    """(js, array, mask, l_max) of the labels at (j, packed lm): np.unique of
+    j and np.add.at into zeros.  The oracle of `expansions._scatter`."""
+    js, rows = np.unique(j, return_inverse=True)
+    l_max = math.isqrt(int(np.max(lm, initial=0)))
+    array = np.zeros((len(values), len(js), (l_max + 1) ** 2), dtype=complex)
+    mask = np.zeros(array.shape[1:], dtype=bool)
+    np.add.at(array, (slice(None), rows, lm), values)
+    mask[rows, lm] = True
+    return js, array, mask, l_max
+
+
+def _dict_scatter(coeffs, channels, j_min):
+    """The oracle's arrays of a constructor's dict, or the ValueError text
+    naming its first label with l < 0, |m| > l or j < j_min."""
+    labels = list(coeffs)
+    keys = np.array(labels).reshape(-1, 3)
+    l, m = keys[:, 1:].astype(int).T
+    bad = (l < 0) | (m < -l) | (m > l) | (keys[:, 0] < j_min)
+    if np.any(bad):
+        rule = "l >= 0, |m| <= l" + (f", n >= {j_min}" if j_min >= 0 else "")
+        return f"invalid label {labels[int(np.argmax(bad))]}: need {rule}"
+    values = np.array([np.atleast_1d(v) for v in coeffs.values()], complex).reshape(-1, channels)
+    return _unique_scatter(keys[:, 0], l * (l + 1) + m, values.T)
+
+
+def _same_arrays(coeffs, want):
+    for got, ref in zip((coeffs.js, coeffs.array, coeffs.mask), want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert coeffs.l_max == want[3]
+
+
+_SIGNED = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                           -1.5, 0.25j, complex(5e-324, -0.0), 1e300 - 2j])
+
+
+@pytest.mark.parametrize("kind", sorted(_MAKERS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_construction_is_the_unique_scatter_bit_for_bit(kind, data):
+    # explicit zero labels kept, -0.0 stored as +0.0, and a bad label named
+    # in the same words
+    first, make = _MAKERS[kind]
+    keys = data.draw(st.lists(st.tuples(first, st.integers(-1, 4), st.integers(-5, 5)),
+                              max_size=20, unique=True))
+    coeffs = {key: (data.draw(_SIGNED), data.draw(_SIGNED)) for key in keys}
+    rod = kind == "rod"
+    want = _dict_scatter({k: v[0] for k, v in coeffs.items()} if rod else coeffs,
+                         1 if rod else 2, 0 if kind == "slice" else -math.inf)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            make(coeffs)
+        assert str(err.value) == want
+    else:
+        _same_arrays(make(coeffs).coeffs, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(labels=st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 8), _SIGNED, _SIGNED),
+                       max_size=30),
+       floats=st.booleans())
+def test_scatter_sums_repeated_labels_in_order(labels, floats):
+    # repeats are summed in input order; a float first label (a Minkowski
+    # momentum) sorts and repeats as the integer one, NaNs sharing one row
+    j = np.array([x[0] for x in labels], dtype=float if floats else int) * (0.5 if floats else 1)
+    j = np.where(j == 1.5, np.nan, j) if floats else j
+    lm = np.array([x[1] for x in labels], dtype=int)
+    values = np.array([x[2:] for x in labels], dtype=complex).reshape(-1, 2).T
+    _same_arrays(xp._scatter(j, lm, values), _unique_scatter(j, lm, values))
 
 
 # --- the rep-file reader against the per-line loop it replaced ----------------------

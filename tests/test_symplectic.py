@@ -4,11 +4,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adskg import expansions as xp
 from adskg.errors import BasisMismatch
-from adskg.expansions import OmegaGrid, SliceRep, TubeRep, s_to_c
+from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, s_to_c
 from adskg.geometry import make_params
-from adskg.harmonics import AngularGrid
+from adskg.harmonics import AngularGrid, lm_count, lm_mirror
 from adskg.minkowski import EnergyGrid, MinkSliceRep, MinkTubeRep
 from adskg.modes import _per_distinct, magic_frequency, norm_constant
 from adskg.symplectic import (_mirror_pairing, _same_label_pairing,
@@ -282,6 +285,101 @@ def test_pairings_weigh_only_held_labels():
     slice_b = SliceRep({(0, 1, -1): (0.0, 1.0), (1, 2, 0): (1.0, 0.0)})
     assert _same_label_pairing(slice_a, slice_b, weight) == 0.0
     assert calls == [[(0, 1), (1, 2), (2, 0)]]  # the labels of either rep
+
+
+# --- the pairings against the framed sums they replaced ----------------------------
+
+def _framed(c, js, l_max, mirror=False):
+    """c's (channel, j, lm) array and (j, lm) mask spread over the rows js
+    and the degrees up to l_max, zero (False) off c's; mirrored, row -j and
+    column (l, -m) hold c's entry at (j, l, m)."""
+    array = np.zeros((len(c.array), len(js), lm_count(l_max)), dtype=complex)
+    mask = np.zeros(array.shape[1:], dtype=bool)
+    rows = np.searchsorted(js, -c.js if mirror else c.js)[:, None]
+    lm = lm_mirror(c.l_max) if mirror else np.arange(c.mask.shape[1])
+    array[:, rows, lm], mask[rows, lm] = c.array, c.mask
+    return array, mask
+
+
+def _framed_same_label_pairing(eta, zeta, weight):
+    """The oracle of `_same_label_pairing`: both reps framed on the union of
+    their rows and degrees, summed over the labels either holds."""
+    js = np.union1d(eta.coeffs.js, zeta.coeffs.js)
+    l_max = max(eta.coeffs.l_max, zeta.coeffs.l_max)
+    (ep, eq), e_mask = _framed(eta.coeffs, js, l_max)
+    (zp, zq), z_mask = _framed(zeta.coeffs, js, l_max)
+    held = e_mask | z_mask
+    return np.sum((xp._table(js, held, weight) * (eq * zp - ep * zq))[held])
+
+
+def _framed_mirror_pairing(eta, zeta, weight):
+    """The oracle of `_mirror_pairing`: zeta framed mirrored on eta's frame."""
+    js = np.union1d(eta.coeffs.js, -zeta.coeffs.js)
+    l_max = max(eta.coeffs.l_max, zeta.coeffs.l_max)
+    (ea, eb), held = _framed(eta.coeffs, js, l_max)
+    (za, zb), _ = _framed(zeta.coeffs, js, l_max, mirror=True)
+    return np.sum((xp._table(js, held, weight) * (ea * zb - eb * za))[held])
+
+
+_P = make_params(3, 1.0, -0.7)
+_PAIRING_KINDS = {
+    # first label, the mirror of a label, the rep, the pairing and its weight
+    "slice": (st.integers(0, 4), lambda j, l, m: (j, l, -m), SliceRep, _same_label_pairing,
+              lambda n, l: 1j * magic_frequency("plus", n, l, _P)
+              * norm_constant("plus", n, l, _P)),
+    "mink_slice": (st.sampled_from([0.25, 0.5, 1.5, 3.75]), lambda j, l, m: (j, l, -m),
+                   lambda c: MinkSliceRep(c, 0.3), _same_label_pairing,
+                   lambda p, l: 1j * np.sqrt(p * p + 0.09)),
+    "tube": (st.integers(-5, 5), lambda j, l, m: (-j, l, -m),
+             lambda c: TubeRep(OmegaGrid(0.5, (1,)), c, "S"), _mirror_pairing,
+             lambda k, l: np.where(True, 2 * l + 1, 3.0)),
+    "rod": (st.integers(-5, 5), lambda j, l, m: (-j, l, -m),
+            lambda c: RodRep(OmegaGrid(0.5, (1,)), {k: a for k, (a, _) in c.items()}).as_tube(),
+            _mirror_pairing, lambda k, l: np.where(False, 2 * l + 1, 3.0)),
+    "mink_tube": (st.integers(-5, 5), lambda j, l, m: (-j, l, -m),
+                  lambda c: MinkTubeRep(EnergyGrid(0.5, (1,)), c, 0.3), _mirror_pairing,
+                  lambda k, l: np.sqrt(np.abs((0.5 * k) ** 2 - 0.09)) / (16.0 * math.pi)),
+}
+_PAIR_VALUE = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), -1.5, 0.25j,
+                               1e150 - 2j]) | st.complex_numbers(
+    max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIRING_KINDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pairings_are_the_framed_sums_bit_for_bit(kind, data):
+    # labels held by one rep or both, mirrored ones, explicit zeros, and
+    # -0.0 in and off the labels of a rep scaled by -1
+    first, mirror, make, pairing, weight = _PAIRING_KINDS[kind]
+    label = st.tuples(first, st.integers(0, 3)).flatmap(
+        lambda jl: st.tuples(st.just(jl[0]), st.just(jl[1]), st.integers(-jl[1], jl[1])))
+    value = st.tuples(_PAIR_VALUE, _PAIR_VALUE)
+    eta = data.draw(st.dictionaries(label, value, max_size=12))
+    zeta = data.draw(st.dictionaries(label, value, max_size=12))
+    for key in eta:
+        for other in data.draw(st.sets(st.sampled_from([key, mirror(*key)]))):
+            zeta[other] = data.draw(value)
+    reps = [make(c) for c in (eta, zeta)]
+    reps = [rep._with(-rep.coeffs.array) if data.draw(st.booleans()) else rep for rep in reps]
+    oracle = {_same_label_pairing: _framed_same_label_pairing,
+              _mirror_pairing: _framed_mirror_pairing}[pairing]
+    for e, z in (reps, reps[::-1]):
+        got, want = pairing(e, z, weight), oracle(e, z, weight)
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_pairings_are_the_framed_sums_on_larger_reps(rng):
+    # 30-40 labels per rep, shared, mirrored and explicit zero ones: the
+    # summation order shows in the last bits
+    for _ in range(3):
+        for pairing, _, eta, zeta, weight in _pairing_cases(rng):
+            oracle = {_same_label_pairing: _framed_same_label_pairing,
+                      _mirror_pairing: _framed_mirror_pairing}[pairing]
+            per_block = partial(_per_distinct, weight)
+            for e, z in ((eta, zeta), (zeta, eta)):
+                assert np.asarray(pairing(e, z, per_block)).tobytes() \
+                    == np.asarray(oracle(e, z, per_block)).tobytes()
 
 
 @pytest.mark.parametrize("basis", ["S", "C"])
