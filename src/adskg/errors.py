@@ -66,10 +66,6 @@ class MagicFrequencyBlind(AdskgError):
     """Rod boundary data cannot see a label at a magic frequency (m12 = 0)."""
 
 
-class IntegerNu(AdskgError):
-    """Twisted-derivative boundary limit degenerates at integer nu."""
-
-
 class UnsupportedDimension(AdskgError):
     """Angular machinery only implemented for d = 3."""
 

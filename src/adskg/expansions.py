@@ -52,10 +52,10 @@ from itertools import chain
 import numpy as np
 from scipy.special import factorial, poch
 
-from .errors import (BandLimitExceeded, BasisMismatch, CapabilityError,
-                     ConvergenceError, DomainError, IntegerNu,
-                     MagicFrequencyBlind, RadialNodeError, SerializationError)
-from .geometry import AdsParams, make_params, radial_measure
+from .errors import (BandLimitExceeded, BasisMismatch, ConvergenceError,
+                     DomainError, MagicFrequencyBlind, RadialNodeError,
+                     SerializationError)
+from .geometry import AdsParams, make_params, radial_measure, require_c_modes
 from .harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labels,
                         lm_mirror, require_two_sphere, ylm_point)
 from .modes import (RadialKind, _transfer_entries, hyper_params, jacobi_radial_fd,
@@ -169,16 +169,16 @@ class _Coeffs(Mapping):
         return self._plan["groups"]
 
     @classmethod
-    def of(cls, coeffs, channels: int, j_min: float) -> "_Coeffs":
-        """Store {(j, l, m): values}; ValueError on a label with l < 0,
-        |m| > l or j < j_min."""
+    def of(cls, coeffs, channels: int, j_min: float, whole_j: bool) -> "_Coeffs":
+        """Store {(j, l, m): values}; ValueError on a label `_packed_lm`
+        refuses."""
         if isinstance(coeffs, cls) and len(coeffs.array) == channels:
             return coeffs
         labels = list(coeffs)
         keys = np.array(labels).reshape(-1, 3)
         values = np.fromiter(coeffs.values() if channels == 1 else chain.from_iterable(
             coeffs.values()), complex, channels * len(labels))
-        return _scatter(keys[:, 0], _packed_lm(keys, j_min, labels),
+        return _scatter(keys[:, 0], _packed_lm(keys, j_min, labels, whole_j),
                         values.reshape(-1, channels).T)
 
     def entries(self):
@@ -196,18 +196,28 @@ class _Coeffs(Mapping):
         return type(self), (self.js, self.array, self.mask)
 
 
-def _packed_lm(keys: np.ndarray, j_min: float, labels=None) -> np.ndarray:
+def _packed_lm(keys: np.ndarray, j_min: float, labels=None,
+               whole_j: bool = True) -> np.ndarray:
     """Packed lm of the (j, l, m) rows of keys; ValueError naming the first
-    label (its row of keys, or its entry of `labels`) with l < 0, |m| > l or
-    j < j_min."""
-    l, m = keys[:, 1:].astype(int).T
-    bad = (l < 0) | (m < -l) | (m > l) | (keys[:, 0] < j_min)
+    label (its row of keys, or its entry of `labels`) with l or m not an
+    integer, j not finite (nor an integer if whole_j), l < 0, |m| > l or
+    j < j_min.  Integer-valued floats count as integers."""
+    j, l, m = keys.T
+    form = np.ones(len(keys), dtype=bool)
+    if keys.dtype.kind not in "iu":  # an integer array holds finite integers only
+        whole = np.isfinite(keys) & (keys == np.floor(keys))
+        form = whole[:, 1:].all(axis=1) & (whole[:, 0] if whole_j else np.isfinite(j))
+    bad = ~form | (l < 0) | (m < -l) | (m > l) | (j < j_min)
     if bad.any():
         i = bad.argmax()
-        rule = "l >= 0, |m| <= l" + (f", n >= {j_min}" if j_min >= 0 else "")
+        if form[i]:
+            rule = "l >= 0, |m| <= l" + (f", n >= {j_min}" if j_min >= 0 else "")
+        else:
+            rule = ("an integer first label, l and m" if whole_j
+                    else "a finite first label, integer l and m")
         label = tuple(keys[i].tolist()) if labels is None else labels[i]
         raise ValueError(f"invalid label {label}: need {rule}")
-    return lm_index(l, m)
+    return lm_index(l.astype(int), m.astype(int))
 
 
 def _scatter(j, lm, values) -> _Coeffs:
@@ -237,10 +247,11 @@ class _Labelled:
 
     _absent, _channels = (0.0 + 0.0j, 0.0 + 0.0j), 2
     _j_min = -math.inf  # smallest admissible first label (radial order n >= 0)
+    _whole_j = True     # first labels integers (frequency index k or order n)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _Coeffs.of(
-            self.coeffs, self._channels, self._j_min))
+            self.coeffs, self._channels, self._j_min, self._whole_j))
 
     def labels(self):
         return list(self.coeffs)
@@ -778,9 +789,8 @@ def taylor_coeffs(branch: str, omega: float, l: int, params: AdsParams,
 def twisted_boundary_limit(kind: RadialKind, params: AdsParams) -> float:
     """Boundary value of the twisted derivative of the C-modes:
     ((2 nu - 2 floor(nu)))_{floor(nu)+1} for C^a and 0 for C^b."""
+    require_c_modes(params)
     nu = params.nu
-    if not params.c_modes_valid:
-        raise IntegerNu(f"twisted boundary limit degenerates at nu = {nu}")
     if kind is RadialKind.Cb:
         return 0.0
     if kind is RadialKind.Ca:
@@ -802,8 +812,6 @@ def twisted_derivative(kind: RadialKind, omega: float, l: int, rho: float,
     exceeds REL_TOL times the sum.
     """
     nu = params.nu
-    if not params.c_modes_valid:
-        raise IntegerNu(f"twisted derivative degenerates at nu = {nu}")
     if kind not in (RadialKind.Ca, RadialKind.Cb):
         raise ValueError("twisted derivative defined for C-modes only")
     plus = kind is RadialKind.Ca
@@ -852,8 +860,6 @@ def boundary_reconstruct(data: BoundaryData, params: AdsParams,
     """Recover the C-basis momentum representation from boundary data:
     phi^{C,a} from the twisted-derivative channel (divided by the C^a
     boundary limit), phi^{C,b} from the rescaled field value."""
-    if not params.c_modes_valid:
-        raise CapabilityError("boundary reconstruction needs noninteger nu")
     require_two_sphere(params.d)
     lam = twisted_boundary_limit(RadialKind.Ca, params)
     grid = data.grid

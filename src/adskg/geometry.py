@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import (BfViolation, BoundaryProximity, DomainError,
-                     EvenDimension, WindowError)
+from .errors import (BfViolation, BoundaryProximity, CapabilityError,
+                     DomainError, EvenDimension, WindowError)
 from .memo import memo
 
 _NU_INTEGER_TOL = 1e-9
@@ -59,6 +59,14 @@ class AdsParams:
     def exceptional_range(self) -> bool:
         """nu in (0, 1): the only range where minus-branch Jacobi modes exist."""
         return 0.0 < self.nu < 1.0
+
+
+def require_c_modes(params: AdsParams, what: str = "C-modes") -> None:
+    """CapabilityError unless nu is noninteger: the one rule every C-mode
+    quantity (the C kinds, the transfer matrix, the twisted boundary
+    limit) is formed under; integer nu is a case of its own."""
+    if not params.c_modes_valid:
+        raise CapabilityError(f"{what} undefined at (near-)integer nu = {params.nu}")
 
 
 def make_params(d: int, R: float, m_sq: float) -> AdsParams:

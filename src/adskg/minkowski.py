@@ -56,10 +56,12 @@ class MinkTubeRep(_Labelled):
 
 @dataclass(frozen=True)
 class MinkSliceRep(_Labelled):
-    """Point-supported slice rep: (p, l, m) -> (phi_plus, phi_minus_conj)."""
+    """Point-supported slice rep: (p, l, m) -> (phi_plus, phi_minus_conj),
+    the radial momentum p any finite real."""
 
     coeffs: dict
     m_field: float = 0.0
+    _whole_j = False
 
 
 # ---------------------------------------------------------------------------
@@ -73,47 +75,52 @@ def _momentum(E, m_field: float):
     return np.sqrt(np.abs(E * E - m_field * m_field))
 
 
-def _check(kind: str, E, l, r, m_field: float, dr: bool = False):
-    """jcheck (kind "J") or ncheck ("N") at r, or its d/dr if dr, over
-    broadcast E, l and r: the spherical Bessel function of p r where
-    D = E^2 - m^2 >= 0, its evanescent continuation where D < 0, one scipy
-    call per branch.  ncheck needs r > 0 and D != 0 at every element."""
+def _check(kinds: str, E, l, r, m_field: float, dr: bool = False):
+    """jcheck ("J") and ncheck ("N") at r, or their d/dr if dr, for each
+    character of kinds over broadcast E, l and r: shape (len(kinds),) + the
+    broadcast shape.  The spherical Bessel function of p r where
+    D = E^2 - m^2 >= 0, its evanescent continuation where D < 0: one scipy
+    call per branch and kind, the i_l of that continuation shared by both
+    kinds.  ncheck needs r > 0 and D != 0 at every element."""
     E = np.asarray(E, float)
     d_disc, p = E * E - m_field * m_field, _momentum(E, m_field)
-    if kind == "N" and (np.asarray(r) <= 0.0).any():
+    if "N" in kinds and (np.asarray(r) <= 0.0).any():
         raise DomainError("ncheck needs r > 0")
-    if kind == "N" and (d_disc == 0.0).any():
+    if "N" in kinds and (d_disc == 0.0).any():
         raise DomainError("ncheck diverges at the threshold |E| = m")
     l, x, ev = np.broadcast_arrays(l, p * r, d_disc < 0.0)
-    out, prop = np.empty(x.shape), ~ev
+    out, prop = np.empty((len(kinds),) + x.shape), ~ev
     if prop.any():
-        out[prop] = (spherical_bessel_dx if dr else spherical_bessel)(kind, l[prop], x[prop])
+        for i, kind in enumerate(kinds):
+            out[i, prop] = (spherical_bessel_dx if dr else spherical_bessel)(
+                kind, l[prop], x[prop])
     if ev.any():
         l, x = l[ev], x[ev]
-        out[ev] = spherical_in(l, x, dr) if kind == "J" else (
-            np.where(l % 2 == 1, 1.0, -1.0) * spherical_in(l, x, dr)
-            - 2.0 / math.pi * spherical_kn(l, x, dr))
-    return (p * out if dr else out)[()]
+        i_l = spherical_in(l, x, dr)
+        for i, kind in enumerate(kinds):
+            out[i, ev] = i_l if kind == "J" else (np.where(l % 2 == 1, 1.0, -1.0) * i_l
+                                                  - 2.0 / math.pi * spherical_kn(l, x, dr))
+    return p * out if dr else out
 
 
 def jcheck(E, l, r, m_field: float):
     """Radial tube function: j_l(p r) on the propagating branch
     (D = E^2 - m^2 >= 0), i^{-l} j_l(i p r) on the evanescent branch; E, l
     and r broadcast."""
-    return _check("J", E, l, r, m_field)
+    return _check("J", E, l, r, m_field)[0][()]
 
 
 def ncheck(E, l, r, m_field: float):
     """Radial tube function: n_l(p r) / i^{l+1} n_l(i p r); r > 0."""
-    return _check("N", E, l, r, m_field)
+    return _check("N", E, l, r, m_field)[0][()]
 
 
 def jcheck_dr(E, l, r, m_field: float):
-    return _check("J", E, l, r, m_field, True)
+    return _check("J", E, l, r, m_field, True)[0][()]
 
 
 def ncheck_dr(E, l, r, m_field: float):
-    return _check("N", E, l, r, m_field, True)
+    return _check("N", E, l, r, m_field, True)[0][()]
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +141,15 @@ def mink_synth_slice(rep: MinkSliceRep, point) -> complex:
 def _mink_tube_sum(rep: MinkTubeRep, t, where, r: float) -> np.ndarray:
     """`expansions._tube_sum` with (S^a, S^b) -> (p_E / 4 pi)(jcheck, ncheck)
     at r: the field and its d/dr at the times t and the angular points
-    `where`; one `_check` call per channel and d/dr over the (E, l) blocks."""
+    `where`; one `_check` call per d/dr over the channels and (E, l) blocks."""
     m_f = rep.m_field
 
     def radial(chs, energy, l):
-        checks = np.array([[_check("JN"[ch], energy, l, r, m_f, dr) for dr in (False, True)]
-                           for ch in chs])
+        kinds = "".join("JN"[ch] for ch in chs)
+        checks = np.array([_check(kinds, energy, l, r, m_f, dr) for dr in (False, True)])
         # block-major in memory: the point contraction's BLAS product gives
         # the per-(E, l) tabulation's bits on this layout only
-        table = np.ascontiguousarray(checks.transpose(2, 0, 1))
+        table = np.ascontiguousarray(checks.transpose(2, 1, 0))
         return (table * (_momentum(energy, m_f) / (4.0 * math.pi))[:, None, None]
                 ).transpose(1, 2, 0)
 

@@ -40,9 +40,8 @@ from itertools import repeat
 import numpy as np
 from scipy.special import gammaln, gammasgn
 
-from .errors import (CapabilityError, DomainError, ExceptionalBranch,
-                     SingularPoint)
-from .geometry import AdsParams
+from .errors import DomainError, ExceptionalBranch, SingularPoint
+from .geometry import AdsParams, require_c_modes
 from .harmonics import require_two_sphere, sph_harm
 from .memo import Memo, key, memo
 from .specfun import (ARG_CUTOFF, hyp2f1, hyp2f1_dx, hyp2f1_terminates,
@@ -56,6 +55,16 @@ class RadialKind(Enum):
     Cb = "cb"
 
 
+def _integer_fields(label, *names) -> None:
+    """Store the named fields of a frozen label as ints; IndexError naming
+    the first that is not integer-valued."""
+    for name in names:
+        value = getattr(label, name)
+        if not float(value).is_integer():
+            raise IndexError(f"need integers {', '.join(names)}, got {name} = {value!r}")
+        object.__setattr__(label, name, int(value))
+
+
 @dataclass(frozen=True)
 class TubeLabel:
     omega: float
@@ -63,6 +72,7 @@ class TubeLabel:
     m: int
 
     def __post_init__(self):
+        _integer_fields(self, "l", "m")
         if self.l < 0 or abs(self.m) > self.l:
             raise IndexError("need l >= 0 and |m| <= l")
 
@@ -75,6 +85,7 @@ class SliceLabel:
     branch: str = "plus"
 
     def __post_init__(self):
+        _integer_fields(self, "n", "l", "m")
         if self.n < 0 or self.l < 0 or abs(self.m) > self.l:
             raise IndexError("need n, l >= 0 and |m| <= l")
         if self.branch not in ("plus", "minus"):
@@ -110,9 +121,7 @@ def hyper_params(kind: RadialKind, omega: float, l: int,
         return al, be, ga
     if kind is RadialKind.Sb:
         return al - ga + 1.0, be - ga + 1.0, 2.0 - ga
-    if not params.c_modes_valid:
-        raise CapabilityError(
-            f"C-modes undefined at (near-)integer nu = {params.nu}")
+    require_c_modes(params)
     if kind is RadialKind.Ca:
         return al, be, gc
     return al - gc + 1.0, be - gc + 1.0, 2.0 - gc
@@ -200,9 +209,7 @@ def _transfer_entries(omega, l, params: AdsParams, inverse: bool) -> np.ndarray:
     invariant under that map).  Each entry is its sign times exp of a sum
     of log|G|, so nothing overflows, and exactly 0 at a pole of a
     denominator G."""
-    if not params.c_modes_valid:
-        raise CapabilityError(
-            f"transfer matrix undefined at (near-)integer nu = {params.nu}")
+    require_c_modes(params, "transfer matrix")
     al, be, ga = hyper_params(RadialKind.Sa, omega, l, params)
     g = np.array([ga, ga, 2.0 - ga, 2.0 - ga])
     den = np.array([[ga - al, al, 1.0 - al, al - ga + 1.0],
@@ -270,13 +277,11 @@ def _radial_direct_array(codes, l, rho, s, c, abc, params: AdsParams):
     return pre * f_val, dpre * f_val + pre * df_val
 
 
-def _check_axis(kind: RadialKind, params: AdsParams) -> None:
+def _check_axis(kind: RadialKind) -> None:
     """Raise for a kind that is singular on the time axis rho = 0."""
     if kind is RadialKind.Sb:
         raise SingularPoint("S^b diverges on the time axis")
     if kind in (RadialKind.Ca, RadialKind.Cb):
-        if not params.c_modes_valid:
-            raise CapabilityError("C-modes need noninteger nu")
         raise SingularPoint("C-modes diverge on the time axis")
 
 
@@ -322,9 +327,7 @@ def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
     axis = rho == 0.0
     if axis.any():
         for kind in kinds:
-            _check_axis(kind, params)
-    if not (on_sin or params.c_modes_valid):
-        raise CapabilityError(f"C-modes undefined at (near-)integer nu = {params.nu}")
+            _check_axis(kind)
     pair = [2, 3] if on_sin else [0, 1]
     abc = _hyper_rows(omega, l, params)
     ab = abc[codes, :2]
@@ -405,6 +408,8 @@ def radial_eval_fd(kind, omega, l, rho, params: AdsParams):
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if len({k in (RadialKind.Sa, RadialKind.Sb) for k in kinds}) != 1:
         raise ValueError(f"radial kinds {kinds} are not of one basis")
+    if kinds[0] in (RadialKind.Ca, RadialKind.Cb):
+        require_c_modes(params)
     if any(isinstance(v, np.ndarray) for v in (omega, l, rho)):
         tables = _radial_table(kinds, *map(np.asarray, (omega, l, rho)), params)
     else:
@@ -424,7 +429,7 @@ def _radial_eval_fd_scalar(kinds: tuple, omega: float, l: int, rho: float,
         raise DomainError("rho must lie in [0, pi/2)")
     if rho == 0.0:
         for kind in kinds:
-            _check_axis(kind, params)
+            _check_axis(kind)
         return dict.fromkeys(kinds, (1.0, 0.0) if l == 0 else (0.0, 1.0 if l == 1 else 0.0))
     out = {kind: _radial_direct(kind, omega, l, rho, params)
            for kind in kinds if _direct_ok(kind, omega, l, rho, params)}

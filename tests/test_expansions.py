@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from adskg import expansions as xp
 from adskg import modes
-from adskg.errors import (BandLimitExceeded, ConvergenceError, DomainError,
-                          IntegerNu, MagicFrequencyBlind, RadialNodeError,
+from adskg.errors import (BandLimitExceeded, CapabilityError, ConvergenceError,
+                          DomainError, MagicFrequencyBlind, RadialNodeError,
                           SerializationError, SingularPoint,
                           UnsupportedDimension)
 from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep,
@@ -438,7 +438,7 @@ def test_twisted_boundary_limit_various_nu():
 
 def test_twisted_integer_nu_rejected():
     p = make_params(3, 1.0, 4.0 - 2.25)  # nu = 2
-    with pytest.raises(IntegerNu):
+    with pytest.raises(CapabilityError):
         twisted_boundary_limit(RadialKind.Ca, p)
 
 

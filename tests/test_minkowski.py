@@ -462,3 +462,23 @@ def test_mink_tube_point_synthesis_is_the_per_key_tabulation_bit_for_bit(rng):
             got = [mink_synth_tube(rep, (t, r, theta, phi)),
                    mink_synth_tube_dr(rep, (t, r, theta, phi))]
             assert np.array(got).tobytes() == want[:, 0].tobytes()
+
+
+def test_evanescent_i_l_is_shared_by_jcheck_and_ncheck(monkeypatch):
+    # the verify suite's tube quadrature forms jcheck and ncheck together:
+    # one spherical_in call per evanescent (E, l) table and d/dr, as many
+    # as spherical_kn calls, where each kind once made its own
+    import adskg.minkowski as mk
+    from adskg.verify import run_suite
+    calls = {"in": 0, "kn": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(mk, "spherical_in", counted("in", mk.spherical_in))
+    monkeypatch.setattr(mk, "spherical_kn", counted("kn", mk.spherical_kn))
+    assert all(check.passed for check in run_suite("minkowski"))
+    assert calls == {"in": 8, "kn": 8}

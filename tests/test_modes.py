@@ -45,6 +45,24 @@ def test_hyper_params_integer_nu_capability():
     hyper_params(RadialKind.Sa, 1.0, 0, p)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TubeLabel(2.0, 1.5, 0), lambda: TubeLabel(2.0, 1, 0.5),
+    lambda: TubeLabel(2.0, math.nan, 0), lambda: SliceLabel(1.5, 1, 0),
+    lambda: SliceLabel(1, 2.5, 0), lambda: SliceLabel(1, 2, -0.5),
+    lambda: SliceLabel(math.inf, 2, 0)])
+def test_mode_labels_reject_non_integers(make):
+    # TubeLabel(2.0, 1.5, 0) reached mode_eval and ended in a bare TypeError
+    with pytest.raises(IndexError, match="need integers"):
+        make()
+
+
+def test_mode_labels_take_integer_valued_floats(params_m0):
+    point = (0.1, 0.7, 1.0, 2.0)
+    assert mode_eval(TubeLabel(2.0, 1.0, -1.0), point, params_m0) \
+        == mode_eval(TubeLabel(2.0, 1, -1), point, params_m0)
+    assert SliceLabel(2.0, 1.0, 0.0) == SliceLabel(2, 1, 0)
+
+
 # --- radial evaluation -----------------------------------------------------------
 
 def test_radial_axis_values(params_m0):

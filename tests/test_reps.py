@@ -120,6 +120,36 @@ def test_tube_labels_may_have_negative_frequency_index():
     assert rep.labels() == [(-6, 0, 0)]
 
 
+_ONE = OmegaGrid(0.5, (1,))
+
+
+@pytest.mark.parametrize("make, bad, rule", [
+    # l and m were read through astype(int): (1, 1.5, 0.7) was stored as (1.0, 1, 0)
+    (lambda c: TubeRep(_ONE, c, "S"), (1, 1.5, 0.7), "an integer first label, l and m"),
+    (lambda c: TubeRep(_ONE, c, "S"), (1, 2, math.inf), "an integer first label, l and m"),
+    # first labels that failed only later, in synth
+    (SliceRep, (1.5, 0, 0), "an integer first label, l and m"),
+    (lambda c: TubeRep(_ONE, c, "S"), (math.nan, 1, 0), "an integer first label, l and m"),
+    (lambda c: TubeRep(_ONE, c, "S"), (2.5, 1, 0), "an integer first label, l and m"),
+    (lambda c: RodRep(_ONE, {k: v[0] for k, v in c.items()}), (math.inf, 0, 0),
+     "an integer first label, l and m"),
+    (lambda c: MinkTubeRep(_ONE, c, 0.3), (0.5, 1, 0), "an integer first label, l and m"),
+    (lambda c: MinkSliceRep(c, 0.3), (math.nan, 1, 0), "a finite first label, integer l and m"),
+    (lambda c: MinkSliceRep(c, 0.3), (-math.inf, 1, 0), "a finite first label, integer l and m"),
+    (lambda c: MinkSliceRep(c, 0.3), (0.5, 1.5, 0), "a finite first label, integer l and m"),
+])
+def test_constructors_reject_non_integer_and_non_finite_labels(make, bad, rule):
+    with pytest.raises(ValueError) as err:
+        make({(1, 0, 0): (1.0, 0.5j), bad: (1.0, 0.0)})
+    assert str(err.value) == f"invalid label {bad}: need {rule}"
+
+
+def test_integer_valued_float_labels_and_real_momenta_are_accepted():
+    assert TubeRep(_ONE, {(2.0, 1.0, -1.0): (1.0, 0.0)}, "S").labels() == [(2.0, 1, -1)]
+    assert SliceRep({(1.0, 2, 0): (1.0, 0.0)}).labels() == [(1.0, 2, 0)]
+    assert MinkSliceRep({(0.75, 1, 0): (1.0, 0.0)}, 0.3).labels() == [(0.75, 1, 0)]
+
+
 _HEAD = "adskg-rep v1 d=3 R=1.0 msq=0.0 domega={}\n"
 
 
