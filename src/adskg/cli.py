@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import asdict
 from functools import cache
-from itertools import chain
+from itertools import chain, repeat
 
 try:
     import resource
@@ -90,14 +90,15 @@ def cmd_eval(args) -> int:
     pr = (np.array([np.exp(-1j * om * t) for t in ts])[:, None] * rads).reshape(-1, 1)
     re = (pr.real * ys.real - pr.imag * ys.imag).ravel().tolist()
     im = (pr.real * ys.imag + pr.imag * ys.real).ravel().tolist()
-    # each distinct coordinate formatted once, the row heads joined from them
+    # each distinct coordinate formatted once, each row joined from its pieces
     angles = [f"{theta!r},{phi!r}," for theta in args.theta.tolist()
               for phi in args.phi.tolist()]
     points = [f"{t!r},{rho!r}," for t in ts for rho in args.rho.tolist()]
     heads = (point + angle for point in points for angle in angles)
-    rows = tuple(chain.from_iterable(zip(heads, re, im)))
+    rows = chain.from_iterable(zip(heads, map(repr, re), repeat(","), map(repr, im),
+                                   repeat("\n")))
     out = (f"# adskg v1 eval d={args.d} R={args.R!r} msq={args.msq!r}\n"
-           "t,rho,theta,phi,re,im\n" + ("%s%r,%r\n" * len(re)) % rows)
+           "t,rho,theta,phi,re,im\n" + "".join(rows))
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(out)

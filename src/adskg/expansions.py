@@ -58,6 +58,7 @@ from .errors import (BandLimitExceeded, BasisMismatch, ConvergenceError,
 from .geometry import AdsParams, make_params, radial_measure, require_c_modes
 from .harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labels,
                         lm_mirror, require_two_sphere, ylm_point)
+from .memo import key
 from .modes import (RadialKind, _transfer_entries, hyper_params, jacobi_radial_fd,
                     magic_frequency, norm_constant, radial_eval_fd)
 from .specfun import REL_TOL, double_pochhammer
@@ -197,24 +198,29 @@ class _Coeffs(Mapping):
 
 
 def _packed_lm(keys: np.ndarray, j_min: float, labels=None,
-               whole_j: bool = True) -> np.ndarray:
+               whole_j: bool = True, limit: float = 2 ** 31 - 1) -> np.ndarray:
     """Packed lm of the (j, l, m) rows of keys; ValueError naming the first
     label (its row of keys, or its entry of `labels`) with l or m not an
-    integer, j not finite (nor an integer if whole_j), l < 0, |m| > l or
-    j < j_min.  Integer-valued floats count as integers."""
+    integer, j not finite (nor an integer if whole_j), l < 0, |m| > l,
+    j < j_min, or an integer label past `limit` (so that l (l + 1) + m and
+    every cast fit int64).  Integer-valued floats count as integers."""
     j, l, m = keys.T
     form = np.ones(len(keys), dtype=bool)
     if keys.dtype.kind not in "iu":  # an integer array holds finite integers only
         whole = np.isfinite(keys) & (keys == np.floor(keys))
         form = whole[:, 1:].all(axis=1) & (whole[:, 0] if whole_j else np.isfinite(j))
-    bad = ~form | (l < 0) | (m < -l) | (m > l) | (j < j_min)
+    ranged = (l >= 0) & (m >= -l) & (m <= l) & (j >= j_min)
+    ints = keys[:, int(not whole_j):]
+    bad = ~(form & ranged & ((ints >= -limit) & (ints <= limit)).all(axis=1))
     if bad.any():
         i = bad.argmax()
-        if form[i]:
-            rule = "l >= 0, |m| <= l" + (f", n >= {j_min}" if j_min >= 0 else "")
-        else:
+        if not form[i]:
             rule = ("an integer first label, l and m" if whole_j
                     else "a finite first label, integer l and m")
+        elif not ranged[i]:
+            rule = "l >= 0, |m| <= l" + (f", n >= {j_min}" if j_min >= 0 else "")
+        else:
+            rule = ("a first label, " if whole_j else "") + f"l and m of magnitude at most {limit}"
         label = tuple(keys[i].tolist()) if labels is None else labels[i]
         raise ValueError(f"invalid label {label}: need {rule}")
     return lm_index(l.astype(int), m.astype(int))
@@ -400,21 +406,21 @@ def _time_project(samples: np.ndarray, grid: OmegaGrid) -> np.ndarray:
     return coef[np.array(grid.indices) % n_t]
 
 
-def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
+def _tube_sum(rep, t, where, radial, with_dt: bool = False) -> np.ndarray:
     """d_omega sum (a f_a + b f_b)(k, l) e^{-i omega_k t} Y_lm and the same
-    sum over (g_a, g_b), at the times t and the angular points `where`, or
-    their d/dt; shape (2, t, ...).  radial(channels, omega, l) is (f, g) for
-    each channel of the tuple (0 for a, 1 for b), shape (channels, 2,
-    blocks).  It is called once for all the channels the rep holds (a rod
-    holds a only) when their block plans are equal, on the arrays of the
-    (k, l) of that plan, and otherwise once per channel on its own plan, so
-    no channel is evaluated where it holds nothing.  On a grid the radial
-    values are folded into the coefficients; at a point (theta, phi) the Y
-    row is contracted first, sum_m c Y per (k, l) block, and the radial
-    values and phases are applied to the blocks."""
+    sum over (g_a, g_b), at the times t and the angular points `where`;
+    shape (2, t, ...), or (2, 2, t) with each sum's d/dt second at a point
+    if with_dt.  radial(channels, omega, l) is (f, g) for each channel of
+    the tuple (0 for a, 1 for b), shape (channels, 2, blocks).  It is called
+    once for all the channels the rep holds (a rod holds a only) when their
+    block plans are equal, on the arrays of the (k, l) of that plan, and
+    otherwise once per channel on its own plan, so no channel is evaluated
+    where it holds nothing.  On a grid the radial values are folded into
+    the coefficients; at a point (theta, phi) the Y row is contracted
+    first, sum_m c Y per (k, l) block, then the radial values and phases."""
     c, d_omega = rep.coeffs, rep.grid.d_omega
 
-    def kern(omega):  # the phases d_omega e^{-i omega t}, or their d/dt: (t, omega)
+    def kern(omega, dt=False):  # the phases d_omega e^{-i omega t}, or their d/dt: (t, omega)
         phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(t), omega))
         return d_omega * (-1j * omega * phase if dt else phase)
 
@@ -425,13 +431,14 @@ def _tube_sum(rep, t, where, radial, dt: bool = False) -> np.ndarray:
         return where.synthesize(np.einsum("sj,...ji->...si", kern(
             d_omega * np.asarray(c.js, dtype=float)), fold))
     sums = _ylm_sums(c.array, ylm_point(c.l_max, c.orders(), *where))
-    out = np.zeros((2, np.size(t)), dtype=complex)
+    out = np.zeros((2, 1 + with_dt, np.size(t)), dtype=complex)
     for chs, (rows, l_need, _) in c.groups():
         if rows.size:
             omega = c.js[rows] * d_omega
             part = sums[np.array(chs)[:, None], rows, l_need][:, None]
-            out += (radial(chs, omega, l_need) * part).sum(axis=0) @ kern(omega).T
-    return out
+            blocks = (radial(chs, omega, l_need) * part).sum(axis=0)
+            out += np.stack([blocks @ kern(omega, dt).T for dt in range(1 + with_dt)], 1)
+    return out if with_dt else out[:, 0]
 
 
 def _slice_sum(rep, t: float, rho, where, frequency, radial,
@@ -443,7 +450,8 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial,
     arrays of the (j, l) holding a nonzero coefficient (on a grid, w on the
     (j, 1) and (lm,) arrays of the frame).  conj(Y_l^m) = Y_l^{-m} moves the
     conj(phi^-) channel to the mirrored order.  At a point (theta, phi) the
-    Y row is contracted first, as in `_tube_sum`, mirrored for conj(phi^-)."""
+    Y row is contracted first, as in `_tube_sum`, mirrored for conj(phi^-),
+    and radial gives a list of tables, each summed: (tables, 2 or 1, rho), two if no label."""
     c, grid = rep.coeffs, isinstance(where, AngularGrid)
     if grid:
         omega = frequency(c.js[:, None], lm_labels(c.l_max)[0])
@@ -451,7 +459,7 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial,
     else:
         rows, l_need, _ = c.blocks((0, 1))
         if not rows.size:
-            return np.zeros((1 + with_dt, np.size(rho)), dtype=complex)
+            return np.zeros((2, 1 + with_dt, np.size(rho)), dtype=complex)
         y = ylm_point(c.l_max, c.orders(True), *where)
         plus, minus = _ylm_sums(c.array, np.array([y, y[lm_mirror(c.l_max)]])[:, None])[
             :, rows, l_need]
@@ -462,15 +470,16 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial,
         return where.synthesize(_by_degree(
             "sj,...ji->...si", _degree_table(c.js, coefs, radial, np.shape(rho)), coefs,
             np.empty(coefs.shape[:1] + np.shape(rho) + coefs.shape[-1:], complex)))
-    return coefs @ np.transpose(radial(c.js[rows], l_need))
+    return np.array([coefs @ np.transpose(f) for f in radial(c.js[rows], l_need)])
 
 
-def _jacobi(rho: np.ndarray, params: AdsParams, drho: bool = False):
+def _jacobi(rho: np.ndarray, params: AdsParams, drho: bool | None = False):
     """The frequency and radial functions of `_slice_sum` for the Jacobi
-    modes: w+_{nl} and J^+_{nl} at the 1-d radii rho, or its d/drho (d = 3)."""
+    modes: w+_{nl} and J^+_{nl} at the 1-d radii rho, its d/drho or both (None; d = 3)."""
     require_two_sphere(params.d)
+    pick = slice(None) if drho is None else int(drho)
     return (lambda n, l: magic_frequency("plus", n, l, params),
-            lambda n, l: jacobi_radial_fd("plus", n, l, rho[..., None], params)[int(drho)])
+            lambda n, l: jacobi_radial_fd("plus", n, l, rho[..., None], params)[pick])
 
 
 def _s_or_c(basis: str, rho, params: AdsParams):
@@ -483,18 +492,22 @@ def _s_or_c(basis: str, rho, params: AdsParams):
         tuple(kinds[ch] for ch in chs), om, l, rho, params), 0, 1)
 
 
-def _synth(rep, point, params: AdsParams, deriv: str = "") -> complex:
-    """Shared body of synth, synth_dt and synth_drho: the field, or its
-    derivative along deriv = "t" or "rho", at point = (t, rho, theta, phi)."""
-    t, rho, theta, phi = point
-    if isinstance(rep, SliceRep):
-        rho = np.atleast_1d(rho)
-        out = _slice_sum(rep, t, rho, (theta, phi),
-                         *_jacobi(rho, params, deriv == "rho"))
-        return complex(out[int(deriv == "t"), 0])
-    basis = getattr(rep, "basis", "S")  # a rod is the a channel of S
-    out = _tube_sum(rep, t, (theta, phi), _s_or_c(basis, rho, params), deriv == "t")
-    return complex(out[int(deriv == "rho"), 0])
+def _synth(rep, point, params: AdsParams, deriv: int = 0) -> complex:
+    """Shared body of synth, synth_dt and synth_drho (deriv 0, 1, 2) at point
+    = (t, rho, theta, phi): one evaluation gives all three, kept on the rep
+    for its last point (by its float bits) and params."""
+    held = rep.__dict__.get("_point_values", (None,))
+    if held[0] != (at := key(*point, params)):
+        t, rho, theta, phi = point
+        if isinstance(rep, SliceRep):
+            rho = np.atleast_1d(rho)
+            out = _slice_sum(rep, t, rho, (theta, phi), *_jacobi(rho, params, None))
+        else:  # a rod is the a channel of S
+            radial = _s_or_c(getattr(rep, "basis", "S"), rho, params)
+            out = _tube_sum(rep, t, (theta, phi), radial, True)
+        (f, dt), (drho, _) = out[:, :, 0]  # (f, f') x (field, d/dt)
+        object.__setattr__(rep, "_point_values", held := (at, (f, dt, drho)))
+    return complex(held[1][deriv])
 
 
 def synth(rep, point, params: AdsParams) -> complex:
@@ -504,12 +517,12 @@ def synth(rep, point, params: AdsParams) -> complex:
 
 def synth_dt(rep, point, params: AdsParams) -> complex:
     """d/dt of the synthesized field (phases only, analytic)."""
-    return _synth(rep, point, params, "t")
+    return _synth(rep, point, params, 1)
 
 
 def synth_drho(rep, point, params: AdsParams) -> complex:
     """d/drho of the synthesized field (term-wise analytic radial derivative)."""
-    return _synth(rep, point, params, "rho")
+    return _synth(rep, point, params, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +1022,7 @@ def _rep_of(body, d_omega: float, nul: bool):
         raise SerializationError(f"domega must be finite and positive, got {d_omega!r}")
     keys = rows["klm"]
     try:
-        lm = _packed_lm(keys, 0 if basis == "slice" else -math.inf)
+        lm = _packed_lm(keys, 0 if basis == "slice" else -math.inf, limit=math.inf)
     except ValueError as exc:
         raise SerializationError(str(exc)) from exc
     big = (keys[:, 0] < -_FILE_K_MAX) | (keys[:, 0] > _FILE_K_MAX) \

@@ -133,9 +133,9 @@ def mink_synth_slice(rep: MinkSliceRep, point) -> complex:
     t, r, theta, phi = point
     m_f = rep.m_field
     out = _slice_sum(rep, t, (r,), (theta, phi), lambda p, l: np.sqrt(
-        p * p + m_f * m_f), lambda p, l: [
-            2.0 * p / math.sqrt(2.0 * math.pi) * spherical_bessel("J", l, p * r)])
-    return complex(out[0, 0])
+        p * p + m_f * m_f), lambda p, l: [[
+            2.0 * p / math.sqrt(2.0 * math.pi) * spherical_bessel("J", l, p * r)]])
+    return complex(out[0, 0, 0])
 
 
 def _mink_tube_sum(rep: MinkTubeRep, t, where, r: float) -> np.ndarray:

@@ -23,7 +23,7 @@ size, one point included.  A build takes sin rho, cos rho and the series
 argument once per distinct rho and (alpha, beta, gamma) of every kind
 from one S^a row, routes each element, and sums every series it needs in
 one hyp2f1 call; its radial tables are memoized per kind, with the other
-basis's tables where a build summed them at every point (a later build
+basis's tables where a build gives them at every point (a later build
 past the cutoff reads them in place of the series; `adskg.memo`).  A
 scalar call takes the scalar path, the array path's reference.  Both
 raise DomainError naming the first (kind, omega, l, rho) whose f or f' is
@@ -249,7 +249,7 @@ def _hyper_rows(omega, l, params: AdsParams) -> np.ndarray:
     """hyper_params of the four kinds at the 1-d omega and l, by kind code:
     shape (4, 3, n), every row formed from the one S^a row with
     hyper_params' bits.  The C rows are formed unchecked; only a caller
-    that has checked the C-modes exist reads them."""
+    that has checked the C-modes exist uses them."""
     al, be, ga = hyper_params(RadialKind.Sa, omega, l, params)
     gc = np.full(al.shape, 1.0 + params.nu)
     return np.array([(al, be, ga), (al - ga + 1.0, be - ga + 1.0, 2.0 - ga),
@@ -285,13 +285,13 @@ def _check_axis(kind: RadialKind) -> None:
         raise SingularPoint("C-modes diverge on the time axis")
 
 
-def _trig(rho: float, on_sin: bool) -> tuple:
-    """sin rho, cos rho and the argument of the S (on_sin) or C series,
-    as the scalar path takes them; DomainError outside [0, pi/2)."""
+def _trig(rho: float) -> tuple:
+    """sin rho, cos rho and the arguments of the S and C series, as the
+    scalar path takes them; DomainError outside [0, pi/2)."""
     if not 0.0 <= rho < math.pi / 2:
         raise DomainError("rho must lie in [0, pi/2)")
     s, c = math.sin(rho), math.cos(rho)
-    return s, c, (s if on_sin else c) ** 2
+    return s, c, s ** 2, c ** 2
 
 
 def _not_finite(kind: RadialKind, omega, l, rho) -> DomainError:
@@ -303,39 +303,42 @@ def _not_finite(kind: RadialKind, omega, l, rho) -> DomainError:
 def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
                           pair_tables=None) -> dict:
     """Array path of radial_eval_fd for kinds of one basis: {kind: (f, f')},
-    with the same checks and branches per element as the scalar path.
-    sin rho, cos rho and the kinds' series argument come once per distinct
-    rho, the hypergeometric parameters of every kind from one S^a row.
-    Elements inside (0, pi/2), past the series cutoff and with a series
-    that does not terminate take the transfer matrix.  One
-    _radial_direct_array call sums each series once: a kind's own where it
-    is direct and, where any kind takes the transfer matrix, the other
-    basis's pair, which each such kind combines with its row of M (S) or
-    M^-1 (C).  Where that pair was summed at every element its two tables
-    are returned too.  pair_tables, that pair's (f, f') tables at the same
-    points, stand in for its series.  DomainError names the first kind and
-    element whose f or f' is not finite."""
+    with the scalar path's checks and branches per element.  sin rho, cos
+    rho and the series arguments come once per distinct rho, (alpha, beta,
+    gamma) of every kind from one S^a row.  Elements inside (0, pi/2), past
+    the series cutoff and with a series that does not terminate take the
+    transfer matrix.  One _radial_direct_array call sums each series once:
+    a kind's own where it is direct and, where any kind takes its row of M
+    (S) or M^-1 (C), the other basis's pair, unless pair_tables, that
+    pair's (f, f') at the same points, are given.  Else, where the C-modes
+    exist and this build gives them at every element, the pair's finite
+    tables are returned too: its series where summed, else its rows of the
+    transfer matrix on this basis's pair where both were summed and both
+    pair kinds take that route.  DomainError names the first kind asked
+    for and element whose f or f' is not finite."""
     shape = np.broadcast(omega, l, rho).shape
     if 0 in shape:
         return {kind: (np.zeros(shape), np.zeros(shape)) for kind in kinds}
     codes = np.array([_KINDS.index(kind) for kind in kinds])
     on_sin = bool(codes[0] < 2)
-    # sin rho, cos rho and the kinds' series argument once per distinct rho
-    trig = _per_distinct(lambda r: _trig(r, on_sin), np.ravel(rho))
-    omega, l, rho, s, c, arg = (v.ravel() if v.shape == shape else np.broadcast_to(
-        v, shape).ravel() for v in (omega, l, rho, *trig.reshape((3,) + np.shape(rho))))
+    # sin rho, cos rho and the S and C series arguments once per distinct rho
+    trig = _per_distinct(_trig, np.ravel(rho)).T.reshape(np.shape(rho) + (4,))
+    s, c, s2, c2 = np.broadcast_to(trig, shape + (4,)).reshape(-1, 4).T
+    omega, l, rho = (v.ravel() if v.shape == shape else np.broadcast_to(v, shape).ravel()
+                     for v in (omega, l, rho))
     axis = rho == 0.0
     if axis.any():
         for kind in kinds:
             _check_axis(kind)
-    pair = [2, 3] if on_sin else [0, 1]
+    own, pair = ([0, 1], [2, 3]) if on_sin else ([2, 3], [0, 1])
     abc = _hyper_rows(omega, l, params)
-    ab = abc[codes, :2]
-    via = (arg > ARG_CUTOFF) & ~axis \
+    ab = abc[:, :2]  # routes: (kind, element), where each would take the transfer matrix
+    routes = (np.array([s2, s2, c2, c2]) > ARG_CUTOFF) & ~axis \
         & ~((ab <= 0.0) & (ab == np.floor(ab))).any(axis=1)
+    via = routes[codes]
     cross = via.any(axis=0)  # where the pair's series are summed
     with np.errstate(over="ignore", invalid="ignore"):  # checked at the end
-        if cross.any():
+        if cross.any():  # before any series: it refuses integer nu
             mat = _transfer_entries(omega[cross], l[cross], params, not on_sin)
         need = np.zeros((len(_KINDS), rho.size), dtype=bool)
         need[codes], need[pair] = ~axis & ~via, cross & (pair_tables is None)
@@ -354,21 +357,28 @@ def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
             row = mat.reshape(2, 2, -1)[codes % 2]  # (kinds, 2, elements)
             fa, fb = series[:, pair][..., cross].swapaxes(0, 1)[:, :, None]
             out[:, via] = (row[:, 0] * fa + row[:, 1] * fb)[:, via[:, cross]]
-    if cross.all() and pair_tables is None:
-        kinds, out = kinds + _KINDS[pair[0]:pair[1] + 1], np.concatenate([out, series[:, pair]], 1)
-    bad = ~np.isfinite(out).all(axis=0)
-    if bad.any():
-        k, i = np.argwhere(bad)[0]
+        lift = ~cross & need[own[0]] & need[own[1]] & routes[pair[0]] & routes[pair[1]]
+        if pair_tables is None and params.c_modes_valid and (cross | lift).all():
+            out = np.concatenate([out, series[:, pair]], 1)  # and the other basis
+            if lift.any():  # the pair's rows of M^-1 (C) or M (S) on this basis's series
+                row = _transfer_entries(omega[lift], l[lift], params, on_sin).reshape(2, 2, -1)
+                fa, fb = series[:, own][..., lift].swapaxes(0, 1)[:, :, None]
+                out[:, len(codes):, lift] = row[:, 0] * fa + row[:, 1] * fb
+            kinds += _KINDS[pair[0]:pair[1] + 1]
+    finite = np.isfinite(out).all(axis=(0, 2))  # per kind
+    if not all(finite[:len(codes)]):
+        k, i = np.argwhere(~np.isfinite(out).all(axis=0))[0]
         raise _not_finite(kinds[k], omega[i].item(), l[i].item(), rho[i].item())
-    return {kind: (f.reshape(shape), df.reshape(shape)) for kind, f, df in zip(kinds, *out)}
+    return {kind: (f.reshape(shape), df.reshape(shape))
+            for kind, f, df, keep in zip(kinds, *out, finite) if keep}
 
 
 def _radial_table(kinds: tuple, omega, l, rho, params: AdsParams) -> list:
     """The (f, f') tables of radial_eval_fd's array call for each of the
     kinds, memoized per kind on (kind, omega, l, rho, params).  Each lookup
     counts a hit or a miss; the kinds missed are built together, from the
-    other basis's stored tables where both are held, and the tables of
-    other kinds the build also returns are stored; neither counts."""
+    other basis's stored tables where both are held, and the other basis's
+    tables the build also gives are stored too; neither counts."""
     cache, args = _radial_table.memo, key(omega, l, rho, params)
     found = {kind: cache.get(key(kind) + args) for kind in kinds}
     missing = tuple(kind for kind in kinds if found[kind] is None)
@@ -400,10 +410,11 @@ def radial_eval_fd(kind, omega, l, rho, params: AdsParams):
     call over the series of the kinds it needs and of their x-derivatives,
     each summed once: past the cutoff the kinds share the other basis's
     pair.  Array results are memoized per kind on the arguments as
-    `np.asarray` gives them (a single kind's are read-only).  A build
-    that summed the other basis's pair at every point stores that pair's
-    tables too, and a build that finds them stored sums no pair series, so
-    past either cutoff the S and C bases at the same points are built once.
+    `np.asarray` gives them (a single kind's are read-only), with the other
+    basis's tables where a build gives them at every point: the pair it
+    summed, or their rows of M or M^-1 on a joint build's own pair (C below
+    pi/6 after S, S past pi/3 after C).  A build finding them stored sums
+    no pair series: outside pi/6 <= rho <= pi/3 both bases are built once.
     """
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if len({k in (RadialKind.Sa, RadialKind.Sb) for k in kinds}) != 1:

@@ -1,5 +1,11 @@
+import contextlib
+import io
+from itertools import chain
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adskg.cli import build_parser, main
 from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, _Coeffs, save_rep
@@ -103,6 +109,57 @@ def test_eval_csv_is_the_per_row_loop_byte_for_byte(case, tmp_path, capsys):
     out = tmp_path / "mode.csv"
     assert main([*argv, "-o", str(out)]) == 0
     assert out.read_text() == want and capsys.readouterr().out == ""
+
+
+def _percent_rows(ts, rhos, thetas, phis, re, im) -> str:
+    """The eval rows as one % format over an n-times-repeated template, the
+    expression `cmd_eval` joined its rows with before: the oracle of its bytes."""
+    angles = [f"{theta!r},{phi!r}," for theta in thetas for phi in phis]
+    points = [f"{t!r},{rho!r}," for t in ts for rho in rhos]
+    heads = (point + angle for point in points for angle in angles)
+    return ("%s%r,%r\n" * len(re)) % tuple(chain.from_iterable(zip(heads, re, im)))
+
+
+# a grid argument: one value (signed zeros and subnormals among them) or a:b:n
+_VALUE = st.sampled_from([0.0, -0.0, 5e-324, -1e-310]) | st.floats(-3.0, 3.0)
+_GRID = _VALUE.map(repr) | st.tuples(_VALUE, _VALUE, st.integers(1, 3)).map(
+    lambda abn: "%r:%r:%d" % abn)
+
+
+@given(grids=st.tuples(_GRID, (st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(0.0, 1.5)).map(
+    repr) | st.just("0.1:1.4:3"), _GRID, _GRID),
+       mode=st.sampled_from([["--kind", "sa", "--omega=-0.0", "--m", "0"],
+                             ["--kind", "cb", "--omega", "2.3", "--m=-1"],
+                             ["--kind", "jplus", "--n", "1", "--m", "1"]]))
+@settings(max_examples=60, deadline=None)
+def test_eval_csv_is_the_percent_format_byte_for_byte(grids, mode):
+    # rows joined from their pieces against the % format over the same
+    # coordinates and the re, im values the output carries
+    argv = ["eval", *mode, "--l", "2", *(f"--{name}={grid}" for name, grid in zip(
+        ("t", "rho", "theta", "phi"), grids))]
+    if mode[1] == "cb":
+        argv = [arg if not arg.startswith("--rho=") else "--rho=0.1:1.4:3" for arg in argv]
+    args = build_parser().parse_args(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    head, rows = out.getvalue().split("t,rho,theta,phi,re,im\n")
+    re, im = ([float(row.split(",")[i]) for row in rows.splitlines()] for i in (4, 5))
+    assert rows == _percent_rows(*(getattr(args, name).tolist() for name in (
+        "t", "rho", "theta", "phi")), re, im)
+
+
+@pytest.mark.parametrize("grid", [
+    ["--t=-0.0", "--rho", "0:0.5:3", "--theta", "0:0.2:2", "--phi", "0:1:2"],
+    ["--t", "0", "--rho=-0.0", "--theta=-0.0", "--phi=-0.0"],
+])
+@pytest.mark.parametrize("kind", [["--kind", "sa", "--omega=-0.0"],
+                                  ["--kind", "jplus", "--n", "1"]])
+def test_eval_csv_keeps_signed_zeros(kind, grid, capsys):
+    argv = ["eval", *kind, "--l", "1", "--m", "0", *grid]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == _per_row_eval(argv) and "-0.0," in out
 
 
 def test_eval_normalization_overflow_exits_2(capsys):

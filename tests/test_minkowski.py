@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adskg.errors import DomainError
@@ -206,6 +206,7 @@ def test_mink_synth_tube_matches_reference_loop(rng, dr):
 
 _COEF = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2.0, allow_nan=False,
                                                   allow_infinity=False))
+_UNDERFLOW = 8 * 2.0 ** -1074  # per term: 16 roundings of at most 2^-1075
 
 
 @given(m_field=st.sampled_from([0.0, 0.5, 1.3]),
@@ -214,15 +215,22 @@ _COEF = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2.0, allow_nan=F
            min_size=1, max_size=25),
        point=st.tuples(st.floats(-2.0, 4.0), st.floats(0.3, 4.0), st.floats(0.2, 2.9),
                        st.floats(0.0, 6.2)))
+@example(m_field=0.0, labels=[(1, (0, 0), 0j, 2.2250738585e-313 + 0j)],
+         point=(0.0, 1.0, 1.0, 0.0))
 @settings(max_examples=40, deadline=None)
 def test_mink_point_synthesis_is_the_per_label_scalar_sum(m_field, labels, point):
     # E = 0.4 k never meets the threshold |E| = m; the point synthesis (Y
     # contracted first) within 4 eps of the sum of |terms| of the per-label
-    # sum on the same radial values, Y and phases, taken in long double
+    # sum on the same radial values, Y and phases, taken in long double, plus
+    # _UNDERFLOW per term times its factors past the coefficient that exceed
+    # 1, as `_per_label_sums` in tests/test_expansions.py allows: a product
+    # rounded in the subnormal range takes an absolute error, which the
+    # factors applied after it scale (a 2.2e-313 coefficient sums to a
+    # subnormal whose relative bound, 1.9e-330, no double can meet)
     t, r, theta, phi = point
     rep = MinkTubeRep(EnergyGrid(0.4, tuple(k for k, _, _, _ in labels)),
                       {(k, l, m): (a, b) for k, (l, m), a, b in labels}, m_field)
-    terms = []
+    terms, tails = [], []
     for (k, l, m), (a, b) in rep.coeffs.items():
         e_k = rep.grid.omega(k)
         factor = np.clongdouble(np.exp(-1j * e_k * t)) * np.clongdouble(
@@ -230,12 +238,15 @@ def test_mink_point_synthesis_is_the_per_label_scalar_sum(m_field, labels, point
         weight = math.sqrt(abs(e_k * e_k - m_field * m_field)) / (4.0 * math.pi)
         for c, fns in ((a, (jcheck, jcheck_dr)), (b, (ncheck, ncheck_dr))):
             if c:
-                terms.append([np.clongdouble(c) * factor * np.longdouble(weight * fn(
-                    e_k, l, r, m_field)) for fn in fns])
+                radial = [weight * fn(e_k, l, r, m_field) for fn in fns]
+                terms.append([np.clongdouble(c) * factor * np.longdouble(x) for x in radial])
+                tails.append([max(1.0, abs(factor)) * max(1.0, abs(x)) for x in radial])
     terms = np.array(terms, dtype=np.clongdouble).reshape(-1, 2)
+    tails = np.array(tails, dtype=np.longdouble).reshape(-1, 2)
     got = [mink_synth_tube(rep, point), mink_synth_tube_dr(rep, point)]
     assert np.all(np.abs(got - terms.sum(axis=0))
-                  <= 4.0 * np.finfo(float).eps * np.abs(terms).sum(axis=0))
+                  <= 4.0 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+                  + _UNDERFLOW * tails.sum(axis=0))
 
 
 def test_mink_tube_threshold_label_without_b_channel():

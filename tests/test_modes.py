@@ -638,7 +638,9 @@ def test_pointwise_synth_builds_each_table_once(params_m0):
     for fn in (synth, synth_dt, synth_drho):
         fn(rep, point, params_m0)
     synth(rod, point, params_m0)
-    assert _misses_and_hits() == (2, 5)  # S^a and S^b, each built once
+    # S^a and S^b, each built once; synth_dt and synth_drho read the point's
+    # values back, and the rod's S^a lookup hits
+    assert _misses_and_hits() == (2, 1)
 
 
 # the kinds of a basis, alone or together; rho = 0 (the axis) is drawn for S^a alone
@@ -702,10 +704,11 @@ def test_kinds_together_sum_the_shared_pair_once(params_m0, monkeypatch, n):
 @pytest.mark.parametrize("first, rho", [("S", 1.2), ("C", 0.3), ("S", 0.3), ("C", 1.2)])
 @pytest.mark.parametrize("l_top", [1, 3])  # 4 and 12 blocks: 8 and 24 series
 def test_other_basis_at_one_point_sums_no_series(params_m0, monkeypatch, first, rho, l_top):
-    # past its cutoff a basis is built from the other basis's series: after
-    # the first basis's build, stored with the other basis's tables (S past
-    # pi/3, C below pi/6) or read from them (S below pi/6, C past pi/3), the
-    # second basis's synthesis at the same point sums no series
+    # outside the middle band one basis is built from the other's series: the
+    # first basis's build stores the other basis's tables, from the series
+    # it summed (S past pi/3, C below pi/6) or by the transfer matrix on its
+    # own (S below pi/6, C past pi/3), so the second basis's synthesis at
+    # the same point sums no series and builds nothing
     from adskg.expansions import OmegaGrid, TubeRep, c_to_s, s_to_c, synth
     grid = OmegaGrid(0.55, (-3, 1, 4))
     labels = [(k, l, m) for k in grid.indices for l in range(l_top + 1) for m in (-l, l)]
@@ -716,16 +719,15 @@ def test_other_basis_at_one_point_sums_no_series(params_m0, monkeypatch, first, 
     modes._radial_table.memo.clear()
     point = (0.4, rho, 1.1, 2.3)
     synth(reps[0], point, params_m0)
-    stores = 4 if (first, rho) in (("S", 1.2), ("C", 0.3)) else 2
     assert _misses_and_hits() == (2, 0)
-    assert modes._radial_table.memo.counts()["size"] == stores
+    assert modes._radial_table.memo.counts()["size"] == 4
     sums = []
     for name in ("_radial_direct", "_radial_direct_array"):
         monkeypatch.setattr(modes, name, lambda *args, fn=getattr(modes, name): (
             sums.append(args) or fn(*args)))
     synth(reps[1], point, params_m0)
     assert not sums
-    assert _misses_and_hits() == ((2, 2) if stores == 4 else (4, 0))
+    assert _misses_and_hits() == (2, 2)
     monkeypatch.undo()
     rows, l_need, _ = reps[1].coeffs.blocks(0)
     omega = reps[1].coeffs.js[rows] * grid.d_omega

@@ -6,6 +6,7 @@ import copy
 import io
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,40 @@ def test_constructors_reject_non_integer_and_non_finite_labels(make, bad, rule):
     with pytest.raises(ValueError) as err:
         make({(1, 0, 0): (1.0, 0.5j), bad: (1.0, 0.0)})
     assert str(err.value) == f"invalid label {bad}: need {rule}"
+
+
+_PAST = "a first label, l and m of magnitude at most 2147483647"
+
+
+@pytest.mark.parametrize("make, bad, rule", [
+    # l wrapped in astype(int) (a RuntimeWarning, then an IndexError)
+    (lambda c: TubeRep(_ONE, c, "S"), (1, 1e20, 0), _PAST),
+    # l (l + 1) + m wrapped in int64: numpy's "array is too big"
+    (lambda c: TubeRep(_ONE, c, "S"), (1, 2.0 ** 62, 0), _PAST),
+    (lambda c: TubeRep(_ONE, c, "S"), (1, 2 ** 62, 0), _PAST),  # an integer key array
+    # first labels that constructed
+    (lambda c: TubeRep(_ONE, c, "S"), (1e20, 0, 0), _PAST),
+    (SliceRep, (2 ** 31, 1, 0), _PAST),
+    (lambda c: RodRep(_ONE, {k: v[0] for k, v in c.items()}), (-2.0 ** 31, 0, 0), _PAST),
+    (lambda c: MinkSliceRep(c, 0.3), (0.5, 1e20, 0), "l and m of magnitude at most 2147483647"),
+    # today's rules keep their words for such labels
+    (lambda c: TubeRep(_ONE, c, "S"), (1, 1e20, 3e20), "l >= 0, |m| <= l"),
+    (lambda c: TubeRep(_ONE, c, "S"), (1, -1e20, 0), "l >= 0, |m| <= l"),
+    (lambda c: TubeRep(_ONE, c, "S"), (1e20, 1.5, 0), "an integer first label, l and m"),
+])
+def test_constructors_reject_labels_the_integer_cast_cannot_hold(make, bad, rule):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            make({(1, 0, 0): (1.0, 0.5j), bad: (1.0, 0.0)})
+    assert str(err.value) == f"invalid label {bad}: need {rule}"
+
+
+def test_labels_up_to_the_integer_range_and_large_momenta_are_accepted():
+    assert TubeRep(_ONE, {(2 ** 31 - 1, 1, 0): (1.0, 0.0)}, "S").labels() \
+        == [(2 ** 31 - 1, 1, 0)]
+    assert SliceRep({(2.0 ** 31 - 1, 0, 0): (1.0, 0.0)}).labels() == [(2.0 ** 31 - 1, 0, 0)]
+    assert MinkSliceRep({(1e20, 1, 0): (1.0, 0.0)}, 0.3).labels() == [(1e20, 1, 0)]
 
 
 def test_integer_valued_float_labels_and_real_momenta_are_accepted():
