@@ -50,24 +50,22 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
-from scipy.special import factorial, poch
+from scipy.special import binom, poch
 
-from .errors import (BandLimitExceeded, BasisMismatch, ConvergenceError,
-                     DomainError, MagicFrequencyBlind, RadialNodeError,
-                     SerializationError)
+from .errors import (BandLimitExceeded, BasisMismatch, DomainError, MagicFrequencyBlind,
+                     RadialNodeError, SerializationError)
 from .geometry import AdsParams, make_params, radial_measure, require_c_modes
 from .harmonics import (AngularGrid, lm_count, lm_degree, lm_index, lm_labels,
                         lm_mirror, require_two_sphere, ylm_point)
 from .memo import key
 from .modes import (RadialKind, _transfer_entries, hyper_params, jacobi_radial_fd,
                     magic_frequency, norm_constant, radial_eval_fd)
-from .specfun import REL_TOL, double_pochhammer
+from .specfun import double_pochhammer, hyp2f1
 
 _GRID_TOL = 1e-9        # magic frequency off its grid point (slice_to_tube)
 _RESIDUAL_TOL = 1e-6    # slice reconstruction residual (invert_slice)
 _NODE_TOL = 1e-10       # |S^a(rho0)| taken as a radial node
 _BLIND_TOL = 1e-10      # |m12| taken as blind boundary data
-_TWISTED_A_MAX = 30     # Taylor terms of the twisted derivative
 
 
 @dataclass(frozen=True)
@@ -177,6 +175,8 @@ class _Coeffs(Mapping):
             return coeffs
         labels = list(coeffs)
         keys = np.array(labels).reshape(-1, 3)
+        if keys.dtype == object:  # integers past int64 read as their floats
+            keys = keys.astype(float)
         values = np.fromiter(coeffs.values() if channels == 1 else chain.from_iterable(
             coeffs.values()), complex, channels * len(labels))
         return _scatter(keys[:, 0], _packed_lm(keys, j_min, labels, whole_j),
@@ -233,8 +233,6 @@ def _scatter(j, lm, values) -> _Coeffs:
     ordered = j.copy()
     ordered.sort()
     js = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-    if len(js) and js[-1] != js[-1]:  # NaNs sort last; one row holds them, as in np.unique
-        js = js[:np.argmax(js != js) + 1]
     rows, l_max = js.searchsorted(j), lm_degree(lm.max(initial=0))
     array = np.zeros((len(values), len(js), lm_count(l_max)), dtype=complex)
     mask = np.zeros(array.shape[1:], dtype=bool)
@@ -781,24 +779,6 @@ def invert_rod_interior(data: RodData, params: AdsParams, l_max: int) -> RodRep:
 # boundary machinery
 # ---------------------------------------------------------------------------
 
-def taylor_coeffs(branch: str, omega: float, l: int, params: AdsParams,
-                  a_max: int) -> np.ndarray:
-    """Boundary Taylor coefficients d^{+-}_a of the C-modes:
-    C^a = sum_a cos^{D+ + 2a} d^+_a, C^b = sum_a cos^{D- + 2a} d^-_a.
-
-    The Cauchy product, in powers of cos^2, of the binomial series of
-    sin^l = (1 - cos^2)^{l/2} and the 2F1 series of the C-mode.
-    """
-    if a_max > 30:
-        raise ValueError("a_max > 30 not supported")
-    kind = RadialKind.Ca if branch == "plus" else RadialKind.Cb
-    al, be, ga = hyper_params(kind, omega, l, params)
-    k = np.arange(a_max + 1)
-    sin_part = (-1.0) ** k / factorial(k) * poch(l / 2.0 + 1.0 - k, k)
-    hyp_part = poch(al, k) * poch(be, k) / (poch(ga, k) * factorial(k))
-    return np.convolve(sin_part, hyp_part)[:a_max + 1]
-
-
 def twisted_boundary_limit(kind: RadialKind, params: AdsParams) -> float:
     """Boundary value of the twisted derivative of the C-modes:
     ((2 nu - 2 floor(nu)))_{floor(nu)+1} for C^a and 0 for C^b."""
@@ -814,41 +794,39 @@ def twisted_boundary_limit(kind: RadialKind, params: AdsParams) -> float:
 
 def twisted_derivative(kind: RadialKind, omega: float, l: int, rho: float,
                        params: AdsParams) -> float:
-    """Twisted derivative d^{(nu)}_rho of a C-mode, evaluated analytically
-    on the boundary Taylor series:
+    """Twisted derivative d^{(nu)} = cos^{-D+} prod_{j=0}^{fl} (cos d_cos - D- - 2j)
+    of a C-mode, fl = floor(nu), in closed form.  With y = cos^2 rho and
+    k = fl + 1 it is 2^k y^{k-nu} d_y^k (cos^{-D-} C), a Leibniz sum of k + 1
+    terms over (1 - y)^{l/2}, whose i-th derivative is (-l/2)_i (1-y)^{l/2-i}:
 
-      d^{(nu)} C^a = sum_a cos^{2a} d^+_a ((2nu+2a-2fl))_{fl+1}
-      d^{(nu)} C^b = sum_{a>fl} cos^{-2nu+2a} d^-_a ((2a-2fl))_{fl+1}
+      d^{(nu)} C^a = 2^k sum_i C(k,i) (-l/2)_i (1-y)^{l/2-i} (c-k+i)_{k-i} y^i
+                     2F1(a, b; c-k+i; y)                          (DLMF 15.5.4)
+      d^{(nu)} C^b = 2^k y^{k-nu} sum_i C(k,i) (-l/2)_i (1-y)^{l/2-i}
+                     (a)_{k-i} (b)_{k-i} / (c)_{k-i} 2F1(a+k-i, b+k-i; c+k-i; y)
+                                                                  (DLMF 15.5.2)
 
-    with fl = floor(nu).  Accurate near the boundary where cos(rho) is
-    small; ConvergenceError where the last of the _TWISTED_A_MAX + 1 terms
-    exceeds REL_TOL times the sum.
+    with (a, b, c) = hyper_params(kind).  Defined for rho >= pi/6 (y <=
+    ARG_CUTOFF); nearer the origin DomainError unless every series terminates.
     """
-    nu = params.nu
     if kind not in (RadialKind.Ca, RadialKind.Cb):
         raise ValueError("twisted derivative defined for C-modes only")
-    plus = kind is RadialKind.Ca
-    fl = math.floor(nu)
-    a = np.arange(_TWISTED_A_MAX + 1)
-    d_a = taylor_coeffs("plus" if plus else "minus", omega, l, params,
-                        _TWISTED_A_MAX)
-    dpoch = double_pochhammer(2.0 * a - 2.0 * fl + (2.0 * nu if plus else 0.0),
-                              fl + 1)
-    with np.errstate(divide="ignore", over="ignore"):  # only on dropped terms
-        power = math.cos(rho) ** (2.0 * a - (0.0 if plus else 2.0 * nu))
-    terms = d_a * dpoch * np.where(dpoch == 0.0, 0.0, power)
-    total = float(np.sum(terms))
-    if abs(terms[-1]) > REL_TOL * abs(total):
-        raise ConvergenceError(
-            f"twisted derivative at rho = {rho}: the last of {_TWISTED_A_MAX + 1} "
-            f"Taylor terms is {abs(terms[-1]):.1e} against a sum of {abs(total):.1e}")
-    return total
+    a, b, c = hyper_params(kind, omega, l, params)
+    k = math.floor(params.nu) + 1
+    i = np.arange(k + 1.0)
+    y = math.cos(rho) ** 2
+    leibniz = 2.0 ** k * binom(k, i) * poch(-l / 2.0, i) * (1.0 - y) ** (l / 2.0 - i)
+    if kind is RadialKind.Ca:
+        return float(np.sum(leibniz * poch(c - k + i, k - i) * y ** i
+                            * hyp2f1(a, b, c - k + i, y)))
+    n = k - i
+    shift = poch(a, n) * poch(b, n) / poch(c, n)
+    return float(y ** (k - params.nu) * np.sum(leibniz * shift * hyp2f1(a + n, b + n, c + n, y)))
 
 
 def boundary_data_of(rep: TubeRep, params: AdsParams,
                      angular: AngularGrid | None = None) -> BoundaryData:
-    """Analytic boundary data of a C-basis rep (Taylor-tail limits, never
-    numerical sampling at rho -> pi/2):
+    """Analytic boundary data of a C-basis rep (closed-form boundary limits,
+    never numerical sampling at rho -> pi/2):
 
       phi^{d-} = d_omega sum phi^{C,b} e^{-iwt} Y      (blind to C^a)
       phi^{d+}_nu = d_omega sum phi^{C,a} L e^{-iwt} Y

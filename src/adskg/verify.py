@@ -348,13 +348,13 @@ def suite_expansions():
     checks.append(_check("twisted_limit_Ca[nu=1.5]", abs(lim_ca - 3.0), 1e-8))
     checks.append(_check("twisted_limit_Cb", abs(
         xp.twisted_boundary_limit(RadialKind.Cb, p)), 1e-8))
-    # limits taken via the Taylor tails, evaluated at the boundary itself
+    # the limits from the twisted derivative at the boundary itself
     errs = []
     for (om, l) in ((2.3, 1), (1.7, 0), (4.1, 2)):
         val = xp.twisted_derivative(RadialKind.Ca, om, l, math.pi / 2, p)
         errs += [abs(val - lim_ca), abs(
             xp.twisted_derivative(RadialKind.Cb, om, l, math.pi / 2, p))]
-    checks.append(_check("twisted_limits_via_taylor_tail", errs, 1e-8))
+    checks.append(_check("twisted_limits_at_boundary", errs, 1e-8))
 
     crep = xp.s_to_c(_random_tube_rep(rng, grid, 5, "S"), p)
     bdata = xp.boundary_data_of(crep, p, ang)

@@ -1,5 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# hypothesis imports its patch writer (and through it libcst) only once a
+# test fails; with some libcst and mypy_extensions versions that import warns,
+# and `-W error::DeprecationWarning` then turns the warning into an
+# INTERNALERROR that ends the run.  Importing it here, with that warning
+# ignored, lets a failing property test report its failure.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from adskg.geometry import make_params
 from adskg.harmonics import AngularGrid

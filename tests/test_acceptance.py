@@ -91,7 +91,7 @@ def test_criterion_8_boundary_machinery():
     checks = _checks("expansions")
     _report(8, [checks["twisted_limit_Ca[nu=1.5]"],
                 checks["twisted_limit_Cb"],
-                checks["twisted_limits_via_taylor_tail"],
+                checks["twisted_limits_at_boundary"],
                 checks["boundary_round_trip"],
                 checks["rod_interior_round_trip"],
                 checks["rod_boundary_round_trip"]])

@@ -21,7 +21,6 @@ from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep,
                               rod_boundary_reconstruct, s_to_c, sample_rod,
                               sample_slice, sample_tube, save_rep,
                               slice_to_tube, synth, synth_drho, synth_dt,
-                              taylor_coeffs,
                               twisted_boundary_limit, twisted_derivative)
 from adskg.geometry import Boost0, BoostD1, make_params
 from adskg.harmonics import (AngularGrid, EulerAngles, lm_count, lm_degree, lm_index,
@@ -400,26 +399,7 @@ def test_invert_rod_radial_node(params_m0):
         invert_rod_interior(data, params_m0, 0)
 
 
-# --- Taylor coefficients and the twisted derivative ----------------------------------
-
-def test_taylor_d0_is_one(params_m0):
-    for (om, l) in ((1.7, 0), (2.9, 1), (4.2, 3)):
-        assert taylor_coeffs("plus", om, l, params_m0, 0)[0] == pytest.approx(1.0)
-        assert taylor_coeffs("minus", om, l, params_m0, 0)[0] == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("branch,kind", [("plus", RadialKind.Ca),
-                                         ("minus", RadialKind.Cb)])
-def test_taylor_series_matches_radial(params_m0, branch, kind):
-    om, l = 2.3, 1
-    rho = 1.45
-    c = math.cos(rho)
-    ex = params_m0.delta_plus if branch == "plus" else params_m0.delta_minus
-    d_a = taylor_coeffs(branch, om, l, params_m0, 20)
-    series = sum(d_a[a] * c ** (ex + 2 * a) for a in range(21))
-    direct = radial_eval(kind, om, l, rho, params_m0)
-    assert series == pytest.approx(direct, rel=1e-8)
-
+# --- the twisted derivative ----------------------------------------------
 
 def test_twisted_boundary_limits(params_m0):
     # nu = 3/2: floor = 1, ((2nu - 2))_{2} = ((1))_2 = 1 * 3 = 3
@@ -513,33 +493,36 @@ TWISTED_MSQ = (0.0, -2.0, 1.0, -1.0, 0.5, 3.0)
 
 @pytest.mark.parametrize("msq", TWISTED_MSQ)
 def test_twisted_derivative_matches_reference_loop(msq):
-    # where the reference loop's last term exceeds rel_tol times its sum the
-    # 31-term series has not converged and must raise; elsewhere the values agree
+    # the closed form returns a value at every point of the grid (all at
+    # rho >= pi/6); where the reference loop's last term is within REL_TOL of
+    # its sum the 31-term series has converged and the two agree
     p = make_params(3, 1.0, msq)
     worst = 0.0
     for kind in (RadialKind.Ca, RadialKind.Cb):
         for om in (0.3, 1.7, 2.3, -4.1, 7.9):
             for l in range(8):
                 for rho in (0.6, 0.9, 1.2, 1.45, 1.55, math.pi / 2):
+                    got = twisted_derivative(kind, om, l, rho, p)
+                    assert math.isfinite(got)
                     terms = ref_twisted_terms(kind, om, l, rho, p)
                     want = float(sum(terms))
-                    if abs(terms[-1]) > REL_TOL * abs(want):
-                        with pytest.raises(ConvergenceError, match="Taylor terms"):
-                            twisted_derivative(kind, om, l, rho, p)
-                        continue
-                    got = twisted_derivative(kind, om, l, rho, p)
-                    worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+                    if abs(terms[-1]) <= REL_TOL * abs(want):
+                        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     assert worst <= 1e-13
 
 
-def test_twisted_derivative_raises_on_an_unconverged_sum(params_m0):
-    # at (7.9, 7) the 31-term sum of C^a is 63% off at rho = 0.3; the last
-    # term is 0.11 of the sum there and at most 2e-20 of it from rho = 1.2 on
-    with pytest.raises(ConvergenceError, match="rho = 0.3"):
-        twisted_derivative(RadialKind.Ca, 7.9, 7, 0.3, params_m0)
-    for rho in (1.2, 1.45, math.pi / 2):
-        for kind in (RadialKind.Ca, RadialKind.Cb):
+def test_twisted_derivative_raises_below_pi_over_6(params_m0):
+    # y = cos^2 rho exceeds ARG_CUTOFF below rho = pi/6: each 2F1 of the sum
+    # that does not terminate raises there; from rho = 0.6 on every value is
+    # returned (at (7.9, 7) the 31-term Taylor sum was 63% off at rho = 0.3)
+    for kind in (RadialKind.Ca, RadialKind.Cb):
+        with pytest.raises(DomainError, match="exceeds series cutoff"):
+            twisted_derivative(kind, 7.9, 7, 0.3, params_m0)
+        for rho in (0.6, 1.2, 1.45, math.pi / 2):
             assert math.isfinite(twisted_derivative(kind, 7.9, 7, rho, params_m0))
+    # C^a at a magic frequency: every series terminates, so rho = 0.3 is valid
+    om = magic_frequency("plus", 2, 3, params_m0)
+    assert math.isfinite(twisted_derivative(RadialKind.Ca, om, 3, 0.3, params_m0))
 
 
 def test_twisted_derivative_is_warning_free_at_the_boundary():
@@ -619,8 +602,8 @@ def test_rescaled_boundary_value_via_taylor_tail(params_pos):
     pred = 0.0j
     for (k, l, m), (ca, cb) in crep.coeffs.items():
         om = grid.omega(k)
-        da = taylor_coeffs("plus", om, l, params_pos, 12)
-        db = taylor_coeffs("minus", om, l, params_pos, 12)
+        da = ref_taylor_coeffs("plus", om, l, params_pos, 12)
+        db = ref_taylor_coeffs("minus", om, l, params_pos, 12)
         rad = (ca * sum(da[a] * c ** (2 * params_pos.nu + 2 * a) for a in range(13))
                + cb * sum(db[a] * c ** (2 * a) for a in range(13)))
         pred += grid.d_omega * rad * np.exp(-1j * om * t) * sph_harm(l, m, th, ph)

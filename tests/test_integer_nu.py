@@ -13,7 +13,7 @@ from adskg.errors import CapabilityError
 from adskg.expansions import (OmegaGrid, RodRep, SliceRep, TubeRep, boundary_data_of,
                               boundary_reconstruct, c_to_s, invert_slice, invert_tube,
                               rod_boundary_data_of, rod_boundary_reconstruct, s_to_c,
-                              sample_rod, sample_slice, sample_tube, taylor_coeffs,
+                              sample_rod, sample_slice, sample_tube,
                               twisted_boundary_limit, twisted_derivative)
 from adskg.geometry import make_params, require_c_modes
 from adskg.harmonics import AngularGrid
@@ -90,9 +90,7 @@ def test_expansions_raise_the_rule(p):
              lambda: boundary_data_of(c_rep, p, ANG),
              lambda: boundary_reconstruct(boundary, p, 2),
              lambda: rod_boundary_data_of(rod, p, ANG),
-             lambda: rod_boundary_reconstruct(rod_boundary, p, 2),
-             lambda: taylor_coeffs("plus", 2.3, 1, p, 5),
-             lambda: taylor_coeffs("minus", 2.3, 1, p, 5)]
+             lambda: rod_boundary_reconstruct(rod_boundary, p, 2)]
     for kind in C_KINDS:
         calls += [lambda kind=kind: twisted_boundary_limit(kind, p),
                   lambda kind=kind: twisted_derivative(kind, 2.3, 1, 1.4, p)]

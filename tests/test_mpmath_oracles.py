@@ -1,5 +1,5 @@
 """High-precision oracles (mpmath at 40 or more digits) for the special
-functions behind the modes, the harmonics, the boundary Taylor series and
+functions behind the modes, the harmonics, the twisted derivative and
 the flat limit, over the parameter ranges the library uses.  Each error is measured against a scale
 without zeros, so the tolerance stays 1e-12 near the functions' roots."""
 
@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adskg.expansions import taylor_coeffs
+from adskg.expansions import twisted_derivative
 from adskg.geometry import make_params
 from adskg.harmonics import EulerAngles, wigner_d
 from adskg.minkowski import jcheck, jcheck_dr, ncheck, ncheck_dr
-from adskg.modes import RadialKind, hyper_params
+from adskg.modes import RadialKind, hyper_params, magic_frequency
 from adskg.specfun import (assoc_legendre, jacobi_p, spherical_bessel,
                            spherical_bessel_dx)
 
@@ -166,24 +166,100 @@ def test_wigner_d_vs_mpmath(l):
     assert np.max(np.abs(wigner_d(l, angles) - want)) <= 1e-13
 
 
-# masses with non-integer nu (C-modes defined): 3/2, 1/2, sqrt(13)/2, ...
-_C_MODE_MSQ = (0.0, -2.0, 1.0, -1.0, 0.5, 3.0)
+def _twisted_by_definition(kind, omega, l, rho, p):
+    """d^{(nu)} = cos^{-D+} prod_{j=0}^{floor(nu)} (x d_x - D- - 2j) applied to
+    the C-mode x^{D+-} (1 - x^2)^{l/2} 2F1(a, b; c; x^2) by nested mp.diff in
+    x = cos rho, at 45 digits."""
+    with mp.workdps(45):
+        a, b, c = (mp.mpf(v) for v in hyper_params(kind, omega, l, p))
+        dp, dm = mp.mpf(p.delta_plus), mp.mpf(p.delta_minus)
+        ex = dp if kind is RadialKind.Ca else dm
+
+        def mode(x):
+            return x ** ex * (1 - x * x) ** (mp.mpf(l) / 2) * mp.hyp2f1(a, b, c, x * x)
+
+        def factor(g, shift):
+            return lambda x: x * mp.diff(g, x) - shift * g(x)
+
+        g = mode
+        for j in range(math.floor(p.nu) + 1):
+            g = factor(g, dm + 2 * j)
+        x = mp.cos(mp.mpf(rho))
+        return float(x ** -dp * g(x))
 
 
-@settings(max_examples=60, deadline=None)
-@given(msq=st.sampled_from(_C_MODE_MSQ), omega=st.floats(-10.0, 10.0),
-       l=st.integers(0, 7), branch=st.sampled_from(["plus", "minus"]))
-def test_taylor_coeffs_vs_mpmath(msq, omega, l, branch):
-    # d_a = sum_b (-1)^b binom(l/2, b) h_{a-b}: the sum cancels, so the error
-    # is measured against the largest coefficient
-    p = make_params(3, 1.0, msq)
-    kind = RadialKind.Ca if branch == "plus" else RadialKind.Cb
+def _twisted_sum(kind, omega, l, rho, p):
+    """The closed-form Leibniz sum of `twisted_derivative` at 50 digits:
+    (the sum, the sum of its terms' magnitudes)."""
     with mp.workdps(50):
-        al, be, ga = (mp.mpf(v) for v in hyper_params(kind, omega, l, p))
-        sin_part = [(-1) ** b * mp.binomial(mp.mpf(l) / 2, b) for b in range(31)]
-        hyp_part = [mp.rf(al, k) * mp.rf(be, k) / (mp.rf(ga, k) * mp.factorial(k))
-                    for k in range(31)]
-        want = np.array([float(mp.fsum(sin_part[b] * hyp_part[a - b]
-                                       for b in range(a + 1))) for a in range(31)])
-    err = np.max(np.abs(taylor_coeffs(branch, omega, l, p, 30) - want))
-    assert err <= 1e-11 * np.max(np.abs(want))
+        a, b, c = (mp.mpf(v) for v in hyper_params(kind, omega, l, p))
+        k, half = math.floor(p.nu) + 1, mp.mpf(l) / 2
+        y = mp.cos(mp.mpf(rho)) ** 2
+        terms = []
+        for i in range(k + 1):
+            lead = 2 ** k * mp.binomial(k, i) * mp.rf(-half, i) * (1 - y) ** (half - i)
+            if kind is RadialKind.Ca:
+                terms.append(lead * mp.rf(c - k + i, k - i) * y ** i
+                             * mp.hyp2f1(a, b, c - k + i, y))
+            else:
+                n = k - i
+                terms.append(lead * mp.rf(a, n) * mp.rf(b, n) / mp.rf(c, n)
+                             * mp.hyp2f1(a + n, b + n, c + n, y) * y ** (k - mp.mpf(p.nu)))
+        return float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+
+
+def _rel_err(got, want):
+    return abs(got - want) / max(1.0, abs(want))
+
+
+# k = floor(nu) + 1 = 1, 2, 3: nu = 1/2, 3/2, sqrt(21)/2
+_TWISTED_K_MSQ = (-2.0, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("kind", [RadialKind.Ca, RadialKind.Cb])
+@pytest.mark.parametrize("msq", _TWISTED_K_MSQ, ids=["k1", "k2", "k3"])
+def test_twisted_derivative_vs_definition(msq, kind):
+    p = make_params(3, 1.0, msq)
+    for omega, l in ((2.3, 2), (-4.1, 3)):  # even and odd l
+        for rho in (0.55, 0.9, 1.3):
+            want = _twisted_by_definition(kind, omega, l, rho, p)
+            assert _rel_err(twisted_derivative(kind, omega, l, rho, p), want) <= TOL
+
+
+@pytest.mark.parametrize("msq", _TWISTED_K_MSQ, ids=["k1", "k2", "k3"])
+def test_twisted_derivative_at_a_magic_frequency_vs_definition(msq):
+    # omega = omega+_{2,3}: every series of the C^a sum terminates, so the
+    # sum holds below rho = pi/6, where y = cos^2 rho exceeds ARG_CUTOFF
+    p = make_params(3, 1.0, msq)
+    omega = magic_frequency("plus", 2, 3, p)
+    want = _twisted_by_definition(RadialKind.Ca, omega, 3, 0.3, p)
+    assert _rel_err(twisted_derivative(RadialKind.Ca, omega, 3, 0.3, p), want) <= TOL
+
+
+@ORACLE
+@given(nu=st.floats(0.02, 3.5).filter(lambda v: abs(v - round(v)) >= 0.02),
+       omega=st.floats(-12.0, 12.0), l=st.integers(0, 8),
+       rho=st.floats(math.pi / 6, math.pi / 2, exclude_min=True),
+       kind=st.sampled_from([RadialKind.Ca, RadialKind.Cb]))
+def test_twisted_derivative_vs_mpmath_sum(nu, omega, l, rho, kind):
+    # the terms can cancel (at some draws |T| is 1e-4 of the sum of their
+    # magnitudes), so the error is measured against that sum
+    p = make_params(3, 1.0, nu * nu - 2.25)
+    want, scale = _twisted_sum(kind, omega, l, rho, p)
+    got = twisted_derivative(kind, omega, l, rho, p)
+    assert abs(got - want) <= TOL * max(1.0, scale)
+
+
+def test_twisted_derivative_at_large_nu_vs_mpmath_sum():
+    # nu = 20.5, k = 21: C^a, and C^b at even l, keep 1e-13.  C^b at odd l
+    # cancels ((-l/2)_i never vanishes; at (2.3, 1) the sum of |terms| is 1e6
+    # times the value at the boundary): it keeps 1e-9 from rho = 1 outward
+    # and 1e-6 at rho = 0.6
+    p = make_params(3, 1.0, 20.5 ** 2 - 2.25)
+    for rho in (0.6, 1.0, math.pi / 2):
+        for l in range(4):
+            for kind in (RadialKind.Ca, RadialKind.Cb):
+                bound = 1e-13 if kind is RadialKind.Ca or l % 2 == 0 else \
+                    1e-6 if rho == 0.6 else 1e-9
+                want = _twisted_sum(kind, 2.3, l, rho, p)[0]
+                assert _rel_err(twisted_derivative(kind, 2.3, l, rho, p), want) <= bound

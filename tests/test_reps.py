@@ -179,6 +179,29 @@ def test_labels_up_to_the_integer_range_and_large_momenta_are_accepted():
     assert MinkSliceRep({(1e20, 1, 0): (1.0, 0.0)}, 0.3).labels() == [(1e20, 1, 0)]
 
 
+@pytest.mark.parametrize("make, bad, rule", [
+    # np.array of such a label is an object array: numpy's TypeError from isfinite
+    (lambda c: TubeRep(_ONE, c, "S"), (10 ** 20, 0, 0), _PAST),
+    (lambda c: TubeRep(_ONE, c, "S"), (1, 10 ** 20, 0), _PAST),
+    (SliceRep, (0, 0, -10 ** 19), "l >= 0, |m| <= l, n >= 0"),
+    (lambda c: TubeRep(_ONE, c, "S"), (2 ** 63, 0, 0), _PAST),  # a uint64 key array
+    (lambda c: MinkSliceRep(c, 0.3), (0, 10 ** 20, 0), "l and m of magnitude at most 2147483647"),
+])
+def test_constructors_reject_integer_labels_past_int64(make, bad, rule):
+    with pytest.raises(ValueError) as err:
+        make({bad: (1.0, 0.0)})
+    assert str(err.value) == f"invalid label {bad}: need {rule}"
+
+
+def test_integer_momenta_past_int64_read_as_their_floats():
+    for labels in ([(10 ** 20, 1, 0)], [(10 ** 20, 1, 0), (2, 0, 0)]):
+        rep = MinkSliceRep({lab: (1.0, 0.0) for lab in labels}, 0.3)
+        same = MinkSliceRep({(float(j), l, m): (1.0, 0.0) for j, l, m in labels}, 0.3)
+        assert rep.labels() == same.labels() and type(rep.labels()[-1][0]) is float
+        _same_arrays(rep.coeffs, (same.coeffs.js, same.coeffs.array, same.coeffs.mask,
+                                  same.coeffs.l_max))
+
+
 def test_integer_valued_float_labels_and_real_momenta_are_accepted():
     assert TubeRep(_ONE, {(2.0, 1.0, -1.0): (1.0, 0.0)}, "S").labels() == [(2.0, 1, -1)]
     assert SliceRep({(1.0, 2, 0): (1.0, 0.0)}).labels() == [(1.0, 2, 0)]
@@ -305,9 +328,8 @@ def test_construction_is_the_unique_scatter_bit_for_bit(kind, data):
        floats=st.booleans())
 def test_scatter_sums_repeated_labels_in_order(labels, floats):
     # repeats are summed in input order; a float first label (a Minkowski
-    # momentum) sorts and repeats as the integer one, NaNs sharing one row
+    # momentum) sorts and repeats as the integer one
     j = np.array([x[0] for x in labels], dtype=float if floats else int) * (0.5 if floats else 1)
-    j = np.where(j == 1.5, np.nan, j) if floats else j
     lm = np.array([x[1] for x in labels], dtype=int)
     values = np.array([x[2:] for x in labels], dtype=complex).reshape(-1, 2).T
     _same_arrays(xp._scatter(j, lm, values), _unique_scatter(j, lm, values))
