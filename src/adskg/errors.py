@@ -34,10 +34,6 @@ class WindowError(AdskgError):
     """A radial window touches a singular endpoint (0 or pi/2)."""
 
 
-class BoundaryProximity(AdskgError):
-    """A finite-difference stencil would leave the sampled domain."""
-
-
 class CapabilityError(AdskgError):
     """Operation requires noninteger nu (C-modes / transfer matrix)."""
 

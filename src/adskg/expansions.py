@@ -175,8 +175,8 @@ class _Coeffs(Mapping):
             return coeffs
         labels = list(coeffs)
         keys = np.array(labels).reshape(-1, 3)
-        if keys.dtype == object:  # integers past int64 read as their floats
-            keys = keys.astype(float)
+        if keys.dtype == object:  # integers past int64: their floats, or +-inf
+            keys = np.vectorize(_float_or_inf, otypes=[float])(keys)
         values = np.fromiter(coeffs.values() if channels == 1 else chain.from_iterable(
             coeffs.values()), complex, channels * len(labels))
         return _scatter(keys[:, 0], _packed_lm(keys, j_min, labels, whole_j),
@@ -195,6 +195,14 @@ class _Coeffs(Mapping):
 
     def __reduce__(self):
         return type(self), (self.js, self.array, self.mask)
+
+
+def _float_or_inf(value) -> float:
+    """float(value), or +-inf for an integer past the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _packed_lm(keys: np.ndarray, j_min: float, labels=None,

@@ -1,33 +1,27 @@
 """Global AdS parameters, the radial quadrature, the radial Klein-Gordon
-residual check, Killing vector fields as numerical differential operators,
-Lie-bracket verification, and the flat-limit rescalings that `minkowski`
-applies.
+residual check, the Killing vector fields and the flat-limit rescalings that
+`minkowski` applies.
 
-Coordinates are global (t, rho, Omega) with the boundary at rho = pi/2.
-Killing operators act on smooth closures field(t, rho, xi), called once per
-operator application: t and rho are read-only (N,) float arrays, xi the unit
-directions components first, read-only (3, N), so `x, y, z = xi` reads the
-same on one point and on N; the field returns N values.  Each operator is a
-first-order stencil: a 4-point central difference per derivative it
-contains, so 4 field points per point for d_t, 8 for a rotation and 12 for
-a boost.  The tangential sphere derivative is a plain cartesian difference
-of the field's degree-zero extension, which reproduces
-(d_{xi_j} - xi_j xi_i d_{xi_i}) exactly on the sphere.  Nested operators
-compose stencils (the inner one is built at every outer field point and
-the weights multiply), so a Lie-bracket check is one field call.
+Coordinates are global (t, rho, Omega) with the boundary at rho = pi/2.  The
+Killing fields come from the embedding of AdS_{d+1} (R = 1) as the
+hyperboloid eta(X, X) = -1 in R^{2,d}, eta = diag(-1, 1, ..., 1, -1): each
+generator K_AB = X_A d_B - X_B d_A is the field X -> L X of a
+(d + 2) x (d + 2) matrix L (`generator_matrix`), and `killing_coefficients`
+gives its closed form in (t, rho, xi).  `bracket_rhs` is the bracket table
+of the K_AB.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import (BfViolation, BoundaryProximity, CapabilityError,
-                     DomainError, EvenDimension, WindowError)
+from .errors import (BfViolation, CapabilityError, DomainError, EvenDimension,
+                     WindowError)
 from .memo import memo
 
 _NU_INTEGER_TOL = 1e-9
@@ -181,105 +175,6 @@ class BoostD1:
 
 GeneratorId = TimeTranslation | Rotation | Boost0 | BoostD1
 
-FD_STEP = 1e-3
-_FD_W = np.array([1.0, -8.0, 8.0, -1.0])  # 4th-order central weights / 12h
-_FD_O = np.array([-2.0, -1.0, 1.0, 2.0])
-
-# A linear operator K at N points is a stencil (w, q): weights w (N, S) and
-# field points q (N, S, 5) as rows (t, rho, xi_1, xi_2, xi_3), with
-# (K phi)(p_n) = sum_s w[n, s] phi(q[n, s]).
-
-
-def _points(points) -> np.ndarray:
-    """[(t, rho, xi), ...] as rows (t, rho, xi_1, xi_2, xi_3), shape (N, 5)."""
-    return np.array([(t, rho, *xi) for t, rho, xi in points], dtype=float)
-
-
-def _first_order(p, h, c_t=None, c_rho=None, c_tan=()):
-    """Stencil of c_t d_t + c_rho d_rho + sum_(j, c_j) c_j D_j at the points
-    p (N, 5), D_j the tangential derivative along axis j (xi_j moves, xi is
-    renormalized).  A coefficient is a scalar or an (N,) array; only the
-    parts given emit points, 4 each."""
-    fd, off = _FD_W / (12.0 * h), _FD_O * h
-    ws, qs = [], []
-    for axis, c in ((0, c_t), (1, c_rho), *((2 + j, c) for j, c in c_tan)):
-        if c is None:
-            continue
-        q = np.repeat(p[:, None], 4, axis=1)
-        q[:, :, axis] += off
-        if axis >= 2:
-            q[:, :, 2:] /= np.linalg.norm(q[:, :, 2:], axis=2, keepdims=True)
-        ws.append(np.broadcast_to(c, p.shape[:1])[:, None] * fd)
-        qs.append(q)
-    return np.concatenate(ws, axis=1), np.concatenate(qs, axis=1)
-
-
-def _killing_stencil(generator: GeneratorId, p, h: float):
-    """Stencil of the Killing operator at the points p (N, 5): 4 field
-    points each for d_t, 8 for a rotation, 12 for a boost.  Boosts raise
-    BoundaryProximity when a rho stencil leaves (0, pi/2)."""
-    t, rho, xi = p[:, 0], p[:, 1], p[:, 2:]
-    if isinstance(generator, TimeTranslation):
-        return _first_order(p, h, c_t=1.0)
-    if isinstance(generator, Rotation):
-        j, k = generator.j - 1, generator.k - 1
-        return _first_order(p, h, c_tan=((k, xi[:, j]), (j, -xi[:, k])))
-    if not isinstance(generator, (Boost0, BoostD1)):
-        raise TypeError(f"unknown generator {generator!r}")
-    if np.any(rho - 2 * h <= 0.0) or np.any(rho + 2 * h >= math.pi / 2):
-        raise BoundaryProximity("rho stencil leaves (0, pi/2)")
-    j = generator.j - 1
-    x = xi[:, j]
-    sr, cr, st, ct = np.sin(rho), np.cos(rho), np.sin(t), np.cos(t)
-    if isinstance(generator, Boost0):
-        return _first_order(p, h, -x * ct * sr, -x * st * cr, ((j, -st / sr),))
-    return _first_order(p, h, -x * st * sr, x * ct * cr, ((j, ct / sr),))
-
-
-def _compose(outer, inner: GeneratorId, h: float):
-    """Stencil of K_outer K_inner: the inner stencil is built at every
-    outer field point and the weights multiply."""
-    w, q = outer
-    wi, qi = _killing_stencil(inner, q.reshape(-1, 5), h)
-    return (w.reshape(-1, 1) * wi).reshape(len(w), -1), qi.reshape(len(w), -1, 5)
-
-
-def _apply(field: Callable, w, q) -> np.ndarray:
-    """(K phi) at each of the N points from one field call on all the field
-    points (module docstring)."""
-    cols = np.ascontiguousarray(q.reshape(-1, 5).T)
-    cols.flags.writeable = False
-    vals = field(cols[0], cols[1], cols[2:])
-    if np.ndim(vals) > 1 or np.size(vals) not in (1, w.size):
-        raise ValueError(f"field returned shape {np.shape(vals)}, expected ({w.size},)")
-    return np.sum(w * np.broadcast_to(vals, w.size).reshape(w.shape), axis=1)
-
-
-def killing_apply(generator: GeneratorId, fld, point, h: float = FD_STEP):
-    """(K phi)(point): apply the Killing differential operator numerically.
-
-    `fld` is a field(t, rho, xi) closure (see the module docstring);
-    `point` is (t, rho, xi).
-    """
-    return _apply(fld, *_killing_stencil(generator, _points([point]), h))[0]
-
-
-def boost_rho_coefficient(generator: GeneratorId, t: float, rho: float,
-                          xi) -> float:
-    """Analytic coefficient of d_rho in the boost generators.
-
-    cos(rho) is evaluated as sin(pi/2 - rho) so the coefficient is exactly
-    zero at the represented boundary value rho = pi/2: the boosts map the
-    boundary to itself.
-    """
-    xi = np.asarray(xi, dtype=float)
-    cr = math.sin(math.pi / 2 - rho)
-    if isinstance(generator, Boost0):
-        return -xi[generator.j - 1] * math.sin(t) * cr
-    if isinstance(generator, BoostD1):
-        return xi[generator.j - 1] * math.cos(t) * cr
-    return 0.0
-
 
 def _canonical_pair(gen: GeneratorId, d: int) -> tuple[int, int]:
     """Embedding-space index pair (A, B) with K_{AB} = X_A d_B - X_B d_A."""
@@ -334,24 +229,63 @@ def bracket_rhs(gen_a: GeneratorId, gen_b: GeneratorId, d: int):
     return out
 
 
-def verify_lie_bracket(gen_a: GeneratorId, gen_b: GeneratorId,
-                       test_field: Callable, sample_points: Sequence) -> float:
-    """Max |[K_A, K_B] phi - (bracket table RHS) phi| over the points, on
-    S^2 (d = 3) with stencil step 5e-3.
+def embed(t, rho, xi) -> np.ndarray:
+    """The point of R^{2,d} at global (t, rho, xi), shape (d + 2, ...):
+    X^0 = sin t / cos rho, X^i = tan rho xi^i, X^{d+1} = -cos t / cos rho,
+    on the hyperboloid eta(X, X) = -1; t, rho and xi's components broadcast.
+    The sign of X^{d+1} makes d_t the field of K_{d+1,0}."""
+    sec = 1.0 / np.cos(rho)
+    return np.stack(np.broadcast_arrays(np.sin(t) * sec, *(np.tan(rho) * np.asarray(xi)),
+                                        -np.cos(t) * sec))
 
-    K_A K_B, -K_B K_A and -sum c K_C form one stencil, the nested products
-    composed, so the field is called in one pass over its points.
-    """
-    if gen_a == gen_b or len(sample_points) == 0:
-        return 0.0
-    p, h = _points(sample_points), 5e-3
-    terms = [(1.0, _compose(_killing_stencil(gen_a, p, h), gen_b, h)),
-             (-1.0, _compose(_killing_stencil(gen_b, p, h), gen_a, h))]
-    terms += [(-c, _killing_stencil(gen, p, h))
-              for c, gen in bracket_rhs(gen_a, gen_b, 3)]
-    w = np.concatenate([c * st[0] for c, st in terms], axis=1)
-    q = np.concatenate([st[1] for _, st in terms], axis=1)
-    return float(np.max(np.abs(_apply(test_field, w, q))))
+
+def generator_matrix(gen: GeneratorId, d: int) -> np.ndarray:
+    """The (d + 2) x (d + 2) matrix L of K_AB = X_A d_B - X_B d_A, (A, B)
+    its `_canonical_pair`: K is the field X -> L X, so L[B, A] = eta_AA and
+    L[A, B] = -eta_BB, and L^T eta + eta L = 0."""
+    a, b = _canonical_pair(gen, d)
+    out = np.zeros((d + 2, d + 2))
+    out[b, a], out[a, b] = _eta(a, a, d), -_eta(b, b, d)
+    return out
+
+
+def killing_coefficients(gen: GeneratorId, t, rho, xi):
+    """(c_t, c_rho, v) of the Killing field c_t d_t + c_rho d_rho + v . d_xi
+    at global (t, rho, xi), rho in (0, pi/2]: the closed form of L X
+    (`generator_matrix`) pushed forward to the coordinates, with v tangent
+    to the sphere, shape (d, ...), P_j = e_j - xi_j xi, x = xi_j:
+
+      K_{d+1,0}: (1, 0, 0)        K_jk: (0, 0, xi_j e_k - xi_k e_j)
+      K_0j:      (-x cos t sin rho, -x sin t cos rho, -(sin t / sin rho) P_j)
+      K_{d+1,j}: (-x sin t sin rho,  x cos t cos rho,  (cos t / sin rho) P_j)
+
+    t, rho and xi's components broadcast.  cos rho is formed as
+    sin(pi/2 - rho), so c_rho is exactly 0 at rho = pi/2: the boosts map
+    the boundary to itself."""
+    shape = np.broadcast_shapes(np.shape(t), np.shape(rho), np.shape(xi)[1:])
+    xi = np.broadcast_to(np.asarray(xi, dtype=float), np.shape(xi)[:1] + shape)
+    zero, v = np.zeros(shape), np.zeros(xi.shape)
+    if isinstance(gen, TimeTranslation):
+        return zero + 1.0, zero, v
+    if isinstance(gen, Rotation):
+        v[gen.k - 1], v[gen.j - 1] = xi[gen.j - 1], -xi[gen.k - 1]
+        return zero, zero, v
+    if not isinstance(gen, (Boost0, BoostD1)):
+        raise TypeError(f"unknown generator {gen!r}")
+    x = xi[gen.j - 1]
+    v -= x * xi
+    v[gen.j - 1] += 1.0
+    sr, cr, st, ct = np.sin(rho), np.sin(np.pi / 2 - rho), np.sin(t), np.cos(t)
+    if isinstance(gen, Boost0):
+        return -x * ct * sr, -x * st * cr, -st / sr * v
+    return -x * st * sr, x * ct * cr, ct / sr * v
+
+
+def boost_rho_coefficient(generator: GeneratorId, t: float, rho: float,
+                          xi) -> float:
+    """The d_rho coefficient of a generator at one point, the rho entry of
+    `killing_coefficients`: exactly 0 for a boost at rho = pi/2."""
+    return float(killing_coefficients(generator, t, rho, xi)[1])
 
 
 def flat_rescale(params: AdsParams, t: float, rho: float) -> tuple[float, float]:

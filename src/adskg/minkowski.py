@@ -1,6 +1,7 @@
 """Minkowski (d = 3) reference theory: jcheck/ncheck radial functions,
-slice and tube expansions, their symplectic structures, Killing operators,
-and the flat-limit comparison harness against the AdS machinery.
+slice and tube expansions, their symplectic structures, the coefficients of
+the Killing fields, and the flat-limit comparison harness against the AdS
+machinery.
 
 Tube representations live on an EnergyGrid (E_k = k dE, integral realized
 as dE * sum, conjugate window T = 2 pi / dE).  Slice representations are
@@ -30,12 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import spherical_in, spherical_kn
 
-from .errors import BoundaryProximity, DomainError
+from .errors import DomainError
 from .expansions import (OmegaGrid, SliceRep, _Labelled, _angular_rule, _extent,
                          _slice_sum, _tube_sum, synth)
-from .geometry import (AdsParams, Boost0, BoostD1, _apply, _first_order,
-                       _points, flat_labels, flat_rescale, flat_unscale,
-                       killing_apply, make_params)
+from .geometry import (AdsParams, Boost0, BoostD1, flat_labels, flat_unscale,
+                       killing_coefficients, make_params)
 from .harmonics import AngularGrid
 from .modes import RadialKind, magic_frequency, radial_eval
 from .specfun import spherical_bessel, spherical_bessel_dx
@@ -199,30 +199,23 @@ def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,
 
 
 # ---------------------------------------------------------------------------
-# Minkowski Killing operators
+# Minkowski Killing fields
 # ---------------------------------------------------------------------------
 
-def mink_killing_apply(name: str, fld, point, j: int = 3,
-                       h: float = 1e-3) -> complex:
-    """Minkowski Killing operators on closures field(tau, r, xi):
-    "T0" = d_tau, "Tj" = xi_j d_r + (1/r)(tangential_j),
-    "K0j" = -r xi_j d_tau - tau xi_j d_r - (tau/r)(tangential_j); the same
-    first-order stencils and field contract as the AdS operators (4, 8 and
-    12 field points in one call; tau, r of shape (N,), xi of shape (3, N)).
-    "Tj" and "K0j" raise BoundaryProximity when the r stencil reaches r <= 0.
-    """
-    p = _points([point])
-    tau, r, x = p[0, 0], p[0, 1], p[0, 1 + j]
-    if name == "T0":
-        return _apply(fld, *_first_order(p, h, c_t=1.0))[0]
-    if name not in ("Tj", "K0j"):
-        raise ValueError(f"unknown Minkowski generator {name!r}")
-    if r - 2 * h <= 0.0:
-        raise BoundaryProximity("r stencil reaches r <= 0")
+def mink_killing_coefficients(name: str, tau, r, xi, j: int = 3):
+    """(c_tau, c_r, v) of a Minkowski Killing field c_tau d_tau + c_r d_r +
+    v . d_xi at (tau, r, xi), r > 0, v tangent to the sphere: with
+    P_j = e_j - xi_j xi, "Tj" = xi_j d_r + (1/r) P_j and
+    "K0j" = -r xi_j d_tau - tau xi_j d_r - (tau/r) P_j."""
+    xi = np.asarray(xi, dtype=float)
+    x = xi[j - 1]
+    p_j = -x * xi
+    p_j[j - 1] += 1.0
     if name == "Tj":
-        return _apply(fld, *_first_order(p, h, None, x, ((j - 1, 1.0 / r),)))[0]
-    return _apply(fld, *_first_order(p, h, -r * x, -tau * x,
-                                     ((j - 1, -tau / r),)))[0]
+        return 0.0, x, p_j / r
+    if name == "K0j":
+        return -r * x, -tau * x, -tau / r * p_j
+    raise ValueError(f"unknown Minkowski generator {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,30 +300,25 @@ def flat_limit_compare(m_field: float = 0.0, R_values=(100.0, 1000.0)) -> dict:
 
 
 def killing_correspondence_errors(R_values=(100.0, 1000.0)) -> dict:
-    """Flat-limit Killing correspondence: max deviation of the AdS boosts
-    (expressed in (tau, r)) from their Minkowski counterparts, per R.
+    """Flat-limit Killing correspondence: max deviation, per R, of the AdS
+    fields' coefficients in (tau, r) = (R t, R rho), (R c_t, R c_rho, v) of
+    `killing_coefficients`, from those of their Minkowski counterparts.
 
     R^{-1} K_{d+1,0} equals d_tau identically; the nontrivial entries are
     K_{0d} -> K^Mink_{0d} and R^{-1} K_{d+1,d} -> T_d, with O(1/R^2) error.
     """
     points = [(0.6, 1.3, np.array([0.2, -0.4, 0.6]) / math.sqrt(0.56)),
               (-0.4, 2.1, np.array([0.5, 0.5, 0.1]) / math.sqrt(0.51))]
-
-    def fld(tau, r, xi):
-        return (np.exp(-0.15 * (tau - 0.3) ** 2 - 0.1 * (r - 1.5) ** 2)
-                * (1.0 + 0.5 * xi[2] + 0.25 * xi[0] * xi[1]))
-
     out = {}
     for R in R_values:
         params = make_params(3, R, 0.0)
-
-        def fld_ads(t, rho, xi, params=params):
-            return fld(*flat_rescale(params, t, rho), xi)
         errs = []
         for tau, r, xi in points:
-            pt_ads = (*flat_unscale(params, tau, r), xi)
+            t, rho = flat_unscale(params, tau, r)
             for gen, name, scale in ((Boost0(3), "K0j", 1.0), (BoostD1(3), "Tj", R)):
-                ads = killing_apply(gen, fld_ads, pt_ads, h=1e-3 / R) / scale
-                errs.append(abs(ads - mink_killing_apply(name, fld, (tau, r, xi), j=3)))
+                c_t, c_rho, v = killing_coefficients(gen, t, rho, xi)
+                ads = (R / scale * c_t, R / scale * c_rho, v / scale)
+                mink = mink_killing_coefficients(name, tau, r, xi, j=3)
+                errs += [np.max(np.abs(a - b)) for a, b in zip(ads, mink)]
         out[R] = float(np.max(errs))
     return out

@@ -132,35 +132,56 @@ def suite_harmonics():
     return checks
 
 
+def _generators(d: int) -> list:
+    """Every GeneratorId at dimension d, K_jk and K_kj both: 13 at d = 3."""
+    return ([geo.TimeTranslation()]
+            + [geo.Rotation(j, k) for j in range(1, d + 1) for k in range(1, d + 1) if j != k]
+            + [cls(j) for cls in (geo.Boost0, geo.BoostD1) for j in range(1, d + 1)])
+
+
+def _pushforward(vec, t, rho, xi):
+    """(c_t, c_rho, v) of a vector vec (d + 2, ...) tangent to the hyperboloid
+    at embed(t, rho, xi), by the inverse of the embedding's Jacobian:
+    c_t = cos rho (V^0 cos t + V^{d+1} sin t), c_rho = cos^2 rho (xi . V)
+    and v = (V - (xi . V) xi) / tan rho, V the spatial part of vec."""
+    space = vec[1:-1]
+    radial = np.sum(xi * space, axis=0)
+    return (np.cos(rho) * (vec[0] * np.cos(t) + vec[-1] * np.sin(t)),
+            np.cos(rho) ** 2 * radial, (space - radial * xi) / np.tan(rho))
+
+
+def _pushforward_errors(rng) -> list:
+    """|killing_coefficients - pushforward of L X| per d = 3 generator and
+    coefficient, the largest over 50 random points (|t| <= 6, rho in
+    0.05 .. 1.5)."""
+    t, rho = rng.uniform(-6.0, 6.0, 50), rng.uniform(0.05, 1.5, 50)
+    xi = rng.normal(size=(3, 50))
+    xi /= np.linalg.norm(xi, axis=0)
+    x = geo.embed(t, rho, xi)
+    return [float(np.max(np.abs(got - want)))
+            for gen in _generators(3)
+            for got, want in zip(geo.killing_coefficients(gen, t, rho, xi),
+                                 _pushforward(geo.generator_matrix(gen, 3) @ x, t, rho, xi))]
+
+
+def _bracket_errors() -> list:
+    """|sum_C c_C L_C + [L_a, L_b]| per ordered pair of distinct d = 3 generators,
+    (c_C, C) the terms of bracket_rhs(a, b): the field map L -> (X -> L X)
+    reverses brackets, so the table must give -[L_a, L_b]."""
+    mats = {gen: geo.generator_matrix(gen, 3) for gen in _generators(3)}
+    return [float(np.max(np.abs(sum((c * mats[gen] for c, gen in geo.bracket_rhs(a, b, 3)),
+                                    la @ lb - lb @ la))))
+            for a, la in mats.items() for b, lb in mats.items() if a != b]
+
+
 def suite_geometry():
     rng = np.random.default_rng(SEED)
-    checks = []
-
-    def test_field(t, rho, xi):
-        x, y, z = xi
-        g = np.exp(-((t - 0.2) ** 2) / 0.5 - ((rho - 0.75) ** 2) / 0.4)
-        return g * (1.0 + 0.8 * x + 0.5 * y * z + 0.3j * z + 0.2 * x * y)
-
-    points = []
-    for _ in range(20):
-        xi = rng.normal(size=3)
-        points.append((rng.uniform(-0.4, 0.6), rng.uniform(0.45, 1.05),
-                       xi / np.linalg.norm(xi)))
-    # acceptance 11: all bracket families, d = 3
-    families = [
-        ("[T, R_jk]", geo.TimeTranslation(), geo.Rotation(1, 2)),
-        ("[B0_j, B0_k]", geo.Boost0(1), geo.Boost0(2)),
-        ("[B0_q, R_jk]", geo.Boost0(1), geo.Rotation(1, 3)),
-        ("[B1_j, B1_k]", geo.BoostD1(2), geo.BoostD1(3)),
-        ("[T, B0_k]", geo.TimeTranslation(), geo.Boost0(2)),
-        ("[B1_q, R_jk]", geo.BoostD1(3), geo.Rotation(2, 3)),
-        ("[B1_k, T]", geo.BoostD1(1), geo.TimeTranslation()),
-        ("[B0_k, B1_j]", geo.Boost0(3), geo.BoostD1(3)),
-        ("[R_jk, R_pq]", geo.Rotation(1, 2), geo.Rotation(2, 3)),
-    ]
-    checks.append(_check("bracket_table[9 families, 20 pts]",
-                         [geo.verify_lie_bracket(ga, gb, test_field, points)
-                          for name, ga, gb in families], 1e-5))
+    # acceptance 11: the closed-form Killing fields are the pushforwards of
+    # the generator matrices, and the matrices obey the bracket table; the
+    # pushforward preserves brackets, so the fields obey it too
+    checks = [_check("killing_pushforward[13 generators, 50 pts]",
+                     _pushforward_errors(rng), 1e-13),
+              _check("bracket_matrices[156 pairs]", _bracket_errors(), 0.0)]
     checks.append(_check("delta_product_identity",
                          [abs(p.delta_plus * p.delta_minus + p.msq_r2)
                           for p in _params_set()], 1e-12))

@@ -115,4 +115,5 @@ def test_criterion_10_flat_limit():
 
 def test_criterion_11_lie_brackets():
     checks = _checks("geometry")
-    _report(11, [checks["bracket_table[9 families, 20 pts]"]])
+    _report(11, [checks["killing_pushforward[13 generators, 50 pts]"],
+                 checks["bracket_matrices[156 pairs]"]])

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from adskg.errors import (BfViolation, BoundaryProximity, DomainError,
-                          EvenDimension, WindowError)
+from adskg.errors import BfViolation, DomainError, EvenDimension, WindowError
 from adskg.geometry import (Boost0, BoostD1, Rotation, TimeTranslation,
-                            boost_rho_coefficient,
-                            bracket_rhs, flat_labels, flat_rescale,
-                            flat_unscale, kg_residual, killing_apply,
-                            make_params, radial_measure, verify_lie_bracket)
+                            boost_rho_coefficient, bracket_rhs, embed,
+                            flat_labels, flat_rescale, flat_unscale,
+                            generator_matrix, kg_residual, killing_coefficients,
+                            make_params, radial_measure)
+from adskg.verify import _bracket_errors, _generators, _pushforward
 from adskg.modes import RadialKind, jacobi_radial, magic_frequency, radial_eval
 
 
@@ -137,82 +137,104 @@ def test_kg_residual_window_error(params_m0):
         kg_residual(lambda r: 1.0, 1.0, 0, params_m0, (0.0, 1.0))
 
 
-# --- Killing operators ---------------------------------------------------------
+# --- Killing fields from the embedding ----------------------------------------------
 
-def _xi(v):
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0])
 
 
-def test_killing_time_translation_phase():
-    omega = 2.1
-
-    def fld(t, rho, xi):
-        return np.exp(-1j * omega * t) * np.sin(rho) * (1.0 + xi[2])
-
-    pt = (0.3, 0.8, _xi([0.2, 0.5, 0.9]))
-    val = killing_apply(TimeTranslation(), fld, pt)
-    expected = -1j * omega * fld(*pt)
-    assert abs(val - expected) / abs(expected) < 1e-8
+def _random_points(rng, n=50):
+    """n points with |t| <= 6, rho in 0.05 .. 1.5 and xi uniform on S^2."""
+    xi = rng.normal(size=(3, n))
+    return rng.uniform(-6.0, 6.0, n), rng.uniform(0.05, 1.5, n), xi / np.linalg.norm(xi, axis=0)
 
 
-def test_killing_time_translation_annihilates_static():
-    def fld(t, rho, xi):
-        return np.cos(rho) ** 2 * (1.0 + 0.3 * xi[0])
+def test_embed_lands_on_the_hyperboloid(rng):
+    x = embed(*_random_points(rng))
+    quad = np.einsum("an,ab,bn->n", x, ETA, x)
+    # relative to sum |X^A|^2, which grows like 1 / cos^2 rho
+    assert np.all(np.abs(quad + 1.0) <= 1e-14 * np.sum(x * x, axis=0))
 
-    val = killing_apply(TimeTranslation(), fld, (0.1, 0.7, _xi([1.0, 0.2, 0.1])))
-    assert abs(val) < 1e-9
+
+@pytest.mark.parametrize("gen", _generators(3), ids=repr)
+def test_generator_matrix_is_in_so_2_d(gen):
+    mat = generator_matrix(gen, 3)
+    assert np.array_equal(mat.T @ ETA + ETA @ mat, np.zeros((5, 5)))
+    assert np.count_nonzero(mat) == 2
 
 
-def test_killing_boundary_proximity():
-    def fld(t, rho, xi):
-        return np.sin(rho)
+@pytest.mark.parametrize("gen", _generators(3), ids=repr)
+def test_killing_coefficients_are_the_pushforward_of_the_generator(gen, rng):
+    t, rho, xi = _random_points(rng)
+    want = _pushforward(generator_matrix(gen, 3) @ embed(t, rho, xi), t, rho, xi)
+    for got, pushed in zip(killing_coefficients(gen, t, rho, xi), want):
+        assert np.max(np.abs(got - pushed)) <= 1e-13
 
-    with pytest.raises(BoundaryProximity):
-        killing_apply(Boost0(3), fld, (0.0, math.pi / 2 - 1e-4, _xi([0, 0, 1.0])))
+
+def test_the_thirteen_generators_at_d_3():
+    gens = _generators(3)
+    assert len(gens) == len(set(gens)) == 13
+    assert np.array_equal(generator_matrix(Rotation(2, 1), 3), -generator_matrix(Rotation(1, 2), 3))
+
+
+def test_killing_coefficients_broadcast(rng):
+    t, rho, xi = _random_points(rng, 7)
+    for gen in _generators(3):
+        c_t, c_rho, v = killing_coefficients(gen, t, rho, xi)
+        assert c_t.shape == c_rho.shape == (7,) and v.shape == (3, 7)
+        # one point at a time gives the same bits
+        c_t0, c_rho0, v0 = killing_coefficients(gen, t[2], rho[2], xi[:, 2])
+        assert (c_t0, c_rho0) == (c_t[2], c_rho[2]) and np.array_equal(v0, v[:, 2])
+    with pytest.raises(TypeError):
+        killing_coefficients("K", 0.1, 0.5, xi[:, 0])
+
+
+def test_pushforward_of_a_nan_coefficient_fails_its_check(monkeypatch):
+    import adskg.geometry as geo
+    from adskg.verify import suite_geometry
+    fine = geo.killing_coefficients
+    monkeypatch.setattr(geo, "killing_coefficients", lambda gen, *args: (
+        (np.nan * fine(gen, *args)[0], *fine(gen, *args)[1:]) if gen == BoostD1(2)
+        else fine(gen, *args)))
+    passed = {c.name: c.passed for c in suite_geometry()}
+    assert not passed["killing_pushforward[13 generators, 50 pts]"]
+    assert passed["bracket_matrices[156 pairs]"]
+
+
+def test_bracket_table_is_minus_the_matrix_commutator():
+    errs = _bracket_errors()
+    assert len(errs) == 156 and max(errs) == 0.0
+
+
+@pytest.mark.parametrize("gen", _generators(3), ids=repr)
+def test_killing_coefficients_preserve_the_embedding_interval(gen, rng):
+    # an isometry keeps eta(X(p), X(q)); along the field, by central
+    # differences of embed at each of two points, both off the generator matrix
+    t, rho, xi = _random_points(rng, 2)
+    s = 1e-6
+
+    def moved(i, sign):
+        c_t, c_rho, v = killing_coefficients(gen, t[i], rho[i], xi[:, i])
+        return embed(t[i] + sign * s * c_t, rho[i] + sign * s * c_rho, xi[:, i] + sign * s * v)
+
+    x = [embed(t[i], rho[i], xi[:, i]) for i in range(2)]
+    dx = [(moved(i, 1.0) - moved(i, -1.0)) / (2.0 * s) for i in range(2)]
+    rate = dx[0] @ ETA @ x[1] + x[0] @ ETA @ dx[1]
+    assert abs(rate) <= 1e-7 * np.linalg.norm(x[0]) * np.linalg.norm(x[1])
+
+
+def test_pushforward_inverts_the_embedding_jacobian():
+    # d/ds embed(t + s c_t, rho + s c_rho, xi + s v) for a known (c_t, c_rho, v)
+    t, rho, xi, s = 0.4, 0.9, np.array([0.0, 0.6, 0.8]), 1e-6
+    c_t, c_rho, v = 0.3, -0.7, np.array([0.5, 0.24, -0.18])  # v . xi = 0
+    move = lambda s: embed(t + s * c_t, rho + s * c_rho, xi + s * v)
+    got = _pushforward((move(s) - move(-s)) / (2.0 * s), t, rho, xi)
+    assert np.allclose(np.r_[got[0], got[1], got[2]], np.r_[c_t, c_rho, v], atol=1e-8)
 
 
 def test_boost_rho_coefficient_vanishes_on_boundary():
-    xi = _xi([0.3, -0.5, 0.8])
+    xi = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
     assert boost_rho_coefficient(Boost0(3), 0.7, math.pi / 2, xi) == 0.0
     assert boost_rho_coefficient(BoostD1(3), -1.2, math.pi / 2, xi) == 0.0
-
-
-# --- Lie brackets ---------------------------------------------------------------
-
-def _test_field(t, rho, xi):
-    g = np.exp(-((t - 0.2) ** 2) / 0.5 - ((rho - 0.75) ** 2) / 0.4)
-    return g * (1.0 + 0.8 * xi[0] + 0.5 * xi[1] * xi[2]
-                + 0.3j * xi[2] + 0.2 * xi[0] * xi[1])
-
-
-def _points(rng, n=6):
-    pts = []
-    for _ in range(n):
-        t = rng.uniform(-0.4, 0.6)
-        rho = rng.uniform(0.45, 1.05)
-        xi = rng.normal(size=3)
-        pts.append((t, rho, xi / np.linalg.norm(xi)))
-    return pts
-
-
-def test_bracket_same_generator(rng):
-    dev = verify_lie_bracket(Boost0(3), Boost0(3), _test_field, _points(rng, 2))
-    assert dev == 0.0
-
-
-def test_bracket_time_rotation(rng):
-    # [K_{d+1,0}, K_{jk}] = 0
-    dev = verify_lie_bracket(TimeTranslation(), Rotation(1, 2),
-                             _test_field, _points(rng, 4))
-    assert dev < 1e-5
-
-
-def test_bracket_boost_pair(rng):
-    # [K_{0k}, K_{d+1,j}] = eta_{jk} K_{d+1,0}
-    dev = verify_lie_bracket(Boost0(3), BoostD1(3),
-                             _test_field, _points(rng, 4))
-    assert dev < 1e-5
 
 
 def test_bracket_rhs_table_entries():

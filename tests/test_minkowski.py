@@ -11,7 +11,7 @@ from adskg.harmonics import AngularGrid, lm_index, sph_harm
 from adskg.minkowski import (EnergyGrid, MinkSliceRep, MinkTubeRep,
                              flat_limit_compare, jcheck, jcheck_dr,
                              killing_correspondence_errors,
-                             mink_killing_apply, mink_omega_slice,
+                             mink_killing_coefficients, mink_omega_slice,
                              mink_omega_tube_momentum,
                              mink_omega_tube_quadrature, mink_synth_slice,
                              mink_synth_tube, mink_synth_tube_dr, ncheck,
@@ -332,17 +332,43 @@ def test_mink_rod_solutions_null():
     assert abs(mink_omega_tube_quadrature(eta, zeta, 1.5, ANG)) < 1e-9
 
 
-# --- Killing operators -----------------------------------------------------------------
+# --- Killing fields ---------------------------------------------------------------------
 
-def test_mink_killing_time_phase():
-    om = 1.7
+def test_mink_killing_coefficients():
+    xi = np.array([0.6, 0.64, 0.48])
+    c_tau, c_r, v = mink_killing_coefficients("K0j", 0.3, 1.1, xi, j=2)
+    assert (c_tau, c_r) == (-1.1 * 0.64, -0.3 * 0.64)
+    assert np.allclose(v, -0.3 / 1.1 * (np.array([0.0, 1.0, 0.0]) - 0.64 * xi), rtol=0, atol=1e-16)
+    c_tau, c_r, v = mink_killing_coefficients("Tj", 0.3, 1.1, xi)
+    assert (c_tau, c_r) == (0.0, 0.48) and abs(v @ xi) < 1e-16
+    with pytest.raises(ValueError, match="unknown Minkowski generator"):
+        mink_killing_coefficients("T0", 0.3, 1.1, xi)
 
-    def fld(tau, r, xi):
-        return np.exp(-1j * om * tau) * np.exp(-0.2 * r * r) * (1 + xi[0])
 
-    pt = (0.3, 1.1, np.array([0.6, 0.64, 0.48]) / 1.0)
-    val = mink_killing_apply("T0", fld, pt)
-    assert val == pytest.approx(-1j * om * fld(*pt), rel=1e-10)
+@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("name", ["Tj", "K0j"])
+def test_mink_killing_coefficients_preserve_the_interval(name, j, rng):
+    # a Poincare field keeps -(tau_p - tau_q)^2 + |x_p - x_q|^2, x = r xi:
+    # its rate along the field, by central differences, vanishes
+    s = 1e-6
+    pts = []
+    for _ in range(2):
+        xi = rng.normal(size=3)
+        pts.append((rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0), xi / np.linalg.norm(xi)))
+
+    def event(tau, r, xi):
+        return np.r_[tau, r * xi]
+
+    def rate_of(pt):
+        c_tau, c_r, v = mink_killing_coefficients(name, *pt, j=j)
+        tau, r, xi = pt
+        return (event(tau + s * c_tau, r + s * c_r, xi + s * v)
+                - event(tau - s * c_tau, r - s * c_r, xi - s * v)) / (2.0 * s)
+
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    sep = event(*pts[0]) - event(*pts[1])
+    rate = 2.0 * sep @ eta @ (rate_of(pts[0]) - rate_of(pts[1]))
+    assert abs(rate) <= 1e-7 * (1.0 + sep @ sep)
 
 
 # --- flat limit -------------------------------------------------------------------------
@@ -363,11 +389,11 @@ def test_flat_limit_nan_measurement_fails_its_check(monkeypatch):
     # a NaN at one radius must reach the error table, so its ratio check fails
     import adskg.minkowski as mink
     from adskg.verify import suite_minkowski
-    jcheck_fine, apply_fine = mink.jcheck, mink.mink_killing_apply
+    jcheck_fine, coeffs_fine = mink.jcheck, mink.mink_killing_coefficients
     monkeypatch.setattr(mink, "jcheck", lambda E, l, r, m: np.where(
         np.asarray(r) == 3.0, np.nan, jcheck_fine(E, l, r, m)))
-    monkeypatch.setattr(mink, "mink_killing_apply", lambda name, *args, **kw: (
-        float("nan") if name == "Tj" else apply_fine(name, *args, **kw)))
+    monkeypatch.setattr(mink, "mink_killing_coefficients", lambda name, *args, **kw: (
+        (0.0, float("nan"), 0.0) if name == "Tj" else coeffs_fine(name, *args, **kw)))
     passed = {c.name: c.passed for c in suite_minkowski()}
     assert not passed["flat_limit_radial_ratio"]
     assert not passed["killing_correspondence_ratio"]
