@@ -30,10 +30,6 @@ class EvenDimension(AdskgError):
     """Spatial dimension must be odd (and >= 3)."""
 
 
-class WindowError(AdskgError):
-    """A radial window touches a singular endpoint (0 or pi/2)."""
-
-
 class CapabilityError(AdskgError):
     """Operation requires noninteger nu (C-modes / transfer matrix)."""
 

@@ -175,8 +175,11 @@ class _Coeffs(Mapping):
             return coeffs
         labels = list(coeffs)
         keys = np.array(labels).reshape(-1, 3)
-        if keys.dtype == object:  # integers past int64: their floats, or +-inf
-            keys = np.vectorize(_float_or_inf, otypes=[float])(keys)
+        if keys.dtype == object:  # integers past int64: their floats; past the double
+            # range +-inf for a real first label, else +-DBL_MAX, refused as 10**20 is
+            big = np.finfo(float).max
+            keys = np.vectorize(_float_or_inf, otypes=[float])(
+                keys, [big if whole_j else math.inf, big, big])
         values = np.fromiter(coeffs.values() if channels == 1 else chain.from_iterable(
             coeffs.values()), complex, channels * len(labels))
         return _scatter(keys[:, 0], _packed_lm(keys, j_min, labels, whole_j),
@@ -197,12 +200,12 @@ class _Coeffs(Mapping):
         return type(self), (self.js, self.array, self.mask)
 
 
-def _float_or_inf(value) -> float:
-    """float(value), or +-inf for an integer past the double range."""
+def _float_or_inf(value, past: float = math.inf) -> float:
+    """float(value), or +-past for an integer past the double range."""
     try:
         return float(value)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return past if value > 0 else -past
 
 
 def _packed_lm(keys: np.ndarray, j_min: float, labels=None,

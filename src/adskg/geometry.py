@@ -13,15 +13,15 @@ of the K_AB.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import (BfViolation, CapabilityError, DomainError, EvenDimension,
-                     WindowError)
+from .errors import BfViolation, CapabilityError, DomainError, EvenDimension
 from .memo import memo
 
 _NU_INTEGER_TOL = 1e-9
@@ -99,47 +99,44 @@ def radial_measure(params: AdsParams, n_nodes: int):
     return 0.5 * np.arccos(x), wx * (1.0 + x) ** (-d / 2.0 - nu) / 2.0
 
 
-def kg_residual(radial_fn: Callable, omega, l, params: AdsParams,
-                rho_window: tuple[float, float], n_points: int = 40):
-    """Max normalized residual of the radial Klein-Gordon operator
-    cos^2 f'' + (d-1)/tan f' + [w^2 cos^2 - l(l+d-2)/tan^2 - m^2 R^2] f
-    on a uniform sub-grid of the window, derivatives by 5-point stencils, h = 1e-4.
+@functools.cache
+def _gauss_legendre():
+    """kg_residual's 48-node Gauss-Legendre rule on [-1, 1], read-only, built
+    on first use: scipy builds it through scipy.linalg, unloaded at import."""
+    nodes, weights = roots_legendre(48)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
-    radial_fn is called once, on the array of all stencil radii, shape
-    (5, n_points); a scalar result (a constant function) is broadcast.
-    omega and l may instead be equal-length 1-d arrays, one row each:
-    radial_fn then gets the stencil broadcast against the rows, shape
-    (rows, 5, n_points), must return row i's function in row i, and the
-    result is the array of the rows' residuals, each bit for bit the
-    scalar call's.
-    """
+
+def kg_residual(radial_fn: Callable, omega, l, params: AdsParams,
+                rho_window: tuple[float, float]):
+    """Normalized residual of the radial Klein-Gordon equation in its
+    Sturm-Liouville form (tan^{d-1} f')' = -tan^{d-1} g f, g = omega^2 -
+    l(l+d-2)/sin^2 - m^2 R^2/cos^2, integrated over the window [a, b] by a
+    48-node Gauss-Legendre rule: |[tan^{d-1} f']_a^b + sum_q w_q tan^{d-1} g f|
+    over the sum of the magnitudes of its parts (the bare residual where all
+    vanish).  radial_fn gets the ascending radii (a, rho_1..rho_48, b) and
+    returns (f, f'), each broadcastable against omega, l (of any shape) and
+    a trailing radius axis; the result has their leading shape, each element
+    bit for bit the scalar call's.  DomainError unless 0 < a < b < pi/2."""
     a, b = rho_window
     if not 0.0 < a < b < math.pi / 2:
-        raise WindowError("window must lie strictly inside (0, pi/2)")
-    rows = np.ndim(omega) == 1
-    if rows:
-        omega, l = (np.asarray(v)[:, None] for v in (omega, l))
-    d = params.d
-    msq = params.msq_r2
-    rho = np.linspace(a, b, n_points)
-    h = 1e-4
-    stencil = np.stack([rho - 2 * h, rho - h, rho, rho + h, rho + 2 * h])
-    if rows:
-        stencil = np.broadcast_to(stencil, (len(omega),) + stencil.shape)
-    fm2, fm1, f0, fp1, fp2 = np.moveaxis(
-        np.broadcast_to(radial_fn(stencil), stencil.shape), -2, 0)
-    d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
-    d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
-    c2 = np.array([math.cos(r) ** 2 for r in rho.tolist()])
-    t = np.array([math.tan(r) for r in rho.tolist()])
-    res = c2 * d2 + (d - 1) / t * d1 + \
-        (omega * omega * c2 - l * (l + d - 2) / (t * t) - msq) * f0
-    worst = np.max(np.abs(res), axis=-1)
-    scale = np.max(np.abs(f0), axis=-1)
-    if not rows:
-        worst, scale = float(worst), float(scale)
-        return worst / scale if scale > 0 else worst
-    return np.divide(worst, scale, out=worst, where=scale > 0)
+        raise DomainError(f"window {rho_window} must lie strictly inside (0, pi/2)")
+    nodes, weights = _gauss_legendre()
+    half = (b - a) / 2.0
+    rho = np.concatenate(([a], (a + b) / 2.0 + half * nodes, [b]))
+    f, fp = (np.broadcast_to(v, np.broadcast_shapes(np.shape(v), rho.shape))
+             for v in radial_fn(rho))
+    tan_d = np.tan(rho) ** (params.d - 1)
+    omega, l = (np.asarray(v, dtype=float)[..., None] for v in (omega, l))
+    terms = half * weights * tan_d[1:-1] * (
+        omega * omega - l * (l + params.d - 2) / np.sin(rho[1:-1]) ** 2
+        - params.msq_r2 / np.cos(rho[1:-1]) ** 2) * f[..., 1:-1]
+    end_b, end_a = tan_d[-1] * fp[..., -1], tan_d[0] * fp[..., 0]
+    res = np.abs(end_b - end_a + np.sum(terms, axis=-1))
+    scale = np.abs(end_b) + np.abs(end_a) + np.sum(np.abs(terms), axis=-1)
+    res = np.divide(res, scale, out=np.array(res), where=scale > 0)
+    return float(res) if res.ndim == 0 else res
 
 
 # ---------------------------------------------------------------------------

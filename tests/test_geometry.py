@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from adskg.errors import BfViolation, DomainError, EvenDimension, WindowError
+from adskg.errors import BfViolation, DomainError, EvenDimension
 from adskg.geometry import (Boost0, BoostD1, Rotation, TimeTranslation,
                             boost_rho_coefficient, bracket_rhs, embed,
                             flat_labels, flat_rescale, flat_unscale,
                             generator_matrix, kg_residual, killing_coefficients,
                             make_params, radial_measure)
 from adskg.verify import _bracket_errors, _generators, _pushforward
-from adskg.modes import RadialKind, jacobi_radial, magic_frequency, radial_eval
+from adskg.modes import RadialKind, jacobi_radial_fd, magic_frequency, radial_eval_fd
 
 
 def test_make_params_massless():
@@ -91,50 +91,78 @@ def test_radial_measure_is_memoized_read_only(params_m0, monkeypatch):
 # --- Klein-Gordon residual -----------------------------------------------------
 
 def test_kg_residual_sa(params_m0):
-    f = lambda r: radial_eval(RadialKind.Sa, 2.3, 1, r, params_m0)
-    assert kg_residual(f, 2.3, 1, params_m0, (0.2, 1.2)) < 1e-6
+    f = lambda r: radial_eval_fd(RadialKind.Sa, 2.3, 1, r, params_m0)
+    assert kg_residual(f, 2.3, 1, params_m0, (0.2, 1.2)) < 1e-12
 
 
 def test_kg_residual_jacobi(params_m0):
     om = magic_frequency("plus", 1, 0, params_m0)
-    f = lambda r: jacobi_radial("plus", 1, 0, r, params_m0)
-    assert kg_residual(f, om, 0, params_m0, (0.2, 1.2)) < 1e-6
+    f = lambda r: jacobi_radial_fd("plus", 1, 0, r, params_m0)
+    assert kg_residual(f, om, 0, params_m0, (0.2, 1.2)) < 1e-12
 
 
-def test_kg_residual_one_call_matches_pointwise_loop(params_m0):
-    # reference: the stencil loop, one radial_fn call per radius
-    def loop(fn, omega, l, p, a, b, n, h=1e-4):
-        worst = scale = 0.0
-        for r in np.linspace(a, b, n):
-            fm2, fm1, f0 = fn(r - 2 * h), fn(r - h), fn(r)
-            fp1, fp2 = fn(r + h), fn(r + 2 * h)
-            d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
-            d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
-            c2, t = math.cos(r) ** 2, math.tan(r)
-            res = c2 * d2 + (p.d - 1) / t * d1 + \
-                (omega * omega * c2 - l * (l + p.d - 2) / (t * t) - p.msq_r2) * f0
-            worst, scale = max(worst, abs(res)), max(scale, abs(f0))
-        return worst / scale
+def test_kg_residual_matches_a_pointwise_reference():
+    # the identity summed point by point on numpy's own Gauss-Legendre rule,
+    # for functions that solve no radial equation, so the residual is of
+    # order one and roundoff does not hide a wrong weight, sign or term
+    def reference(fn, omega, l, p, a, b):
+        x, w = np.polynomial.legendre.leggauss(48)
+        h = (b - a) / 2
+        ends = [math.tan(r) ** (p.d - 1) * fn(r)[1] for r in (a, b)]
+        terms = [h * wq * math.tan(r) ** (p.d - 1) * fn(r)[0]
+                 * (omega ** 2 - l * (l + p.d - 2) / math.sin(r) ** 2 - p.msq_r2 / math.cos(r) ** 2)
+                 for wq, r in zip(w, (a + b) / 2 + h * x)]
+        return abs(ends[1] - ends[0] + sum(terms)) / (
+            abs(ends[0]) + abs(ends[1]) + sum(map(abs, terms)))
     calls = []
 
-    def f(r):
+    def fn(r):
         calls.append(np.shape(r))
-        return radial_eval(RadialKind.Sa, 2.3, 1, r, params_m0)
+        return np.exp(r) * np.cos(3 * r), np.exp(r) * (np.cos(3 * r) - 3 * np.sin(3 * r))
 
-    got = kg_residual(f, 2.3, 1, params_m0, (0.2, 1.2), n_points=12)
-    assert calls == [(5, 12)]
-    assert got == loop(f, 2.3, 1, params_m0, 0.2, 1.2, 12)
+    for msq, omega, l, window in ((0.0, 2.3, 1, (0.2, 1.2)), (-2.0, 0.7, 3, (0.05, 1.5)),
+                                  (1.0, 4.1, 0, (0.6, 0.9))):
+        p = make_params(3, 1.0, msq)
+        calls.clear()
+        got = kg_residual(fn, omega, l, p, window)
+        assert calls == [(50,)]
+        assert got == pytest.approx(reference(fn, omega, l, p, *window), rel=1e-12)
+        assert 1e-3 < got <= 1.0
+
+
+def test_kg_residual_sees_errors_below_a_stencil():
+    # a 5-point stencil of step 1e-4 reads 1.6e-7 on the clean S^a(2.3, 1),
+    # above both errors below; the identity reads 1.1e-15 on it, a relative
+    # 1e-9 sin(7 rho) perturbation of f (with its derivative) at 3.8e-9, and
+    # f' alone scaled by 1 + 1e-9 at 4.4e-10
+    p = make_params(3, 1.0, 0.0)
+    clean = lambda r: radial_eval_fd(RadialKind.Sa, 2.3, 1, r, p)
+
+    def wavy(r):
+        f, df = clean(r)
+        eps = 1e-9 * np.sin(7 * r)
+        return f * (1 + eps), df * (1 + eps) + f * 7e-9 * np.cos(7 * r)
+
+    def slope(r):
+        f, df = clean(r)
+        return f, df * (1 + 1e-9)
+
+    assert kg_residual(clean, 2.3, 1, p, (0.2, 1.2)) < 1e-14
+    assert 1e-9 < kg_residual(wavy, 2.3, 1, p, (0.2, 1.2)) < 1e-8
+    assert 1e-10 < kg_residual(slope, 2.3, 1, p, (0.2, 1.2)) < 1e-9
 
 
 def test_kg_residual_non_solution():
     p = make_params(3, 1.0, 1.0)
-    res = kg_residual(lambda r: 1.0, 0.0, 0, p, (0.3, 1.1))
+    res = kg_residual(lambda r: (1.0, 0.0), 0.0, 0, p, (0.3, 1.1))
     assert res > 0.1  # order unity for a constructed non-solution
 
 
-def test_kg_residual_window_error(params_m0):
-    with pytest.raises(WindowError):
-        kg_residual(lambda r: 1.0, 1.0, 0, params_m0, (0.0, 1.0))
+@pytest.mark.parametrize("window", [(0.0, 1.0), (0.3, math.pi / 2), (1.0, 0.5), (0.5, 0.5),
+                                    (math.nan, 1.0)])
+def test_kg_residual_window_outside_the_open_interval(params_m0, window):
+    with pytest.raises(DomainError, match="window"):
+        kg_residual(lambda r: (1.0, 0.0), 1.0, 0, params_m0, window)
 
 
 # --- Killing fields from the embedding ----------------------------------------------

@@ -809,8 +809,8 @@ def test_mode_eval_conjugation(params_m0):
 def test_mode_eval_solves_kg(params_m0):
     label = SliceLabel(2, 1, 0)
     om = magic_frequency("plus", 2, 1, params_m0)
-    f = lambda r: jacobi_radial("plus", 2, 1, r, params_m0)
-    assert kg_residual(f, om, 1, params_m0, (0.2, 1.2)) < 1e-6
+    f = lambda r: jacobi_radial_fd("plus", 2, 1, r, params_m0)
+    assert kg_residual(f, om, 1, params_m0, (0.2, 1.2)) < 1e-12
 
 
 # --- asymptotic behavior ----------------------------------------------------------------

@@ -186,12 +186,18 @@ def test_labels_up_to_the_integer_range_and_large_momenta_are_accepted():
     (SliceRep, (0, 0, -10 ** 19), "l >= 0, |m| <= l, n >= 0"),
     (lambda c: TubeRep(_ONE, c, "S"), (2 ** 63, 0, 0), _PAST),  # a uint64 key array
     (lambda c: MinkSliceRep(c, 0.3), (0, 10 ** 20, 0), "l and m of magnitude at most 2147483647"),
-    # past the double range float() raised OverflowError; such labels read as +-inf
-    (lambda c: TubeRep(_ONE, c, "S"), (10 ** 400, 0, 0), "an integer first label, l and m"),
-    (lambda c: TubeRep(_ONE, c, "S"), (1, 10 ** 400, 0), "an integer first label, l and m"),
+    # past the double range float() raised OverflowError; such an integer
+    # label is refused for its magnitude, as 10 ** 20 is, and a real first
+    # label as not finite
+    (lambda c: TubeRep(_ONE, c, "S"), (10 ** 400, 0, 0), _PAST),
+    (lambda c: TubeRep(_ONE, c, "S"), (1, 10 ** 400, 0), _PAST),
+    (lambda c: TubeRep(_ONE, c, "S"), (1, 1, -10 ** 400), "l >= 0, |m| <= l"),
+    (lambda c: TubeRep(_ONE, c, "S"), (1, -10 ** 400, 0), "l >= 0, |m| <= l"),
     (lambda c: MinkSliceRep(c, 0.3), (10 ** 400, 1, 0), "a finite first label, integer l and m"),
     (lambda c: MinkSliceRep(c, 0.3), (-10 ** 400, 1, 0), "a finite first label, integer l and m"),
-    (SliceRep, (10 ** 400, 0, 0), "an integer first label, l and m"),
+    (lambda c: MinkSliceRep(c, 0.3), (0.5, 10 ** 400, 0), "l and m of magnitude at most 2147483647"),
+    (SliceRep, (10 ** 400, 0, 0), _PAST),
+    (SliceRep, (-10 ** 400, 0, 0), "l >= 0, |m| <= l, n >= 0"),
 ])
 def test_constructors_reject_integer_labels_past_int64(make, bad, rule):
     with pytest.raises(ValueError) as err:

@@ -44,52 +44,61 @@ def test_kg_residual_rows_match_scalar_calls(kind, msq):
 
     def fn(r):
         shapes.append(r.shape)
-        return modes.radial_eval(kind, om[:, None, None], l[:, None, None], r, p)
+        return modes.radial_eval_fd(kind, om[:, None], l[:, None], r, p)
 
-    got = geo.kg_residual(fn, om, l, p, (0.2, 1.2), n_points=12)
-    assert shapes == [(len(om), 5, 12)]
-    want = [geo.kg_residual(lambda r: modes.radial_eval(kind, w, ll, r, p), w, ll, p,
-                            (0.2, 1.2), n_points=12)
+    got = geo.kg_residual(fn, om, l, p, (0.2, 1.2))
+    assert shapes == [(50,)]
+    want = [geo.kg_residual(lambda r: modes.radial_eval_fd(kind, w, ll, r, p), w, ll, p,
+                            (0.2, 1.2))
             for w, ll in zip(om.tolist(), l.tolist())]
     assert all(type(v) is float for v in want)
     assert got.shape == (len(om),)
     assert got.tobytes() == np.array(want).tobytes()
+    # omega and l of any shape: here a (3, 5) grid of the same rows
+    grid = geo.kg_residual(lambda r: modes.radial_eval_fd(
+        kind, om.reshape(3, 5, 1), l.reshape(3, 5, 1), r, p), om.reshape(3, 5), l.reshape(3, 5),
+        p, (0.2, 1.2))
+    assert grid.tobytes() == got.tobytes() and grid.shape == (3, 5)
 
 
 def test_kg_residual_rows_of_a_constant_function():
-    # a scalar radial_fn result is broadcast over every row; a zero row
-    # reports the bare residual as the scalar call does
+    # a scalar (f, f') is broadcast over every row; where every part of the
+    # identity vanishes (f = 1 at omega = l = m^2 = 0, or f = 0) the bare
+    # residual 0 is reported, not 0/0
     p = geo.make_params(3, 1.0, 1.0)
-    got = geo.kg_residual(lambda r: 1.0, np.array([0.0, 2.0]), np.array([0, 1]),
+    got = geo.kg_residual(lambda r: (1.0, 0.0), np.array([0.0, 2.0]), np.array([0, 1]),
                           p, (0.3, 1.1))
-    want = [geo.kg_residual(lambda r: 1.0, w, ll, p, (0.3, 1.1))
+    want = [geo.kg_residual(lambda r: (1.0, 0.0), w, ll, p, (0.3, 1.1))
             for w, ll in ((0.0, 0), (2.0, 1))]
     assert got.tolist() == want
-    zero = geo.kg_residual(lambda r: 0.0 * r, np.array([1.0]), np.array([0]),
+    zero = geo.kg_residual(lambda r: (0.0 * r, 0.0 * r), np.array([1.0]), np.array([0]),
                            p, (0.3, 1.1))
-    assert zero.tolist() == [geo.kg_residual(lambda r: 0.0 * r, 1.0, 0, p, (0.3, 1.1))]
+    assert zero.tolist() == [geo.kg_residual(lambda r: (0.0 * r, 0.0 * r), 1.0, 0, p,
+                                             (0.3, 1.1))] == [0.0]
+    p0 = geo.make_params(3, 1.0, 0.0)
+    assert geo.kg_residual(lambda r: (1.0, 0.0), 0.0, 0, p0, (0.3, 1.1)) == 0.0
 
 
 # --- the batched suite_modes checks against the per-draw loops ---------------------
 
 def _loop_radial_kg_errors(rng):
-    """The per-draw loop the batched radial_kg_residuals replaced."""
+    """radial_kg_residuals draw by draw, one kind per kg_residual call."""
     errs = []
     for p in verify._params_set():
         for _ in range(10):
             om = rng.uniform(0.7, 4.5)
             l = int(rng.integers(0, 4))
             for kind in KINDS:
-                fn = lambda r: modes.radial_eval(kind, om, l, r, p)
-                errs.append(geo.kg_residual(fn, om, l, p, (0.2, 1.2), n_points=12))
+                fn = lambda r: modes.radial_eval_fd(kind, om, l, r, p)
+                errs.append(geo.kg_residual(fn, om, l, p, (0.2, 1.2)))
             n = int(rng.integers(0, 4))
             omp = modes.magic_frequency("plus", n, l, p)
-            fn = lambda r: modes.jacobi_radial("plus", n, l, r, p)
-            errs.append(geo.kg_residual(fn, omp, l, p, (0.2, 1.2), n_points=12))
+            fn = lambda r: modes.jacobi_radial_fd("plus", n, l, r, p)
+            errs.append(geo.kg_residual(fn, omp, l, p, (0.2, 1.2)))
             if p.exceptional_range:
                 omm = modes.magic_frequency("minus", n, l, p)
-                fn = lambda r: modes.jacobi_radial("minus", n, l, r, p)
-                errs.append(geo.kg_residual(fn, omm, l, p, (0.2, 1.2), n_points=12))
+                fn = lambda r: modes.jacobi_radial_fd("minus", n, l, r, p)
+                errs.append(geo.kg_residual(fn, omm, l, p, (0.2, 1.2)))
     return errs
 
 
