@@ -14,10 +14,6 @@ class PoleError(AdskgError):
     """Gamma function evaluated at a nonpositive integer."""
 
 
-class ConvergenceError(AdskgError):
-    """A series failed to reach the requested tolerance within max_terms."""
-
-
 class DomainError(AdskgError):
     """Argument outside the admissible domain of a function."""
 

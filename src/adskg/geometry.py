@@ -100,10 +100,10 @@ def radial_measure(params: AdsParams, n_nodes: int):
 
 
 @functools.cache
-def _gauss_legendre():
-    """kg_residual's 48-node Gauss-Legendre rule on [-1, 1], read-only, built
+def gauss_legendre(n: int):
+    """The n-node Gauss-Legendre rule on [-1, 1], read-only, built once per n
     on first use: scipy builds it through scipy.linalg, unloaded at import."""
-    nodes, weights = roots_legendre(48)
+    nodes, weights = roots_legendre(n)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -122,7 +122,7 @@ def kg_residual(radial_fn: Callable, omega, l, params: AdsParams,
     a, b = rho_window
     if not 0.0 < a < b < math.pi / 2:
         raise DomainError(f"window {rho_window} must lie strictly inside (0, pi/2)")
-    nodes, weights = _gauss_legendre()
+    nodes, weights = gauss_legendre(48)
     half = (b - a) / 2.0
     rho = np.concatenate(([a], (a + b) / 2.0 + half * nodes, [b]))
     f, fp = (np.broadcast_to(v, np.broadcast_shapes(np.shape(v), rho.shape))

@@ -21,8 +21,8 @@ same pair of the other basis's series, so each series is summed once.  An
 array call (every synthesis and inversion) takes the array path at every
 size, one point included.  A build takes sin rho, cos rho and the series
 argument once per distinct rho and (alpha, beta, gamma) of every kind
-from one S^a row, routes each element, and sums every series it needs in
-one hyp2f1 call; its radial tables are memoized per kind, with the other
+from one S^a row, routes each element, and evaluates every series it needs
+in one hyp2f1 call; its radial tables are memoized per kind, with the other
 basis's tables where a build gives them at every point (a later build
 past the cutoff reads them in place of the series; `adskg.memo`).  A
 scalar call takes the scalar path, the array path's reference.  Both
@@ -261,7 +261,7 @@ def _radial_direct_array(codes, l, rho, s, c, abc, params: AdsParams):
     of the kind _KINDS[codes[i]] with the hypergeometric parameters
     abc[:, i] at rho[i], whose sine and cosine are s[i] and c[i]: (f, f'),
     each of shape (n,).  The prefactor comes once per distinct (kind, l,
-    rho); one hyp2f1 array call sums every element's series and, where
+    rho); one hyp2f1 array call evaluates every element's series and, where
     a b != 0, the series 2F1(a+1, b+1; c+1) of its x-derivative
     (a b / c) 2F1(a+1, b+1; c+1), as hyp2f1_dx forms it."""
     pre, dpre = _per_distinct(lambda i, ll, r: _prefactor_fd(_KINDS[i], ll, r, params),

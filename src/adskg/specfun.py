@@ -1,16 +1,13 @@
 """Double-precision special functions underlying the mode formulas.
 
-The Gauss hypergeometric series is evaluated by direct summation only, up
-to its first term within REL_TOL of the sum and, unless it terminates, at
-|x| <= ARG_CUTOFF; analytic continuation past the cutoff is the job of the
+The Gauss hypergeometric function 2F1 is scipy.special.hyp2f1 behind the
+checks of a direct series: unless the series terminates, |x| must not exceed
+ARG_CUTOFF; analytic continuation past the cutoff is the job of the
 transfer matrix one level up (see modes), whose entries are the Gamma-ratio
-connection coefficients of the z -> 1 - z formula.
-`hyp2f1` also accepts broadcastable ndarrays for (a, b, c, x):
-the array path sums every element's series in blocks of terms (the term
-ratios, then a running product and a running sum along the term axis), with
-the scalar loop's parenthesization and the same stopping rule per element,
-so each element is bit-identical to the scalar call.  Scalar inputs keep the
-plain loop, which is the reference.
+connection coefficients of the z -> 1 - z formula.  A terminating series
+holds at any x; past x = 1/2 one with c < 0 is taken to 1 - x (DLMF 15.8.7).
+`hyp2f1` also accepts broadcastable ndarrays for (a, b, c, x), each element
+bit-identical to the scalar call.
 Jacobi, Gegenbauer, Legendre, Pochhammer and spherical Bessel functions are
 scipy.special ufuncs under this module's conventions, raising DomainError
 where the ufunc would return nan (assoc_legendre: any non-finite value);
@@ -22,18 +19,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import (eval_gegenbauer, eval_jacobi, lpmv, poch,
-                           spherical_jn, spherical_yn)
+from scipy.special import (eval_gegenbauer, eval_jacobi, hyp2f1 as _hyp2f1,
+                           lpmv, poch, spherical_jn, spherical_yn)
 
-from .errors import ConvergenceError, DomainError, PoleError
-
-
-REL_TOL = 1e-14  # the series stops at its first |term| <= REL_TOL |sum|
-ARG_CUTOFF = 0.75  # largest |x| a non-terminating series is summed at
+from .errors import DomainError, PoleError
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
+ARG_CUTOFF = 0.75  # largest |x| a non-terminating series is taken at
+
+
+def _stop(v: float) -> float:
+    """n where v = -n is a nonpositive integer, else inf: the last term of
+    a 2F1 series with v for a or b."""
+    return -v if v <= 0.0 and v == math.floor(v) else math.inf
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -58,134 +56,66 @@ def double_pochhammer(a: float, k: int) -> float:
 
 def hyp2f1_terminates(a: float, b: float) -> bool:
     """True when the 2F1 series truncates to a polynomial."""
-    return _is_nonpositive_integer(a) or _is_nonpositive_integer(b)
+    return min(_stop(a), _stop(b)) < math.inf
 
 
-def hyp2f1(a, b, c, x, max_terms: int = 10000):
-    """Gauss hypergeometric 2F1(a, b; c; x) by direct series.
+def hyp2f1(a, b, c, x):
+    """Gauss hypergeometric 2F1(a, b; c; x), scipy.special.hyp2f1 behind the
+    checks of its series.
 
-    Terminating series (a or b a nonpositive integer) are summed exactly for
-    any x.  Otherwise |x| must not exceed ARG_CUTOFF.  a, b and c must be
-    finite (DomainError); at most max_terms terms are summed (ValueError
-    unless max_terms >= 1).  Any ndarray argument selects the block-summed
-    array path (`_hyp2f1_blocks`), whose result has the broadcast shape.
+    a, b and c must be finite (DomainError).  A series terminating at its
+    term n (a or b = -n) holds at any x; one with a nonpositive-integer c
+    only if n < -c, else its term n + 1 is 0/0 (PoleError).  Any other
+    series needs |x| <= ARG_CUTOFF (DomainError).  Past x = 1/2 a
+    terminating series with c < 0, which scipy's recurrence in a can get
+    wholly wrong (1e55 times the value at x = 0.99), is taken to 1 - x by
+    DLMF 15.8.7, 2F1(-n, b; c; x) = (c-b)_n / (c)_n 2F1(-n, b; b-c-n+1; 1-x),
+    wherever its new c is positive: 1 + nu for S^b, l + d/2 for C^b.
+    Scalar arguments give a Python float; any ndarray argument gives the
+    broadcast shape, each element bit for bit the scalar call's.
     """
-    if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
     if any(isinstance(v, np.ndarray) for v in (a, b, c, x)):
-        return _hyp2f1_blocks(a, b, c, x, max_terms)
+        return _hyp2f1_array(a, b, c, x)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise DomainError(f"2F1 parameters ({a}, {b}, {c}) must be finite")
-    terminates = hyp2f1_terminates(a, b)
-    n_stop = None
-    if terminates:
-        n_stop = min(int(-v) for v in (a, b) if _is_nonpositive_integer(v))
-    if _is_nonpositive_integer(c):
-        # admissible only if the series stops before the pole in (c)_k
-        if not (terminates and n_stop <= int(-c)):
-            raise PoleError(f"2F1 parameter c = {c} is a nonpositive integer")
-    if not terminates and abs(x) > ARG_CUTOFF:
+    n, m = min(_stop(a), _stop(b)), _stop(c)
+    if m < math.inf and n >= m:  # term m + 1 meets the pole of (c)_k
+        raise PoleError(f"2F1 parameter c = {c} is a nonpositive integer")
+    if n == math.inf and not abs(x) <= ARG_CUTOFF:
         raise DomainError(f"|x| = {abs(x)} exceeds series cutoff {ARG_CUTOFF}")
-
-    term = 1.0
-    total = 1.0
-    for k in range(max_terms):
-        if terminates and k == n_stop:
-            return total
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
-        total += term
-        if abs(term) <= REL_TOL * abs(total):
-            return total
-    raise ConvergenceError(
-        f"2F1({a},{b};{c};{x}) did not converge in {max_terms} terms")
+    other = b if _stop(a) == n else a
+    if n < math.inf and c < 0.0 and x > 0.5 and other - c - n + 1.0 > 0.0:
+        return float(poch(c - other, n) / poch(c, n)
+                     * _hyp2f1(-n, other, other - c - n + 1.0, 1.0 - x))
+    return float(_hyp2f1(a, b, c, x))
 
 
-_BLOCK_ELEMENTS = 1 << 16  # cap on the (element, term) temporaries of a block
-
-
-def _rows(*vals) -> np.ndarray:
-    """vals broadcast against each other and stacked as float rows."""
-    rows = np.empty((len(vals),) + np.broadcast(*vals).shape)
-    for i, v in enumerate(vals):
-        rows[i] = v
-    return rows
-
-
-def _hyp2f1_blocks(a, b, c, x, max_terms: int = 10000) -> np.ndarray:
-    """Array path of hyp2f1: every element's series summed block by block.
-
-    A block of terms k0 .. k0+n-1 forms the ratios (a+k)(b+k)/((c+k)(k+1)) x
-    of the still-running elements, takes their running product seeded by
-    the carried term and the running sum seeded by the carried total; both
-    accumulate sequentially, as the scalar loop does.  An element stops at
-    its first k with |term| <= REL_TOL |total|, or before computing term
-    n_stop of a terminating series.  The argument checks (DomainError,
-    PoleError) run over every element before any summation.
-    """
-    # rows: a, b, c, x, n_stop, carried term, carried total; one column per
-    # element, and later per running element
-    state = _rows(a, b, c, x, np.inf, 1.0, 1.0)
-    shape = state.shape[1:]
-    state = state.reshape(7, -1)
-    abc = state[:3]
-    nonpos = (abc <= 0.0) & (abc == np.floor(abc))
-    n_stop = state[4] = np.where(nonpos[:2], -abc[:2], np.inf).min(axis=0)
-    terminates = n_stop < np.inf
-    infinite = ~np.isfinite(abc).all(axis=0)
-    pole = nonpos[2] & ~(n_stop <= -abc[2])
-    outside = ~terminates & (np.abs(state[3]) > ARG_CUTOFF)
+def _hyp2f1_array(a, b, c, x) -> np.ndarray:
+    """hyp2f1 at each element of the broadcast arguments: the scalar
+    call's checks and formulas, element by element."""
+    a, b, c, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c, x)))
+    stops = [np.where((v <= 0.0) & (v == np.floor(v)), -v, np.inf) for v in (a, b, c)]
+    n = np.fmin(stops[0], stops[1])
+    terminates = n < np.inf
+    infinite = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c))
+    pole = (stops[2] < np.inf) & (n >= stops[2])
+    outside = ~terminates & ~(np.abs(x) <= ARG_CUTOFF)
     bad = infinite | pole | outside
     if bad.any():
-        i = bad.argmax()
+        i = np.unravel_index(bad.argmax(), bad.shape)
         if infinite[i]:
-            raise DomainError(f"2F1 parameters {tuple(abc[:, i])} must be finite")
+            raise DomainError(f"2F1 parameters ({a[i]}, {b[i]}, {c[i]}) must be finite")
         if pole[i]:
-            raise PoleError(f"2F1 parameter c = {abc[2, i]} is a nonpositive integer")
-        raise DomainError(f"|x| = {abs(state[3, i])} exceeds series cutoff {ARG_CUTOFF}")
-
-    out = np.ones(state.shape[1])
-    live = np.flatnonzero(n_stop != 0.0)
-    if live.size < out.size:
-        state = state[:, live]
-    halting = terminates.any()
-    k0, width = 0, 32
-    with np.errstate(all="ignore"):  # ratios past an element's stop are dropped
-        while live.size and k0 < max_terms:
-            n = max(1, min(width, max_terms - k0,
-                           _BLOCK_ELEMENTS // live.size))
-            k = k0 + np.arange(n, dtype=float)
-            ra, rb, rc, rx, r_stop = state[:5, :, None]
-            ratio = (ra + k) * (rb + k) / ((rc + k) * (k + 1.0)) * rx
-            ratio[:, 0] *= state[5]
-            terms = np.cumprod(ratio, axis=1)
-            ratio[:] = terms
-            ratio[:, 0] += state[6]
-            totals = np.cumsum(ratio, axis=1)
-            stop = np.abs(terms) <= REL_TOL * np.abs(totals)
-            if halting:
-                halt = r_stop == k
-                stop |= halt
-            done = stop.any(axis=1)
-            if done.any():
-                rows = np.flatnonzero(done)
-                first = stop[rows].argmax(axis=1)
-                value = totals[rows, first]
-                if halting:  # a halt at k returns the total through term k-1
-                    h = halt[rows, first]
-                    value[h] = np.where(first[h] > 0, totals[rows[h], first[h] - 1],
-                                        state[6, rows[h]])
-                out[live[rows]] = value
-                keep = ~done
-                live, state = live[keep], state[:, keep]
-                terms, totals = terms[keep], totals[keep]
-            state[5], state[6] = terms[:, -1], totals[:, -1]
-            k0 += n
-            width *= 2
-    if live.size:
-        a, b, c, x = state[:4, 0]
-        raise ConvergenceError(f"2F1({a},{b};{c};{x}) did not "
-                               f"converge in {max_terms} terms")
-    return out.reshape(shape)
+            raise PoleError(f"2F1 parameter c = {c[i]} is a nonpositive integer")
+        raise DomainError(f"|x| = {abs(x[i])} exceeds series cutoff {ARG_CUTOFF}")
+    out = np.asarray(_hyp2f1(a, b, c, x))
+    other = np.where(stops[0] == n, b, a)
+    flip = terminates & (c < 0.0) & (x > 0.5) & (other - c - n + 1.0 > 0.0)
+    if flip.any():
+        nf, bf, cf = n[flip], other[flip], c[flip]
+        out[flip] = poch(cf - bf, nf) / poch(cf, nf) \
+            * _hyp2f1(-nf, bf, bf - cf - nf + 1.0, 1.0 - x[flip])
+    return out
 
 
 def hyp2f1_dx(a: float, b: float, c: float, x: float) -> float:

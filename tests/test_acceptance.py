@@ -41,7 +41,7 @@ def _report(criterion, checks):
 def test_criterion_1_special_function_oracles():
     checks = _checks("specfun")
     _report(1, [checks["jacobi_vs_hypergeometric[50]"],
-                checks["hyp2f1_termination_exact[n+1 terms]"],
+                checks["hyp2f1_termination_exact"],
                 checks["double_pochhammer_halving"]])
 
 

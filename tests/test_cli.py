@@ -389,6 +389,20 @@ def test_reconstruct_round_trip(tmp_path, capsys):
     assert "RECONSTRUCT tube PASS" in captured
 
 
+def test_reconstruct_one_label_tube_at_omega_50(tmp_path, capsys):
+    # (omega, l) = (50, 0) at rho0 = 0.8, where the tube table's 2F1s are
+    # 1e-14 of their largest terms: scipy's 2F1 recovers the label to
+    # 6.8e-12 (the direct series failed at 2.2e-4)
+    path = tmp_path / "rep.txt"
+    path.write_text("adskg-rep v1 d=3 R=1.0 msq=0.0 domega=0.5\n"
+                    "S 100 0 0 1.0 0.0 0.0 0.0\n")
+    assert main(["reconstruct", "--input", str(path), "--target", "tube",
+                 "--rho0", "0.8"]) == 0
+    out = capsys.readouterr().out
+    assert "RECONSTRUCT tube PASS" in out
+    assert float(out.split("max_err=")[-1]) <= 1e-10
+
+
 def test_reconstruct_tube_grid_sized_from_rep(tmp_path, capsys):
     # l = 18 needs more than the default 16 x 32 angular grid
     params = make_params(3, 1.0, 0.0)

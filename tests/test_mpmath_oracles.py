@@ -4,6 +4,7 @@ the flat limit, over the parameter ranges the library uses.  Each error is measu
 without zeros, so the tolerance stays 1e-12 near the functions' roots."""
 
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -13,17 +14,82 @@ from hypothesis import strategies as st
 
 from adskg.expansions import twisted_derivative
 from adskg.geometry import make_params
-from adskg.harmonics import EulerAngles, wigner_d
+from adskg.harmonics import EulerAngles, sph_harm, wigner_d
 from adskg.minkowski import jcheck, jcheck_dr, ncheck, ncheck_dr
 from adskg.modes import RadialKind, hyper_params, magic_frequency
-from adskg.specfun import (assoc_legendre, jacobi_p, spherical_bessel,
-                           spherical_bessel_dx)
+from adskg.specfun import (assoc_legendre, hyp2f1, hyp2f1_terminates, jacobi_p,
+                           spherical_bessel, spherical_bessel_dx)
 
 mp = pytest.importorskip("mpmath").mp
 
 TOL = 1e-12
 ORACLE = settings(max_examples=150, deadline=None)
 unit = st.floats(-1.0, 1.0)
+
+
+def _hyp2f1_mp(a, b, c, x):
+    """2F1 at 40 digits; a terminating series as its explicit sum, which
+    needs no zero detection where the polynomial vanishes."""
+    with mp.workdps(40):
+        if not hyp2f1_terminates(a, b):
+            return mp.hyp2f1(a, b, c, x)
+        n = int(min(-v for v in (a, b) if v <= 0 and v == int(v)))
+        a, b, c, x = map(mp.mpf, (a, b, c, x))
+        term, total = mp.mpf(1), mp.mpf(0)
+        for k in range(n + 1):
+            total += term
+            term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * x
+        return total
+
+
+def _hyp2f1_local_err(a, b, c, x):
+    """|hyp2f1 - mpmath| over the local magnitude, the largest |2F1| at x,
+    0.99 x and 1.01 x (capped at 1), so a value next to a root is compared
+    with the function's size there."""
+    want = _hyp2f1_mp(a, b, c, x)
+    scale = max(abs(_hyp2f1_mp(a, b, c, min(f * x, 1.0))) for f in (1.0, 0.99, 1.01))
+    return abs(hyp2f1(a, b, c, x) - float(want)) / float(scale)
+
+
+# the workloads' 2F1 range: the four radial kinds at three masses, |omega|
+# <= 12, l <= 8.  The bound is the worst of 60,000 random draws per kind at
+# x <= 0.75, 2.3e-12 (S^b; S^a 2.1e-12, C^b 1.9e-12, C^a 4.7e-13), rounded
+# up; the old direct series' worst there was 5.0e-13
+HYP2F1_TOL = 3e-12
+_WORKLOAD_PARAMS = [make_params(3, 1.0, msq) for msq in (0.0, -2.0, 1.0)]
+
+
+@pytest.mark.parametrize("kind", list(RadialKind))
+def test_hyp2f1_vs_mpmath_over_the_workload_range(kind):
+    # non-terminating series at x <= ARG_CUTOFF, 150 draws per kind
+    rng = np.random.default_rng(38)
+    worst = 0.0
+    for _ in range(150):
+        p = _WORKLOAD_PARAMS[rng.integers(3)]
+        omega, l, x = rng.uniform(-12.0, 12.0), int(rng.integers(9)), rng.uniform(0.0, 0.75)
+        worst = max(worst, _hyp2f1_local_err(*hyper_params(kind, omega, l, p), x))
+    assert worst <= HYP2F1_TOL
+
+
+@pytest.mark.parametrize("kind", list(RadialKind))
+def test_hyp2f1_vs_mpmath_at_terminating_frequencies(kind):
+    # every frequency |omega| <= 12 at which a or b is a nonpositive integer,
+    # l <= 8, at x up to 0.9998, where the modes take the series directly:
+    # S^b and C^b (c < 0) go through 1 - x past x = 1/2.  Worst found:
+    # 2.4e-13; scipy's own hyp2f1 is 0.36 off at (m^2, l, omega, x) =
+    # (-2, 1, -12, 0.9998)
+    worst = 0.0
+    for p in _WORKLOAD_PARAMS:
+        for l in range(9):
+            al, be, _ = hyper_params(kind, 0.0, l, p)
+            for j in range(13):
+                for omega in (2.0 * (al + j), -2.0 * (be + j)):
+                    a, b, c = hyper_params(kind, omega, l, p)
+                    if abs(omega) > 12.0 or not hyp2f1_terminates(a, b):
+                        continue
+                    for x in (0.05, 0.5, 0.75, 0.97, 0.9998):
+                        worst = max(worst, _hyp2f1_local_err(a, b, c, x))
+    assert worst <= 1e-12
 
 
 @ORACLE
@@ -253,13 +319,38 @@ def test_twisted_derivative_vs_mpmath_sum(nu, omega, l, rho, kind):
 def test_twisted_derivative_at_large_nu_vs_mpmath_sum():
     # nu = 20.5, k = 21: C^a, and C^b at even l, keep 1e-13.  C^b at odd l
     # cancels ((-l/2)_i never vanishes; at (2.3, 1) the sum of |terms| is 1e6
-    # times the value at the boundary): it keeps 1e-9 from rho = 1 outward
-    # and 1e-6 at rho = 0.6
+    # times the value at the boundary): it keeps 1e-9 (2.5e-10 at rho = 0.6)
     p = make_params(3, 1.0, 20.5 ** 2 - 2.25)
     for rho in (0.6, 1.0, math.pi / 2):
         for l in range(4):
             for kind in (RadialKind.Ca, RadialKind.Cb):
-                bound = 1e-13 if kind is RadialKind.Ca or l % 2 == 0 else \
-                    1e-6 if rho == 0.6 else 1e-9
+                bound = 1e-13 if kind is RadialKind.Ca or l % 2 == 0 else 1e-9
                 want = _twisted_sum(kind, 2.3, l, rho, p)[0]
                 assert _rel_err(twisted_derivative(kind, 2.3, l, rho, p), want) <= bound
+
+
+def test_twisted_derivative_is_warning_free_at_the_boundary():
+    # nu = 20.5: the C^b Leibniz sum at rho = pi/2, where y = cos^2 rho is
+    # about 4e-33, holds no term that warns; odd l keeps C^b's 1e-9 there
+    p = make_params(3, 1.0, 20.5 ** 2 - 2.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = twisted_derivative(RadialKind.Cb, 2.3, 1, math.pi / 2, p)
+    want = _twisted_sum(RadialKind.Cb, 2.3, 1, math.pi / 2, p)[0]
+    assert math.isfinite(got) and _rel_err(got, want) <= 1e-9
+
+
+def test_eval_at_large_omega_and_l_vs_mpmath(capsys):
+    # S^a at (omega, l) = (80.1, 30), rho = 0.9, on the equator: its 2F1 is
+    # 1e-13 of its largest terms.  The value is 1% off mpmath; the direct
+    # series printed 3.95e-15, 390 times the true 1.0e-17
+    from adskg.cli import main
+    assert main(["eval", "--kind", "sa", "--omega", "80.1", "--l", "30", "--m", "0",
+                 "--rho", "0.9:0.9:1"]) == 0
+    got = float(capsys.readouterr().out.splitlines()[-1].split(",")[4])
+    a, b, c = hyper_params(RadialKind.Sa, 80.1, 30, make_params(3, 1.0, 0.0))
+    with mp.workdps(40):
+        s = mp.sin(mp.mpf(0.9))
+        radial = s ** 30 * mp.cos(mp.mpf(0.9)) ** 3 * mp.hyp2f1(a, b, c, s * s)
+    want = float(radial) * sph_harm(30, 0, math.pi / 2, 0.0).real
+    assert abs(got - want) <= 0.02 * abs(want)
