@@ -6,6 +6,7 @@ ARG_CUTOFF; analytic continuation past the cutoff is the job of the
 transfer matrix one level up (see modes), whose entries are the Gamma-ratio
 connection coefficients of the z -> 1 - z formula.  A terminating series
 holds at any x; past x = 1/2 one with c < 0 is taken to 1 - x (DLMF 15.8.7).
+Where c < 0 and scipy recurs in a, the summed series checks its value.
 `hyp2f1` also accepts broadcastable ndarrays for (a, b, c, x), each element
 bit-identical to the scalar call.
 Jacobi, Gegenbauer, Legendre, Pochhammer and spherical Bessel functions are
@@ -26,6 +27,8 @@ from .errors import DomainError, PoleError
 
 
 ARG_CUTOFF = 0.75  # largest |x| a non-terminating series is taken at
+_MAX_TERMS = 1024  # terms of a summed series, at most
+_EPS = float(np.finfo(float).eps)
 
 
 def _stop(v: float) -> float:
@@ -65,40 +68,33 @@ def hyp2f1(a, b, c, x):
 
     a, b and c must be finite (DomainError).  A series terminating at its
     term n (a or b = -n) holds at any x; one with a nonpositive-integer c
-    only if n < -c, else its term n + 1 is 0/0 (PoleError).  Any other
-    series needs |x| <= ARG_CUTOFF (DomainError).  Past x = 1/2 a
-    terminating series with c < 0, which scipy's recurrence in a can get
-    wholly wrong (1e55 times the value at x = 0.99), is taken to 1 - x by
-    DLMF 15.8.7, 2F1(-n, b; c; x) = (c-b)_n / (c)_n 2F1(-n, b; b-c-n+1; 1-x),
-    wherever its new c is positive: 1 + nu for S^b, l + d/2 for C^b.
+    only if n <= -c, else its term -c + 1 is 0/0 (PoleError).  Any other
+    series needs |x| <= ARG_CUTOFF (DomainError).  Three kinds of element
+    take another formula than scipy's, whose value there can be wholly
+    wrong:
+    - a series ending at n = -c is its n + 1 terms summed (DLMF 15.2);
+    - past x = 1/2, a terminating series with c < 0 is taken to 1 - x by
+      DLMF 15.8.7, 2F1(-n, b; c; x) = (c-b)_n / (c)_n 2F1(-n, b; b-c-n+1;
+      1-x), wherever its new c is positive: 1 + nu for S^b, l + d/2 for C^b;
+    - a non-terminating series that `_recurs` flags (S^b at m^2 = 0 and
+      |omega| = 37.5 was 1.7e-3 off next to x = 0) is its summed series
+      wherever scipy's value lies outside the sum's rounding bound.
     Scalar arguments give a Python float; any ndarray argument gives the
     broadcast shape, each element bit for bit the scalar call's.
     """
     if any(isinstance(v, np.ndarray) for v in (a, b, c, x)):
         return _hyp2f1_array(a, b, c, x)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise DomainError(f"2F1 parameters ({a}, {b}, {c}) must be finite")
-    n, m = min(_stop(a), _stop(b)), _stop(c)
-    if m < math.inf and n >= m:  # term m + 1 meets the pole of (c)_k
-        raise PoleError(f"2F1 parameter c = {c} is a nonpositive integer")
-    if n == math.inf and not abs(x) <= ARG_CUTOFF:
-        raise DomainError(f"|x| = {abs(x)} exceeds series cutoff {ARG_CUTOFF}")
-    other = b if _stop(a) == n else a
-    if n < math.inf and c < 0.0 and x > 0.5 and other - c - n + 1.0 > 0.0:
-        return float(poch(c - other, n) / poch(c, n)
-                     * _hyp2f1(-n, other, other - c - n + 1.0, 1.0 - x))
-    return float(_hyp2f1(a, b, c, x))
+    return float(_hyp2f1_array(a, b, c, x))
 
 
 def _hyp2f1_array(a, b, c, x) -> np.ndarray:
-    """hyp2f1 at each element of the broadcast arguments: the scalar
-    call's checks and formulas, element by element."""
+    """hyp2f1 at each element of the broadcast arguments."""
     a, b, c, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c, x)))
     stops = [np.where((v <= 0.0) & (v == np.floor(v)), -v, np.inf) for v in (a, b, c)]
     n = np.fmin(stops[0], stops[1])
     terminates = n < np.inf
     infinite = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c))
-    pole = (stops[2] < np.inf) & (n >= stops[2])
+    pole = (stops[2] < np.inf) & (n > stops[2])
     outside = ~terminates & ~(np.abs(x) <= ARG_CUTOFF)
     bad = infinite | pole | outside
     if bad.any():
@@ -108,14 +104,59 @@ def _hyp2f1_array(a, b, c, x) -> np.ndarray:
         if pole[i]:
             raise PoleError(f"2F1 parameter c = {c[i]} is a nonpositive integer")
         raise DomainError(f"|x| = {abs(x[i])} exceeds series cutoff {ARG_CUTOFF}")
-    out = np.asarray(_hyp2f1(a, b, c, x))
+    at_pole = terminates & (n == stops[2])
+    with np.errstate(all="ignore"):  # scipy's value at a pole is replaced below
+        out = np.array(_hyp2f1(a, b, c, x))
     other = np.where(stops[0] == n, b, a)
-    flip = terminates & (c < 0.0) & (x > 0.5) & (other - c - n + 1.0 > 0.0)
+    flip = terminates & ~at_pole & (c < 0.0) & (x > 0.5) & (other - c - n + 1.0 > 0.0)
     if flip.any():
         nf, bf, cf = n[flip], other[flip], c[flip]
         out[flip] = poch(cf - bf, nf) / poch(cf, nf) \
             * _hyp2f1(-nf, bf, bf - cf - nf + 1.0, 1.0 - x[flip])
+    if at_pole.any():
+        out[at_pole] = [_series(*e)[0]
+                        for e in zip(*(v[at_pole].tolist() for v in (a, b, c, x, n)))]
+    check = ~terminates & _recurs(a, b, c, x)
+    if check.any():
+        out[check] = [_checked(*e) for e in zip(*(v[check].tolist() for v in (a, b, c, x, out)))]
     return out
+
+
+def _recurs(a, b, c, x):
+    """Where scipy's value of a non-terminating series is checked against
+    its summed series: c < 0 and max(|a|, |b|) > |c| + 3, where scipy
+    recurs in a and loses digits (within 3.4e-13 of mpmath up to |c| + 3
+    at the radial kinds), at |x| <= 1/4, where that recursion loses the
+    most and the sum the least."""
+    return (c < 0.0) & (np.abs(x) <= 0.25) & (np.fmax(np.abs(a), np.abs(b)) > np.abs(c) + 3.0)
+
+
+def _checked(a: float, b: float, c: float, x: float, val: float) -> float:
+    """scipy's value val of 2F1(a, b; c; x), or the summed series where val
+    lies farther from the sum than the sum's rounding bound."""
+    total, bound = _series(a, b, c, x)
+    return total if abs(val - total) > bound else val
+
+
+def _series(a: float, b: float, c: float, x: float, n: float = math.inf):
+    """The 2F1 series summed through its term n (inf: until a term falls to
+    eps of the sum) and the sum's rounding bound eps sum_k k |t_k|, term k
+    carrying k rounded ratios; the bound is inf where _MAX_TERMS terms of
+    a non-terminating series do not finish it."""
+    term = total = 1.0
+    spread = 0.0
+    k = 0
+    while k < n:
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
+        k += 1
+        total += term
+        spread += k * abs(term)
+        if n == math.inf:
+            if abs(term) <= _EPS * abs(total):
+                break
+            if k == _MAX_TERMS:
+                return total, math.inf
+    return total, _EPS * (1.0 + spread)
 
 
 def hyp2f1_dx(a: float, b: float, c: float, x: float) -> float:

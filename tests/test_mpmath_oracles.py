@@ -16,7 +16,7 @@ from adskg.expansions import twisted_derivative
 from adskg.geometry import make_params
 from adskg.harmonics import EulerAngles, sph_harm, wigner_d
 from adskg.minkowski import jcheck, jcheck_dr, ncheck, ncheck_dr
-from adskg.modes import RadialKind, hyper_params, magic_frequency
+from adskg.modes import RadialKind, hyper_params, magic_frequency, radial_eval
 from adskg.specfun import (assoc_legendre, hyp2f1, hyp2f1_terminates, jacobi_p,
                            spherical_bessel, spherical_bessel_dx)
 
@@ -52,9 +52,10 @@ def _hyp2f1_local_err(a, b, c, x):
 
 
 # the workloads' 2F1 range: the four radial kinds at three masses, |omega|
-# <= 12, l <= 8.  The bound is the worst of 60,000 random draws per kind at
-# x <= 0.75, 2.3e-12 (S^b; S^a 2.1e-12, C^b 1.9e-12, C^a 4.7e-13), rounded
-# up; the old direct series' worst there was 5.0e-13
+# <= 12, l <= 8.  The bound is scipy's rare tail at x <= 0.75, rounded up:
+# C^b 1.5e-12 and C^a 1.1e-12 next to a terminating frequency (90,000
+# random draws per kind), S^a 2.1e-12 in an earlier sample; S^b, which the
+# summed series checks, 2.9e-13.  The old direct series' worst was 6.0e-13
 HYP2F1_TOL = 3e-12
 _WORKLOAD_PARAMS = [make_params(3, 1.0, msq) for msq in (0.0, -2.0, 1.0)]
 
@@ -69,6 +70,34 @@ def test_hyp2f1_vs_mpmath_over_the_workload_range(kind):
         omega, l, x = rng.uniform(-12.0, 12.0), int(rng.integers(9)), rng.uniform(0.0, 0.75)
         worst = max(worst, _hyp2f1_local_err(*hyper_params(kind, omega, l, p), x))
     assert worst <= HYP2F1_TOL
+
+
+def test_hyp2f1_where_scipy_recurs_vs_mpmath():
+    # S^b at 25 <= |omega| <= 40, 6 <= l <= 15 and x <= 1/4, where scipy's
+    # recurrence in a is up to 2.2e-2 off (3,000 draws) and the summed
+    # series checks it: worst 5.1e-9 there, 4.5e-14 at x <= 0.05
+    rng = np.random.default_rng(38)
+    worst, worst_small = 0.0, 0.0
+    for _ in range(100):
+        p = _WORKLOAD_PARAMS[rng.integers(3)]
+        omega = rng.choice([-1.0, 1.0]) * rng.uniform(25.0, 40.0)
+        l, x = int(rng.integers(6, 16)), rng.uniform(0.0, 0.25)
+        err = _hyp2f1_local_err(*hyper_params(RadialKind.Sb, omega, l, p), x)
+        worst = max(worst, err)
+        if x <= 0.05:
+            worst_small = max(worst_small, err)
+    assert worst <= 1e-8 and worst_small <= 1e-13
+
+
+def test_radial_sb_next_to_the_axis_at_large_omega():
+    # S^b at m^2 = 0, (omega, l, rho) = (37.5, 11, 0.1): scipy's 2F1 alone
+    # is 1.7e-3 off there
+    p = _WORKLOAD_PARAMS[0]
+    a, b, c = hyper_params(RadialKind.Sb, 37.5, 11, p)
+    with mp.workdps(40):
+        s, co = mp.sin(mp.mpf(0.1)), mp.cos(mp.mpf(0.1))
+        want = -s ** (2 - 11 - 3) * co ** 3 * mp.hyp2f1(a, b, c, s ** 2)
+    assert radial_eval(RadialKind.Sb, 37.5, 11, 0.1, p) == pytest.approx(float(want), rel=1e-13)
 
 
 @pytest.mark.parametrize("kind", list(RadialKind))

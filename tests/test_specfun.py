@@ -74,14 +74,13 @@ def test_hyp2f1_domain_and_poles():
         hyp2f1(0.3, 0.7, 1.1, 0.9)
     with pytest.raises(DomainError, match="exceeds series cutoff"):
         hyp2f1(0.3, 0.7, 1.1, math.nan)
-    with pytest.raises(PoleError):
-        hyp2f1(0.3, 0.7, -2.0, 0.1)
-    # a series stopping at the c-pole: its next term is 0/0
-    for args in ((-5.0, 2.5, -5.0, 0.3), (-1.0, -1.0, -1.0, 4.0)):
+    # a series past the c-pole: its term -c + 1 is 0/0
+    for args in ((0.3, 0.7, -2.0, 0.1), (-3.0, 0.7, -2.0, 0.1)):
         with pytest.raises(PoleError):
             hyp2f1(*args)
-    # terminating before the c-pole is fine
+    # terminating before or at the c-pole is fine
     assert hyp2f1(-1.0, 0.7, -2.0, 0.4) == pytest.approx(1.0 + 0.7 * 0.4 / 2.0)
+    assert hyp2f1(0.3, 0.0, 0.0, 0.9) == 1.0
 
 
 def _explicit(a, b, c, x):
@@ -99,11 +98,17 @@ def _explicit(a, b, c, x):
 def test_hyp2f1_terminating_series_with_negative_c():
     # the S^b polynomial 2F1(6, -6; -1/2; x) of (msq, l, omega) = (-2, 1, -12)
     # at x = sin^2 rho = 0.97 and 0.9998, where scipy's own value is 1e-12
-    # and 36% off, and a series stopping before a nonpositive-integer c
+    # and 36% off, and series stopping before or at a nonpositive-integer c
+    # (DLMF 15.2: the n + 1 terms of a series ending at n = -c), where
+    # scipy returns inf or (1 - x)^-b
     for args in ((6.0, -6.0, -0.5, 0.3), (6.0, -6.0, -0.5, 0.97),
                  (6.0, -6.0, -0.5, 0.9998), (-8.0, 5.0, -9.0, 3.0),
-                 (-1.0, 0.7, -2.0, 0.4), (-1.0, 0.7, -2.0, 0.9)):
+                 (-1.0, 0.7, -2.0, 0.4), (-1.0, 0.7, -2.0, 0.9),
+                 (-5.0, 2.5, -5.0, 0.3), (-2.0, 0.7, -2.0, 0.9),
+                 (-2.0, -2.0, -2.0, 0.3), (-1.0, -1.0, -1.0, 4.0)):
         assert hyp2f1(*args) == pytest.approx(_explicit(*args), rel=1e-13)
+    assert hyp2f1(-2.0, 0.7, -2.0, 0.4) == pytest.approx(1.0 + 0.7 * 0.4 + 0.595 * 0.16,
+                                                         rel=1e-15)
 
 
 # array path: the array call against the scalar call, bit for bit
@@ -118,6 +123,7 @@ _ELEMENT = st.one_of(
     st.tuples(st.just(0.0), _FINITE, st.floats(-3.0, 3.0), st.floats(-4.0, 4.0)),
     st.tuples(_FINITE, st.just(0.0), _NONPOS, st.floats(-4.0, 4.0)),
     st.tuples(_FINITE, _FINITE, _C, st.sampled_from([-4.0, -0.75, 0.75, 1.5])),
+    st.tuples(_FINITE, _FINITE, st.floats(-12.0, -0.1), st.floats(-0.75, 0.75)),  # c < 0
 )
 
 
@@ -150,8 +156,8 @@ def test_hyp2f1_array_special_cases():
     cases = [((-3.0, 1.7, 0.4, 3.5), None),             # terminating past the cutoff
              ((-1.0, 0.7, -2.0, 0.4), None),            # admissible nonpositive c
              ((0.3, 0.7, 1.1, 0.9), DomainError),       # |x| past the cutoff
+             ((-2.0, 0.7, -2.0, 0.1), None),            # stops at the pole
              ((0.3, 0.7, -2.0, 0.1), PoleError),
-             ((-2.0, 0.7, -2.0, 0.1), PoleError),       # stops at the pole
              ((-3.0, 0.7, -2.0, 0.1), PoleError)]       # stops after the pole
     for args, error in cases:
         if error is None:
