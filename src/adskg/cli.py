@@ -2,11 +2,11 @@
 and reconstruction round-trip reports.
 
 Exit codes: 0 pass, 1 verification/reconstruction failure, 2 usage or
-parse errors, a NaN or infinite number and an out-of-range parameter
-among them.  Output is deterministic: no timestamps, fixed row order;
-the exceptions are each suite's wall time (duration_s), the cache
-counters and the process counters (minor page faults and peak-RSS growth)
-under `verify --json`.
+parse errors, a NaN or infinite number, an out-of-range parameter and a
+file that cannot be read or written among them.  Output is
+deterministic: no timestamps, fixed row order; the exceptions are each
+suite's wall time (duration_s), the cache counters and the process
+counters (minor page faults and peak-RSS growth) under `verify --json`.
 """
 
 from __future__ import annotations
@@ -273,10 +273,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except AdskgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (AdskgError, OSError) as exc:  # a file that cannot be read or written too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -950,17 +950,21 @@ def _read_rows(lines) -> np.ndarray:
 
 
 def load_rep(path):
-    """Parse a rep file; returns (rep, params).  Rejects unknown versions.
+    """Parse a rep file; returns (rep, params).  Rejects unknown versions
+    and text that is not UTF-8 (SerializationError).
 
     The label lines are read by one `np.loadtxt` call into _ROW records and
     stored through `_scatter`.  On any fault, the lines are first checked
     one at a time in file order, so a malformed line, a non-finite value or
     a repeated label is named before any fault of the file as a whole."""
-    if hasattr(path, "read"):
-        text = path.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    try:
+        if hasattr(path, "read"):
+            text = path.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"rep file is not UTF-8 text: {exc}") from exc
     lines = text.splitlines()
     start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
     if start is None:

@@ -55,10 +55,18 @@ def _ratio_check(name, ratio, lo, hi):
     return Check(name, float(ratio), hi, bool(lo <= ratio <= hi), (lo, hi))
 
 
-def _diffs(ref, rep):
-    """|rep - ref| per channel coefficient, over the labels of ref."""
-    return [abs(rep.coeffs[key][i] - v)
-            for key, pair in ref.coeffs.items() for i, v in enumerate(pair)]
+def _diffs(ref, rep) -> list:
+    """|rep - ref| per label of ref and channel, label by label, gathered
+    from the dense arrays (a label rep lacks reads as 0, as `coeff` gives
+    it); np.hypot of the parts gives the bits of Python's abs of a complex,
+    where np.abs can differ in the last bit."""
+    want, have = ref.coeffs, rep.coeffs
+    rows, lm = want.mask.nonzero()
+    j = want.js[rows]
+    at = np.searchsorted(have.js, j).clip(max=len(have.js) - 1)
+    held = (have.js[at] == j) & (lm < have.array.shape[2])
+    diff = np.where(held, have.array[:, at, np.where(held, lm, 0)], 0.0) - want.array[:, rows, lm]
+    return np.hypot(diff.real, diff.imag).T.ravel().tolist()
 
 
 def _params_set():
@@ -66,6 +74,30 @@ def _params_set():
 
 
 # ---------------------------------------------------------------------------
+
+def _termination_errors() -> np.ndarray:
+    """|2F1(-n, 1.3; 0.7; x) - its polynomial| / max(1, |polynomial|), n in
+    (1, 3, 6) and x in (-1, 0.4, 1), n by n: one hyp2f1 call, one pochhammer
+    call per parameter, each polynomial's terms added in order."""
+    n, x = (v.ravel() for v in np.meshgrid([1, 3, 6], [-1.0, 0.4, 1.0], indexing="ij"))
+    b, c, k = 1.3, 0.7, np.arange(7)
+    val = sf.hyp2f1(-n.astype(float), b, c, x)
+    coef = (sf.pochhammer(-n[:, None], k) * sf.pochhammer(b, k)
+            / (sf.pochhammer(c, k) * [math.factorial(i) for i in k.tolist()]))
+    explicit = np.array([sum(cf * xx ** i for i, cf in enumerate(row[:nn + 1]))
+                         for nn, xx, row in zip(n.tolist(), x.tolist(), coef.tolist())])
+    return np.abs(val - explicit) / np.maximum(np.abs(explicit), 1.0)
+
+
+def _halving_errors(rng) -> np.ndarray:
+    """|((2a))_k - 2^k (a)_k| / max(|2^k (a)_k|, 1e-280) for 60 (a, k) draws,
+    a in (-5, 5) and k <= 15: the draws first, then one pochhammer call."""
+    draws = [(rng.uniform(-5, 5), int(rng.integers(0, 16))) for _ in range(60)]
+    a, k = (np.array(col) for col in zip(*draws))
+    lhs = np.array([sf.double_pochhammer(2 * aa, kk) for aa, kk in draws])
+    rhs = 2.0 ** k * sf.pochhammer(a, k)
+    return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-280)
+
 
 def suite_specfun():
     rng = np.random.default_rng(SEED)
@@ -81,27 +113,8 @@ def suite_specfun():
     errs = np.abs(sf.jacobi_p(alpha, beta, n, x) - hyp) / np.maximum(np.abs(hyp), 1e-12)
     checks.append(_check("jacobi_vs_hypergeometric[50]", errs, 1e-11))
 
-    # exact truncation: the terminating series at any argument matches the
-    # explicit polynomial to roundoff
-    errs = []
-    for n in (1, 3, 6):
-        for x in (-1.0, 0.4, 1.0):
-            b, c = 1.3, 0.7
-            val = sf.hyp2f1(float(-n), b, c, x)
-            explicit = sum(sf.pochhammer(-n, k) * sf.pochhammer(b, k)
-                           / (sf.pochhammer(c, k) * math.factorial(k)) * x ** k
-                           for k in range(n + 1))
-            errs.append(abs(val - explicit) / max(abs(explicit), 1.0))
-    checks.append(_check("hyp2f1_termination_exact", errs, 1e-13))
-
-    errs = []
-    for _ in range(60):
-        a = rng.uniform(-5, 5)
-        k = int(rng.integers(0, 16))
-        lhs = sf.double_pochhammer(2 * a, k)
-        rhs = 2.0 ** k * sf.pochhammer(a, k)
-        errs.append(abs(lhs - rhs) / max(abs(rhs), 1e-280))
-    checks.append(_check("double_pochhammer_halving", errs, 1e-13))
+    checks.append(_check("hyp2f1_termination_exact", _termination_errors(), 1e-13))
+    checks.append(_check("double_pochhammer_halving", _halving_errors(rng), 1e-13))
     return checks
 
 
@@ -164,14 +177,22 @@ def _pushforward_errors(rng) -> list:
                                  _pushforward(geo.generator_matrix(gen, 3) @ x, t, rho, xi))]
 
 
-def _bracket_errors() -> list:
+def _bracket_errors() -> np.ndarray:
     """|sum_C c_C L_C + [L_a, L_b]| per ordered pair of distinct d = 3 generators,
     (c_C, C) the terms of bracket_rhs(a, b): the field map L -> (X -> L X)
-    reverses brackets, so the table must give -[L_a, L_b]."""
-    mats = {gen: geo.generator_matrix(gen, 3) for gen in _generators(3)}
-    return [float(np.max(np.abs(sum((c * mats[gen] for c, gen in geo.bracket_rhs(a, b, 3)),
-                                    la @ lb - lb @ la))))
-            for a, la in mats.items() for b, lb in mats.items() if a != b]
+    reverses brackets, so the table must give -[L_a, L_b].  The commutators
+    are one batched product of the stacked matrices and the sums one einsum
+    against the (pair, C) table of the c_C; every entry is a small integer,
+    so both are exact."""
+    gens = _generators(3)
+    mats = np.array([geo.generator_matrix(gen, 3) for gen in gens])
+    a, b = np.nonzero(~np.eye(len(gens), dtype=bool))
+    col, table = {gen: i for i, gen in enumerate(gens)}, np.zeros((len(a), len(gens)))
+    for row, (i, j) in enumerate(zip(a.tolist(), b.tolist())):
+        for c, gen in geo.bracket_rhs(gens[i], gens[j], 3):
+            table[row, col[gen]] += c
+    resid = np.einsum("pc,cij->pij", table, mats) + mats[a] @ mats[b] - mats[b] @ mats[a]
+    return np.abs(resid).max(axis=(1, 2))
 
 
 def suite_geometry():
@@ -220,25 +241,31 @@ def _radial_kg_errors(rng) -> list:
     return errs
 
 
-def _wronskian_errors(rng, p) -> list:
+def _wronskian_errors(rng, p) -> tuple:
     """Spread of the weighted Wronskian of each kind pair over rho, relative
-    to its largest value (acceptance 3), for ten (omega, l) draws; each kind
-    is one radial_eval_fd call over (rho, draw), and _weighted_wronskian
-    takes tan of each rho as the scalar call does.  Listed draw by draw."""
+    to its largest value (acceptance 3), for ten (omega, l) draws, listed
+    draw by draw; and |det M W(C^a, C^b) - W(S^a, S^b)| / |W(S^a, S^b)| at
+    rho = 0.7 for the six draws after them, det M formed from M's entries
+    (not its closed form) by one transfer_matrix call per draw.  The
+    sixteen draws come first, in the per-draw order; each kind is then one
+    radial_eval_fd call over (rho, draw), and _weighted_wronskian takes tan
+    of each rho as the scalar call does."""
     pairs = [(RadialKind.Sa, RadialKind.Sb), (RadialKind.Ca, RadialKind.Cb),
              (RadialKind.Sa, RadialKind.Ca), (RadialKind.Sa, RadialKind.Cb),
              (RadialKind.Sb, RadialKind.Ca), (RadialKind.Sb, RadialKind.Cb)]
-    draws = [(rng.uniform(0.6, 5.0), int(rng.integers(0, 4))) for _ in range(10)]
+    draws = [(rng.uniform(0.6, 5.0), int(rng.integers(0, 4))) for _ in range(16)]
     om, l = (np.array(col) for col in zip(*draws))
     rho = (0.4, 0.7, 1.0)
     fd = {kind: modes.radial_eval_fd(kind, om, l, np.array(rho)[:, None], p)
           for kind in (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb)}
-    errs = []
-    for ka, kb in pairs:
-        vals = np.array([modes._weighted_wronskian(*row, r, p.d) for r, *row
-                         in zip(rho, *fd[ka], *fd[kb])])
-        errs.append(np.ptp(vals, axis=0) / np.max(np.abs(vals), axis=0))
-    return np.stack(errs, axis=1).ravel().tolist()
+    vals = [np.array([modes._weighted_wronskian(*row, r, p.d) for r, *row
+                      in zip(rho, *fd[ka], *fd[kb])]) for ka, kb in pairs]
+    spread = [np.ptp(v[:, :10], axis=0) / np.max(np.abs(v[:, :10]), axis=0) for v in vals]
+    mats = [modes.transfer_matrix(w, ll, p) for w, ll in draws[10:]]
+    det = np.array([m.m11 * m.m22 - m.m12 * m.m21 for m in mats])
+    w_ss, w_cc = (v[rho.index(0.7), 10:] for v in vals[:2])
+    return (np.stack(spread, axis=1).ravel().tolist(),
+            (np.abs(det * w_cc - w_ss) / np.abs(w_ss)).tolist())
 
 
 def _magic_errors(p) -> list:
@@ -269,18 +296,9 @@ def suite_modes():
 
     # acceptance 3: Wronskian constancy and the determinant identity
     p = geo.make_params(3, 1.0, 0.0)
-    checks.append(_check("wronskian_constancy", _wronskian_errors(rng, p), 1e-8))
-
-    errs = []
-    for _ in range(6):
-        om = rng.uniform(0.6, 5.0)
-        l = int(rng.integers(0, 4))
-        mat = modes.transfer_matrix(om, l, p)
-        w_cc = modes.wronskian(RadialKind.Ca, RadialKind.Cb, om, l, 0.7, p)
-        w_ss = modes.wronskian(RadialKind.Sa, RadialKind.Sb, om, l, 0.7, p)
-        det = mat.m11 * mat.m22 - mat.m12 * mat.m21  # of the entries, not mat.det
-        errs.append(abs(det * w_cc - w_ss) / abs(w_ss))
-    checks.append(_check("det_transfer_identity", errs, 1e-8))
+    spread, det = _wronskian_errors(rng, p)
+    checks += [_check("wronskian_constancy", spread, 1e-8),
+               _check("det_transfer_identity", det, 1e-8)]
 
     # acceptance 4: normalization constant vs defining quadrature
     oracle = _norm_oracles(p)
@@ -360,9 +378,7 @@ def suite_expansions():
                             (5, 2, 1): -0.2j})
     data = xp.sample_rod(rrep, 0.9, p, ang)
     rec = xp.invert_rod_interior(data, p, 2)
-    checks.append(_check("rod_interior_round_trip",
-                         [abs(rec.coeffs[k] - v) for k, v in rrep.coeffs.items()],
-                         1e-6))
+    checks.append(_check("rod_interior_round_trip", _diffs(rrep, rec), 1e-6))
 
     # acceptance 8: twisted-derivative boundary machinery
     lim_ca = xp.twisted_boundary_limit(RadialKind.Ca, p)
@@ -387,9 +403,7 @@ def suite_expansions():
                               (-17, 1, -1): 0.3})
     rdata = xp.rod_boundary_data_of(rrep2, p, ang)
     rrec = xp.rod_boundary_reconstruct(rdata, p, 1)
-    checks.append(_check("rod_boundary_round_trip",
-                         [abs(rrec.coeffs[k] - v) for k, v in rrep2.coeffs.items()],
-                         1e-6))
+    checks.append(_check("rod_boundary_round_trip", _diffs(rrep2, rrec), 1e-6))
     return checks
 
 

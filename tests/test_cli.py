@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adskg.cli import build_parser, main
-from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, _Coeffs, save_rep
+from adskg.errors import SerializationError
+from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, _Coeffs, load_rep, save_rep
 from adskg.geometry import make_params
 from adskg.harmonics import sph_harm
 from adskg.modes import RadialKind, jacobi_radial, magic_frequency, radial_eval
@@ -461,6 +462,29 @@ def test_reconstruct_rod_magic_blind(tmp_path, capsys):
 def test_reconstruct_missing_file():
     assert main(["reconstruct", "--input", "/nonexistent/rep.txt",
                  "--target", "tube"]) == 2
+
+
+def test_reconstruct_directory_input_exits_2(tmp_path, capsys):
+    assert main(["reconstruct", "--input", str(tmp_path), "--target", "tube"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_directory_output_exits_2(tmp_path, capsys):
+    assert main(["eval", "--kind", "sa", "--omega", "2.3", "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reconstruct_rep_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "rep.txt"
+    path.write_bytes(b"adskg-rep v1 d=3 R=1.0 msq=0.0 domega=0.5\n"
+                     b"S 1 0 0 1.0 0.0 0.0 0.0 \xff\n")
+    assert main(["reconstruct", "--input", str(path), "--target", "tube"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rep file is not UTF-8 text") and err.count("\n") == 1
+    with pytest.raises(SerializationError, match="not UTF-8"):
+        load_rep(str(path))
 
 
 def _reconstruct(tmp_path, rep, target, *extra):

@@ -1,6 +1,6 @@
-"""The batched radial checks of `verify modes` against per-draw loops, the
-Gauss-Legendre norm oracle against scipy's adaptive quadrature, and the
-imports a `verify all` run leaves behind."""
+"""The batched checks of `verify` against the per-draw loops they replaced,
+the Gauss-Legendre norm oracle against scipy's adaptive quadrature, and the
+imports and library calls a `verify all` run makes."""
 
 import math
 import os
@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adskg import expansions as xp
 from adskg import geometry as geo
 from adskg import modes
+from adskg import specfun as sf
 from adskg import verify
 from adskg.memo import counters
 from adskg.modes import RadialKind
@@ -117,6 +119,20 @@ def _loop_wronskian_errors(rng, p):
     return errs
 
 
+def _loop_det_errors(rng, p):
+    """The per-draw loop det_transfer_identity replaced."""
+    errs = []
+    for _ in range(6):
+        om = rng.uniform(0.6, 5.0)
+        l = int(rng.integers(0, 4))
+        mat = modes.transfer_matrix(om, l, p)
+        w_cc = modes.wronskian(RadialKind.Ca, RadialKind.Cb, om, l, 0.7, p)
+        w_ss = modes.wronskian(RadialKind.Sa, RadialKind.Sb, om, l, 0.7, p)
+        det = mat.m11 * mat.m22 - mat.m12 * mat.m21
+        errs.append(abs(det * w_cc - w_ss) / abs(w_ss))
+    return errs
+
+
 def _loop_magic_errors(p):
     """The per-point loop the batched magic_termination replaced."""
     errs = []
@@ -142,12 +158,118 @@ def test_batched_modes_checks_match_the_per_draw_loops(seed):
     want = _loop_radial_kg_errors(ref)
     assert len(got) == len(want) == 160
     assert _bits(got) == _bits(want)
-    got = verify._wronskian_errors(rng, p)
+    got, det = verify._wronskian_errors(rng, p)
     want = _loop_wronskian_errors(ref, p)
     assert len(got) == len(want) == 60
     assert _bits(got) == _bits(want)
+    want = _loop_det_errors(ref, p)
+    assert len(det) == len(want) == 6
+    assert _bits(det) == _bits(want)
     assert rng.random() == ref.random()  # both consumed the same draws
     assert _bits(verify._magic_errors(p)) == _bits(_loop_magic_errors(p))
+
+
+# --- the batched specfun, geometry and expansions checks against their loops --------
+
+def _loop_termination_errors():
+    """The per-(n, x) loop hyp2f1_termination_exact replaced."""
+    errs = []
+    for n in (1, 3, 6):
+        for x in (-1.0, 0.4, 1.0):
+            b, c = 1.3, 0.7
+            val = sf.hyp2f1(float(-n), b, c, x)
+            explicit = sum(sf.pochhammer(-n, k) * sf.pochhammer(b, k)
+                           / (sf.pochhammer(c, k) * math.factorial(k)) * x ** k
+                           for k in range(n + 1))
+            errs.append(abs(val - explicit) / max(abs(explicit), 1.0))
+    return errs
+
+
+def _loop_halving_errors(rng):
+    """The per-draw loop double_pochhammer_halving replaced."""
+    errs = []
+    for _ in range(60):
+        a = rng.uniform(-5, 5)
+        k = int(rng.integers(0, 16))
+        lhs = sf.double_pochhammer(2 * a, k)
+        rhs = 2.0 ** k * sf.pochhammer(a, k)
+        errs.append(abs(lhs - rhs) / max(abs(rhs), 1e-280))
+    return errs
+
+
+def _loop_bracket_errors():
+    """The per-pair loop bracket_matrices replaced."""
+    mats = {gen: geo.generator_matrix(gen, 3) for gen in verify._generators(3)}
+    return [float(np.max(np.abs(sum((c * mats[gen] for c, gen in geo.bracket_rhs(a, b, 3)),
+                                    la @ lb - lb @ la))))
+            for a, la in mats.items() for b, lb in mats.items() if a != b]
+
+
+def _loop_diffs(ref, rep):
+    """The per-label loop _diffs replaced: Python's abs of each difference."""
+    return [abs(rep.coeffs[key][i] - v)
+            for key, pair in ref.coeffs.items() for i, v in enumerate(pair)]
+
+
+@pytest.mark.parametrize("seed", [verify.SEED, 1, 2])
+def test_batched_specfun_and_bracket_checks_match_the_loops(seed):
+    assert _bits(verify._termination_errors()) == _bits(_loop_termination_errors())
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = verify._halving_errors(rng), _loop_halving_errors(ref)
+    assert len(got) == len(want) == 60
+    assert _bits(got) == _bits(want)
+    assert rng.random() == ref.random()
+    got, want = verify._bracket_errors(), _loop_bracket_errors()
+    assert len(got) == len(want) == 156
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("seed", [verify.SEED, 1, 2])
+def test_diffs_match_the_per_label_loop(seed):
+    rng = np.random.default_rng(seed)
+    p = geo.make_params(3, 1.0, 0.0)
+    # a six-label slice rep and its reconstruction, whose window holds all
+    # 30 labels of n, l <= 3 (the two channels of 24 of them near 0)
+    rep = verify._random_slice_rep(rng)
+    rec = xp.invert_slice(xp.sample_slice(rep, 0.8, p, xp._slice_nodes(3, 3),
+                                          xp._angular_rule(3)), p, 3, 3)
+    assert len(rec.coeffs) > len(rep.coeffs)
+    # a random tube rep against itself scaled by 1 + 1e-9 i, both ways
+    grid = xp.OmegaGrid(0.5, tuple(range(-7, 8)))
+    tube = verify._random_tube_rep(rng, grid, 5, "S")
+    noise = tube.scaled(1.0 + 1e-9j)
+    rod = xp.RodRep(grid, {(3, 0, 0): 0.8 + 0.3j, (-4, 1, -1): 0.5, (5, 2, 1): -0.2j})
+    rod_rec = xp.invert_rod_interior(xp.sample_rod(rod, 0.9, p, xp._angular_rule(2)), p, 2)
+    for ref, got in ((rep, rec), (tube, noise), (noise, tube)):
+        diffs = verify._diffs(ref, got)
+        assert len(diffs) == 2 * len(ref.coeffs)
+        assert _bits(diffs) == _bits(_loop_diffs(ref, got))
+    # one channel: the rod check's measurements
+    assert _bits(verify._diffs(rod, rod_rec)) == _bits(
+        [abs(rod_rec.coeffs[k] - v) for k, v in rod.coeffs.items()])
+
+
+def test_diffs_read_a_label_the_rep_lacks_as_zero():
+    ref = xp.SliceRep({(0, 0, 0): (1.0, 2.0j), (2, 1, -1): (3.0, 4.0), (5, 4, 4): (0.5, -1j)})
+    rep = xp.SliceRep({(0, 0, 0): (1.0, 1.0j), (1, 1, 0): (2.0, 2.0)})
+    assert verify._diffs(ref, rep) == [0.0, 1.0, 3.0, 4.0, 0.5, 1.0]
+
+
+# --- the library calls of a `verify all` run ---------------------------------------------
+
+def test_verify_all_makes_no_scalar_hyp2f1_call(monkeypatch, capsys):
+    # every hyp2f1 call reaches _hyp2f1_array; a scalar call is one without
+    # an ndarray argument, which pays the array path's 0-d classification
+    from adskg.cli import main
+    fine, calls = sf._hyp2f1_array, []
+
+    def counted(a, b, c, x):
+        calls.append(any(isinstance(v, np.ndarray) for v in (a, b, c, x)))
+        return fine(a, b, c, x)
+
+    monkeypatch.setattr(sf, "_hyp2f1_array", counted)
+    assert main(["verify", "all"]) == 0
+    assert calls and all(calls)
 
 
 # --- the norm oracle -----------------------------------------------------------------
