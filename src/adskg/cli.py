@@ -47,6 +47,18 @@ def _float_arg(text: str) -> float:
     return value
 
 
+def _label_arg(text: str) -> int:
+    """An integer of magnitude at most 2^31 - 1, the bound of rep labels."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or abs(value) > 2 ** 31 - 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of magnitude at most {2 ** 31 - 1}, got {text!r}")
+    return value
+
+
 def _linspace_arg(text: str) -> np.ndarray:
     """Parse `a:b:n` into n evenly spaced values, or a single float."""
     if ":" in text:
@@ -233,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--kind", required=True,
                         help="sa|sb|ca|cb|jplus|jminus")
     p_eval.add_argument("--omega", type=_float_arg, default=0.0)
-    p_eval.add_argument("--n", type=int, default=0)
-    p_eval.add_argument("--l", type=int, default=0)
-    p_eval.add_argument("--m", type=int, default=0)
+    p_eval.add_argument("--n", type=_label_arg, default=0)
+    p_eval.add_argument("--l", type=_label_arg, default=0)
+    p_eval.add_argument("--m", type=_label_arg, default=0)
     p_eval.add_argument("--t", type=_linspace_arg, default=np.array([0.0]))
     p_eval.add_argument("--rho", type=_linspace_arg, default=np.array([0.5]))
     p_eval.add_argument("--theta", type=_linspace_arg,

@@ -17,17 +17,16 @@ terminates and coincides with the normalizable Jacobi mode J+-_{nl}; for
 omega+ a denominator Gamma of m12 has its pole there, so m12 = 0.
 radial_eval_fd builds the kinds of one basis together (a tube synthesis
 needs both): past the cutoff both are rows of M, or of M^-1, applied to the
-same pair of the other basis's series, so each series is summed once.  An
-array call (every synthesis and inversion) takes the array path at every
-size, one point included.  A build takes sin rho, cos rho and the series
-argument once per distinct rho and (alpha, beta, gamma) of every kind
-from one S^a row, routes each element, and evaluates every series it needs
-in one hyp2f1 call; its radial tables are memoized per kind, with the other
-basis's tables where a build gives them at every point (a later build
-past the cutoff reads them in place of the series; `adskg.memo`).  A
-scalar call takes the scalar path, the array path's reference.  Both
-raise DomainError naming the first (kind, omega, l, rho) whose f or f' is
-not finite.  Transfer matrices are formed afresh on every call.
+same pair of the other basis's series, so each series is summed once.
+Every call is one build, a call on scalars a build on one point: it takes
+sin rho, cos rho and the series argument once per distinct rho and
+(alpha, beta, gamma) of every kind from one S^a row, routes each element,
+and evaluates every series it needs in one hyp2f1 call.  The radial tables
+of array calls are memoized per kind, with the other basis's tables where
+a build gives them at every point (a later build past the cutoff reads
+them in place of the series; `adskg.memo`); scalar calls are not.  A
+build raises DomainError naming the first (kind, omega, l, rho) whose f
+or f' is not finite.  Transfer matrices are formed afresh on every call.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ from .errors import DomainError, ExceptionalBranch, SingularPoint
 from .geometry import AdsParams, require_c_modes
 from .harmonics import require_two_sphere, sph_harm
 from .memo import Memo, key, memo
-from .specfun import (ARG_CUTOFF, hyp2f1, hyp2f1_dx, hyp2f1_terminates,
-                      jacobi_p, jacobi_p_dx)
+from .specfun import ARG_CUTOFF, hyp2f1, jacobi_p, jacobi_p_dx
 
 
 class RadialKind(Enum):
@@ -60,7 +58,11 @@ def _integer_fields(label, *names) -> None:
     the first that is not integer-valued."""
     for name in names:
         value = getattr(label, name)
-        if not float(value).is_integer():
+        try:
+            whole = float(value).is_integer()
+        except OverflowError:  # an int past the double range
+            raise IndexError(f"need {name} within the double range") from None
+        if not whole:
             raise IndexError(f"need integers {', '.join(names)}, got {name} = {value!r}")
         object.__setattr__(label, name, int(value))
 
@@ -159,30 +161,9 @@ def _prefactor_fd(kind: RadialKind, l: int, rho: float, params: AdsParams):
         return math.inf, math.inf
 
 
-def _direct_ok(kind: RadialKind, omega: float, l: int, rho: float,
-               params: AdsParams) -> bool:
-    a, b, _ = hyper_params(kind, omega, l, params)
-    arg = math.sin(rho) ** 2 if kind in (RadialKind.Sa, RadialKind.Sb) \
-        else math.cos(rho) ** 2
-    return arg <= ARG_CUTOFF or hyp2f1_terminates(a, b)
-
-
-def _radial_direct(kind: RadialKind, omega: float, l: int, rho: float,
-                   params: AdsParams):
-    """(f, f') by direct series; caller guarantees convergence domain."""
-    a, b, c = hyper_params(kind, omega, l, params)
-    s, cs = math.sin(rho), math.cos(rho)
-    if kind in (RadialKind.Sa, RadialKind.Sb):
-        u, du = s * s, 2.0 * s * cs
-    else:
-        u, du = cs * cs, -2.0 * s * cs
-    pre, dpre = _prefactor_fd(kind, l, rho, params)
-    f_val = hyp2f1(a, b, c, u)
-    df_val = hyp2f1_dx(a, b, c, u) * du
-    return pre * f_val, dpre * f_val + pre * df_val
-
-
 def _weighted_wronskian(fa, da, fb, db, rho: float, d: int) -> float:
+    """tan^{d-1}(rho) (f_a f_b' - f_b f_a'): constant in rho for two
+    solutions of the same radial equation."""
     return math.tan(rho) ** (d - 1) * (fa * db - fb * da)
 
 
@@ -231,7 +212,8 @@ def _transfer_entries(omega, l, params: AdsParams, inverse: bool) -> np.ndarray:
 def _per_distinct(fn, *columns) -> np.ndarray:
     """fn(*key) once per distinct key of the equal-length 1-d arrays, spread
     back over the elements: shape fn's output + (elements,).  Python floats
-    in, so math and ** give the scalar path's bits (np.power need not)."""
+    in, so math and ** give each key the same bits in any array (np.power
+    need not)."""
     keys = list(zip(*(col.tolist() for col in columns)))
     table = dict.fromkeys(keys)
     for key in table:
@@ -257,13 +239,13 @@ def _hyper_rows(omega, l, params: AdsParams) -> np.ndarray:
 
 
 def _radial_direct_array(codes, l, rho, s, c, abc, params: AdsParams):
-    """_radial_direct at each element of equal-length 1-d arrays, element i
-    of the kind _KINDS[codes[i]] with the hypergeometric parameters
-    abc[:, i] at rho[i], whose sine and cosine are s[i] and c[i]: (f, f'),
-    each of shape (n,).  The prefactor comes once per distinct (kind, l,
-    rho); one hyp2f1 array call evaluates every element's series and, where
-    a b != 0, the series 2F1(a+1, b+1; c+1) of its x-derivative
-    (a b / c) 2F1(a+1, b+1; c+1), as hyp2f1_dx forms it."""
+    """(f, f') by the direct series at each element of equal-length 1-d
+    arrays, element i of the kind _KINDS[codes[i]] with the hypergeometric
+    parameters abc[:, i] at rho[i], whose sine and cosine are s[i] and
+    c[i]: each of shape (n,).  The prefactor comes once per distinct (kind,
+    l, rho); one hyp2f1 array call evaluates every element's series and,
+    where a b != 0, the series 2F1(a+1, b+1; c+1) of its x-derivative
+    (a b / c) 2F1(a+1, b+1; c+1), which is 0 where a b = 0."""
     pre, dpre = _per_distinct(lambda i, ll, r: _prefactor_fd(_KINDS[i], ll, r, params),
                               codes, l, rho)
     a, b, cc = abc
@@ -286,8 +268,8 @@ def _check_axis(kind: RadialKind) -> None:
 
 
 def _trig(rho: float) -> tuple:
-    """sin rho, cos rho and the arguments of the S and C series, as the
-    scalar path takes them; DomainError outside [0, pi/2)."""
+    """sin rho, cos rho and the arguments of the S and C series, from
+    libm on a Python float; DomainError outside [0, pi/2)."""
     if not 0.0 <= rho < math.pi / 2:
         raise DomainError("rho must lie in [0, pi/2)")
     s, c = math.sin(rho), math.cos(rho)
@@ -302,20 +284,20 @@ def _not_finite(kind: RadialKind, omega, l, rho) -> DomainError:
 
 def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
                           pair_tables=None) -> dict:
-    """Array path of radial_eval_fd for kinds of one basis: {kind: (f, f')},
-    with the scalar path's checks and branches per element.  sin rho, cos
-    rho and the series arguments come once per distinct rho, (alpha, beta,
-    gamma) of every kind from one S^a row.  Elements inside (0, pi/2), past
-    the series cutoff and with a series that does not terminate take the
-    transfer matrix.  One _radial_direct_array call sums each series once:
-    a kind's own where it is direct and, where any kind takes its row of M
-    (S) or M^-1 (C), the other basis's pair, unless pair_tables, that
-    pair's (f, f') at the same points, are given.  Else, where the C-modes
-    exist and this build gives them at every element, the pair's finite
-    tables are returned too: its series where summed, else its rows of the
-    transfer matrix on this basis's pair where both were summed and both
-    pair kinds take that route.  DomainError names the first kind asked
-    for and element whose f or f' is not finite."""
+    """The build of radial_eval_fd for kinds of one basis at every call,
+    one point or many: {kind: (f, f')}, routed and checked per element.
+    sin rho, cos rho and the series arguments come once per distinct rho,
+    (alpha, beta, gamma) of every kind from one S^a row.  Elements inside
+    (0, pi/2), past the series cutoff and with a series that does not
+    terminate take the transfer matrix.  One _radial_direct_array call sums
+    each series once: a kind's own where it is direct and, where any kind
+    takes its row of M (S) or M^-1 (C), the other basis's pair, unless
+    pair_tables, that pair's (f, f') at the same points, are given.  Else,
+    where the C-modes exist and this build gives them at every element,
+    the pair's finite tables are returned too: its series where summed,
+    else its rows of the transfer matrix on this basis's pair where both
+    were summed and both pair kinds take that route.  DomainError names
+    the first kind asked for and element whose f or f' is not finite."""
     shape = np.broadcast(omega, l, rho).shape
     if 0 in shape:
         return {kind: (np.zeros(shape), np.zeros(shape)) for kind in kinds}
@@ -368,7 +350,7 @@ def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
     finite = np.isfinite(out).all(axis=(0, 2))  # per kind
     if not all(finite[:len(codes)]):
         k, i = np.argwhere(~np.isfinite(out).all(axis=0))[0]
-        raise _not_finite(kinds[k], omega[i].item(), l[i].item(), rho[i].item())
+        raise _not_finite(kinds[k], omega.item(i), l.item(i), rho.item(i))
     return {kind: (f.reshape(shape), df.reshape(shape))
             for kind, f, df, keep in zip(kinds, *out, finite) if keep}
 
@@ -404,62 +386,32 @@ def radial_eval_fd(kind, omega, l, rho, params: AdsParams):
     matrix M from the other pair's series elsewhere.
 
     kind may be a tuple of kinds of one basis: f and f' then have a leading
-    axis over them.  omega, l and rho may be broadcastable ndarrays: each
-    element then takes the branch the scalar call would take and its result
-    is bit-identical to the scalar call's.  Each branch is one hyp2f1 array
-    call over the series of the kinds it needs and of their x-derivatives,
-    each summed once: past the cutoff the kinds share the other basis's
-    pair.  Array results are memoized per kind on the arguments as
-    `np.asarray` gives them (a single kind's are read-only), with the other
-    basis's tables where a build gives them at every point: the pair it
-    summed, or their rows of M or M^-1 on a joint build's own pair (C below
-    pi/6 after S, S past pi/3 after C).  A build finding them stored sums
-    no pair series: outside pi/6 <= rho <= pi/3 both bases are built once.
+    axis over them.  omega, l and rho may be broadcastable ndarrays; with
+    none, the call is the same build on one point and gives Python floats.
+    An element's value is the call's at its own point, bit for bit, in any
+    array.  Each branch is one hyp2f1 array call over the series of the
+    kinds it needs and of their x-derivatives, each summed once: past the
+    cutoff the kinds share the other basis's pair.  Array results are
+    memoized per kind on the arguments as `np.asarray` gives them (a
+    single kind's are read-only), with the other basis's tables where a
+    build gives them at every point: the pair it summed, or their rows of
+    M or M^-1 on a joint build's own pair (C below pi/6 after S, S past
+    pi/3 after C).  A build finding them stored sums no pair series:
+    outside pi/6 <= rho <= pi/3 both bases are built once.  Calls on
+    scalars are not memoized.
     """
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if len({k in (RadialKind.Sa, RadialKind.Sb) for k in kinds}) != 1:
         raise ValueError(f"radial kinds {kinds} are not of one basis")
     if kinds[0] in (RadialKind.Ca, RadialKind.Cb):
         require_c_modes(params)
+    args = tuple(map(np.asarray, (omega, l, rho)))
     if any(isinstance(v, np.ndarray) for v in (omega, l, rho)):
-        tables = _radial_table(kinds, *map(np.asarray, (omega, l, rho)), params)
+        tables = _radial_table(kinds, *args, params)
     else:
-        out = _radial_eval_fd_scalar(kinds, omega, l, rho, params)
-        tables = [out[k] for k in kinds]
+        out = _radial_eval_fd_array(kinds, *args, params)
+        tables = [(f.item(), df.item()) for f, df in map(out.get, kinds)]
     return np.array(tables).swapaxes(0, 1) if kinds is kind else tables[0]
-
-
-def _radial_eval_fd_scalar(kinds: tuple, omega: float, l: int, rho: float,
-                           params: AdsParams) -> dict:
-    """radial_eval_fd at one point for a tuple of kinds: {kind: (f, f')},
-    the reference the array path reproduces.  Each direct series is summed
-    once; the result also holds every other kind whose series was summed
-    (the partner pair of a kind past its cutoff).  DomainError, as in the
-    array path, where an f or f' is not finite."""
-    if not 0.0 <= rho < math.pi / 2:
-        raise DomainError("rho must lie in [0, pi/2)")
-    if rho == 0.0:
-        for kind in kinds:
-            _check_axis(kind)
-        return dict.fromkeys(kinds, (1.0, 0.0) if l == 0 else (0.0, 1.0 if l == 1 else 0.0))
-    out = {kind: _radial_direct(kind, omega, l, rho, params)
-           for kind in kinds if _direct_ok(kind, omega, l, rho, params)}
-    via = [kind for kind in kinds if kind not in out]
-    if via:
-        on_sin = kinds[0] in (RadialKind.Sa, RadialKind.Sb)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            mat = _transfer_entries(omega, l, params, not on_sin).tolist()
-        pair = _KINDS[2:] if on_sin else _KINDS[:2]
-        for p in pair:
-            out[p] = _radial_direct(p, omega, l, rho, params)
-        (fa, da), (fb, db) = out[pair[0]], out[pair[1]]
-        for kind in via:
-            m1, m2 = mat[:2] if kind in (RadialKind.Sa, RadialKind.Ca) else mat[2:]
-            out[kind] = m1 * fa + m2 * fb, m1 * da + m2 * db
-    for kind in kinds + tuple(out):  # the kinds asked first, as the array path
-        if not (math.isfinite(out[kind][0]) and math.isfinite(out[kind][1])):
-            raise _not_finite(kind, omega, l, rho)
-    return out
 
 
 def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams):
@@ -570,15 +522,6 @@ def norm_constant(branch: str, n, l, params: AdsParams):
 @memo("norm_table", 64, 1 << 14)
 def _norm_table(branch: str, n, l, params: AdsParams):
     return _jacobi_labels(branch, n, l, params)[-1]
-
-
-def wronskian(kind_a: RadialKind, kind_b: RadialKind, omega: float, l: int,
-              rho: float, params: AdsParams) -> float:
-    """Weighted Wronskian tan^{d-1}(rho) (f_a f_b' - f_b f_a'); constant in
-    rho for two solutions of the same radial equation."""
-    fa, da = radial_eval_fd(kind_a, omega, l, rho, params)
-    fb, db = radial_eval_fd(kind_b, omega, l, rho, params)
-    return _weighted_wronskian(fa, da, fb, db, rho, params.d)
 
 
 def mode_eval(label, point, params: AdsParams,

@@ -31,12 +31,6 @@ _MAX_TERMS = 1024  # terms of a summed series, at most
 _EPS = float(np.finfo(float).eps)
 
 
-def _stop(v: float) -> float:
-    """n where v = -n is a nonpositive integer, else inf: the last term of
-    a 2F1 series with v for a or b."""
-    return -v if v <= 0.0 and v == math.floor(v) else math.inf
-
-
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1; broadcasts."""
     if np.any(k < 0):
@@ -55,11 +49,6 @@ def double_pochhammer(a: float, k: int) -> float:
     for i in range(k):
         out *= a + 2 * i
     return out
-
-
-def hyp2f1_terminates(a: float, b: float) -> bool:
-    """True when the 2F1 series truncates to a polynomial."""
-    return min(_stop(a), _stop(b)) < math.inf
 
 
 def hyp2f1(a, b, c, x):
@@ -157,16 +146,6 @@ def _series(a: float, b: float, c: float, x: float, n: float = math.inf):
             if k == _MAX_TERMS:
                 return total, math.inf
     return total, _EPS * (1.0 + spread)
-
-
-def hyp2f1_dx(a: float, b: float, c: float, x: float) -> float:
-    """d/dx 2F1(a, b; c; x) = (a b / c) 2F1(a+1, b+1; c+1; x), zero where
-    a b = 0 and a PoleError where c = 0 otherwise."""
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    if c == 0.0:
-        raise PoleError("2F1 parameter c = 0 is a nonpositive integer")
-    return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, x)
 
 
 def _defined(val, name: str):

@@ -202,6 +202,18 @@ def test_eval_invalid_degree_or_order(capsys):
         assert "|m| <= l" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "sa", "--omega", "2.3", "--l", str(10 ** 400), "--m", "0"],
+    ["--kind", "jplus", "--n", str(10 ** 400)],
+    ["--kind", "sa", "--omega", "2.3", "--l", "3", "--m", str(-2 ** 31)],
+    ["--kind", "sa", "--l", "1.5"]], ids=["l", "n", "m", "not-an-integer"])
+def test_eval_labels_past_the_rep_label_bound_are_usage_errors(argv, capsys):
+    # --l or --n of 10**400 ended in an OverflowError traceback and exit 1
+    assert main(["eval", *argv, "--rho", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"of magnitude at most {2 ** 31 - 1}" in err and "Traceback" not in err
+
+
 def test_eval_negative_jacobi_order_exits_2(capsys):
     for kind in ("jplus", "jminus"):
         argv = ["eval", "--kind", kind, "--msq", "-2.2", "--n", "-1", "--rho", "0.5"]

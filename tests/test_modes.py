@@ -18,7 +18,9 @@ from adskg.memo import counters
 from adskg.modes import (RadialKind, SliceLabel, TubeLabel, hyper_params,
                          jacobi_radial, jacobi_radial_fd, magic_frequency,
                          mode_eval, norm_constant, radial_eval,
-                         radial_eval_fd, transfer_matrix, wronskian)
+                         radial_eval_fd, transfer_matrix)
+
+from radial_reference import radial_eval_fd_scalar
 
 ALL_KINDS = (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb)
 
@@ -56,6 +58,15 @@ def test_mode_labels_reject_non_integers(make):
         make()
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: TubeLabel(1.0, 10 ** 400, 0), "l"), (lambda: TubeLabel(1.0, 1, -10 ** 400), "m"),
+    (lambda: SliceLabel(10 ** 400, 0, 0), "n")])
+def test_mode_labels_reject_integers_past_the_double_range(make, name):
+    # float(10**400) raised a bare OverflowError
+    with pytest.raises(IndexError, match=f"need {name} within the double range"):
+        make()
+
+
 def test_mode_labels_take_integer_valued_floats(params_m0):
     point = (0.1, 0.7, 1.0, 2.0)
     assert mode_eval(TubeLabel(2.0, 1.0, -1.0), point, params_m0) \
@@ -86,16 +97,43 @@ def test_radial_array_equals_scalar_across_cutoffs(d, m_sq):
     om, ls, rr = np.meshgrid(omega, np.arange(5), rho, indexing="ij")
     for kind in ALL_KINDS:
         f, df = radial_eval_fd(kind, om, ls, rr, p)
-        ref = np.array([radial_eval_fd(kind, float(o), int(l), float(r), p)
+        ref = np.array([radial_eval_fd_scalar((kind,), float(o), int(l), float(r), p)[kind]
                         for o, l, r in zip(om.ravel(), ls.ravel(), rr.ravel())])
         assert f.shape == df.shape == om.shape
         assert f.ravel().tobytes() == ref[:, 0].tobytes()
         assert df.ravel().tobytes() == ref[:, 1].tobytes()
-        # fewer points than the array path's minimum take the scalar loop
+        # a smaller build, with a scalar l
         small = radial_eval_fd(kind, om[:, 0, 0], 2, rr[:, 0, 0], p)
         assert np.array_equal(small, np.array([
-            radial_eval_fd(kind, float(o), 2, float(r), p)
+            radial_eval_fd_scalar((kind,), float(o), 2, float(r), p)[kind]
             for o, r in zip(om[:, 0, 0], rr[:, 0, 0])]).T)
+
+
+def test_a_point_of_a_radial_build_is_the_call_at_its_scalars(params_m0):
+    # a call on scalars is the build on one point: Python floats, no memo
+    # traffic, and the bits of its element in an array call among points of
+    # other routes (axis, direct series, terminating series past the
+    # cutoff, transfer matrix), in any order
+    p = params_m0
+    points = [(2.3, 1, 0.0), (2.3, 1, 0.4), (-4.1, 0, math.pi / 3 + 1e-9),
+              (6.1, 3, math.pi / 6 - 1e-9), (magic_frequency("plus", 1, 2, p), 2, 1.3),
+              (0.7, 2, 1.3), (2.3, 1, 0.9)]
+    orders = [list(range(len(points))), list(range(len(points)))[::-1],
+              np.random.default_rng(5).permutation(len(points)).tolist()]
+    for kinds in ((RadialKind.Sa,), (RadialKind.Sb, RadialKind.Sa),
+                  (RadialKind.Ca, RadialKind.Cb), (RadialKind.Cb,)):
+        at = [(om, l, rho or 0.2) if kinds != (RadialKind.Sa,) else (om, l, rho)
+              for om, l, rho in points]
+        for order in orders:
+            omega, l, rho = (np.array(col) for col in zip(*[at[i] for i in order]))
+            f, df = radial_eval_fd(kinds, omega, l, rho, p)
+            for i, (om, ll, r) in enumerate(zip(omega.tolist(), l.tolist(), rho.tolist())):
+                before = modes._radial_table.memo.counts()
+                one = radial_eval_fd(kinds if len(kinds) > 1 else kinds[0], om, ll, r, p)
+                assert modes._radial_table.memo.counts() == before
+                if len(kinds) == 1:
+                    assert type(one) is tuple and all(type(v) is float for v in one)
+                assert np.array(one).tobytes() == np.array([f[..., i], df[..., i]]).tobytes()
 
 
 def test_radial_array_axis_and_errors(params_m0):
@@ -364,12 +402,22 @@ def test_jacobi_modes_are_finite_on_both_ends_of_the_radius():
 
 # --- Wronskians and the transfer matrix ---------------------------------------------
 
+def wronskian(kinds, omega, l, rho, p):
+    """The weighted Wronskian of two kinds of one basis at one point, from
+    one radial_eval_fd call on both."""
+    (fa, fb), (da, db) = radial_eval_fd(kinds, omega, l, rho, p)
+    return modes._weighted_wronskian(fa, da, fb, db, rho, p.d)
+
+
 def test_wronskian_antisymmetry(params_m0):
-    assert wronskian(RadialKind.Sa, RadialKind.Sa, 2.3, 1, 0.7, params_m0) == 0.0
+    assert wronskian((RadialKind.Sa, RadialKind.Sa), 2.3, 1, 0.7, params_m0) == 0.0
+    for kinds in ((RadialKind.Sa, RadialKind.Sb), (RadialKind.Ca, RadialKind.Cb)):
+        assert wronskian(kinds[::-1], 2.3, 1, 0.7, params_m0) \
+            == -wronskian(kinds, 2.3, 1, 0.7, params_m0)
 
 
 def test_wronskian_constancy(params_m0):
-    vals = [wronskian(RadialKind.Sa, RadialKind.Sb, 2.3, 1, rho, params_m0)
+    vals = [wronskian((RadialKind.Sa, RadialKind.Sb), 2.3, 1, rho, params_m0)
             for rho in (0.4, 0.7, 1.0)]
     spread = (max(vals) - min(vals)) / abs(vals[0])
     assert spread < 1e-9
@@ -379,8 +427,8 @@ def test_wronskian_constants(params_m0, params_neg, params_pos):
     # the normalization pinned by the momentum-space symplectic factors
     for p in (params_m0, params_neg, params_pos):
         for (om, l) in ((2.3, 0), (1.7, 1), (4.1, 3)):
-            w_ss = wronskian(RadialKind.Sa, RadialKind.Sb, om, l, 0.7, p)
-            w_cc = wronskian(RadialKind.Ca, RadialKind.Cb, om, l, 0.7, p)
+            w_ss = wronskian((RadialKind.Sa, RadialKind.Sb), om, l, 0.7, p)
+            w_cc = wronskian((RadialKind.Ca, RadialKind.Cb), om, l, 0.7, p)
             assert w_ss == pytest.approx(2 * l + p.d - 2, rel=1e-11)
             assert w_cc == pytest.approx(2.0 * p.nu, rel=1e-11)
 
@@ -402,8 +450,8 @@ def test_transfer_matrix_magic_blindness(params_m0):
 def test_transfer_matrix_determinant_identity(params_m0):
     for (om, l) in ((2.3, 0), (3.9, 2)):
         mat = transfer_matrix(om, l, params_m0)
-        w_cc = wronskian(RadialKind.Ca, RadialKind.Cb, om, l, 0.7, params_m0)
-        w_ss = wronskian(RadialKind.Sa, RadialKind.Sb, om, l, 0.7, params_m0)
+        w_cc = wronskian((RadialKind.Ca, RadialKind.Cb), om, l, 0.7, params_m0)
+        w_ss = wronskian((RadialKind.Sa, RadialKind.Sb), om, l, 0.7, params_m0)
         det = mat.m11 * mat.m22 - mat.m12 * mat.m21
         assert det * w_cc == pytest.approx(w_ss, rel=1e-8)
         assert mat.det * w_cc == pytest.approx(w_ss, rel=1e-8)
@@ -656,7 +704,7 @@ _OMEGA = st.one_of(st.floats(-9.0, 9.0), st.integers(0, 3).map(lambda n: ("magic
                        min_size=1, max_size=24))
 @settings(max_examples=80, deadline=None)
 def test_radial_kinds_together_equal_the_per_kind_scalar_calls(kinds, msq, points):
-    # the array path at 1-48 series against the scalar path per point;
+    # the build at 1-48 series against the scalar reference per point;
     # terminating series past the cutoff make the kinds of one point take
     # different routes
     p = make_params(3, 1.0, msq)
@@ -667,7 +715,7 @@ def test_radial_kinds_together_equal_the_per_kind_scalar_calls(kinds, msq, point
         rho[rho == 0.0] = 0.2
 
     def scalar(kind):
-        return np.array([modes._radial_eval_fd_scalar((kind,), float(o), int(ll), float(r), p)[kind]
+        return np.array([radial_eval_fd_scalar((kind,), float(o), int(ll), float(r), p)[kind]
                          for o, ll, r in zip(omega, l, rho)]).T
 
     built = modes._radial_eval_fd_array(kinds, omega, l, rho, p)
@@ -689,8 +737,6 @@ def test_kinds_together_sum_the_shared_pair_once(params_m0, monkeypatch, n):
     # past the S cutoff S^a and S^b are both rows of M applied to the
     # C^a, C^b series: a joint build sums each of those once per point
     summed = []
-    monkeypatch.setattr(modes, "_radial_direct", lambda kind, *args, fn=modes._radial_direct: (
-        summed.append(kind) or fn(kind, *args)))
     monkeypatch.setattr(modes, "_radial_direct_array", lambda codes, *args,
                         fn=modes._radial_direct_array: (
         summed.extend(modes._KINDS[i] for i in codes.tolist()) or fn(codes, *args)))
@@ -722,9 +768,8 @@ def test_other_basis_at_one_point_sums_no_series(params_m0, monkeypatch, first, 
     assert _misses_and_hits() == (2, 0)
     assert modes._radial_table.memo.counts()["size"] == 4
     sums = []
-    for name in ("_radial_direct", "_radial_direct_array"):
-        monkeypatch.setattr(modes, name, lambda *args, fn=getattr(modes, name): (
-            sums.append(args) or fn(*args)))
+    monkeypatch.setattr(modes, "_radial_direct_array", lambda *args,
+                        fn=modes._radial_direct_array: sums.append(args) or fn(*args))
     synth(reps[1], point, params_m0)
     assert not sums
     assert _misses_and_hits() == (2, 2)
