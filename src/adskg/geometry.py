@@ -278,19 +278,8 @@ def killing_coefficients(gen: GeneratorId, t, rho, xi):
     return -x * st * sr, x * ct * cr, ct / sr * v
 
 
-def boost_rho_coefficient(generator: GeneratorId, t: float, rho: float,
-                          xi) -> float:
-    """The d_rho coefficient of a generator at one point, the rho entry of
-    `killing_coefficients`: exactly 0 for a boost at rho = pi/2."""
-    return float(killing_coefficients(generator, t, rho, xi)[1])
-
-
-def flat_rescale(params: AdsParams, t: float, rho: float) -> tuple[float, float]:
-    """(tau, r) = (R t, R rho)."""
-    return params.R * t, params.R * rho
-
-
 def flat_unscale(params: AdsParams, tau: float, r: float) -> tuple[float, float]:
+    """(t, rho) = (tau / R, r / R) of the flat-limit coordinates (tau, r)."""
     return tau / params.R, r / params.R
 
 

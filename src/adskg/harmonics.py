@@ -40,7 +40,8 @@ from .specfun import assoc_legendre
 
 @dataclass(frozen=True)
 class EulerAngles:
-    """z-y-z Euler angles (radians), unrestricted."""
+    """z-y-z Euler angles (radians), unrestricted, of the active rotation R_z(alpha)
+    R_y(beta) R_z(gamma): scipy's `Rotation.from_euler("ZYZ", (alpha, beta, gamma))`."""
 
     alpha: float
     beta: float
@@ -84,13 +85,15 @@ def lm_mirror(l_max: int) -> np.ndarray:
 
 def sph_norm(l, m):
     """Normalization sqrt((2l+1)(l-m)! / (4 pi (l+m)!)); broadcasts.  The
-    log-factorials and their exp are libm's (math.lgamma, math.exp) per
-    element: numpy's vectorized exp differs from libm in the last bit on
-    about one argument in twenty.  DomainError where (l-m)!/(l+m)! exceeds
-    the double range (m near -l from l = 86 on)."""
+    log-factorials, one per distinct argument, and their exp are libm's
+    (math.lgamma, math.exp) per element: numpy's vectorized exp differs
+    from libm in the last bit on about one argument in twenty.  DomainError
+    where (l-m)!/(l+m)! exceeds the double range (m near -l from l = 86 on)."""
     l, m = np.broadcast_arrays(l, m)
-    lgamma = np.fromiter(map(math.lgamma, range(1, np.max(l + np.abs(m), initial=0) + 2)), float)
-    exponent = lgamma[l - m] - lgamma[l + m]
+    both = np.stack((l - m, l + m))
+    args = np.unique(both)
+    lgamma = np.fromiter(map(math.lgamma, (args + 1).tolist()), float, len(args))
+    exponent = np.subtract(*lgamma[args.searchsorted(both)])
     try:
         ratio = np.fromiter(map(math.exp, exponent.flat), float, l.size)
     except OverflowError:
@@ -168,39 +171,6 @@ def wigner_d(l: int, angles: EulerAngles) -> np.ndarray:
     small = ((v * np.exp(-1j * angles.beta * m)) @ np.conj(v).T).real
     return (np.exp(-1j * m * angles.alpha)[:, None] * small
             * np.exp(-1j * m * angles.gamma))
-
-
-def rotation_matrix(angles: EulerAngles) -> np.ndarray:
-    """3x3 active rotation R = R_z(alpha) R_y(beta) R_z(gamma)."""
-    def rz(a):
-        c, s = math.cos(a), math.sin(a)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    def ry(a):
-        c, s = math.cos(a), math.sin(a)
-        return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-    return rz(angles.alpha) @ ry(angles.beta) @ rz(angles.gamma)
-
-
-def angles_to_xyz(theta, phi):
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-
-
-def xyz_to_angles(v):
-    v = np.asarray(v, dtype=float)
-    r = np.sqrt(np.sum(v * v, axis=-1))
-    theta = np.arccos(np.clip(v[..., 2] / r, -1.0, 1.0))
-    phi = np.arctan2(v[..., 1], v[..., 0])
-    return theta, phi
-
-
-def rotate_angles(angles: EulerAngles, theta, phi):
-    """Angles of R(alpha,beta,gamma) applied to the point (theta, phi)."""
-    xyz = angles_to_xyz(theta, phi)
-    rot = xyz @ rotation_matrix(angles).T
-    return xyz_to_angles(rot)
 
 
 # Quadrature rules are shared by the AngularGrids of the last 4 shapes; a

@@ -375,7 +375,7 @@ def _radial_table(kinds: tuple, omega, l, rho, params: AdsParams) -> list:
 
 
 # One entry per kind: a sparse pointwise job uses at most 25 distinct radial
-# tables, a dense tube job 4 and `verify all` 72 with its by-product tables;
+# tables, a dense tube job 4 and `verify all` 74 with its by-product tables;
 # with 8-byte inputs, 128 x 2048 x 5 arrays (3 keys, f, f') x 8 B = 10 MiB at most.
 _radial_table.memo = Memo("radial_table", 128, 2048)
 
@@ -425,12 +425,13 @@ def _pow(x: np.ndarray, p) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _int_powers(x: np.ndarray, top):
-    """k -> x ** k for the integers 0 <= k <= top, broadcast against x, from
-    one `_pow(x, float(e))` over the whole of x per e, so each element has
-    the bits of a call on x with a scalar exponent."""
-    table = np.array([_pow(x, float(e)) for e in range(top + 1)]).reshape(top + 1, -1)
-    return lambda k: table[k, np.arange(np.size(x)).reshape(np.shape(x))]
+def _int_powers(x: np.ndarray, ks):
+    """k -> x ** k for the integers k among ks, broadcast against x, from
+    one `_pow(x, float(e))` over the whole of x per distinct e, so each
+    element has the bits of a call on x with a scalar exponent."""
+    es = np.unique(ks)
+    table = np.array([_pow(x, float(e)) for e in es.tolist()]).reshape(len(es), -1)
+    return lambda k: table[es.searchsorted(k), np.arange(np.size(x)).reshape(np.shape(x))]
 
 
 def _jacobi_labels(branch: str, n, l, params: AdsParams):
@@ -479,7 +480,7 @@ def jacobi_radial_fd(branch: str, n, l, rho, params: AdsParams):
     return _jacobi_radial(branch, n, l, rho, params, True)
 
 
-# `verify all` builds 10 distinct tables, a slice `adskg reconstruct` 1 or 2; with
+# `verify all` builds 14 distinct tables, a slice `adskg reconstruct` 1 or 2; with
 # 8-byte inputs, 32 x 2^14 x 5 arrays (n, l, rho, J, dJ) x 8 B = 20 MiB at most.
 @memo("jacobi_table", 32, 1 << 14)
 def _jacobi_table(branch: str, n, l, rho, params: AdsParams):
@@ -496,7 +497,7 @@ def _jacobi_radial(branch: str, n, l, rho, params: AdsParams, drho: bool):
     if not np.all((0.0 <= rho) & (rho <= math.pi / 2)):
         raise DomainError("Jacobi modes need rho in [0, pi/2]")
     s, c, x = np.sin(rho), np.cos(rho), np.cos(2.0 * rho)
-    sp = _int_powers(s, np.max(l, initial=0) + drho)
+    sp = _int_powers(s, (np.maximum(l - 1, 0), l, l + 1) if drho else l)
     sl, cex = sp(l), _pow(c, ex)
     pval = jacobi_p(ga - 1.0, nu, n, x)
     if not drho:

@@ -9,7 +9,7 @@ holds at any x; past x = 1/2 one with c < 0 is taken to 1 - x (DLMF 15.8.7).
 Where c < 0 and scipy recurs in a, the summed series checks its value.
 `hyp2f1` also accepts broadcastable ndarrays for (a, b, c, x), each element
 bit-identical to the scalar call.
-Jacobi, Gegenbauer, Legendre, Pochhammer and spherical Bessel functions are
+Jacobi, Legendre, Pochhammer and spherical Bessel functions are
 scipy.special ufuncs under this module's conventions, raising DomainError
 where the ufunc would return nan (assoc_legendre: any non-finite value);
 the polynomials and spherical Bessel functions take ndarray arguments.
@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import (eval_gegenbauer, eval_jacobi, hyp2f1 as _hyp2f1,
-                           lpmv, poch, spherical_jn, spherical_yn)
+from scipy.special import (eval_jacobi, hyp2f1 as _hyp2f1, lpmv, poch, spherical_jn,
+                           spherical_yn)
 
 from .errors import DomainError, PoleError
 
@@ -171,15 +171,6 @@ def jacobi_p_dx(alpha, beta, n, x):
     n = np.asarray(n)
     return np.where(n == 0, 0.0, 0.5 * (n + alpha + beta + 1.0) * jacobi_p(
         alpha + 1.0, beta + 1.0, np.where(n == 0, 0, n - 1), x))[()]
-
-
-def gegenbauer_c(lam: float, n: int, x):
-    """Gegenbauer (ultraspherical) polynomial C_n^(lambda)(x), lambda != 0."""
-    if n < 0 or n != int(n):
-        raise DomainError("gegenbauer_c requires an integer n >= 0")
-    if lam == 0.0:
-        raise DomainError("standard Gegenbauer normalization needs lambda != 0")
-    return _defined(eval_gegenbauer(int(n), lam, x), "gegenbauer_c")
 
 
 def assoc_legendre(m, l, x):

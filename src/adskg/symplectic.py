@@ -159,7 +159,8 @@ def symplectic_potential(hypersurface: str, coord: float, phi, eta,
 
     With these orientations, -(1/2)(theta_zeta(eta) - theta_eta(zeta))
     reproduces the corresponding symplectic structure for both surfaces.
-    `hypersurface` is "t" or "rho"; `coord` the surface location.
+    `hypersurface` is "t" or "rho"; `coord` the surface location.  On
+    Sigma_rho, BasisMismatch unless phi and eta share a frequency grid.
     """
     n_max, l_max = _extent(phi, eta)
     ang = _angular_rule(l_max, angular)
@@ -171,6 +172,8 @@ def symplectic_potential(hypersurface: str, coord: float, phi, eta,
         angular_sum = ang.integrate(np.multiply(d_eta.phi, d_phi.dphi_dt, out=d_eta.phi))
         return rd * np.dot(d_eta.rho_weights, angular_sum)
     if hypersurface == "rho":
+        if eta.grid != phi.grid:
+            raise BasisMismatch("tube pairing needs a shared frequency grid")
         d_eta = sample_tube(eta, coord, params, ang)
         d_phi = sample_tube(phi, coord, params, ang)
         angular_sum = ang.integrate(np.multiply(d_eta.phi, d_phi.dphi_drho, out=d_eta.phi))

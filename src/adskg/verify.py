@@ -56,16 +56,12 @@ def _ratio_check(name, ratio, lo, hi):
 
 
 def _diffs(ref, rep) -> list:
-    """|rep - ref| per label of ref and channel, label by label, gathered
-    from the dense arrays (a label rep lacks reads as 0, as `coeff` gives
-    it); np.hypot of the parts gives the bits of Python's abs of a complex,
-    where np.abs can differ in the last bit."""
-    want, have = ref.coeffs, rep.coeffs
-    rows, lm = want.mask.nonzero()
-    j = want.js[rows]
-    at = np.searchsorted(have.js, j).clip(max=len(have.js) - 1)
-    held = (have.js[at] == j) & (lm < have.array.shape[2])
-    diff = np.where(held, have.array[:, at, np.where(held, lm, 0)], 0.0) - want.array[:, rows, lm]
+    """|rep - ref| per label of ref and channel, label by label, rep's
+    values gathered at ref's labels (a label rep lacks reads as 0, as `coeff`
+    gives it); np.hypot of the parts gives the bits of Python's abs of a
+    complex, where np.abs can differ in the last bit."""
+    j, lm, want = ref.coeffs.entries()
+    diff = sy._gather(rep.coeffs, j, lm) - want
     return np.hypot(diff.real, diff.imag).T.ravel().tolist()
 
 
@@ -209,8 +205,8 @@ def suite_geometry():
 
     xi = np.array([0.3, -0.5, 0.8])
     xi /= np.linalg.norm(xi)
-    val = [abs(geo.boost_rho_coefficient(geo.Boost0(3), 0.7, math.pi / 2, xi)),
-           abs(geo.boost_rho_coefficient(geo.BoostD1(3), -1.2, math.pi / 2, xi))]
+    val = [abs(geo.killing_coefficients(gen, t, math.pi / 2, xi)[1])
+           for gen, t in ((geo.Boost0(3), 0.7), (geo.BoostD1(3), -1.2))]
     checks.append(_check("boundary_rho_coefficient", val, 0.0))
     return checks
 

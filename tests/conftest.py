@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 # hypothesis imports its patch writer (and through it libcst) only once a
 # test fails; with some libcst and mypy_extensions versions that import warns,
@@ -46,3 +47,18 @@ def angular_small():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def rotate_point():
+    """(angles, theta, phi) -> the angles of the point R(angles) (theta, phi),
+    R = scipy's `Rotation.from_euler("ZYZ", (alpha, beta, gamma))`: an
+    independent reference for the library's Euler convention."""
+    def rotate(angles, theta, phi):
+        theta, phi = np.broadcast_arrays(theta, phi)
+        st = np.sin(theta)
+        xyz = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+        rot = Rotation.from_euler("ZYZ", (angles.alpha, angles.beta, angles.gamma))
+        x, y, z = np.moveaxis(rot.apply(xyz.reshape(-1, 3)).reshape(xyz.shape), -1, 0)
+        return np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x)
+    return rotate

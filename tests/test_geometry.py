@@ -5,8 +5,7 @@ import pytest
 
 from adskg.errors import BfViolation, DomainError, EvenDimension
 from adskg.geometry import (Boost0, BoostD1, Rotation, TimeTranslation,
-                            boost_rho_coefficient, bracket_rhs, embed,
-                            flat_labels, flat_rescale, flat_unscale,
+                            bracket_rhs, embed, flat_labels, flat_unscale,
                             generator_matrix, kg_residual, killing_coefficients,
                             make_params, radial_measure)
 from adskg.verify import _bracket_errors, _generators, _pushforward
@@ -261,8 +260,8 @@ def test_pushforward_inverts_the_embedding_jacobian():
 
 def test_boost_rho_coefficient_vanishes_on_boundary():
     xi = np.array([0.3, -0.5, 0.8]) / math.sqrt(0.98)
-    assert boost_rho_coefficient(Boost0(3), 0.7, math.pi / 2, xi) == 0.0
-    assert boost_rho_coefficient(BoostD1(3), -1.2, math.pi / 2, xi) == 0.0
+    assert killing_coefficients(Boost0(3), 0.7, math.pi / 2, xi)[1] == 0.0
+    assert killing_coefficients(BoostD1(3), -1.2, math.pi / 2, xi)[1] == 0.0
 
 
 def test_bracket_rhs_table_entries():
@@ -282,11 +281,9 @@ def test_bracket_rhs_table_entries():
 
 # --- flat-limit rescalings -------------------------------------------------------
 
-def test_flat_rescale_roundtrip():
+def test_flat_unscale_divides_by_the_radius():
     p = make_params(3, 10.0, 0.0)
-    tau, r = flat_rescale(p, 0.1, 0.05)
-    assert (tau, r) == (pytest.approx(1.0), pytest.approx(0.5))
-    assert flat_unscale(p, tau, r) == (pytest.approx(0.1), pytest.approx(0.05))
+    assert flat_unscale(p, 1.0, 0.5) == (pytest.approx(0.1), pytest.approx(0.05))
 
 
 def test_flat_labels_threshold():

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,8 +13,7 @@ from adskg.expansions import OmegaGrid, TubeRep, _time_project, sample_tube
 from adskg.geometry import make_params
 from adskg.harmonics import (AngularGrid, EulerAngles, _theta_table,
                              contiguous_coeffs, lm_count, lm_degree, lm_index,
-                             lm_labels, lm_mirror, rotate_angles, sph_harm,
-                             sph_norm, wigner_d)
+                             lm_labels, lm_mirror, sph_harm, sph_norm, wigner_d)
 from adskg.specfun import assoc_legendre
 
 
@@ -292,6 +293,25 @@ def test_normalization_overflow_is_a_domain_error():
     assert grid.ylm(2).shape == (9, 8, 16)
 
 
+def test_normalization_is_the_per_label_formula_at_any_degree():
+    # one log-factorial per distinct l -+ m, not a table up to max(l + |m|):
+    # degrees 10^6 and 10^7 cost little; every label keeps the bits of the
+    # per-label formula
+    ls, ms = lm_labels(50)
+    l, m = np.r_[ls, 10 ** 6, 10 ** 7], np.r_[ms, 3, 0]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = sph_norm(l, m)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 2 ** 20
+    want = [math.sqrt((2 * a + 1) / (4.0 * math.pi) * math.exp(
+        math.lgamma(a - b + 1) - math.lgamma(a + b + 1))) for a, b in zip(l.tolist(), m.tolist())]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 # --- contiguous coefficients -------------------------------------------------
 
 def test_contiguous_lowering_vanishes():
@@ -411,14 +431,14 @@ def test_wigner_inverse_is_dagger(rng):
     assert np.max(np.abs(dinv - np.conj(d).T)) < 1e-12
 
 
-def test_rotation_rule_on_grid():
+def test_rotation_rule_on_grid(rotate_point):
     # Y_l^m(R^{-1} Omega) equals the D-matrix mixing of unrotated harmonics
     from adskg.isometry import rotation_mixing
     l = 3
     angles = EulerAngles(0.7, 0.5, -0.4)
     inv = EulerAngles(-angles.gamma, -angles.beta, -angles.alpha)
     th, ph = _angle_grid()
-    thr, phr = rotate_angles(inv, th, ph)
+    thr, phr = rotate_point(inv, th, ph)
     x = rotation_mixing(l, angles)
     for m in range(-l, l + 1):
         lhs = sph_harm(l, m, thr, phr)

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -329,6 +331,24 @@ def test_jacobi_tables_are_the_per_label_formula_bit_for_bit():
                 want_f, want_df = _per_label_jacobi_fd(branch, nn, ll, rho, p)
                 assert f[nn, ll].tobytes() == want_f.tobytes(), (msq, branch, nn, ll)
                 assert df[nn, ll].tobytes() == want_df.tobytes(), (msq, branch, nn, ll)
+
+
+def test_jacobi_tables_take_the_powers_of_their_own_degrees(params_m0):
+    # sin^k at the k = l - 1, l, l + 1 of the labels only, not at every k up
+    # to max(l): a degree of 10^6 costs little
+    rho = np.array([0.5, 0.7])
+    n, l = np.array([[0], [2], [0]]), np.array([[3], [1], [10 ** 6]])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        f, df = jacobi_radial_fd("plus", n, l, rho, params_m0)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 2 ** 20
+    for i, (nn, ll) in enumerate(zip(n.ravel().tolist(), l.ravel().tolist())):
+        want_f, want_df = _per_label_jacobi_fd("plus", nn, ll, rho, params_m0)
+        assert f[i].tobytes() == want_f.tobytes() and df[i].tobytes() == want_df.tobytes()
 
 
 def test_a_point_of_the_jacobi_table_is_the_call_at_its_scalar_rho():

@@ -131,7 +131,9 @@ def test_jacobi_p_vs_mpmath(n, l, d, nu, minus, x):
     beta = -(nu % 1.0) if minus else nu
     with mp.workdps(40):
         a, b = mp.mpf(alpha), mp.mpf(beta)
-        want = mp.jacobi(n, a, b, x)
+        # zeroprec: at an exact zero (alpha = beta, odd n, x = 0) mpmath's
+        # series cannot meet a relative precision and raises; take it as 0
+        want = mp.jacobi(n, a, b, x, zeroprec=4 * mp.prec)
         # max(alpha, beta) >= -1/2, so the sup over [-1, 1] sits at an
         # endpoint (Szego, Theorem 7.32.1)
         scale = max(abs(mp.jacobi(n, a, b, 1)), abs(mp.jacobi(n, a, b, -1)))

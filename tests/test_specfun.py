@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adskg.errors import DomainError, PoleError
-from adskg.specfun import (assoc_legendre, double_pochhammer, gegenbauer_c,
-                           hyp2f1, jacobi_p, jacobi_p_dx, pochhammer,
-                           spherical_bessel, spherical_bessel_dx)
+from adskg.specfun import (assoc_legendre, double_pochhammer, hyp2f1, jacobi_p,
+                           jacobi_p_dx, pochhammer, spherical_bessel,
+                           spherical_bessel_dx)
 
 
 # --- Pochhammer symbols ---------------------------------------------------
@@ -234,20 +234,6 @@ def test_jacobi_hypergeometric_form():
         assert direct == pytest.approx(hyp, rel=1e-11, abs=1e-12)
 
 
-def test_gegenbauer_low_degrees():
-    assert gegenbauer_c(0.8, 0, 0.4) == 1.0
-    assert gegenbauer_c(2.0, 1, 0.25) == pytest.approx(1.0, rel=1e-15)
-    # series oracle: C_2^{(lam)}(x) = 2 lam (lam+1) x^2 - lam
-    lam, x = 1.5, 0.5
-    assert gegenbauer_c(lam, 2, x) == pytest.approx(
-        2 * lam * (lam + 1) * x * x - lam, rel=1e-14)
-
-
-def test_gegenbauer_rejects_zero_lambda():
-    with pytest.raises(DomainError):
-        gegenbauer_c(0.0, 2, 0.3)
-
-
 # --- associated Legendre ----------------------------------------------------
 
 def test_assoc_legendre_basics():
@@ -372,8 +358,6 @@ def test_spherical_bessel_ode_residual(kind, l):
 def test_ufunc_nan_or_fractional_degree_is_domain_error():
     # parameters where the scipy ufunc returns nan, or a non-integer degree
     # it would silently evaluate as a Jacobi function
-    with pytest.raises(DomainError):
-        gegenbauer_c(-1.0, 3, 0.3)
     with pytest.raises(DomainError):
         jacobi_p(-2.0, -2.0, 3, np.array([0.1, 0.3]))
     with pytest.raises(DomainError):

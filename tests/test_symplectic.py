@@ -441,6 +441,19 @@ def test_potential_antisymmetrization_tube(params_m0, rng):
     assert -0.5 * (th_ze - th_ez) == pytest.approx(target, rel=1e-8)
 
 
+def test_potential_needs_a_shared_frequency_grid(params_m0, rng):
+    # another spacing samples phi at other times, another index span at
+    # another number of them: both are refused, as by omega_tube_quadrature
+    eta = _random_tube_rep(rng, GRID, 4)
+    for grid in (OmegaGrid(1.0, GRID.indices), OmegaGrid(0.5, range(-3, 4))):
+        phi = _random_tube_rep(rng, grid, 4)
+        for a, b in ((phi, eta), (eta, phi)):
+            with pytest.raises(BasisMismatch):
+                symplectic_potential("rho", 0.8, a, b, params_m0, angular=ANG)
+            with pytest.raises(BasisMismatch):
+                omega_tube_quadrature(a, b, 0.8, params_m0, ANG)
+
+
 def test_potential_zero_probe(params_m0, rng):
     eta = _random_slice_rep(rng, 3)
     zero = SliceRep({})
