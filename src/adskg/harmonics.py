@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedDimension
 from .memo import memo
-from .specfun import assoc_legendre
+from .specfun import _legendre_labels, assoc_legendre
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,10 @@ def sph_norm(l, m):
     """Normalization sqrt((2l+1)(l-m)! / (4 pi (l+m)!)); broadcasts.  The
     log-factorials, one per distinct argument, and their exp are libm's
     (math.lgamma, math.exp) per element: numpy's vectorized exp differs
-    from libm in the last bit on about one argument in twenty.  DomainError
-    where (l-m)!/(l+m)! exceeds the double range (m near -l from l = 86 on)."""
-    l, m = np.broadcast_arrays(l, m)
+    from libm in the last bit on about one argument in twenty.  IndexError
+    as assoc_legendre's if any l < 0 or |m| > l; DomainError where
+    (l-m)!/(l+m)! exceeds the double range (m near -l from l = 86 on)."""
+    m, l = _legendre_labels(m, l)
     both = np.stack((l - m, l + m))
     args = np.unique(both)
     lgamma = np.fromiter(map(math.lgamma, (args + 1).tolist()), float, len(args))

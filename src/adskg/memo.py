@@ -58,11 +58,6 @@ class Memo:
                 return value
             self.misses += 1
 
-    def peek(self, key):
-        """The value under key, or None, counting neither a hit nor a miss."""
-        with self._lock:
-            return self._store.get(key)
-
     def put(self, key, value):
         """value, made read-only and stored under key unless oversize."""
         if _freeze(value) <= self.max_elements:

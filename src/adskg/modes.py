@@ -21,12 +21,13 @@ same pair of the other basis's series, so each series is summed once.
 Every call is one build, a call on scalars a build on one point: it takes
 sin rho, cos rho and the series argument once per distinct rho and
 (alpha, beta, gamma) of every kind from one S^a row, routes each element,
-and evaluates every series it needs in one hyp2f1 call.  The radial tables
-of array calls are memoized per kind, with the other basis's tables where
-a build gives them at every point (a later build past the cutoff reads
-them in place of the series; `adskg.memo`); scalar calls are not.  A
-build raises DomainError naming the first (kind, omega, l, rho) whose f
-or f' is not finite.  Transfer matrices are formed afresh on every call.
+and evaluates every series it needs in one hyp2f1 call.  Every family's
+prefactor sin^lam cos^Delta, J+- included, is one formula (_prefactor).
+The radial tables of array calls are memoized per kind, with the other
+basis's tables where a build gives them at every point (`adskg.memo`);
+scalar calls are not.  A build raises DomainError naming the first
+(kind, omega, l, rho) whose f or f' is not finite.  Transfer matrices are
+formed afresh on every call.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 from scipy.special import gammaln, gammasgn
@@ -138,27 +138,35 @@ def magic_frequency(branch: str, n: int, l: int, params: AdsParams) -> float:
     raise ValueError("branch must be 'plus' or 'minus'")
 
 
-def _prefactor_fd(kind: RadialKind, l: int, rho: float, params: AdsParams):
-    """Radial prefactor and its rho-derivative for each kind; both infinite
-    where a power leaves the double range."""
-    s, c = math.sin(rho), math.cos(rho)
-    dp, dm = params.delta_plus, params.delta_minus
+def _prefactor(s, c, lam, ex) -> np.ndarray:
+    """s^lam, c^ex and the rho-derivative of their product,
+    lam s^(lam-1) c^(ex+1) - ex s^(lam+1) c^(ex-1), or -ex s c^(ex-1) where
+    lam = 0, over the broadcast sin rho, cos rho, lam and ex: shape (3,) +
+    theirs.  Each distinct (s, c, lam, ex), s told apart by its bits, is
+    one scalar formula on Python floats, so every power is Python's pow
+    (np.power can differ in the last bit) and an element has the same bits
+    in any array; all three are inf where a power leaves the double range.
+    The radial prefactor sin^lam cos^ex of every family is the product of
+    the first two: lam = l (S^b: minus it at 2 - l - d) and ex = Delta+
+    (C^b, J-: Delta-)."""
+    s, c, lam, ex = np.broadcast_arrays(s, c, lam, ex)
+    shape = s.shape
+    s, c, lam, ex = (v.ravel() for v in (s, c, lam, ex))
+    keys = list(zip(s.view(np.int64).tolist(), s.tolist(), c.tolist(), lam.tolist(),
+                    ex.tolist()))
+    table = {key: _prefactor_at(*key[1:]) for key in set(keys)}
+    return np.reshape([table[key] for key in keys], (-1, 3)).T.reshape((3,) + shape)
+
+
+def _prefactor_at(s: float, c: float, lam, ex: float) -> tuple:
+    """_prefactor's three values at one key, by Python's float pow."""
     try:
-        if kind is RadialKind.Sb:
-            p = 2 - l - params.d
-            pre = -(s ** p) * c ** dp
-            dpre = -(p * s ** (p - 1) * c ** (dp + 1) - dp * s ** (p + 1) * c ** (dp - 1))
-            return pre, dpre
-        ex = dm if kind is RadialKind.Cb else dp
-        if l == 0:
-            pre = c ** ex
-            dpre = -ex * s * c ** (ex - 1)
-        else:
-            pre = s ** l * c ** ex
-            dpre = l * s ** (l - 1) * c ** (ex + 1) - ex * s ** (l + 1) * c ** (ex - 1)
-        return pre, dpre
+        if lam == 0:
+            return s ** lam, c ** ex, -ex * s * c ** (ex - 1)
+        return s ** lam, c ** ex, (lam * s ** (lam - 1) * c ** (ex + 1)
+                                   - ex * s ** (lam + 1) * c ** (ex - 1))
     except OverflowError:  # Python's pow raises where numpy's gives inf
-        return math.inf, math.inf
+        return math.inf, math.inf, math.inf
 
 
 def _weighted_wronskian(fa, da, fb, db, rho: float, d: int) -> float:
@@ -209,19 +217,6 @@ def _transfer_entries(omega, l, params: AdsParams, inverse: bool) -> np.ndarray:
     return m
 
 
-def _per_distinct(fn, *columns) -> np.ndarray:
-    """fn(*key) once per distinct key of the equal-length 1-d arrays, spread
-    back over the elements: shape fn's output + (elements,).  Python floats
-    in, so math and ** give each key the same bits in any array (np.power
-    need not)."""
-    keys = list(zip(*(col.tolist() for col in columns)))
-    table = dict.fromkeys(keys)
-    for key in table:
-        table[key] = fn(*key)
-    out = np.array([table[key] for key in keys])
-    return out.transpose(tuple(range(1, out.ndim)) + (0,))
-
-
 # a kind's code in the array path is its index here: S kinds 0 and 1, C
 # kinds 2 and 3, the a kind of each basis even
 _KINDS = tuple(RadialKind)
@@ -238,16 +233,19 @@ def _hyper_rows(omega, l, params: AdsParams) -> np.ndarray:
                      (al, be, gc), (al - gc + 1.0, be - gc + 1.0, 2.0 - gc)])
 
 
-def _radial_direct_array(codes, l, rho, s, c, abc, params: AdsParams):
+def _radial_direct_array(codes, l, s, c, abc, params: AdsParams):
     """(f, f') by the direct series at each element of equal-length 1-d
     arrays, element i of the kind _KINDS[codes[i]] with the hypergeometric
-    parameters abc[:, i] at rho[i], whose sine and cosine are s[i] and
-    c[i]: each of shape (n,).  The prefactor comes once per distinct (kind,
-    l, rho); one hyp2f1 array call evaluates every element's series and,
+    parameters abc[:, i] at the rho whose sine and cosine are s[i] and
+    c[i]: each of shape (n,).  One _prefactor call gives every element's
+    prefactor; one hyp2f1 array call evaluates every element's series and,
     where a b != 0, the series 2F1(a+1, b+1; c+1) of its x-derivative
     (a b / c) 2F1(a+1, b+1; c+1), which is 0 where a b = 0."""
-    pre, dpre = _per_distinct(lambda i, ll, r: _prefactor_fd(_KINDS[i], ll, r, params),
-                              codes, l, rho)
+    sb = codes == 1
+    sl, cex, dpre = _prefactor(s, c, np.where(sb, 2 - l - params.d, l), np.where(
+        codes == 3, params.delta_minus, params.delta_plus))
+    sign = np.where(sb, -1.0, 1.0)
+    pre, dpre = sign * (sl * cex), sign * dpre
     a, b, cc = abc
     on_sin = codes < 2
     u = np.where(on_sin, s * s, c * c)
@@ -267,13 +265,16 @@ def _check_axis(kind: RadialKind) -> None:
         raise SingularPoint("C-modes diverge on the time axis")
 
 
-def _trig(rho: float) -> tuple:
-    """sin rho, cos rho and the arguments of the S and C series, from
-    libm on a Python float; DomainError outside [0, pi/2)."""
-    if not 0.0 <= rho < math.pi / 2:
+def _trig(rho: np.ndarray) -> np.ndarray:
+    """sin rho, cos rho and the arguments of the S and C series at each
+    element of rho: shape rho's + (4,), each from libm on a Python float
+    once per distinct rho; DomainError outside [0, pi/2)."""
+    if not np.all((0.0 <= rho) & (rho < math.pi / 2)):
         raise DomainError("rho must lie in [0, pi/2)")
-    s, c = math.sin(rho), math.cos(rho)
-    return s, c, s ** 2, c ** 2
+    radii, at = np.unique(rho, return_inverse=True)
+    s, c = (list(map(fn, radii.tolist())) for fn in (math.sin, math.cos))
+    table = np.array([s, c, [v ** 2 for v in s], [v ** 2 for v in c]]).T
+    return table[at.reshape(rho.shape)]
 
 
 def _not_finite(kind: RadialKind, omega, l, rho) -> DomainError:
@@ -282,8 +283,7 @@ def _not_finite(kind: RadialKind, omega, l, rho) -> DomainError:
                        f"(omega, l, rho) = ({omega!r}, {l!r}, {rho!r})")
 
 
-def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
-                          pair_tables=None) -> dict:
+def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams) -> dict:
     """The build of radial_eval_fd for kinds of one basis at every call,
     one point or many: {kind: (f, f')}, routed and checked per element.
     sin rho, cos rho and the series arguments come once per distinct rho,
@@ -291,21 +291,18 @@ def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
     (0, pi/2), past the series cutoff and with a series that does not
     terminate take the transfer matrix.  One _radial_direct_array call sums
     each series once: a kind's own where it is direct and, where any kind
-    takes its row of M (S) or M^-1 (C), the other basis's pair, unless
-    pair_tables, that pair's (f, f') at the same points, are given.  Else,
-    where the C-modes exist and this build gives them at every element,
-    the pair's finite tables are returned too: its series where summed,
-    else its rows of the transfer matrix on this basis's pair where both
-    were summed and both pair kinds take that route.  DomainError names
-    the first kind asked for and element whose f or f' is not finite."""
+    takes its row of M (S) or M^-1 (C), the other basis's pair.  Where the
+    C-modes exist and this build gives them at every element, the pair's
+    finite tables are returned too: its series where summed, else its rows
+    of the transfer matrix on this basis's pair where both were summed and
+    both pair kinds take that route.  DomainError names the first kind
+    asked for and element whose f or f' is not finite."""
     shape = np.broadcast(omega, l, rho).shape
     if 0 in shape:
         return {kind: (np.zeros(shape), np.zeros(shape)) for kind in kinds}
     codes = np.array([_KINDS.index(kind) for kind in kinds])
     on_sin = bool(codes[0] < 2)
-    # sin rho, cos rho and the S and C series arguments once per distinct rho
-    trig = _per_distinct(_trig, np.ravel(rho)).T.reshape(np.shape(rho) + (4,))
-    s, c, s2, c2 = np.broadcast_to(trig, shape + (4,)).reshape(-1, 4).T
+    s, c, s2, c2 = np.broadcast_to(_trig(rho), shape + (4,)).reshape(-1, 4).T
     omega, l, rho = (v.ravel() if v.shape == shape else np.broadcast_to(v, shape).ravel()
                      for v in (omega, l, rho))
     axis = rho == 0.0
@@ -323,13 +320,11 @@ def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
         if cross.any():  # before any series: it refuses integer nu
             mat = _transfer_entries(omega[cross], l[cross], params, not on_sin)
         need = np.zeros((len(_KINDS), rho.size), dtype=bool)
-        need[codes], need[pair] = ~axis & ~via, cross & (pair_tables is None)
+        need[codes], need[pair] = ~axis & ~via, cross
         series = np.zeros((2,) + need.shape)
-        if pair_tables is not None:
-            series[:, pair] = np.reshape(pair_tables, (2, 2, -1)).swapaxes(0, 1)
         code, el = np.nonzero(need)
         if el.size:  # else every element lies on the axis
-            series[:, need] = _radial_direct_array(code, l[el], rho[el], s[el], c[el],
+            series[:, need] = _radial_direct_array(code, l[el], s[el], c[el],
                                                    abc[code, :, el].T, params)
         out = np.zeros((2,) + via.shape)
         out[0, :, axis & (l == 0)] = out[1, :, axis & (l == 1)] = 1.0
@@ -340,7 +335,7 @@ def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
             fa, fb = series[:, pair][..., cross].swapaxes(0, 1)[:, :, None]
             out[:, via] = (row[:, 0] * fa + row[:, 1] * fb)[:, via[:, cross]]
         lift = ~cross & need[own[0]] & need[own[1]] & routes[pair[0]] & routes[pair[1]]
-        if pair_tables is None and params.c_modes_valid and (cross | lift).all():
+        if params.c_modes_valid and (cross | lift).all():
             out = np.concatenate([out, series[:, pair]], 1)  # and the other basis
             if lift.any():  # the pair's rows of M^-1 (C) or M (S) on this basis's series
                 row = _transfer_entries(omega[lift], l[lift], params, on_sin).reshape(2, 2, -1)
@@ -358,19 +353,14 @@ def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams,
 def _radial_table(kinds: tuple, omega, l, rho, params: AdsParams) -> list:
     """The (f, f') tables of radial_eval_fd's array call for each of the
     kinds, memoized per kind on (kind, omega, l, rho, params).  Each lookup
-    counts a hit or a miss; the kinds missed are built together, from the
-    other basis's stored tables where both are held, and the other basis's
-    tables the build also gives are stored too; neither counts."""
+    counts a hit or a miss; the kinds missed are built together, and the
+    other basis's tables the build also gives are stored too, uncounted."""
     cache, args = _radial_table.memo, key(omega, l, rho, params)
     found = {kind: cache.get(key(kind) + args) for kind in kinds}
     missing = tuple(kind for kind in kinds if found[kind] is None)
     if missing:
-        pair = [cache.peek(key(k) + args) for k in (
-            _KINDS[2:] if _KINDS.index(missing[0]) < 2 else _KINDS[:2])]
-        for kind, table in _radial_eval_fd_array(missing, omega, l, rho, params, (
-                None if None in pair else pair)).items():
-            if found.get(kind) is None:
-                found[kind] = cache.put(key(kind) + args, table)
+        for kind, table in _radial_eval_fd_array(missing, omega, l, rho, params).items():
+            found[kind] = cache.put(key(kind) + args, table)
     return [found[kind] for kind in kinds]
 
 
@@ -396,9 +386,8 @@ def radial_eval_fd(kind, omega, l, rho, params: AdsParams):
     single kind's are read-only), with the other basis's tables where a
     build gives them at every point: the pair it summed, or their rows of
     M or M^-1 on a joint build's own pair (C below pi/6 after S, S past
-    pi/3 after C).  A build finding them stored sums no pair series:
-    outside pi/6 <= rho <= pi/3 both bases are built once.  Calls on
-    scalars are not memoized.
+    pi/3 after C).  A build that needs the pair's series sums them.  Calls
+    on scalars are not memoized.
     """
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if len({k in (RadialKind.Sa, RadialKind.Sb) for k in kinds}) != 1:
@@ -417,21 +406,6 @@ def radial_eval_fd(kind, omega, l, rho, params: AdsParams):
 def radial_eval(kind: RadialKind, omega, l, rho, params: AdsParams):
     """The radial function alone; arrays as in radial_eval_fd."""
     return radial_eval_fd(kind, omega, l, rho, params)[0]
-
-
-def _pow(x: np.ndarray, p) -> np.ndarray:
-    """x ** p per element through Python's float pow, the scalar path's bits."""
-    out = np.fromiter(map(pow, x.ravel().tolist(), repeat(p)), float, x.size)
-    return out.reshape(x.shape)
-
-
-def _int_powers(x: np.ndarray, ks):
-    """k -> x ** k for the integers k among ks, broadcast against x, from
-    one `_pow(x, float(e))` over the whole of x per distinct e, so each
-    element has the bits of a call on x with a scalar exponent."""
-    es = np.unique(ks)
-    table = np.array([_pow(x, float(e)) for e in es.tolist()]).reshape(len(es), -1)
-    return lambda k: table[es.searchsorted(k), np.arange(np.size(x)).reshape(np.shape(x))]
 
 
 def _jacobi_labels(branch: str, n, l, params: AdsParams):
@@ -497,15 +471,13 @@ def _jacobi_radial(branch: str, n, l, rho, params: AdsParams, drho: bool):
     if not np.all((0.0 <= rho) & (rho <= math.pi / 2)):
         raise DomainError("Jacobi modes need rho in [0, pi/2]")
     s, c, x = np.sin(rho), np.cos(rho), np.cos(2.0 * rho)
-    sp = _int_powers(s, (np.maximum(l - 1, 0), l, l + 1) if drho else l)
-    sl, cex = sp(l), _pow(c, ex)
+    ls, at = np.unique(l, return_inverse=True)  # a table over rho and the distinct l
+    sl, cex, dpre = _prefactor(s[..., None], c[..., None], ls, ex).reshape(
+        3, rho.size, ls.size)[:, np.arange(rho.size).reshape(rho.shape), at.reshape(l.shape)]
     pval = jacobi_p(ga - 1.0, nu, n, x)
     if not drho:
         return pref * sl * cex * pval, None
     dval = jacobi_p_dx(ga - 1.0, nu, n, x) * (-2.0 * np.sin(2.0 * rho))
-    down, up = _pow(c, ex - 1.0), _pow(c, ex + 1.0)
-    dpre = np.where(l == 0, -ex * s * down, l * sp(np.maximum(l - 1, 0)) * up
-                    - ex * sp(l + 1) * down)
     return pref * sl * cex * pval, pref * (dpre * pval + sl * cex * dval)
 
 

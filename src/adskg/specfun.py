@@ -64,7 +64,8 @@ def hyp2f1(a, b, c, x):
     - a series ending at n = -c is its n + 1 terms summed (DLMF 15.2);
     - past x = 1/2, a terminating series with c < 0 is taken to 1 - x by
       DLMF 15.8.7, 2F1(-n, b; c; x) = (c-b)_n / (c)_n 2F1(-n, b; b-c-n+1;
-      1-x), wherever its new c is positive: 1 + nu for S^b, l + d/2 for C^b;
+      1-x), wherever its new c is positive: 1 + nu for S^b, l + d/2 for C^b
+      (DomainError where that gives nan, as inf/inf);
     - a non-terminating series that `_recurs` flags (S^b at m^2 = 0 and
       |omega| = 37.5 was 1.7e-3 off next to x = 0) is its summed series
       wherever scipy's value lies outside the sum's rounding bound.
@@ -100,8 +101,14 @@ def _hyp2f1_array(a, b, c, x) -> np.ndarray:
     flip = terminates & ~at_pole & (c < 0.0) & (x > 0.5) & (other - c - n + 1.0 > 0.0)
     if flip.any():
         nf, bf, cf = n[flip], other[flip], c[flip]
-        out[flip] = poch(cf - bf, nf) / poch(cf, nf) \
-            * _hyp2f1(-nf, bf, bf - cf - nf + 1.0, 1.0 - x[flip])
+        with np.errstate(all="ignore"):  # a nan (inf/inf) is refused below
+            out[flip] = poch(cf - bf, nf) / poch(cf, nf) \
+                * _hyp2f1(-nf, bf, bf - cf - nf + 1.0, 1.0 - x[flip])
+        undefined = flip & np.isnan(out)
+        if undefined.any():
+            i = np.unravel_index(undefined.argmax(), undefined.shape)
+            raise DomainError(f"2F1 at (a, b, c, x) = ({a[i]}, {b[i]}, {c[i]}, {x[i]}) is "
+                              f"nan in its DLMF 15.8.7 form")
     if at_pole.any():
         out[at_pole] = [_series(*e)[0]
                         for e in zip(*(v[at_pole].tolist() for v in (a, b, c, x, n)))]
@@ -173,6 +180,17 @@ def jacobi_p_dx(alpha, beta, n, x):
         alpha + 1.0, beta + 1.0, np.where(n == 0, 0, n - 1), x))[()]
 
 
+def _legendre_labels(m, l):
+    """m and l broadcast; IndexError if any l < 0 or |m| > l."""
+    m, l = np.broadcast_arrays(m, l)
+    if np.any(l < 0):
+        raise IndexError("assoc_legendre requires l >= 0")
+    if np.any(np.abs(m) > l):
+        i = np.argmax(np.abs(m) > l)
+        raise IndexError(f"|m| = {abs(m.flat[i])} exceeds l = {l.flat[i]}")
+    return m, l
+
+
 def assoc_legendre(m, l, x):
     """Associated Legendre function P_l^m(x) WITHOUT the Condon-Shortley phase.
 
@@ -183,12 +201,7 @@ def assoc_legendre(m, l, x):
     naming (l, m) where lpmv's value is not finite (nan off [-1, 1], an
     overflow to inf at |m| near l from l = 86 on).
     """
-    m, l = np.broadcast_arrays(m, l)
-    if np.any(l < 0):
-        raise IndexError("assoc_legendre requires l >= 0")
-    if np.any(np.abs(m) > l):
-        i = np.argmax(np.abs(m) > l)
-        raise IndexError(f"|m| = {abs(m.flat[i])} exceeds l = {l.flat[i]}")
+    m, l = _legendre_labels(m, l)
     sign = np.where((m > 0) & (m % 2 == 1), -1.0, 1.0)
     val = sign * lpmv(m, l, x)
     bad = ~np.isfinite(val)

@@ -5,9 +5,11 @@ One point at a time, with Python floats throughout: each kind's direct
 series where its argument (sin^2 rho for S, cos^2 rho for C) is at most
 ARG_CUTOFF or the series terminates, else its row of the transfer matrix
 M (S) or M^-1 (C) applied to the other basis's pair of series.  The
-prefactors, transfer entries, axis checks and error texts are the
-library's own; the series and its x-derivative are hyp2f1 calls on
-scalars.
+prefactor is the per-kind scalar formula kept here (prefactor_fd); the
+transfer entries, axis checks and error texts are the library's own; the
+series and its x-derivative are hyp2f1 calls on scalars.  per_distinct
+tabulates a scalar function once per distinct key, the per-key reference
+of the other layers' array sums.
 """
 
 from __future__ import annotations
@@ -17,9 +19,45 @@ import math
 import numpy as np
 
 from adskg.errors import DomainError, PoleError
-from adskg.modes import (_KINDS, RadialKind, _check_axis, _not_finite, _prefactor_fd,
-                         _transfer_entries, hyper_params)
+from adskg.modes import (_KINDS, RadialKind, _check_axis, _not_finite, _transfer_entries,
+                         hyper_params)
 from adskg.specfun import ARG_CUTOFF, hyp2f1
+
+
+def per_distinct(fn, *columns) -> np.ndarray:
+    """fn(*key) once per distinct key of the equal-length 1-d arrays, spread
+    back over the elements: shape fn's output + (elements,).  Python floats
+    in, so math and ** give each key the same bits in any array."""
+    keys = list(zip(*(col.tolist() for col in columns)))
+    table = dict.fromkeys(keys)
+    for key in table:
+        table[key] = fn(*key)
+    out = np.array([table[key] for key in keys])
+    return out.transpose(tuple(range(1, out.ndim)) + (0,))
+
+
+def prefactor_fd(kind: RadialKind, l: int, rho: float, params):
+    """Radial prefactor and its rho-derivative for each kind, one formula
+    per kind on Python floats; both infinite where a power leaves the
+    double range."""
+    s, c = math.sin(rho), math.cos(rho)
+    dp, dm = params.delta_plus, params.delta_minus
+    try:
+        if kind is RadialKind.Sb:
+            p = 2 - l - params.d
+            pre = -(s ** p) * c ** dp
+            dpre = -(p * s ** (p - 1) * c ** (dp + 1) - dp * s ** (p + 1) * c ** (dp - 1))
+            return pre, dpre
+        ex = dm if kind is RadialKind.Cb else dp
+        if l == 0:
+            pre = c ** ex
+            dpre = -ex * s * c ** (ex - 1)
+        else:
+            pre = s ** l * c ** ex
+            dpre = l * s ** (l - 1) * c ** (ex + 1) - ex * s ** (l + 1) * c ** (ex - 1)
+        return pre, dpre
+    except OverflowError:  # Python's pow raises where numpy's gives inf
+        return math.inf, math.inf
 
 
 def _stop(v: float) -> float:
@@ -59,7 +97,7 @@ def radial_direct(kind: RadialKind, omega: float, l: int, rho: float, params):
         u, du = s * s, 2.0 * s * cs
     else:
         u, du = cs * cs, -2.0 * s * cs
-    pre, dpre = _prefactor_fd(kind, l, rho, params)
+    pre, dpre = prefactor_fd(kind, l, rho, params)
     f_val = hyp2f1(a, b, c, u)
     df_val = hyp2f1_dx(a, b, c, u) * du
     return pre * f_val, dpre * f_val + pre * df_val

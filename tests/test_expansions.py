@@ -27,10 +27,11 @@ from adskg.harmonics import (AngularGrid, EulerAngles, lm_count, lm_degree, lm_i
 from adskg.isometry import (act_boost, act_rotation, boost_generator_apply,
                             boost_shift_coeffs)
 from adskg.memo import counters
-from adskg.modes import (RadialKind, SliceLabel, TubeLabel, _per_distinct, magic_frequency,
+from adskg.modes import (RadialKind, SliceLabel, TubeLabel, magic_frequency,
                          jacobi_radial_fd, mode_eval, radial_eval, radial_eval_fd,
                          transfer_matrix)
 from adskg.symplectic import omega_slice_momentum, omega_tube_momentum
+from radial_reference import per_distinct
 
 ANG = AngularGrid(16, 32)
 
@@ -962,7 +963,7 @@ def _oracle_synth(rep, point, params, deriv=""):
     out = np.zeros((2, len(kern)), dtype=complex)
     for chs, (rows, l_need) in groups:
         if rows.size:
-            rad = np.array([_per_distinct(lambda om, ll, kind=kinds[rep.basis][ch]: radial_eval_fd(
+            rad = np.array([per_distinct(lambda om, ll, kind=kinds[rep.basis][ch]: radial_eval_fd(
                 kind, om, ll, rho, params), js[rows] * d_omega, l_need) for ch in chs])
             out += (rad * sums[list(chs)][:, rows, l_need][:, None]).sum(axis=0) \
                 @ kern[:, rows].T

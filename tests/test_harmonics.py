@@ -293,6 +293,17 @@ def test_normalization_overflow_is_a_domain_error():
     assert grid.ylm(2).shape == (9, 8, 16)
 
 
+def test_normalization_refuses_labels_as_assoc_legendre_does(monkeypatch):
+    # |m| > l and l < 0 raise assoc_legendre's IndexError before any lgamma
+    monkeypatch.setattr(math, "lgamma", None)
+    for l, m, text in ((1, 2, "|m| = 2 exceeds l = 1"), (-1, 0, "assoc_legendre requires l >= 0"),
+                       (np.array([3, 1]), np.array([1, -4]), "|m| = 4 exceeds l = 1")):
+        for call in (sph_norm, lambda l, m: assoc_legendre(m, l, 0.5)):
+            with pytest.raises(IndexError) as err:
+                call(l, m)
+            assert str(err.value) == text
+
+
 def test_normalization_is_the_per_label_formula_at_any_degree():
     # one log-factorial per distinct l -+ m, not a table up to max(l + |m|):
     # degrees 10^6 and 10^7 cost little; every label keeps the bits of the

@@ -484,10 +484,10 @@ def test_mink_tube_point_synthesis_is_the_per_key_tabulation_bit_for_bit(rng):
     # the batched radial table at a point gives the bits of the table built
     # one (E, l) key at a time from scalar scipy calls
     from adskg.expansions import _tube_sum
-    from adskg.modes import _per_distinct
+    from radial_reference import per_distinct
 
     def per_key(m_f, r):
-        return lambda chs, energy, l: _per_distinct(lambda e, ll: math.sqrt(
+        return lambda chs, energy, l: per_distinct(lambda e, ll: math.sqrt(
             abs(e * e - m_f * m_f)) / (4.0 * math.pi) * np.array(
                 [[_scalar_check("JN"[ch], e, ll, r, m_f, dr) for dr in (False, True)]
                  for ch in chs]), energy, l)

@@ -6,7 +6,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_jacobi
@@ -22,7 +22,7 @@ from adskg.modes import (RadialKind, SliceLabel, TubeLabel, hyper_params,
                          mode_eval, norm_constant, radial_eval,
                          radial_eval_fd, transfer_matrix)
 
-from radial_reference import radial_eval_fd_scalar
+from radial_reference import prefactor_fd, radial_eval_fd_scalar
 
 ALL_KINDS = (RadialKind.Sa, RadialKind.Sb, RadialKind.Ca, RadialKind.Cb)
 
@@ -154,7 +154,7 @@ def test_radial_array_axis_and_errors(params_m0):
 
 
 def test_jacobi_radial_array_equals_scalar(params_m0, params_neg):
-    rho = np.linspace(0.01, 1.56, 257)
+    rho = np.r_[np.linspace(0.01, 1.56, 257), 0.0, -0.0]  # sin^l keeps the sign of -0.0
     for p, branch in ((params_m0, "plus"), (params_neg, "minus")):
         for n, l in ((0, 0), (2, 1), (3, 4)):
             ref = [jacobi_radial(branch, n, l, float(r), p) for r in rho]
@@ -172,6 +172,9 @@ def test_jacobi_radial_array_equals_scalar(params_m0, params_neg):
         for n in range(4):
             for l in range(5):
                 assert grid[n, l].tobytes() == jacobi_radial(branch, n, l, rho, p).tobytes()
+        # no labels: an empty table
+        none = np.array([], dtype=int)
+        assert jacobi_radial_fd(branch, none, none, rho[:, None], p)[1].shape == (rho.size, 0)
 
 
 def test_radial_ca_boundary_decay(params_m0):
@@ -190,7 +193,7 @@ def test_radial_switch_continuity(params_m0):
         cut_rho = math.asin(math.sqrt(0.77)) if on_sin else math.acos(math.sqrt(0.77))
         via_transfer = radial_eval(kind, 2.3, 1, cut_rho, params_m0)
         u = (math.sin(cut_rho) if on_sin else math.cos(cut_rho)) ** 2
-        pre, _ = modes._prefactor_fd(kind, 1, cut_rho, params_m0)
+        pre, _ = prefactor_fd(kind, 1, cut_rho, params_m0)
         direct = pre * float(mp.hyp2f1(*hyper_params(kind, 2.3, 1, params_m0), u))
         assert abs(via_transfer - direct) < 1e-10 * max(1.0, abs(direct))
 
@@ -833,8 +836,14 @@ def test_scalar_radial_raises_where_a_value_is_not_finite(params_m0, kind, omega
 def test_array_radial_raises_as_the_scalar_path(params_m0, kind, omega, l, rho):
     # the same exception as the scalar call, naming the first kind asked and
     # the first element that is not finite; nothing is stored, and no
-    # RuntimeWarning escapes
+    # RuntimeWarning escapes.  S^b's series at omega = 1e308 terminates, and
+    # past x = 1/2 (rho = 1.2) its DLMF 15.8.7 form is inf/inf, which
+    # hyp2f1 refuses, naming the series, before any value is checked
     kinds = (kind, RadialKind.Sb) if kind is RadialKind.Sa else (kind,)
+    flip = RadialKind.Sb in kinds and (omega, rho) == (1e308, 1.2)
+    a, b, c = hyper_params(RadialKind.Sb, omega, l, params_m0)
+    flip_text = (f"2F1 at (a, b, c, x) = ({a}, {b}, {c}, {math.sin(rho) * math.sin(rho)}) "
+                 f"is nan in its DLMF 15.8.7 form")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for at in ([rho], [rho, rho, 0.3], [0.3, rho, rho]):
@@ -845,9 +854,49 @@ def test_array_radial_raises_as_the_scalar_path(params_m0, kind, omega, l, rho):
                 misses, hits = _misses_and_hits()
                 with pytest.raises(DomainError) as err:
                     radial_eval_fd(kinds, om, ls, np.array(at), params_m0)
-                assert str(err.value) == _not_finite_text(
-                    kind, float(om[first]), int(ls[first]), at[first])
+                assert str(err.value) == (flip_text if flip else
+                                          _not_finite_text(kind, float(om[first]),
+                                                           int(ls[first]), at[first]))
                 assert _misses_and_hits() == (misses + len(kinds), hits)
+
+
+def _family(name, l, p):
+    """(the kind whose scalar prefactor_fd formula a family's prefactor has,
+    lambda, Delta, sign) as the radial and Jacobi builds form it."""
+    return {"sa": (RadialKind.Sa, l, p.delta_plus, 1.0),
+            "sb": (RadialKind.Sb, 2 - l - p.d, p.delta_plus, -1.0),
+            "ca": (RadialKind.Ca, l, p.delta_plus, 1.0),
+            "cb": (RadialKind.Cb, l, p.delta_minus, 1.0),
+            "jplus": (RadialKind.Sa, l, p.delta_plus, 1.0),
+            "jminus": (RadialKind.Cb, l, p.delta_minus, 1.0)}[name]
+
+
+@given(family=st.sampled_from(["sa", "sb", "ca", "cb", "jplus", "jminus"]),
+       msq=st.sampled_from([0.0, -2.0, 0.37]),
+       points=st.lists(st.tuples(st.integers(0, 40), st.floats(
+           0.0, math.pi / 2, exclude_min=True, exclude_max=True)), min_size=1, max_size=8))
+@example(family="sb", msq=0.0, points=[(100000, 0.5), (3, 0.5)])
+@example(family="sb", msq=-2.0, points=[(40, 1e-9), (1, 1.1125369292536007e-308)])
+@settings(max_examples=150, deadline=None)
+def test_one_prefactor_is_the_per_kind_formula_bit_for_bit(family, msq, points):
+    # _prefactor over an array of points against the scalar per-kind
+    # formula at each; where that formula overflows, the helper's values
+    # are not finite and the radial call raises the not-finite text
+    p = make_params(3, 1.0, msq)
+    l = np.array([ll for ll, _ in points])
+    s, c = (np.array([fn(r) for _, r in points]) for fn in (math.sin, math.cos))
+    kind, lam, ex, sign = _family(family, l, p)
+    sl, cex, dpre = modes._prefactor(s, c, lam, ex)
+    got = np.array([sign * (sl * cex), sign * dpre]).T
+    for (ll, r), pair in zip(points, got):
+        want = prefactor_fd(kind, ll, r, p)
+        if all(map(math.isfinite, want)):
+            assert pair.tobytes() == np.array(want).tobytes(), (ll, r)
+            continue
+        assert not np.isfinite(pair).all()
+        with pytest.raises(DomainError) as err:
+            radial_eval_fd(kind, 0.7, ll, r, p)
+        assert str(err.value) == _not_finite_text(kind, 0.7, ll, r)
 
 
 # --- full mode evaluation --------------------------------------------------------------

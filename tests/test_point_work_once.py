@@ -141,7 +141,7 @@ def test_every_table_of_a_build_is_a_cold_build_of_its_kind(basis, msq, points,
     for kind in built:
         cold = modes._radial_eval_fd_array((kind,), omega, l, rho, params)[kind]
         assert np.array(built[kind]).tobytes() == np.array(cold).tobytes(), kind
-        stored = modes._radial_table.memo.peek(key(kind) + key(
+        stored = modes._radial_table.memo.get(key(kind) + key(
             omega, l, np.asarray(rho), params))
         assert np.array(stored).tobytes() == np.array(cold).tobytes(), kind
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +110,23 @@ def test_hyp2f1_terminating_series_with_negative_c():
         assert hyp2f1(*args) == pytest.approx(_explicit(*args), rel=1e-13)
     assert hyp2f1(-2.0, 0.7, -2.0, 0.4) == pytest.approx(1.0 + 0.7 * 0.4 + 0.595 * 0.16,
                                                          rel=1e-15)
+
+
+def test_hyp2f1_flip_giving_nan_is_a_domain_error():
+    # the DLMF 15.8.7 flip of the S^b series at omega = -1e300 is inf/inf:
+    # no RuntimeWarning, even as an error, and a DomainError naming the
+    # element, scalar or in an array
+    text = "2F1 at (a, b, c, x) = (5e+299, -5e+299, -0.5, 0.644) is nan in its DLMF 15.8.7 form"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            hyp2f1(5e299, -5e299, -0.5, 0.644)
+        assert str(err.value) == text
+        with pytest.raises(DomainError) as err:
+            hyp2f1(np.array([6.0, 5e299]), np.array([-6.0, -5e299]), -0.5, 0.644)
+        assert str(err.value) == text
+        assert hyp2f1(6.0, -6.0, -0.5, 0.644) == pytest.approx(_explicit(6.0, -6.0, -0.5, 0.644),
+                                                               rel=1e-13)
 
 
 # array path: the array call against the scalar call, bit for bit

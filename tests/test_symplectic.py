@@ -13,11 +13,12 @@ from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, s_to_c
 from adskg.geometry import make_params
 from adskg.harmonics import AngularGrid, lm_count, lm_mirror
 from adskg.minkowski import EnergyGrid, MinkSliceRep, MinkTubeRep
-from adskg.modes import _per_distinct, magic_frequency, norm_constant
+from adskg.modes import magic_frequency, norm_constant
 from adskg.symplectic import (_mirror_pairing, _same_label_pairing,
                               omega_slice_momentum, omega_slice_quadrature,
                               omega_tube_momentum, omega_tube_quadrature,
                               symplectic_potential)
+from radial_reference import per_distinct
 
 ANG = AngularGrid(16, 32)
 
@@ -260,7 +261,7 @@ def test_pairings_equal_the_per_label_loops(rng):
     for _ in range(5):
         for pairing, loop, eta, zeta, weight in _pairing_cases(rng):
             want, size = loop(eta, zeta, weight)
-            per_block = partial(_per_distinct, weight)
+            per_block = partial(per_distinct, weight)
             got = pairing(eta, zeta, per_block)
             assert size > 0.0 and abs(got - want) <= 1e-14 * size
             # swapped, and against a rep holding no label
@@ -376,7 +377,7 @@ def test_pairings_are_the_framed_sums_on_larger_reps(rng):
         for pairing, _, eta, zeta, weight in _pairing_cases(rng):
             oracle = {_same_label_pairing: _framed_same_label_pairing,
                       _mirror_pairing: _framed_mirror_pairing}[pairing]
-            per_block = partial(_per_distinct, weight)
+            per_block = partial(per_distinct, weight)
             for e, z in ((eta, zeta), (zeta, eta)):
                 assert np.asarray(pairing(e, z, per_block)).tobytes() \
                     == np.asarray(oracle(e, z, per_block)).tobytes()
@@ -413,7 +414,7 @@ def test_slice_momentum_weights_are_the_per_label_weights(rng, R, msq):
     params = make_params(3, R, msq)
     eta, zeta = _random_slice_rep(rng, 40), _random_slice_rep(rng, 40)
     rd = params.R ** (params.d - 1)
-    per_label = partial(_per_distinct, lambda n, l: (
+    per_label = partial(per_distinct, lambda n, l: (
         1j * magic_frequency("plus", n, l, params) * rd
         * norm_constant("plus", n, l, params)))
     want = complex(_same_label_pairing(eta, zeta, per_label))
