@@ -26,7 +26,7 @@ except ImportError:  # no getrusage (Windows)
 
 import numpy as np
 
-from .errors import AdskgError, MagicFrequencyBlind
+from .errors import AdskgError, DomainError, MagicFrequencyBlind
 from .geometry import make_params
 from .harmonics import AngularGrid, lm_labels, require_two_sphere, sph_harm
 from .memo import counters
@@ -85,6 +85,9 @@ def cmd_eval(args) -> int:
         print(f"error: need l >= 0 and |m| <= l, got l={args.l}, m={args.m}",
               file=sys.stderr)
         return 2
+    outside = ~((0.0 <= args.theta) & (args.theta <= np.pi))  # P_l^m takes |sin theta|
+    if outside.any():
+        raise DomainError(f"theta = {args.theta[outside][0].item()!r} must lie in [0, pi]")
     kind_name = args.kind.lower()
     if kind_name in _KINDS:
         rads = radial_eval(_KINDS[kind_name], args.omega, args.l, args.rho, params)
@@ -175,21 +178,18 @@ def cmd_reconstruct(args) -> int:
     orig = rep.coeffs
     if args.target == "slice":
         if not isinstance(rep, xp.SliceRep):
-            print("reconstruct slice needs a slice rep", file=sys.stderr)
-            return 2
+            raise AdskgError("reconstruct slice needs a slice rep")
         n_max = int(rep.coeffs.js[-1])
         data = xp.sample_slice(rep, args.t0, params, angular=ang)
         rec = xp.invert_slice(data, params, n_max, l_max, check_residual=False)
     elif args.target == "tube":
         if not isinstance(rep, xp.TubeRep):
-            print("reconstruct tube needs a tube rep", file=sys.stderr)
-            return 2
+            raise AdskgError("reconstruct tube needs a tube rep")
         data = xp.sample_tube(rep, args.rho0, params, ang)
         rec = xp.invert_tube(data, params, l_max, rep.basis)
     elif args.target == "rod":
         if not isinstance(rep, xp.RodRep):
-            print("reconstruct rod needs a rod rep", file=sys.stderr)
-            return 2
+            raise AdskgError("reconstruct rod needs a rod rep")
         data = xp.sample_rod(rep, args.rho0, params, ang)
         rec = xp.invert_rod_interior(data, params, l_max)
     elif args.target == "boundary":
@@ -203,9 +203,7 @@ def cmd_reconstruct(args) -> int:
                 data = xp.boundary_data_of(crep, params, ang)
                 rec = xp.boundary_reconstruct(data, params, l_max)
             else:
-                print("boundary reconstruction needs a tube or rod rep",
-                      file=sys.stderr)
-                return 2
+                raise AdskgError("boundary reconstruction needs a tube or rod rep")
         except MagicFrequencyBlind as exc:
             print(f"MagicFrequencyBlind: {exc}")
             return 1

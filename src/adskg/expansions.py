@@ -508,6 +508,8 @@ def _synth(rep, point, params: AdsParams, deriv: int = 0) -> complex:
     held = rep.__dict__.get("_point_values", (None,))
     if held[0] != (at := key(*point, params)):
         t, rho, theta, phi = point
+        if not 0.0 <= theta <= math.pi:  # P_l^m(cos theta) takes |sin theta|
+            raise DomainError(f"theta = {theta!r} must lie in [0, pi]")
         if isinstance(rep, SliceRep):
             rho = np.atleast_1d(rho)
             out = _slice_sum(rep, t, rho, (theta, phi), *_jacobi(rho, params, None))

@@ -19,10 +19,12 @@ radial_eval_fd builds the kinds of one basis together (a tube synthesis
 needs both): past the cutoff both are rows of M, or of M^-1, applied to the
 same pair of the other basis's series, so each series is summed once.
 Every call is one build, a call on scalars a build on one point: it takes
-sin rho, cos rho and the series argument once per distinct rho and
-(alpha, beta, gamma) of every kind from one S^a row, routes each element,
-and evaluates every series it needs in one hyp2f1 call.  Every family's
-prefactor sin^lam cos^Delta, J+- included, is one formula (_prefactor).
+sin rho, cos rho and the series arguments per element of rho as given and
+(alpha, beta, gamma) of all four kinds from one S^a row, routes every
+(kind, element), gathers every series it needs by one flat index into one
+hyp2f1 call and scatters the values back into one (f/f', kind, element)
+table.  Every family's prefactor sin^lam cos^Delta, J+- included, is one
+formula (_prefactor), once per distinct (sin rho, cos rho, lam, Delta).
 The radial tables of array calls are memoized per kind, with the other
 basis's tables where a build gives them at every point (`adskg.memo`);
 scalar calls are not.  A build raises DomainError naming the first
@@ -142,23 +144,28 @@ def _prefactor(s, c, lam, ex) -> np.ndarray:
     """s^lam, c^ex and the rho-derivative of their product,
     lam s^(lam-1) c^(ex+1) - ex s^(lam+1) c^(ex-1), or -ex s c^(ex-1) where
     lam = 0, over the broadcast sin rho, cos rho, lam and ex: shape (3,) +
-    theirs.  Each distinct (s, c, lam, ex), s told apart by its bits, is
-    one scalar formula on Python floats, so every power is Python's pow
-    (np.power can differ in the last bit) and an element has the same bits
-    in any array; all three are inf where a power leaves the double range.
-    The radial prefactor sin^lam cos^ex of every family is the product of
-    the first two: lam = l (S^b: minus it at 2 - l - d) and ex = Delta+
-    (C^b, J-: Delta-)."""
-    s, c, lam, ex = np.broadcast_arrays(s, c, lam, ex)
-    shape = s.shape
-    s, c, lam, ex = (v.ravel() for v in (s, c, lam, ex))
-    keys = list(zip(s.view(np.int64).tolist(), s.tolist(), c.tolist(), lam.tolist(),
-                    ex.tolist()))
-    table = {key: _prefactor_at(*key[1:]) for key in set(keys)}
-    return np.reshape([table[key] for key in keys], (-1, 3)).T.reshape((3,) + shape)
+    theirs.  One sort finds the distinct (s, c, lam, ex), told apart by
+    their bits, and each is one scalar formula on Python floats, so every
+    power is Python's pow (np.power can differ in the last bit) and an
+    element has the same bits in any array; all three are inf where a
+    power leaves the double range.  The radial prefactor sin^lam cos^ex of
+    every family is the product of the first two: lam = l (S^b: minus it
+    at 2 - l - d) and ex = Delta+ (C^b, J-: Delta-)."""
+    args = np.empty((4,) + np.broadcast(s, c, lam, ex).shape)
+    args[0], args[1], args[2], args[3] = s, c, lam, ex
+    flat = args.reshape(4, -1)
+    order = np.lexsort(flat.view(np.int64))
+    bits = flat.view(np.int64)[:, order]
+    new = np.empty(order.size, dtype=bool)
+    new[:1] = True
+    new[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+    at = np.empty_like(order)
+    at[order] = new.cumsum() - 1
+    table = [_prefactor_at(*key) for key in flat[:, order[new]].T.tolist()]
+    return np.array(table).reshape(-1, 3).T[:, at].reshape((3,) + args.shape[1:])
 
 
-def _prefactor_at(s: float, c: float, lam, ex: float) -> tuple:
+def _prefactor_at(s: float, c: float, lam: float, ex: float) -> tuple:
     """_prefactor's three values at one key, by Python's float pow."""
     try:
         if lam == 0:
@@ -222,39 +229,28 @@ def _transfer_entries(omega, l, params: AdsParams, inverse: bool) -> np.ndarray:
 _KINDS = tuple(RadialKind)
 
 
-def _hyper_rows(omega, l, params: AdsParams) -> np.ndarray:
-    """hyper_params of the four kinds at the 1-d omega and l, by kind code:
-    shape (4, 3, n), every row formed from the one S^a row with
-    hyper_params' bits.  The C rows are formed unchecked; only a caller
-    that has checked the C-modes exist uses them."""
-    al, be, ga = hyper_params(RadialKind.Sa, omega, l, params)
-    gc = np.full(al.shape, 1.0 + params.nu)
-    return np.array([(al, be, ga), (al - ga + 1.0, be - ga + 1.0, 2.0 - ga),
-                     (al, be, gc), (al - gc + 1.0, be - gc + 1.0, 2.0 - gc)])
-
-
-def _radial_direct_array(codes, l, s, c, abc, params: AdsParams):
+def _radial_direct_array(codes, l, s, c, abc, params: AdsParams) -> np.ndarray:
     """(f, f') by the direct series at each element of equal-length 1-d
     arrays, element i of the kind _KINDS[codes[i]] with the hypergeometric
     parameters abc[:, i] at the rho whose sine and cosine are s[i] and
-    c[i]: each of shape (n,).  One _prefactor call gives every element's
-    prefactor; one hyp2f1 array call evaluates every element's series and,
-    where a b != 0, the series 2F1(a+1, b+1; c+1) of its x-derivative
-    (a b / c) 2F1(a+1, b+1; c+1), which is 0 where a b = 0."""
-    sb = codes == 1
+    c[i]: shape (2, n).  One _prefactor call gives every element's
+    prefactor; one hyp2f1 call on (2, n) rows evaluates every element's
+    series and, where a b != 0, the series 2F1(a+1, b+1; c+1) of its
+    x-derivative (a b / c) 2F1(a+1, b+1; c+1), which is 0 where a b = 0."""
+    sb, on_sin = codes == 1, codes < 2
     sl, cex, dpre = _prefactor(s, c, np.where(sb, 2 - l - params.d, l), np.where(
         codes == 3, params.delta_minus, params.delta_plus))
     sign = np.where(sb, -1.0, 1.0)
     pre, dpre = sign * (sl * cex), sign * dpre
     a, b, cc = abc
-    on_sin = codes < 2
     u = np.where(on_sin, s * s, c * c)
     du = np.where(on_sin, 2.0, -2.0) * s * c
-    live = (a != 0.0) & (b != 0.0)  # elsewhere the shifted series is made trivial
-    f_val, g_val = hyp2f1(np.array([a, np.where(live, a + 1.0, 0.0)]),
-                          np.array([b, b + 1.0]), np.array([cc, cc + 1.0]), u)
+    live = (a != 0.0) & (b != 0.0)
+    shifted = abc + 1.0
+    shifted[0, ~live] = 0.0  # a trivial series where a b = 0
+    f_val, g_val = hyp2f1(*np.array([abc, shifted]).swapaxes(0, 1), u)
     df_val = np.where(live, a * b / cc * g_val, 0.0) * du
-    return pre * f_val, dpre * f_val + pre * df_val
+    return np.array([pre * f_val, dpre * f_val + pre * df_val])
 
 
 def _check_axis(kind: RadialKind) -> None:
@@ -263,18 +259,6 @@ def _check_axis(kind: RadialKind) -> None:
         raise SingularPoint("S^b diverges on the time axis")
     if kind in (RadialKind.Ca, RadialKind.Cb):
         raise SingularPoint("C-modes diverge on the time axis")
-
-
-def _trig(rho: np.ndarray) -> np.ndarray:
-    """sin rho, cos rho and the arguments of the S and C series at each
-    element of rho: shape rho's + (4,), each from libm on a Python float
-    once per distinct rho; DomainError outside [0, pi/2)."""
-    if not np.all((0.0 <= rho) & (rho < math.pi / 2)):
-        raise DomainError("rho must lie in [0, pi/2)")
-    radii, at = np.unique(rho, return_inverse=True)
-    s, c = (list(map(fn, radii.tolist())) for fn in (math.sin, math.cos))
-    table = np.array([s, c, [v ** 2 for v in s], [v ** 2 for v in c]]).T
-    return table[at.reshape(rho.shape)]
 
 
 def _not_finite(kind: RadialKind, omega, l, rho) -> DomainError:
@@ -286,68 +270,82 @@ def _not_finite(kind: RadialKind, omega, l, rho) -> DomainError:
 def _radial_eval_fd_array(kinds: tuple, omega, l, rho, params: AdsParams) -> dict:
     """The build of radial_eval_fd for kinds of one basis at every call,
     one point or many: {kind: (f, f')}, routed and checked per element.
-    sin rho, cos rho and the series arguments come once per distinct rho,
-    (alpha, beta, gamma) of every kind from one S^a row.  Elements inside
+    One (f/f', kind, element) table holds every kind: elements inside
     (0, pi/2), past the series cutoff and with a series that does not
-    terminate take the transfer matrix.  One _radial_direct_array call sums
-    each series once: a kind's own where it is direct and, where any kind
-    takes its row of M (S) or M^-1 (C), the other basis's pair.  Where the
-    C-modes exist and this build gives them at every element, the pair's
-    finite tables are returned too: its series where summed, else its rows
-    of the transfer matrix on this basis's pair where both were summed and
-    both pair kinds take that route.  DomainError names the first kind
-    asked for and element whose f or f' is not finite."""
+    terminate take the transfer matrix, and one _radial_direct_array call,
+    gathered from and scattered back by one flat index, sums each series
+    once: a kind's own where it is direct and, where any kind takes its
+    row of M (S) or M^-1 (C), the other basis's pair.  Where the C-modes
+    exist and this build gives them at every element, the pair's finite
+    tables are returned too: its series where summed, else its rows of the
+    transfer matrix on this basis's pair where both were summed and both
+    pair kinds take that route.  DomainError names the first kind asked
+    for and element whose f or f' is not finite."""
     shape = np.broadcast(omega, l, rho).shape
     if 0 in shape:
         return {kind: (np.zeros(shape), np.zeros(shape)) for kind in kinds}
-    codes = np.array([_KINDS.index(kind) for kind in kinds])
-    on_sin = bool(codes[0] < 2)
-    s, c, s2, c2 = np.broadcast_to(_trig(rho), shape + (4,)).reshape(-1, 4).T
-    omega, l, rho = (v.ravel() if v.shape == shape else np.broadcast_to(v, shape).ravel()
-                     for v in (omega, l, rho))
-    axis = rho == 0.0
-    if axis.any():
+    codes = [_KINDS.index(kind) for kind in kinds]
+    own, pair = (slice(0, 2), slice(2, 4)) if codes[0] < 2 else (slice(2, 4), slice(0, 2))
+    if not ((0.0 <= rho) & (rho < math.pi / 2)).all():
+        raise DomainError("rho must lie in [0, pi/2)")
+    radii = rho.ravel().tolist()  # by libm on Python floats, the squares by Python's pow
+    s, c = list(map(math.sin, radii)), list(map(math.cos, radii))
+    table = np.empty(shape + (6,))  # per element: omega, l, sin, cos, sin^2, cos^2
+    table[..., 0], table[..., 1], table[..., 2:] = omega, l, np.reshape(
+        np.array([s, c, [v ** 2 for v in s], [v ** 2 for v in c]]).T, rho.shape + (4,))
+    om, ls, s, c, s2, c2 = table.reshape(-1, 6).T
+    axis = s == 0.0
+    if on_axis := axis.any():
         for kind in kinds:
             _check_axis(kind)
-    own, pair = ([0, 1], [2, 3]) if on_sin else ([2, 3], [0, 1])
-    abc = _hyper_rows(omega, l, params)
-    ab = abc[:, :2]  # routes: (kind, element), where each would take the transfer matrix
-    routes = (np.array([s2, s2, c2, c2]) > ARG_CUTOFF) & ~axis \
-        & ~((ab <= 0.0) & (ab == np.floor(ab))).any(axis=1)
-    via = routes[codes]
+    # (alpha, beta, gamma) by kind from the S^a row, hyper_params' bits: a b kind
+    # is its a kind at (a - c + 1, b - c + 1, 2 - c); C rows only serve C-modes
+    rows = np.empty((3, len(_KINDS), s.size))
+    rows[0, 0], rows[1, 0], rows[2, 0] = hyper_params(RadialKind.Sa, om, ls, params)
+    rows[:2, 2], rows[2, 2] = rows[:2, 0], 1.0 + params.nu
+    rows[:2, 1::2] = rows[:2, ::2] - rows[2:, ::2] + 1.0
+    rows[2, 1::2] = 2.0 - rows[2, ::2]
+    ab = rows[:2]
+    # where each kind would take the transfer matrix; an S series' argument
+    # is 0 on the axis, where only S^a can be asked for
+    routes = (np.array([s2, s2, c2, c2]) > ARG_CUTOFF) \
+        & ~((ab <= 0.0) & (ab == np.floor(ab))).any(axis=0)
+    asked = np.array([[code in codes] for code in range(len(_KINDS))])
+    via = routes & asked
     cross = via.any(axis=0)  # where the pair's series are summed
+    crossing = cross.any()
     with np.errstate(over="ignore", invalid="ignore"):  # checked at the end
-        if cross.any():  # before any series: it refuses integer nu
-            mat = _transfer_entries(omega[cross], l[cross], params, not on_sin)
-        need = np.zeros((len(_KINDS), rho.size), dtype=bool)
-        need[codes], need[pair] = ~axis & ~via, cross
-        series = np.zeros((2,) + need.shape)
+        if crossing:  # before any series: it refuses integer nu
+            mat = _transfer_entries(om[cross], ls[cross], params, codes[0] >= 2)
+        need = asked & ~(via | axis)
+        need[pair] = cross
         code, el = np.nonzero(need)
+        out = np.zeros((2,) + need.shape)  # (f/f', kind, element)
         if el.size:  # else every element lies on the axis
-            series[:, need] = _radial_direct_array(code, l[el], s[el], c[el],
-                                                   abc[code, :, el].T, params)
-        out = np.zeros((2,) + via.shape)
-        out[0, :, axis & (l == 0)] = out[1, :, axis & (l == 1)] = 1.0
-        direct = ~axis & ~via
-        out[:, direct] = series[:, codes][:, direct]
-        if cross.any():
-            row = mat.reshape(2, 2, -1)[codes % 2]  # (kinds, 2, elements)
-            fa, fb = series[:, pair][..., cross].swapaxes(0, 1)[:, :, None]
-            out[:, via] = (row[:, 0] * fa + row[:, 1] * fb)[:, via[:, cross]]
-        lift = ~cross & need[own[0]] & need[own[1]] & routes[pair[0]] & routes[pair[1]]
-        if params.c_modes_valid and (cross | lift).all():
-            out = np.concatenate([out, series[:, pair]], 1)  # and the other basis
-            if lift.any():  # the pair's rows of M^-1 (C) or M (S) on this basis's series
-                row = _transfer_entries(omega[lift], l[lift], params, on_sin).reshape(2, 2, -1)
-                fa, fb = series[:, own][..., lift].swapaxes(0, 1)[:, :, None]
-                out[:, len(codes):, lift] = row[:, 0] * fa + row[:, 1] * fb
-            kinds += _KINDS[pair[0]:pair[1] + 1]
-    finite = np.isfinite(out).all(axis=(0, 2))  # per kind
-    if not all(finite[:len(codes)]):
-        k, i = np.argwhere(~np.isfinite(out).all(axis=0))[0]
-        raise _not_finite(kinds[k], omega.item(i), l.item(i), rho.item(i))
-    return {kind: (f.reshape(shape), df.reshape(shape))
-            for kind, f, df, keep in zip(kinds, *out, finite) if keep}
+            at = code * s.size + el
+            out.reshape(2, -1)[:, at] = _radial_direct_array(
+                code, ls[el], s[el], c[el], rows.reshape(3, -1)[:, at], params)
+        if on_axis:
+            out[0, own, axis & (ls == 0)] = out[1, own, axis & (ls == 1)] = 1.0
+        if crossing:  # the asked kinds' rows of M (S) or M^-1 (C) on the pair's series
+            fa, fb = out[:, pair, cross].swapaxes(0, 1)[:, :, None]
+            row = mat.reshape(2, 2, -1)
+            out[:, own][:, via[own]] = (row[:, 0] * fa + row[:, 1] * fb)[:, via[own][:, cross]]
+        lift = ~cross & need[own].all(axis=0) & routes[pair].all(axis=0)
+        other = params.c_modes_valid and (cross | lift).all()
+        if other and lift.any():  # the pair's rows of M^-1 (C) or M (S) on this basis's series
+            fa, fb = out[:, own, lift].swapaxes(0, 1)[:, :, None]
+            row = _transfer_entries(om[lift], ls[lift], params, codes[0] < 2).reshape(2, 2, -1)
+            out[:, pair][..., lift] = row[:, 0] * fa + row[:, 1] * fb
+    bad = ~np.isfinite(out).all(axis=0)  # (kind, element)
+    for code in codes:
+        if bad[code].any():
+            raise _not_finite(_KINDS[code], *(np.broadcast_to(v, shape).item(
+                bad[code].argmax()) for v in (omega, l, rho)))
+    if other:  # and the other basis
+        codes += [code for code in range(pair.start, pair.stop) if not bad[code].any()]
+    return {_KINDS[code]: (out[0, code].reshape(shape), out[1, code].reshape(shape))
+            for code in codes}
 
 
 def _radial_table(kinds: tuple, omega, l, rho, params: AdsParams) -> list:

@@ -78,53 +78,58 @@ def hyp2f1(a, b, c, x):
 
 
 def _hyp2f1_array(a, b, c, x) -> np.ndarray:
-    """hyp2f1 at each element of the broadcast arguments."""
-    a, b, c, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c, x)))
-    stops = [np.where((v <= 0.0) & (v == np.floor(v)), -v, np.inf) for v in (a, b, c)]
-    n = np.fmin(stops[0], stops[1])
-    terminates = n < np.inf
-    infinite = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c))
-    pole = (stops[2] < np.inf) & (n > stops[2])
-    outside = ~terminates & ~(np.abs(x) <= ARG_CUTOFF)
-    bad = infinite | pole | outside
-    if bad.any():
-        i = np.unravel_index(bad.argmax(), bad.shape)
-        if infinite[i]:
+    """hyp2f1 at each element of the broadcast arguments, stacked so that each
+    test is one ufunc call; n and its tests only where a, b or c can stop."""
+    abcx = np.empty((4,) + np.broadcast(a, b, c, x).shape)
+    abcx[0], abcx[1], abcx[2], abcx[3] = a, b, c, x
+    a, b, c, x = abcx
+    abc, size = abcx[:3], np.abs(abcx)
+    whole = (abc <= 0.0) & (abc == np.floor(abc))  # nonpositive integers
+    terminates = whole[0] | whole[1]
+    fine = np.isfinite(abc).all(0) & (terminates | (size[3] <= ARG_CUTOFF))
+    if whole.any():  # the term n a series stops at, and c's pole
+        stops = np.where(whole, -abc, np.inf)
+        n = np.fmin(stops[0], stops[1])
+        fine &= stops[2] >= n
+    if not fine.all():
+        i = np.unravel_index(fine.argmin(), fine.shape)
+        if not np.isfinite([a[i], b[i], c[i]]).all():
             raise DomainError(f"2F1 parameters ({a[i]}, {b[i]}, {c[i]}) must be finite")
-        if pole[i]:
+        if whole[2][i]:
             raise PoleError(f"2F1 parameter c = {c[i]} is a nonpositive integer")
         raise DomainError(f"|x| = {abs(x[i])} exceeds series cutoff {ARG_CUTOFF}")
-    at_pole = terminates & (n == stops[2])
     with np.errstate(all="ignore"):  # scipy's value at a pole is replaced below
-        out = np.array(_hyp2f1(a, b, c, x))
-    other = np.where(stops[0] == n, b, a)
-    flip = terminates & ~at_pole & (c < 0.0) & (x > 0.5) & (other - c - n + 1.0 > 0.0)
-    if flip.any():
-        nf, bf, cf = n[flip], other[flip], c[flip]
-        with np.errstate(all="ignore"):  # a nan (inf/inf) is refused below
-            out[flip] = poch(cf - bf, nf) / poch(cf, nf) \
-                * _hyp2f1(-nf, bf, bf - cf - nf + 1.0, 1.0 - x[flip])
-        undefined = flip & np.isnan(out)
-        if undefined.any():
-            i = np.unravel_index(undefined.argmax(), undefined.shape)
-            raise DomainError(f"2F1 at (a, b, c, x) = ({a[i]}, {b[i]}, {c[i]}, {x[i]}) is "
-                              f"nan in its DLMF 15.8.7 form")
-    if at_pole.any():
-        out[at_pole] = [_series(*e)[0]
-                        for e in zip(*(v[at_pole].tolist() for v in (a, b, c, x, n)))]
-    check = ~terminates & _recurs(a, b, c, x)
+        out = np.asarray(_hyp2f1(a, b, c, x))
+    if terminates.any():  # past x = 1/2 with c < 0, or at a pole
+        at_pole = terminates & (n == stops[2])
+        other = np.where(stops[0] == n, b, a)
+        flip = terminates & ~at_pole & (c < 0.0) & (x > 0.5) & (other - c - n + 1.0 > 0.0)
+        if flip.any():
+            nf, bf, cf = n[flip], other[flip], c[flip]
+            with np.errstate(all="ignore"):  # a nan (inf/inf) is refused below
+                out[flip] = poch(cf - bf, nf) / poch(cf, nf) \
+                    * _hyp2f1(-nf, bf, bf - cf - nf + 1.0, 1.0 - x[flip])
+            undefined = flip & np.isnan(out)
+            if undefined.any():
+                i = np.unravel_index(undefined.argmax(), undefined.shape)
+                raise DomainError(f"2F1 at (a, b, c, x) = ({a[i]}, {b[i]}, {c[i]}, {x[i]}) is "
+                                  f"nan in its DLMF 15.8.7 form")
+        if at_pole.any():
+            out[at_pole] = [_series(*e)[0]
+                            for e in zip(*(v[at_pole].tolist() for v in (a, b, c, x, n)))]
+    check = (c < 0.0) & ~terminates & _recurs(size)
     if check.any():
-        out[check] = [_checked(*e) for e in zip(*(v[check].tolist() for v in (a, b, c, x, out)))]
+        out[check] = list(map(_checked, *abcx[:, check].tolist(), out[check].tolist()))
     return out
 
 
-def _recurs(a, b, c, x):
-    """Where scipy's value of a non-terminating series is checked against
-    its summed series: c < 0 and max(|a|, |b|) > |c| + 3, where scipy
-    recurs in a and loses digits (within 3.4e-13 of mpmath up to |c| + 3
-    at the radial kinds), at |x| <= 1/4, where that recursion loses the
-    most and the sum the least."""
-    return (c < 0.0) & (np.abs(x) <= 0.25) & (np.fmax(np.abs(a), np.abs(b)) > np.abs(c) + 3.0)
+def _recurs(size):
+    """Where, given |a|, |b|, |c| and |x|, scipy's value of a non-terminating
+    series with c < 0 is checked against its summed series: max(|a|, |b|)
+    > |c| + 3, where scipy recurs in a and loses digits (within 3.4e-13 of
+    mpmath up to |c| + 3 at the radial kinds), at |x| <= 1/4, where that
+    recursion loses the most and the sum the least."""
+    return (size[3] <= 0.25) & (np.fmax(size[0], size[1]) > size[2] + 3.0)
 
 
 def _checked(a: float, b: float, c: float, x: float, val: float) -> float:
@@ -140,19 +145,21 @@ def _series(a: float, b: float, c: float, x: float, n: float = math.inf):
     carrying k rounded ratios; the bound is inf where _MAX_TERMS terms of
     a non-terminating series do not finish it."""
     term = total = 1.0
-    spread = 0.0
-    k = 0
+    spread = k = 0.0  # k a float: each step's arithmetic is the integer k's
+    eps, endless = _EPS, n == math.inf
     while k < n:
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
-        k += 1
+        step = k + 1.0
+        term *= (a + k) * (b + k) / ((c + k) * step) * x
+        k = step
         total += term
-        spread += k * abs(term)
-        if n == math.inf:
-            if abs(term) <= _EPS * abs(total):
+        size = abs(term)
+        spread += k * size
+        if endless:
+            if size <= eps * abs(total):
                 break
             if k == _MAX_TERMS:
                 return total, math.inf
-    return total, _EPS * (1.0 + spread)
+    return total, eps * (1.0 + spread)
 
 
 def _defined(val, name: str):

@@ -9,7 +9,9 @@ prefactor is the per-kind scalar formula kept here (prefactor_fd); the
 transfer entries, axis checks and error texts are the library's own; the
 series and its x-derivative are hyp2f1 calls on scalars.  per_distinct
 tabulates a scalar function once per distinct key, the per-key reference
-of the other layers' array sums.
+of the other layers' array sums.  hyp2f1_element is specfun.hyp2f1 at one
+element from its documented rules alone, a reference for its array path's
+classification.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.special as sc
 
 from adskg.errors import DomainError, PoleError
 from adskg.modes import (_KINDS, RadialKind, _check_axis, _not_finite, _transfer_entries,
@@ -64,6 +67,63 @@ def _stop(v: float) -> float:
     """n where v = -n is a nonpositive integer, else inf: the last term of
     a 2F1 series with v for a or b."""
     return -v if v <= 0.0 and v == math.floor(v) else math.inf
+
+
+def _summed(a: float, b: float, c: float, x: float, n: float = math.inf):
+    """The 2F1 series (DLMF 15.2.1) through its term n, or until a term falls
+    to eps of the sum (1024 terms at most: else an infinite bound), and its
+    rounding bound eps (1 + sum_k k |t_k|); term k is term k - 1 times
+    (a + k - 1)(b + k - 1) / ((c + k - 1) k) x, rounded in that order."""
+    eps = float(np.finfo(float).eps)
+    term = total = 1.0
+    spread = 0.0
+    k = 0
+    while k < n:
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
+        k += 1
+        total += term
+        spread += k * abs(term)
+        if n == math.inf and abs(term) <= eps * abs(total):
+            break
+        if n == math.inf and k == 1024:
+            return total, math.inf
+    return total, eps * (1.0 + spread)
+
+
+def hyp2f1_element(a: float, b: float, c: float, x: float):
+    """(branch, value) of hyp2f1 at one element by the rules of its
+    docstring, one branch at a time on Python floats, or (stage, exception)
+    where it raises: stage "classify" for the checks every element passes
+    before any value (an array call raises its first such element's), and
+    "flip" for a DLMF 15.8.7 form that is nan (raised after them).
+    Branches: "scipy" (the bare value), "pole sum" (a series ending at
+    n = -c, summed), "flip" (past x = 1/2 with c < 0) and "checked" (a
+    series scipy recurs on, its sum where scipy lies outside the sum's
+    rounding bound, else scipy's value)."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        return "classify", DomainError(f"2F1 parameters ({a}, {b}, {c}) must be finite")
+    n = min(_stop(a), _stop(b))
+    if _stop(c) < n:
+        return "classify", PoleError(f"2F1 parameter c = {c} is a nonpositive integer")
+    if n == math.inf and not abs(x) <= ARG_CUTOFF:
+        return "classify", DomainError(f"|x| = {abs(x)} exceeds series cutoff {ARG_CUTOFF}")
+    if n < math.inf and n == _stop(c):
+        return "pole sum", _summed(a, b, c, x, n)[0]
+    other = b if _stop(a) == n else a
+    if n < math.inf and c < 0.0 and x > 0.5 and other - c - n + 1.0 > 0.0:
+        with np.errstate(all="ignore"):
+            value = float(sc.poch(c - other, n) / sc.poch(c, n)
+                          * sc.hyp2f1(-n, other, other - c - n + 1.0, 1.0 - x))
+        if math.isnan(value):
+            return "flip", DomainError(f"2F1 at (a, b, c, x) = ({a}, {b}, {c}, {x}) is "
+                                       f"nan in its DLMF 15.8.7 form")
+        return "flip", value
+    with np.errstate(all="ignore"):
+        value = float(sc.hyp2f1(a, b, c, x))
+    if n == math.inf and c < 0.0 and abs(x) <= 0.25 and max(abs(a), abs(b)) > abs(c) + 3.0:
+        total, bound = _summed(a, b, c, x)
+        return "checked", total if abs(value - total) > bound else value
+    return "scipy", value
 
 
 def hyp2f1_terminates(a: float, b: float) -> bool:

@@ -127,8 +127,14 @@ _GRID = _VALUE.map(repr) | st.tuples(_VALUE, _VALUE, st.integers(1, 3)).map(
     lambda abn: "%r:%r:%d" % abn)
 
 
+# theta within [0, pi], where eval takes it
+_THETA = st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(0.0, 3.0)
+_THETA_GRID = _THETA.map(repr) | st.tuples(_THETA, _THETA, st.integers(1, 3)).map(
+    lambda abn: "%r:%r:%d" % abn)
+
+
 @given(grids=st.tuples(_GRID, (st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(0.0, 1.5)).map(
-    repr) | st.just("0.1:1.4:3"), _GRID, _GRID),
+    repr) | st.just("0.1:1.4:3"), _THETA_GRID, _GRID),
        mode=st.sampled_from([["--kind", "sa", "--omega=-0.0", "--m", "0"],
                              ["--kind", "cb", "--omega", "2.3", "--m=-1"],
                              ["--kind", "jplus", "--n", "1", "--m", "1"]]))
@@ -227,6 +233,18 @@ def test_eval_jacobi_rho_past_the_boundary_exits_2(capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: Jacobi modes need rho in [0, pi/2]\n"
+
+
+@pytest.mark.parametrize("theta, first", [("4", 4.0), ("-0.1", -0.1), ("0:4:3", 4.0)])
+def test_eval_theta_outside_0_pi_exits_2(theta, first, capsys):
+    # (theta, phi) = (4, 0) is the point (2 pi - 4, pi), where the mode has
+    # the opposite sign: P_l^m(cos theta) takes |sin theta|, so the row
+    # printed (+0.12848 at l = m = 1) was another point's value
+    argv = ["eval", "--kind", "sa", "--l", "1", "--m", "1", "--theta", theta, "--phi", "0"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: theta = {first!r} must lie in [0, pi]\n"
+    assert main(["eval", "--kind", "sa", "--l", "1", "--m", "1", "--theta", "0:3.141592653589793:3"]) == 0
 
 
 def test_eval_deterministic(tmp_path):
@@ -700,3 +718,20 @@ def test_reconstruct_bad_header_parameters_exit_2(tmp_path, capsys, target, body
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: bad header fields: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target, rep, text", [
+    ("slice", TubeRep(OmegaGrid(0.5, (1,)), {(1, 0, 0): (1.0, 0.0)}, "S"),
+     "reconstruct slice needs a slice rep"),
+    ("tube", SliceRep({(0, 0, 0): (1.0, 0.0)}), "reconstruct tube needs a tube rep"),
+    ("rod", TubeRep(OmegaGrid(0.5, (1,)), {(1, 0, 0): (1.0, 0.0)}, "S"),
+     "reconstruct rod needs a rod rep"),
+    ("boundary", SliceRep({(0, 0, 0): (1.0, 0.0)}),
+     "boundary reconstruction needs a tube or rod rep")])
+def test_reconstruct_wrong_rep_is_one_error_line(tmp_path, capsys, target, rep, text):
+    # a rep of the wrong type is a usage error: exit 2, one `error:` line on
+    # stderr and nothing on stdout, as every other wrong input
+    path = tmp_path / "rep.txt"
+    save_rep(str(path), rep, make_params(3, 1.0, 0.0))
+    assert main(["reconstruct", "--input", str(path), "--target", target]) == 2
+    assert capsys.readouterr() == ("", f"error: {text}\n")

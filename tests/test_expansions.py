@@ -1097,3 +1097,18 @@ def test_ylm_point_never_stores_an_exception():
         with pytest.raises(DomainError, match="90, -90"):
             ylm_point(90, held, 1.0, 0.5)
         assert counters("ylm_point")["ylm_point"]["misses"] == misses + 1
+
+
+@pytest.mark.parametrize("fn", [synth, synth_dt, synth_drho])
+@pytest.mark.parametrize("theta", [4.0, -0.1, math.nan])
+def test_synthesis_refuses_theta_outside_0_pi(params_m0, fn, theta):
+    # (theta, phi) = (4, 0) is the point (2 pi - 4, pi), where a one-label
+    # l = m = 1 field has the opposite sign: P_l^m(cos theta) takes
+    # |sin theta|, so the value there was another point's
+    reps = [_tube_rep(), SliceRep({(1, 1, 1): (1.0, 0.5j)}),
+            RodRep(OmegaGrid(0.5, (2,)), {(2, 1, 1): 1.0})]
+    for rep in reps:
+        with pytest.raises(DomainError, match=r"theta = .* must lie in \[0, pi\]"):
+            fn(rep, (0.3, 0.7, theta, 0.0), params_m0)
+        for edge in (0.0, math.pi):
+            assert math.isfinite(abs(fn(rep, (0.3, 0.7, edge, 0.0), params_m0)))

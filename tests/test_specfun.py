@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import hyp2f1 as scipy_hyp2f1
 
 from adskg.errors import DomainError, PoleError
 from adskg.specfun import (assoc_legendre, double_pochhammer, hyp2f1, jacobi_p,
                            jacobi_p_dx, pochhammer, spherical_bessel,
                            spherical_bessel_dx)
+from radial_reference import hyp2f1_element
 
 
 # --- Pochhammer symbols ---------------------------------------------------
@@ -167,6 +169,76 @@ def test_hyp2f1_array_equals_scalar_call(elements):
         return
     with pytest.raises(tuple(errors)):
         hyp2f1(a, b, c, x)
+
+
+# the array path against hyp2f1_element, the docstring's rules one element
+# at a time: each draw below aims at one branch or one error
+_HALF = st.integers(-7, 0).map(lambda k: k - 0.5)
+_BRANCH_ELEMENT = st.one_of(
+    st.tuples(_FINITE, _FINITE, _C, st.floats(-0.9, 0.9)),                 # scipy; outside
+    st.tuples(_NONPOS, _FINITE, _NONPOS, st.floats(-4.0, 4.0)),            # pole sum; pole
+    st.tuples(st.integers(-8, -1).map(float), st.floats(0.0, 20.0),
+              _HALF | st.floats(-12.0, -0.1), st.floats(0.5, 4.0)),        # flip
+    st.tuples(_FINITE | st.floats(-40.0, 40.0), _FINITE | st.floats(-40.0, 40.0),
+              _HALF | st.floats(-12.0, -0.1), st.floats(-0.25, 0.25)),     # checked
+    st.sampled_from([(5e299, -5e299, -0.5, 0.644), (-6.0, 5e299, -0.5, 0.9),
+                     (math.inf, 1.0, 2.0, 0.5), (1.0, math.nan, 2.0, 0.5),
+                     (1.0, 1.0, -math.inf, 0.5), (0.3, 0.7, 1.1, math.nan),
+                     (-3.0, 0.7, -3.0, 0.9), (0.0, 2.5, 0.0, 3.0)]))
+
+
+def _array_outcome(elements):
+    """What the array call over the elements must give: the first
+    classification error, else the first nan flip, else the values."""
+    refs = [hyp2f1_element(*e) for e in elements]
+    for stage in ("classify", "flip"):
+        errors = [v for b, v in refs if b == stage and isinstance(v, Exception)]
+        if errors:
+            return errors[0]
+    return np.array([v for _, v in refs])
+
+
+@given(elements=st.lists(_BRANCH_ELEMENT, min_size=1, max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_hyp2f1_array_equals_the_rules_per_element(elements):
+    # bit for bit, or the same exception type and text
+    want = _array_outcome(elements)
+    a, b, c, x = (np.array(col) for col in zip(*elements))
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as err:
+            hyp2f1(a, b, c, x)
+        assert str(err.value) == str(want)
+    else:
+        assert hyp2f1(a, b, c, x).tobytes() == want.tobytes()
+    for e in elements:  # and the scalar call, element by element
+        branch, ref = hyp2f1_element(*e)
+        if isinstance(ref, Exception):
+            with pytest.raises(type(ref)) as err:
+                hyp2f1(*e)
+            assert str(err.value) == str(ref)
+        else:
+            assert np.float64(hyp2f1(*e)).tobytes() == np.float64(ref).tobytes()
+
+
+def test_hyp2f1_rules_reach_every_branch():
+    # one element of each branch and error of hyp2f1_element, and the
+    # array call over the values among them
+    cases = {(-3.0, 0.7, -3.0, 0.9): "pole sum", (-4.0, 9.5, -2.5, 1.7): "flip",
+             (-4.5, 5.5, -0.5, 0.01): "checked", (0.3, 0.7, 1.1, 0.4): "scipy",
+             (5e299, -5e299, -0.5, 0.644): DomainError, (0.3, 0.7, -2.0, 0.1): PoleError,
+             (0.3, 0.7, 1.1, 0.9): DomainError, (1.0, math.nan, 2.0, 0.5): DomainError}
+    values = []
+    for e, want in cases.items():
+        branch, ref = hyp2f1_element(*e)
+        if isinstance(want, str):
+            assert branch == want, e
+            values.append(e)
+        else:
+            assert type(ref) is want, e
+    # S^b at l = 1, omega = 10: scipy's recursion is off, the sum replaces it
+    assert hyp2f1_element(-4.5, 5.5, -0.5, 0.01)[1] != scipy_hyp2f1(-4.5, 5.5, -0.5, 0.01)
+    a, b, c, x = (np.array(col) for col in zip(*values))
+    assert hyp2f1(a, b, c, x).tobytes() == _array_outcome(values).tobytes()
 
 
 def test_hyp2f1_array_special_cases():
