@@ -1,5 +1,6 @@
 """Command-line front end: mode evaluation to CSV, verification suites,
-and reconstruction round-trip reports.
+and reconstruction round-trip reports.  `eval` builds one TubeLabel or
+SliceLabel and prints one `modes.mode_eval` call on the broadcast grid.
 
 Exit codes: 0 pass, 1 verification/reconstruction failure, 2 usage or
 parse errors, a NaN or infinite number, an out-of-range parameter and a
@@ -26,14 +27,14 @@ except ImportError:  # no getrusage (Windows)
 
 import numpy as np
 
-from .errors import AdskgError, DomainError, MagicFrequencyBlind
+from .errors import AdskgError, MagicFrequencyBlind
 from .geometry import make_params
-from .harmonics import AngularGrid, lm_labels, require_two_sphere, sph_harm
+# sph_harm and radial_eval are not called here, nor sample_tube in symplectic:
+# the benchmark's self-test (bench/test_bench.py) pins those bindings until
+# ROADMAP item 26 moves its counters into the library.
+from .harmonics import AngularGrid, lm_labels, sph_harm
 from .memo import counters
-from .modes import RadialKind, jacobi_radial, magic_frequency, radial_eval
-
-_KINDS = {"sa": RadialKind.Sa, "sb": RadialKind.Sb,
-          "ca": RadialKind.Ca, "cb": RadialKind.Cb}
+from .modes import RadialKind, SliceLabel, TubeLabel, mode_eval, radial_eval
 
 
 def _float_arg(text: str) -> float:
@@ -80,31 +81,19 @@ def _add_params_args(parser):
 
 def cmd_eval(args) -> int:
     params = make_params(args.d, args.R, args.msq)
-    require_two_sphere(params.d)
-    if args.l < 0 or abs(args.m) > args.l:
-        print(f"error: need l >= 0 and |m| <= l, got l={args.l}, m={args.m}",
-              file=sys.stderr)
-        return 2
-    outside = ~((0.0 <= args.theta) & (args.theta <= np.pi))  # P_l^m takes |sin theta|
-    if outside.any():
-        raise DomainError(f"theta = {args.theta[outside][0].item()!r} must lie in [0, pi]")
-    kind_name = args.kind.lower()
-    if kind_name in _KINDS:
-        rads = radial_eval(_KINDS[kind_name], args.omega, args.l, args.rho, params)
-        om = args.omega
-    elif kind_name in ("jplus", "jminus"):
-        branch = "plus" if kind_name == "jplus" else "minus"
-        rads = jacobi_radial(branch, args.n, args.l, args.rho, params)
-        om = magic_frequency(branch, args.n, args.l, params)
-    else:
-        raise AdskgError(f"unknown kind {args.kind!r}")
-    # the product with Y in real arithmetic: numpy's complex array multiply
-    # can differ from the scalar product in the last bit, these terms do not
-    ys = sph_harm(args.l, args.m, args.theta[:, None], args.phi).ravel()
+    name = args.kind.lower()
+    try:
+        kind = None if name in ("jplus", "jminus") else RadialKind(name)
+        label = SliceLabel(args.n, args.l, args.m, name[1:]) if kind is None \
+            else TubeLabel(args.omega, args.l, args.m)
+    except ValueError:
+        raise AdskgError(f"unknown kind {args.kind!r}") from None
+    except IndexError as exc:  # the label rule, naming the label
+        raise AdskgError(str(exc)) from None
+    vals = mode_eval(label, (args.t[:, None, None, None], args.rho[:, None, None],
+                             args.theta[:, None], args.phi), params, kind)
+    re, im = vals.real.ravel().tolist(), vals.imag.ravel().tolist()
     ts = args.t.tolist()
-    pr = (np.array([np.exp(-1j * om * t) for t in ts])[:, None] * rads).reshape(-1, 1)
-    re = (pr.real * ys.real - pr.imag * ys.imag).ravel().tolist()
-    im = (pr.real * ys.imag + pr.imag * ys.real).ravel().tolist()
     # each distinct coordinate formatted once, each row joined from its pieces
     angles = [f"{theta!r},{phi!r}," for theta in args.theta.tolist()
               for phi in args.phi.tolist()]

@@ -289,8 +289,7 @@ class TubeRep(_Labelled):
     basis: str = "S"
 
     def __post_init__(self):
-        if self.basis not in ("S", "C"):
-            raise ValueError("basis must be 'S' or 'C'")
+        _basis_kinds(self.basis)
         super().__post_init__()
 
     def is_real(self, tol: float = 1e-10) -> bool:
@@ -482,21 +481,28 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial,
     return np.array([coefs @ np.transpose(f) for f in radial(c.js[rows], l_need)])
 
 
-def _jacobi(rho: np.ndarray, params: AdsParams, drho: bool | None = False):
+def _jacobi(rho: np.ndarray, params: AdsParams, both: bool = False):
     """The frequency and radial functions of `_slice_sum` for the Jacobi
-    modes: w+_{nl} and J^+_{nl} at the 1-d radii rho, its d/drho or both (None; d = 3)."""
+    modes: w+_{nl} and J^+_{nl} at the 1-d radii rho, or J and d/drho if both (d = 3)."""
     require_two_sphere(params.d)
-    pick = slice(None) if drho is None else int(drho)
+    pick = slice(None) if both else 0
     return (lambda n, l: magic_frequency("plus", n, l, params),
             lambda n, l: jacobi_radial_fd("plus", n, l, rho[..., None], params)[pick])
+
+
+def _basis_kinds(basis: str) -> tuple:
+    """The radial kinds of the a and b channels of the S or C basis;
+    ValueError for any other basis."""
+    if basis not in ("S", "C"):
+        raise ValueError("basis must be 'S' or 'C'")
+    return (RadialKind.Sa, RadialKind.Sb) if basis == "S" else (RadialKind.Ca, RadialKind.Cb)
 
 
 def _s_or_c(basis: str, rho, params: AdsParams):
     """`_tube_sum` radial function of the S or C modes at rho: (f, f') of
     the channels' kinds, from one radial_eval_fd call (d = 3)."""
     require_two_sphere(params.d)
-    kinds = {"S": (RadialKind.Sa, RadialKind.Sb),
-             "C": (RadialKind.Ca, RadialKind.Cb)}[basis]
+    kinds = _basis_kinds(basis)
     return lambda chs, om, l: np.swapaxes(radial_eval_fd(
         tuple(kinds[ch] for ch in chs), om, l, rho, params), 0, 1)
 
@@ -508,11 +514,9 @@ def _synth(rep, point, params: AdsParams, deriv: int = 0) -> complex:
     held = rep.__dict__.get("_point_values", (None,))
     if held[0] != (at := key(*point, params)):
         t, rho, theta, phi = point
-        if not 0.0 <= theta <= math.pi:  # P_l^m(cos theta) takes |sin theta|
-            raise DomainError(f"theta = {theta!r} must lie in [0, pi]")
         if isinstance(rep, SliceRep):
             rho = np.atleast_1d(rho)
-            out = _slice_sum(rep, t, rho, (theta, phi), *_jacobi(rho, params, None))
+            out = _slice_sum(rep, t, rho, (theta, phi), *_jacobi(rho, params, True))
         else:  # a rod is the a channel of S
             radial = _s_or_c(getattr(rep, "basis", "S"), rho, params)
             out = _tube_sum(rep, t, (theta, phi), radial, True)
@@ -544,6 +548,14 @@ def _extent(*reps) -> tuple[int, int]:
     """(largest |j|, largest l) over the labels the reps hold, 0 for none."""
     return (int(max(np.max(np.abs(r.coeffs.js), initial=0) for r in reps)),
             max(r.coeffs.l_max for r in reps))
+
+
+def _window(grid: OmegaGrid, *reps) -> np.ndarray:
+    """The 2 K + 1 nodes of one time window, K the largest |k| of the grid's
+    indices and of the labels the reps hold: no two of those frequencies
+    alias there, so the time projection onto the grid is exact and a
+    pairing's integrand (frequencies up to 2 K) sums exactly."""
+    return grid.time_nodes(2 * max(_extent(*reps)[0], *map(abs, grid.indices), 0) + 1)
 
 
 def _slice_nodes(n_max: int, l_max: int, n_rho: int | None = None) -> int:
@@ -622,7 +634,7 @@ def sample_tube(rep: TubeRep, rho0: float, params: AdsParams,
                 angular: AngularGrid | None = None) -> TubeData:
     """Sample a tube solution (and d_rho) over one time window at rho0."""
     ang = angular or _angular_rule(rep.coeffs.l_max)
-    t_nodes = rep.grid.time_nodes()
+    t_nodes = _window(rep.grid, rep)
     phi, dphi = _tube_sum(rep, t_nodes, ang, _s_or_c(rep.basis, rho0, params))
     return TubeData(rho0, rep.grid, t_nodes, ang, phi, dphi)
 
@@ -630,7 +642,7 @@ def sample_tube(rep: TubeRep, rho0: float, params: AdsParams,
 def sample_rod(rep: RodRep, rho0: float, params: AdsParams,
                angular: AngularGrid | None = None) -> RodData:
     ang = angular or _angular_rule(rep.coeffs.l_max)
-    t_nodes = rep.grid.time_nodes()
+    t_nodes = _window(rep.grid, rep)
     phi, _ = _tube_sum(rep, t_nodes, ang, _s_or_c("S", rho0, params))
     return RodData(rho0, rep.grid, t_nodes, ang, phi)
 
@@ -851,7 +863,7 @@ def boundary_data_of(rep: TubeRep, params: AdsParams,
     require_two_sphere(params.d)
     lam = twisted_boundary_limit(RadialKind.Ca, params)
     ang = angular or _angular_rule(rep.coeffs.l_max)
-    t_nodes = rep.grid.time_nodes()
+    t_nodes = _window(rep.grid, rep)
     # (rescaled value, twisted derivative) at the boundary: C^a -> (0, L),
     # C^b -> (1, 0)
     minus, plus = _tube_sum(rep, t_nodes, ang, lambda chs, om, l: np.array(
@@ -880,7 +892,7 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
     S^a survives the rescaling)."""
     require_two_sphere(params.d)
     ang = angular or _angular_rule(rep.coeffs.l_max)
-    t_nodes = rep.grid.time_nodes()
+    t_nodes = _window(rep.grid, rep)
     def radial(chs, om, l):
         m12 = _transfer_entries(om, l, params, False)[1]
         return np.stack([m12, np.zeros_like(m12)])[None]

@@ -33,7 +33,7 @@ from scipy.special import spherical_in, spherical_kn
 
 from .errors import DomainError
 from .expansions import (OmegaGrid, SliceRep, _Labelled, _angular_rule, _extent,
-                         _slice_sum, _tube_sum, synth)
+                         _slice_sum, _tube_sum, _window, synth)
 from .geometry import (AdsParams, Boost0, BoostD1, flat_labels, flat_unscale,
                        killing_coefficients, make_params)
 from .harmonics import AngularGrid
@@ -189,9 +189,8 @@ def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,
                                angular: AngularGrid | None = None) -> complex:
     """(r0^2/2) int dt dOmega (eta d_r zeta - zeta d_r eta) over one window,
     on the angular grid of `symplectic`'s quadratures."""
-    span, l_max = _extent(eta, zeta)
-    ang = _angular_rule(l_max, angular)
-    t_nodes = eta.grid.time_nodes(2 * span + 1)
+    ang = _angular_rule(_extent(eta, zeta)[1], angular)
+    t_nodes = _window(eta.grid, eta, zeta)
     (fe, dfe), (fz, dfz) = (_mink_tube_sum(rep, t_nodes, ang, r0)
                             for rep in (eta, zeta))
     dt = eta.grid.window / len(t_nodes)

@@ -29,7 +29,8 @@ The radial tables of array calls are memoized per kind, with the other
 basis's tables where a build gives them at every point (`adskg.memo`);
 scalar calls are not.  A build raises DomainError naming the first
 (kind, omega, l, rho) whose f or f' is not finite.  Transfer matrices are
-formed afresh on every call.
+formed afresh on every call.  mode_eval is the one single-mode
+evaluator, e^{-i omega t} R(rho) Y_l^m on a broadcast point.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class TubeLabel:
     def __post_init__(self):
         _integer_fields(self, "l", "m")
         if self.l < 0 or abs(self.m) > self.l:
-            raise IndexError("need l >= 0 and |m| <= l")
+            raise IndexError(f"need l >= 0 and |m| <= l, got (l, m) = ({self.l}, {self.m})")
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,8 @@ class SliceLabel:
     def __post_init__(self):
         _integer_fields(self, "n", "l", "m")
         if self.n < 0 or self.l < 0 or abs(self.m) > self.l:
-            raise IndexError("need n, l >= 0 and |m| <= l")
+            raise IndexError(f"need n, l >= 0 and |m| <= l, got (n, l) = ({self.n}, "
+                             f"{self.l}) and m = {self.m}")
         if self.branch not in ("plus", "minus"):
             raise ValueError("branch must be 'plus' or 'minus'")
 
@@ -434,8 +436,8 @@ def _jacobi_labels(branch: str, n, l, params: AdsParams):
 def jacobi_radial(branch: str, n, l, rho, params: AdsParams):
     """Jacobi radial mode J+-_{nl}(rho) = (n!/(l+d/2)_n) sin^l cos^{D+-}
     P_n^{(l+d/2-1, +-nu)}(cos 2 rho), n, l and rho broadcast (scalars in,
-    scalar out): bit for bit `jacobi_radial_fd(...)[0]`, without dJ/drho."""
-    return _jacobi_radial(branch, n, l, rho, params, False)[0][()]
+    scalar out): `jacobi_radial_fd(...)[0]`, memoized as that is."""
+    return jacobi_radial_fd(branch, n, l, rho, params)[0]
 
 
 def jacobi_radial_fd(branch: str, n, l, rho, params: AdsParams):
@@ -449,19 +451,19 @@ def jacobi_radial_fd(branch: str, n, l, rho, params: AdsParams):
     are read-only (`adskg.memo`)."""
     if any(isinstance(v, np.ndarray) for v in (n, l, rho)):
         return _jacobi_table(branch, *map(np.asarray, (n, l, rho)), params)
-    return _jacobi_radial(branch, n, l, rho, params, True)
+    return _jacobi_radial(branch, n, l, rho, params)
 
 
-# `verify all` builds 14 distinct tables, a slice `adskg reconstruct` 1 or 2; with
+# `verify all` builds 16 distinct tables, a slice `adskg reconstruct` 1 or 2; with
 # 8-byte inputs, 32 x 2^14 x 5 arrays (n, l, rho, J, dJ) x 8 B = 20 MiB at most.
 @memo("jacobi_table", 32, 1 << 14)
 def _jacobi_table(branch: str, n, l, rho, params: AdsParams):
-    return _jacobi_radial(branch, n, l, rho, params, True)
+    return _jacobi_radial(branch, n, l, rho, params)
 
 
-def _jacobi_radial(branch: str, n, l, rho, params: AdsParams, drho: bool):
-    """(J, dJ/drho) of jacobi_radial_fd, with None for dJ/drho unless drho;
-    sin, cos and cos 2 rho are taken on rho as given."""
+def _jacobi_radial(branch: str, n, l, rho, params: AdsParams):
+    """(J, dJ/drho) of jacobi_radial_fd; sin, cos and cos 2 rho are taken
+    on rho as given."""
     n, l, nu, pref, _ = _jacobi_labels(branch, n, l, params)
     ex = params.delta_plus if branch == "plus" else params.delta_minus
     ga = l + params.d / 2.0
@@ -473,8 +475,6 @@ def _jacobi_radial(branch: str, n, l, rho, params: AdsParams, drho: bool):
     sl, cex, dpre = _prefactor(s[..., None], c[..., None], ls, ex).reshape(
         3, rho.size, ls.size)[:, np.arange(rho.size).reshape(rho.shape), at.reshape(l.shape)]
     pval = jacobi_p(ga - 1.0, nu, n, x)
-    if not drho:
-        return pref * sl * cex * pval, None
     dval = jacobi_p_dx(ga - 1.0, nu, n, x) * (-2.0 * np.sin(2.0 * rho))
     return pref * sl * cex * pval, pref * (dpre * pval + sl * cex * dval)
 
@@ -495,22 +495,34 @@ def _norm_table(branch: str, n, l, params: AdsParams):
     return _jacobi_labels(branch, n, l, params)[-1]
 
 
-def mode_eval(label, point, params: AdsParams,
-              kind: RadialKind | None = None) -> complex:
-    """Full spacetime mode e^{-i omega t} Y_l^m(Omega) radial(rho).
+def mode_eval(label, point, params: AdsParams, kind: RadialKind | None = None):
+    """Full spacetime mode e^{-i omega t} radial(rho) Y_l^m(theta, phi).
 
     `label` is a TubeLabel (kind selects the radial family, default S^a) or
-    a SliceLabel (Jacobi radial at the magic frequency).  `point` is
-    (t, rho, theta, phi); d = 3 only (UnsupportedDimension otherwise).
+    a SliceLabel (the Jacobi radial at its magic frequency; a kind is a
+    ValueError).  `point` is (t, rho, theta, phi), which broadcast: array
+    coordinates give the array of their shape, each element bit for bit
+    the call at its own scalar point.  Y comes first, so a theta outside
+    [0, pi] raises DomainError before any radial work; d = 3 only
+    (UnsupportedDimension otherwise).  Each phase is the scalar exponent's,
+    and the product with Y is in real arithmetic, its real and imaginary
+    parts assigned apart so that a signed zero survives: numpy's complex
+    array multiply can differ from the scalar product in the last bit.
     """
     require_two_sphere(params.d)
     t, rho, theta, phi = point
+    y = sph_harm(label.l, label.m, theta, phi)
     if isinstance(label, SliceLabel):
+        if kind is not None:
+            raise ValueError(f"a SliceLabel takes the Jacobi radial, not {kind}")
         omega = magic_frequency(label.branch, label.n, label.l, params)
         radial = jacobi_radial(label.branch, label.n, label.l, rho, params)
-        l, m = label.l, label.m
     else:
         omega = label.omega
-        l, m = label.l, label.m
-        radial = radial_eval(kind or RadialKind.Sa, omega, l, rho, params)
-    return np.exp(-1j * omega * t) * sph_harm(l, m, theta, phi) * radial
+        radial = radial_eval(kind or RadialKind.Sa, omega, label.l, rho, params)
+    pr = np.reshape([np.exp(-1j * omega * v) for v in np.ravel(t).tolist()],
+                    np.shape(t)) * radial
+    out = np.empty(np.broadcast_shapes(np.shape(pr), np.shape(y)), dtype=complex)
+    out.real = pr.real * y.real - pr.imag * y.imag
+    out.imag = pr.real * y.imag + pr.imag * y.real
+    return out[()]

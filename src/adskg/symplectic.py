@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .errors import BasisMismatch
-from .expansions import (SliceRep, TubeRep, _angular_rule, _extent, _slice_nodes,
-                         sample_slice, sample_tube)
+from .expansions import (SliceRep, TubeRep, _angular_rule, _extent, _s_or_c, _slice_nodes,
+                         _tube_sum, _window, sample_slice, sample_tube)
 from .geometry import AdsParams
 from .harmonics import AngularGrid, lm_labels, lm_mirror, require_two_sphere
 from .modes import magic_frequency, norm_constant
@@ -87,6 +87,18 @@ def _antisymmetrized(a, da, b, db) -> np.ndarray:
     return a
 
 
+def _tube_samples(eta: TubeRep, zeta: TubeRep, rho0: float, params: AdsParams,
+                  ang: AngularGrid):
+    """[(phi, d_rho phi)] of eta and of zeta at rho0 on one `_window`, which
+    spans the shared grid and both reps' labels, and its node spacing;
+    BasisMismatch unless they share a frequency grid."""
+    if eta.grid != zeta.grid:
+        raise BasisMismatch("tube pairing needs a shared frequency grid")
+    t_nodes = _window(eta.grid, eta, zeta)
+    return [_tube_sum(rep, t_nodes, ang, _s_or_c(rep.basis, rho0, params))
+            for rep in (eta, zeta)], eta.grid.window / len(t_nodes)
+
+
 def omega_slice_quadrature(eta: SliceRep, zeta: SliceRep, t0: float,
                            params: AdsParams, n_rho: int | None = None,
                            angular: AngularGrid | None = None) -> complex:
@@ -118,14 +130,9 @@ def omega_tube_quadrature(eta: TubeRep, zeta: TubeRep, rho0: float,
     """(1/2) int dt dOmega R^{d-1} tan^{d-1}(rho0) (eta d_rho zeta - zeta
     d_rho eta) over one time window; radial derivatives are term-wise
     analytic."""
-    if eta.grid != zeta.grid:
-        raise BasisMismatch("tube pairing needs a shared frequency grid")
     ang = _angular_rule(_extent(eta, zeta)[1], angular)
-    de = sample_tube(eta, rho0, params, ang)
-    dz = sample_tube(zeta, rho0, params, ang)
-    angular_sum = ang.integrate(_antisymmetrized(de.phi, de.dphi_drho, dz.phi, dz.dphi_drho))
-    dt = eta.grid.window / len(de.t_nodes)
-    total = dt * np.sum(angular_sum)
+    ((fe, dfe), (fz, dfz)), dt = _tube_samples(eta, zeta, rho0, params, ang)
+    total = dt * np.sum(ang.integrate(_antisymmetrized(fe, dfe, fz, dfz)))
     tan_fac = math.tan(rho0) ** (params.d - 1)
     return complex(0.5 * params.R ** (params.d - 1) * tan_fac * total)
 
@@ -172,12 +179,8 @@ def symplectic_potential(hypersurface: str, coord: float, phi, eta,
         angular_sum = ang.integrate(np.multiply(d_eta.phi, d_phi.dphi_dt, out=d_eta.phi))
         return rd * np.dot(d_eta.rho_weights, angular_sum)
     if hypersurface == "rho":
-        if eta.grid != phi.grid:
-            raise BasisMismatch("tube pairing needs a shared frequency grid")
-        d_eta = sample_tube(eta, coord, params, ang)
-        d_phi = sample_tube(phi, coord, params, ang)
-        angular_sum = ang.integrate(np.multiply(d_eta.phi, d_phi.dphi_drho, out=d_eta.phi))
-        dt = eta.grid.window / len(d_eta.t_nodes)
+        ((f_eta, _), (_, df_phi)), dt = _tube_samples(eta, phi, coord, params, ang)
+        angular_sum = ang.integrate(np.multiply(f_eta, df_phi, out=f_eta))
         tan_fac = math.tan(coord) ** (params.d - 1)
         return -rd * tan_fac * dt * np.sum(angular_sum)
     raise ValueError("hypersurface must be 't' or 'rho'")

@@ -344,6 +344,34 @@ def test_invert_tube_zero(params_m0):
     assert all(abs(a) < 1e-14 and abs(b) < 1e-14 for a, b in rec.coeffs.values())
 
 
+def test_invert_tube_refuses_an_unknown_basis(params_m0):
+    # a bare KeyError: 'X' from the radial function's table before
+    data = sample_tube(_tube_rep(), 0.8, params_m0, ANG)
+    with pytest.raises(ValueError, match=r"^basis must be 'S' or 'C'$"):
+        invert_tube(data, params_m0, 2, "X")
+
+
+def test_samplers_span_labels_held_off_the_grid(params_m0):
+    # labels k = 1 and 4 on the grid (1,): the grid's own 3-node window
+    # aliased k = 4 onto k = 1, and the inversions read k = 1 wrong (the
+    # tube's a channel as 1.77 in place of 1); 9 nodes hold both
+    grid = OmegaGrid(0.5, (1,))
+    rep = TubeRep(grid, {(1, 1, 0): (1.0, 0.5j), (4, 1, 0): (1.0, -0.3)})
+    rod = RodRep(grid, {(1, 1, 0): 1.0, (4, 1, 0): 0.7j})
+    crep = s_to_c(rep, params_m0)
+    got = [invert_tube(sample_tube(rep, 0.8, params_m0), params_m0, 1).coeffs[1, 1, 0],
+           (invert_rod_interior(sample_rod(rod, 0.8, params_m0), params_m0, 1)
+            .coeffs[1, 1, 0],),
+           boundary_reconstruct(boundary_data_of(crep, params_m0), params_m0, 1)
+           .coeffs[1, 1, 0],
+           (rod_boundary_reconstruct(rod_boundary_data_of(rod, params_m0), params_m0, 1)
+            .coeffs[1, 1, 0],)]
+    want = [rep.coeffs[1, 1, 0], (1.0,), crep.coeffs[1, 1, 0], (1.0,)]
+    for g, w in zip(got, want):
+        assert np.max(np.abs(np.subtract(g, w))) < 1e-12, (g, w)
+    assert len(sample_tube(rep, 0.8, params_m0).t_nodes) == 9
+
+
 def test_invert_tube_radius_independence(params_m0):
     rep = _tube_rep()
     recs = []
@@ -936,7 +964,8 @@ def _oracle_synth(rep, point, params, deriv=""):
     if isinstance(rep, SliceRep):
         # per channel sum_m c Y per block, on the mirrored Y row for
         # conj(phi^-), then the phases and radial values of the blocks
-        frequency, radial = xp._jacobi(np.atleast_1d(rho), params, deriv == "rho")
+        frequency, fd = xp._jacobi(np.atleast_1d(rho), params, True)
+        radial = lambda n, l: fd(n, l)[int(deriv == "rho")]
         js, coef, mirror = rep.coeffs.js, rep.coeffs.array, lm_mirror(rep.coeffs.l_max)
         rows, l_need = _oracle_blocks(coef)
         if not rows.size:

@@ -283,8 +283,8 @@ def test_mink_tube_quadrature_matches_reference_loop(rng, names):
 
 
 def test_mink_tube_quadrature_of_two_empty_reps_is_zero(params_m0):
-    # the time span comes from the reps' frequency rows, of which there are
-    # none: zero, as the AdS tube quadrature gives for two empty reps
+    # no label: zero on the window of their grid, as the AdS tube
+    # quadrature gives for two empty reps
     empty = MinkTubeRep(MIXED_GRID, {}, 1.2)
     assert mink_omega_tube_quadrature(empty, empty, 1.7, ANG) == 0j
     ads = TubeRep(OmegaGrid(0.5, (1, 2)), {}, "S")

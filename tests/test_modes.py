@@ -927,6 +927,61 @@ def test_mode_eval_solves_kg(params_m0):
     assert kg_residual(f, om, 1, params_m0, (0.2, 1.2)) < 1e-12
 
 
+@pytest.mark.parametrize("theta", [4.0, -0.1])
+def test_mode_eval_refuses_theta_outside_0_pi(params_m0, theta):
+    # (theta, phi) = (4, 0) is the point (2 pi - 4, pi), where the mode has
+    # the opposite sign: P_l^m(cos theta) takes |sin theta|, so mode_eval
+    # gave +0.11258 there against that point's -0.11258
+    label = TubeLabel(2.3, 1, 1)
+    with pytest.raises(DomainError, match=fr"^theta = {theta!r} must lie in \[0, pi\]$"):
+        mode_eval(label, (0, 0.5, theta, 0), params_m0)
+    with pytest.raises(DomainError, match=r"must lie in \[0, pi\]"):  # before any radial work
+        mode_eval(label, (0, 2.0, np.array([1.0, theta]), 0), params_m0)
+    edges = mode_eval(label, (0, 0.5, np.array([0.0, math.pi]), 0), params_m0)
+    assert np.isfinite(edges).all()
+
+
+def test_mode_eval_refuses_a_kind_for_a_slice_label(params_m0):
+    # the kind was ignored: this returned the J+ value
+    with pytest.raises(ValueError, match="SliceLabel"):
+        mode_eval(SliceLabel(1, 1, 0), (0.1, 0.5, 1.0, 0.2), params_m0, kind=RadialKind.Cb)
+
+
+_MODE_GRID = (np.array([-0.0, 0.0, 0.7, -1.3]), np.array([-0.0, 0.0, 0.3, 0.9, 1.2]),
+              np.array([-0.0, 0.0, 0.4, 2.9, math.pi]), np.array([-0.0, 0.0, 1.1, 5.5]))
+
+
+@pytest.mark.parametrize("label, kind, msq", [
+    (TubeLabel(2.3, 1, 0), RadialKind.Sa, 0.0), (TubeLabel(-0.0, 2, -1), RadialKind.Sa, 0.0),
+    (TubeLabel(-7.9, 3, 2), RadialKind.Sb, 0.0), (TubeLabel(11.2, 2, -2), RadialKind.Ca, 0.37),
+    (TubeLabel(0.0, 3, 1), RadialKind.Cb, -2.2), (SliceLabel(2, 3, -1), None, -2.2),
+    (SliceLabel(1, 2, 0, "minus"), None, -2.2)],
+    ids=["sa", "sa-zero", "sb", "ca", "cb", "jplus", "jminus"])
+def test_mode_eval_on_a_broadcast_grid_is_its_scalar_calls_bit_for_bit(label, kind, msq):
+    params = make_params(3, 1.0, msq)
+    t, rho, theta, phi = _MODE_GRID
+    if kind in (RadialKind.Sb, RadialKind.Ca, RadialKind.Cb):
+        rho = rho[2:]  # these kinds diverge on the axis
+    got = mode_eval(label, (t[:, None, None, None], rho[:, None, None], theta[:, None], phi),
+                    params, kind)
+    assert got.shape == (len(t), len(rho), len(theta), len(phi))
+    want = np.array([mode_eval(label, point, params, kind) for point in np.broadcast(
+        *np.ix_(t, rho, theta, phi))]).reshape(got.shape)
+    assert got.tobytes() == want.tobytes()
+    parts = got.view(float)
+    assert (np.signbit(parts) & (parts == 0.0)).any()  # a -0.0 is kept
+
+
+def test_repeated_jacobi_radial_array_call_is_a_jacobi_table_hit(params_m0):
+    memo, rho = modes._jacobi_table.memo, np.linspace(0.05, 1.5, 9)
+    first = jacobi_radial("plus", 2, 3, rho, params_m0)
+    hits = memo.hits
+    second = jacobi_radial("plus", 2, 3, rho.copy(), params_m0)
+    assert memo.hits == hits + 1 and second is first
+    assert not first.flags.writeable
+    assert first.tobytes() == jacobi_radial_fd("plus", 2, 3, rho, params_m0)[0].tobytes()
+
+
 # --- asymptotic behavior ----------------------------------------------------------------
 
 def test_evanescence_positive_mass(params_pos):

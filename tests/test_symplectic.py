@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from adskg import expansions as xp
 from adskg.errors import BasisMismatch
 from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, s_to_c
-from adskg.geometry import make_params
+from adskg.geometry import Boost0, make_params
 from adskg.harmonics import AngularGrid, lm_count, lm_mirror
+from adskg.isometry import boost_generator_apply
 from adskg.minkowski import EnergyGrid, MinkSliceRep, MinkTubeRep
 from adskg.modes import magic_frequency, norm_constant
 from adskg.symplectic import (_mirror_pairing, _same_label_pairing,
@@ -123,6 +124,27 @@ def test_tube_quadrature_vs_momentum(params_m0, rng, basis):
     quad = complex(omega_tube_quadrature(eta, zeta, 0.8, params_m0, ANG))
     mom = complex(omega_tube_momentum(eta, zeta, params_m0))
     assert quad == pytest.approx(mom, rel=1e-8, abs=1e-10)
+
+
+def test_tube_pairings_span_labels_held_off_the_grid(params_m0, rng):
+    # a boost shifts k by +-1: K eta on the grid -3..3 holds k = +-4, which
+    # each rep's own 7-node window aliased onto -+3, so the quadrature read
+    # 4.4 relative off the momentum form; one 9-node window holds both reps
+    grid = OmegaGrid(1.0, tuple(range(-3, 4)))
+
+    def rep(ks):
+        return TubeRep(grid, {(k, l, m): tuple(rng.normal(size=2) @ [1.0, 1j] for _ in "ab")
+                              for k in ks for l in (0, 1) for m in range(-l, l + 1)})
+
+    keta, zeta = boost_generator_apply(rep((-3, 0, 3)), Boost0(3), params_m0), rep(grid.indices)
+    assert {-4, 4} <= set(keta.coeffs.js.tolist())
+    mom = complex(omega_tube_momentum(keta, zeta, params_m0))
+    assert abs(mom) > 1.0
+    quad = complex(omega_tube_quadrature(keta, zeta, 0.9, params_m0))
+    th_zk = symplectic_potential("rho", 0.9, zeta, keta, params_m0)
+    th_kz = symplectic_potential("rho", 0.9, keta, zeta, params_m0)
+    for value in (quad, -0.5 * (th_zk - th_kz)):
+        assert abs(value - mom) < 1e-12 * abs(mom)
 
 
 def test_tube_rho_independence(params_m0, rng):
