@@ -93,11 +93,10 @@ def cmd_eval(args) -> int:
     vals = mode_eval(label, (args.t[:, None, None, None], args.rho[:, None, None],
                              args.theta[:, None], args.phi), params, kind)
     re, im = vals.real.ravel().tolist(), vals.imag.ravel().tolist()
-    ts = args.t.tolist()
     # each distinct coordinate formatted once, each row joined from its pieces
     angles = [f"{theta!r},{phi!r}," for theta in args.theta.tolist()
               for phi in args.phi.tolist()]
-    points = [f"{t!r},{rho!r}," for t in ts for rho in args.rho.tolist()]
+    points = [f"{t!r},{rho!r}," for t in args.t.tolist() for rho in args.rho.tolist()]
     heads = (point + angle for point in points for angle in angles)
     rows = chain.from_iterable(zip(heads, map(repr, re), repeat(","), map(repr, im),
                                    repeat("\n")))

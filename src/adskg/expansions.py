@@ -465,10 +465,10 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial,
         omega = frequency(c.js[:, None], lm_labels(c.l_max)[0])
         plus, minus = c.array[0], c.array[1][:, lm_mirror(c.l_max)]
     else:
+        y = ylm_point(c.l_max, c.orders(True), *where)  # refuses a theta outside [0, pi]
         rows, l_need, _ = c.blocks((0, 1))
         if not rows.size:
             return np.zeros((2, 1 + with_dt, np.size(rho)), dtype=complex)
-        y = ylm_point(c.l_max, c.orders(True), *where)
         plus, minus = _ylm_sums(c.array, np.array([y, y[lm_mirror(c.l_max)]])[:, None])[
             :, rows, l_need]
         omega = frequency(c.js[rows], l_need)

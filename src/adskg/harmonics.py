@@ -109,14 +109,12 @@ def sph_harm(l, m, theta, phi):
 
     Convention: Y_l^m = N_l^m e^{i m phi} P_l^m(cos theta) with the
     Condon-Shortley-free P_l^m, so that conj(Y_l^m) = Y_l^{-m}.  l, m and
-    the angles broadcast against each other.  DomainError naming the first
-    theta outside [0, pi]: P_l^m(cos theta) takes |sin theta|, so there it
-    would give another point's value.  IndexError if any |m| > l.
+    the angles broadcast against each other; IndexError if any |m| > l, and
+    DomainError for theta outside [0, pi] (|sin theta| would give another point).
     """
     theta = np.asarray(theta, dtype=float)
-    outside = ~((0.0 <= theta) & (theta <= math.pi))
-    if outside.any():
-        raise DomainError(f"theta = {theta[outside][0].item()!r} must lie in [0, pi]")
+    if (bad := theta[~((0.0 <= theta) & (theta <= math.pi))]).size:
+        raise DomainError(f"theta = {bad[0].item()!r} must lie in [0, pi]")
     p = assoc_legendre(m, l, np.cos(theta))
     return sph_norm(l, m) * np.exp(1j * np.asarray(m) * np.asarray(phi, dtype=float)) * p
 

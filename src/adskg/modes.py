@@ -29,8 +29,7 @@ The radial tables of array calls are memoized per kind, with the other
 basis's tables where a build gives them at every point (`adskg.memo`);
 scalar calls are not.  A build raises DomainError naming the first
 (kind, omega, l, rho) whose f or f' is not finite.  Transfer matrices are
-formed afresh on every call.  mode_eval is the one single-mode
-evaluator, e^{-i omega t} R(rho) Y_l^m on a broadcast point.
+formed afresh per call.  mode_eval is e^{-iwt} R Y_l^m on a broadcast point.
 """
 
 from __future__ import annotations
@@ -500,14 +499,8 @@ def mode_eval(label, point, params: AdsParams, kind: RadialKind | None = None):
 
     `label` is a TubeLabel (kind selects the radial family, default S^a) or
     a SliceLabel (the Jacobi radial at its magic frequency; a kind is a
-    ValueError).  `point` is (t, rho, theta, phi), which broadcast: array
-    coordinates give the array of their shape, each element bit for bit
-    the call at its own scalar point.  Y comes first, so a theta outside
-    [0, pi] raises DomainError before any radial work; d = 3 only
-    (UnsupportedDimension otherwise).  Each phase is the scalar exponent's,
-    and the product with Y is in real arithmetic, its real and imaginary
-    parts assigned apart so that a signed zero survives: numpy's complex
-    array multiply can differ from the scalar product in the last bit.
+    ValueError).  `point` is (t, rho, theta, phi), which broadcast; a theta
+    outside [0, pi] is a DomainError; d = 3 only (UnsupportedDimension).
     """
     require_two_sphere(params.d)
     t, rho, theta, phi = point
@@ -522,7 +515,8 @@ def mode_eval(label, point, params: AdsParams, kind: RadialKind | None = None):
         radial = radial_eval(kind or RadialKind.Sa, omega, label.l, rho, params)
     pr = np.reshape([np.exp(-1j * omega * v) for v in np.ravel(t).tolist()],
                     np.shape(t)) * radial
-    out = np.empty(np.broadcast_shapes(np.shape(pr), np.shape(y)), dtype=complex)
-    out.real = pr.real * y.real - pr.imag * y.imag
+    # real arithmetic, parts set apart: numpy's complex array multiply can
+    # differ from the scalar one in the last bit, and a signed zero survives
+    out = np.asarray(pr.real * y.real - pr.imag * y.imag, dtype=complex)
     out.imag = pr.real * y.imag + pr.imag * y.real
     return out[()]

@@ -1133,9 +1133,11 @@ def test_ylm_point_never_stores_an_exception():
 def test_synthesis_refuses_theta_outside_0_pi(params_m0, fn, theta):
     # (theta, phi) = (4, 0) is the point (2 pi - 4, pi), where a one-label
     # l = m = 1 field has the opposite sign: P_l^m(cos theta) takes
-    # |sin theta|, so the value there was another point's
+    # |sin theta|, so the value there was another point's; a rep with no
+    # nonzero coefficient refuses it too
     reps = [_tube_rep(), SliceRep({(1, 1, 1): (1.0, 0.5j)}),
-            RodRep(OmegaGrid(0.5, (2,)), {(2, 1, 1): 1.0})]
+            RodRep(OmegaGrid(0.5, (2,)), {(2, 1, 1): 1.0}),
+            SliceRep({}), SliceRep({(1, 1, 1): (0.0, 0.0)})]
     for rep in reps:
         with pytest.raises(DomainError, match=r"theta = .* must lie in \[0, pi\]"):
             fn(rep, (0.3, 0.7, theta, 0.0), params_m0)
