@@ -491,8 +491,7 @@ def _jacobi(rho: np.ndarray, params: AdsParams, both: bool = False):
 
 
 def _basis_kinds(basis: str) -> tuple:
-    """The radial kinds of the a and b channels of the S or C basis;
-    ValueError for any other basis."""
+    """The (a, b) channel radial kinds of the S or C basis; ValueError otherwise."""
     if basis not in ("S", "C"):
         raise ValueError("basis must be 'S' or 'C'")
     return (RadialKind.Sa, RadialKind.Sb) if basis == "S" else (RadialKind.Ca, RadialKind.Cb)
@@ -552,9 +551,8 @@ def _extent(*reps) -> tuple[int, int]:
 
 def _window(grid: OmegaGrid, *reps) -> np.ndarray:
     """The 2 K + 1 nodes of one time window, K the largest |k| of the grid's
-    indices and of the labels the reps hold: no two of those frequencies
-    alias there, so the time projection onto the grid is exact and a
-    pairing's integrand (frequencies up to 2 K) sums exactly."""
+    indices and the reps' labels: no two of those frequencies alias there,
+    and a pairing's integrand (frequencies up to 2 K) sums exactly."""
     return grid.time_nodes(2 * max(_extent(*reps)[0], *map(abs, grid.indices), 0) + 1)
 
 
