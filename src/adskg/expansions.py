@@ -22,10 +22,10 @@ At a point the order is reversed: the `ylm_point` row of the held (l, m),
 memoized per point (one `sph_harm` call on a miss), is contracted first,
 sum_m c[j, lm] Y_lm per (j, l) block in one `np.add.reduceat`, and the
 radial factors and phases are applied to those blocks.  A rep's tables
-are evaluated on the (j, l) blocks of its block plan (`_Coeffs.blocks`),
-formed once per rep, as are the orders its point row holds.  The callers of
-`_slice_sum` and `_tube_sum` supply the frequency and radial functions, so
-the Minkowski expansions run through the same kernel.  Inversion is the
+are evaluated only on the (j, l) blocks its `_Coeffs.held` table marks,
+formed once per rep with the orders it holds.  The callers of `_slice_sum`
+and `_tube_sum` supply the frequency and radial functions, so the
+Minkowski expansions run through the same kernel.  Inversion is the
 adjoint: `AngularGrid.project` takes every lm at once, for all frequencies
 or radii, after the FFT time projection (tube) and before the Gauss-Jacobi
 radial sum (slice); each inversion then applies its own per-(j, l) solve.
@@ -88,10 +88,7 @@ class OmegaGrid:
         """Conjugate time window T = 2 pi / d_omega."""
         return 2.0 * math.pi / self.d_omega
 
-    def time_nodes(self, n_t: int | None = None) -> np.ndarray:
-        if n_t is None:
-            span = max(abs(k) for k in self.indices) if self.indices else 0
-            n_t = 2 * span + 1
+    def time_nodes(self, n_t: int) -> np.ndarray:
         return self.window * np.arange(n_t) / n_t
 
 
@@ -101,9 +98,9 @@ class _Coeffs(Mapping):
     `mask` of the labels held (every entry if None), trimmed to the rows and
     l_max holding one (taken as trimmed when l_max is given).  As a mapping
     it is the view {(j, l, m): channel values} in sorted label order (a
-    tuple per label with two channels) and of the mask's length.  The view,
-    `blocks` (its block plan) and `groups` (its channels by plan) are formed
-    on first use and not pickled."""
+    tuple per label with two channels) and of the mask's length.  The view
+    and the `held`, `groups` and `orders` tables are formed on first use and
+    not pickled."""
 
     def __init__(self, js, array, mask=None, l_max: int | None = None):
         if l_max is None:
@@ -115,7 +112,6 @@ class _Coeffs(Mapping):
         self.js, self.array, self.mask, self.l_max = js, array, mask, l_max
         for held in (js, array, mask):
             held.flags.writeable = False
-        self._plan = {}
 
     @cached_property
     def _view(self) -> dict:
@@ -133,39 +129,25 @@ class _Coeffs(Mapping):
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    def blocks(self, channel=None):
-        """The (row, l) index arrays of the (j, l) blocks where `channel`
-        (a channel, or a tuple of them) holds a nonzero coefficient, or, for
-        None, where the mask holds a label: `_table`'s blocks, formed once
-        per rep."""
-        if channel not in self._plan:
-            self._plan[channel] = _blocks(self.mask if channel is None else self.array[
-                list(channel) if isinstance(channel, tuple) else channel])
-        return self._plan[channel]
+    @cached_property
+    def held(self) -> np.ndarray:
+        """(channel, j, l): where each channel holds a nonzero coefficient in
+        the (j, l) block, the blocks every table of the rep is evaluated on."""
+        return np.logical_or.reduceat(self.array != 0, np.arange(self.l_max + 1) ** 2, axis=-1)
 
-    def orders(self, mirrored: bool = False) -> np.ndarray:
-        """The (lm,) mask of the orders where a channel holds a nonzero
-        coefficient (the second's at (l, -m) if mirrored, as a slice's): the
-        Y row a point synthesis reads, formed once per rep."""
-        if ("orders", mirrored) not in self._plan:
-            held = (self.array != 0).any(axis=1)
-            if mirrored:
-                held[1] = held[1][lm_mirror(self.l_max)]
-            self._plan["orders", mirrored] = held.any(axis=0)
-        return self._plan["orders", mirrored]
+    @cached_property
+    def groups(self) -> list:
+        """[(channels, (rows, l))]: one plan of `held` blocks for all channels
+        when they hold the same blocks, else one plan per channel."""
+        same = (self.held == self.held[0]).all()
+        return [(tuple(range(len(self.held))) if same else (ch,), np.nonzero(block))
+                for ch, block in enumerate(self.held[:1] if same else self.held)]
 
-    def groups(self):
-        """[(channels, blocks)]: all channels on one plan when their block
-        plans are equal, else each channel on its own (`blocks(channel)`)."""
-        if "groups" not in self._plan:
-            ls = lm_labels(self.l_max)[0]
-            held = np.logical_or.reduceat(self.array != 0, np.arange(self.l_max + 1) ** 2,
-                                          axis=-1)
-            plans = [(*np.nonzero(block), ls) for block in (held[:1] if (
-                held == held[0]).all() else held)]
-            self._plan["groups"] = [(tuple(range(len(held))), plans[0])] if len(plans) == 1 \
-                else [((ch,), plan) for ch, plan in enumerate(plans)]
-        return self._plan["groups"]
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """(channel, lm): where each channel holds a nonzero coefficient, the
+        orders of the Y row a point synthesis reads."""
+        return (self.array != 0).any(axis=1)
 
     @classmethod
     def of(cls, coeffs, channels: int, j_min: float, whole_j: bool) -> "_Coeffs":
@@ -324,11 +306,13 @@ class SliceRep(_Labelled):
 
 @dataclass(frozen=True)
 class RodRep(_Labelled):
-    """Sparse rod-region representation: (k, l, m) -> a."""
+    """Sparse rod-region representation: (k, l, m) -> a, the S-basis tube
+    with b = 0 (`basis` is a class constant, not a field)."""
 
     grid: OmegaGrid
     coeffs: dict
     _absent, _channels = 0.0 + 0.0j, 1
+    basis = "S"
 
     def as_tube(self) -> TubeRep:
         c = self.coeffs
@@ -352,32 +336,25 @@ class BoundaryData:
 # synthesis: the separable kernel and its adjoint
 # ---------------------------------------------------------------------------
 
-def _blocks(coef):
-    """The (row, l) index arrays of the (j, l) blocks where coef (..., j, lm)
-    has a nonzero entry, and the degree l of each packed lm."""
-    ls, ms = lm_labels(lm_degree(coef.shape[-1] - 1))
-    nonzero = np.any(coef != 0, axis=tuple(range(coef.ndim - 2)))
-    rows, l_need = np.nonzero(np.logical_or.reduceat(
-        nonzero, np.flatnonzero(ms == -ls), axis=-1))
-    return rows, l_need, ls
-
-
 def _degree_table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
     """fn(j, l) on the (j, l) blocks where coef (..., j, lm) has a nonzero
-    entry (zero elsewhere): shape + (j, l_max + 1), of fn's dtype.  fn is
-    called once, on the 1-d arrays of those j and l, and returns shape +
-    (blocks,).  A caller holding coef's `_blocks` passes them."""
-    rows, l_need, ls = _blocks(coef) if blocks is None else blocks
+    entry, or on the (row, l) arrays `blocks` if given (zero elsewhere):
+    shape + (j, l_max + 1), of fn's dtype.  fn is called once, on the 1-d
+    arrays of those j and l, and returns shape + (blocks,)."""
+    l_max = lm_degree(coef.shape[-1] - 1)
+    rows, l_need = np.nonzero(np.logical_or.reduceat(
+        np.any(coef != 0, axis=tuple(range(coef.ndim - 2))), np.arange(l_max + 1) ** 2,
+        axis=-1)) if blocks is None else blocks
     vals = np.asarray(fn(np.asarray(js)[rows], l_need)) if rows.size else np.zeros(0)
-    out = np.zeros(shape + (coef.shape[-2], ls[-1] + 1), dtype=vals.dtype)
+    out = np.zeros(shape + (coef.shape[-2], l_max + 1), dtype=vals.dtype)
     out[..., rows, l_need] = vals
     return out
 
 
 def _table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
     """`_degree_table` spread over lm: shape + (j, lm)."""
-    blocks = _blocks(coef) if blocks is None else blocks
-    return _degree_table(js, coef, fn, shape, blocks)[..., blocks[2]]
+    ls = lm_labels(lm_degree(coef.shape[-1] - 1))[0]
+    return _degree_table(js, coef, fn, shape, blocks)[..., ls]
 
 
 def _by_degree(subscripts: str, kern, coef, out) -> np.ndarray:
@@ -420,12 +397,12 @@ def _tube_sum(rep, t, where, radial, with_dt: bool = False) -> np.ndarray:
     shape (2, t, ...), or (2, 2, t) with each sum's d/dt second at a point
     if with_dt.  radial(channels, omega, l) is (f, g) for each channel of
     the tuple (0 for a, 1 for b), shape (channels, 2, blocks).  It is called
-    once for all the channels the rep holds (a rod holds a only) when their
-    block plans are equal, on the arrays of the (k, l) of that plan, and
-    otherwise once per channel on its own plan, so no channel is evaluated
-    where it holds nothing.  On a grid the radial values are folded into
-    the coefficients; at a point (theta, phi) the Y row is contracted
-    first, sum_m c Y per (k, l) block, then the radial values and phases."""
+    once per plan of `_Coeffs.groups`, on the arrays of its (k, l): once for
+    all the channels the rep holds (a rod holds a only) when they hold the
+    same blocks, else once per channel, so no channel is evaluated where it
+    holds nothing.  On a grid the radial values are folded into the
+    coefficients; at a point (theta, phi) the Y row is contracted first,
+    sum_m c Y per (k, l) block, then the radial values and phases."""
     c, d_omega = rep.coeffs, rep.grid.d_omega
 
     def kern(omega, dt=False):  # the phases d_omega e^{-i omega t}, or their d/dt: (t, omega)
@@ -435,12 +412,12 @@ def _tube_sum(rep, t, where, radial, with_dt: bool = False) -> np.ndarray:
     if isinstance(where, AngularGrid):
         fold = (c.array[:, None] * np.concatenate([_table(
             c.js, c.array[0], lambda k, l, chs=chs: radial(chs, k * d_omega, l),
-            (len(chs), 2), plan) for chs, plan in c.groups()])).sum(axis=0)
+            (len(chs), 2), plan) for chs, plan in c.groups])).sum(axis=0)
         return where.synthesize(np.einsum("sj,...ji->...si", kern(
             d_omega * np.asarray(c.js, dtype=float)), fold))
-    sums = _ylm_sums(c.array, ylm_point(c.l_max, c.orders(), *where))
+    sums = _ylm_sums(c.array, ylm_point(c.l_max, c.orders.any(0), *where))
     out = np.zeros((2, 1 + with_dt, np.size(t)), dtype=complex)
-    for chs, (rows, l_need, _) in c.groups():
+    for chs, (rows, l_need) in c.groups:
         if rows.size:
             omega = c.js[rows] * d_omega
             part = sums[np.array(chs)[:, None], rows, l_need][:, None]
@@ -461,15 +438,16 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial,
     Y row is contracted first, as in `_tube_sum`, mirrored for conj(phi^-),
     and radial gives a list of tables, each summed: (tables, 2 or 1, rho), two if no label."""
     c, grid = rep.coeffs, isinstance(where, AngularGrid)
+    mirror = lm_mirror(c.l_max)
     if grid:
         omega = frequency(c.js[:, None], lm_labels(c.l_max)[0])
-        plus, minus = c.array[0], c.array[1][:, lm_mirror(c.l_max)]
+        plus, minus = c.array[0], c.array[1][:, mirror]
     else:
-        y = ylm_point(c.l_max, c.orders(True), *where)  # refuses a theta outside [0, pi]
-        rows, l_need, _ = c.blocks((0, 1))
+        y = ylm_point(c.l_max, c.orders[0] | c.orders[1][mirror], *where)  # refuses a bad theta
+        rows, l_need = np.nonzero(c.held.any(0))
         if not rows.size:
             return np.zeros((2, 1 + with_dt, np.size(rho)), dtype=complex)
-        plus, minus = _ylm_sums(c.array, np.array([y, y[lm_mirror(c.l_max)]])[:, None])[
+        plus, minus = _ylm_sums(c.array, np.array([y, y[mirror]])[:, None])[
             :, rows, l_need]
         omega = frequency(c.js[rows], l_need)
     plus, minus = plus * np.exp(-1j * omega * t), minus * np.exp(1j * omega * t)
@@ -516,8 +494,8 @@ def _synth(rep, point, params: AdsParams, deriv: int = 0) -> complex:
         if isinstance(rep, SliceRep):
             rho = np.atleast_1d(rho)
             out = _slice_sum(rep, t, rho, (theta, phi), *_jacobi(rho, params, True))
-        else:  # a rod is the a channel of S
-            radial = _s_or_c(getattr(rep, "basis", "S"), rho, params)
+        else:
+            radial = _s_or_c(rep.basis, rho, params)
             out = _tube_sum(rep, t, (theta, phi), radial, True)
         (f, dt), (drho, _) = out[:, :, 0]  # (f, f') x (field, d/dt)
         object.__setattr__(rep, "_point_values", held := (at, (f, dt, drho)))
@@ -549,10 +527,19 @@ def _extent(*reps) -> tuple[int, int]:
             max(r.coeffs.l_max for r in reps))
 
 
-def _window(grid: OmegaGrid, *reps) -> np.ndarray:
-    """The 2 K + 1 nodes of one time window, K the largest |k| of the grid's
-    indices and the reps' labels: no two of those frequencies alias there,
-    and a pairing's integrand (frequencies up to 2 K) sums exactly."""
+def _shared_grid(*reps) -> OmegaGrid:
+    """The frequency grid of the tube reps; BasisMismatch unless they share one."""
+    if any(rep.grid != reps[0].grid for rep in reps):
+        raise BasisMismatch("tube pairing needs a shared frequency grid")
+    return reps[0].grid
+
+
+def _window(*reps) -> np.ndarray:
+    """The 2 K + 1 nodes of one time window of the reps' `_shared_grid`, K
+    the largest |k| of its indices and the reps' labels: no two of those
+    frequencies alias there, and a pairing's integrand (frequencies up to
+    2 K) sums exactly."""
+    grid = _shared_grid(*reps)
     return grid.time_nodes(2 * max(_extent(*reps)[0], *map(abs, grid.indices), 0) + 1)
 
 
@@ -632,33 +619,35 @@ def sample_tube(rep: TubeRep, rho0: float, params: AdsParams,
                 angular: AngularGrid | None = None) -> TubeData:
     """Sample a tube solution (and d_rho) over one time window at rho0."""
     ang = angular or _angular_rule(rep.coeffs.l_max)
-    t_nodes = _window(rep.grid, rep)
+    t_nodes = _window(rep)
     phi, dphi = _tube_sum(rep, t_nodes, ang, _s_or_c(rep.basis, rho0, params))
     return TubeData(rho0, rep.grid, t_nodes, ang, phi, dphi)
 
 
 def sample_rod(rep: RodRep, rho0: float, params: AdsParams,
                angular: AngularGrid | None = None) -> RodData:
-    ang = angular or _angular_rule(rep.coeffs.l_max)
-    t_nodes = _window(rep.grid, rep)
-    phi, _ = _tube_sum(rep, t_nodes, ang, _s_or_c("S", rho0, params))
-    return RodData(rho0, rep.grid, t_nodes, ang, phi)
+    data = sample_tube(rep, rho0, params, angular)
+    return RodData(rho0, rep.grid, data.t_nodes, data.angular, data.phi)
 
 
 # ---------------------------------------------------------------------------
 # basis change
 # ---------------------------------------------------------------------------
 
-def _basis_change(rep: TubeRep, params: AdsParams, inverse: bool,
-                  basis: str) -> TubeRep:
-    """rep in `basis`: (a, b) M at every label, with M^-1 in place of M if
-    inverse; M is tabulated once per (k, l) holding a label."""
+def _pair(values) -> tuple:
+    """(a, b) of a (channel, ...) array, a rod's missing b read as zeros."""
+    return values[0], values[1] if len(values) > 1 else np.zeros_like(values[0])
+
+
+def _basis_change(rep, params: AdsParams, inverse: bool, basis: str) -> TubeRep:
+    """rep (a tube or rod) in `basis`: (a, b) M at every label, with M^-1 in
+    place of M if inverse; M is tabulated once per (k, l) holding a label."""
     c = rep.coeffs
     m11, m12, m21, m22 = _table(c.js, c.mask, lambda k, l: _transfer_entries(
-        k * rep.grid.d_omega, l, params, inverse), (4,), c.blocks())
-    a, b = c.array
-    return replace(rep, coeffs=_Coeffs(c.js, np.stack(
-        [a * m11 + b * m21, a * m12 + b * m22]), c.mask, c.l_max), basis=basis)
+        k * rep.grid.d_omega, l, params, inverse), (4,))
+    a, b = _pair(c.array)
+    return TubeRep(rep.grid, _Coeffs(c.js, np.stack(
+        [a * m11 + b * m21, a * m12 + b * m22]), c.mask, c.l_max), basis)
 
 
 def s_to_c(rep: TubeRep, params: AdsParams) -> TubeRep:
@@ -861,7 +850,7 @@ def boundary_data_of(rep: TubeRep, params: AdsParams,
     require_two_sphere(params.d)
     lam = twisted_boundary_limit(RadialKind.Ca, params)
     ang = angular or _angular_rule(rep.coeffs.l_max)
-    t_nodes = _window(rep.grid, rep)
+    t_nodes = _window(rep)
     # (rescaled value, twisted derivative) at the boundary: C^a -> (0, L),
     # C^b -> (1, 0)
     minus, plus = _tube_sum(rep, t_nodes, ang, lambda chs, om, l: np.array(
@@ -890,7 +879,7 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
     S^a survives the rescaling)."""
     require_two_sphere(params.d)
     ang = angular or _angular_rule(rep.coeffs.l_max)
-    t_nodes = _window(rep.grid, rep)
+    t_nodes = _window(rep)
     def radial(chs, om, l):
         m12 = _transfer_entries(om, l, params, False)[1]
         return np.stack([m12, np.zeros_like(m12)])[None]

@@ -22,8 +22,9 @@ import math
 import numpy as np
 
 from .errors import BasisMismatch
-from .expansions import (SliceRep, TubeRep, _angular_rule, _extent, _s_or_c, _slice_nodes,
-                         _tube_sum, _window, sample_slice, sample_tube)
+from .expansions import (SliceRep, TubeRep, _angular_rule, _extent, _pair, _s_or_c,
+                         _shared_grid, _slice_nodes, _tube_sum, _window, sample_slice,
+                         sample_tube)
 from .geometry import AdsParams
 from .harmonics import AngularGrid, lm_labels, lm_mirror, require_two_sphere
 from .modes import magic_frequency, norm_constant
@@ -71,10 +72,12 @@ def _same_label_pairing(eta, zeta, weight) -> complex:
 def _mirror_pairing(eta, zeta, weight) -> complex:
     """sum over eta's sorted labels of weight(k, l) (eta^a zeta^b - eta^b
     zeta^a), zeta at (-k, l, -m), weight called once, on the arrays of the
-    (k, l) blocks holding a label of eta."""
+    (k, l) blocks holding a label of eta; a rod's b is zero.  BasisMismatch
+    unless the reps share a frequency grid."""
     e, z = eta.coeffs, zeta.coeffs
-    j, lm, (ea, eb) = e.entries()
-    za, zb = _gather(z, -j, lm_mirror(e.l_max)[lm])
+    _shared_grid(eta, zeta)
+    j, lm, values = e.entries()
+    (ea, eb), (za, zb) = _pair(values), _pair(_gather(z, -j, lm_mirror(e.l_max)[lm]))
     return _weighted_sum(j, lm, e.l_max, weight, ea * zb - eb * za)
 
 
@@ -92,9 +95,7 @@ def _tube_samples(eta: TubeRep, zeta: TubeRep, rho0: float, params: AdsParams,
     """[(phi, d_rho phi)] of eta and of zeta at rho0 on one `_window`, which
     spans the shared grid and both reps' labels, and its node spacing;
     BasisMismatch unless they share a frequency grid."""
-    if eta.grid != zeta.grid:
-        raise BasisMismatch("tube pairing needs a shared frequency grid")
-    t_nodes = _window(eta.grid, eta, zeta)
+    t_nodes = _window(eta, zeta)
     return [_tube_sum(rep, t_nodes, ang, _s_or_c(rep.basis, rho0, params))
             for rep in (eta, zeta)], eta.grid.window / len(t_nodes)
 
@@ -146,8 +147,6 @@ def omega_tube_momentum(eta: TubeRep, zeta: TubeRep,
     require_two_sphere(params.d)
     if eta.basis != zeta.basis:
         raise BasisMismatch(f"bases differ: {eta.basis} vs {zeta.basis}")
-    if eta.grid != zeta.grid:
-        raise BasisMismatch("tube pairing needs a shared frequency grid")
     d = params.d
     total = _mirror_pairing(eta, zeta, lambda k, l: np.where(
         eta.basis == "S", 2 * l + d - 2, 2.0 * params.nu))

@@ -1087,18 +1087,47 @@ def test_basis_change_takes_the_reps_block_plan(rng):
             assert out.coeffs.array.tobytes() == want.tobytes()
 
 
+def _oracle_held(array):
+    """(channel, j, l) and (channel, lm) tables of the nonzero coefficients,
+    one label at a time."""
+    ls = lm_labels(lm_degree(array.shape[-1] - 1))[0]
+    held = np.zeros(array.shape[:2] + (ls[-1] + 1,), dtype=bool)
+    orders = np.zeros((len(array), array.shape[-1]), dtype=bool)
+    for ch, j, lm in zip(*np.nonzero(array)):
+        held[ch, j, ls[lm]] = orders[ch, lm] = True
+    return held, orders
+
+
 def test_block_plan_is_formed_once_and_not_pickled(rng):
     import pickle
-    rep = _random_tube(rng, OmegaGrid(0.5, tuple(range(-7, 8))))
-    c = rep.coeffs
-    for channel in (0, 1, None):
-        blocks = c.blocks(channel)
-        assert c.blocks(channel) is blocks
-        held = c.mask if channel is None else c.array[channel]
-        assert all(np.array_equal(got, want) for got, want in zip(blocks, xp._blocks(held)))
-    assert c.__reduce__() == (type(c), (c.js, c.array, c.mask))
-    copy = pickle.loads(pickle.dumps(rep))
-    assert copy.coeffs._plan == {} and dict(copy.coeffs) == dict(c)
+    grid = OmegaGrid(0.5, tuple(range(-7, 8)))
+    tube = _random_tube(rng, grid)
+    a_only = TubeRep(grid, {key: (a, 0j) for key, (a, _) in tube.coeffs.items()}, "S")
+    b_only = TubeRep(grid, {key: (0j, b) for key, (_, b) in tube.coeffs.items()}, "S")
+    split = TubeRep(grid, {(1, 2, 0): (1.0, 0j), (1, 2, 1): (0j, 2.0), (3, 0, 0): (0j, 1j),
+                           (-2, 1, -1): (0.5, -0.5)}, "C")
+    rod = RodRep(grid, {key: a for key, (a, _) in tube.coeffs.items()})
+    slc = SliceRep({(abs(k), l, m): ab for (k, l, m), ab in tube.coeffs.items()})
+    for rep in (tube, a_only, b_only, split, rod, slc):
+        c = rep.coeffs
+        held, orders = _oracle_held(c.array)
+        plans = [_oracle_blocks(channel) for channel in c.array]
+        same = all(all(np.array_equal(x, y) for x, y in zip(p, plans[0])) for p in plans)
+        groups = [(tuple(range(len(plans))), plans[0])] if same \
+            else [((ch,), plan) for ch, plan in enumerate(plans)]
+        assert np.array_equal(c.held, held) and np.array_equal(c.orders, orders)
+        assert [chs for chs, _ in c.groups] == [chs for chs, _ in groups]
+        assert all(np.array_equal(x, y) for (_, got), (_, want) in zip(c.groups, groups)
+                   for x, y in zip(got, want))
+        assert all(getattr(c, name) is getattr(c, name) for name in ("held", "groups", "orders"))
+        assert c.__reduce__() == (type(c), (c.js, c.array, c.mask))
+        copy = pickle.loads(pickle.dumps(rep))
+        assert not {"held", "groups", "orders"} & set(vars(copy.coeffs))
+        assert dict(copy.coeffs) == dict(c)
+    assert [chs for chs, _ in split.coeffs.groups] == [(0,), (1,)]
+    assert [chs for chs, _ in a_only.coeffs.groups] == [(0,), (1,)]
+    assert [chs for chs, _ in tube.coeffs.groups] == [(0, 1)]
+    assert not hasattr(tube.coeffs, "_plan") and not hasattr(tube.coeffs, "blocks")
 
 
 def test_ylm_point_memo_keys_on_bytes():

@@ -58,7 +58,7 @@ def _tube_coeffs(rng, n_freq, l_max):
 
 
 def _tube_field(n_freq):
-    return len(_tube_grid(n_freq).time_nodes()) * 16 * 32 * 16
+    return (2 * (n_freq // 2) + 1) * 16 * 32 * 16  # the `_window` count of its labels
 
 
 def _peak(fn, *args) -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adskg.errors import DomainError
+from adskg.errors import BasisMismatch, DomainError
 from adskg.expansions import OmegaGrid, TubeRep
 from adskg.harmonics import AngularGrid, lm_index, sph_harm
 from adskg.minkowski import (EnergyGrid, MinkSliceRep, MinkTubeRep,
@@ -330,6 +330,29 @@ def test_mink_rod_solutions_null():
     zeta = MinkTubeRep(grid, {(3, 1, 0): (0.2j, 0.0), (-3, 1, 0): (0.6, 0.0)}, 0.0)
     assert abs(mink_omega_tube_momentum(eta, zeta)) < 1e-15
     assert abs(mink_omega_tube_quadrature(eta, zeta, 1.5, ANG)) < 1e-9
+
+
+def test_mink_pairings_refuse_reps_they_cannot_pair():
+    # another energy spacing or field mass once paired to a number, and the
+    # slice form across masses was not antisymmetric: each now raises
+    def tube(grid, m_f):
+        return MinkTubeRep(grid, {(1, 1, 0): (0.8, 0.3j), (-1, 1, 0): (0.2j, 0.5),
+                                  (2, 0, 0): (0.4, -0.6), (-2, 0, 0): (0.1, 0.7j)}, m_f)
+
+    grid = EnergyGrid(0.5, tuple(range(-3, 4)))
+    pairs = [(tube(grid, 0.0), tube(EnergyGrid(0.25, grid.indices), 0.0)),
+             (tube(grid, 0.6), tube(grid, 0.9)),
+             (tube(grid, 0.6), tube(EnergyGrid(0.25, grid.indices), 0.9))]
+    for eta, zeta in pairs + [pair[::-1] for pair in pairs]:
+        with pytest.raises(BasisMismatch):
+            mink_omega_tube_momentum(eta, zeta)
+        with pytest.raises(BasisMismatch):
+            mink_omega_tube_quadrature(eta, zeta, 1.0, ANG)
+    light, heavy = (MinkSliceRep({(1.2, 1, 0): (0.8, 0.3j), (0.7, 0, 0): (0.5j, 0.4)}, m_f)
+                    for m_f in (0.6, 0.9))
+    for eta, zeta in ((light, heavy), (heavy, light)):
+        with pytest.raises(BasisMismatch, match="field masses differ"):
+            mink_omega_slice(eta, zeta)
 
 
 # --- Killing fields ---------------------------------------------------------------------

@@ -797,7 +797,7 @@ def test_other_basis_at_one_point_sums_no_series(params_m0, monkeypatch, first, 
     assert not sums
     assert _misses_and_hits() == (2, 2)
     monkeypatch.undo()
-    rows, l_need, _ = reps[1].coeffs.blocks(0)
+    rows, l_need = np.nonzero(reps[1].coeffs.held[0])
     omega = reps[1].coeffs.js[rows] * grid.d_omega
     kinds = (RadialKind.Sa, RadialKind.Sb) if reps[1].basis == "S" \
         else (RadialKind.Ca, RadialKind.Cb)

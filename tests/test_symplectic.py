@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from adskg import expansions as xp
 from adskg.errors import BasisMismatch
-from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, s_to_c
+from adskg.expansions import OmegaGrid, RodRep, SliceRep, TubeRep, c_to_s, s_to_c
 from adskg.geometry import Boost0, make_params
 from adskg.harmonics import AngularGrid, lm_count, lm_mirror
 from adskg.isometry import boost_generator_apply
@@ -188,6 +188,28 @@ def test_rod_solutions_null(params_m0):
                           (4, 0, 0): (-0.1, 0.0), (-4, 0, 0): (0.3j, 0.0)}, "S")
     assert abs(complex(omega_tube_momentum(eta, zeta, params_m0))) < 1e-14
     assert abs(complex(omega_tube_quadrature(eta, zeta, 0.9, params_m0, ANG))) < 1e-9
+
+
+def test_rod_pairings_are_their_tube_images(params_m0, rng):
+    # a rod is the S-basis tube with b = 0: each pairing and the basis change
+    # on rods is the same call on their as_tube() images, bit for bit
+    rods = [RodRep(GRID, {key: a for key, (a, _) in _random_tube_rep(
+        rng, GRID, 8).coeffs.items()}) for _ in "ab"]
+    tube = _random_tube_rep(rng, GRID, 8)
+    calls = [partial(omega_tube_momentum, params=params_m0),
+             lambda a, b: omega_tube_quadrature(a, b, 0.8, params_m0, ANG),
+             lambda a, b: symplectic_potential("rho", 0.8, a, b, params_m0, angular=ANG)]
+    for a, b in ((rods[0], rods[1]), (rods[0], tube), (tube, rods[1])):
+        images = [x.as_tube() if isinstance(x, RodRep) else x for x in (a, b)]
+        for call in calls:
+            assert np.array(call(a, b)).tobytes() == np.array(call(*images)).tobytes()
+    got, want = s_to_c(rods[0], params_m0), s_to_c(rods[0].as_tube(), params_m0)
+    assert (got.grid, got.basis, got.coeffs.l_max) == (want.grid, "C", want.coeffs.l_max)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(
+        (got.coeffs.js, got.coeffs.array, got.coeffs.mask),
+        (want.coeffs.js, want.coeffs.array, want.coeffs.mask)))
+    with pytest.raises(BasisMismatch, match="C-basis"):
+        c_to_s(rods[0], params_m0)
 
 
 def test_slice_solutions_null_in_tube_pairing(params_m0):
