@@ -27,7 +27,7 @@ except ImportError:  # no getrusage (Windows)
 
 import numpy as np
 
-from .errors import AdskgError, MagicFrequencyBlind
+from .errors import AdskgError, BasisMismatch, MagicFrequencyBlind
 from .geometry import make_params
 # sph_harm and radial_eval are not called here, nor sample_tube in symplectic:
 # the benchmark's self-test (bench/test_bench.py) pins those bindings until
@@ -164,20 +164,19 @@ def cmd_reconstruct(args) -> int:
     l_max = rep.coeffs.l_max
     ang = AngularGrid(max(16, l_max + 1), max(32, 2 * l_max + 2))
     orig = rep.coeffs
+    try:  # every target but boundary (any rep, branched on below) takes one rep class
+        xp._require(({"slice": xp.SliceRep, "tube": xp.TubeRep, "rod": xp.RodRep}.get(
+            args.target, object),), rep)
+    except BasisMismatch:
+        raise AdskgError(f"reconstruct {args.target} needs a {args.target} rep") from None
     if args.target == "slice":
-        if not isinstance(rep, xp.SliceRep):
-            raise AdskgError("reconstruct slice needs a slice rep")
         n_max = int(rep.coeffs.js[-1])
         data = xp.sample_slice(rep, args.t0, params, angular=ang)
         rec = xp.invert_slice(data, params, n_max, l_max, check_residual=False)
     elif args.target == "tube":
-        if not isinstance(rep, xp.TubeRep):
-            raise AdskgError("reconstruct tube needs a tube rep")
         data = xp.sample_tube(rep, args.rho0, params, ang)
         rec = xp.invert_tube(data, params, l_max, rep.basis)
     elif args.target == "rod":
-        if not isinstance(rep, xp.RodRep):
-            raise AdskgError("reconstruct rod needs a rod rep")
         data = xp.sample_rod(rep, args.rho0, params, ang)
         rec = xp.invert_rod_interior(data, params, l_max)
     elif args.target == "boundary":

@@ -152,9 +152,13 @@ class _Coeffs(Mapping):
     @classmethod
     def of(cls, coeffs, channels: int, j_min: float, whole_j: bool) -> "_Coeffs":
         """Store {(j, l, m): values}; ValueError on a label `_packed_lm`
-        refuses."""
-        if isinstance(coeffs, cls) and len(coeffs.array) == channels:
-            return coeffs
+        refuses (a `_Coeffs` is kept as it is if its first labels pass)."""
+        if isinstance(coeffs, cls):
+            if len(coeffs.array) != channels:
+                raise ValueError(f"{len(coeffs.array)} channels given, {channels} needed")
+            if not (js := coeffs.js).size or js[0] >= j_min and (  # js sorted
+                    not whole_j or js.dtype.kind in "iu" or not np.any(js % 1)):
+                return coeffs
         labels = list(coeffs)
         keys = np.array(labels).reshape(-1, 3)
         if keys.dtype == object:  # integers past int64: their floats; past the double
@@ -261,6 +265,9 @@ class _Labelled:
         c = self.coeffs
         return replace(self, coeffs=_Coeffs(c.js, array, c.mask, c.l_max))
 
+    def scaled(self, factor: complex):
+        return self._with(factor * self.coeffs.array)
+
 
 @dataclass(frozen=True)
 class TubeRep(_Labelled):
@@ -282,9 +289,6 @@ class TubeRep(_Labelled):
         gap = _scatter(np.r_[k, -k], np.r_[lm, mirror], np.hstack([vals.conj(), -vals]))
         return not np.any(np.abs(gap.array) > tol)
 
-    def scaled(self, factor: complex) -> "TubeRep":
-        return self._with(factor * self.coeffs.array)
-
 
 @dataclass(frozen=True)
 class SliceRep(_Labelled):
@@ -299,9 +303,6 @@ class SliceRep(_Labelled):
         # real iff phi^+ = phi^-, i.e. minus_conj = conj(plus) labelwise
         plus, minus_conj = self.coeffs.array
         return not np.any(self.coeffs.mask & (np.abs(minus_conj - np.conj(plus)) > tol))
-
-    def scaled(self, factor: complex) -> "SliceRep":
-        return self._with(factor * self.coeffs.array)
 
 
 @dataclass(frozen=True)
@@ -318,6 +319,9 @@ class RodRep(_Labelled):
         c = self.coeffs
         return TubeRep(self.grid, _Coeffs(c.js, np.concatenate(
             [c.array, np.zeros_like(c.array)]), c.mask, c.l_max), "S")
+
+
+_TUBES, _ADS = (TubeRep, RodRep), (SliceRep, TubeRep, RodRep)  # what tube, AdS entries take
 
 
 @dataclass(frozen=True)
@@ -491,12 +495,11 @@ def _synth(rep, point, params: AdsParams, deriv: int = 0) -> complex:
     held = rep.__dict__.get("_point_values", (None,))
     if held[0] != (at := key(*point, params)):
         t, rho, theta, phi = point
-        if isinstance(rep, SliceRep):
+        if isinstance(_require(_ADS, rep), SliceRep):
             rho = np.atleast_1d(rho)
             out = _slice_sum(rep, t, rho, (theta, phi), *_jacobi(rho, params, True))
         else:
-            radial = _s_or_c(rep.basis, rho, params)
-            out = _tube_sum(rep, t, (theta, phi), radial, True)
+            out = _tube_sum(rep, t, (theta, phi), _s_or_c(rep.basis, rho, params), True)
         (f, dt), (drho, _) = out[:, :, 0]  # (f, f') x (field, d/dt)
         object.__setattr__(rep, "_point_values", held := (at, (f, dt, drho)))
     return complex(held[1][deriv])
@@ -527,19 +530,24 @@ def _extent(*reps) -> tuple[int, int]:
             max(r.coeffs.l_max for r in reps))
 
 
-def _shared_grid(*reps) -> OmegaGrid:
-    """The frequency grid of the tube reps; BasisMismatch unless they share one."""
-    if any(rep.grid != reps[0].grid for rep in reps):
-        raise BasisMismatch("tube pairing needs a shared frequency grid")
-    return reps[0].grid
+def _require(classes: tuple, *reps):
+    """The first of reps; BasisMismatch unless each is one of `classes` and
+    has the first's frequency grid and field mass, where reps have those."""
+    for rep in reps:
+        if not isinstance(rep, classes):
+            raise BasisMismatch(f"needs a {' or '.join(c.__name__ for c in classes)}, "
+                                f"got a {type(rep).__name__}")
+        for field, what in (("grid", "frequency grids"), ("m_field", "field masses")):
+            if (first := getattr(reps[0], field, None)) != (got := getattr(rep, field, None)):
+                raise BasisMismatch(f"{what} differ: {first} vs {got}")
+    return reps[0]
 
 
-def _window(*reps) -> np.ndarray:
-    """The 2 K + 1 nodes of one time window of the reps' `_shared_grid`, K
-    the largest |k| of its indices and the reps' labels: no two of those
-    frequencies alias there, and a pairing's integrand (frequencies up to
-    2 K) sums exactly."""
-    grid = _shared_grid(*reps)
+def _window(classes: tuple, *reps) -> np.ndarray:
+    """The 2 K + 1 nodes of one time window of the grid the reps share
+    (`_require` of the classes), K the largest |k| of its indices and their
+    labels: no two such frequencies alias, and a pairing's integrand sums exactly."""
+    grid = _require(classes, *reps).grid
     return grid.time_nodes(2 * max(_extent(*reps)[0], *map(abs, grid.indices), 0) + 1)
 
 
@@ -608,7 +616,7 @@ class RodData:
 def sample_slice(rep: SliceRep, t0: float, params: AdsParams,
                  n_rho: int | None = None, angular: AngularGrid | None = None) -> SliceData:
     """Sample a slice solution (and d_t) on the radial x angular grid."""
-    n_max, l_max = _extent(rep)
+    n_max, l_max = _extent(_require((SliceRep,), rep))
     ang = angular or _angular_rule(l_max)
     rho, w = radial_measure(params, _slice_nodes(n_max, l_max) if n_rho is None else n_rho)
     phi, dphi = _slice_sum(rep, t0, rho, ang, *_jacobi(rho, params))
@@ -618,8 +626,8 @@ def sample_slice(rep: SliceRep, t0: float, params: AdsParams,
 def sample_tube(rep: TubeRep, rho0: float, params: AdsParams,
                 angular: AngularGrid | None = None) -> TubeData:
     """Sample a tube solution (and d_rho) over one time window at rho0."""
+    t_nodes = _window(_TUBES, rep)
     ang = angular or _angular_rule(rep.coeffs.l_max)
-    t_nodes = _window(rep)
     phi, dphi = _tube_sum(rep, t_nodes, ang, _s_or_c(rep.basis, rho0, params))
     return TubeData(rho0, rep.grid, t_nodes, ang, phi, dphi)
 
@@ -639,15 +647,18 @@ def _pair(values) -> tuple:
     return values[0], values[1] if len(values) > 1 else np.zeros_like(values[0])
 
 
-def _basis_change(rep, params: AdsParams, inverse: bool, basis: str) -> TubeRep:
-    """rep (a tube or rod) in `basis`: (a, b) M at every label, with M^-1 in
-    place of M if inverse; M is tabulated once per (k, l) holding a label."""
+def _basis_change(rep, params: AdsParams, inverse: bool) -> TubeRep:
+    """rep (an S-basis tube or rod; a C-basis tube if inverse) in the other
+    basis: (a, b) M at every label, with M^-1 in place of M if inverse; M is
+    tabulated once per (k, l) holding a label."""
+    if _require(_TUBES, rep).basis != "SC"[inverse]:
+        raise BasisMismatch(("s_to_c expects an S", "c_to_s expects a C")[inverse] + "-basis rep")
     c = rep.coeffs
     m11, m12, m21, m22 = _table(c.js, c.mask, lambda k, l: _transfer_entries(
         k * rep.grid.d_omega, l, params, inverse), (4,))
     a, b = _pair(c.array)
     return TubeRep(rep.grid, _Coeffs(c.js, np.stack(
-        [a * m11 + b * m21, a * m12 + b * m22]), c.mask, c.l_max), basis)
+        [a * m11 + b * m21, a * m12 + b * m22]), c.mask, c.l_max), "CS"[inverse])
 
 
 def s_to_c(rep: TubeRep, params: AdsParams) -> TubeRep:
@@ -656,22 +667,18 @@ def s_to_c(rep: TubeRep, params: AdsParams) -> TubeRep:
     Coefficient transpose of (S^a, S^b) = M (C^a, C^b):
     (phi^{C,a}, phi^{C,b}) = (phi^a, phi^b) M.
     """
-    if rep.basis != "S":
-        raise BasisMismatch("s_to_c expects an S-basis rep")
-    return _basis_change(rep, params, False, "C")
+    return _basis_change(rep, params, False)
 
 
 def c_to_s(rep: TubeRep, params: AdsParams) -> TubeRep:
-    if rep.basis != "C":
-        raise BasisMismatch("c_to_s expects a C-basis rep")
-    return _basis_change(rep, params, True, "S")
+    return _basis_change(rep, params, True)
 
 
 def slice_to_tube(rep: SliceRep, grid: OmegaGrid, params: AdsParams) -> TubeRep:
     """View a slice solution as an S-basis tube rep (Jacobi modes are the
     S^a modes at magic frequencies; the conj channel lands on the mirrored
     label).  Magic frequencies must sit on the grid."""
-    n, lm, vals = rep.coeffs.entries()
+    n, lm, vals = _require((SliceRep,), rep).coeffs.entries()
     om = magic_frequency("plus", n, lm_labels(rep.coeffs.l_max)[0][lm], params)
     k = np.rint(om / grid.d_omega)
     off = np.flatnonzero(np.abs(om / grid.d_omega - k) > _GRID_TOL)
@@ -845,12 +852,12 @@ def boundary_data_of(rep: TubeRep, params: AdsParams,
 
     with L the twisted boundary limit of C^a.
     """
+    t_nodes = _window((TubeRep,), rep)
     if rep.basis != "C":
         raise BasisMismatch("boundary data requires the C basis")
     require_two_sphere(params.d)
     lam = twisted_boundary_limit(RadialKind.Ca, params)
     ang = angular or _angular_rule(rep.coeffs.l_max)
-    t_nodes = _window(rep)
     # (rescaled value, twisted derivative) at the boundary: C^a -> (0, L),
     # C^b -> (1, 0)
     minus, plus = _tube_sum(rep, t_nodes, ang, lambda chs, om, l: np.array(
@@ -877,9 +884,9 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
     """Rescaled boundary field value of a rod solution:
     phi^d = d_omega sum phi^a m12(w, l) e^{-iwt} Y  (only the C^b part of
     S^a survives the rescaling)."""
+    t_nodes = _window((RodRep,), rep)
     require_two_sphere(params.d)
     ang = angular or _angular_rule(rep.coeffs.l_max)
-    t_nodes = _window(rep)
     def radial(chs, om, l):
         m12 = _transfer_entries(om, l, params, False)[1]
         return np.stack([m12, np.zeros_like(m12)])[None]

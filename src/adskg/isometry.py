@@ -40,7 +40,8 @@ from functools import partial
 
 import numpy as np
 
-from .expansions import SliceRep, TubeRep, _Coeffs, _scatter
+from .errors import BasisMismatch
+from .expansions import _ADS, SliceRep, TubeRep, _Coeffs, _require, _scatter
 from .geometry import (AdsParams, Boost0, BoostD1, GeneratorId, Rotation,
                        TimeTranslation)
 from .harmonics import (EulerAngles, contiguous_coeffs, lm_index, lm_labels,
@@ -58,7 +59,7 @@ _BRANCHES = ((+1, -1), (+1, +1), (-1, -1), (-1, +1))
 def act_time_translation(rep, delta_t: float, params: AdsParams):
     """Pullback action of t -> t + delta_t on the momentum representation:
     each channel picks up e^{i omega delta_t} (the conj channel its inverse)."""
-    c = rep.coeffs
+    c = _require(_ADS, rep).coeffs
     if isinstance(rep, SliceRep):
         omega = magic_frequency("plus", c.js[:, None], lm_labels(c.l_max)[0], params)
         omega = np.multiply.outer([1.0, -1.0], omega)
@@ -85,7 +86,7 @@ def act_rotation(rep, angles: EulerAngles, params: AdsParams):
     """Action of the rotation R(angles) on a rep (d = 3 only):
     synth(act_rotation(rep), x) == synth(rep, R^{-1} x)."""
     require_two_sphere(params.d)
-    c = rep.coeffs
+    c = _require(_ADS, rep).coeffs
     out = np.zeros_like(c.array)
     for l in range(c.l_max + 1):
         block = slice(lm_index(l, -l), lm_index(l, l) + 1)
@@ -158,21 +159,21 @@ def boost_generator_apply(rep, generator: GeneratorId, params: AdsParams):
     is_0d = isinstance(generator, Boost0)
     if not isinstance(generator, (Boost0, BoostD1)) or generator.j != params.d:
         raise ValueError("generator must be Boost0(d) or BoostD1(d)")
-    c = rep.coeffs
+    c = _require((SliceRep, TubeRep), rep).coeffs
     ls, ms = lm_labels(c.l_max)
     if isinstance(rep, SliceRep):
         signs, channels = (1.0, -1.0 if is_0d else 1.0), "aa"
         omega = magic_frequency("plus", c.js[:, None], ls, params)
         shift = lambda s_om, s_l: (s_om - s_l) // 2
-    elif isinstance(rep, TubeRep):
+    elif rep.basis != "S":
+        raise BasisMismatch("no boost of a C-basis rep: its shift coefficients are not derived")
+    else:
         step = 1.0 / rep.grid.d_omega
         if abs(step - round(step)) > 1e-9:
             raise ValueError("boosts shift omega by 1: need 1/d_omega integral")
         signs, channels = (1.0, 1.0), "ab"
         omega = rep.grid.d_omega * c.js[:, None]
         shift = lambda s_om, s_l: s_om * round(step)
-    else:
-        raise TypeError("boost action defined for TubeRep and SliceRep")
 
     s_om, s_l = np.array(_BRANCHES).T[:, :, None, None]  # over (branch, j, lm)
     kappa = np.array(contiguous_coeffs(3, ls, ms)[:2])[(s_l.ravel() > 0).astype(int)]

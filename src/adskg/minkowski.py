@@ -12,8 +12,8 @@ delta-normalized for point labels).
 Synthesis runs through the AdS kernels of `expansions` with J^+ -> 2 p
 (2 pi)^{-1/2} j_l(p r) and (S^a, S^b) -> (p_E / 4 pi)(jcheck, ncheck), and
 the momentum forms are the label sums of `symplectic` with Minkowski weights.
-Every pairing raises BasisMismatch on reps of different field masses, and a
-tube pairing on reps of different energy grids.
+Each entry point takes its one rep class (`expansions._require`), and a
+pairing raises BasisMismatch on another, on two field masses or two grids.
 
 Flat-limit per-mode map used by the comparison harness: for the AdS label
 (n, l, m) with w = w+_{nl}, w~ = w/R, p~ = sqrt|w~^2 - m^2|,
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import spherical_in, spherical_kn
 
-from .errors import BasisMismatch, DomainError
-from .expansions import (OmegaGrid, SliceRep, _Labelled, _angular_rule, _extent,
+from .errors import DomainError
+from .expansions import (OmegaGrid, SliceRep, _Labelled, _angular_rule, _extent, _require,
                          _slice_sum, _tube_sum, _window, synth)
 from .geometry import (AdsParams, Boost0, BoostD1, flat_labels, flat_unscale,
                        killing_coefficients, make_params)
@@ -133,7 +133,7 @@ def mink_synth_slice(rep: MinkSliceRep, point) -> complex:
     """sum over labels of 2 p (2 pi)^{-1/2} j_l(p r) [phi^+ e^{-iEt} Y +
     conj(phi^-) e^{+iEt} conj(Y)]."""
     t, r, theta, phi = point
-    m_f = rep.m_field
+    m_f = _require((MinkSliceRep,), rep).m_field
     out = _slice_sum(rep, t, (r,), (theta, phi), lambda p, l: np.sqrt(
         p * p + m_f * m_f), lambda p, l: [[
             2.0 * p / math.sqrt(2.0 * math.pi) * spherical_bessel("J", l, p * r)]])
@@ -144,7 +144,7 @@ def _mink_tube_sum(rep: MinkTubeRep, t, where, r: float) -> np.ndarray:
     """`expansions._tube_sum` with (S^a, S^b) -> (p_E / 4 pi)(jcheck, ncheck)
     at r: the field and its d/dr at the times t and the angular points
     `where`; one `_check` call per d/dr over the channels and (E, l) blocks."""
-    m_f = rep.m_field
+    m_f = _require((MinkTubeRep,), rep).m_field
 
     def radial(chs, energy, l):
         kinds = "".join("JN"[ch] for ch in chs)
@@ -169,28 +169,21 @@ def mink_synth_tube_dr(rep: MinkTubeRep, point) -> complex:
     return complex(_mink_tube_sum(rep, t, (theta, phi), r)[1, 0])
 
 
-def _m_field(eta, zeta) -> float:
-    """The field mass of both reps; BasisMismatch unless they share one."""
-    if eta.m_field != zeta.m_field:
-        raise BasisMismatch(f"field masses differ: {eta.m_field} vs {zeta.m_field}")
-    return eta.m_field
-
-
 def mink_omega_slice(eta: MinkSliceRep, zeta: MinkSliceRep) -> complex:
     """Momentum form +i sum E_p (conj(eta^-) zeta^+ - eta^+ conj(zeta^-)).
 
     Point-supported labels admit no finite radial quadrature form (the
     continuum pairing is delta-normalized), so only this form is exposed.
     """
-    m_f = _m_field(eta, zeta)
-    return _same_label_pairing(eta, zeta, lambda p, l: 1j * np.sqrt(p * p + m_f * m_f))
+    return _same_label_pairing((MinkSliceRep,), eta, zeta, lambda p, l: 1j * np.sqrt(
+        p * p + eta.m_field * eta.m_field))
 
 
 def mink_omega_tube_momentum(eta: MinkTubeRep, zeta: MinkTubeRep) -> complex:
     """dE sum (p_E / 16 pi) (eta^a_{Elm} zeta^b_{-E,l,-m} - eta^b zeta^a)."""
-    d_e, m_f = eta.grid.d_omega, _m_field(eta, zeta)
-    return d_e * _mirror_pairing(eta, zeta, lambda k, l: _momentum(
-        k * d_e, m_f) / (16.0 * math.pi))
+    total = _mirror_pairing((MinkTubeRep,), eta, zeta, lambda k, l: _momentum(
+        k * eta.grid.d_omega, eta.m_field) / (16.0 * math.pi))
+    return eta.grid.d_omega * total
 
 
 def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,
@@ -198,9 +191,8 @@ def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,
                                angular: AngularGrid | None = None) -> complex:
     """(r0^2/2) int dt dOmega (eta d_r zeta - zeta d_r eta) over one window,
     on the angular grid of `symplectic`'s quadratures."""
-    _m_field(eta, zeta)
+    t_nodes = _window((MinkTubeRep,), eta, zeta)
     ang = _angular_rule(_extent(eta, zeta)[1], angular)
-    t_nodes = _window(eta, zeta)
     (fe, dfe), (fz, dfz) = (_mink_tube_sum(rep, t_nodes, ang, r0)
                             for rep in (eta, zeta))
     dt = eta.grid.window / len(t_nodes)

@@ -12,7 +12,9 @@ Conventions (coordinate forms):
 Both are hypersurface-independent on solutions; the momentum forms are the
 label-diagonal sums displayed in the module functions.  The quadratures are
 sized by the exactness rules of `expansions` for the larger of their two
-reps, by default; a smaller n_rho or angular grid raises ValueError.
+reps, by default; a smaller n_rho or angular grid raises ValueError.  A form
+on Sigma_t takes slice reps, one on Sigma_rho tube or rod reps of one grid
+(`expansions._require`; the momentum form one basis), BasisMismatch otherwise.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import math
 import numpy as np
 
 from .errors import BasisMismatch
-from .expansions import (SliceRep, TubeRep, _angular_rule, _extent, _pair, _s_or_c,
-                         _shared_grid, _slice_nodes, _tube_sum, _window, sample_slice,
+from .expansions import (_TUBES, SliceRep, TubeRep, _angular_rule, _extent, _pair,
+                         _require, _s_or_c, _slice_nodes, _tube_sum, _window, sample_slice,
                          sample_tube)
 from .geometry import AdsParams
 from .harmonics import AngularGrid, lm_labels, lm_mirror, require_two_sphere
@@ -54,11 +56,12 @@ def _weighted_sum(j, lm, l_max: int, weight, terms) -> complex:
     return (w * terms).sum()
 
 
-def _same_label_pairing(eta, zeta, weight) -> complex:
+def _same_label_pairing(classes: tuple, eta, zeta, weight) -> complex:
     """sum over the sorted labels of eta or zeta of weight(j, l) (conj(eta^-)
     zeta^+ - eta^+ conj(zeta^-)), weight called once, on the arrays of the
-    (j, l) blocks holding a label."""
-    e, z = eta.coeffs, zeta.coeffs
+    (j, l) blocks holding a label; BasisMismatch unless `_require` of the
+    classes takes both reps."""
+    e, z = _require(classes, eta, zeta).coeffs, zeta.coeffs
     j, lm = (np.concatenate(pair) for pair in zip(e.entries()[:2], z.entries()[:2]))
     order = np.lexsort((lm, j))
     j, lm = j[order], lm[order]
@@ -69,13 +72,12 @@ def _same_label_pairing(eta, zeta, weight) -> complex:
     return _weighted_sum(j, lm, max(e.l_max, z.l_max), weight, eq * zp - ep * zq)
 
 
-def _mirror_pairing(eta, zeta, weight) -> complex:
+def _mirror_pairing(classes: tuple, eta, zeta, weight) -> complex:
     """sum over eta's sorted labels of weight(k, l) (eta^a zeta^b - eta^b
     zeta^a), zeta at (-k, l, -m), weight called once, on the arrays of the
     (k, l) blocks holding a label of eta; a rod's b is zero.  BasisMismatch
-    unless the reps share a frequency grid."""
-    e, z = eta.coeffs, zeta.coeffs
-    _shared_grid(eta, zeta)
+    unless `_require` of the classes takes both reps."""
+    e, z = _require(classes, eta, zeta).coeffs, zeta.coeffs
     j, lm, values = e.entries()
     (ea, eb), (za, zb) = _pair(values), _pair(_gather(z, -j, lm_mirror(e.l_max)[lm]))
     return _weighted_sum(j, lm, e.l_max, weight, ea * zb - eb * za)
@@ -94,8 +96,8 @@ def _tube_samples(eta: TubeRep, zeta: TubeRep, rho0: float, params: AdsParams,
                   ang: AngularGrid):
     """[(phi, d_rho phi)] of eta and of zeta at rho0 on one `_window`, which
     spans the shared grid and both reps' labels, and its node spacing;
-    BasisMismatch unless they share a frequency grid."""
-    t_nodes = _window(eta, zeta)
+    BasisMismatch unless each is a tube or rod and they share a grid."""
+    t_nodes = _window(_TUBES, eta, zeta)
     return [_tube_sum(rep, t_nodes, ang, _s_or_c(rep.basis, rho0, params))
             for rep in (eta, zeta)], eta.grid.window / len(t_nodes)
 
@@ -105,7 +107,7 @@ def omega_slice_quadrature(eta: SliceRep, zeta: SliceRep, t0: float,
                            angular: AngularGrid | None = None) -> complex:
     """-(1/2) int drho dOmega R^{d-1} tan^{d-1} (eta d_t zeta - zeta d_t eta)
     at t = t0; time derivatives are analytic phase factors."""
-    n_max, l_max = _extent(eta, zeta)
+    n_max, l_max = _extent(_require((SliceRep,), eta, zeta), zeta)
     n_rho, ang = _slice_nodes(n_max, l_max, n_rho), _angular_rule(l_max, angular)
     de = sample_slice(eta, t0, params, n_rho, ang)
     dz = sample_slice(zeta, t0, params, n_rho, ang)
@@ -120,7 +122,7 @@ def omega_slice_momentum(eta: SliceRep, zeta: SliceRep,
     d = 3 only (UnsupportedDimension otherwise): the labels are S^2 ones."""
     require_two_sphere(params.d)
     rd = params.R ** (params.d - 1)
-    return complex(_same_label_pairing(eta, zeta, lambda n, l: (
+    return complex(_same_label_pairing((SliceRep,), eta, zeta, lambda n, l: (
         1j * magic_frequency("plus", n, l, params) * rd
         * norm_constant("plus", n, l, params))))
 
@@ -131,7 +133,7 @@ def omega_tube_quadrature(eta: TubeRep, zeta: TubeRep, rho0: float,
     """(1/2) int dt dOmega R^{d-1} tan^{d-1}(rho0) (eta d_rho zeta - zeta
     d_rho eta) over one time window; radial derivatives are term-wise
     analytic."""
-    ang = _angular_rule(_extent(eta, zeta)[1], angular)
+    ang = _angular_rule(_extent(_require(_TUBES, eta, zeta), zeta)[1], angular)
     ((fe, dfe), (fz, dfz)), dt = _tube_samples(eta, zeta, rho0, params, ang)
     total = dt * np.sum(ang.integrate(_antisymmetrized(fe, dfe, fz, dfz)))
     tan_fac = math.tan(rho0) ** (params.d - 1)
@@ -145,10 +147,10 @@ def omega_tube_momentum(eta: TubeRep, zeta: TubeRep,
     the C basis.  d = 3 only (UnsupportedDimension otherwise): the labels are
     S^2 ones."""
     require_two_sphere(params.d)
-    if eta.basis != zeta.basis:
+    if _require(_TUBES, eta, zeta).basis != zeta.basis:
         raise BasisMismatch(f"bases differ: {eta.basis} vs {zeta.basis}")
     d = params.d
-    total = _mirror_pairing(eta, zeta, lambda k, l: np.where(
+    total = _mirror_pairing(_TUBES, eta, zeta, lambda k, l: np.where(
         eta.basis == "S", 2 * l + d - 2, 2.0 * params.nu))
     return complex(math.pi * params.R ** (d - 1) * eta.grid.d_omega * total)
 
@@ -165,10 +167,11 @@ def symplectic_potential(hypersurface: str, coord: float, phi, eta,
 
     With these orientations, -(1/2)(theta_zeta(eta) - theta_eta(zeta))
     reproduces the corresponding symplectic structure for both surfaces.
-    `hypersurface` is "t" or "rho"; `coord` the surface location.  On
-    Sigma_rho, BasisMismatch unless phi and eta share a frequency grid.
+    `hypersurface` is "t" or "rho"; `coord` the surface location.
     """
-    n_max, l_max = _extent(phi, eta)
+    if hypersurface not in ("t", "rho"):
+        raise ValueError("hypersurface must be 't' or 'rho'")
+    n_max, l_max = _extent(_require((SliceRep,) if hypersurface == "t" else _TUBES, phi, eta), eta)
     ang = _angular_rule(l_max, angular)
     rd = params.R ** (params.d - 1)
     if hypersurface == "t":
@@ -177,9 +180,7 @@ def symplectic_potential(hypersurface: str, coord: float, phi, eta,
         d_phi = sample_slice(phi, coord, params, n_rho, ang)
         angular_sum = ang.integrate(np.multiply(d_eta.phi, d_phi.dphi_dt, out=d_eta.phi))
         return rd * np.dot(d_eta.rho_weights, angular_sum)
-    if hypersurface == "rho":
-        ((f_eta, _), (_, df_phi)), dt = _tube_samples(eta, phi, coord, params, ang)
-        angular_sum = ang.integrate(np.multiply(f_eta, df_phi, out=f_eta))
-        tan_fac = math.tan(coord) ** (params.d - 1)
-        return -rd * tan_fac * dt * np.sum(angular_sum)
-    raise ValueError("hypersurface must be 't' or 'rho'")
+    ((f_eta, _), (_, df_phi)), dt = _tube_samples(eta, phi, coord, params, ang)
+    angular_sum = ang.integrate(np.multiply(f_eta, df_phi, out=f_eta))
+    tan_fac = math.tan(coord) ** (params.d - 1)
+    return -rd * tan_fac * dt * np.sum(angular_sum)

@@ -306,13 +306,13 @@ def test_pairings_equal_the_per_label_loops(rng):
         for pairing, loop, eta, zeta, weight in _pairing_cases(rng):
             want, size = loop(eta, zeta, weight)
             per_block = partial(per_distinct, weight)
-            got = pairing(eta, zeta, per_block)
+            got = pairing((type(eta),), eta, zeta, per_block)
             assert size > 0.0 and abs(got - want) <= 1e-14 * size
             # swapped, and against a rep holding no label
             want, size = loop(zeta, eta, weight)
-            assert abs(pairing(zeta, eta, per_block) - want) <= 1e-14 * size
+            assert abs(pairing((type(eta),), zeta, eta, per_block) - want) <= 1e-14 * size
             empty = replace(eta, coeffs={})
-            assert pairing(empty, zeta, per_block) == 0.0
+            assert pairing((type(eta),), empty, zeta, per_block) == 0.0
 
 
 def test_pairings_weigh_only_held_labels():
@@ -323,12 +323,12 @@ def test_pairings_weigh_only_held_labels():
     zeta = TubeRep(grid, {(-1, 2, 0): (0.5, 0.25), (2, 1, 1): (1.0, 1.0)})
     calls = []
     weight = lambda k, l: calls.append(sorted(zip(k.tolist(), l.tolist()))) or np.ones(len(k))
-    assert _mirror_pairing(eta, zeta, weight) == 1.0 * 0.25 - 2.0 * 0.5
+    assert _mirror_pairing((TubeRep,), eta, zeta, weight) == 1.0 * 0.25 - 2.0 * 0.5
     assert calls == [[(1, 2), (3, 0)]]
     calls.clear()
     slice_a = SliceRep({(0, 1, 0): (1.0, 0.0), (2, 0, 0): (0.0, 0.0)})
     slice_b = SliceRep({(0, 1, -1): (0.0, 1.0), (1, 2, 0): (1.0, 0.0)})
-    assert _same_label_pairing(slice_a, slice_b, weight) == 0.0
+    assert _same_label_pairing((SliceRep,), slice_a, slice_b, weight) == 0.0
     assert calls == [[(0, 1), (1, 2), (2, 0)]]  # the labels of either rep
 
 
@@ -410,7 +410,7 @@ def test_pairings_are_the_framed_sums_bit_for_bit(kind, data):
     oracle = {_same_label_pairing: _framed_same_label_pairing,
               _mirror_pairing: _framed_mirror_pairing}[pairing]
     for e, z in (reps, reps[::-1]):
-        got, want = pairing(e, z, weight), oracle(e, z, weight)
+        got, want = pairing((type(e),), e, z, weight), oracle(e, z, weight)
         assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
@@ -423,7 +423,7 @@ def test_pairings_are_the_framed_sums_on_larger_reps(rng):
                       _mirror_pairing: _framed_mirror_pairing}[pairing]
             per_block = partial(per_distinct, weight)
             for e, z in ((eta, zeta), (zeta, eta)):
-                assert np.asarray(pairing(e, z, per_block)).tobytes() \
+                assert np.asarray(pairing((type(e),), e, z, per_block)).tobytes() \
                     == np.asarray(oracle(e, z, per_block)).tobytes()
 
 
@@ -461,7 +461,7 @@ def test_slice_momentum_weights_are_the_per_label_weights(rng, R, msq):
     per_label = partial(per_distinct, lambda n, l: (
         1j * magic_frequency("plus", n, l, params) * rd
         * norm_constant("plus", n, l, params)))
-    want = complex(_same_label_pairing(eta, zeta, per_label))
+    want = complex(_same_label_pairing((SliceRep,), eta, zeta, per_label))
     assert complex(omega_slice_momentum(eta, zeta, params)) == want
 
 
