@@ -24,7 +24,8 @@ sum_m c[j, lm] Y_lm per (j, l) block in one `np.add.reduceat`, and the
 radial factors and phases are applied to those blocks.  A rep's tables
 are evaluated only on the (j, l) blocks its `_Coeffs.held` table marks,
 formed once per rep with the orders it holds.  The callers of `_slice_sum`
-and `_tube_sum` supply the frequency and radial functions, so the
+and `_tube_sum` supply the frequency and radial functions, whose rows are
+the fields a sum forms, so a caller forms only the fields it reads and the
 Minkowski expansions run through the same kernel.  Inversion is the
 adjoint: `AngularGrid.project` takes every lm at once, for all frequencies
 or radii, after the FFT time projection (tube) and before the Gauss-Jacobi
@@ -340,25 +341,25 @@ class BoundaryData:
 # synthesis: the separable kernel and its adjoint
 # ---------------------------------------------------------------------------
 
-def _degree_table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
+def _degree_table(js, coef, fn, blocks=None) -> np.ndarray:
     """fn(j, l) on the (j, l) blocks where coef (..., j, lm) has a nonzero
     entry, or on the (row, l) arrays `blocks` if given (zero elsewhere):
-    shape + (j, l_max + 1), of fn's dtype.  fn is called once, on the 1-d
-    arrays of those j and l, and returns shape + (blocks,)."""
+    fn's leading shape + (j, l_max + 1), of fn's dtype.  fn is called once,
+    on the 1-d arrays of those j and l (empty if there are none)."""
     l_max = lm_degree(coef.shape[-1] - 1)
     rows, l_need = np.nonzero(np.logical_or.reduceat(
         np.any(coef != 0, axis=tuple(range(coef.ndim - 2))), np.arange(l_max + 1) ** 2,
         axis=-1)) if blocks is None else blocks
-    vals = np.asarray(fn(np.asarray(js)[rows], l_need)) if rows.size else np.zeros(0)
-    out = np.zeros(shape + (coef.shape[-2], l_max + 1), dtype=vals.dtype)
+    vals = np.asarray(fn(np.asarray(js)[rows], l_need))
+    out = np.zeros(vals.shape[:-1] + (coef.shape[-2], l_max + 1), dtype=vals.dtype)
     out[..., rows, l_need] = vals
     return out
 
 
-def _table(js, coef, fn, shape=(), blocks=None) -> np.ndarray:
-    """`_degree_table` spread over lm: shape + (j, lm)."""
+def _table(js, coef, fn, blocks=None) -> np.ndarray:
+    """`_degree_table` spread over lm: (..., j, lm)."""
     ls = lm_labels(lm_degree(coef.shape[-1] - 1))[0]
-    return _degree_table(js, coef, fn, shape, blocks)[..., ls]
+    return _degree_table(js, coef, fn, blocks)[..., ls]
 
 
 def _by_degree(subscripts: str, kern, coef, out) -> np.ndarray:
@@ -395,16 +396,15 @@ def _time_project(samples: np.ndarray, grid: OmegaGrid) -> np.ndarray:
     return coef[np.array(grid.indices) % n_t]
 
 
-def _tube_sum(rep, t, where, radial, with_dt: bool = False) -> np.ndarray:
-    """d_omega sum (a f_a + b f_b)(k, l) e^{-i omega_k t} Y_lm and the same
-    sum over (g_a, g_b), at the times t and the angular points `where`;
-    shape (2, t, ...), or (2, 2, t) with each sum's d/dt second at a point
-    if with_dt.  radial(channels, omega, l) is (f, g) for each channel of
-    the tuple (0 for a, 1 for b), shape (channels, 2, blocks).  It is called
-    once per plan of `_Coeffs.groups`, on the arrays of its (k, l): once for
-    all the channels the rep holds (a rod holds a only) when they hold the
-    same blocks, else once per channel, so no channel is evaluated where it
-    holds nothing.  On a grid the radial values are folded into the
+def _tube_sum(rep, t, where, radial) -> np.ndarray:
+    """d_omega sum (a f_a + b f_b)(k, l) e^{-i omega_k t} Y_lm for each row f
+    of radial(channels, omega, l), (channels, rows, blocks) for the tuple of
+    channels (0 for a, 1 for b), at the times t and the angular points
+    `where`: (rows, t, ...), or (rows, 2, t) with d/dt second at a point.
+    radial is called once per plan of `_Coeffs.groups`, on the arrays of its
+    (k, l): once for all the channels when they hold the same blocks (a rod
+    holds a only), else once per channel, so no channel is evaluated where
+    it holds nothing.  On a grid the radial values are folded into the
     coefficients; at a point (theta, phi) the Y row is contracted first,
     sum_m c Y per (k, l) block, then the radial values and phases."""
     c, d_omega = rep.coeffs, rep.grid.d_omega
@@ -415,32 +415,31 @@ def _tube_sum(rep, t, where, radial, with_dt: bool = False) -> np.ndarray:
 
     if isinstance(where, AngularGrid):
         fold = (c.array[:, None] * np.concatenate([_table(
-            c.js, c.array[0], lambda k, l, chs=chs: radial(chs, k * d_omega, l),
-            (len(chs), 2), plan) for chs, plan in c.groups])).sum(axis=0)
+            c.js, c.array[0], lambda k, l, chs=chs: radial(chs, k * d_omega, l), plan)
+            for chs, plan in c.groups])).sum(axis=0)
         return where.synthesize(np.einsum("sj,...ji->...si", kern(
             d_omega * np.asarray(c.js, dtype=float)), fold))
     sums = _ylm_sums(c.array, ylm_point(c.l_max, c.orders.any(0), *where))
-    out = np.zeros((2, 1 + with_dt, np.size(t)), dtype=complex)
-    for chs, (rows, l_need) in c.groups:
-        if rows.size:
-            omega = c.js[rows] * d_omega
-            part = sums[np.array(chs)[:, None], rows, l_need][:, None]
-            blocks = (radial(chs, omega, l_need) * part).sum(axis=0)
-            out += np.stack([blocks @ kern(omega, dt).T for dt in range(1 + with_dt)], 1)
-    return out if with_dt else out[:, 0]
+
+    def part(chs, rows, l_need):  # one plan's (rows, 2, t)
+        omega = c.js[rows] * d_omega
+        blocks = (radial(chs, omega, l_need) * sums[np.array(chs)[:, None], rows, l_need][
+            :, None]).sum(axis=0)
+        return np.stack([blocks @ kern(omega, dt).T for dt in (False, True)], 1)
+
+    return sum(part(chs, *plan) for chs, plan in c.groups)
 
 
-def _slice_sum(rep, t: float, rho, where, frequency, radial,
-               with_dt: bool = True) -> np.ndarray:
+def _slice_sum(rep, t: float, where, frequency, radial, with_dt: bool = True) -> np.ndarray:
     """sum (phi^+ e^{-iwt} Y_lm + conj(phi^-) e^{iwt} conj(Y_lm)) f and its d/dt
-    at time t, the radii rho and the angular points `where`; shape (2, rho,
+    at time t, the radii of f and the angular points `where`; shape (2, rho,
     ...), or (1, rho, ...), the field alone, if not with_dt.  frequency(j, l)
     = w and radial(j, l) = f, shape (rho, blocks), are called once on the
     arrays of the (j, l) holding a nonzero coefficient (on a grid, w on the
     (j, 1) and (lm,) arrays of the frame).  conj(Y_l^m) = Y_l^{-m} moves the
     conj(phi^-) channel to the mirrored order.  At a point (theta, phi) the
     Y row is contracted first, as in `_tube_sum`, mirrored for conj(phi^-),
-    and radial gives a list of tables, each summed: (tables, 2 or 1, rho), two if no label."""
+    and radial gives a list of tables, each summed: (tables, 2 or 1, rho)."""
     c, grid = rep.coeffs, isinstance(where, AngularGrid)
     mirror = lm_mirror(c.l_max)
     if grid:
@@ -449,17 +448,15 @@ def _slice_sum(rep, t: float, rho, where, frequency, radial,
     else:
         y = ylm_point(c.l_max, c.orders[0] | c.orders[1][mirror], *where)  # refuses a bad theta
         rows, l_need = np.nonzero(c.held.any(0))
-        if not rows.size:
-            return np.zeros((2, 1 + with_dt, np.size(rho)), dtype=complex)
         plus, minus = _ylm_sums(c.array, np.array([y, y[mirror]])[:, None])[
             :, rows, l_need]
         omega = frequency(c.js[rows], l_need)
     plus, minus = plus * np.exp(-1j * omega * t), minus * np.exp(1j * omega * t)
     coefs = np.array([plus + minus, -1j * omega * (plus - minus)][:1 + with_dt])
     if grid:
-        return where.synthesize(_by_degree(
-            "sj,...ji->...si", _degree_table(c.js, coefs, radial, np.shape(rho)), coefs,
-            np.empty(coefs.shape[:1] + np.shape(rho) + coefs.shape[-1:], complex)))
+        kern = _degree_table(c.js, coefs, radial)  # (rho, j, l_max + 1)
+        return where.synthesize(_by_degree("sj,...ji->...si", kern, coefs, np.empty(
+            coefs.shape[:1] + kern.shape[:1] + coefs.shape[-1:], complex)))
     return np.array([coefs @ np.transpose(f) for f in radial(c.js[rows], l_need)])
 
 
@@ -488,6 +485,12 @@ def _s_or_c(basis: str, rho, params: AdsParams):
         tuple(kinds[ch] for ch in chs), om, l, rho, params), 0, 1)
 
 
+def _row(radial, row: int):
+    """The `_tube_sum` radial function of radial's one row (0 for f, 1 for
+    f'): a sum that forms only the field it reads."""
+    return lambda chs, om, l: radial(chs, om, l)[:, row:row + 1]
+
+
 def _synth(rep, point, params: AdsParams, deriv: int = 0) -> complex:
     """Shared body of synth, synth_dt and synth_drho (deriv 0, 1, 2) at point
     = (t, rho, theta, phi): one evaluation gives all three, kept on the rep
@@ -496,10 +499,9 @@ def _synth(rep, point, params: AdsParams, deriv: int = 0) -> complex:
     if held[0] != (at := key(*point, params)):
         t, rho, theta, phi = point
         if isinstance(_require(_ADS, rep), SliceRep):
-            rho = np.atleast_1d(rho)
-            out = _slice_sum(rep, t, rho, (theta, phi), *_jacobi(rho, params, True))
+            out = _slice_sum(rep, t, (theta, phi), *_jacobi(np.atleast_1d(rho), params, True))
         else:
-            out = _tube_sum(rep, t, (theta, phi), _s_or_c(rep.basis, rho, params), True)
+            out = _tube_sum(rep, t, (theta, phi), _s_or_c(rep.basis, rho, params))
         (f, dt), (drho, _) = out[:, :, 0]  # (f, f') x (field, d/dt)
         object.__setattr__(rep, "_point_values", held := (at, (f, dt, drho)))
     return complex(held[1][deriv])
@@ -543,11 +545,11 @@ def _require(classes: tuple, *reps):
     return reps[0]
 
 
-def _window(classes: tuple, *reps) -> np.ndarray:
-    """The 2 K + 1 nodes of one time window of the grid the reps share
-    (`_require` of the classes), K the largest |k| of its indices and their
-    labels: no two such frequencies alias, and a pairing's integrand sums exactly."""
-    grid = _require(classes, *reps).grid
+def _window(*reps) -> np.ndarray:
+    """The 2 K + 1 nodes of one time window of the first rep's grid, K the
+    largest |k| of its indices and the reps' labels: no two such frequencies
+    alias, and a pairing's integrand sums exactly."""
+    grid = reps[0].grid
     return grid.time_nodes(2 * max(_extent(*reps)[0], *map(abs, grid.indices), 0) + 1)
 
 
@@ -619,14 +621,14 @@ def sample_slice(rep: SliceRep, t0: float, params: AdsParams,
     n_max, l_max = _extent(_require((SliceRep,), rep))
     ang = angular or _angular_rule(l_max)
     rho, w = radial_measure(params, _slice_nodes(n_max, l_max) if n_rho is None else n_rho)
-    phi, dphi = _slice_sum(rep, t0, rho, ang, *_jacobi(rho, params))
+    phi, dphi = _slice_sum(rep, t0, ang, *_jacobi(rho, params))
     return SliceData(t0, rho, w, ang, phi, dphi)
 
 
 def sample_tube(rep: TubeRep, rho0: float, params: AdsParams,
                 angular: AngularGrid | None = None) -> TubeData:
     """Sample a tube solution (and d_rho) over one time window at rho0."""
-    t_nodes = _window(_TUBES, rep)
+    t_nodes = _window(_require(_TUBES, rep))
     ang = angular or _angular_rule(rep.coeffs.l_max)
     phi, dphi = _tube_sum(rep, t_nodes, ang, _s_or_c(rep.basis, rho0, params))
     return TubeData(rho0, rep.grid, t_nodes, ang, phi, dphi)
@@ -634,8 +636,11 @@ def sample_tube(rep: TubeRep, rho0: float, params: AdsParams,
 
 def sample_rod(rep: RodRep, rho0: float, params: AdsParams,
                angular: AngularGrid | None = None) -> RodData:
-    data = sample_tube(rep, rho0, params, angular)
-    return RodData(rho0, rep.grid, data.t_nodes, data.angular, data.phi)
+    """Sample a rod solution (a tube's field alone) over one time window at rho0."""
+    t_nodes = _window(_require(_TUBES, rep))
+    ang = angular or _angular_rule(rep.coeffs.l_max)
+    phi, = _tube_sum(rep, t_nodes, ang, _row(_s_or_c(rep.basis, rho0, params), 0))
+    return RodData(rho0, rep.grid, t_nodes, ang, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +660,7 @@ def _basis_change(rep, params: AdsParams, inverse: bool) -> TubeRep:
         raise BasisMismatch(("s_to_c expects an S", "c_to_s expects a C")[inverse] + "-basis rep")
     c = rep.coeffs
     m11, m12, m21, m22 = _table(c.js, c.mask, lambda k, l: _transfer_entries(
-        k * rep.grid.d_omega, l, params, inverse), (4,))
+        k * rep.grid.d_omega, l, params, inverse))
     a, b = _pair(c.array)
     return TubeRep(rep.grid, _Coeffs(c.js, np.stack(
         [a * m11 + b * m21, a * m12 + b * m22]), c.mask, c.l_max), "CS"[inverse])
@@ -716,7 +721,7 @@ def invert_slice(data: SliceData, params: AdsParams,
     ns = range(n_max + 1)
     full = np.ones((n_max + 1, lm_count(l_max)))
     frequency, radial = _jacobi(data.rho_nodes, params)
-    kern = _degree_table(ns, full, radial, data.rho_nodes.shape)
+    kern = _degree_table(ns, full, radial)
     proj = np.stack([ang.project(x, l_max) for x in (data.phi, data.dphi_dt)])
     p_phi, p_dphi = _by_degree("sj,csi->cji", data.rho_weights[:, None, None] * kern, proj,
                                np.empty((2,) + full.shape, complex))
@@ -731,8 +736,7 @@ def invert_slice(data: SliceData, params: AdsParams,
                                          + np.conj(d_c) * p_dphi[:, mirror]])))
     if check_residual:
         norm = np.max(np.abs(data.phi)) or 1.0
-        rho = data.rho_nodes
-        diff = _slice_sum(rep, data.t0, rho, ang, *_jacobi(rho, params), with_dt=False)[0]
+        diff = _slice_sum(rep, data.t0, ang, *_jacobi(data.rho_nodes, params), with_dt=False)[0]
         diff -= data.phi
         resid = np.max(np.abs(diff)) / norm
         if resid > _RESIDUAL_TOL:
@@ -756,7 +760,7 @@ def invert_tube(data: TubeData, params: AdsParams, l_max: int,
                      for x in (data.phi, data.dphi_drho))
     full = np.ones((len(grid.indices), lm_count(l_max)))
     (fa, da), (fb, db) = _table(grid.indices, full, lambda k, l: radial(
-        (0, 1), k * grid.d_omega, l), (2, 2))
+        (0, 1), k * grid.d_omega, l))
     d = params.d
     tan_fac = math.tan(data.rho0) ** (d - 1)
     weight = tan_fac / (2 * lm_labels(l_max)[0] + d - 2) if basis == "S" \
@@ -852,7 +856,7 @@ def boundary_data_of(rep: TubeRep, params: AdsParams,
 
     with L the twisted boundary limit of C^a.
     """
-    t_nodes = _window((TubeRep,), rep)
+    t_nodes = _window(_require((TubeRep,), rep))
     if rep.basis != "C":
         raise BasisMismatch("boundary data requires the C basis")
     require_two_sphere(params.d)
@@ -884,14 +888,11 @@ def rod_boundary_data_of(rep: RodRep, params: AdsParams,
     """Rescaled boundary field value of a rod solution:
     phi^d = d_omega sum phi^a m12(w, l) e^{-iwt} Y  (only the C^b part of
     S^a survives the rescaling)."""
-    t_nodes = _window((RodRep,), rep)
+    t_nodes = _window(_require((RodRep,), rep))
     require_two_sphere(params.d)
     ang = angular or _angular_rule(rep.coeffs.l_max)
-    def radial(chs, om, l):
-        m12 = _transfer_entries(om, l, params, False)[1]
-        return np.stack([m12, np.zeros_like(m12)])[None]
-
-    phi, _ = _tube_sum(rep, t_nodes, ang, radial)
+    phi, = _tube_sum(rep, t_nodes, ang, lambda chs, om, l: _transfer_entries(
+        om, l, params, False)[1:2][None])
     return RodData(math.pi / 2, rep.grid, t_nodes, ang, phi)
 
 

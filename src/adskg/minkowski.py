@@ -134,7 +134,7 @@ def mink_synth_slice(rep: MinkSliceRep, point) -> complex:
     conj(phi^-) e^{+iEt} conj(Y)]."""
     t, r, theta, phi = point
     m_f = _require((MinkSliceRep,), rep).m_field
-    out = _slice_sum(rep, t, (r,), (theta, phi), lambda p, l: np.sqrt(
+    out = _slice_sum(rep, t, (theta, phi), lambda p, l: np.sqrt(
         p * p + m_f * m_f), lambda p, l: [[
             2.0 * p / math.sqrt(2.0 * math.pi) * spherical_bessel("J", l, p * r)]])
     return complex(out[0, 0, 0])
@@ -144,7 +144,7 @@ def _mink_tube_sum(rep: MinkTubeRep, t, where, r: float) -> np.ndarray:
     """`expansions._tube_sum` with (S^a, S^b) -> (p_E / 4 pi)(jcheck, ncheck)
     at r: the field and its d/dr at the times t and the angular points
     `where`; one `_check` call per d/dr over the channels and (E, l) blocks."""
-    m_f = _require((MinkTubeRep,), rep).m_field
+    m_f = rep.m_field
 
     def radial(chs, energy, l):
         kinds = "".join("JN"[ch] for ch in chs)
@@ -161,12 +161,12 @@ def _mink_tube_sum(rep: MinkTubeRep, t, where, r: float) -> np.ndarray:
 def mink_synth_tube(rep: MinkTubeRep, point) -> complex:
     """dE sum over labels of (p^R_E / 4 pi) [a jcheck + b ncheck] e^{-iEt} Y."""
     t, r, theta, phi = point
-    return complex(_mink_tube_sum(rep, t, (theta, phi), r)[0, 0])
+    return complex(_mink_tube_sum(_require((MinkTubeRep,), rep), t, (theta, phi), r)[0, 0, 0])
 
 
 def mink_synth_tube_dr(rep: MinkTubeRep, point) -> complex:
     t, r, theta, phi = point
-    return complex(_mink_tube_sum(rep, t, (theta, phi), r)[1, 0])
+    return complex(_mink_tube_sum(_require((MinkTubeRep,), rep), t, (theta, phi), r)[1, 0, 0])
 
 
 def mink_omega_slice(eta: MinkSliceRep, zeta: MinkSliceRep) -> complex:
@@ -191,7 +191,7 @@ def mink_omega_tube_quadrature(eta: MinkTubeRep, zeta: MinkTubeRep,
                                angular: AngularGrid | None = None) -> complex:
     """(r0^2/2) int dt dOmega (eta d_r zeta - zeta d_r eta) over one window,
     on the angular grid of `symplectic`'s quadratures."""
-    t_nodes = _window((MinkTubeRep,), eta, zeta)
+    t_nodes = _window(_require((MinkTubeRep,), eta, zeta), zeta)
     ang = _angular_rule(_extent(eta, zeta)[1], angular)
     (fe, dfe), (fz, dfz) = (_mink_tube_sum(rep, t_nodes, ang, r0)
                             for rep in (eta, zeta))

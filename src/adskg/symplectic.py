@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import BasisMismatch
 from .expansions import (_TUBES, SliceRep, TubeRep, _angular_rule, _extent, _pair,
-                         _require, _s_or_c, _slice_nodes, _tube_sum, _window, sample_slice,
-                         sample_tube)
+                         _require, _row, _s_or_c, _slice_nodes, _tube_sum, _window,
+                         sample_slice, sample_tube)
 from .geometry import AdsParams
 from .harmonics import AngularGrid, lm_labels, lm_mirror, require_two_sphere
 from .modes import magic_frequency, norm_constant
@@ -92,16 +92,6 @@ def _antisymmetrized(a, da, b, db) -> np.ndarray:
     return a
 
 
-def _tube_samples(eta: TubeRep, zeta: TubeRep, rho0: float, params: AdsParams,
-                  ang: AngularGrid):
-    """[(phi, d_rho phi)] of eta and of zeta at rho0 on one `_window`, which
-    spans the shared grid and both reps' labels, and its node spacing;
-    BasisMismatch unless each is a tube or rod and they share a grid."""
-    t_nodes = _window(_TUBES, eta, zeta)
-    return [_tube_sum(rep, t_nodes, ang, _s_or_c(rep.basis, rho0, params))
-            for rep in (eta, zeta)], eta.grid.window / len(t_nodes)
-
-
 def omega_slice_quadrature(eta: SliceRep, zeta: SliceRep, t0: float,
                            params: AdsParams, n_rho: int | None = None,
                            angular: AngularGrid | None = None) -> complex:
@@ -134,8 +124,11 @@ def omega_tube_quadrature(eta: TubeRep, zeta: TubeRep, rho0: float,
     d_rho eta) over one time window; radial derivatives are term-wise
     analytic."""
     ang = _angular_rule(_extent(_require(_TUBES, eta, zeta), zeta)[1], angular)
-    ((fe, dfe), (fz, dfz)), dt = _tube_samples(eta, zeta, rho0, params, ang)
-    total = dt * np.sum(ang.integrate(_antisymmetrized(fe, dfe, fz, dfz)))
+    t_nodes = _window(eta, zeta)
+    (fe, dfe), (fz, dfz) = (_tube_sum(rep, t_nodes, ang, _s_or_c(rep.basis, rho0, params))
+                            for rep in (eta, zeta))
+    total = eta.grid.window / len(t_nodes) * np.sum(
+        ang.integrate(_antisymmetrized(fe, dfe, fz, dfz)))
     tan_fac = math.tan(rho0) ** (params.d - 1)
     return complex(0.5 * params.R ** (params.d - 1) * tan_fac * total)
 
@@ -147,11 +140,11 @@ def omega_tube_momentum(eta: TubeRep, zeta: TubeRep,
     the C basis.  d = 3 only (UnsupportedDimension otherwise): the labels are
     S^2 ones."""
     require_two_sphere(params.d)
-    if _require(_TUBES, eta, zeta).basis != zeta.basis:
-        raise BasisMismatch(f"bases differ: {eta.basis} vs {zeta.basis}")
     d = params.d
     total = _mirror_pairing(_TUBES, eta, zeta, lambda k, l: np.where(
         eta.basis == "S", 2 * l + d - 2, 2.0 * params.nu))
+    if eta.basis != zeta.basis:  # read once `_mirror_pairing` has taken both reps
+        raise BasisMismatch(f"bases differ: {eta.basis} vs {zeta.basis}")
     return complex(math.pi * params.R ** (d - 1) * eta.grid.d_omega * total)
 
 
@@ -180,7 +173,9 @@ def symplectic_potential(hypersurface: str, coord: float, phi, eta,
         d_phi = sample_slice(phi, coord, params, n_rho, ang)
         angular_sum = ang.integrate(np.multiply(d_eta.phi, d_phi.dphi_dt, out=d_eta.phi))
         return rd * np.dot(d_eta.rho_weights, angular_sum)
-    ((f_eta, _), (_, df_phi)), dt = _tube_samples(eta, phi, coord, params, ang)
+    t_nodes = _window(eta, phi)
+    (f_eta,), (df_phi,) = (_tube_sum(rep, t_nodes, ang, _row(_s_or_c(
+        rep.basis, coord, params), row)) for rep, row in ((eta, 0), (phi, 1)))
     angular_sum = ang.integrate(np.multiply(f_eta, df_phi, out=f_eta))
     tan_fac = math.tan(coord) ** (params.d - 1)
-    return -rd * tan_fac * dt * np.sum(angular_sum)
+    return -rd * tan_fac * (eta.grid.window / len(t_nodes)) * np.sum(angular_sum)

@@ -101,7 +101,7 @@ def _spread_sample_slice(rep, t0, params, n_rho, ang):
     plus = coef[0] * np.exp(-1j * omega * t0)
     minus = coef[1][:, lm_mirror(rep.coeffs.l_max)] * np.exp(1j * omega * t0)
     coefs = np.stack([plus + minus, -1j * omega * (plus - minus)])
-    kern = xp._table(js, coefs, radial, rho.shape)
+    kern = xp._table(js, coefs, radial)
     return _stacked_synthesize(ang, np.einsum("sji,...ji->...si", kern, coefs))
 
 
@@ -111,7 +111,7 @@ def _stacked_invert_slice(data, params, n_max, l_max):
     ns = range(n_max + 1)
     full = np.ones((n_max + 1, lm_count(l_max)))
     frequency, radial = xp._jacobi(data.rho_nodes, params)
-    kern = xp._table(ns, full, radial, data.rho_nodes.shape)
+    kern = xp._table(ns, full, radial)
     proj = data.angular.project(np.stack([data.phi, data.dphi_dt]), l_max)
     p_phi, p_dphi = np.einsum("s,sji,csi->cji", data.rho_weights, kern, proj)
     omega = xp._table(ns, full, frequency)
